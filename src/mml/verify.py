@@ -20,6 +20,7 @@ from .chain import generate, stationary
 from .errors import ValidationError
 from .hitting import (
     StateSet,
+    _mask_members,
     check_lemma1,
     check_lemma2,
     expected_hitting_time,
@@ -157,7 +158,7 @@ def suite_lemma1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
 def _disjoint_pairs(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All ordered pairs of disjoint non-empty subsets of range(m), canonical order."""
     masks = list(range(1, 1 << m))
-    members = {mask: tuple(j for j in range(m) if mask >> j & 1) for mask in masks}
+    members = {mask: _mask_members(mask) for mask in masks}
     return [(members[a], members[b]) for a in masks for b in masks if not a & b]
 
 
@@ -176,7 +177,7 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
         tables = {}
         t_half = 0.0
         for mask in range(1, 1 << m):
-            members = tuple(j for j in range(m) if mask >> j & 1)
+            members = _mask_members(mask)
             tables[members] = hitting_table(P, StateSet(members))
             if pi.mass(members) >= 0.5 - 1e-12:
                 t_half = max(t_half, tables[members].t_plus_all)

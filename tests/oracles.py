@@ -1,9 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's solver paths: hitting times come
-from truncated survival sums (iterating the sub-stochastic matrix), the
-subset maximizer from brute-force enumeration, and reference constants
-from high-precision arithmetic.
+from truncated survival sums (iterating the sub-stochastic matrix) or one
+plain dense solve per target, the subset maximizer from brute-force
+enumeration, and reference constants from high-precision arithmetic.
 """
 
 from __future__ import annotations
@@ -59,16 +59,27 @@ def survival_sum_expected(rows: np.ndarray, members, start: np.ndarray) -> float
     raise AssertionError("survival-sum oracle did not converge")
 
 
-def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float):
+def direct_solve_table(rows: np.ndarray, members) -> np.ndarray:
+    """h from one dense solve of the first-step system restricted to B^c."""
+    target = set(members)
+    rest = [x for x in range(rows.shape[0]) if x not in target]
+    h = np.zeros(rows.shape[0])
+    if rest:
+        h[rest] = np.linalg.solve(np.eye(len(rest)) - rows[np.ix_(rest, rest)], np.ones(len(rest)))
+    return h
+
+
+def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float,
+                        table=survival_sum_table):
     """Enumerate every non-empty subset with itertools; no bit tricks shared
-    with the implementation."""
+    with the implementation. ``table(rows, members)`` gives h for one target."""
     m = rows.shape[0]
     best = None
     for k in range(1, m + 1):
         for combo in itertools.combinations(range(m), k):
             if pi_vec[list(combo)].sum() < epsilon - 1e-12:
                 continue
-            val = survival_sum_table(rows, combo).max()
+            val = table(rows, combo).max()
             if best is None or val > best[0] + 1e-9:
                 best = (val, combo)
     return best

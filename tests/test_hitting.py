@@ -1,10 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mml.chain import generate, stationary, validate
 from mml.errors import EmptySetError, TooManyStatesError, ValidationError
 from mml.hitting import (
+    MASS_FILTER_TOL,
     StateSet,
+    _minimal_qualifying_sets,
     check_lemma1,
     check_lemma2,
     expected_hitting_time,
@@ -17,7 +23,12 @@ from mml.hitting import (
     t_plus,
 )
 
-from oracles import brute_force_t_large, survival_sum_expected, survival_sum_table
+from oracles import (
+    brute_force_t_large,
+    direct_solve_table,
+    survival_sum_expected,
+    survival_sum_table,
+)
 
 UNIFORM2 = validate([[0.5, 0.5], [0.5, 0.5]])
 CYCLE3 = validate([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
@@ -25,6 +36,29 @@ CYCLE3 = validate([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 
 def random_chain(m, seed):
     return generate("random-dense", m=m, seed=seed).matrix
+
+
+def family_chain(family, m):
+    if family == "random-dense":
+        return random_chain(m, 400 + m)
+    if family == "lazy-cycle":
+        return generate("lazy-cycle", m=m, hold=0.5).matrix
+    if family == "birth-death":
+        return generate("birth-death", m=m, p=0.35, q=0.25).matrix
+    return generate("iid", mu=np.random.default_rng(m).dirichlet(np.ones(m))).matrix
+
+
+@st.composite
+def stochastic_rows(draw):
+    """Random transition matrix whose entries are all at least 0.05 / (1.05 m).
+
+    The floor keeps hitting times below a few hundred steps, so solver
+    rounding stays far below the 1e-9 tolerance of the monotonicity check.
+    """
+    m = draw(st.integers(1, 8))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m)))
+    rows = weights.reshape(m, m) + 0.05
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 class TestStateSet:
@@ -97,6 +131,17 @@ class TestHittingTable:
         big = tuple(sorted(set(small) | {int(rng.integers(0, 7))}))
         h_small = hitting_table(P, StateSet(small)).h
         h_big = hitting_table(P, StateSet(big)).h
+        assert np.all(h_big <= h_small + 1e-9)
+
+    @settings(deadline=None)
+    @given(rows=stochastic_rows(), data=st.data())
+    def test_monotone_in_target_property(self, rows, data):
+        m = rows.shape[0]
+        small = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+        big = small | data.draw(st.sets(st.integers(0, m - 1)))
+        P = validate(rows)
+        h_small = hitting_table(P, StateSet(tuple(small))).h
+        h_big = hitting_table(P, StateSet(tuple(big))).h
         assert np.all(h_big <= h_small + 1e-9)
 
     def test_iid_closed_form(self):
@@ -183,10 +228,53 @@ class TestTLarge:
         val, _ = brute_force_t_large(P.rows, pi.pi, eps)
         assert res.value == pytest.approx(val, rel=1e-6)
 
+    @pytest.mark.parametrize("family", ["random-dense", "lazy-cycle", "birth-death", "iid"])
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_matches_full_enumeration(self, family, m):
+        P = family_chain(family, m)
+        pi = stationary(P)
+        for eps in (0.1, 0.3, 0.5, 0.7, 1.0):
+            res = t_large(P, pi, eps)
+            val, _ = brute_force_t_large(P.rows, pi.pi, eps, table=direct_solve_table)
+            assert res.value == pytest.approx(val, rel=1e-12)
+            # the witness is a minimal qualifying set that attains the value
+            members = res.argmax_set.members
+            assert res.argmax_set.mass >= eps - MASS_FILTER_TOL
+            for x in members:
+                assert pi.mass(set(members) - {x}) < eps - MASS_FILTER_TOL
+            assert direct_solve_table(P.rows, members).max() == pytest.approx(val, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_single_state_chain(self, eps):
+        P = validate([[1.0]])
+        res = t_large(P, stationary(P), eps)
+        assert res.value == 0.0
+        assert res.argmax_set.members == (0,)
+
     def test_too_many_states(self):
         P = generate("lazy-cycle", m=21, hold=0.5).matrix
         with pytest.raises(TooManyStatesError):
             t_large(P, stationary(P), 0.5)
+
+    @settings(deadline=None)
+    @given(weights=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8),
+           eps=st.floats(1e-3, 1.0))
+    def test_minimal_sets_match_definition(self, weights, eps):
+        pi_vec = np.array(weights) / sum(weights)
+        m = pi_vec.size
+
+        def qualifies(members):
+            # accumulate in ascending state order, as subset_masses does
+            return len(members) > 0 and sum(pi_vec[j] for j in members) >= eps - MASS_FILTER_TOL
+
+        expected = []
+        for k in range(1, m + 1):
+            for combo in itertools.combinations(range(m), k):
+                if qualifies(combo) and not any(
+                        qualifies(combo[:i] + combo[i + 1:]) for i in range(k)):
+                    expected.append((sum(1 << j for j in combo), k))
+        masks, sizes = _minimal_qualifying_sets(pi_vec, eps)
+        assert sorted(zip(masks.tolist(), sizes.tolist())) == sorted(expected)
 
     def test_subset_masses(self):
         masses = subset_masses(np.array([0.25, 0.75]))
