@@ -205,7 +205,11 @@ def pinsker_check(p: float, q: float) -> BoundReport:
 
 @dataclass(frozen=True)
 class CalibrationInstance:
-    """One empirical joint-survival measurement used to certify c."""
+    """One joint-survival value used to certify c.
+
+    An exact survival probability has no CI slack and no trials; a Monte
+    Carlo estimate carries its CI half-width and trial count.
+    """
 
     chain_id: str
     members: tuple[int, ...]
@@ -213,8 +217,8 @@ class CalibrationInstance:
     mass: float
     t_half: float
     p_hat: float
-    slack: float
-    trials: int
+    slack: float = 0.0
+    trials: int = 0
 
     @property
     def exponent_scale(self) -> float:
@@ -237,9 +241,11 @@ def calibrate_c(instances: Sequence[CalibrationInstance],
 
     Instances with n below the chain's T(0.5) are excluded (short-horizon
     measurements are vacuous: the chain has not had one mixing scale to
-    move). Raises InsufficientTrialsError when the CI slack on the
-    binding instance leaves the certified value uncertain by more than
-    ``resolution``.
+    move). Raises InsufficientTrialsError when no instance constrains c
+    (every p_hat is at most its slack, e.g. every exact survival is 0), or
+    when the CI slack on the binding instance leaves the certified value
+    uncertain by more than ``resolution``; exact instances (slack 0) leave
+    no uncertainty.
     """
     if not instances:
         raise ValidationError("empty calibration suite")
@@ -261,7 +267,8 @@ def calibrate_c(instances: Sequence[CalibrationInstance],
             binding = inst
     if not math.isfinite(hi):
         raise InsufficientTrialsError(
-            "no instance constrains c: every empirical tail is below its CI slack")
+            "no instance constrains c: every survival probability is at most its CI slack "
+            "(an exact survival of 0 constrains nothing)")
     up = min(1.0, binding.p_hat + binding.slack)
     c_lo = 0.0 if up >= 1 else -math.log(up) / binding.exponent_scale
     width = hi - c_lo

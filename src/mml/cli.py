@@ -1,8 +1,8 @@
 """Command-line harness: chain tools, hitting-time queries, simulation, bounds, verification.
 
 Exit codes: 0 success, 1 verification found violations, 2 file/parse
-error, 3 validation error, 4 mathematical precondition, 5 insufficient
-Monte Carlo trials. Report CSVs carry metadata in ``#`` header lines;
+error, 3 validation error, 4 mathematical precondition, 5 the rate
+constant c cannot be calibrated. Report CSVs carry metadata in ``#`` header lines;
 bodies are deterministic functions of the seed.
 """
 

@@ -11,6 +11,13 @@ target can only shorten the walk to it (B subset of B' gives h_B' <= h_B
 pointwise), so the maximum is attained on a minimal qualifying set, one
 that drops below eps when any member is removed. Only those sets are
 solved, in stacked batches: typically under a second at m = 20.
+
+The survival law of the walk is exact too. Pr[N_B > t] (no state of B
+among X_1..X_t) is start restricted to B^c times Q^(t-1) times 1, with
+Q = P restricted to B^c, and the law of the visited set V_n = {X_1..X_n}
+follows from a DP over (visited set, current state), m 2^m numbers per
+step (m <= 20). Both only add non-negative terms, so they keep their
+relative accuracy down to the smallest probabilities.
 """
 
 from __future__ import annotations
@@ -177,6 +184,19 @@ def _mask_members(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lex_smallest(masks: np.ndarray, m: int) -> tuple[int, ...]:
+    """Member tuple of the lexicographically smallest set in an antichain.
+
+    Of two sets with neither inside the other, the smaller tuple is the one
+    holding the lowest state in which they differ; reversing the bit order
+    makes that set the larger key.
+    """
+    key = np.zeros_like(masks)
+    for j in range(m):
+        key |= ((masks >> j) & 1) << (m - 1 - j)
+    return _mask_members(int(masks[np.argmax(key)]))
+
+
 def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Bitmasks and sizes of the minimal sets of mass >= eps.
 
@@ -232,10 +252,72 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
         for start in range(0, group.size, SOLVE_BATCH):
             batch = group[start:start + SOLVE_BATCH]
             values[batch] = _batch_t_plus_all(P.rows, masks[batch], int(size))
-    tied = masks[values == values.max()]
-    witness = StateSet(min(_mask_members(int(mask)) for mask in tied)).with_mass(pi)
+    witness = StateSet(_lex_smallest(masks[values == values.max()], P.m)).with_mass(pi)
     recomputed = hitting_table(P, witness)
     return LargeSetTime(epsilon=float(epsilon), value=recomputed.t_plus_all, argmax_set=witness)
+
+
+def survival_probabilities(P: TransitionMatrix, start, members, horizons) -> np.ndarray:
+    """Exact Pr[N_B > t] for each horizon t >= 1, with X_1 ~ start.
+
+    N_B > t means X_1, ..., X_t all lie outside B = ``members``, so the
+    probability is start restricted to B^c, times Q^(t-1), times 1, where
+    Q is P restricted to B^c. Works for any m.
+    """
+    B = StateSet(tuple(members))
+    _check_members(B, P.m, "target set")
+    horizons = _check_horizons(horizons)
+    rest = np.setdiff1d(np.arange(P.m), B.indices())
+    Q = P.rows[np.ix_(rest, rest)]
+    v = np.asarray(start, dtype=float)[rest]
+    out = np.empty(horizons.size)
+    t = 1
+    for i in np.argsort(horizons, kind="stable"):
+        for _ in range(t, horizons[i]):
+            v = v @ Q
+        t = horizons[i]
+        out[i] = v.sum()
+    return out
+
+
+def unseen_set_law(P: TransitionMatrix, start, horizons) -> np.ndarray:
+    """Exact law of the visited set V_n = {X_1, ..., X_n}, X_1 ~ start.
+
+    Row i is indexed by bitmask S (bit j = state j) and holds Pr[V_n = S]
+    for n = horizons[i]; the unseen set is the complement of S, so its mass
+    is ``subset_masses(pi)[::-1][S]``. The DP carries f[x, S] =
+    Pr[V_k = S, X_k = x]: m 2^m doubles twice over (about 340 MB at m = 20).
+    """
+    m = P.m
+    if m > ENUMERATION_MAX_STATES:
+        raise TooManyStatesError(
+            f"m={m} exceeds the enumeration cap {ENUMERATION_MAX_STATES} of the visited-set law")
+    horizons = _check_horizons(horizons)
+    f = np.zeros((m, 1 << m))
+    f[np.arange(m), 1 << np.arange(m)] = np.asarray(start, dtype=float)
+    step = np.empty_like(f)
+    out = np.empty((horizons.size, 1 << m))
+    k = 1
+    for i in np.argsort(horizons, kind="stable"):
+        for _ in range(k, horizons[i]):
+            # step[y, S] = Pr[V_k = S, X_k+1 = y]; the move to y adds y to S
+            np.matmul(P.rows.T, f, out=step)
+            for y in range(m):
+                # index = (high bits, bit y, low bits), as in _minimal_qualifying_sets
+                src = step[y].reshape(-1, 2, 1 << y)
+                dst = f[y].reshape(-1, 2, 1 << y)
+                dst[:, 0] = 0.0
+                np.add(src[:, 0], src[:, 1], out=dst[:, 1])
+        k = horizons[i]
+        out[i] = f.sum(axis=0)
+    return out
+
+
+def _check_horizons(horizons) -> np.ndarray:
+    horizons = np.asarray(horizons, dtype=np.int64).reshape(-1)
+    if horizons.size and horizons.min() < 1:
+        raise ValidationError(f"horizons must be >= 1, got {horizons.min()}")
+    return horizons
 
 
 def t_large_upper(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> float:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's solver paths: hitting times come
 from truncated survival sums (iterating the sub-stochastic matrix) or one
 plain dense solve per target, the subset maximizer from brute-force
-enumeration, and reference constants from high-precision arithmetic.
+enumeration, survival and visited-set laws from a sum over every
+trajectory, and reference constants from high-precision arithmetic.
 """
 
 from __future__ import annotations
@@ -83,6 +84,26 @@ def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float,
             if best is None or val > best[0] + 1e-9:
                 best = (val, combo)
     return best
+
+
+def trajectory_visit_law(rows: np.ndarray, start, n: int) -> dict[frozenset, float]:
+    """Pr[{X_1, ..., X_n} = S] for every reachable S, summed over all m^n paths."""
+    m = rows.shape[0]
+    law: dict[frozenset, float] = {}
+    for path in itertools.product(range(m), repeat=n):
+        p = start[path[0]]
+        for x, y in zip(path, path[1:]):
+            p *= rows[x, y]
+        visited = frozenset(path)
+        law[visited] = law.get(visited, 0.0) + p
+    return law
+
+
+def trajectory_survival(rows: np.ndarray, start, members, n: int) -> float:
+    """Pr[no state of ``members`` among X_1, ..., X_n], summed over all m^n paths."""
+    target = set(members)
+    return sum(p for visited, p in trajectory_visit_law(rows, start, n).items()
+               if not visited & target)
 
 
 def kl_highprec(p: float, q: float) -> float:

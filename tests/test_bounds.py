@@ -304,6 +304,19 @@ class TestCalibrateC:
         # exact tails: certified c should be close to 4 ln 2
         assert res.certified_c_raw == pytest.approx(4 * math.log(2), rel=0.05)
 
+    def test_exact_instances_leave_no_uncertainty(self):
+        inst = [CalibrationInstance(chain_id="iid-uniform2", members=(0,), n=n, mass=0.5,
+                                    t_half=2.0, p_hat=0.5 ** n) for n in (2, 4, 8)]
+        res = calibrate_c(inst, resolution=1e-6)
+        assert res.uncertainty == 0.0
+        assert res.certified_c_raw == pytest.approx(4 * math.log(2), rel=1e-12)
+
+    def test_exact_zero_survivals_constrain_nothing(self):
+        inst = CalibrationInstance(chain_id="x", members=(0,), n=4, mass=0.5,
+                                   t_half=2.0, p_hat=0.0)
+        with pytest.raises(InsufficientTrialsError, match="constrains"):
+            calibrate_c([inst])
+
     def test_empty_suite(self):
         with pytest.raises(ValidationError):
             calibrate_c([])

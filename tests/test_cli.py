@@ -235,7 +235,19 @@ class TestVerifyCommand:
         assert "lazy-cycle:m=4;hold=0.5" in text
         assert two_state in text
 
-    def test_insufficient_trials_exits_5(self, tmp_path):
+    def test_exact_calibration_ignores_trials(self, tmp_path, capsys):
+        # thm1 certifies c from exact survivals: a tiny trial budget and a fine
+        # resolution leave no uncertainty
         rc = main(["verify", "thm1", "--seed", "1", "--trials", "300",
                    "--c-resolution", "0.0001", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "c_uncertainty=0.0" in capsys.readouterr().out
+        assert "c_uncertainty=0.0;" in (tmp_path / "summary.csv").read_text()
+
+    def test_all_survivals_zero_exits_5(self, tmp_path, capsys):
+        # the deterministic flip chain has left every singleton by step 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chains": ["two-state:p=1;q=1"], "n_grid": [2, 4, 8]}))
+        rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 5
+        assert "no instance constrains c" in capsys.readouterr().err

@@ -10,6 +10,8 @@ from mml.errors import EmptySetError, TooManyStatesError, ValidationError
 from mml.hitting import (
     MASS_FILTER_TOL,
     StateSet,
+    _lex_smallest,
+    _mask_members,
     _minimal_qualifying_sets,
     check_lemma1,
     check_lemma2,
@@ -17,10 +19,12 @@ from mml.hitting import (
     hitting_table,
     state_set,
     subset_masses,
+    survival_probabilities,
     t_large,
     t_large_upper,
     t_minus,
     t_plus,
+    unseen_set_law,
 )
 
 from oracles import (
@@ -28,6 +32,8 @@ from oracles import (
     direct_solve_table,
     survival_sum_expected,
     survival_sum_table,
+    trajectory_survival,
+    trajectory_visit_law,
 )
 
 UNIFORM2 = validate([[0.5, 0.5], [0.5, 0.5]])
@@ -276,9 +282,98 @@ class TestTLarge:
         masks, sizes = _minimal_qualifying_sets(pi_vec, eps)
         assert sorted(zip(masks.tolist(), sizes.tolist())) == sorted(expected)
 
+    def test_tie_break_uniform_iid(self):
+        # all C(12, 6) = 924 minimal sets of the uniform law tie
+        P = generate("iid", mu=np.full(12, 1 / 12)).matrix
+        pi = stationary(P)
+        masks, _ = _minimal_qualifying_sets(pi.pi, 0.5)
+        assert masks.size == 924
+        expected = min(_mask_members(int(mask)) for mask in masks)
+        assert _lex_smallest(masks, 12) == expected == tuple(range(6))
+        assert t_large(P, pi, 0.5).argmax_set.members == expected
+
+    @settings(deadline=None)
+    @given(m=st.integers(1, 10), data=st.data())
+    def test_lex_smallest_matches_tuple_order(self, m, data):
+        # sets of one size form an antichain, as tied minimal sets do
+        k = data.draw(st.integers(1, m))
+        combos = list(itertools.combinations(range(m), k))
+        chosen = data.draw(st.lists(st.sampled_from(combos), min_size=1, unique=True))
+        masks = np.array([sum(1 << j for j in combo) for combo in chosen])
+        assert _lex_smallest(masks, m) == min(chosen)
+
     def test_subset_masses(self):
         masses = subset_masses(np.array([0.25, 0.75]))
         assert masses.tolist() == [0.0, 0.25, 0.75, 1.0]
+
+
+class TestExactSurvival:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_against_trajectory_sum(self, m, n):
+        P = random_chain(m, 600 + m)
+        start = np.random.default_rng(10 * m + n).dirichlet(np.ones(m))
+        expected = np.zeros(1 << m)
+        for visited, p in trajectory_visit_law(P.rows, start, n).items():
+            expected[sum(1 << j for j in visited)] = p
+        np.testing.assert_allclose(unseen_set_law(P, start, [n])[0], expected, rtol=1e-12, atol=0)
+        for k in range(1, m + 1):
+            for members in itertools.combinations(range(m), k):
+                got = survival_probabilities(P, start, members, [n])[0]
+                assert got == pytest.approx(trajectory_survival(P.rows, start, members, n),
+                                            rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m", [2, 5, 9])
+    def test_iid_closed_forms(self, m):
+        mu = np.random.default_rng(m).dirichlet(np.ones(m))
+        P = generate("iid", mu=mu).matrix
+        horizons = [1, 2, 5, 16, 64]
+        unseen = subset_masses(mu)[::-1]
+        mean = unseen_set_law(P, mu, horizons) @ unseen
+        np.testing.assert_allclose(mean, [np.sum(mu * (1 - mu) ** n) for n in horizons], rtol=1e-12)
+        for members in [(0,), (m - 1,), tuple(range(0, m, 2))]:
+            mass = mu[list(members)].sum()
+            np.testing.assert_allclose(survival_probabilities(P, mu, members, horizons),
+                                       (1 - mass) ** np.array(horizons), rtol=1e-12)
+
+    def test_horizons_in_any_order(self):
+        P = random_chain(5, 7)
+        start = stationary(P).pi
+        horizons = [8, 1, 3, 3, 20]
+        surv = survival_probabilities(P, start, (1, 3), horizons)
+        law = unseen_set_law(P, start, horizons)
+        for i, n in enumerate(horizons):
+            assert surv[i] == survival_probabilities(P, start, (1, 3), [n])[0]
+            assert np.array_equal(law[i], unseen_set_law(P, start, [n])[0])
+
+    @settings(deadline=None, max_examples=50)
+    @given(rows=stochastic_rows(), data=st.data())
+    def test_survival_matches_law(self, rows, data):
+        m = rows.shape[0]
+        P = validate(rows)
+        weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+        start = weights / weights.sum()
+        members = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+        horizons = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+        law = unseen_set_law(P, start, horizons)
+        np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        target = sum(1 << j for j in members)
+        avoiding = [S for S in range(1 << m) if not S & target]
+        surv = survival_probabilities(P, start, members, horizons)
+        np.testing.assert_allclose(surv, law[:, avoiding].sum(axis=1), rtol=1e-10, atol=1e-300)
+
+    def test_rejects_bad_input(self):
+        P = random_chain(3, 1)
+        start = stationary(P).pi
+        with pytest.raises(ValidationError):
+            survival_probabilities(P, start, (0,), [0, 4])
+        with pytest.raises(ValidationError):
+            unseen_set_law(P, start, [0])
+        with pytest.raises(EmptySetError):
+            survival_probabilities(P, start, (), [1])
+        big = generate("lazy-cycle", m=21, hold=0.5).matrix
+        with pytest.raises(TooManyStatesError):
+            unseen_set_law(big, np.full(21, 1 / 21), [1])
 
 
 class TestTLargeUpper:

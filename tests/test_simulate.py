@@ -6,7 +6,15 @@ from scipy.stats import binom
 
 from mml.chain import ChainSpec, generate, point_start, stationary, validate
 from mml.errors import EmptySetError, ValidationError
-from mml.hitting import StateSet, hitting_table, expected_hitting_time, state_set
+from mml.hitting import (
+    StateSet,
+    expected_hitting_time,
+    hitting_table,
+    state_set,
+    subset_masses,
+    survival_probabilities,
+    unseen_set_law,
+)
 from mml.simulate import (
     BLOCK_TRIALS,
     EmpiricalTail,
@@ -78,6 +86,46 @@ class TestFirstVisitTable:
         a = first_visit_table(chain, 8, 3 * BLOCK_TRIALS + 17, 99, workers=1)
         b = first_visit_table(chain, 8, 3 * BLOCK_TRIALS + 17, 99, workers=workers)
         assert np.array_equal(a, b)
+
+
+class TestFirstVisitAgainstExact:
+    """Sampled first-visit tables against exact survival and missing-mass laws.
+
+    The seed is fixed in advance; every estimate must fall within 6 standard
+    deviations of the exact value, computed from the exact law itself.
+    """
+
+    TRIALS = 20_000
+    HORIZONS = [1, 2, 4, 8, 16, 32]
+
+    @pytest.mark.parametrize("family,params", [
+        ("lazy-cycle", {"m": 5, "hold": 0.5}),
+        ("birth-death", {"m": 8, "p": 0.3, "q": 0.3}),
+    ])
+    def test_survival_and_mean_missing_mass(self, family, params):
+        chain = generate(family, **params)
+        P, m = chain.matrix, chain.matrix.m
+        pi = stationary(P)
+        start = chain.resolved_start(pi)
+        tau = first_visit_table(chain, max(self.HORIZONS), self.TRIALS, 2024, pi=pi)
+        for members in [(0,), (m // 2,), (0, m - 1), tuple(range(m // 2))]:
+            first = tau[:, list(members)].min(axis=1)
+            exact = survival_probabilities(P, start, members, self.HORIZONS)
+            for n, p in zip(self.HORIZONS, exact):
+                hits = int((first > n).sum())
+                sd = math.sqrt(self.TRIALS * p * (1 - p))
+                assert abs(hits - self.TRIALS * p) <= 6 * sd + 1e-9, (members, n, hits, p)
+        unseen = subset_masses(pi.pi)[::-1]
+        law = unseen_set_law(P, start, self.HORIZONS)
+        singles = np.array([survival_probabilities(P, start, (j,), self.HORIZONS)
+                            for j in range(m)])
+        for i, n in enumerate(self.HORIZONS):
+            mean = float(law[i] @ unseen)
+            # E[missing mass] = sum_j pi_j Pr[tau_j > n]
+            assert mean == pytest.approx(float(pi.pi @ singles[:, i]), rel=1e-12, abs=1e-300)
+            sd = math.sqrt(max(0.0, float(law[i] @ unseen ** 2) - mean ** 2) / self.TRIALS)
+            sampled = float(missing_mass_values(tau, pi.pi, n).mean())
+            assert abs(sampled - mean) <= 6 * sd + 1e-12, (n, sampled, mean)
 
 
 class TestMissingMass:
