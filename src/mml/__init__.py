@@ -43,8 +43,8 @@ from .hitting import (
     expected_hitting_time,
     hitting_table,
     state_set,
+    subset_hitting_tables,
     t_large,
-    t_large_upper,
     t_minus,
     t_plus,
 )

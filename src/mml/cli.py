@@ -9,10 +9,12 @@ bodies are deterministic functions of the seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -367,38 +369,22 @@ def cmd_bounds(args) -> int:
 # --- verify -----------------------------------------------------------------
 
 
+# config keys under "constants", and the options they set
+CONFIG_CONSTANTS = {"c": "c", "c2": "c2", "eps": "epsilon", "c_resolution": "c_resolution"}
+CONFIG_PARSERS = {
+    "chains": lambda v: [parse_descriptor(s) for s in v],
+    "j_sets": lambda v: [tuple(js) for js in v],
+    "n_grid": lambda v: parse_grid(v) if isinstance(v, str) else [int(n) for n in v],
+}
+
+
 def _options_from_args(args) -> VerifyOptions:
-    opts = VerifyOptions(seed=args.seed, workers=args.workers)
+    """Defaults, then MML_WORKERS, then the --config file, then explicit flags."""
+    opts = VerifyOptions(workers=_default_workers())
     if args.config:
-        try:
-            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as e:
-            raise ChainFileError(f"{args.config}: {e.strerror or e}") from e
-        except json.JSONDecodeError as e:
-            raise ChainFileError(f"{args.config}: line {e.lineno} column {e.colno}: {e.msg}") from e
-        constants = cfg.pop("constants", {})
-        mapping = {
-            "seed": "seed", "trials": "trials", "workers": "workers",
-            "lemma1_chains": "lemma1_chains", "lemma1_m_max": "lemma1_m_max",
-            "lemma1_max_pairs": "lemma1_max_pairs", "lemma2_chains": "lemma2_chains",
-            "lemma2_m_max": "lemma2_m_max", "prop1_chains": "prop1_chains",
-            "prop1_trials": "prop1_trials", "ergodic_steps": "ergodic_steps",
-        }
-        for key, attr in mapping.items():
-            if key in cfg:
-                setattr(opts, attr, cfg[key])
-        for key, attr in (("c", "c"), ("c2", "c2"), ("eps", "epsilon"),
-                          ("c_resolution", "c_resolution")):
-            if key in constants:
-                setattr(opts, attr, constants[key])
-        if "chains" in cfg:
-            opts.chains = [parse_descriptor(s) for s in cfg["chains"]]
-        if "j_sets" in cfg:
-            opts.j_sets = [tuple(js) for js in cfg["j_sets"]]
-        if "n_grid" in cfg:
-            grid = cfg["n_grid"]
-            opts.n_grid = parse_grid(grid) if isinstance(grid, str) else [int(n) for n in grid]
-    for flag, attr in (("trials", "trials"), ("chains", None), ("m_max", None),
+        _apply_config(opts, args.config)
+    for flag, attr in (("seed", "seed"), ("workers", "workers"),
+                       ("trials", "trials"), ("chains", None), ("m_max", None),
                        ("max_pairs", "lemma1_max_pairs"), ("prop1_trials", "prop1_trials"),
                        ("c", "c"), ("c2", "c2"), ("eps", "epsilon"),
                        ("c_resolution", "c_resolution"), ("ergodic_steps", "ergodic_steps")):
@@ -415,6 +401,28 @@ def _options_from_args(args) -> VerifyOptions:
         else:
             setattr(opts, attr, v)
     return opts
+
+
+def _apply_config(opts: VerifyOptions, path: str) -> None:
+    """Set the options named in a JSON config; any other key is an error."""
+    try:
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ChainFileError(f"{path}: {e.strerror or e}") from e
+    except json.JSONDecodeError as e:
+        raise ChainFileError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
+    constants = cfg.pop("constants", {}) if isinstance(cfg, dict) else None
+    if not isinstance(constants, dict):
+        raise ValidationError(f"{path}: the config and its 'constants' must be JSON objects")
+    keys = {f.name for f in fields(VerifyOptions)} - set(CONFIG_CONSTANTS.values())
+    for key, value in cfg.items():
+        if key not in keys:
+            raise ValidationError(f"{path}: unknown config key {key!r}")
+        setattr(opts, key, CONFIG_PARSERS.get(key, lambda v: v)(value))
+    for key, value in constants.items():
+        if key not in CONFIG_CONSTANTS:
+            raise ValidationError(f"{path}: unknown config key 'constants.{key}'")
+        setattr(opts, CONFIG_CONSTANTS[key], value)
 
 
 def cmd_verify(args) -> int:
@@ -450,12 +458,13 @@ def cmd_verify(args) -> int:
         f"# tool=mml {__version__}\n# seed={opts.seed}\n" + "\n".join(lines) + "\n",
         encoding="utf-8")
 
-    vlines = ["suite,seed,name,chain_id,coordinates"]
-    for v in all_violations:
-        coords = ";".join(f"{k}={v[k]}" for k in sorted(v) if k not in
-                          ("suite", "seed", "name", "chain_id"))
-        vlines.append(f"{v['suite']},{v['seed']},{v['name']},{v.get('chain_id', '')},{coords}")
-    (out_dir / "violations.csv").write_text("\n".join(vlines) + "\n", encoding="utf-8")
+    with open(out_dir / "violations.csv", "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(("suite", "seed", "name", "chain_id", "coordinates"))
+        for v in all_violations:
+            coords = ";".join(f"{k}={v[k]}" for k in sorted(v) if k not in
+                              ("suite", "seed", "name", "chain_id"))
+            writer.writerow((v["suite"], v["seed"], v["name"], v.get("chain_id", ""), coords))
 
     return EXIT_VIOLATIONS if all_violations else 0
 
@@ -542,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run inequality verification suites")
     ver.add_argument("suite", choices=SUITE_ORDER + ("all",))
-    ver.add_argument("--seed", type=int, default=3)
-    ver.add_argument("--workers", type=int, default=_default_workers())
+    ver.add_argument("--seed", type=int, help="master seed (default 3)")
+    ver.add_argument("--workers", type=int, help="worker processes (default MML_WORKERS or 1)")
     ver.add_argument("--out", metavar="DIR", help="report directory (default ./reports)")
     ver.add_argument("--config", metavar="FILE", help="JSON experiment config")
     ver.add_argument("--trials", type=int)

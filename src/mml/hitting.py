@@ -5,12 +5,18 @@ For a target set B the vector h solves the first-step system
     h(x) = 0                          x in B
     h(x) = 1 + sum_y P(x,y) h(y)      x not in B
 
+One solver, ``_hitting_times``, handles every target: it groups the
+targets by size, solves each stack of (I - Q) h = 1 systems with one
+``np.linalg.solve`` call and checks every system's residual. A single
+table (``hitting_table``), the tables of all subsets
+(``subset_hitting_tables``, m <= 20) and T(eps) are stacks of it.
+
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
 target can only shorten the walk to it (B subset of B' gives h_B' <= h_B
 pointwise), so the maximum is attained on a minimal qualifying set, one
 that drops below eps when any member is removed. Only those sets are
-solved, in stacked batches: typically under a second at m = 20.
+solved: typically under a second at m = 20.
 
 The survival law of the walk is exact too. Pr[N_B > t] (no state of B
 among X_1..X_t) is start restricted to B^c times Q^(t-1) times 1, with
@@ -100,41 +106,85 @@ def _check_members(S: StateSet, m: int, what: str = "set"):
         raise ValidationError(f"{what} index {S.members[-1]} out of range for m={m}")
 
 
+def _check_enumerable(m: int, what: str):
+    if m > ENUMERATION_MAX_STATES:
+        raise TooManyStatesError(
+            f"m={m} exceeds the enumeration cap {ENUMERATION_MAX_STATES} of {what}")
+
+
 def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
     """Exact expected hitting times of set B via the first-step linear system."""
     _check_members(B, P.m, "target set")
-    h = _solve_hitting(P.rows, B.members)
-    res = _table_residual(P.rows, B.members, h)
-    if res > SYSTEM_RESIDUAL_TOL:
-        raise SingularSystemError(f"hitting system residual {res!r} exceeds tolerance")
-    return HittingTimeTable(target=B, h=h, t_plus_all=float(h.max()), residual=res)
+    outside = np.ones((1, P.m), dtype=bool)
+    outside[0, B.indices()] = False
+    h, residual = _hitting_times(P.rows, outside)
+    return _table(B, h[0], residual[0])
 
 
-def _solve_hitting(rows: np.ndarray, members: tuple[int, ...]) -> np.ndarray:
-    m = rows.shape[0]
-    mask = np.zeros(m, dtype=bool)
-    mask[list(members)] = True
-    rest = np.flatnonzero(~mask)
-    h = np.zeros(m)
-    if rest.size:
-        Q = rows[np.ix_(rest, rest)]
-        try:
-            h_rest = np.linalg.solve(np.eye(rest.size) - Q, np.ones(rest.size))
-        except np.linalg.LinAlgError as e:
-            raise SingularSystemError(f"hitting system singular for target {members}") from e
-        h[rest] = h_rest
-    return h
+def subset_hitting_tables(P: TransitionMatrix) -> dict[tuple[int, ...], HittingTimeTable]:
+    """Hitting-time table of every non-empty target set (m <= 20).
+
+    Keyed by member tuple, in ascending bitmask order (bit j = state j).
+    """
+    _check_enumerable(P.m, "the subset enumeration")
+    masks = np.arange(1, 1 << P.m)
+    h, residual = _hitting_times(P.rows, _outside(masks, P.m))
+    return {members: _table(StateSet(members), h[i], residual[i])
+            for i, members in enumerate(map(_mask_members, masks.tolist()))}
 
 
-def _table_residual(rows, members, h) -> float:
-    mask = np.zeros(rows.shape[0], dtype=bool)
-    mask[list(members)] = True
-    rest = np.flatnonzero(~mask)
-    if not rest.size:
-        return 0.0
-    lhs = h[rest]
-    rhs = 1.0 + rows[rest] @ h
-    return float(np.max(np.abs(lhs - rhs)))
+def _table(B: StateSet, h: np.ndarray, residual) -> HittingTimeTable:
+    return HittingTimeTable(target=B, h=h, t_plus_all=float(h.max()), residual=float(residual))
+
+
+def _outside(masks: np.ndarray, m: int) -> np.ndarray:
+    """Row k is True at the states outside target bitmask masks[k]."""
+    return ((masks[:, None] >> np.arange(m)) & 1) == 0
+
+
+def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the first-step system of every target; row k of ``outside`` is B_k^c.
+
+    Returns h, a (k, m) array that is 0 on each target, and each system's
+    residual max |h - (1 + Q h)| on B_k^c. Targets are grouped by size into
+    stacks of at most SOLVE_BATCH systems, one ``np.linalg.solve`` per stack.
+    Raises SingularSystemError, naming the target, when a system is
+    singular or its residual exceeds SYSTEM_RESIDUAL_TOL.
+    """
+    h = np.zeros(outside.shape)
+    residual = np.zeros(outside.shape[0])
+    sizes = outside.sum(axis=1)
+    for n in np.unique(sizes[sizes > 0]):
+        group = np.flatnonzero(sizes == n)
+        diagonal = np.arange(n)
+        for start in range(0, group.size, SOLVE_BATCH):
+            batch = group[start:start + SOLVE_BATCH]
+            rest = np.nonzero(outside[batch])[1].reshape(batch.size, n)
+            Q = rows[rest[:, :, None], rest[:, None, :]]
+            # I - Q is built next to Q, not from a temporary np.eye: the hole a
+            # freed eye leaves is too small for the solver's copy of A, which
+            # would then grow the heap (+30 MB peak RSS at m = 2000)
+            A = np.zeros_like(Q)
+            A[:, diagonal, diagonal] = 1.0
+            A -= Q
+            try:
+                x = np.linalg.solve(A, np.ones((batch.size, n, 1)))
+            except np.linalg.LinAlgError as e:
+                which = (f"target {_target(outside[batch[0]])}" if batch.size == 1
+                         else f"one of {batch.size} targets of {outside.shape[1] - n} states")
+                raise SingularSystemError(f"hitting system singular for {which}") from e
+            residual[batch] = np.abs(x - 1.0 - Q @ x).max(axis=(1, 2))
+            h[batch[:, None], rest] = x[:, :, 0]
+    bad = np.flatnonzero(~(residual <= SYSTEM_RESIDUAL_TOL))  # NaN fails too
+    if bad.size:
+        raise SingularSystemError(
+            f"hitting system residual {residual[bad[0]]!r} exceeds tolerance "
+            f"for target {_target(outside[bad[0]])}")
+    return h, residual
+
+
+def _target(outside_row: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(~outside_row).tolist())
 
 
 def t_plus(P: TransitionMatrix, A: StateSet, B: StateSet, *, table: HittingTimeTable | None = None) -> float:
@@ -197,8 +247,8 @@ def _lex_smallest(masks: np.ndarray, m: int) -> tuple[int, ...]:
     return _mask_members(int(masks[np.argmax(key)]))
 
 
-def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bitmasks and sizes of the minimal sets of mass >= eps.
+def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> np.ndarray:
+    """Bitmasks of the minimal sets of mass >= eps.
 
     A non-empty set qualifies when its mass is at least eps - MASS_FILTER_TOL;
     it is minimal when removing any one member leaves a set that does not.
@@ -207,54 +257,29 @@ def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> tuple[np.nda
     qualifies = masses >= epsilon - MASS_FILTER_TOL
     qualifies[0] = False
     minimal = qualifies.copy()
-    sizes = np.zeros(masses.size, dtype=np.uint8)
     for j in range(len(pi_vec)):
         # index = (high bits, bit j, low bits): [:, 1] holds the sets containing
         # state j, and [:, 0] the same sets without it
         minimal.reshape(-1, 2, 1 << j)[:, 1] &= ~qualifies.reshape(-1, 2, 1 << j)[:, 0]
-        sizes.reshape(-1, 2, 1 << j)[:, 1] += 1
-    masks = np.flatnonzero(minimal)
-    return masks, sizes[masks]
-
-
-def _batch_t_plus_all(rows: np.ndarray, masks: np.ndarray, size: int) -> np.ndarray:
-    """T(B) = max_x h_B(x) for each target bitmask, all of ``size`` members."""
-    m = rows.shape[0]
-    n = m - size
-    if n == 0:
-        return np.zeros(masks.size)
-    outside = ((masks[:, None] >> np.arange(m)) & 1) == 0
-    rest = np.nonzero(outside)[1].reshape(masks.size, n)
-    A = np.eye(n) - rows[rest[:, :, None], rest[:, None, :]]
-    try:
-        h = np.linalg.solve(A, np.ones((masks.size, n, 1)))
-    except np.linalg.LinAlgError as e:
-        raise SingularSystemError(f"hitting system singular for a target of {size} states") from e
-    return h[:, :, 0].max(axis=1)
+    return np.flatnonzero(minimal)
 
 
 def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> LargeSetTime:
     """Exact T(eps): max of T(B) over all non-empty B with pi(B) >= eps.
 
     T(B) can only fall when B grows, so only the minimal qualifying sets are
-    solved, grouped by size into stacked solves; capped at m = 20. Ties go
-    to the lexicographically smallest member list among the minimal sets.
+    solved, in the stacked solves of ``_hitting_times``; capped at m = 20.
+    Ties go to the lexicographically smallest member list among the
+    minimal sets.
     """
     if not (0 < epsilon <= 1):
         raise BadParamsError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    if P.m > ENUMERATION_MAX_STATES:
-        raise TooManyStatesError(
-            f"m={P.m} exceeds the enumeration cap {ENUMERATION_MAX_STATES}; use t_large_upper")
-    masks, sizes = _minimal_qualifying_sets(pi.pi, epsilon)
-    values = np.empty(masks.size)
-    for size in np.unique(sizes):
-        group = np.flatnonzero(sizes == size)
-        for start in range(0, group.size, SOLVE_BATCH):
-            batch = group[start:start + SOLVE_BATCH]
-            values[batch] = _batch_t_plus_all(P.rows, masks[batch], int(size))
-    witness = StateSet(_lex_smallest(masks[values == values.max()], P.m)).with_mass(pi)
-    recomputed = hitting_table(P, witness)
-    return LargeSetTime(epsilon=float(epsilon), value=recomputed.t_plus_all, argmax_set=witness)
+    _check_enumerable(P.m, "T(eps)")
+    masks = _minimal_qualifying_sets(pi.pi, epsilon)
+    values = _hitting_times(P.rows, _outside(masks, P.m))[0].max(axis=1)
+    value = values.max()
+    witness = StateSet(_lex_smallest(masks[values == value], P.m)).with_mass(pi)
+    return LargeSetTime(epsilon=float(epsilon), value=float(value), argmax_set=witness)
 
 
 def survival_probabilities(P: TransitionMatrix, start, members, horizons) -> np.ndarray:
@@ -289,9 +314,7 @@ def unseen_set_law(P: TransitionMatrix, start, horizons) -> np.ndarray:
     Pr[V_k = S, X_k = x]: m 2^m doubles twice over (about 340 MB at m = 20).
     """
     m = P.m
-    if m > ENUMERATION_MAX_STATES:
-        raise TooManyStatesError(
-            f"m={m} exceeds the enumeration cap {ENUMERATION_MAX_STATES} of the visited-set law")
+    _check_enumerable(m, "the visited-set law")
     horizons = _check_horizons(horizons)
     f = np.zeros((m, 1 << m))
     f[np.arange(m), 1 << np.arange(m)] = np.asarray(start, dtype=float)
@@ -318,56 +341,6 @@ def _check_horizons(horizons) -> np.ndarray:
     if horizons.size and horizons.min() < 1:
         raise ValidationError(f"horizons must be >= 1, got {horizons.min()}")
     return horizons
-
-
-def t_large_upper(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> float:
-    """T(eps) surrogate for large chains; exact (delegates) when m <= 20.
-
-    For m > 20 this is a documented heuristic, not a proven bound: it
-    returns the max of the exact T(B) over a candidate family of sets of
-    mass >= eps (ascending/descending stationary-mass prefixes plus all
-    minimal windows in ascending mass order).
-    """
-    if P.m <= ENUMERATION_MAX_STATES:
-        return t_large(P, pi, epsilon).value
-    if not (0 < epsilon <= 1):
-        raise BadParamsError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-    best = 0.0
-    for members in _heuristic_candidates(pi.pi, epsilon):
-        best = max(best, float(_solve_hitting(P.rows, members).max()))
-    return best
-
-
-def _heuristic_candidates(pi_vec: np.ndarray, epsilon: float):
-    m = pi_vec.size
-    order = np.argsort(pi_vec, kind="stable")
-    seen = set()
-
-    def emit(idx_list):
-        members = tuple(sorted(int(i) for i in idx_list))
-        if members and members not in seen:
-            seen.add(members)
-            yield members
-
-    for ordering in (order, order[::-1]):
-        acc = 0.0
-        prefix = []
-        for i in ordering:
-            prefix.append(i)
-            acc += pi_vec[i]
-            if acc >= epsilon - MASS_FILTER_TOL:
-                yield from emit(prefix)
-                break
-    # minimal qualifying windows over the ascending order (two pointers)
-    lo = 0
-    acc = 0.0
-    for hi in range(m):
-        acc += pi_vec[order[hi]]
-        while lo < hi and acc - pi_vec[order[lo]] >= epsilon - MASS_FILTER_TOL:
-            acc -= pi_vec[order[lo]]
-            lo += 1
-        if acc >= epsilon - MASS_FILTER_TOL:
-            yield from emit(order[lo:hi + 1])
 
 
 def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet, *,

@@ -2,11 +2,14 @@
 
 Report CSV bodies are deterministic: metadata (tool version, seed,
 constants) lives in ``#``-prefixed header lines, data rows carry
-repr-formatted floats so files round-trip and diff cleanly.
+repr-formatted floats so files round-trip and diff cleanly. Rows go
+through ``csv.writer``, so a cell holding a comma (chain ids such as
+``lazy-cycle(m=5,hold=0.5)``) is quoted and every row keeps its cells.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass, field
@@ -57,8 +60,9 @@ class BoundReport:
         items = sorted((k, v) for k, v in self.metadata.items() if k not in _RESERVED_META)
         return ";".join(f"{k}={_fmt(v)}" for k, v in items)
 
-    def csv_row(self) -> str:
-        cells = (
+    def csv_cells(self) -> tuple[str, ...]:
+        """The row's cells, in CSV_COLUMNS order."""
+        return (
             self.name,
             str(self.metadata.get("chain_id", "")),
             self.params_string(),
@@ -69,7 +73,6 @@ class BoundReport:
             _bool(self.holds),
             _bool(self.vacuous),
         )
-        return ",".join(cells)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -111,9 +114,9 @@ def render_reports_csv(reports, header_meta=None) -> str:
     buf = io.StringIO()
     for k, v in (header_meta or {}).items():
         buf.write(f"# {k}={_fmt(v)}\n")
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for r in reports:
-        buf.write(r.csv_row() + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(r.csv_cells() for r in reports)
     return buf.getvalue()
 
 

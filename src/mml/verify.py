@@ -26,6 +26,7 @@ from .hitting import (
     check_lemma2,
     expected_hitting_time,
     hitting_table,
+    subset_hitting_tables,
     subset_masses,
     survival_probabilities,
     t_large,
@@ -144,17 +145,10 @@ def suite_lemma1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
         if len(pairs) > opts.lemma1_max_pairs:
             keep = picker.choice(len(pairs), size=opts.lemma1_max_pairs, replace=False)
             pairs = [pairs[j] for j in sorted(keep)]
-        tables: dict[tuple[int, ...], object] = {}
-
-        def table_for(members):
-            if members not in tables:
-                tables[members] = hitting_table(P, StateSet(members))
-            return tables[members]
-
+        tables = subset_hitting_tables(P)
         for a_members, b_members in pairs:
-            A, B = StateSet(a_members), StateSet(b_members)
-            rep = check_lemma1(P, pi, A, B,
-                               table_b=table_for(b_members), table_a=table_for(a_members))
+            rep = check_lemma1(P, pi, tables[a_members].target, tables[b_members].target,
+                               table_b=tables[b_members], table_a=tables[a_members])
             rep.metadata["chain_id"] = chain_id
             reports.append(rep)
     summary = VerificationSummary.from_reports("lemma1", opts.seed, reports)
@@ -179,16 +173,12 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
         chain_id = f"random-dense(m={m},#={i})"
         P = chain.matrix
         pi = stationary(P)
-        # one solve per subset; T(0.5) falls out of the same pass
-        tables = {}
-        t_half = 0.0
-        for mask in range(1, 1 << m):
-            members = _mask_members(mask)
-            tables[members] = hitting_table(P, StateSet(members))
-            if pi.mass(members) >= 0.5 - 1e-12:
-                t_half = max(t_half, tables[members].t_plus_all)
-        for members, table in tables.items():
-            rep = check_lemma2(P, pi, StateSet(members), t_half=t_half, table=table)
+        # every subset is solved anyway; T(0.5) falls out of the same tables
+        tables = subset_hitting_tables(P)
+        t_half = max((table.t_plus_all for members, table in tables.items()
+                      if pi.mass(members) >= 0.5 - 1e-12), default=0.0)
+        for table in tables.values():
+            rep = check_lemma2(P, pi, table.target, t_half=t_half, table=table)
             rep.metadata["chain_id"] = chain_id
             reports.append(rep)
     summary = VerificationSummary.from_reports("lemma2", opts.seed, reports)

@@ -1,9 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from mml.cli import main, parse_grid, parse_index_set
+from mml.cli import _options_from_args, build_parser, main, parse_grid, parse_index_set
 from mml.errors import ValidationError
 from mml.report import csv_body
 
@@ -193,6 +194,18 @@ class TestVerifyCommand:
         violations = (tmp_path / "violations.csv").read_text().splitlines()
         assert len(violations) > 1
 
+    def test_violation_rows_parse_as_csv(self, tmp_path):
+        rc = main(["verify", "thm1", "--seed", "1", "--c", "100", "--out", str(tmp_path)])
+        assert rc == 1
+        with open(tmp_path / "violations.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+        assert any("J=(0, 1" in row[4] for row in rows[1:])
+        with open(tmp_path / "thm1.csv", newline="") as f:
+            rows = list(csv.reader(line for line in f if not line.startswith("#")))
+        assert all(len(row) == 9 for row in rows)
+        assert "lazy-cycle(m=5,hold=0.5)" in {row[1] for row in rows}
+
     def test_verify_all_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         codes = [main(["verify", "all", "--seed", "42", *self.SMALL, "--out", str(d)])
@@ -219,6 +232,54 @@ class TestVerifyCommand:
         assert rc == 0
         text = (tmp_path / "r" / "thm1.csv").read_text()
         assert "c=0.2" in text
+
+    def test_flags_override_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        rc = main(["verify", "cor1", "--config", str(cfg), "--seed", "7",
+                   "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert "# seed=7\n" in (tmp_path / "r" / "cor1.csv").read_text()
+
+    def test_option_precedence(self, tmp_path, monkeypatch):
+        # defaults, then MML_WORKERS, then the config, then explicit flags
+        def opts(*argv):
+            return _options_from_args(build_parser().parse_args(["verify", "cor1", *argv]))
+
+        monkeypatch.setenv("MML_WORKERS", "3")
+        assert (opts().seed, opts().workers) == (3, 3)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5, "workers": 2}))
+        o = opts("--config", str(cfg))
+        assert (o.seed, o.workers) == (5, 2)
+        o = opts("--config", str(cfg), "--seed", "7", "--workers", "1")
+        assert (o.seed, o.workers) == (7, 1)
+
+    def test_config_accepts_every_option(self, tmp_path):
+        values = {"seed": 5, "workers": 2, "trials": 1000, "lemma1_chains": 4,
+                  "lemma1_m_max": 3, "lemma1_max_pairs": 5, "lemma2_chains": 6,
+                  "lemma2_m_max": 4, "prop1_chains": 7, "prop1_trials": 100,
+                  "ergodic_steps": 1000}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**values, "chains": ["lazy-cycle:m=4;hold=0.5"],
+                                   "j_sets": [[0, 1]], "n_grid": "4..6",
+                                   "constants": {"c": 0.2, "c2": 2.0, "eps": 0.4,
+                                                 "c_resolution": 0.5}}))
+        o = _options_from_args(build_parser().parse_args(["verify", "cor1", "--config", str(cfg)]))
+        assert {k: getattr(o, k) for k in values} == values
+        assert [cid for cid, _ in o.chains] == ["lazy-cycle:m=4;hold=0.5"]
+        assert (o.j_sets, o.n_grid) == ([(0, 1)], [4, 5, 6])
+        assert (o.c, o.c2, o.epsilon, o.c_resolution) == (0.2, 2.0, 0.4, 0.5)
+
+    @pytest.mark.parametrize("cfg,key", [({"lemma1_chain": 3}, "'lemma1_chain'"),
+                                         ({"c": 0.2}, "'c'"),
+                                         ({"constants": {"epsilon": 0.4}}, "'constants.epsilon'")])
+    def test_unknown_config_key_exits_3(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["verify", "cor1", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"unknown config key {key}" in capsys.readouterr().err
 
     def test_config_custom_chains_and_grid(self, two_state, tmp_path):
         cfg = tmp_path / "cfg.json"

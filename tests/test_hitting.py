@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mml.chain import generate, stationary, validate
-from mml.errors import EmptySetError, TooManyStatesError, ValidationError
+from mml.errors import EmptySetError, SingularSystemError, TooManyStatesError, ValidationError
 from mml.hitting import (
     MASS_FILTER_TOL,
     StateSet,
@@ -18,10 +18,10 @@ from mml.hitting import (
     expected_hitting_time,
     hitting_table,
     state_set,
+    subset_hitting_tables,
     subset_masses,
     survival_probabilities,
     t_large,
-    t_large_upper,
     t_minus,
     t_plus,
     unseen_set_law,
@@ -109,6 +109,12 @@ class TestHittingTable:
         with pytest.raises(ValidationError):
             hitting_table(UNIFORM2, state_set([5]))
 
+    def test_unreachable_target_names_the_set(self):
+        # state 0 never leaves, so h(0) = 1 + h(0) has no solution
+        P = validate([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+        with pytest.raises(SingularSystemError, match=r"target \(1, 2\)"):
+            hitting_table(P, state_set([1, 2]))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_residual_and_floor(self, seed):
         P = random_chain(6, seed)
@@ -158,6 +164,32 @@ class TestHittingTable:
             for x in range(4):
                 expected = 0.0 if x == j else 1.0 / mu[j]
                 assert h[x] == pytest.approx(expected, rel=1e-9)
+
+
+class TestSubsetHittingTables:
+    @pytest.mark.parametrize("family", ["random-dense", "lazy-cycle", "birth-death", "iid"])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_every_subset_matches_single_solves(self, family, m):
+        P = family_chain(family, m) if m > 1 else validate([[1.0]])
+        tables = subset_hitting_tables(P)
+        assert len(tables) == (1 << m) - 1
+        for members, table in tables.items():
+            single = hitting_table(P, StateSet(members))
+            assert table.target.members == members
+            assert np.array_equal(table.h, single.h)
+            assert table.t_plus_all == single.t_plus_all
+            assert table.residual <= 1e-9
+            np.testing.assert_allclose(table.h, direct_solve_table(P.rows, members),
+                                       rtol=1e-12, atol=0)
+
+    def test_keys_in_bitmask_order(self):
+        tables = subset_hitting_tables(CYCLE3)
+        assert list(tables) == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+
+    def test_too_many_states(self):
+        P = generate("lazy-cycle", m=21, hold=0.5).matrix
+        with pytest.raises(TooManyStatesError):
+            subset_hitting_tables(P)
 
 
 class TestTPlusMinus:
@@ -224,7 +256,7 @@ class TestTLarge:
         pi = stationary(P)
         res = t_large(P, pi, 0.4)
         assert res.argmax_set.mass >= 0.4 - 1e-12
-        assert hitting_table(P, res.argmax_set).t_plus_all == pytest.approx(res.value, rel=1e-12)
+        assert hitting_table(P, res.argmax_set).t_plus_all == res.value
 
     @pytest.mark.parametrize("seed,eps", [(0, 0.3), (1, 0.5), (2, 0.5), (3, 0.7)])
     def test_against_brute_force(self, seed, eps):
@@ -249,6 +281,8 @@ class TestTLarge:
             for x in members:
                 assert pi.mass(set(members) - {x}) < eps - MASS_FILTER_TOL
             assert direct_solve_table(P.rows, members).max() == pytest.approx(val, rel=1e-12)
+            # the batched solve gives the witness the bits of its own table
+            assert res.value == hitting_table(P, res.argmax_set).t_plus_all
 
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_single_state_chain(self, eps):
@@ -278,15 +312,14 @@ class TestTLarge:
             for combo in itertools.combinations(range(m), k):
                 if qualifies(combo) and not any(
                         qualifies(combo[:i] + combo[i + 1:]) for i in range(k)):
-                    expected.append((sum(1 << j for j in combo), k))
-        masks, sizes = _minimal_qualifying_sets(pi_vec, eps)
-        assert sorted(zip(masks.tolist(), sizes.tolist())) == sorted(expected)
+                    expected.append(sum(1 << j for j in combo))
+        assert sorted(_minimal_qualifying_sets(pi_vec, eps).tolist()) == sorted(expected)
 
     def test_tie_break_uniform_iid(self):
         # all C(12, 6) = 924 minimal sets of the uniform law tie
         P = generate("iid", mu=np.full(12, 1 / 12)).matrix
         pi = stationary(P)
-        masks, _ = _minimal_qualifying_sets(pi.pi, 0.5)
+        masks = _minimal_qualifying_sets(pi.pi, 0.5)
         assert masks.size == 924
         expected = min(_mask_members(int(mask)) for mask in masks)
         assert _lex_smallest(masks, 12) == expected == tuple(range(6))
@@ -374,26 +407,6 @@ class TestExactSurvival:
         big = generate("lazy-cycle", m=21, hold=0.5).matrix
         with pytest.raises(TooManyStatesError):
             unseen_set_law(big, np.full(21, 1 / 21), [1])
-
-
-class TestTLargeUpper:
-    def test_delegates_for_small_m(self):
-        P = random_chain(5, 7)
-        pi = stationary(P)
-        assert t_large_upper(P, pi, 0.5) == t_large(P, pi, 0.5).value
-
-    def test_single_state(self):
-        P = validate([[1.0]])
-        assert t_large_upper(P, stationary(P), 0.5) == 0.0
-
-    def test_heuristic_on_large_iid(self):
-        # every qualifying B has T(B) = 1/pi(B) <= 1/eps for an IID chain
-        rng = np.random.default_rng(3)
-        mu = rng.dirichlet(np.full(25, 1.0))
-        P = generate("iid", mu=mu).matrix
-        pi = stationary(P)
-        val = t_large_upper(P, pi, 0.5)
-        assert 0.0 < val <= 1 / 0.5 + 1e-6
 
 
 class TestLemma1:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -27,9 +28,21 @@ def test_csv_layout_and_formatting():
 def test_numpy_scalars_render_as_plain_floats():
     rep = BoundReport.from_check("n", np.float64(1.5), np.float64(0.5),
                                  metadata={"v": np.float64(2.0)})
-    row = rep.csv_row()
+    row = ",".join(rep.csv_cells())
     assert "np.float64" not in row
     assert "v=2.0" in row
+
+
+def test_cells_with_commas_are_quoted():
+    reps = [BoundReport.from_check("lemma1", 0.5, 0.25,
+                                   metadata={"chain_id": "random-dense(m=6,#=0)", "A": (0, 1)}),
+            BoundReport.from_check("cor1", 1.0, 0.5,
+                                   metadata={"chain_id": "lazy-cycle(m=5,hold=0.5)", "n": 4})]
+    lines = csv_body(render_reports_csv(reps, {"seed": 3})).splitlines()
+    assert lines[1] == 'lemma1,"random-dense(m=6,#=0)",A=0|1,0.5,0.25,0.0,0.25,true,false'
+    rows = list(csv.reader(lines))
+    assert [len(row) for row in rows] == [9, 9, 9]
+    assert [row[1] for row in rows[1:]] == ["random-dense(m=6,#=0)", "lazy-cycle(m=5,hold=0.5)"]
 
 
 def test_csv_body_strips_comments():
