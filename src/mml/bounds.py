@@ -33,7 +33,8 @@ from .report import BoundReport
 
 DEFAULT_C = 1.0 / (2.0 * math.e)
 DEFAULT_C2 = 1.0
-CALIBRATION_RESOLUTION = 0.01
+# step to which calibrate_c floors the certified c
+CERTIFIED_C_STEP = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,16 +201,12 @@ def pinsker_check(p: float, q: float) -> BoundReport:
         "pinsker", d, lower, tol=1e-12, metadata={"p": p, "q": q})
 
 
-# --- empirical calibration of the joint-survival constant -------------------
+# --- calibration of the joint-survival constant on exact survivals ---------
 
 
 @dataclass(frozen=True)
 class CalibrationInstance:
-    """One joint-survival value used to certify c.
-
-    An exact survival probability has no CI slack and no trials; a Monte
-    Carlo estimate carries its CI half-width and trial count.
-    """
+    """One exact joint survival probability Pr[tau_J > n] used to certify c."""
 
     chain_id: str
     members: tuple[int, ...]
@@ -217,35 +214,23 @@ class CalibrationInstance:
     mass: float
     t_half: float
     p_hat: float
-    slack: float = 0.0
-    trials: int = 0
-
-    @property
-    def exponent_scale(self) -> float:
-        return self.n * self.mass / self.t_half
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     certified_c: float
     certified_c_raw: float
-    uncertainty: float
-    resolution: float
-    binding: CalibrationInstance | None
+    binding: CalibrationInstance
     tight: tuple[tuple[str, float], ...] = ()
 
 
-def calibrate_c(instances: Sequence[CalibrationInstance],
-                resolution: float = CALIBRATION_RESOLUTION) -> CalibrationResult:
-    """Largest c with p_hat <= exp(-c n pi(J) / T) + slack on every instance.
+def calibrate_c(instances: Sequence[CalibrationInstance]) -> CalibrationResult:
+    """Largest c with p_hat <= exp(-c n pi(J) / T) on every instance.
 
+    The certified value is that c floored to a multiple of CERTIFIED_C_STEP.
     Instances with n below the chain's T(0.5) are excluded (short-horizon
     measurements are vacuous: the chain has not had one mixing scale to
-    move). Raises InsufficientTrialsError when no instance constrains c
-    (every p_hat is at most its slack, e.g. every exact survival is 0), or
-    when the CI slack on the binding instance leaves the certified value
-    uncertain by more than ``resolution``; exact instances (slack 0) leave
-    no uncertainty.
+    move). Raises InsufficientTrialsError when no instance constrains c.
     """
     if not instances:
         raise ValidationError("empty calibration suite")
@@ -253,28 +238,16 @@ def calibrate_c(instances: Sequence[CalibrationInstance],
     if not usable:
         raise ValidationError("no instance passes the n >= T(0.5) inclusion filter")
 
-    hi = math.inf
-    binding = None
-    tight = []
-    for inst in usable:
-        x = inst.exponent_scale
-        c_tight = math.inf if inst.p_hat <= 0 else -math.log(inst.p_hat) / x
-        tight.append((f"{inst.chain_id} J={'|'.join(map(str, inst.members))} n={inst.n}",
-                      c_tight))
-        c_hi = math.inf if inst.p_hat <= inst.slack else -math.log(inst.p_hat - inst.slack) / x
-        if c_hi < hi:
-            hi = c_hi
-            binding = inst
+    # an exact survival of 0, or T(0.5) = 0 (a single state), constrains nothing
+    c_max = [-math.log(i.p_hat) / (i.n * i.mass / i.t_half) if i.p_hat > 0 and i.t_half > 0
+             else math.inf for i in usable]
+    hi = min(c_max)
     if not math.isfinite(hi):
         raise InsufficientTrialsError(
-            "no instance constrains c: every survival probability is at most its CI slack "
-            "(an exact survival of 0 constrains nothing)")
-    up = min(1.0, binding.p_hat + binding.slack)
-    c_lo = 0.0 if up >= 1 else -math.log(up) / binding.exponent_scale
-    width = hi - c_lo
-    if width > resolution:
-        raise InsufficientTrialsError(
-            f"certified-c uncertainty {width:.4f} exceeds resolution {resolution}")
-    certified = math.floor(hi / resolution) * resolution
-    return CalibrationResult(certified_c=certified, certified_c_raw=hi, uncertainty=width,
-                             resolution=resolution, binding=binding, tight=tuple(tight))
+            "no instance constrains c: every survival probability is 0 "
+            "or its chain has T(0.5) = 0")
+    tight = tuple((f"{i.chain_id} J={'|'.join(map(str, i.members))} n={i.n}", c)
+                  for i, c in zip(usable, c_max))
+    certified = math.floor(hi / CERTIFIED_C_STEP) * CERTIFIED_C_STEP
+    return CalibrationResult(certified_c=certified, certified_c_raw=hi,
+                             binding=usable[c_max.index(hi)], tight=tight)

@@ -9,6 +9,7 @@ bodies are deterministic functions of the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -88,10 +89,13 @@ def parse_float_vector(text: str) -> np.ndarray:
 
 def parse_grid(text: str) -> list[int]:
     """n-grids: 'a..b' inclusive or comma-separated integers."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok != ""]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError as e:
+        raise ValidationError(f"bad grid {text!r}: expected 'a..b' or comma-separated integers") from e
 
 
 def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
@@ -370,11 +374,22 @@ def cmd_bounds(args) -> int:
 
 
 # config keys under "constants", and the options they set
-CONFIG_CONSTANTS = {"c": "c", "c2": "c2", "eps": "epsilon", "c_resolution": "c_resolution"}
-CONFIG_PARSERS = {
-    "chains": lambda v: [parse_descriptor(s) for s in v],
-    "j_sets": lambda v: [tuple(js) for js in v],
-    "n_grid": lambda v: parse_grid(v) if isinstance(v, str) else [int(n) for n in v],
+CONFIG_CONSTANTS = {"c": "c", "c2": "c2", "eps": "epsilon"}
+# the type of each scalar option's default: config values and flags must have it
+OPTION_TYPES = {f.name: type(f.default) for f in fields(VerifyOptions)
+                if type(f.default) in (int, float)}
+# options that are also verify flags of the same name (prop1_trials is --prop1-trials)
+OPTION_FLAGS = ("seed", "workers", "trials", "prop1_trials", "c", "c2", "ergodic_steps")
+FLAG_HELP = {"seed": "master seed (default 3)",
+             "workers": "worker processes (default MML_WORKERS or 1)"}
+
+
+# list-valued options: what each element of a config value must be, its check, its parser
+CONFIG_LISTS = {
+    "chains": ("chain descriptors", lambda v: isinstance(v, str), parse_descriptor),
+    "j_sets": ("lists of non-negative integers",
+               lambda v: isinstance(v, list) and all(type(x) is int and x >= 0 for x in v), tuple),
+    "n_grid": ("positive integers (or an 'a..b' range)", lambda v: type(v) is int and v >= 1, int),
 }
 
 
@@ -383,28 +398,40 @@ def _options_from_args(args) -> VerifyOptions:
     opts = VerifyOptions(workers=_default_workers())
     if args.config:
         _apply_config(opts, args.config)
-    for flag, attr in (("seed", "seed"), ("workers", "workers"),
-                       ("trials", "trials"), ("chains", None), ("m_max", None),
-                       ("max_pairs", "lemma1_max_pairs"), ("prop1_trials", "prop1_trials"),
-                       ("c", "c"), ("c2", "c2"), ("eps", "epsilon"),
-                       ("c_resolution", "c_resolution"), ("ergodic_steps", "ergodic_steps")):
-        v = getattr(args, flag, None)
-        if v is None:
-            continue
-        if flag == "chains":
-            opts.lemma1_chains = v
-            opts.lemma2_chains = v
-            opts.prop1_chains = min(v, 20)
-        elif flag == "m_max":
-            opts.lemma1_m_max = min(v, 8)
-            opts.lemma2_m_max = min(v, 10)
-        else:
-            setattr(opts, attr, v)
+    given = {f.name: getattr(args, f.name) for f in fields(VerifyOptions) if f.name in OPTION_FLAGS}
+    given.update(epsilon=args.eps, lemma1_max_pairs=args.max_pairs)
+    if args.chains is not None:
+        given.update(lemma1_chains=args.chains, lemma2_chains=args.chains,
+                     prop1_chains=min(args.chains, 20))
+    if args.m_max is not None:
+        given.update(lemma1_m_max=min(args.m_max, 8), lemma2_m_max=min(args.m_max, 10))
+    for name, value in given.items():
+        if value is not None:
+            setattr(opts, name, value)
     return opts
 
 
+def _config_value(key: str, option: str, value):
+    """The value config ``key`` gives ``option``, checked against the option's type.
+
+    A bool is no number, and an int is a valid float.
+    """
+    if option in OPTION_TYPES:
+        typ = OPTION_TYPES[option]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else int):
+            raise ValidationError(f"{key} must be {typ.__name__}, got {value!r}")
+        return value
+    what, check, parse = CONFIG_LISTS[option]
+    if option == "n_grid" and isinstance(value, str):
+        with contextlib.suppress(ValidationError):
+            value = parse_grid(value)
+    if not (isinstance(value, list) and all(map(check, value))):
+        raise ValidationError(f"{key} must be a list of {what}, got {value!r}")
+    return [parse(v) for v in value]
+
+
 def _apply_config(opts: VerifyOptions, path: str) -> None:
-    """Set the options named in a JSON config; any other key is an error."""
+    """Set the options named in a JSON config; any other key, or an ill-typed value, is an error."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
@@ -414,15 +441,14 @@ def _apply_config(opts: VerifyOptions, path: str) -> None:
     constants = cfg.pop("constants", {}) if isinstance(cfg, dict) else None
     if not isinstance(constants, dict):
         raise ValidationError(f"{path}: the config and its 'constants' must be JSON objects")
-    keys = {f.name for f in fields(VerifyOptions)} - set(CONFIG_CONSTANTS.values())
-    for key, value in cfg.items():
-        if key not in keys:
+    top = {f.name for f in fields(VerifyOptions)} - set(CONFIG_CONSTANTS.values())
+    items = [(key, key if key in top else None, value) for key, value in cfg.items()]
+    items += [(f"constants.{key}", CONFIG_CONSTANTS.get(key), value)
+              for key, value in constants.items()]
+    for key, option, value in items:
+        if option is None:
             raise ValidationError(f"{path}: unknown config key {key!r}")
-        setattr(opts, key, CONFIG_PARSERS.get(key, lambda v: v)(value))
-    for key, value in constants.items():
-        if key not in CONFIG_CONSTANTS:
-            raise ValidationError(f"{path}: unknown config key 'constants.{key}'")
-        setattr(opts, CONFIG_CONSTANTS[key], value)
+        setattr(opts, option, _config_value(f"{path}: config key {key!r}", option, value))
 
 
 def cmd_verify(args) -> int:
@@ -551,20 +577,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run inequality verification suites")
     ver.add_argument("suite", choices=SUITE_ORDER + ("all",))
-    ver.add_argument("--seed", type=int, help="master seed (default 3)")
-    ver.add_argument("--workers", type=int, help="worker processes (default MML_WORKERS or 1)")
+    for f in fields(VerifyOptions):
+        if f.name in OPTION_FLAGS:
+            ver.add_argument("--" + f.name.replace("_", "-"), type=OPTION_TYPES[f.name],
+                             help=FLAG_HELP.get(f.name))
     ver.add_argument("--out", metavar="DIR", help="report directory (default ./reports)")
     ver.add_argument("--config", metavar="FILE", help="JSON experiment config")
-    ver.add_argument("--trials", type=int)
-    ver.add_argument("--chains", dest="chains", type=int, help="random-chain count for lemma suites")
-    ver.add_argument("--m-max", dest="m_max", type=int)
-    ver.add_argument("--max-pairs", dest="max_pairs", type=int)
-    ver.add_argument("--prop1-trials", dest="prop1_trials", type=int)
-    ver.add_argument("--c", type=float)
-    ver.add_argument("--c2", type=float)
+    ver.add_argument("--chains", type=int, help="random-chain count for lemma suites")
+    ver.add_argument("--m-max", type=int)
+    ver.add_argument("--max-pairs", type=int)
     ver.add_argument("--eps", type=float)
-    ver.add_argument("--c-resolution", dest="c_resolution", type=float)
-    ver.add_argument("--ergodic-steps", dest="ergodic_steps", type=int)
     return ap
 
 

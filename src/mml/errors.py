@@ -54,4 +54,4 @@ class SingularSystemError(MMLError):
 
 
 class InsufficientTrialsError(MMLError):
-    """Monte Carlo budget too small to certify at the requested resolution."""
+    """The rate constant c cannot be certified: no calibration instance constrains it."""

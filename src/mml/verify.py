@@ -10,6 +10,7 @@ seed produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,6 @@ from .errors import ValidationError
 from .hitting import (
     INEQUALITY_TOL,
     StateSet,
-    _mask_members,
     check_lemma1,
     check_lemma2,
     expected_hitting_time,
@@ -54,13 +54,15 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 @dataclass
 class VerifyOptions:
-    """Suite sizes; defaults match the acceptance sweep.
+    """Suite sizes and constants; defaults match the acceptance sweep.
 
     thm1, cor1 and cor3 compare the bounds with exact survival
     probabilities and exact missing-mass laws, so they do not depend on
     the seed or on ``trials``, which sizes only the iid Monte Carlo
     suite. The default seed is pinned to one whose runs clear every
     per-point 99% CI check of the Monte Carlo suites (iid, prop1).
+    The CLI reads its config keys, and the flags named like a field, from
+    these fields; a value must have the type of the field's default.
     """
 
     seed: int = 3
@@ -76,13 +78,10 @@ class VerifyOptions:
     c: float = bnd.DEFAULT_C
     c2: float = bnd.DEFAULT_C2
     epsilon: float = 0.5
-    # step to which the published certified c is floored; thm1 calibrates on
-    # exact survivals, so its uncertainty is 0 and never exceeds this
-    c_resolution: float = 0.25
     ergodic_steps: int = 1_000_000
     # optional overrides for the chain-family suites (prop1/thm1/cor1/cor3):
     # explicit chains as (chain_id, ChainSpec), explicit J-families, and an
-    # explicit n-grid (still filtered to n >= T(0.5) per chain)
+    # explicit n-grid (still filtered to T(0.5) <= n <= the suite's cap per chain)
     chains: list | None = None
     j_sets: list | None = None
     n_grid: list | None = None
@@ -121,13 +120,34 @@ class VerificationSummary:
         return not self.violations
 
 
-def _random_subset(rng, m: int, size_lo: int = 1, size_hi: int | None = None) -> tuple[int, ...]:
-    size_hi = m if size_hi is None else size_hi
-    k = int(rng.integers(size_lo, size_hi + 1))
+def _random_subset(rng, m: int, size_hi: int) -> tuple[int, ...]:
+    k = int(rng.integers(1, size_hi + 1))
     return tuple(sorted(int(x) for x in rng.choice(m, size=k, replace=False)))
 
 
+def _index_sets(rng, m: int, extra: int, size_hi: int) -> list[tuple[int, ...]]:
+    """Every singleton, then ``extra`` random sets of 1..size_hi states, repeats dropped."""
+    sets = [(j,) for j in range(m)]
+    for _ in range(extra):
+        members = _random_subset(rng, m, size_hi)
+        if members not in sets:
+            sets.append(members)
+    return sets
+
+
 # --- analytic suites --------------------------------------------------------
+
+
+def _random_chains(seed: int, count: int, m_max: int, picker):
+    """(chain_id, P, pi, every subset table) of the lemma suites' random chains.
+
+    Draws each m from ``picker`` only when its chain is reached, so the
+    caller can draw from the same picker between chains.
+    """
+    for i in range(count):
+        m = int(picker.integers(2, m_max + 1))
+        P = generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
+        yield f"random-dense(m={m},#={i})", P, stationary(P), subset_hitting_tables(P)
 
 
 def suite_lemma1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
@@ -135,46 +155,35 @@ def suite_lemma1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
     seed = derive_seed(opts.seed, 1)
     picker = derive_stream(seed, 0)
     reports: list[BoundReport] = []
-    for i in range(opts.lemma1_chains):
-        m = int(picker.integers(2, opts.lemma1_m_max + 1))
-        chain = generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1))
-        chain_id = f"random-dense(m={m},#={i})"
-        P = chain.matrix
-        pi = stationary(P)
-        pairs = _disjoint_pairs(m)
+    for chain_id, P, pi, tables in _random_chains(seed, opts.lemma1_chains,
+                                                  opts.lemma1_m_max, picker):
+        pairs = _disjoint_pairs(tables)
         if len(pairs) > opts.lemma1_max_pairs:
             keep = picker.choice(len(pairs), size=opts.lemma1_max_pairs, replace=False)
             pairs = [pairs[j] for j in sorted(keep)]
-        tables = subset_hitting_tables(P)
-        for a_members, b_members in pairs:
-            rep = check_lemma1(P, pi, tables[a_members].target, tables[b_members].target,
-                               table_b=tables[b_members], table_a=tables[a_members])
+        for table_a, table_b in pairs:
+            rep = check_lemma1(P, pi, table_a.target, table_b.target, table_b=table_b, table_a=table_a)
             rep.metadata["chain_id"] = chain_id
             reports.append(rep)
     summary = VerificationSummary.from_reports("lemma1", opts.seed, reports)
     return reports, summary
 
 
-def _disjoint_pairs(m: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All ordered pairs of disjoint non-empty subsets of range(m), canonical order."""
-    masks = list(range(1, 1 << m))
-    members = {mask: _mask_members(mask) for mask in masks}
-    return [(members[a], members[b]) for a in masks for b in masks if not a & b]
+def _disjoint_pairs(tables) -> list:
+    """Ordered pairs of ``subset_hitting_tables`` entries with disjoint targets, canonical order."""
+    values = list(tables.values())  # entry k - 1 targets the set with bitmask k
+    masks = np.arange(1, len(values) + 1)
+    a, b = np.nonzero((masks[:, None] & masks) == 0)
+    return [(values[i], values[j]) for i, j in zip(a.tolist(), b.tolist())]
 
 
 def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
     """T(A) <= 2 T(0.5) / pi(A) for every non-empty A, exhaustive T(0.5)."""
     seed = derive_seed(opts.seed, 2)
-    picker = derive_stream(seed, 0)
     reports: list[BoundReport] = []
-    for i in range(opts.lemma2_chains):
-        m = int(picker.integers(2, opts.lemma2_m_max + 1))
-        chain = generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1))
-        chain_id = f"random-dense(m={m},#={i})"
-        P = chain.matrix
-        pi = stationary(P)
+    for chain_id, P, pi, tables in _random_chains(seed, opts.lemma2_chains, opts.lemma2_m_max,
+                                                  derive_stream(seed, 0)):
         # every subset is solved anyway; T(0.5) falls out of the same tables
-        tables = subset_hitting_tables(P)
         t_half = max((table.t_plus_all for members, table in tables.items()
                       if pi.mass(members) >= 0.5 - 1e-12), default=0.0)
         for table in tables.values():
@@ -201,15 +210,7 @@ def _iid_chain_set(seed: int, ms=(2, 4, 8), random_sets: int = 20):
     for k, m in enumerate(ms):
         rng = derive_stream(seed, 100 + k)
         mu = rng.dirichlet(np.full(m, 1.0))
-        chain = generate("iid", mu=mu)
-        sets = [(j,) for j in range(m)]
-        seen = set(sets)
-        for _ in range(random_sets):
-            members = _random_subset(rng, m)
-            if members not in seen:
-                seen.add(members)
-                sets.append(members)
-        out.append((f"iid(m={m})", chain, mu, sets))
+        out.append((f"iid(m={m})", generate("iid", mu=mu), mu, _index_sets(rng, m, random_sets, m)))
     return out
 
 
@@ -299,7 +300,7 @@ def suite_prop1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSum
     for idx, (chain_id, chain) in enumerate(suite):
         m = chain.matrix.m
         pi = stationary(chain.matrix)
-        members = _random_subset(rng, m, 1, max(1, m // 3))
+        members = _random_subset(rng, m, max(1, m // 3))
         B = StateSet(members)
         table = hitting_table(chain.matrix, B)
         expected = expected_hitting_time(table, chain.resolved_start(pi))
@@ -323,9 +324,9 @@ def suite_prop1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSum
 # --- exact chain-family suites ---------------------------------------------
 
 
-def _family_suite(seed: int):
-    """Chains for the joint-survival suites: lazy cycles, birth-death, random."""
-    return [
+def _family_suite(seed: int, picks) -> list:
+    """The joint-survival suites' chains at ``picks``: lazy cycles, birth-death, random."""
+    family = [
         ("lazy-cycle(m=5,hold=0.5)", generate("lazy-cycle", m=5, hold=0.5)),
         ("lazy-cycle(m=10,hold=0.5)", generate("lazy-cycle", m=10, hold=0.5)),
         ("birth-death(m=8,p=0.3,q=0.3)", generate("birth-death", m=8, p=0.3, q=0.3)),
@@ -333,34 +334,57 @@ def _family_suite(seed: int):
         ("random-dense(m=8)", generate("random-dense", m=8, alpha=1.0, seed=derive_seed(seed, 401))),
         ("random-dense(m=10)", generate("random-dense", m=10, alpha=1.0, seed=derive_seed(seed, 402))),
     ]
+    return [family[i] for i in picks]
 
 
-def _n_grid(t_half: float, n_cap: int = 128, override=None) -> list[int]:
-    if override:
-        kept = sorted({int(n) for n in override if n >= t_half})
-        return kept or [max(1, math.ceil(t_half))]
-    grid = {max(1, math.ceil(t_half))}
-    n = 1
-    while n <= n_cap:
-        if n >= t_half:
-            grid.add(n)
-        n *= 2
-    return sorted(grid)
+_ExactChain = namedtuple("_ExactChain", "chain_id P pi start t_half")
+
+
+def _exact_chains(opts: VerifyOptions, seed: int, picks):
+    """Per-chain setup of thm1, cor1 and cor3 (the configured chains, else the
+    family-suite chains at ``picks``): pi, the start law and T(eps)."""
+    for chain_id, chain in opts.chains or _family_suite(seed, picks):
+        pi = stationary(chain.matrix)
+        yield _ExactChain(chain_id, chain.matrix, pi, chain.resolved_start(pi),
+                          t_large(chain.matrix, pi, opts.epsilon).value)
+
+
+_POWERS_OF_TWO = tuple(2 ** k for k in range(8))  # default horizons of thm1 and cor1
+
+
+def _horizons(t_half: float, override, defaults, cap: int) -> list[int]:
+    """Horizons n with T(0.5) <= n <= cap among the configured n-grid, else the
+    suite's defaults (rounded up to integers >= 1); [ceil T(0.5)] if none is left."""
+    grid = {n for n in (max(1, math.ceil(x)) for x in override or defaults) if t_half <= n <= cap}
+    return sorted(grid) or [max(1, math.ceil(t_half))]
 
 
 def _j_families(opts: VerifyOptions, rng, m: int, extra: int) -> list[tuple[int, ...]]:
     """Tested index sets: config override, or singletons plus random sets."""
     if opts.j_sets:
-        return [tuple(sorted(int(x) for x in js)) for js in opts.j_sets
+        # a set, not a list: a repeated state would count twice in pi(J)
+        return [tuple(sorted({int(x) for x in js})) for js in opts.j_sets
                 if js and max(js) < m]
-    sets = [(j,) for j in range(m)]
-    seen = set(sets)
-    for _ in range(extra):
-        members = _random_subset(rng, m, 1, max(1, m - 1))
-        if members not in seen:
-            seen.add(members)
-            sets.append(members)
-    return sets
+    return _index_sets(rng, m, extra, max(1, m - 1))
+
+
+def _survivals(ch: _ExactChain, sets, grid):
+    """Exact Pr[tau_J > n] for each set J and horizon n, as calibration instances."""
+    for members in sets:
+        mass = ch.pi.mass(members)
+        survival = survival_probabilities(ch.P, ch.start, members, grid)
+        for n, p in zip(grid, survival.tolist()):
+            yield bnd.CalibrationInstance(ch.chain_id, members, n, mass, ch.t_half, p)
+
+
+def _survival_check(name: str, keys: tuple[str, str], point, c: float) -> BoundReport:
+    """``point`` against exp(-c n pi(J) / T(0.5)), with J and n under ``keys``. T(0.5) = 0
+    only on a single-state chain, where the bound is 0 and vacuous."""
+    bound = math.exp(-c * point.n * point.mass / point.t_half) if point.t_half else 0.0
+    return BoundReport.from_check(
+        name, bound, point.p_hat, tol=INEQUALITY_TOL, vacuous=not point.t_half,
+        metadata={"chain_id": point.chain_id, keys[0]: point.members, keys[1]: point.n,
+                  "c": c, "t_half": point.t_half})
 
 
 def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
@@ -368,45 +392,31 @@ def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     seed = derive_seed(opts.seed, 5)
     reports: list[BoundReport] = []
     instances: list[bnd.CalibrationInstance] = []
-    for idx, (chain_id, chain) in enumerate(opts.chains or _family_suite(seed)):
-        m = chain.matrix.m
-        pi = stationary(chain.matrix)
-        start = chain.resolved_start(pi)
-        t_half = t_large(chain.matrix, pi, opts.epsilon).value
-        grid = _n_grid(t_half, override=opts.n_grid)
-        rng = derive_stream(seed, 500 + idx)
-        sets = _j_families(opts, rng, m, extra=10)
-        for members in sets:
-            mass = pi.mass(members)
-            survival = survival_probabilities(chain.matrix, start, members, grid)
-            for n, p in zip(grid, survival.tolist()):
-                bound = math.exp(-opts.c * n * mass / t_half)
-                reports.append(BoundReport.from_check(
-                    "thm1-joint-survival", bound, p, tol=INEQUALITY_TOL,
-                    metadata={"chain_id": chain_id, "J": members, "n": n,
-                              "c": opts.c, "t_half": t_half}))
-                instances.append(bnd.CalibrationInstance(
-                    chain_id=chain_id, members=members, n=n, mass=mass,
-                    t_half=t_half, p_hat=p))
+    for idx, ch in enumerate(_exact_chains(opts, seed, range(6))):
+        grid = _horizons(ch.t_half, opts.n_grid, (ch.t_half, *_POWERS_OF_TWO), 128)
+        sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
+        points = list(_survivals(ch, sets, grid))
+        instances += points
+        reports += [_survival_check("thm1-joint-survival", ("J", "n"), p, opts.c) for p in points]
         # MGF domination by the independent-surrogate product, both normalizations
         # of the comparison weights (with and without the factor n) recorded.
-        unseen = subset_masses(pi.pi)[::-1]
-        for n, law in zip(grid, unseen_set_law(chain.matrix, start, grid)):
-            params = bnd.BoundParams(c=opts.c, T=t_half, n=n, pi=pi)
+        unseen = subset_masses(ch.pi.pi)[::-1]
+        for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
+            params = bnd.BoundParams(c=opts.c, T=ch.t_half, n=n, pi=ch.pi)
             q = bnd.q_probabilities(params)
             for s in (0.5, 1.0, 2.0):
                 mgf = float(law @ np.exp(s * unseen))
-                for form, weights in (("eq3", n * pi.pi), ("cor1", pi.pi)):
+                for form, weights in (("eq3", n * ch.pi.pi), ("cor1", ch.pi.pi)):
                     bound = bnd.bernoulli_product_mgf(weights, q, s)
                     reports.append(BoundReport.from_check(
                         f"thm1-mgf-{form}form", bound, mgf, tol=INEQUALITY_TOL,
-                        metadata={"chain_id": chain_id, "n": n, "s": s,
-                                  "c": opts.c, "t_half": t_half}))
-    cal = bnd.calibrate_c(instances, resolution=opts.c_resolution)
+                        vacuous=params.vacuous,
+                        metadata={"chain_id": ch.chain_id, "n": n, "s": s,
+                                  "c": opts.c, "t_half": ch.t_half}))
+    cal = bnd.calibrate_c(instances)
     extras = {
         "certified_c": cal.certified_c,
         "certified_c_raw": cal.certified_c_raw,
-        "c_uncertainty": cal.uncertainty,
         "c_used": opts.c,
     }
     summary = VerificationSummary.from_reports("thm1", opts.seed, reports, extras)
@@ -418,20 +428,18 @@ def suite_cor1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     seed = derive_seed(opts.seed, 6)
     eps_values = (0.05, 0.1, 0.2)
     reports: list[BoundReport] = []
-    suite = opts.chains or [_family_suite(seed)[i] for i in (0, 2, 4)]
-    for chain_id, chain in suite:
-        pi = stationary(chain.matrix)
-        t_half = t_large(chain.matrix, pi, opts.epsilon).value
-        grid = _n_grid(t_half, n_cap=64, override=opts.n_grid)
-        unseen = subset_masses(pi.pi)[::-1]
-        for n, law in zip(grid, unseen_set_law(chain.matrix, chain.resolved_start(pi), grid)):
-            params = bnd.BoundParams(c=opts.c, T=t_half, n=n, pi=pi)
+    for ch in _exact_chains(opts, seed, (0, 2, 4)):
+        grid = _horizons(ch.t_half, opts.n_grid, (ch.t_half, *_POWERS_OF_TWO), 64)
+        unseen = subset_masses(ch.pi.pi)[::-1]
+        for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
+            params = bnd.BoundParams(c=opts.c, T=ch.t_half, n=n, pi=ch.pi)
             for eps in eps_values:
                 tail = bnd.missing_mass_tail_bound(params, eps, c2=opts.c2)
                 p = float(law[unseen > tail.threshold].sum())
                 reports.append(BoundReport.from_check(
                     "cor1-upper-tail", tail.failure_bound, p, tol=INEQUALITY_TOL,
-                    metadata={"chain_id": chain_id, "n": n, "eps": eps,
+                    vacuous=params.vacuous,
+                    metadata={"chain_id": ch.chain_id, "n": n, "eps": eps,
                               "threshold": tail.threshold, "mean_term": tail.mean_term,
                               "c2": opts.c2, "lower_tail": "out-of-scope"}))
     summary = VerificationSummary.from_reports("cor1", opts.seed, reports)
@@ -442,29 +450,11 @@ def suite_cor3(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     """Smooth explicit tail exp(-c t pi(A)/T(0.5)) vs exact set-hitting tails."""
     seed = derive_seed(opts.seed, 7)
     reports: list[BoundReport] = []
-    suite = opts.chains or [_family_suite(seed)[i] for i in (0, 1, 2, 4)]
-    for idx, (chain_id, chain) in enumerate(suite):
-        m = chain.matrix.m
-        pi = stationary(chain.matrix)
-        start = chain.resolved_start(pi)
-        t_half = t_large(chain.matrix, pi, opts.epsilon).value
-        rng = derive_stream(seed, 800 + idx)
-        sets = _j_families(opts, rng, m, extra=5)
-        if opts.n_grid:
-            t_grid = sorted({int(t) for t in opts.n_grid if t >= t_half})
-            t_grid = t_grid or [max(1, math.ceil(t_half))]
-        else:
-            t_grid = sorted({max(1, math.ceil(k * t_half)) for k in (1, 2, 3, 5, 8, 12)})
-        t_grid = [t for t in t_grid if t <= 512]
-        for members in sets:
-            mass = pi.mass(members)
-            survival = survival_probabilities(chain.matrix, start, members, t_grid)
-            for t, p in zip(t_grid, survival.tolist()):
-                bound = bnd.explicit_hitting_tail(mass, t_half, t, opts.c)
-                reports.append(BoundReport.from_check(
-                    "cor3-explicit-tail", bound, p, tol=INEQUALITY_TOL,
-                    metadata={"chain_id": chain_id, "A": members, "t": t,
-                              "c": opts.c, "t_half": t_half}))
+    for idx, ch in enumerate(_exact_chains(opts, seed, (0, 1, 2, 4))):
+        grid = _horizons(ch.t_half, opts.n_grid, (k * ch.t_half for k in (1, 2, 3, 5, 8, 12)), 512)
+        sets = _j_families(opts, derive_stream(seed, 800 + idx), ch.P.m, extra=5)
+        reports += [_survival_check("cor3-explicit-tail", ("A", "t"), p, opts.c)
+                    for p in _survivals(ch, sets, grid)]
     summary = VerificationSummary.from_reports("cor3", opts.seed, reports)
     return reports, summary
 

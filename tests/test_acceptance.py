@@ -166,7 +166,7 @@ def test_criterion_10_determinism(tmp_path):
 
 def test_criterion_11_falsifiability(tmp_path, capsys):
     rc = main(["verify", "thm1", "--seed", str(ACCEPT_SEED), "--c", "100",
-               "--trials", "2000", "--c-resolution", "1000", "--out", str(tmp_path)])
+               "--out", str(tmp_path)])
     rows = (tmp_path / "violations.csv").read_text().splitlines()
     capsys.readouterr()
     report(11, "`verify thm1 --c 100` reports violations and exits nonzero",

@@ -287,19 +287,18 @@ class TestBernoulliProductMgf:
 
 
 class TestCalibrateC:
-    def _uniform2_instances(self, trials=100_000):
+    def _uniform2_instances(self):
         # exact tails of the uniform IID 2-state chain with exact T(0.5) = 2
         out = []
         for n in (2, 4, 8):
             p = 0.5 ** n
-            slack = 2.576 * math.sqrt(p * (1 - p) / trials)
             out.append(CalibrationInstance(
                 chain_id="iid-uniform2", members=(0,), n=n, mass=0.5,
-                t_half=2.0, p_hat=p, slack=slack, trials=trials))
+                t_half=2.0, p_hat=p))
         return out
 
     def test_uniform2_certifies_at_least_one(self):
-        res = calibrate_c(self._uniform2_instances(), resolution=0.1)
+        res = calibrate_c(self._uniform2_instances())
         assert res.certified_c >= 1.0
         # exact tails: certified c should be close to 4 ln 2
         assert res.certified_c_raw == pytest.approx(4 * math.log(2), rel=0.05)
@@ -307,8 +306,7 @@ class TestCalibrateC:
     def test_exact_instances_leave_no_uncertainty(self):
         inst = [CalibrationInstance(chain_id="iid-uniform2", members=(0,), n=n, mass=0.5,
                                     t_half=2.0, p_hat=0.5 ** n) for n in (2, 4, 8)]
-        res = calibrate_c(inst, resolution=1e-6)
-        assert res.uncertainty == 0.0
+        res = calibrate_c(inst)
         assert res.certified_c_raw == pytest.approx(4 * math.log(2), rel=1e-12)
 
     def test_exact_zero_survivals_constrain_nothing(self):
@@ -323,24 +321,12 @@ class TestCalibrateC:
 
     def test_inclusion_filter(self):
         inst = CalibrationInstance(chain_id="x", members=(0,), n=1, mass=0.5,
-                                   t_half=3.0, p_hat=0.5, slack=0.01, trials=100)
+                                   t_half=3.0, p_hat=0.5)
         with pytest.raises(ValidationError):
             calibrate_c([inst])
 
-    def test_insufficient_trials_no_constraint(self):
-        inst = CalibrationInstance(chain_id="x", members=(0,), n=4, mass=0.5,
-                                   t_half=2.0, p_hat=0.001, slack=0.05, trials=100)
-        with pytest.raises(InsufficientTrialsError):
-            calibrate_c([inst])
-
-    def test_insufficient_trials_wide_interval(self):
-        inst = CalibrationInstance(chain_id="x", members=(0,), n=4, mass=0.5,
-                                   t_half=2.0, p_hat=0.3, slack=0.2, trials=30)
-        with pytest.raises(InsufficientTrialsError):
-            calibrate_c([inst], resolution=0.01)
-
     def test_reports_tight_values_and_binding(self):
-        res = calibrate_c(self._uniform2_instances(), resolution=0.1)
+        res = calibrate_c(self._uniform2_instances())
         assert len(res.tight) == 3
         assert res.binding is not None
 
@@ -353,8 +339,15 @@ class TestCalibrationFilterExample:
         pi = stationary(P)
         t_half = t_large(P, pi, 0.5).value
         bad = CalibrationInstance(chain_id="cycle3", members=(2,), n=0, mass=1 / 3,
-                                  t_half=t_half + 1, p_hat=1.0, slack=0.0, trials=100)
+                                  t_half=t_half + 1, p_hat=1.0)
         good = CalibrationInstance(chain_id="ok", members=(0,), n=4, mass=0.5,
-                                   t_half=2.0, p_hat=0.0625, slack=0.003, trials=10_000)
-        res = calibrate_c([bad, good], resolution=0.5)
+                                   t_half=2.0, p_hat=0.0625)
+        res = calibrate_c([bad, good])
         assert res.binding.chain_id == "ok"
+
+
+def test_calibration_skips_single_state_chains():
+    # T(0.5) = 0 only on a single-state chain, whose bounds are vacuous
+    inst = CalibrationInstance(chain_id="one", members=(0,), n=1, mass=1.0, t_half=0.0, p_hat=0.5)
+    with pytest.raises(InsufficientTrialsError, match="constrains"):
+        calibrate_c([inst])

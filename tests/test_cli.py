@@ -177,7 +177,7 @@ class TestBoundsCommands:
 
 class TestVerifyCommand:
     SMALL = ["--trials", "1500", "--chains", "8", "--prop1-trials", "1200",
-             "--ergodic-steps", "40000", "--c-resolution", "2.0"]
+             "--ergodic-steps", "40000"]
 
     def test_verify_lemma1_small(self, tmp_path, capsys):
         rc = main(["verify", "lemma1", "--seed", "1", "--chains", "10",
@@ -189,7 +189,7 @@ class TestVerifyCommand:
 
     def test_verify_thm1_huge_c_fails(self, tmp_path, capsys):
         rc = main(["verify", "thm1", "--seed", "1", "--c", "100", "--trials", "1500",
-                   "--c-resolution", "1000", "--out", str(tmp_path)])
+                   "--out", str(tmp_path)])
         assert rc == 1
         violations = (tmp_path / "violations.csv").read_text().splitlines()
         assert len(violations) > 1
@@ -227,7 +227,7 @@ class TestVerifyCommand:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 5, "trials": 1200,
-                                   "constants": {"c": 0.2, "c_resolution": 5.0}}))
+                                   "constants": {"c": 0.2}}))
         rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 0
         text = (tmp_path / "r" / "thm1.csv").read_text()
@@ -263,13 +263,12 @@ class TestVerifyCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**values, "chains": ["lazy-cycle:m=4;hold=0.5"],
                                    "j_sets": [[0, 1]], "n_grid": "4..6",
-                                   "constants": {"c": 0.2, "c2": 2.0, "eps": 0.4,
-                                                 "c_resolution": 0.5}}))
+                                   "constants": {"c": 0.2, "c2": 2.0, "eps": 0.4}}))
         o = _options_from_args(build_parser().parse_args(["verify", "cor1", "--config", str(cfg)]))
         assert {k: getattr(o, k) for k in values} == values
         assert [cid for cid, _ in o.chains] == ["lazy-cycle:m=4;hold=0.5"]
         assert (o.j_sets, o.n_grid) == ([(0, 1)], [4, 5, 6])
-        assert (o.c, o.c2, o.epsilon, o.c_resolution) == (0.2, 2.0, 0.4, 0.5)
+        assert (o.c, o.c2, o.epsilon) == (0.2, 2.0, 0.4)
 
     @pytest.mark.parametrize("cfg,key", [({"lemma1_chain": 3}, "'lemma1_chain'"),
                                          ({"c": 0.2}, "'c'"),
@@ -288,7 +287,6 @@ class TestVerifyCommand:
             "chains": [two_state, "lazy-cycle:m=4;hold=0.5"],
             "j_sets": [[0], [1]],
             "n_grid": "4..16",
-            "constants": {"c_resolution": 5.0},
         }))
         rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 0
@@ -297,18 +295,67 @@ class TestVerifyCommand:
         assert two_state in text
 
     def test_exact_calibration_ignores_trials(self, tmp_path, capsys):
-        # thm1 certifies c from exact survivals: a tiny trial budget and a fine
-        # resolution leave no uncertainty
-        rc = main(["verify", "thm1", "--seed", "1", "--trials", "300",
-                   "--c-resolution", "0.0001", "--out", str(tmp_path)])
+        # thm1 certifies c from exact survivals: a tiny trial budget does not matter
+        rc = main(["verify", "thm1", "--seed", "1", "--trials", "300", "--out", str(tmp_path)])
         assert rc == 0
-        assert "c_uncertainty=0.0" in capsys.readouterr().out
-        assert "c_uncertainty=0.0;" in (tmp_path / "summary.csv").read_text()
 
     def test_all_survivals_zero_exits_5(self, tmp_path, capsys):
         # the deterministic flip chain has left every singleton by step 2
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"chains": ["two-state:p=1;q=1"], "n_grid": [2, 4, 8]}))
+        rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 5
+        assert "no instance constrains c" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg,key", [({"seed": "abc"}, "'seed'"),
+                                         ({"seed": True}, "'seed'"),
+                                         ({"trials": 1.5}, "'trials'"),
+                                         ({"j_sets": [5]}, "'j_sets'"),
+                                         ({"j_sets": [[0, -1]]}, "'j_sets'"),
+                                         ({"n_grid": ["x"]}, "'n_grid'"),
+                                         ({"n_grid": "a..b"}, "'n_grid'"),
+                                         ({"chains": [3]}, "'chains'"),
+                                         ({"constants": {"c": "x"}}, "'constants.c'")])
+    def test_ill_typed_config_value_exits_3(self, tmp_path, capsys, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["verify", "cor1", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"config key {key} must be" in capsys.readouterr().err
+
+    def test_config_int_is_a_valid_float(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"c": 1, "eps": 0.5}}))
+        o = _options_from_args(build_parser().parse_args(["verify", "cor1", "--config", str(cfg)]))
+        assert (o.c, o.epsilon) == (1, 0.5)
+
+    def test_c_resolution_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"c_resolution": 0.25}}))
+        rc = main(["verify", "cor1", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert "unknown config key 'constants.c_resolution'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "thm1", "--c-resolution", "0.25"])
+
+    def test_option_flags_set_their_fields(self):
+        args = build_parser().parse_args(
+            ["verify", "cor1", "--seed", "4", "--workers", "2", "--trials", "5",
+             "--prop1-trials", "6", "--c", "0.3", "--c2", "2", "--ergodic-steps", "7",
+             "--eps", "0.4", "--max-pairs", "8", "--chains", "30", "--m-max", "9"])
+        o = _options_from_args(args)
+        assert (o.seed, o.workers, o.trials, o.prop1_trials, o.ergodic_steps) == (4, 2, 5, 6, 7)
+        assert (o.c, o.c2, o.epsilon, o.lemma1_max_pairs) == (0.3, 2.0, 0.4, 8)
+        assert (o.lemma1_chains, o.lemma2_chains, o.prop1_chains) == (30, 30, 20)
+        assert (o.lemma1_m_max, o.lemma2_m_max) == (8, 9)
+
+    def test_single_state_chain(self, tmp_path, capsys):
+        # T(0.5) = 0: cor3's rows are vacuous, and no thm1 instance constrains c
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chains": ["iid:mu=1"]}))
+        rc = main(["verify", "cor3", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert "vacuous=1 violations=0" in capsys.readouterr().out
         rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 5
         assert "no instance constrains c" in capsys.readouterr().err
