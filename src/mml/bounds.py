@@ -134,7 +134,7 @@ def hitting_tail_bound(expected: float, t) -> float:
 
 def explicit_hitting_tail(pi_A: float, T_half: float, t, c_explicit: float = DEFAULT_C) -> float:
     """Smooth tail bound exp(-c t pi(A) / T(0.5)) for hitting a set A."""
-    if not (0 < pi_A <= 1):
+    if not (0 < pi_A <= 1 + 1e-12):  # the mass of every state may round above 1
         raise ValidationError(f"pi_A must lie in (0, 1], got {pi_A!r}")
     if T_half <= 0:
         raise ValidationError(f"T_half must be > 0, got {T_half!r}")

@@ -9,11 +9,11 @@ bodies are deterministic functions of the seed.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -378,19 +378,29 @@ CONFIG_CONSTANTS = {"c": "c", "c2": "c2", "eps": "epsilon"}
 # the type of each scalar option's default: config values and flags must have it
 OPTION_TYPES = {f.name: type(f.default) for f in fields(VerifyOptions)
                 if type(f.default) in (int, float)}
-# options that are also verify flags of the same name (prop1_trials is --prop1-trials)
-OPTION_FLAGS = ("seed", "workers", "trials", "prop1_trials", "c", "c2", "ergodic_steps")
-FLAG_HELP = {"seed": "master seed (default 3)",
-             "workers": "worker processes (default MML_WORKERS or 1)"}
+# options that are also verify flags of the same name (prop1_trials is --prop1-trials), with help
+OPTION_FLAGS = {"seed": "master seed (default 3)",
+                "workers": "worker processes (default MML_WORKERS or 1)",
+                "trials": None, "prop1_trials": None, "c": None, "c2": None, "ergodic_steps": None}
 
 
-# list-valued options: what each element of a config value must be, its check, its parser
-CONFIG_LISTS = {
-    "chains": ("chain descriptors", lambda v: isinstance(v, str), parse_descriptor),
-    "j_sets": ("lists of non-negative integers",
-               lambda v: isinstance(v, list) and all(type(x) is int and x >= 0 for x in v), tuple),
-    "n_grid": ("positive integers (or an 'a..b' range)", lambda v: type(v) is int and v >= 1, int),
-}
+def _ints(value, low: int) -> bool:
+    return isinstance(value, list) and all(type(x) is int and x >= low for x in value)
+
+
+# each config option: whether a value is well-formed, what it must be, and its parser
+# (a bool is no number, and an int is a valid float)
+CONFIG_CHECKS = {name: (lambda v, typ=typ: type(v) in (typ, int), typ.__name__, lambda v: v)
+                 for name, typ in OPTION_TYPES.items()}
+CONFIG_CHECKS.update(
+    chains=(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+            "a list of chain descriptors", lambda v: [parse_descriptor(s) for s in v]),
+    j_sets=(lambda v: isinstance(v, list) and all(_ints(js, 0) for js in v),
+            "a list of lists of non-negative integers", lambda v: [tuple(js) for js in v]),
+    n_grid=(lambda v: _ints(v, 1) or isinstance(v, str) and re.fullmatch(r"\d+\.\.\d+|[\d,]*", v),
+            "an 'a..b' range, comma-separated integers or a list of positive integers",
+            lambda v: parse_grid(v) if isinstance(v, str) else v),
+)
 
 
 def _options_from_args(args) -> VerifyOptions:
@@ -398,7 +408,7 @@ def _options_from_args(args) -> VerifyOptions:
     opts = VerifyOptions(workers=_default_workers())
     if args.config:
         _apply_config(opts, args.config)
-    given = {f.name: getattr(args, f.name) for f in fields(VerifyOptions) if f.name in OPTION_FLAGS}
+    given = {name: getattr(args, name) for name in OPTION_FLAGS}
     given.update(epsilon=args.eps, lemma1_max_pairs=args.max_pairs)
     if args.chains is not None:
         given.update(lemma1_chains=args.chains, lemma2_chains=args.chains,
@@ -409,25 +419,6 @@ def _options_from_args(args) -> VerifyOptions:
         if value is not None:
             setattr(opts, name, value)
     return opts
-
-
-def _config_value(key: str, option: str, value):
-    """The value config ``key`` gives ``option``, checked against the option's type.
-
-    A bool is no number, and an int is a valid float.
-    """
-    if option in OPTION_TYPES:
-        typ = OPTION_TYPES[option]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else int):
-            raise ValidationError(f"{key} must be {typ.__name__}, got {value!r}")
-        return value
-    what, check, parse = CONFIG_LISTS[option]
-    if option == "n_grid" and isinstance(value, str):
-        with contextlib.suppress(ValidationError):
-            value = parse_grid(value)
-    if not (isinstance(value, list) and all(map(check, value))):
-        raise ValidationError(f"{key} must be a list of {what}, got {value!r}")
-    return [parse(v) for v in value]
 
 
 def _apply_config(opts: VerifyOptions, path: str) -> None:
@@ -448,7 +439,10 @@ def _apply_config(opts: VerifyOptions, path: str) -> None:
     for key, option, value in items:
         if option is None:
             raise ValidationError(f"{path}: unknown config key {key!r}")
-        setattr(opts, option, _config_value(f"{path}: config key {key!r}", option, value))
+        check, what, parse = CONFIG_CHECKS[option]
+        if not check(value):
+            raise ValidationError(f"{path}: config key {key!r} must be {what}, got {value!r}")
+        setattr(opts, option, parse(value))
 
 
 def cmd_verify(args) -> int:
@@ -577,10 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run inequality verification suites")
     ver.add_argument("suite", choices=SUITE_ORDER + ("all",))
-    for f in fields(VerifyOptions):
-        if f.name in OPTION_FLAGS:
-            ver.add_argument("--" + f.name.replace("_", "-"), type=OPTION_TYPES[f.name],
-                             help=FLAG_HELP.get(f.name))
+    for name, help_text in OPTION_FLAGS.items():
+        ver.add_argument("--" + name.replace("_", "-"), type=OPTION_TYPES[name], help=help_text)
     ver.add_argument("--out", metavar="DIR", help="report directory (default ./reports)")
     ver.add_argument("--config", metavar="FILE", help="JSON experiment config")
     ver.add_argument("--chains", type=int, help="random-chain count for lemma suites")

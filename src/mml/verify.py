@@ -81,7 +81,7 @@ class VerifyOptions:
     ergodic_steps: int = 1_000_000
     # optional overrides for the chain-family suites (prop1/thm1/cor1/cor3):
     # explicit chains as (chain_id, ChainSpec), explicit J-families, and an
-    # explicit n-grid (still filtered to T(0.5) <= n <= the suite's cap per chain)
+    # explicit n-grid (still filtered to n >= T(0.5) per chain; cor3 drops n > 512)
     chains: list | None = None
     j_sets: list | None = None
     n_grid: list | None = None
@@ -173,8 +173,9 @@ def _disjoint_pairs(tables) -> list:
     """Ordered pairs of ``subset_hitting_tables`` entries with disjoint targets, canonical order."""
     values = list(tables.values())  # entry k - 1 targets the set with bitmask k
     masks = np.arange(1, len(values) + 1)
-    a, b = np.nonzero((masks[:, None] & masks) == 0)
-    return [(values[i], values[j]) for i, j in zip(a.tolist(), b.tolist())]
+    # row by row, so memory stays near the size of the output
+    return [(values[a - 1], values[b]) for a in masks.tolist()
+            for b in np.flatnonzero((masks & a) == 0).tolist()]
 
 
 def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
@@ -349,10 +350,7 @@ def _exact_chains(opts: VerifyOptions, seed: int, picks):
                           t_large(chain.matrix, pi, opts.epsilon).value)
 
 
-_POWERS_OF_TWO = tuple(2 ** k for k in range(8))  # default horizons of thm1 and cor1
-
-
-def _horizons(t_half: float, override, defaults, cap: int) -> list[int]:
+def _horizons(t_half: float, override, defaults, cap: float = math.inf) -> list[int]:
     """Horizons n with T(0.5) <= n <= cap among the configured n-grid, else the
     suite's defaults (rounded up to integers >= 1); [ceil T(0.5)] if none is left."""
     grid = {n for n in (max(1, math.ceil(x)) for x in override or defaults) if t_half <= n <= cap}
@@ -380,7 +378,7 @@ def _survivals(ch: _ExactChain, sets, grid):
 def _survival_check(name: str, keys: tuple[str, str], point, c: float) -> BoundReport:
     """``point`` against exp(-c n pi(J) / T(0.5)), with J and n under ``keys``. T(0.5) = 0
     only on a single-state chain, where the bound is 0 and vacuous."""
-    bound = math.exp(-c * point.n * point.mass / point.t_half) if point.t_half else 0.0
+    bound = bnd.explicit_hitting_tail(point.mass, point.t_half, point.n, c) if point.t_half else 0.0
     return BoundReport.from_check(
         name, bound, point.p_hat, tol=INEQUALITY_TOL, vacuous=not point.t_half,
         metadata={"chain_id": point.chain_id, keys[0]: point.members, keys[1]: point.n,
@@ -393,7 +391,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     reports: list[BoundReport] = []
     instances: list[bnd.CalibrationInstance] = []
     for idx, ch in enumerate(_exact_chains(opts, seed, range(6))):
-        grid = _horizons(ch.t_half, opts.n_grid, (ch.t_half, *_POWERS_OF_TWO), 128)
+        grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(8)])
         sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
         points = list(_survivals(ch, sets, grid))
         instances += points
@@ -426,14 +424,13 @@ def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
 def suite_cor1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
     """Missing-mass deviation bound (upper tail; lower tail out of scope)."""
     seed = derive_seed(opts.seed, 6)
-    eps_values = (0.05, 0.1, 0.2)
     reports: list[BoundReport] = []
     for ch in _exact_chains(opts, seed, (0, 2, 4)):
-        grid = _horizons(ch.t_half, opts.n_grid, (ch.t_half, *_POWERS_OF_TWO), 64)
+        grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(7)])
         unseen = subset_masses(ch.pi.pi)[::-1]
         for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
             params = bnd.BoundParams(c=opts.c, T=ch.t_half, n=n, pi=ch.pi)
-            for eps in eps_values:
+            for eps in (0.05, 0.1, 0.2):
                 tail = bnd.missing_mass_tail_bound(params, eps, c2=opts.c2)
                 p = float(law[unseen > tail.threshold].sum())
                 reports.append(BoundReport.from_check(
@@ -493,8 +490,4 @@ def run_suite(name: str, opts: VerifyOptions):
 
 def run_all(opts: VerifyOptions):
     """All suites in fixed order; returns [(name, reports, summary), ...]."""
-    out = []
-    for name in SUITE_ORDER:
-        reports, summary = run_suite(name, opts)
-        out.append((name, reports, summary))
-    return out
+    return [(name, *run_suite(name, opts)) for name in SUITE_ORDER]

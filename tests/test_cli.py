@@ -323,6 +323,13 @@ class TestVerifyCommand:
         assert rc == 3
         assert f"config key {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--c", "0"], ["--c", "-1"]])
+    def test_cor3_nonpositive_c_exits_3(self, tmp_path, capsys, flags):
+        # a bound of exp(0) = 1 would let every survival pass
+        rc = main(["verify", "cor3", *flags, "--out", str(tmp_path)])
+        assert rc == 3
+        assert "c_explicit must be > 0" in capsys.readouterr().err
+
     def test_config_int_is_a_valid_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"constants": {"c": 1, "eps": 0.5}}))

@@ -41,6 +41,10 @@ class TestHorizonRule:
     def test_cor3_override_above_512_dropped(self):
         assert _horizons("cor3", LAZY4, n_grid=[8, 600]) == [8]
 
+    def test_thm1_cor1_overrides_not_capped(self):
+        assert _horizons("thm1", LAZY4, n_grid=[8, 200]) == [8, 200]
+        assert _horizons("cor1", LAZY4, n_grid=[8, 100]) == [8, 100]
+
     @pytest.mark.parametrize("suite", ["thm1", "cor1", "cor3"])
     def test_override_filtered_to_t_half(self, suite):
         assert _horizons(suite, LAZY4, n_grid=[1, 2, 6, 9]) == [6, 9]
@@ -53,6 +57,14 @@ class TestJSets:
         twice = _rows(suite, LAZY4, n_grid=[4, 8], j_sets=[[1, 1]])
         once = _rows(suite, LAZY4, n_grid=[4, 8], j_sets=[[1]])
         assert [r.csv_cells() for r in twice] == [r.csv_cells() for r in once]
+
+    @pytest.mark.parametrize("suite", ["thm1", "cor3"])
+    def test_every_state(self, suite):
+        # pi of this chain sums to 1.0000000000000002
+        rows = _rows(suite, "random-dense:m=5;seed=4", n_grid=[8, 16],
+                     j_sets=[[0], [0, 1, 2, 3, 4]])
+        every = [r for r in rows if r.metadata.get("J", r.metadata.get("A")) == (0, 1, 2, 3, 4)]
+        assert [r.value for r in every] == [0.0, 0.0]
 
 
 class TestSingleStateChain:
