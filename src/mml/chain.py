@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     BadParamsError,
@@ -138,10 +136,24 @@ def validate(raw, labels=None) -> TransitionMatrix:
 
 
 def is_irreducible(P: TransitionMatrix) -> bool:
-    """True iff the support graph {(x, y): P(x, y) > 0} is strongly connected."""
-    support = csr_matrix(P.rows > 0)
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return int(n_comp) == 1
+    """True iff the support graph {(x, y): P(x, y) > 0} is strongly connected:
+    state 0 reaches every state, and every state reaches state 0."""
+    support = P.rows > 0
+    return _reaches_all(support) and _reaches_all(np.ascontiguousarray(support.T))
+
+
+def _reaches_all(adj: np.ndarray) -> bool:
+    """True iff a breadth-first search from state 0 along ``adj`` visits every state.
+
+    Each state enters the frontier once, so the row reads total O(m^2).
+    """
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def stationary(P: TransitionMatrix) -> StationaryDistribution:

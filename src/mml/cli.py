@@ -98,6 +98,11 @@ def parse_grid(text: str) -> list[int]:
         raise ValidationError(f"bad grid {text!r}: expected 'a..b' or comma-separated integers") from e
 
 
+# descriptor parameters not parsed as a float: their parser and what a value must be
+DESCRIPTOR_VALUES = {"mu": (parse_float_vector, "a comma-separated number list"),
+                     "m": (int, "an integer"), "seed": (int, "an integer")}
+
+
 def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
     """Chain source: a .json path or 'family:key=value;key=value'."""
     if text.endswith(".json") or Path(text).exists():
@@ -110,12 +115,12 @@ def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
         if "=" not in tok:
             raise ValidationError(f"bad descriptor parameter {tok!r} in {text!r}")
         k, v = tok.split("=", 1)
-        if k == "mu":
-            params[k] = parse_float_vector(v)
-        elif k in ("m", "seed"):
-            params[k] = int(v)
-        else:
-            params[k] = float(v)
+        parse, what = DESCRIPTOR_VALUES.get(k, (float, "a number"))
+        try:
+            params[k] = parse(v)
+        except (ValueError, ValidationError) as e:
+            raise ValidationError(f"descriptor {text!r}: parameter {k!r} must be {what}, "
+                                  f"got {v!r}") from e
     m = params.pop("m", None)
     seed = params.pop("seed", 0)
     return text, generate(family, m=m, seed=seed, **params)

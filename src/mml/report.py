@@ -2,16 +2,17 @@
 
 Report CSV bodies are deterministic: metadata (tool version, seed,
 constants) lives in ``#``-prefixed header lines, data rows carry
-repr-formatted floats so files round-trip and diff cleanly. Rows go
-through ``csv.writer``, so a cell holding a comma (chain ids such as
-``lazy-cycle(m=5,hold=0.5)``) is quoted and every row keeps its cells.
+repr-formatted floats so files round-trip and diff cleanly. Cells are
+quoted as ``csv.writer``'s default dialect quotes them: a cell holding a
+comma, a quote, ``\r`` or ``\n`` (chain ids such as
+``lazy-cycle(m=5,hold=0.5)``) is quoted, so every row keeps its cells.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,6 +20,9 @@ CSV_COLUMNS = ("name", "chain_id", "params", "bound", "value", "ci", "margin", "
 
 # metadata keys that get their own CSV column instead of the params blob
 _RESERVED_META = ("chain_id",)
+
+# characters that make csv.writer's default dialect quote a cell
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 @dataclass
@@ -61,11 +65,13 @@ class BoundReport:
         return ";".join(f"{k}={_fmt(v)}" for k, v in items)
 
     def csv_cells(self) -> tuple[str, ...]:
-        """The row's cells, in CSV_COLUMNS order."""
+        """The row's cells as written, in CSV_COLUMNS order. Only ``chain_id``
+        and ``params`` hold free text; every other cell is a name, a number or
+        a flag, which never needs quotes."""
         return (
             self.name,
-            str(self.metadata.get("chain_id", "")),
-            self.params_string(),
+            _csv_quote(str(self.metadata.get("chain_id", ""))),
+            _csv_quote(self.params_string()),
             _fmt(self.bound_value),
             _fmt(self.value),
             _fmt(self.ci),
@@ -101,6 +107,13 @@ def _bool(v) -> str:
     return "true" if v else "false"
 
 
+def _csv_quote(text: str) -> str:
+    """``text`` as a CSV cell, quoted only where csv.writer would quote it."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _jsonable(v):
     if isinstance(v, tuple):
         return list(v)
@@ -114,9 +127,8 @@ def render_reports_csv(reports, header_meta=None) -> str:
     buf = io.StringIO()
     for k, v in (header_meta or {}).items():
         buf.write(f"# {k}={_fmt(v)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows(r.csv_cells() for r in reports)
+    buf.write(",".join(CSV_COLUMNS) + "\n")
+    buf.writelines(",".join(r.csv_cells()) + "\n" for r in reports)
     return buf.getvalue()
 
 

@@ -14,7 +14,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from . import bounds as bnd
 from .chain import generate, stationary
@@ -43,6 +42,8 @@ from .simulate import (
 )
 
 Z99 = 2.576
+# run lengths n of the iid suite's survival and missing-mass checks
+IID_HORIZONS = (1, 2, 4, 8, 16, 32, 64)
 
 SUITE_ORDER = ("lemma1", "lemma2", "iid", "prop1", "thm1", "cor1", "cor3", "ergodic")
 
@@ -199,10 +200,28 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
 
 
 def binom_region_99(trials: int, p: float) -> tuple[int, int]:
-    """Central 99% acceptance region for Binomial(trials, p) hit counts."""
-    lo = int(binom.ppf(0.005, trials, p)) if p > 0 else 0
-    hi = int(binom.ppf(0.995, trials, p)) if p < 1 else trials
-    return lo, hi
+    """Central 99% acceptance region for Binomial(trials, p) hit counts.
+
+    Its ends are the exact 0.5% and 99.5% quantiles, each the smallest k
+    with cdf(k) >= q. The cdf sums the pmf over mean +- (12 sd + 1), from
+    one log-gamma term and the cumulative log ratios pmf(k+1)/pmf(k); the
+    mass outside that window is far below the float resolution of q.
+    """
+    if p <= 0:
+        return 0, 0
+    if p >= 1:
+        return trials, trials
+    mean = trials * p
+    half = 12.0 * math.sqrt(mean * (1.0 - p)) + 1.0
+    k0 = max(0, math.floor(mean - half))
+    k = np.arange(k0, min(trials, math.ceil(mean + half)))
+    log_odds = math.log(p) - math.log1p(-p)
+    log_pmf0 = (math.lgamma(trials + 1) - math.lgamma(k0 + 1) - math.lgamma(trials - k0 + 1)
+                + k0 * math.log(p) + (trials - k0) * math.log1p(-p))
+    log_pmf = log_pmf0 + np.cumsum(np.log((trials - k) / (k + 1)) + log_odds)
+    cdf = np.cumsum(np.exp(np.concatenate(([log_pmf0], log_pmf))))
+    lo, hi = np.searchsorted(cdf, (0.005, 0.995)).tolist()
+    return k0 + lo, k0 + min(hi, cdf.size - 1)
 
 
 def _iid_chain_set(seed: int, ms=(2, 4, 8), random_sets: int = 20):
@@ -218,8 +237,7 @@ def _iid_chain_set(seed: int, ms=(2, 4, 8), random_sets: int = 20):
 def suite_iid(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
     """Exact memory-less ground truth: empirical survivals and missing-mass means."""
     seed = derive_seed(opts.seed, 3)
-    n_values = (1, 2, 4, 8, 16, 32, 64)
-    n_max = max(n_values)
+    n_max = max(IID_HORIZONS)
     reports: list[BoundReport] = []
     for idx, (chain_id, chain, mu, sets) in enumerate(_iid_chain_set(seed)):
         pi = stationary(chain.matrix)
@@ -228,7 +246,7 @@ def suite_iid(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumma
         for members in sets:
             cols = tau[:, list(members)].min(axis=1)
             mass = float(mu[list(members)].sum())
-            for n in n_values:
+            for n in IID_HORIZONS:
                 hits = int((cols > n).sum())
                 p_exact = max(0.0, 1.0 - mass) ** n
                 lo, hi = binom_region_99(opts.trials, p_exact)
@@ -244,7 +262,7 @@ def suite_iid(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumma
                     metadata={"chain_id": chain_id, "J": members, "n": n,
                               "hits": hits, "accept_lo": lo, "accept_hi": hi},
                 ))
-        for n in n_values:
+        for n in IID_HORIZONS:
             values = missing_mass_values(tau, mu, n)
             mean = float(values.mean())
             exact = float(np.sum(mu * (1.0 - mu) ** n))
@@ -341,10 +359,10 @@ def _family_suite(seed: int, picks) -> list:
 _ExactChain = namedtuple("_ExactChain", "chain_id P pi start t_half")
 
 
-def _exact_chains(opts: VerifyOptions, seed: int, picks):
-    """Per-chain setup of thm1, cor1 and cor3 (the configured chains, else the
-    family-suite chains at ``picks``): pi, the start law and T(eps)."""
-    for chain_id, chain in opts.chains or _family_suite(seed, picks):
+def _exact_chains(opts: VerifyOptions, chains):
+    """Per-chain setup of thm1, cor1 and cor3 for (chain_id, ChainSpec) pairs:
+    pi, the start law and T(eps)."""
+    for chain_id, chain in chains:
         pi = stationary(chain.matrix)
         yield _ExactChain(chain_id, chain.matrix, pi, chain.resolved_start(pi),
                           t_large(chain.matrix, pi, opts.epsilon).value)
@@ -357,8 +375,19 @@ def _horizons(t_half: float, override, defaults, cap: float = math.inf) -> list[
     return sorted(grid) or [max(1, math.ceil(t_half))]
 
 
+def _check_j_sets(opts: VerifyOptions, chains) -> None:
+    """Reject a configured J set that fits none of a suite's chains, rather than
+    skip it on each of them and report a run that checked nothing."""
+    m_max = max(chain.matrix.m for _, chain in chains)
+    for js in opts.j_sets or ():
+        if not js or max(js) >= m_max:
+            raise ValidationError(f"j_sets entry {list(js)} fits none of the suite's chains: "
+                                  f"it must name states 0..{m_max - 1}")
+
+
 def _j_families(opts: VerifyOptions, rng, m: int, extra: int) -> list[tuple[int, ...]]:
-    """Tested index sets: config override, or singletons plus random sets."""
+    """Tested index sets: config override (the entries that fit this chain),
+    or singletons plus random sets."""
     if opts.j_sets:
         # a set, not a list: a repeated state would count twice in pi(J)
         return [tuple(sorted({int(x) for x in js})) for js in opts.j_sets
@@ -390,7 +419,9 @@ def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     seed = derive_seed(opts.seed, 5)
     reports: list[BoundReport] = []
     instances: list[bnd.CalibrationInstance] = []
-    for idx, ch in enumerate(_exact_chains(opts, seed, range(6))):
+    chains = opts.chains or _family_suite(seed, range(6))
+    _check_j_sets(opts, chains)
+    for idx, ch in enumerate(_exact_chains(opts, chains)):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(8)])
         sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
         points = list(_survivals(ch, sets, grid))
@@ -425,7 +456,7 @@ def suite_cor1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     """Missing-mass deviation bound (upper tail; lower tail out of scope)."""
     seed = derive_seed(opts.seed, 6)
     reports: list[BoundReport] = []
-    for ch in _exact_chains(opts, seed, (0, 2, 4)):
+    for ch in _exact_chains(opts, opts.chains or _family_suite(seed, (0, 2, 4))):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(7)])
         unseen = subset_masses(ch.pi.pi)[::-1]
         for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
@@ -447,7 +478,9 @@ def suite_cor3(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     """Smooth explicit tail exp(-c t pi(A)/T(0.5)) vs exact set-hitting tails."""
     seed = derive_seed(opts.seed, 7)
     reports: list[BoundReport] = []
-    for idx, ch in enumerate(_exact_chains(opts, seed, (0, 1, 2, 4))):
+    chains = opts.chains or _family_suite(seed, (0, 1, 2, 4))
+    _check_j_sets(opts, chains)
+    for idx, ch in enumerate(_exact_chains(opts, chains)):
         grid = _horizons(ch.t_half, opts.n_grid, (k * ch.t_half for k in (1, 2, 3, 5, 8, 12)), 512)
         sets = _j_families(opts, derive_stream(seed, 800 + idx), ch.P.m, extra=5)
         reports += [_survival_check("cor3-explicit-tail", ("A", "t"), p, opts.c)

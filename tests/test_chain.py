@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mml.chain import (
     ChainSpec,
@@ -75,6 +77,43 @@ class TestIrreducible:
 
     def test_single_state(self):
         assert is_irreducible(validate([[1.0]]))
+
+    @settings(deadline=None, max_examples=300)
+    @given(m=st.integers(1, 12), data=st.data())
+    def test_matches_transitive_closure(self, m, data):
+        # every row gets one edge, so it can carry mass; with m to 4m more
+        # edges about a third of the supports are strongly connected
+        state = st.integers(0, m - 1)
+        support = np.zeros((m, m), dtype=bool)
+        support[np.arange(m), data.draw(st.lists(state, min_size=m, max_size=m))] = True
+        for x, y in data.draw(st.lists(st.tuples(state, state), min_size=m, max_size=4 * m)):
+            support[x, y] = True
+        P = validate(support / support.sum(axis=1, keepdims=True))
+        assert is_irreducible(P) == _strongly_connected(support)
+
+    def test_large_irreducible_families(self):
+        assert is_irreducible(generate("lazy-cycle", m=1000, hold=0.5).matrix)
+        assert is_irreducible(generate("random-dense", m=2000, seed=1).matrix)
+
+    @pytest.mark.parametrize("link", [(0, 500), (500, 0)])
+    def test_two_blocks_with_a_one_way_link(self, link):
+        # forward search from state 0 reaches every state for (0, 500) and
+        # the backward search does for (500, 0); both chains are reducible
+        block = generate("lazy-cycle", m=500, hold=0.5).matrix.rows
+        rows = np.zeros((1000, 1000))
+        rows[:500, :500] = rows[500:, 500:] = block
+        x, y = link
+        rows[x, x] -= 0.25
+        rows[x, y] += 0.25
+        assert not is_irreducible(validate(rows))
+
+
+def _strongly_connected(support: np.ndarray) -> bool:
+    """Brute force: Warshall's transitive closure of the support graph is full."""
+    reach = support | np.eye(len(support), dtype=bool)
+    for k in range(len(support)):
+        reach |= reach[:, [k]] & reach[[k], :]
+    return bool(reach.all())
 
 
 class TestStationary:

@@ -1,9 +1,13 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mml
 from mml.cli import _options_from_args, build_parser, main, parse_grid, parse_index_set
 from mml.errors import ValidationError
 from mml.report import csv_body
@@ -323,6 +327,36 @@ class TestVerifyCommand:
         assert rc == 3
         assert f"config key {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("descriptor,param", [("lazy-cycle:m=x", "'m'"),
+                                                  ("lazy-cycle:m=4;hold=q", "'hold'"),
+                                                  ("iid:mu=0.5,a", "'mu'")])
+    def test_bad_descriptor_value_exits_3(self, tmp_path, capsys, descriptor, param):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"chains": [descriptor]}))
+        rc = main(["verify", "cor1", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"descriptor {descriptor!r}: parameter {param} must be" in err
+
+    @pytest.mark.parametrize("suite", ["thm1", "cor3"])
+    @pytest.mark.parametrize("j_sets", [[[7]], [[0], []]])
+    def test_j_set_fitting_no_chain_exits_3(self, tmp_path, capsys, suite, j_sets):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"chains": ["lazy-cycle:m=4;hold=0.5"], "j_sets": j_sets}))
+        rc = main(["verify", suite, "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert "j_sets entry" in capsys.readouterr().err
+
+    def test_j_set_fitting_some_chains_skipped_on_the_others(self, tmp_path):
+        small, large = "lazy-cycle:m=4;hold=0.5", "lazy-cycle:m=8;hold=0.5"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"chains": [small, large], "j_sets": [[0], [6]]}))
+        rc = main(["verify", "cor3", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 0
+        rows = csv.DictReader(csv_body((tmp_path / "r" / "cor3.csv").read_text()).splitlines())
+        tested = {(row["chain_id"], row["params"].split(";")[0]) for row in rows}
+        assert tested == {(small, "A=0"), (large, "A=0"), (large, "A=6")}
+
     @pytest.mark.parametrize("flags", [["--c", "0"], ["--c", "-1"]])
     def test_cor3_nonpositive_c_exits_3(self, tmp_path, capsys, flags):
         # a bound of exp(0) = 1 would let every survival pass
@@ -366,3 +400,16 @@ class TestVerifyCommand:
         rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 5
         assert "no instance constrains c" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: the library and the CLI must run without it
+    src = str(Path(mml.__file__).resolve().parents[1])
+    code = ("import sys, mml, mml.cli\n"
+            "from mml.verify import binom_region_99\n"
+            "mml.stationary(mml.generate('lazy-cycle', m=5, hold=0.5).matrix)\n"
+            "binom_region_99(1000, 0.3)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"

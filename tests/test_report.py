@@ -1,9 +1,12 @@
 import csv
+import io
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mml.report import BoundReport, csv_body, render_reports_csv, render_reports_json
+from mml.report import CSV_COLUMNS, BoundReport, csv_body, render_reports_csv, render_reports_json
 
 
 def test_from_check_derives_margin_and_holds():
@@ -43,6 +46,26 @@ def test_cells_with_commas_are_quoted():
     rows = list(csv.reader(lines))
     assert [len(row) for row in rows] == [9, 9, 9]
     assert [row[1] for row in rows[1:]] == ["random-dense(m=6,#=0)", "lazy-cycle(m=5,hold=0.5)"]
+
+
+# free text, rich in the characters csv.writer quotes on
+_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters()))
+
+
+def _csv_line(cells) -> str:
+    """One row as csv.writer's default dialect writes it, less its \\r\\n ending.
+    That dialect quotes a cell holding a comma, a quote, \\r or \\n."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()[:-2]
+
+
+@settings(deadline=None)
+@given(chain_id=_TEXT, params=_TEXT)
+def test_rows_match_csv_writer(chain_id, params):
+    rep = BoundReport.from_check("x", 0.5, 0.25, metadata={"chain_id": chain_id, "p": params})
+    row = ["x", chain_id, f"p={params}", "0.5", "0.25", "0.0", "0.25", "true", "false"]
+    assert render_reports_csv([rep]) == _csv_line(CSV_COLUMNS) + "\n" + _csv_line(row) + "\n"
 
 
 def test_csv_body_strips_comments():

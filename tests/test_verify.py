@@ -1,11 +1,20 @@
 """The shared pieces of the verify suites: horizons, index sets, pairs, vacuous rows."""
 
+import numpy as np
 import pytest
 
 from mml.cli import parse_descriptor
 from mml.errors import InsufficientTrialsError
 from mml.hitting import _mask_members
-from mml.verify import VerifyOptions, _disjoint_pairs, run_suite
+from mml.verify import (
+    IID_HORIZONS,
+    VerifyOptions,
+    _disjoint_pairs,
+    _iid_chain_set,
+    binom_region_99,
+    derive_seed,
+    run_suite,
+)
 
 LAZY4 = "lazy-cycle:m=4;hold=0.5"  # T(0.5) = 4
 TWO_STATE = "two-state:p=0.1;q=0.2"  # T(0.5) = 5.000000000000001
@@ -87,3 +96,34 @@ def test_disjoint_pairs_in_bitmask_order(m):
     keys = [_mask_members(mask) for mask in range(1, 1 << m)]
     expected = [(a, b) for a in keys for b in keys if not set(a) & set(b)]
     assert _disjoint_pairs(dict(zip(keys, keys))) == expected
+
+
+def _iid_suite_probabilities(seeds) -> list[float]:
+    """Every exact survival p = (1 - pi(J))^n the iid suite checks at these master seeds."""
+    ps = set()
+    for seed in seeds:
+        for _, _, mu, sets in _iid_chain_set(derive_seed(seed, 3)):
+            for members in sets:
+                mass = float(mu[list(members)].sum())
+                ps.update(max(0.0, 1.0 - mass) ** n for n in IID_HORIZONS)
+    return sorted(ps)
+
+
+class TestBinomRegion:
+    """The quantiles equal scipy's ``binom.ppf`` (the smallest k with cdf(k) >= q)."""
+
+    @staticmethod
+    def _check(trials, ps):
+        from scipy.stats import binom
+
+        expected = binom.ppf([0.005, 0.995], trials, np.asarray(ps)[:, None]).astype(int)
+        got = np.array([binom_region_99(trials, p) for p in ps])
+        assert got.tolist() == expected.tolist()
+
+    def test_iid_suite_probabilities_at_seeds_0_to_49(self):
+        self._check(VerifyOptions().trials, _iid_suite_probabilities(range(50)))
+
+    @pytest.mark.parametrize("trials", [2_000, 20_000, 100_000])
+    def test_log_uniform_grid_and_ends(self, trials):
+        grid = np.geomspace(1e-12, 1.0, 1500, endpoint=False).tolist()
+        self._check(trials, grid + [0.0, 1e-300, 1.0 - 1e-16, 1.0])
