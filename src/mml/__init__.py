@@ -43,7 +43,7 @@ from .hitting import (
     expected_hitting_time,
     hitting_table,
     state_set,
-    subset_hitting_tables,
+    subset_hitting_times,
     t_large,
     t_minus,
     t_plus,

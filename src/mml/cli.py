@@ -251,13 +251,9 @@ def cmd_hit(args) -> int:
         else:
             _emit(f"T({args.eps})={res.value!r} witness={{{witness}}}\n", args)
         return 0
-    if sub == "lemma1":
-        rep = check_lemma1(P, pi, parse_index_set(args.A), parse_index_set(args.B))
-        rep.metadata["chain_id"] = chain_id
-        _emit_reports([rep], args, _meta(args))
-        return 0
-    if sub == "lemma2":
-        rep = check_lemma2(P, pi, parse_index_set(args.A))
+    if sub in ("lemma1", "lemma2"):
+        A = parse_index_set(args.A)
+        rep = check_lemma1(P, pi, A, parse_index_set(args.B)) if sub == "lemma1" else check_lemma2(P, pi, A)
         rep.metadata["chain_id"] = chain_id
         _emit_reports([rep], args, _meta(args))
         return 0

@@ -8,8 +8,8 @@ For a target set B the vector h solves the first-step system
 One solver, ``_hitting_times``, handles every target: it groups the
 targets by size, solves each stack of (I - Q) h = 1 systems with one
 ``np.linalg.solve`` call and checks every system's residual. A single
-table (``hitting_table``), the tables of all subsets
-(``subset_hitting_tables``, m <= 20) and T(eps) are stacks of it.
+table (``hitting_table``), the array of every subset's hitting times
+(``subset_hitting_times``, m <= 20) and T(eps) are stacks of it.
 
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
@@ -117,24 +117,14 @@ def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
     _check_members(B, P.m, "target set")
     outside = np.ones((1, P.m), dtype=bool)
     outside[0, B.indices()] = False
-    h, residual = _hitting_times(P.rows, outside)
-    return _table(B, h[0], residual[0])
-
-
-def subset_hitting_tables(P: TransitionMatrix) -> dict[tuple[int, ...], HittingTimeTable]:
-    """Hitting-time table of every non-empty target set (m <= 20).
-
-    Keyed by member tuple, in ascending bitmask order (bit j = state j).
-    """
-    _check_enumerable(P.m, "the subset enumeration")
-    masks = np.arange(1, 1 << P.m)
-    h, residual = _hitting_times(P.rows, _outside(masks, P.m))
-    return {members: _table(StateSet(members), h[i], residual[i])
-            for i, members in enumerate(map(_mask_members, masks.tolist()))}
-
-
-def _table(B: StateSet, h: np.ndarray, residual) -> HittingTimeTable:
+    (h,), (residual,) = _hitting_times(P.rows, outside)
     return HittingTimeTable(target=B, h=h, t_plus_all=float(h.max()), residual=float(residual))
+
+
+def subset_hitting_times(P: TransitionMatrix) -> np.ndarray:
+    """(2^m - 1, m) hitting times of every non-empty target set; row k - 1 targets bitmask k."""
+    _check_enumerable(P.m, "the subset enumeration")
+    return _hitting_times(P.rows, _outside(np.arange(1, 1 << P.m), P.m))[0]
 
 
 def _outside(masks: np.ndarray, m: int) -> np.ndarray:
@@ -187,20 +177,16 @@ def _target(outside_row: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(~outside_row).tolist())
 
 
-def t_plus(P: TransitionMatrix, A: StateSet, B: StateSet, *, table: HittingTimeTable | None = None) -> float:
+def t_plus(P: TransitionMatrix, A: StateSet, B: StateSet) -> float:
     """Worst expected hitting time of B over starting states in A."""
     _check_members(A, P.m, "start set")
-    if table is None:
-        table = hitting_table(P, B)
-    return float(table.h[A.indices()].max())
+    return float(hitting_table(P, B).h[A.indices()].max())
 
 
-def t_minus(P: TransitionMatrix, A: StateSet, B: StateSet, *, table: HittingTimeTable | None = None) -> float:
+def t_minus(P: TransitionMatrix, A: StateSet, B: StateSet) -> float:
     """Best expected hitting time of B over starting states in A."""
     _check_members(A, P.m, "start set")
-    if table is None:
-        table = hitting_table(P, B)
-    return float(table.h[A.indices()].min())
+    return float(hitting_table(P, B).h[A.indices()].min())
 
 
 def expected_hitting_time(table: HittingTimeTable, start: np.ndarray) -> float:
@@ -343,68 +329,67 @@ def _check_horizons(horizons) -> np.ndarray:
     return horizons
 
 
-def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet, *,
-                 table_b: HittingTimeTable | None = None,
-                 table_a: HittingTimeTable | None = None) -> BoundReport:
-    """Check pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A)).
-
-    Overlapping A and B make T-(B,A) = 0 and the inequality trivial; such
-    checks are reported with vacuous=true rather than rejected. The
-    product form pi(A) * T-(B,A) <= T+(A,B) is checked alongside and
-    recorded in the metadata.
-    """
+def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet) -> BoundReport:
+    """Check Lemma 1 for one pair of sets; see ``lemma1_reports``."""
     _check_members(A, P.m, "set A")
     _check_members(B, P.m, "set B")
-    vacuous = bool(set(A.members) & set(B.members))
-    tp = t_plus(P, A, B, table=table_b)
-    tm = t_minus(P, B, A, table=table_a)
-    lhs = pi.mass(A.members)
+    h = np.stack([hitting_table(P, S).h for S in (A, B)])
+    return lemma1_reports(pi, [A.members, B.members], h, [(0, 1)])[0]
+
+
+def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs) -> list[BoundReport]:
+    """Check pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A)) for each index pair (a, b).
+
+    A = sets[a], B = sets[b], and row k of h holds the hitting times of
+    sets[k]. Overlapping A and B make T-(B,A) = 0 and the inequality
+    trivial; such checks are reported with vacuous=true rather than
+    rejected. The product form pi(A) * T-(B,A) <= T+(A,B) is checked
+    alongside and recorded in the metadata.
+    """
+    inside = np.zeros(h.shape, dtype=bool)
+    for k, members in enumerate(sets):
+        inside[k, list(members)] = True
+    a, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
+    tp = np.where(inside[a], h[b], -np.inf).max(axis=1)
+    tm = np.where(inside[b], h[a], np.inf).min(axis=1)
+    lhs = np.array([pi.mass(members) for members in sets])[a]
     denom = tp + tm
-    rhs = tp / denom if denom > 0 else 1.0
-    product_holds = bool(lhs * tm <= tp + INEQUALITY_TOL)
-    holds = bool(lhs <= rhs + INEQUALITY_TOL) and product_holds
-    return BoundReport(
-        name="lemma1",
-        bound_value=rhs,
-        value=lhs,
-        margin=rhs - lhs,
-        holds=holds,
-        vacuous=vacuous,
-        metadata={
-            "A": A.members,
-            "B": B.members,
-            "t_plus": tp,
-            "t_minus": tm,
-            "product_lhs": lhs * tm,
-            "product_rhs": tp,
-            "product_holds": product_holds,
-        },
-    )
+    rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
+    product_holds = lhs * tm <= tp + INEQUALITY_TOL
+    holds = (lhs <= rhs + INEQUALITY_TOL) & product_holds
+    vacuous = (inside[a] & inside[b]).any(axis=1)
+    return [
+        BoundReport(
+            name="lemma1",
+            bound_value=r,
+            value=v,
+            margin=r - v,
+            holds=ok,
+            vacuous=vac,
+            metadata={"A": sets[i], "B": sets[j], "t_plus": p, "t_minus": q,
+                      "product_lhs": v * q, "product_rhs": p, "product_holds": ph},
+        )
+        for i, j, p, q, v, r, ph, ok, vac in zip(
+            a.tolist(), b.tolist(), tp.tolist(), tm.tolist(), lhs.tolist(), rhs.tolist(),
+            product_holds.tolist(), holds.tolist(), vacuous.tolist())
+    ]
 
 
-def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, *,
-                 t_half: float | None = None,
-                 table: HittingTimeTable | None = None) -> BoundReport:
-    """Check T(A) <= 2 T(0.5) / pi(A); needs exact T(0.5), so m <= 20.
+def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> BoundReport:
+    """Check Lemma 2 for one set; needs exact T(0.5), so m <= 20. See ``lemma2_reports``."""
+    _check_members(A, P.m, "set A")
+    t_half = t_large(P, pi, 0.5).value
+    return lemma2_reports(pi, [A.members], hitting_table(P, A).h[None], t_half)[0]
+
+
+def lemma2_reports(pi: StationaryDistribution, sets, h: np.ndarray, t_half: float) -> list[BoundReport]:
+    """Check T(A) <= 2 T(0.5) / pi(A) for each A = sets[k], whose hitting times are row k of h.
 
     Also records the per-instance smallest constant kappa with
     T(A) <= kappa * T(0.5) / pi(A), without asserting any improved bound.
     """
-    _check_members(A, P.m, "set A")
-    if t_half is None:
-        t_half = t_large(P, pi, 0.5).value
-    if table is None:
-        table = hitting_table(P, A)
-    t_a = table.t_plus_all
-    mass = pi.mass(A.members)
-    rhs = 2.0 * t_half / mass
-    kappa = t_a * mass / t_half if t_half > 0 else 0.0
-    return BoundReport(
-        name="lemma2",
-        bound_value=rhs,
-        value=t_a,
-        margin=rhs - t_a,
-        holds=bool(t_a <= rhs + INEQUALITY_TOL),
-        vacuous=bool(t_half == 0.0),
-        metadata={"A": A.members, "t_half": t_half, "mass": mass, "tight_constant": kappa},
-    )
+    return [BoundReport.from_check(
+                "lemma2", 2.0 * t_half / mass, t_a, tol=INEQUALITY_TOL, vacuous=t_half == 0.0,
+                metadata={"A": members, "t_half": t_half, "mass": mass,
+                          "tight_constant": t_a * mass / t_half if t_half > 0 else 0.0})
+            for members, mass, t_a in zip(sets, map(pi.mass, sets), h.max(axis=1).tolist())]

@@ -21,11 +21,12 @@ from .errors import ValidationError
 from .hitting import (
     INEQUALITY_TOL,
     StateSet,
-    check_lemma1,
-    check_lemma2,
+    _mask_members,
     expected_hitting_time,
     hitting_table,
-    subset_hitting_tables,
+    lemma1_reports,
+    lemma2_reports,
+    subset_hitting_times,
     subset_masses,
     survival_probabilities,
     t_large,
@@ -140,7 +141,7 @@ def _index_sets(rng, m: int, extra: int, size_hi: int) -> list[tuple[int, ...]]:
 
 
 def _random_chains(seed: int, count: int, m_max: int, picker):
-    """(chain_id, P, pi, every subset table) of the lemma suites' random chains.
+    """(chain_id, pi, sets, h) of the lemma suites' random chains; row k of h targets sets[k].
 
     Draws each m from ``picker`` only when its chain is reached, so the
     caller can draw from the same picker between chains.
@@ -148,7 +149,8 @@ def _random_chains(seed: int, count: int, m_max: int, picker):
     for i in range(count):
         m = int(picker.integers(2, m_max + 1))
         P = generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
-        yield f"random-dense(m={m},#={i})", P, stationary(P), subset_hitting_tables(P)
+        sets = [_mask_members(mask) for mask in range(1, 1 << m)]
+        yield f"random-dense(m={m},#={i})", stationary(P), sets, subset_hitting_times(P)
 
 
 def suite_lemma1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
@@ -156,40 +158,38 @@ def suite_lemma1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
     seed = derive_seed(opts.seed, 1)
     picker = derive_stream(seed, 0)
     reports: list[BoundReport] = []
-    for chain_id, P, pi, tables in _random_chains(seed, opts.lemma1_chains,
-                                                  opts.lemma1_m_max, picker):
-        pairs = _disjoint_pairs(tables)
+    for chain_id, pi, sets, h in _random_chains(seed, opts.lemma1_chains,
+                                                opts.lemma1_m_max, picker):
+        pairs = _disjoint_pairs(h.shape[1])
         if len(pairs) > opts.lemma1_max_pairs:
             keep = picker.choice(len(pairs), size=opts.lemma1_max_pairs, replace=False)
-            pairs = [pairs[j] for j in sorted(keep)]
-        for table_a, table_b in pairs:
-            rep = check_lemma1(P, pi, table_a.target, table_b.target, table_b=table_b, table_a=table_a)
+            pairs = pairs[np.sort(keep)]
+        for rep in lemma1_reports(pi, sets, h, pairs):
             rep.metadata["chain_id"] = chain_id
             reports.append(rep)
     summary = VerificationSummary.from_reports("lemma1", opts.seed, reports)
     return reports, summary
 
 
-def _disjoint_pairs(tables) -> list:
-    """Ordered pairs of ``subset_hitting_tables`` entries with disjoint targets, canonical order."""
-    values = list(tables.values())  # entry k - 1 targets the set with bitmask k
-    masks = np.arange(1, len(values) + 1)
+def _disjoint_pairs(m: int) -> np.ndarray:
+    """Index pairs (a, b) of disjoint subsets, index k being bitmask k + 1, ordered by a then b."""
+    masks = np.arange(1, 1 << m)
     # row by row, so memory stays near the size of the output
-    return [(values[a - 1], values[b]) for a in masks.tolist()
-            for b in np.flatnonzero((masks & a) == 0).tolist()]
+    b = [np.flatnonzero((masks & mask) == 0) for mask in masks.tolist()]
+    a = np.repeat(np.arange(masks.size), [row.size for row in b])
+    return np.column_stack((a, np.concatenate(b)))
 
 
 def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
     """T(A) <= 2 T(0.5) / pi(A) for every non-empty A, exhaustive T(0.5)."""
     seed = derive_seed(opts.seed, 2)
     reports: list[BoundReport] = []
-    for chain_id, P, pi, tables in _random_chains(seed, opts.lemma2_chains, opts.lemma2_m_max,
-                                                  derive_stream(seed, 0)):
-        # every subset is solved anyway; T(0.5) falls out of the same tables
-        t_half = max((table.t_plus_all for members, table in tables.items()
-                      if pi.mass(members) >= 0.5 - 1e-12), default=0.0)
-        for table in tables.values():
-            rep = check_lemma2(P, pi, table.target, t_half=t_half, table=table)
+    for chain_id, pi, sets, h in _random_chains(seed, opts.lemma2_chains, opts.lemma2_m_max,
+                                                derive_stream(seed, 0)):
+        # every subset is solved anyway; T(0.5) falls out of the same array
+        large = [pi.mass(members) >= 0.5 - 1e-12 for members in sets]
+        t_half = float(h[large].max(initial=0.0))
+        for rep in lemma2_reports(pi, sets, h, t_half):
             rep.metadata["chain_id"] = chain_id
             reports.append(rep)
     summary = VerificationSummary.from_reports("lemma2", opts.seed, reports)
@@ -343,8 +343,13 @@ def suite_prop1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSum
 # --- exact chain-family suites ---------------------------------------------
 
 
-def _family_suite(seed: int, picks) -> list:
-    """The joint-survival suites' chains at ``picks``: lazy cycles, birth-death, random."""
+def _family_suite(opts: VerifyOptions, suite: str) -> list:
+    """The (chain_id, ChainSpec) pairs of thm1, cor1 or cor3: the configured chains,
+    else the suite's picks of lazy cycles, birth-death and random chains."""
+    if opts.chains:
+        return opts.chains
+    index, picks = {"thm1": (5, range(6)), "cor1": (6, (0, 2, 4)), "cor3": (7, (0, 1, 2, 4))}[suite]
+    seed = derive_seed(opts.seed, index)
     family = [
         ("lazy-cycle(m=5,hold=0.5)", generate("lazy-cycle", m=5, hold=0.5)),
         ("lazy-cycle(m=10,hold=0.5)", generate("lazy-cycle", m=10, hold=0.5)),
@@ -373,16 +378,6 @@ def _horizons(t_half: float, override, defaults, cap: float = math.inf) -> list[
     suite's defaults (rounded up to integers >= 1); [ceil T(0.5)] if none is left."""
     grid = {n for n in (max(1, math.ceil(x)) for x in override or defaults) if t_half <= n <= cap}
     return sorted(grid) or [max(1, math.ceil(t_half))]
-
-
-def _check_j_sets(opts: VerifyOptions, chains) -> None:
-    """Reject a configured J set that fits none of a suite's chains, rather than
-    skip it on each of them and report a run that checked nothing."""
-    m_max = max(chain.matrix.m for _, chain in chains)
-    for js in opts.j_sets or ():
-        if not js or max(js) >= m_max:
-            raise ValidationError(f"j_sets entry {list(js)} fits none of the suite's chains: "
-                                  f"it must name states 0..{m_max - 1}")
 
 
 def _j_families(opts: VerifyOptions, rng, m: int, extra: int) -> list[tuple[int, ...]]:
@@ -419,9 +414,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     seed = derive_seed(opts.seed, 5)
     reports: list[BoundReport] = []
     instances: list[bnd.CalibrationInstance] = []
-    chains = opts.chains or _family_suite(seed, range(6))
-    _check_j_sets(opts, chains)
-    for idx, ch in enumerate(_exact_chains(opts, chains)):
+    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, "thm1"))):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(8)])
         sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
         points = list(_survivals(ch, sets, grid))
@@ -454,9 +447,8 @@ def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
 
 def suite_cor1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
     """Missing-mass deviation bound (upper tail; lower tail out of scope)."""
-    seed = derive_seed(opts.seed, 6)
     reports: list[BoundReport] = []
-    for ch in _exact_chains(opts, opts.chains or _family_suite(seed, (0, 2, 4))):
+    for ch in _exact_chains(opts, _family_suite(opts, "cor1")):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(7)])
         unseen = subset_masses(ch.pi.pi)[::-1]
         for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
@@ -478,9 +470,7 @@ def suite_cor3(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
     """Smooth explicit tail exp(-c t pi(A)/T(0.5)) vs exact set-hitting tails."""
     seed = derive_seed(opts.seed, 7)
     reports: list[BoundReport] = []
-    chains = opts.chains or _family_suite(seed, (0, 1, 2, 4))
-    _check_j_sets(opts, chains)
-    for idx, ch in enumerate(_exact_chains(opts, chains)):
+    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, "cor3"))):
         grid = _horizons(ch.t_half, opts.n_grid, (k * ch.t_half for k in (1, 2, 3, 5, 8, 12)), 512)
         sets = _j_families(opts, derive_stream(seed, 800 + idx), ch.P.m, extra=5)
         reports += [_survival_check("cor3-explicit-tail", ("A", "t"), p, opts.c)
@@ -515,12 +505,37 @@ SUITES = {
 }
 
 
+OPTION_MINIMUMS = {"workers": 1, "trials": 1, "lemma1_chains": 1, "lemma1_m_max": 2,
+                   "lemma1_max_pairs": 1, "lemma2_chains": 1, "lemma2_m_max": 2,
+                   "prop1_chains": 1, "prop1_trials": 1, "ergodic_steps": 1}
+
+
+def _check_options(opts: VerifyOptions, suites) -> None:
+    """Reject an out-of-range option, naming it, before any of ``suites`` runs."""
+    checks = [(name, getattr(opts, name) >= low, f">= {low}") for name, low in OPTION_MINIMUMS.items()]
+    checks += [("c", opts.c > 0, "> 0"), ("c2", opts.c2 > 0, "> 0"),
+               ("epsilon", 0 < opts.epsilon <= 1, "in (0, 1]")]
+    for name, ok, what in checks:
+        if not ok:  # NaN fails too
+            raise ValidationError(f"{name} must be {what}, got {getattr(opts, name)!r}")
+    # a J set that fits none of a suite's chains would be skipped on each and check nothing
+    for suite in ("thm1", "cor3"):
+        if opts.j_sets and suite in suites:
+            m_max = max(chain.matrix.m for _, chain in _family_suite(opts, suite))
+            for js in opts.j_sets:
+                if not js or max(js) >= m_max:
+                    raise ValidationError(f"j_sets entry {list(js)} fits none of the suite's "
+                                          f"chains: it must name states 0..{m_max - 1}")
+
+
 def run_suite(name: str, opts: VerifyOptions):
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+    _check_options(opts, [name])
     return SUITES[name](opts)
 
 
 def run_all(opts: VerifyOptions):
     """All suites in fixed order; returns [(name, reports, summary), ...]."""
-    return [(name, *run_suite(name, opts)) for name in SUITE_ORDER]
+    _check_options(opts, SUITE_ORDER)
+    return [(name, *SUITES[name](opts)) for name in SUITE_ORDER]

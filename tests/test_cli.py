@@ -11,6 +11,7 @@ import mml
 from mml.cli import _options_from_args, build_parser, main, parse_grid, parse_index_set
 from mml.errors import ValidationError
 from mml.report import csv_body
+from mml.verify import SUITE_ORDER, SUITES
 
 
 @pytest.fixture
@@ -362,7 +363,34 @@ class TestVerifyCommand:
         # a bound of exp(0) = 1 would let every survival pass
         rc = main(["verify", "cor3", *flags, "--out", str(tmp_path)])
         assert rc == 3
-        assert "c_explicit must be > 0" in capsys.readouterr().err
+        assert "c must be > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags,cfg,option", [
+        ([], {"j_sets": [[50]]}, "j_sets entry [50]"),
+        (["--trials", "0"], None, "trials must be >= 1"),
+        (["--trials", "-5"], None, "trials must be >= 1"),
+        (["--prop1-trials", "0"], None, "prop1_trials must be >= 1"),
+        (["--m-max", "1"], None, "lemma1_m_max must be >= 2"),
+        ([], {"lemma2_m_max": 1}, "lemma2_m_max must be >= 2"),
+        (["--chains", "-1"], None, "lemma1_chains must be >= 1"),
+        ([], {"prop1_chains": 0}, "prop1_chains must be >= 1"),
+        (["--max-pairs", "0"], None, "lemma1_max_pairs must be >= 1"),
+        (["--workers", "0"], None, "workers must be >= 1"),
+        (["--ergodic-steps", "0"], None, "ergodic_steps must be >= 1"),
+        (["--c", "-0.5"], None, "c must be > 0"),
+        ([], {"constants": {"c2": 0}}, "c2 must be > 0"),
+        (["--eps", "0"], None, "epsilon must be in (0, 1]"),
+        (["--eps", "1.5"], None, "epsilon must be in (0, 1]"),
+    ])
+    def test_out_of_range_option_exits_3_before_any_suite(self, tmp_path, capsys, monkeypatch,
+                                                          flags, cfg, option):
+        for name in SUITE_ORDER:
+            monkeypatch.setitem(SUITES, name, lambda opts: pytest.fail("a suite ran"))
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        assert main(["verify", "all", *flags, "--out", str(tmp_path / "r")]) == 3
+        assert f"error: {option}" in capsys.readouterr().err
 
     def test_config_int_is_a_valid_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -17,8 +17,10 @@ from mml.hitting import (
     check_lemma2,
     expected_hitting_time,
     hitting_table,
+    lemma1_reports,
+    lemma2_reports,
     state_set,
-    subset_hitting_tables,
+    subset_hitting_times,
     subset_masses,
     survival_probabilities,
     t_large,
@@ -171,25 +173,26 @@ class TestSubsetHittingTables:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_every_subset_matches_single_solves(self, family, m):
         P = family_chain(family, m) if m > 1 else validate([[1.0]])
-        tables = subset_hitting_tables(P)
-        assert len(tables) == (1 << m) - 1
-        for members, table in tables.items():
+        h = subset_hitting_times(P)
+        assert h.shape == ((1 << m) - 1, m)
+        for mask, row in enumerate(h, start=1):
+            members = _mask_members(mask)
             single = hitting_table(P, StateSet(members))
-            assert table.target.members == members
-            assert np.array_equal(table.h, single.h)
-            assert table.t_plus_all == single.t_plus_all
-            assert table.residual <= 1e-9
-            np.testing.assert_allclose(table.h, direct_solve_table(P.rows, members),
+            assert np.array_equal(row, single.h)
+            assert row.max() == single.t_plus_all
+            assert single.residual <= 1e-9
+            np.testing.assert_allclose(row, direct_solve_table(P.rows, members),
                                        rtol=1e-12, atol=0)
 
     def test_keys_in_bitmask_order(self):
-        tables = subset_hitting_tables(CYCLE3)
-        assert list(tables) == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
+        # h is 0 exactly on its target, so each row's zeros name the set it targets
+        targets = [tuple(np.flatnonzero(row == 0).tolist()) for row in subset_hitting_times(CYCLE3)]
+        assert targets == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_too_many_states(self):
         P = generate("lazy-cycle", m=21, hold=0.5).matrix
         with pytest.raises(TooManyStatesError):
-            subset_hitting_tables(P)
+            subset_hitting_times(P)
 
 
 class TestTPlusMinus:
@@ -454,6 +457,81 @@ class TestLemma1:
             b = tuple(sorted(rest[:k].tolist()))
             rep = check_lemma1(P, pi, StateSet(a), StateSet(b))
             assert rep.holds, (a, b, rep)
+
+
+def _all_subsets(m):
+    """Every non-empty subset of m states, in bitmask order (bit j = state j)."""
+    return [tuple(j for j in range(m) if mask >> j & 1) for mask in range(1, 1 << m)]
+
+
+class TestLemmaKernels:
+    """The suites' array kernels against nested loops over one dense solve per set."""
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_lemma1_every_disjoint_pair_matches_oracle(self, m):
+        P = random_chain(m, 700 + m)
+        pi = stationary(P)
+        sets = _all_subsets(m)
+        oracle = [direct_solve_table(P.rows, members) for members in sets]
+        pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))
+                 if not set(sets[a]) & set(sets[b])]
+        reports = lemma1_reports(pi, sets, subset_hitting_times(P), pairs)
+        assert len(reports) == len(pairs) == 3 ** m - 2 ** (m + 1) + 1
+        for (a, b), rep in zip(pairs, reports):
+            A, B = sets[a], sets[b]
+            tp = max(oracle[b][x] for x in A)
+            tm = min(oracle[a][x] for x in B)
+            assert (rep.metadata["A"], rep.metadata["B"]) == (A, B)
+            assert rep.metadata["t_plus"] == pytest.approx(tp, rel=1e-12)
+            assert rep.metadata["t_minus"] == pytest.approx(tm, rel=1e-12)
+            assert rep.value == pi.mass(A)
+            assert rep.bound_value == pytest.approx(tp / (tp + tm), rel=1e-12)
+            assert rep.holds and not rep.vacuous and rep.metadata["product_holds"]
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_lemma2_every_set_matches_oracle(self, m):
+        P = random_chain(m, 800 + m)
+        pi = stationary(P)
+        sets = _all_subsets(m)
+        t_half, _ = brute_force_t_large(P.rows, pi.pi, 0.5, table=direct_solve_table)
+        reports = lemma2_reports(pi, sets, subset_hitting_times(P), t_large(P, pi, 0.5).value)
+        assert len(reports) == len(sets)
+        for members, rep in zip(sets, reports):
+            t_a = direct_solve_table(P.rows, members).max()
+            assert rep.metadata["A"] == members
+            assert rep.value == pytest.approx(t_a, rel=1e-12)
+            assert rep.metadata["t_half"] == pytest.approx(t_half, rel=1e-12)
+            assert rep.bound_value == pytest.approx(2 * t_half / pi.mass(members), rel=1e-12)
+            assert rep.metadata["tight_constant"] == pytest.approx(
+                t_a * pi.mass(members) / t_half, rel=1e-12)
+            assert rep.holds and not rep.vacuous
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_one_pair_checks_equal_the_suite_rows(self, m):
+        P = random_chain(m, 900 + m)
+        pi = stationary(P)
+        sets = _all_subsets(m)
+        h = subset_hitting_times(P)
+        pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))]
+        for (a, b), rep in zip(pairs, lemma1_reports(pi, sets, h, pairs)):
+            single = check_lemma1(P, pi, StateSet(sets[a]), StateSet(sets[b]))
+            assert single.csv_cells() == rep.csv_cells()
+        t_half = t_large(P, pi, 0.5).value
+        for members, rep in zip(sets, lemma2_reports(pi, sets, h, t_half)):
+            assert check_lemma2(P, pi, StateSet(members)).csv_cells() == rep.csv_cells()
+
+    def test_overlapping_pairs_vacuous(self):
+        m = 4
+        P = random_chain(m, 950)
+        sets = _all_subsets(m)
+        pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))
+                 if set(sets[a]) & set(sets[b])]
+        reports = lemma1_reports(stationary(P), sets, subset_hitting_times(P), pairs)
+        assert any(set(sets[a]) <= set(sets[b]) for a, b in pairs)  # T+ = T- = 0 among them
+        for rep in reports:
+            assert rep.vacuous and rep.holds
+            assert rep.metadata["t_minus"] == 0.0
+            assert rep.bound_value == 1.0
 
 
 class TestLemma2:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from mml import verify
+from mml.chain import stationary
 from mml.cli import parse_descriptor
 from mml.errors import InsufficientTrialsError
-from mml.hitting import _mask_members
+from mml.hitting import _mask_members, subset_hitting_times, t_large
 from mml.verify import (
     IID_HORIZONS,
     VerifyOptions,
@@ -94,8 +96,26 @@ class TestSingleStateChain:
 @pytest.mark.parametrize("m", range(1, 9))
 def test_disjoint_pairs_in_bitmask_order(m):
     keys = [_mask_members(mask) for mask in range(1, 1 << m)]
-    expected = [(a, b) for a in keys for b in keys if not set(a) & set(b)]
-    assert _disjoint_pairs(dict(zip(keys, keys))) == expected
+    expected = [[a, b] for a in range(len(keys)) for b in range(len(keys))
+                if not set(keys[a]) & set(keys[b])]
+    assert _disjoint_pairs(m).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", [3, 42])
+def test_lemma2_t_half_is_t_large(monkeypatch, seed):
+    # the suite reads T(0.5) off the subset array, filtering with pi.mass; t_large
+    # solves the minimal sets, filtering with subset_masses: the values agree bitwise
+    chains = []
+
+    def spy(P):
+        chains.append(P)
+        return subset_hitting_times(P)
+
+    monkeypatch.setattr(verify, "subset_hitting_times", spy)
+    reports, _ = run_suite("lemma2", VerifyOptions(seed=seed))
+    t_half = {r.metadata["chain_id"]: r.metadata["t_half"] for r in reports}
+    assert len(chains) == len(t_half) == VerifyOptions().lemma2_chains
+    assert list(t_half.values()) == [t_large(P, stationary(P), 0.5).value for P in chains]
 
 
 def _iid_suite_probabilities(seeds) -> list[float]:
