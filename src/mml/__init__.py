@@ -50,13 +50,9 @@ from .hitting import (
 )
 from .report import BoundReport
 from .simulate import (
-    EmpiricalTail,
-    HittingTailResult,
     MissingMassSample,
     SimConfig,
     derive_stream,
-    empirical_hitting_tail,
-    empirical_joint_survival,
     empirical_mgf,
     first_visit_table,
     hitting_time_samples,

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .hitting import (
     StateSet,
+    _check_members,
     check_lemma1,
     check_lemma2,
     hitting_table,
@@ -51,13 +52,12 @@ from .hitting import (
 from .report import render_reports_csv, render_reports_json
 from .simulate import (
     SimConfig,
-    dump_samples_csv,
-    empirical_hitting_tail,
-    empirical_joint_survival,
     empirical_mgf,
-    sample_missing_mass,
+    first_visit_table,
+    hitting_time_samples,
+    missing_mass_values,
 )
-from .verify import SUITE_ORDER, VerifyOptions, run_all, run_suite
+from .verify import SUITE_ORDER, Z99, VerifyOptions, run_all, run_suite
 
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
@@ -266,51 +266,72 @@ def cmd_hit(args) -> int:
 def cmd_simulate(args) -> int:
     chain_id, chain = _chain_from_args(args)
     pi = stationary(chain.matrix)
-    config = SimConfig(chain=chain, n=args.n, trials=args.trials,
-                       master_seed=args.seed, workers=args.workers)
+    # rejects a bad --n, --trials or --workers
+    SimConfig(chain=chain, n=args.n, trials=args.trials, master_seed=args.seed,
+              workers=args.workers)
     meta = _meta(args, chain=chain_id)
     sub = args.sim_cmd
-    if sub == "mm":
-        samples = sample_missing_mass(config, pi)
-        if args.dump:
-            dump_samples_csv(samples, args.dump)
-        values = [s.value for s in samples]
-        mean = math.fsum(values) / len(values)
-        se = float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
-        lines = [f"# {k}={v}" for k, v in meta.items()]
-        lines += ["trials,n,mean,se,min,max",
-                  f"{args.trials},{args.n},{mean!r},{se!r},{min(values)!r},{max(values)!r}"]
-        _emit("\n".join(lines) + "\n", args)
+    if sub == "hittail":
+        B = parse_index_set(args.B)
+        if args.cap < 1:
+            raise ValidationError(f"--cap must be >= 1, got {args.cap}")
+        thresholds = parse_grid(args.t)
+        for t in thresholds:
+            # a trial cut at the cap has an unknown N_B > cap
+            if not 0 <= t <= args.cap:
+                raise ValidationError(f"threshold t={t} is outside 0..{args.cap} (--cap)")
+        N = hitting_time_samples(chain, B, args.trials, args.seed, args.workers, args.cap, pi)
+        meta["cap_hits"] = int((N > args.cap).sum())
+        set_str = "|".join(map(str, B.members))
+        _emit_tail_rows([(f"N_B>t B={set_str} t={t}", int((N > t).sum())) for t in thresholds],
+                        args, meta)
         return 0
     if sub == "jointtail":
-        tail = empirical_joint_survival(config, parse_index_set(args.J), pi)
-        _emit_tail_rows([tail], args, meta)
+        J = parse_index_set(args.J)
+        _check_members(J, chain.matrix.m, "set J")
+    tau = first_visit_table(chain, args.n, args.trials, args.seed, args.workers, pi)
+    if sub == "jointtail":
+        hits = int((tau[:, J.indices()].min(axis=1) > args.n).sum())
+        _emit_tail_rows([(f"tau_J>n J={'|'.join(map(str, J.members))} n={args.n}", hits)],
+                        args, meta)
         return 0
-    if sub == "hittail":
-        thresholds = parse_grid(args.t)
-        res = empirical_hitting_tail(config, parse_index_set(args.B), thresholds, pi, cap=args.cap)
-        meta["cap_hits"] = res.cap_hits
-        _emit_tail_rows(res.tails, args, meta)
-        return 0
+    values = missing_mass_values(tau, pi.pi, args.n).tolist()
+    lines = [f"# {k}={v}" for k, v in meta.items()]
     if sub == "mgf":
-        samples = sample_missing_mass(config, pi)
-        value = empirical_mgf(samples, args.s)
-        lines = [f"# {k}={v}" for k, v in meta.items()]
-        lines += ["s,mgf,trials", f"{args.s!r},{value!r},{args.trials}"]
-        _emit("\n".join(lines) + "\n", args)
-        return 0
-    raise ValidationError(f"unknown simulate subcommand {sub!r}")
+        lines += ["s,mgf,trials", f"{args.s!r},{empirical_mgf(values, args.s)!r},{args.trials}"]
+    else:
+        if args.dump:
+            _dump_samples(args.dump, tau > args.n, values)
+        mean = math.fsum(values) / len(values)
+        se = float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+        lines += ["trials,n,mean,se,min,max",
+                  f"{args.trials},{args.n},{mean!r},{se!r},{min(values)!r},{max(values)!r}"]
+    _emit("\n".join(lines) + "\n", args)
+    return 0
 
 
-def _emit_tail_rows(tails, args, meta) -> None:
+def _dump_samples(path, unseen: np.ndarray, values: list[float]) -> None:
+    """Raw-sample dump: one row per trial, its missing mass and its unseen states."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("trial,value,unseen_set\n")
+        for i, (row, value) in enumerate(zip(unseen, values)):
+            fh.write(f"{i},{value!r},{'|'.join(map(str, np.flatnonzero(row).tolist()))}\n")
+
+
+def _emit_tail_rows(events, args, meta) -> None:
+    """One row per (event, hits): the share p_hat of the trials and its 99% CI half-width."""
+    rows = []
+    for event, hits in events:
+        p = hits / args.trials
+        rows.append({"event": event, "hits": hits, "trials": args.trials, "p_hat": p,
+                     "ci99_halfwidth": Z99 * math.sqrt(p * (1 - p) / args.trials)})
     if args.format == "json":
-        payload = {"meta": meta, "tails": [t.__dict__ | {"event": t.event} for t in tails]}
-        _emit(json.dumps(payload, indent=2, default=str) + "\n", args)
+        _emit(json.dumps({"meta": meta, "tails": rows}, indent=2, default=str) + "\n", args)
         return
     lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append("event,hits,trials,p_hat,ci95_halfwidth")
-    for t in tails:
-        lines.append(f"{t.event},{t.hits},{t.trials},{t.p_hat!r},{t.ci95_halfwidth!r}")
+    lines.append("event,hits,trials,p_hat,ci99_halfwidth")
+    lines += [f"{r['event']},{r['hits']},{r['trials']},{r['p_hat']!r},{r['ci99_halfwidth']!r}"
+              for r in rows]
     _emit("\n".join(lines) + "\n", args)
 
 
@@ -379,10 +400,10 @@ CONFIG_CONSTANTS = {"c": "c", "c2": "c2", "eps": "epsilon"}
 # the type of each scalar option's default: config values and flags must have it
 OPTION_TYPES = {f.name: type(f.default) for f in fields(VerifyOptions)
                 if type(f.default) in (int, float)}
-# options that are also verify flags of the same name (prop1_trials is --prop1-trials), with help
+# options that are also verify flags of the same name (ergodic_steps is --ergodic-steps), with help
 OPTION_FLAGS = {"seed": "master seed (default 3)",
                 "workers": "worker processes (default MML_WORKERS or 1)",
-                "trials": None, "prop1_trials": None, "c": None, "c2": None, "ergodic_steps": None}
+                "trials": None, "c": None, "c2": None, "ergodic_steps": None}
 
 
 def _ints(value, low: int) -> bool:

@@ -379,11 +379,12 @@ def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -
     """Check Lemma 2 for one set; needs exact T(0.5), so m <= 20. See ``lemma2_reports``."""
     _check_members(A, P.m, "set A")
     t_half = t_large(P, pi, 0.5).value
-    return lemma2_reports(pi, [A.members], hitting_table(P, A).h[None], t_half)[0]
+    return lemma2_reports([pi.mass(A.members)], [A.members], hitting_table(P, A).h[None], t_half)[0]
 
 
-def lemma2_reports(pi: StationaryDistribution, sets, h: np.ndarray, t_half: float) -> list[BoundReport]:
-    """Check T(A) <= 2 T(0.5) / pi(A) for each A = sets[k], whose hitting times are row k of h.
+def lemma2_reports(masses, sets, h: np.ndarray, t_half: float) -> list[BoundReport]:
+    """Check T(A) <= 2 T(0.5) / pi(A) for each A = sets[k], whose stationary mass is
+    masses[k] and whose hitting times are row k of h.
 
     Also records the per-instance smallest constant kappa with
     T(A) <= kappa * T(0.5) / pi(A), without asserting any improved bound.
@@ -392,4 +393,4 @@ def lemma2_reports(pi: StationaryDistribution, sets, h: np.ndarray, t_half: floa
                 "lemma2", 2.0 * t_half / mass, t_a, tol=INEQUALITY_TOL, vacuous=t_half == 0.0,
                 metadata={"A": members, "t_half": t_half, "mass": mass,
                           "tight_constant": t_a * mass / t_half if t_half > 0 else 0.0})
-            for members, mass, t_a in zip(sets, map(pi.mass, sets), h.max(axis=1).tolist())]
+            for members, mass, t_a in zip(sets, masses, h.max(axis=1).tolist())]

@@ -29,8 +29,9 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 class BoundReport:
     """One inequality check: bound vs. the exact or empirical value.
 
-    ``holds`` means ``value <= bound_value + tolerance`` where the
-    tolerance already includes the recorded CI half-width ``ci``.
+    ``holds`` means ``value <= bound_value + tol``. ``ci`` records the
+    99% CI half-width of a Monte Carlo value (0 for an exact one); suites
+    that judge an estimate by its CI set ``holds`` themselves.
     """
 
     name: str
@@ -43,8 +44,7 @@ class BoundReport:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
-    def from_check(cls, name, bound_value, value, *, tol=0.0, ci=0.0,
-                   vacuous=False, metadata=None):
+    def from_check(cls, name, bound_value, value, *, tol=0.0, vacuous=False, metadata=None):
         """Build a report, deriving ``margin`` and ``holds`` from the inputs."""
         bound_value = float(bound_value)
         value = float(value)
@@ -53,9 +53,8 @@ class BoundReport:
             bound_value=bound_value,
             value=value,
             margin=bound_value - value,
-            holds=bool(value <= bound_value + tol + ci),
+            holds=bool(value <= bound_value + tol),
             vacuous=vacuous,
-            ci=float(ci),
             metadata=dict(metadata or {}),
         )
 

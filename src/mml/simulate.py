@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, StationaryDistribution, stationary
-from .errors import EmptySetError, ValidationError
+from .errors import ValidationError
 from .hitting import StateSet, _check_members
 
 BLOCK_TRIALS = 8192  # fixed: part of the reproducibility contract
@@ -60,34 +60,6 @@ class MissingMassSample:
 
     value: float
     unseen_set: StateSet
-
-
-@dataclass(frozen=True)
-class EmpiricalTail:
-    """Empirical probability of a tail event with its binomial 95% CI."""
-
-    event: str
-    hits: int
-    trials: int
-    p_hat: float
-    ci95_halfwidth: float
-
-    @classmethod
-    def from_counts(cls, event: str, hits: int, trials: int) -> "EmpiricalTail":
-        p = hits / trials
-        return cls(event=event, hits=int(hits), trials=int(trials), p_hat=p,
-                   ci95_halfwidth=1.96 * math.sqrt(p * (1 - p) / trials))
-
-    def ci_halfwidth(self, z: float = 2.576) -> float:
-        """Normal-approximation CI half-width at another z (default 99%)."""
-        return z * math.sqrt(self.p_hat * (1 - self.p_hat) / self.trials)
-
-
-@dataclass(frozen=True)
-class HittingTailResult:
-    tails: tuple[EmpiricalTail, ...]
-    cap_hits: int
-    cap: int
 
 
 def _cumulative_rows(rows: np.ndarray) -> np.ndarray:
@@ -173,30 +145,14 @@ def sample_missing_mass(config: SimConfig, pi: StationaryDistribution) -> list[M
     """One missing-mass sample per trial: total pi-mass of states with tau_j > n."""
     tau = first_visit_table(config.chain, config.n, config.trials,
                             config.master_seed, config.workers, pi)
-    out = []
-    for row in tau:
-        unseen = np.flatnonzero(row > config.n)
-        value = float(pi.pi[unseen].sum())
-        out.append(MissingMassSample(value=value, unseen_set=StateSet(tuple(int(j) for j in unseen))))
-    return out
+    values = missing_mass_values(tau, pi.pi, config.n)
+    return [MissingMassSample(value=v, unseen_set=StateSet(tuple(np.flatnonzero(row).tolist())))
+            for v, row in zip(values.tolist(), tau > config.n)]
 
 
 def missing_mass_values(tau: np.ndarray, pi_vec: np.ndarray, n: int) -> np.ndarray:
     """Vector of missing-mass values for a horizon n <= the table's horizon."""
     return (tau > n).astype(float) @ np.asarray(pi_vec, dtype=float)
-
-
-def empirical_joint_survival(config: SimConfig, J: StateSet,
-                             pi: StationaryDistribution | None = None,
-                             tau: np.ndarray | None = None) -> EmpiricalTail:
-    """Empirical Pr[tau_J > n]: no state of J appears within n steps."""
-    _check_members(J, config.chain.matrix.m, "set J")
-    if tau is None:
-        tau = first_visit_table(config.chain, config.n, config.trials,
-                                config.master_seed, config.workers, pi)
-    hits = int((tau[:, J.indices()].min(axis=1) > config.n).sum())
-    event = f"tau_J>n J={'|'.join(map(str, J.members))} n={config.n}"
-    return EmpiricalTail.from_counts(event, hits, config.trials)
 
 
 def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed: int,
@@ -230,22 +186,6 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
     return np.concatenate(_run_blocks(run, trials, workers))
 
 
-def empirical_hitting_tail(config: SimConfig, B: StateSet, thresholds,
-                           pi: StationaryDistribution | None = None,
-                           cap: int = TRAJECTORY_CAP) -> HittingTailResult:
-    """Empirical Pr[N_B > t] for each threshold t; cap overruns reported, not hidden."""
-    samples = hitting_time_samples(config.chain, B, config.trials, config.master_seed,
-                                   config.workers, cap, pi)
-    cap_hits = int((samples > cap).sum())
-    set_str = "|".join(map(str, B.members))
-    tails = tuple(
-        EmpiricalTail.from_counts(f"N_B>t B={set_str} t={int(t)}",
-                                  int((samples > t).sum()), config.trials)
-        for t in thresholds
-    )
-    return HittingTailResult(tails=tails, cap_hits=cap_hits, cap=cap)
-
-
 def empirical_mgf(samples, s: float) -> float:
     """Arithmetic mean of exp(s * value) over missing-mass samples."""
     values = _sample_values(samples)
@@ -267,12 +207,3 @@ def occupancy_frequencies(chain: ChainSpec, n: int, stream,
     """State-visit frequencies over an n-step trajectory (ergodic averages)."""
     traj = sample_trajectory(chain, n, stream, pi)
     return np.bincount(traj, minlength=chain.matrix.m) / n
-
-
-def dump_samples_csv(samples, path) -> None:
-    """Raw-sample dump: one row per trial with the unseen index list."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trial,value,unseen_set\n")
-        for i, s in enumerate(samples):
-            idx = "|".join(map(str, s.unseen_set.members))
-            fh.write(f"{i},{s.value!r},{idx}\n")

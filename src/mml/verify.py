@@ -19,6 +19,7 @@ from . import bounds as bnd
 from .chain import generate, stationary
 from .errors import ValidationError
 from .hitting import (
+    ENUMERATION_MAX_STATES,
     INEQUALITY_TOL,
     StateSet,
     _mask_members,
@@ -33,15 +34,9 @@ from .hitting import (
     unseen_set_law,
 )
 from .report import BoundReport
-from .simulate import (
-    TRAJECTORY_CAP,
-    derive_stream,
-    first_visit_table,
-    hitting_time_samples,
-    missing_mass_values,
-    occupancy_frequencies,
-)
+from .simulate import derive_stream, first_visit_table, missing_mass_values, occupancy_frequencies
 
+# z of every two-sided 99% normal-approximation CI half-width that mml reports
 Z99 = 2.576
 # run lengths n of the iid suite's survival and missing-mass checks
 IID_HORIZONS = (1, 2, 4, 8, 16, 32, 64)
@@ -58,11 +53,11 @@ def derive_seed(master_seed: int, index: int) -> int:
 class VerifyOptions:
     """Suite sizes and constants; defaults match the acceptance sweep.
 
-    thm1, cor1 and cor3 compare the bounds with exact survival
+    prop1, thm1, cor1 and cor3 compare the bounds with exact survival
     probabilities and exact missing-mass laws, so they do not depend on
-    the seed or on ``trials``, which sizes only the iid Monte Carlo
-    suite. The default seed is pinned to one whose runs clear every
-    per-point 99% CI check of the Monte Carlo suites (iid, prop1).
+    ``trials``, which sizes only the iid Monte Carlo suite. The default
+    seed is pinned to one whose runs clear every per-point 99% CI check
+    of the iid suite.
     The CLI reads its config keys, and the flags named like a field, from
     these fields; a value must have the type of the field's default.
     """
@@ -76,7 +71,6 @@ class VerifyOptions:
     lemma2_chains: int = 50
     lemma2_m_max: int = 10
     prop1_chains: int = 20
-    prop1_trials: int = 20_000
     c: float = bnd.DEFAULT_C
     c2: float = bnd.DEFAULT_C2
     epsilon: float = 0.5
@@ -187,9 +181,9 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
     for chain_id, pi, sets, h in _random_chains(seed, opts.lemma2_chains, opts.lemma2_m_max,
                                                 derive_stream(seed, 0)):
         # every subset is solved anyway; T(0.5) falls out of the same array
-        large = [pi.mass(members) >= 0.5 - 1e-12 for members in sets]
-        t_half = float(h[large].max(initial=0.0))
-        for rep in lemma2_reports(pi, sets, h, t_half):
+        masses = [pi.mass(members) for members in sets]
+        t_half = float(h[np.array(masses) >= 0.5 - 1e-12].max(initial=0.0))
+        for rep in lemma2_reports(masses, sets, h, t_half):
             rep.metadata["chain_id"] = chain_id
             reports.append(rep)
     summary = VerificationSummary.from_reports("lemma2", opts.seed, reports)
@@ -311,31 +305,21 @@ def _prop1_chain_set(seed: int, count: int):
 
 
 def suite_prop1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
-    """Chunked exponential tail of hitting times vs empirical tails."""
+    """Chunked exponential tail of hitting times vs exact tails Pr[N_B > t]."""
     seed = derive_seed(opts.seed, 4)
     rng = derive_stream(seed, 2)
     reports: list[BoundReport] = []
-    suite = opts.chains or _prop1_chain_set(seed, opts.prop1_chains)
-    for idx, (chain_id, chain) in enumerate(suite):
+    for chain_id, chain in opts.chains or _prop1_chain_set(seed, opts.prop1_chains):
         m = chain.matrix.m
-        pi = stationary(chain.matrix)
+        start = chain.resolved_start(stationary(chain.matrix))
         members = _random_subset(rng, m, max(1, m // 3))
-        B = StateSet(members)
-        table = hitting_table(chain.matrix, B)
-        expected = expected_hitting_time(table, chain.resolved_start(pi))
+        expected = expected_hitting_time(hitting_table(chain.matrix, StateSet(members)), start)
         thresholds = sorted({math.ceil(k * expected) for k in (1, 2, 3, 5, 8, 12, 20, 35, 50)})
-        samples = hitting_time_samples(chain, B, opts.prop1_trials,
-                                       derive_seed(seed, 300 + idx), opts.workers, pi=pi)
-        cap_hits = int((samples > TRAJECTORY_CAP).sum())
-        for t in thresholds:
-            hits = int((samples > t).sum())
-            p_hat = hits / opts.prop1_trials
-            bound = bnd.hitting_tail_bound(expected, t)
-            slack = Z99 * math.sqrt(p_hat * (1 - p_hat) / opts.prop1_trials)
+        survival = survival_probabilities(chain.matrix, start, members, thresholds)
+        for t, p in zip(thresholds, survival.tolist()):
             reports.append(BoundReport.from_check(
-                "prop1-tail", bound, p_hat, ci=slack,
-                metadata={"chain_id": chain_id, "B": members, "t": t,
-                          "expected": expected, "cap_hits": cap_hits}))
+                "prop1-tail", bnd.hitting_tail_bound(expected, t), p, tol=INEQUALITY_TOL,
+                metadata={"chain_id": chain_id, "B": members, "t": t, "expected": expected}))
     summary = VerificationSummary.from_reports("prop1", opts.seed, reports)
     return reports, summary
 
@@ -507,12 +491,17 @@ SUITES = {
 
 OPTION_MINIMUMS = {"workers": 1, "trials": 1, "lemma1_chains": 1, "lemma1_m_max": 2,
                    "lemma1_max_pairs": 1, "lemma2_chains": 1, "lemma2_m_max": 2,
-                   "prop1_chains": 1, "prop1_trials": 1, "ergodic_steps": 1}
+                   "prop1_chains": 1, "ergodic_steps": 1}
+# the exhaustive sweeps' largest chains: lemma1 lists all 3^m disjoint pairs before it
+# subsamples them (21 MiB at m = 12), and lemma2 solves every subset
+OPTION_MAXIMUMS = {"lemma1_m_max": 12, "lemma2_m_max": ENUMERATION_MAX_STATES}
 
 
 def _check_options(opts: VerifyOptions, suites) -> None:
     """Reject an out-of-range option, naming it, before any of ``suites`` runs."""
     checks = [(name, getattr(opts, name) >= low, f">= {low}") for name, low in OPTION_MINIMUMS.items()]
+    checks += [(name, getattr(opts, name) <= high, f"<= {high}")
+               for name, high in OPTION_MAXIMUMS.items()]
     checks += [("c", opts.c > 0, "> 0"), ("c2", opts.c2 > 0, "> 0"),
                ("epsilon", 0 < opts.epsilon <= 1, "in (0, 1]")]
     for name, ok, what in checks:

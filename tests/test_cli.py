@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import mml
-from mml.cli import _options_from_args, build_parser, main, parse_grid, parse_index_set
+from mml.cli import (
+    _options_from_args,
+    build_parser,
+    main,
+    parse_descriptor,
+    parse_grid,
+    parse_index_set,
+)
 from mml.errors import ValidationError
 from mml.report import csv_body
 from mml.verify import SUITE_ORDER, SUITES
@@ -147,7 +154,83 @@ class TestSimulateCommands:
         rc = main(["simulate", "mm", "--family", "iid", "--mu", "0.5,0.5",
                    "--n", "1", "--trials", "5", "--seed", "7", "--dump", str(dump)])
         assert rc == 0
-        assert dump.read_text().splitlines()[0] == "trial,value,unseen_set"
+        lines = dump.read_text().splitlines()
+        assert lines[0] == "trial,value,unseen_set"
+        # one state seen in one step: the other, of mass 0.5, is unseen
+        assert len(lines) == 6
+        assert all(line.startswith(f"{i},0.5,") and line.split(",")[2] in ("0", "1")
+                   for i, line in enumerate(lines[1:]))
+
+    def test_mm_dump_rows_match_samples(self, tmp_path, capsys):
+        dump = tmp_path / "raw.csv"
+        argv = ["simulate", "mm", "--family", "random-dense", "--m", "6", "--n", "3",
+                "--trials", "300", "--seed", "5"]
+        assert main([*argv, "--dump", str(dump)]) == 0
+        _, chain = parse_descriptor("random-dense:m=6")
+        config = mml.SimConfig(chain=chain, n=3, trials=300, master_seed=5)
+        samples = mml.sample_missing_mass(config, mml.stationary(chain.matrix))
+        rows = [line.split(",") for line in dump.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(300))
+        assert [float(r[1]) for r in rows] == [s.value for s in samples]
+        assert [r[2] for r in rows] == ["|".join(map(str, s.unseen_set.members)) for s in samples]
+        body = csv_body(capsys.readouterr().out).splitlines()
+        mean = float(body[1].split(",")[2])
+        assert mean == pytest.approx(np.mean([s.value for s in samples]), rel=1e-12)
+
+    def test_tail_ci99_halfwidth(self, capsys):
+        rc = main(["simulate", "jointtail", "--family", "iid", "--mu", "0.5,0.5",
+                   "--J", "1", "--n", "2", "--trials", "1000", "--seed", "7"])
+        assert rc == 0
+        header, row = csv_body(capsys.readouterr().out).splitlines()
+        assert header == "event,hits,trials,p_hat,ci99_halfwidth"
+        event, hits, trials, p_hat, ci = row.split(",")
+        assert event == "tau_J>n J=1 n=2" and trials == "1000"
+        p = int(hits) / 1000
+        assert float(p_hat) == p
+        assert float(ci) == 2.576 * np.sqrt(p * (1 - p) / 1000)
+
+    def test_jointtail_full_space_is_zero(self, capsys):
+        rc = main(["simulate", "jointtail", "--family", "iid", "--mu", "0.5,0.5",
+                   "--J", "0,1", "--n", "1", "--trials", "200", "--seed", "2"])
+        assert rc == 0
+        row = csv_body(capsys.readouterr().out).splitlines()[1]
+        assert row.split(",")[1:4] == ["0", "200", "0.0"]
+
+    def test_jointtail_cycle_needs_more_steps(self, cycle3, capsys):
+        rc = main(["simulate", "jointtail", "--in", cycle3, "--J", "2", "--n", "2",
+                   "--trials", "100", "--seed", "3", "--format", "json"])
+        assert rc == 0
+        tail = json.loads(capsys.readouterr().out)["tails"][0]
+        assert (tail["hits"], tail["p_hat"], tail["ci99_halfwidth"]) == (100, 1.0, 0.0)
+
+    @pytest.mark.parametrize("J", ["", "3"])
+    def test_jointtail_bad_set(self, cycle3, capsys, J):
+        rc = main(["simulate", "jointtail", "--in", cycle3, "--J", J, "--n", "2"])
+        assert rc == (4 if J == "" else 3)
+        assert "set J" in capsys.readouterr().err
+
+    def test_hittail_cap_is_reported(self, capsys):
+        rc = main(["simulate", "hittail", "--family", "lazy-cycle", "--m", "10", "--hold", "0.9",
+                   "--B", "5", "--t", "1,2,3", "--trials", "200", "--seed", "9", "--cap", "3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        cap_hits = int(out.split("# cap_hits=")[1].split()[0])
+        last = csv_body(out).splitlines()[-1].split(",")
+        # every trial cut at the cap is still unhit at t = 3
+        assert cap_hits > 0 and last[0].endswith("t=3") and int(last[1]) == cap_hits
+
+    @pytest.mark.parametrize("cap,t,message", [
+        ("0", "1", "--cap must be >= 1, got 0"),
+        ("-2", "1", "--cap must be >= 1, got -2"),
+        ("3", "3,4,50", "threshold t=4 is outside 0..3"),
+        ("3", "-1", "threshold t=-1 is outside 0..3"),
+    ])
+    def test_hittail_beyond_cap_exits_3(self, capsys, cap, t, message):
+        # p_hat beyond the cap is unknown: a cut trial may be hit at any later step
+        rc = main(["simulate", "hittail", "--family", "lazy-cycle", "--m", "10", "--hold", "0.9",
+                   "--B", "5", "--t", t, "--trials", "200", "--seed", "9", "--cap", cap])
+        assert rc == 3
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestBoundsCommands:
@@ -181,8 +264,7 @@ class TestBoundsCommands:
 
 
 class TestVerifyCommand:
-    SMALL = ["--trials", "1500", "--chains", "8", "--prop1-trials", "1200",
-             "--ergodic-steps", "40000"]
+    SMALL = ["--trials", "1500", "--chains", "8", "--ergodic-steps", "40000"]
 
     def test_verify_lemma1_small(self, tmp_path, capsys):
         rc = main(["verify", "lemma1", "--seed", "1", "--chains", "10",
@@ -263,8 +345,7 @@ class TestVerifyCommand:
     def test_config_accepts_every_option(self, tmp_path):
         values = {"seed": 5, "workers": 2, "trials": 1000, "lemma1_chains": 4,
                   "lemma1_m_max": 3, "lemma1_max_pairs": 5, "lemma2_chains": 6,
-                  "lemma2_m_max": 4, "prop1_chains": 7, "prop1_trials": 100,
-                  "ergodic_steps": 1000}
+                  "lemma2_m_max": 4, "prop1_chains": 7, "ergodic_steps": 1000}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**values, "chains": ["lazy-cycle:m=4;hold=0.5"],
                                    "j_sets": [[0, 1]], "n_grid": "4..6",
@@ -369,7 +450,7 @@ class TestVerifyCommand:
         ([], {"j_sets": [[50]]}, "j_sets entry [50]"),
         (["--trials", "0"], None, "trials must be >= 1"),
         (["--trials", "-5"], None, "trials must be >= 1"),
-        (["--prop1-trials", "0"], None, "prop1_trials must be >= 1"),
+        ([], {"lemma1_m_max": 13}, "lemma1_m_max must be <= 12"),
         (["--m-max", "1"], None, "lemma1_m_max must be >= 2"),
         ([], {"lemma2_m_max": 1}, "lemma2_m_max must be >= 2"),
         (["--chains", "-1"], None, "lemma1_chains must be >= 1"),
@@ -381,6 +462,8 @@ class TestVerifyCommand:
         ([], {"constants": {"c2": 0}}, "c2 must be > 0"),
         (["--eps", "0"], None, "epsilon must be in (0, 1]"),
         (["--eps", "1.5"], None, "epsilon must be in (0, 1]"),
+        ([], {"lemma1_m_max": 20}, "lemma1_m_max must be <= 12"),
+        ([], {"lemma2_m_max": 21}, "lemma2_m_max must be <= 20"),
     ])
     def test_out_of_range_option_exits_3_before_any_suite(self, tmp_path, capsys, monkeypatch,
                                                           flags, cfg, option):
@@ -407,13 +490,23 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "thm1", "--c-resolution", "0.25"])
 
+    def test_prop1_trials_is_gone(self, tmp_path, capsys):
+        # prop1 reads exact survivals: it has no trial count
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prop1_trials": 100}))
+        rc = main(["verify", "prop1", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert "unknown config key 'prop1_trials'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "prop1", "--prop1-trials", "100"])
+
     def test_option_flags_set_their_fields(self):
         args = build_parser().parse_args(
             ["verify", "cor1", "--seed", "4", "--workers", "2", "--trials", "5",
-             "--prop1-trials", "6", "--c", "0.3", "--c2", "2", "--ergodic-steps", "7",
+             "--c", "0.3", "--c2", "2", "--ergodic-steps", "7",
              "--eps", "0.4", "--max-pairs", "8", "--chains", "30", "--m-max", "9"])
         o = _options_from_args(args)
-        assert (o.seed, o.workers, o.trials, o.prop1_trials, o.ergodic_steps) == (4, 2, 5, 6, 7)
+        assert (o.seed, o.workers, o.trials, o.ergodic_steps) == (4, 2, 5, 7)
         assert (o.c, o.c2, o.epsilon, o.lemma1_max_pairs) == (0.3, 2.0, 0.4, 8)
         assert (o.lemma1_chains, o.lemma2_chains, o.prop1_chains) == (30, 30, 20)
         assert (o.lemma1_m_max, o.lemma2_m_max) == (8, 9)

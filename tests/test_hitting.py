@@ -494,7 +494,8 @@ class TestLemmaKernels:
         pi = stationary(P)
         sets = _all_subsets(m)
         t_half, _ = brute_force_t_large(P.rows, pi.pi, 0.5, table=direct_solve_table)
-        reports = lemma2_reports(pi, sets, subset_hitting_times(P), t_large(P, pi, 0.5).value)
+        reports = lemma2_reports([pi.mass(members) for members in sets], sets,
+                                 subset_hitting_times(P), t_large(P, pi, 0.5).value)
         assert len(reports) == len(sets)
         for members, rep in zip(sets, reports):
             t_a = direct_solve_table(P.rows, members).max()
@@ -517,7 +518,8 @@ class TestLemmaKernels:
             single = check_lemma1(P, pi, StateSet(sets[a]), StateSet(sets[b]))
             assert single.csv_cells() == rep.csv_cells()
         t_half = t_large(P, pi, 0.5).value
-        for members, rep in zip(sets, lemma2_reports(pi, sets, h, t_half)):
+        masses = [pi.mass(members) for members in sets]
+        for members, rep in zip(sets, lemma2_reports(masses, sets, h, t_half)):
             assert check_lemma2(P, pi, StateSet(members)).csv_cells() == rep.csv_cells()
 
     def test_overlapping_pairs_vacuous(self):

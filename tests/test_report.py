@@ -10,17 +10,19 @@ from mml.report import CSV_COLUMNS, BoundReport, csv_body, render_reports_csv, r
 
 
 def test_from_check_derives_margin_and_holds():
-    rep = BoundReport.from_check("x", 1.0, 0.4, ci=0.1)
+    rep = BoundReport.from_check("x", 1.0, 0.4)
     assert rep.margin == 0.6
-    assert rep.holds
+    assert rep.holds and rep.ci == 0.0
     rep2 = BoundReport.from_check("x", 0.4, 0.6)
     assert not rep2.holds
+    assert BoundReport.from_check("x", 0.4, 0.6, tol=0.2).holds
 
 
 def test_csv_layout_and_formatting():
     rep = BoundReport.from_check(
-        "check", np.float64(0.5), 0.25, ci=0.01,
+        "check", np.float64(0.5), 0.25,
         metadata={"chain_id": "two-state", "J": (0, 2), "n": 3, "flag": True})
+    rep.ci = 0.01
     text = render_reports_csv([rep], header_meta={"seed": 7})
     lines = text.splitlines()
     assert lines[0] == "# seed=7"

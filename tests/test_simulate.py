@@ -7,7 +7,6 @@ from scipy.stats import binom
 from mml.chain import ChainSpec, generate, point_start, stationary, validate
 from mml.errors import EmptySetError, ValidationError
 from mml.hitting import (
-    StateSet,
     expected_hitting_time,
     hitting_table,
     state_set,
@@ -17,12 +16,8 @@ from mml.hitting import (
 )
 from mml.simulate import (
     BLOCK_TRIALS,
-    EmpiricalTail,
     SimConfig,
     derive_stream,
-    dump_samples_csv,
-    empirical_hitting_tail,
-    empirical_joint_survival,
     empirical_mgf,
     first_visit_table,
     hitting_time_samples,
@@ -128,6 +123,28 @@ class TestFirstVisitAgainstExact:
             assert abs(sampled - mean) <= 6 * sd + 1e-12, (n, sampled, mean)
 
 
+class TestHittingSamplesAgainstExact:
+    """Sampled hitting times N_B against exact tails Pr[N_B > t], within 6 sd as above."""
+
+    TRIALS = 20_000
+
+    @pytest.mark.parametrize("family,params,members", [
+        ("lazy-cycle", {"m": 5, "hold": 0.5}, (2,)),
+        ("lazy-cycle", {"m": 10, "hold": 0.9}, (5,)),
+        ("birth-death", {"m": 8, "p": 0.3, "q": 0.3}, (0, 7)),
+    ])
+    def test_hitting_tail(self, family, params, members):
+        chain = generate(family, **params)
+        pi = stationary(chain.matrix)
+        N = hitting_time_samples(chain, state_set(members), self.TRIALS, 2025, pi=pi)
+        thresholds = [1, 2, 3, 5, 10, 20, 50, 100]
+        exact = survival_probabilities(chain.matrix, chain.resolved_start(pi), members, thresholds)
+        for t, p in zip(thresholds, exact):
+            hits = int((N > t).sum())
+            sd = math.sqrt(self.TRIALS * p * (1 - p))
+            assert abs(hits - self.TRIALS * p) <= 6 * sd + 1e-9, (members, t, hits, p)
+
+
 class TestMissingMass:
     def test_iid_n1_is_half(self):
         pi = stationary(UNIFORM2.matrix)
@@ -172,82 +189,66 @@ class TestMissingMass:
         values = missing_mass_values(tau, pi.pi, 4)
         np.testing.assert_allclose(values, [s.value for s in samples], atol=1e-12)
 
-    def test_dump_csv(self, tmp_path):
-        pi = stationary(UNIFORM2.matrix)
-        samples = sample_missing_mass(SimConfig(chain=UNIFORM2, n=1, trials=3, master_seed=7), pi)
-        path = tmp_path / "dump.csv"
-        dump_samples_csv(samples, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "trial,value,unseen_set"
-        assert len(lines) == 4
-        assert lines[1].startswith("0,0.5,")
-
 
 class TestJointSurvival:
+    """Pr[tau_J > n] counted off a first-visit table: min over J of tau_j > n."""
+
+    @staticmethod
+    def p_hat(chain, n, trials, seed, members, pi=None):
+        tau = first_visit_table(chain, n, trials, seed, pi=pi)
+        return float((tau[:, list(members)].min(axis=1) > n).mean())
+
     def test_full_space_is_zero(self):
-        pi = stationary(UNIFORM2.matrix)
-        tail = empirical_joint_survival(
-            SimConfig(chain=UNIFORM2, n=1, trials=200, master_seed=2), state_set([0, 1]), pi)
-        assert tail.p_hat == 0.0
+        assert self.p_hat(UNIFORM2, 1, 200, 2, [0, 1], stationary(UNIFORM2.matrix)) == 0.0
 
     def test_iid_exact_law(self):
         # paper-exact: Pr[tau_J > n] = (1 - pi(J))^n = 0.125
-        pi = stationary(UNIFORM2.matrix)
-        tail = empirical_joint_survival(
-            SimConfig(chain=UNIFORM2, n=3, trials=100_000, master_seed=7), state_set([1]), pi)
-        assert binom_ok(tail.hits, tail.trials, 0.125)
+        tau = first_visit_table(UNIFORM2, 3, 100_000, 7, pi=stationary(UNIFORM2.matrix))
+        assert binom_ok(int((tau[:, 1] > 3).sum()), 100_000, 0.125)
 
     def test_cycle_needs_more_steps(self):
-        pi = stationary(DIRECTED_CYCLE3.matrix)
-        tail = empirical_joint_survival(
-            SimConfig(chain=DIRECTED_CYCLE3, n=1, trials=100, master_seed=3), state_set([2]), pi)
-        assert tail.p_hat == 1.0
+        assert self.p_hat(DIRECTED_CYCLE3, 1, 100, 3, [2]) == 1.0
 
     def test_empty_set(self):
+        # the exact joint survival refuses an empty J as the CLI does (exit 4, in test_cli)
         with pytest.raises(EmptySetError):
-            empirical_joint_survival(
-                SimConfig(chain=UNIFORM2, n=1, trials=10, master_seed=1), StateSet(()))
+            survival_probabilities(UNIFORM2.matrix, [0.5, 0.5], (), [1])
 
     def test_joint_below_singles(self):
         chain = generate("random-dense", m=6, seed=31)
-        pi = stationary(chain.matrix)
-        tau = first_visit_table(chain, 6, 2000, 11)
-        cfg = SimConfig(chain=chain, n=6, trials=2000, master_seed=11)
-        joint = empirical_joint_survival(cfg, state_set([0, 2, 4]), pi, tau=tau)
-        singles = [empirical_joint_survival(cfg, state_set([j]), pi, tau=tau) for j in (0, 2, 4)]
-        assert joint.p_hat <= min(s.p_hat for s in singles)
+        tau = first_visit_table(chain, 6, 2000, 11, pi=stationary(chain.matrix))
+        joint = (tau[:, [0, 2, 4]].min(axis=1) > 6).mean()
+        assert joint <= min((tau[:, j] > 6).mean() for j in (0, 2, 4))
 
 
 class TestHittingTail:
+    """Pr[N_B > t] counted off hitting_time_samples."""
+
     def test_start_inside_target(self):
         chain = ChainSpec(matrix=UNIFORM2.matrix, start=point_start(2, 1))
-        res = empirical_hitting_tail(
-            SimConfig(chain=chain, n=1, trials=100, master_seed=5), state_set([1]), [1, 2, 5])
-        assert all(t.p_hat == 0.0 for t in res.tails)
+        N = hitting_time_samples(chain, state_set([1]), 100, 5)
+        assert all((N > t).sum() == 0 for t in (1, 2, 5))
 
     def test_iid_geometric_tail(self):
         pi = stationary(UNIFORM2.matrix)
-        res = empirical_hitting_tail(
-            SimConfig(chain=UNIFORM2, n=1, trials=100_000, master_seed=23),
-            state_set([1]), [5], pi)
-        assert binom_ok(res.tails[0].hits, 100_000, 0.5 ** 5)
+        N = hitting_time_samples(UNIFORM2, state_set([1]), 100_000, 23, pi=pi)
+        assert binom_ok(int((N > 5).sum()), 100_000, 0.5 ** 5)
 
     def test_deterministic_cycle_convention(self):
         # X_1 = 0, X_2 = 1, X_3 = 2: the start state counts, so N = 3
-        res = empirical_hitting_tail(
-            SimConfig(chain=DIRECTED_CYCLE3, n=1, trials=50, master_seed=2),
-            state_set([2]), [1, 2, 3])
-        assert [t.p_hat for t in res.tails] == [1.0, 1.0, 0.0]
-        assert res.cap_hits == 0
+        N = hitting_time_samples(DIRECTED_CYCLE3, state_set([2]), 50, 2)
+        assert [float((N > t).mean()) for t in (1, 2, 3)] == [1.0, 1.0, 0.0]
+        assert N.max() == 3  # below the cap: no trial was cut
 
     def test_cap_is_reported(self):
+        # a trial cut at the cap carries the sentinel cap + 1; the tail up to the cap stays exact
         slow = generate("lazy-cycle", m=10, hold=0.9)
         pi = stationary(slow.matrix)
-        res = empirical_hitting_tail(
-            SimConfig(chain=slow, n=1, trials=200, master_seed=9),
-            state_set([5]), [1, 2], pi, cap=3)
-        assert res.cap_hits > 0
-        assert res.cap == 3
+        trials = 100_000
+        N = hitting_time_samples(slow, state_set([5]), trials, 9, cap=3, pi=pi)
+        assert (N == 4).sum() > 0 and N.max() == 4
+        for t, p in zip((1, 2, 3), survival_probabilities(slow.matrix, pi.pi, (5,), (1, 2, 3))):
+            assert abs(int((N > t).sum()) - trials * p) <= 6 * math.sqrt(trials * p * (1 - p))
 
     def test_mean_matches_solver(self):
         chain = generate("random-dense", m=5, seed=41)
@@ -321,9 +322,3 @@ class TestSimConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
             SimConfig(chain=UNIFORM2, **kwargs)
-
-    def test_empirical_tail_ci(self):
-        tail = EmpiricalTail.from_counts("e", 250, 1000)
-        assert tail.p_hat == 0.25
-        assert tail.ci95_halfwidth == pytest.approx(1.96 * math.sqrt(0.25 * 0.75 / 1000))
-        assert tail.ci_halfwidth(2.576) == pytest.approx(2.576 * math.sqrt(0.25 * 0.75 / 1000))
