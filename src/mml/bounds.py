@@ -187,10 +187,20 @@ def bernoulli_product_mgf(weights: Sequence[float], q: Sequence[float], s: float
 
 
 def kl_divergence(p: float, q: float) -> float:
-    """Binary relative entropy D(p || q), natural log; open-interval arguments only."""
-    if not (0 < p < 1) or not (0 < q < 1):
-        raise DomainError(f"p, q must lie in (0, 1), got p={p!r}, q={q!r}")
-    return p * math.log(p / q) + (1 - p) * math.log((1 - p) / (1 - q))
+    """Binary relative entropy D(p || q), natural log, for p, q in [0, 1].
+
+    With 0 log 0 = 0: D is +inf where p > 0 = q or p < 1 = q, and 0 at p = q in {0, 1}.
+    """
+    if not (0 <= p <= 1) or not (0 <= q <= 1):  # NaN fails too
+        raise DomainError(f"p, q must lie in [0, 1], got p={p!r}, q={q!r}")
+    return _relative_entropy_term(p, q) + _relative_entropy_term(1 - p, 1 - q)
+
+
+def _relative_entropy_term(a: float, b: float) -> float:
+    """a log(a / b), with 0 log(0 / b) = 0 and a log(a / 0) = +inf for a > 0."""
+    if a == 0:
+        return 0.0
+    return a * math.log(a / b) if b > 0 else math.inf
 
 
 def pinsker_check(p: float, q: float) -> BoundReport:

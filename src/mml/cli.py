@@ -57,7 +57,7 @@ from .simulate import (
     hitting_time_samples,
     missing_mass_values,
 )
-from .verify import SUITE_ORDER, Z99, VerifyOptions, run_all, run_suite
+from .verify import SUITE_ORDER, VerifyOptions, run_all, run_suite
 
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
@@ -67,10 +67,15 @@ EXIT_TRIALS = 5
 
 
 def _default_workers() -> int:
+    """MML_WORKERS, or 1 when it is unset; any other value must be an integer >= 1."""
+    text = os.environ.get("MML_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("MML_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValidationError(f"MML_WORKERS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def parse_index_set(text: str) -> StateSet:
@@ -164,7 +169,7 @@ def _add_sim(p):
     p.add_argument("--n", type=int, default=1, help="run length (steps)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, help="worker threads (default MML_WORKERS or 1)")
 
 
 def _emit(text: str, args) -> None:
@@ -264,6 +269,10 @@ def cmd_hit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # MML_WORKERS is checked even under --workers, as in verify
+    workers = _default_workers()
+    if args.workers is None:
+        args.workers = workers
     chain_id, chain = _chain_from_args(args)
     pi = stationary(chain.matrix)
     # rejects a bad --n, --trials or --workers
@@ -316,6 +325,10 @@ def _dump_samples(path, unseen: np.ndarray, values: list[float]) -> None:
         fh.write("trial,value,unseen_set\n")
         for i, (row, value) in enumerate(zip(unseen, values)):
             fh.write(f"{i},{value!r},{'|'.join(map(str, np.flatnonzero(row).tolist()))}\n")
+
+
+# z of the two-sided 99% normal-approximation CI half-width of a tail row
+Z99 = 2.576
 
 
 def _emit_tail_rows(events, args, meta) -> None:
@@ -402,7 +415,7 @@ OPTION_TYPES = {f.name: type(f.default) for f in fields(VerifyOptions)
                 if type(f.default) in (int, float)}
 # options that are also verify flags of the same name (ergodic_steps is --ergodic-steps), with help
 OPTION_FLAGS = {"seed": "master seed (default 3)",
-                "workers": "worker processes (default MML_WORKERS or 1)",
+                "workers": "worker threads (default MML_WORKERS or 1)",
                 "trials": None, "c": None, "c2": None, "ergodic_steps": None}
 
 

@@ -46,7 +46,7 @@ class TooManyStatesError(PreconditionError):
 
 
 class DomainError(PreconditionError):
-    """Argument outside the open domain of the function."""
+    """Argument outside the domain of the function."""
 
 
 class SingularSystemError(MMLError):

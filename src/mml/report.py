@@ -29,9 +29,10 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 class BoundReport:
     """One inequality check: bound vs. the exact or empirical value.
 
-    ``holds`` means ``value <= bound_value + tol``. ``ci`` records the
-    99% CI half-width of a Monte Carlo value (0 for an exact one); suites
-    that judge an estimate by its CI set ``holds`` themselves.
+    ``holds`` means ``value <= bound_value + tol``. ``ci`` is 0 for an
+    exact value. An iid row's value is the Chernoff-KL statistic of a
+    Monte Carlo estimate, and its ``ci`` bounds |estimate - exact| on
+    every estimate that the row's test accepts (by Pinsker).
     """
 
     name: str

@@ -160,6 +160,8 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
                          pi: StationaryDistribution | None = None) -> np.ndarray:
     """Per-trial N_B; trajectories run until B is hit or ``cap`` steps (cap + 1 sentinel)."""
     _check_members(B, chain.matrix.m, "set B")
+    if cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     m = chain.matrix.m
     member_mask = np.zeros(m, dtype=bool)
     member_mask[B.indices()] = True

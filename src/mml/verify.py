@@ -36,10 +36,11 @@ from .hitting import (
 from .report import BoundReport
 from .simulate import derive_stream, first_visit_table, missing_mass_values, occupancy_frequencies
 
-# z of every two-sided 99% normal-approximation CI half-width that mml reports
-Z99 = 2.576
 # run lengths n of the iid suite's survival and missing-mass checks
 IID_HORIZONS = (1, 2, 4, 8, 16, 32, 64)
+# family-wise false-alarm rate of the iid suite: a run flags a correct sampler with
+# probability at most this
+IID_DELTA = 1e-3
 
 SUITE_ORDER = ("lemma1", "lemma2", "iid", "prop1", "thm1", "cor1", "cor3", "ergodic")
 
@@ -55,9 +56,7 @@ class VerifyOptions:
 
     prop1, thm1, cor1 and cor3 compare the bounds with exact survival
     probabilities and exact missing-mass laws, so they do not depend on
-    ``trials``, which sizes only the iid Monte Carlo suite. The default
-    seed is pinned to one whose runs clear every per-point 99% CI check
-    of the iid suite.
+    ``trials``, which sizes only the iid Monte Carlo suite.
     The CLI reads its config keys, and the flags named like a field, from
     these fields; a value must have the type of the field's default.
     """
@@ -193,31 +192,6 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSu
 # --- simulation suites ------------------------------------------------------
 
 
-def binom_region_99(trials: int, p: float) -> tuple[int, int]:
-    """Central 99% acceptance region for Binomial(trials, p) hit counts.
-
-    Its ends are the exact 0.5% and 99.5% quantiles, each the smallest k
-    with cdf(k) >= q. The cdf sums the pmf over mean +- (12 sd + 1), from
-    one log-gamma term and the cumulative log ratios pmf(k+1)/pmf(k); the
-    mass outside that window is far below the float resolution of q.
-    """
-    if p <= 0:
-        return 0, 0
-    if p >= 1:
-        return trials, trials
-    mean = trials * p
-    half = 12.0 * math.sqrt(mean * (1.0 - p)) + 1.0
-    k0 = max(0, math.floor(mean - half))
-    k = np.arange(k0, min(trials, math.ceil(mean + half)))
-    log_odds = math.log(p) - math.log1p(-p)
-    log_pmf0 = (math.lgamma(trials + 1) - math.lgamma(k0 + 1) - math.lgamma(trials - k0 + 1)
-                + k0 * math.log(p) + (trials - k0) * math.log1p(-p))
-    log_pmf = log_pmf0 + np.cumsum(np.log((trials - k) / (k + 1)) + log_odds)
-    cdf = np.cumsum(np.exp(np.concatenate(([log_pmf0], log_pmf))))
-    lo, hi = np.searchsorted(cdf, (0.005, 0.995)).tolist()
-    return k0 + lo, k0 + min(hi, cdf.size - 1)
-
-
 def _iid_chain_set(seed: int, ms=(2, 4, 8), random_sets: int = 20):
     """Seeded IID chains with their tested index-set families."""
     out = []
@@ -232,8 +206,12 @@ def suite_iid(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumma
     """Exact memory-less ground truth: empirical survivals and missing-mass means."""
     seed = derive_seed(opts.seed, 3)
     n_max = max(IID_HORIZONS)
+    chains = _iid_chain_set(seed)
+    # the row count K is fixed before sampling, so the union bound over the 2K tails holds
+    rows = len(IID_HORIZONS) * sum(len(sets) + 1 for *_, sets in chains)
+    threshold = math.log(2 * rows / IID_DELTA)
     reports: list[BoundReport] = []
-    for idx, (chain_id, chain, mu, sets) in enumerate(_iid_chain_set(seed)):
+    for idx, (chain_id, chain, mu, sets) in enumerate(chains):
         pi = stationary(chain.matrix)
         tau = first_visit_table(chain, n_max, opts.trials, derive_seed(seed, idx + 1),
                                 opts.workers, pi)
@@ -242,40 +220,29 @@ def suite_iid(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumma
             mass = float(mu[list(members)].sum())
             for n in IID_HORIZONS:
                 hits = int((cols > n).sum())
-                p_exact = max(0.0, 1.0 - mass) ** n
-                lo, hi = binom_region_99(opts.trials, p_exact)
-                p_hat = hits / opts.trials
-                reports.append(BoundReport(
-                    name="iid-exact-survival",
-                    bound_value=p_exact,
-                    value=p_hat,
-                    margin=p_exact - p_hat,
-                    holds=bool(lo <= hits <= hi),
-                    vacuous=False,
-                    ci=Z99 * math.sqrt(p_exact * (1 - p_exact) / opts.trials),
-                    metadata={"chain_id": chain_id, "J": members, "n": n,
-                              "hits": hits, "accept_lo": lo, "accept_hi": hi},
-                ))
+                reports.append(_iid_row("iid-exact-survival", hits / opts.trials,
+                                        max(0.0, 1.0 - mass) ** n, opts.trials, threshold,
+                                        chain_id=chain_id, J=members, n=n, hits=hits))
         for n in IID_HORIZONS:
-            values = missing_mass_values(tau, mu, n)
-            mean = float(values.mean())
-            exact = float(np.sum(mu * (1.0 - mu) ** n))
-            # sample SE, floored by the variance bound Var(X) <= E[X] for X in [0,1]
-            # (the sample estimate collapses to 0 when the mean is below MC resolution)
-            se = max(float(values.std(ddof=1)) / math.sqrt(opts.trials),
-                     math.sqrt(exact / opts.trials))
-            reports.append(BoundReport(
-                name="iid-mm-mean",
-                bound_value=3.0 * se,
-                value=abs(mean - exact),
-                margin=3.0 * se - abs(mean - exact),
-                holds=bool(abs(mean - exact) <= 3.0 * se),
-                vacuous=False,
-                ci=se,
-                metadata={"chain_id": chain_id, "n": n, "mean": mean, "exact": exact},
-            ))
+            reports.append(_iid_row("iid-mm-mean", float(missing_mass_values(tau, mu, n).mean()),
+                                    float(np.sum(mu * (1.0 - mu) ** n)), opts.trials, threshold,
+                                    chain_id=chain_id, n=n))
     summary = VerificationSummary.from_reports("iid", opts.seed, reports)
     return reports, summary
+
+
+def _iid_row(name: str, estimate: float, exact: float, trials: int, threshold: float,
+             **metadata) -> BoundReport:
+    """Chernoff-KL test of ``estimate``, a mean of ``trials`` iid draws in [0, 1], against
+    its ``exact`` mean: flagged iff trials * kl(estimate || exact) > ``threshold``.
+
+    Hoeffding's bound Pr[trials * kl > x] <= 2 exp(-x) covers both tails. ``ci`` is
+    sqrt(threshold / 2 trials): by Pinsker, no accepted estimate is further from ``exact``.
+    """
+    rep = BoundReport.from_check(name, threshold, trials * bnd.kl_divergence(estimate, exact),
+                                 metadata=dict(metadata, estimate=estimate, exact=exact))
+    rep.ci = math.sqrt(threshold / (2 * trials))
+    return rep
 
 
 def _prop1_chain_set(seed: int, count: int):

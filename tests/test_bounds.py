@@ -242,12 +242,24 @@ class TestKlPinsker:
         assert d == pytest.approx(1.7578, rel=1e-4)
         assert d >= 1.28
 
-    @pytest.mark.parametrize("p", [0.0, 1.0])
+    @pytest.mark.parametrize("p", [-0.1, 1.1, -math.inf, math.nan])
     def test_domain_errors(self, p):
         with pytest.raises(DomainError):
             kl_divergence(p, 0.5)
         with pytest.raises(DomainError):
             kl_divergence(0.5, p)
+
+    @pytest.mark.parametrize("q", [1e-12, 0.25, 0.5, 0.9, 1 - 1e-12])
+    def test_endpoints_closed_form(self, q):
+        assert kl_divergence(0.0, q) == pytest.approx(-math.log1p(-q), rel=1e-12)
+        assert kl_divergence(1.0, q) == pytest.approx(-math.log(q), rel=1e-12)
+
+    def test_degenerate_endpoints(self):
+        # 0 log 0 = 0: equal endpoints are 0 apart, a mass the other side lacks is infinitely far
+        assert kl_divergence(0.0, 0.0) == 0.0
+        assert kl_divergence(1.0, 1.0) == 0.0
+        assert kl_divergence(0.3, 0.0) == kl_divergence(0.3, 1.0) == math.inf
+        assert kl_divergence(1.0, 0.0) == kl_divergence(0.0, 1.0) == math.inf
 
     def test_grid_nonnegative_and_pinsker(self):
         grid = np.linspace(0.01, 0.99, 100)

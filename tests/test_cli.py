@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -237,9 +238,13 @@ class TestBoundsCommands:
     def test_kl(self, capsys):
         assert main(["bounds", "kl", "--p", "0.5", "--q", "0.25"]) == 0
         assert abs(float(capsys.readouterr().out) - 0.14384103622589042) < 1e-12
+        # the closed interval: kl(0 || 1/2) = log 2
+        assert main(["bounds", "kl", "--p", "0", "--q", "0.5"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(math.log(2), rel=1e-15)
 
     def test_kl_domain_error_exits_4(self, capsys):
-        assert main(["bounds", "kl", "--p", "0.0", "--q", "0.25"]) == 4
+        assert main(["bounds", "kl", "--p", "-0.1", "--q", "0.25"]) == 4
+        assert "must lie in [0, 1]" in capsys.readouterr().err
 
     def test_hittailbound(self, capsys):
         assert main(["bounds", "hittailbound", "--expected", "2", "--t", "20"]) == 0
@@ -341,6 +346,24 @@ class TestVerifyCommand:
         assert (o.seed, o.workers) == (5, 2)
         o = opts("--config", str(cfg), "--seed", "7", "--workers", "1")
         assert (o.seed, o.workers) == (7, 1)
+        # a bad MML_WORKERS is an error, not 1, even under a config or flag that overrides it
+        for value in ("abc", "0"):
+            monkeypatch.setenv("MML_WORKERS", value)
+            with pytest.raises(ValidationError, match="MML_WORKERS"):
+                opts("--config", str(cfg), "--workers", "1")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "ergodic", "--ergodic-steps", "10"],
+        ["verify", "ergodic", "--ergodic-steps", "10", "--workers", "2"],
+        ["simulate", "mm", "--family", "iid", "--mu", "0.5,0.5", "--trials", "10"],
+        ["simulate", "mm", "--family", "iid", "--mu", "0.5,0.5", "--trials", "10",
+         "--workers", "2"],
+    ])
+    def test_bad_mml_workers_exits_3(self, tmp_path, monkeypatch, capsys, value, argv):
+        monkeypatch.setenv("MML_WORKERS", value)
+        assert main([*argv, "--out", str(tmp_path / "r")]) == 3
+        assert f"MML_WORKERS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
 
     def test_config_accepts_every_option(self, tmp_path):
         values = {"seed": 5, "workers": 2, "trials": 1000, "lemma1_chains": 4,
@@ -527,9 +550,9 @@ def test_runtime_imports_no_scipy():
     # scipy is a test-only dependency: the library and the CLI must run without it
     src = str(Path(mml.__file__).resolve().parents[1])
     code = ("import sys, mml, mml.cli\n"
-            "from mml.verify import binom_region_99\n"
+            "from mml.verify import VerifyOptions, suite_iid\n"
             "mml.stationary(mml.generate('lazy-cycle', m=5, hold=0.5).matrix)\n"
-            "binom_region_99(1000, 0.3)\n"
+            "suite_iid(VerifyOptions(trials=200))\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                          check=True, timeout=60).stdout

@@ -250,6 +250,12 @@ class TestHittingTail:
         for t, p in zip((1, 2, 3), survival_probabilities(slow.matrix, pi.pi, (5,), (1, 2, 3))):
             assert abs(int((N > t).sum()) - trials * p) <= 6 * math.sqrt(trials * p * (1 - p))
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_rejected(self, cap):
+        slow = generate("lazy-cycle", m=10, hold=0.9)
+        with pytest.raises(ValidationError, match=f"cap must be >= 1, got {cap}"):
+            hitting_time_samples(slow, state_set([5]), 100, 9, cap=cap)
+
     def test_mean_matches_solver(self):
         chain = generate("random-dense", m=5, seed=41)
         pi = stationary(chain.matrix)

@@ -1,22 +1,14 @@
-"""The shared pieces of the verify suites: horizons, index sets, pairs, vacuous rows."""
+"""The shared pieces of the verify suites: horizons, index sets, pairs, vacuous rows,
+and the power of the iid suite's test."""
 
-import numpy as np
 import pytest
 
 from mml import verify
-from mml.chain import stationary
+from mml.chain import generate, stationary
 from mml.cli import parse_descriptor
 from mml.errors import InsufficientTrialsError
 from mml.hitting import _mask_members, subset_hitting_times, t_large
-from mml.verify import (
-    IID_HORIZONS,
-    VerifyOptions,
-    _disjoint_pairs,
-    _iid_chain_set,
-    binom_region_99,
-    derive_seed,
-    run_suite,
-)
+from mml.verify import VerifyOptions, _disjoint_pairs, run_suite
 
 LAZY4 = "lazy-cycle:m=4;hold=0.5"  # T(0.5) = 4
 TWO_STATE = "two-state:p=0.1;q=0.2"  # T(0.5) = 5.000000000000001
@@ -118,32 +110,39 @@ def test_lemma2_t_half_is_t_large(monkeypatch, seed):
     assert list(t_half.values()) == [t_large(P, stationary(P), 0.5).value for P in chains]
 
 
-def _iid_suite_probabilities(seeds) -> list[float]:
-    """Every exact survival p = (1 - pi(J))^n the iid suite checks at these master seeds."""
-    ps = set()
-    for seed in seeds:
-        for _, _, mu, sets in _iid_chain_set(derive_seed(seed, 3)):
-            for members in sets:
-                mass = float(mu[list(members)].sum())
-                ps.update(max(0.0, 1.0 - mass) ** n for n in IID_HORIZONS)
-    return sorted(ps)
+class TestIidPower:
+    """suite_iid at the default trials on its first chain (m = 2) flags a wrong sampler.
 
+    With one chain the row count K, and so the threshold log(2K / delta), is smaller
+    than in the full suite; the full suite's power is recorded in CHANGES.md.
+    """
 
-class TestBinomRegion:
-    """The quantiles equal scipy's ``binom.ppf`` (the smallest k with cdf(k) >= q)."""
+    @pytest.fixture(autouse=True)
+    def first_chain(self, monkeypatch):
+        real = verify._iid_chain_set
+        monkeypatch.setattr(verify, "_iid_chain_set", lambda seed: real(seed)[:1])
 
     @staticmethod
-    def _check(trials, ps):
-        from scipy.stats import binom
+    def _flagged():
+        reports, summary = verify.suite_iid(VerifyOptions())
+        assert len(summary.violations) == sum(not r.holds for r in reports)
+        return [r for r in reports if not r.holds and r.name == "iid-exact-survival"]
 
-        expected = binom.ppf([0.005, 0.995], trials, np.asarray(ps)[:, None]).astype(int)
-        got = np.array([binom_region_99(trials, p) for p in ps])
-        assert got.tolist() == expected.tolist()
+    def test_survivals_read_one_step_late(self, monkeypatch):
+        # a table drawn to n + 1 steps and shifted by one: tau > n reads Pr[tau_J > n + 1]
+        real = verify.first_visit_table
+        monkeypatch.setattr(verify, "first_visit_table",
+                            lambda chain, n, *args: real(chain, n + 1, *args) - 1)
+        assert self._flagged()
 
-    def test_iid_suite_probabilities_at_seeds_0_to_49(self):
-        self._check(VerifyOptions().trials, _iid_suite_probabilities(range(50)))
+    def test_sampler_mu0_times_1_05(self, monkeypatch):
+        real = verify._iid_chain_set
 
-    @pytest.mark.parametrize("trials", [2_000, 20_000, 100_000])
-    def test_log_uniform_grid_and_ends(self, trials):
-        grid = np.geomspace(1e-12, 1.0, 1500, endpoint=False).tolist()
-        self._check(trials, grid + [0.0, 1e-300, 1.0 - 1e-16, 1.0])
+        def skewed(seed):
+            chain_id, _, mu, sets = real(seed)[0]
+            nu = mu.copy()
+            nu[0] *= 1.05
+            return [(chain_id, generate("iid", mu=nu / nu.sum()), mu, sets)]
+
+        monkeypatch.setattr(verify, "_iid_chain_set", skewed)
+        assert self._flagged()
