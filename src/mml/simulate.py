@@ -5,6 +5,16 @@ master seed s draws from a Philox generator keyed by (s, b), so results
 are bit-identical for any worker count. Aggregates are integer counts
 plus floating sums combined in block order.
 
+Each step maps one uniform u in [0, 1) to the next state by the inverse
+CDF of its row: the smallest k with u < cum[k], the count of entries
+cum[k] <= u. The vectorized samplers read it off an exact guide table
+(Chen & Asau's indexed search; Devroye, Non-Uniform Random Variate
+Generation, 1986, ch. III): a power-of-two grid of G cells brackets the
+answer from floor(u G), and a binary search inside the bracket finishes
+it. Grid points k / G are exact in floating point, so the pick is
+bit-identical to the O(m) count for every u, at an expected O(1) probes
+per draw instead of O(m). The start law is one more row of the table.
+
 Time convention: a trajectory is X_1, ..., X_n with X_1 drawn from the
 start law; tau_j = min{i >= 1 : X_i = j} and N_B = min{i >= 1 : X_i in B},
 so a point-mass start inside B gives N_B = 1.
@@ -25,6 +35,9 @@ from .hitting import StateSet, _check_members
 
 BLOCK_TRIALS = 8192  # fixed: part of the reproducibility contract
 TRAJECTORY_CAP = 10**6
+TRAJECTORY_CHUNK = 1 << 16  # uniforms drawn and listed at a time by sample_trajectory
+GUIDE_PER_STATE = 16  # G >= 16 m: a draw needs the search with probability < 1/16
+GUIDE_CELLS = 1 << 18  # cap on (m + 1) x G: 2 MB of guide table at m = 2000
 
 _MASK64 = (1 << 64) - 1
 
@@ -46,12 +59,13 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"run length n must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        _check_at_least_one(n=self.n, trials=self.trials, workers=self.workers)
+
+
+def _check_at_least_one(**counts: int) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,21 +76,60 @@ class MissingMassSample:
     unseen_set: StateSet
 
 
-def _cumulative_rows(rows: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(rows, axis=1)
+def _cumulative_rows(chain: ChainSpec, pi: StationaryDistribution | None) -> np.ndarray:
+    """(m + 1, m) cumulative rows: P's rows, then the start law as row m."""
+    start = np.asarray(chain.resolved_start(pi), dtype=float)
+    cum = np.cumsum(np.vstack([chain.matrix.rows, start]), axis=1)
     cum[:, -1] = 1.0  # guard against round-off shortfall at the right edge
     return cum
 
 
-def _cumulative_vector(dist: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(np.asarray(dist, dtype=float))
-    cum[-1] = 1.0
-    return cum
+class _InverseCdf:
+    """Exact inverse CDF of every row of ``cum`` through a guide table.
 
+    ``pick(rows, u)`` returns, per draw, count(cum[row, k] <= u) for u in
+    [0, 1). The last entry is 1.0 > u, so only the non-decreasing prefix
+    cum[row, :m - 1] counts (it may overshoot 1 by round-off). With
+    count_k = count(prefix <= k / G), a draw in cell k = floor(u G) has its
+    answer c in [count_k, count_{k+1}], and cum[row, count_{k+1}] > u.
+    """
 
-def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF step: smallest k with u < cum[k]; cum broadcast per row."""
-    return np.sum(cum <= u[:, None], axis=1)
+    def __init__(self, cum: np.ndarray):
+        rows, m = cum.shape
+        grid = 1 << (GUIDE_PER_STATE * m - 1).bit_length()
+        grid = min(grid, 1 << max(0, (GUIDE_CELLS // rows).bit_length() - 1))
+        # an entry c counts at grid point k / G iff c G <= k iff ceil(c G) <= k (c G is exact)
+        first = np.ceil(cum[:, :-1] * grid)
+        first = np.minimum(first, grid + 1, out=first).astype(np.intp)
+        first += (grid + 2) * np.arange(rows)[:, None]
+        counts = np.bincount(first.ravel(), minlength=rows * (grid + 2)).reshape(rows, grid + 2)
+        counts = np.cumsum(counts[:, :grid + 1], axis=1)  # row r: count_0 .. count_G
+        widest = int(np.diff(counts, axis=1).max(initial=0))
+        self.steps = [1 << e for e in reversed(range(widest.bit_length()))]
+        self.grid, self.m = grid, m
+        self.table = counts.ravel()
+        self.cum = cum.ravel()
+
+    def pick(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        cell = rows * (self.grid + 1)
+        cell += (u * self.grid).astype(np.intp)
+        lo, hi = self.table[cell], self.table[cell + 1]
+        open_ = np.flatnonzero(lo != hi)
+        if open_.size:
+            base = rows[open_] * self.m
+            lo[open_] = self._search(base + lo[open_], base + hi[open_], u[open_]) - base
+        return lo
+
+    def _search(self, a, b, u):
+        """Binary lifting over flat indices: a + #{j in [a, b) : cum[j] <= u}.
+
+        The entries <= u come first and cum[b] > u, so a probe clipped at b
+        reads as "> u"; the steps sum to at least the widest bracket.
+        """
+        for step in self.steps:
+            probe = np.minimum(a + (step - 1), b)
+            a += step * (self.cum[probe] <= u)
+        return a
 
 
 def _blocks(trials: int):
@@ -99,19 +152,17 @@ def sample_trajectory(chain: ChainSpec, n: int, stream, pi: StationaryDistributi
 
     ``stream`` is either a derived-seed integer or a numpy Generator.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    _check_at_least_one(n=n)
     rng = derive_stream(stream, 0) if isinstance(stream, (int, np.integer)) else stream
-    start = chain.resolved_start(pi)
-    cum_rows = [row.tolist() for row in _cumulative_rows(chain.matrix.rows)]
-    cum_start = _cumulative_vector(start).tolist()
-    us = rng.random(n).tolist()
+    cum_rows = _cumulative_rows(chain, pi).tolist()
     out = np.empty(n, dtype=np.int64)
-    x = bisect_right(cum_start, us[0])
-    out[0] = x
-    for i in range(1, n):
-        x = bisect_right(cum_rows[x], us[i])
-        out[i] = x
+    x = chain.matrix.m  # the start-law row
+    for lo in range(0, n, TRAJECTORY_CHUNK):  # the same stream as one rng.random(n)
+        path = []
+        for u in rng.random(min(TRAJECTORY_CHUNK, n - lo)).tolist():
+            x = bisect_right(cum_rows[x], u)
+            path.append(x)
+        out[lo:lo + len(path)] = path
     return out
 
 
@@ -122,32 +173,40 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
     One table answers every survival query with horizon <= n exactly:
     tau_j > k iff table[trial, j] > k for any k <= n.
     """
+    _check_at_least_one(n=n, trials=trials, workers=workers)
     m = chain.matrix.m
-    cum = _cumulative_rows(chain.matrix.rows)
-    cum_start = _cumulative_vector(chain.resolved_start(pi))
+    inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
 
     def run(block: int, size: int) -> np.ndarray:
         rng = derive_stream(master_seed, block)
         us = rng.random((size, n))
         fv = np.full((size, m), n + 1, dtype=np.int64)
-        rows_idx = np.arange(size)
-        states = _pick(cum_start, us[:, 0])
-        fv[rows_idx, states] = 1
-        for i in range(1, n):
-            states = _pick(cum[states], us[:, i])
-            np.minimum.at(fv, (rows_idx, states), i + 1)
+        flat = fv.reshape(-1)
+        offsets = np.arange(size) * m
+        states = np.full(size, m)  # the start-law row
+        for c in range(0, n, 16):
+            chunk = us[:, c:c + 16].copy()  # at most 1 MB: its strided columns stay in cache
+            for i in range(chunk.shape[1]):
+                states = inverse_cdf.pick(states, chunk[:, i])
+                at = offsets + states  # one cell per trial row: no repeated index
+                flat[at] = np.minimum(flat[at], c + i + 1)
         return fv
 
     return np.vstack(_run_blocks(run, trials, workers))
 
 
 def sample_missing_mass(config: SimConfig, pi: StationaryDistribution) -> list[MissingMassSample]:
-    """One missing-mass sample per trial: total pi-mass of states with tau_j > n."""
+    """One missing-mass sample per trial: total pi-mass of states with tau_j > n.
+
+    Trials with the same unseen set share one ``StateSet``.
+    """
     tau = first_visit_table(config.chain, config.n, config.trials,
                             config.master_seed, config.workers, pi)
     values = missing_mass_values(tau, pi.pi, config.n)
-    return [MissingMassSample(value=v, unseen_set=StateSet(tuple(np.flatnonzero(row).tolist())))
-            for v, row in zip(values.tolist(), tau > config.n)]
+    rows, which = np.unique(tau > config.n, axis=0, return_inverse=True)
+    sets = [StateSet(tuple(np.flatnonzero(row).tolist())) for row in rows]
+    return [MissingMassSample(value=v, unseen_set=sets[k])
+            for v, k in zip(values.tolist(), which.reshape(-1).tolist())]
 
 
 def missing_mass_values(tau: np.ndarray, pi_vec: np.ndarray, n: int) -> np.ndarray:
@@ -160,17 +219,15 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
                          pi: StationaryDistribution | None = None) -> np.ndarray:
     """Per-trial N_B; trajectories run until B is hit or ``cap`` steps (cap + 1 sentinel)."""
     _check_members(B, chain.matrix.m, "set B")
-    if cap < 1:
-        raise ValidationError(f"cap must be >= 1, got {cap}")
+    _check_at_least_one(trials=trials, workers=workers, cap=cap)
     m = chain.matrix.m
     member_mask = np.zeros(m, dtype=bool)
     member_mask[B.indices()] = True
-    cum = _cumulative_rows(chain.matrix.rows)
-    cum_start = _cumulative_vector(chain.resolved_start(pi))
+    inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
 
     def run(block: int, size: int) -> np.ndarray:
         rng = derive_stream(master_seed, block)
-        states = _pick(cum_start, rng.random(size))
+        states = inverse_cdf.pick(np.full(size, m), rng.random(size))
         N = np.full(size, cap + 1, dtype=np.int64)
         hit = member_mask[states]
         N[hit] = 1
@@ -178,7 +235,7 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
         t = 1
         while alive.size and t < cap:
             t += 1
-            nxt = _pick(cum[states[alive]], rng.random(alive.size))
+            nxt = inverse_cdf.pick(states[alive], rng.random(alive.size))
             states[alive] = nxt
             hit = member_mask[nxt]
             N[alive[hit]] = t

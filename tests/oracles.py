@@ -4,7 +4,8 @@ These deliberately avoid the library's solver paths: hitting times come
 from truncated survival sums (iterating the sub-stochastic matrix) or one
 plain dense solve per target, the subset maximizer from brute-force
 enumeration, survival and visited-set laws from a sum over every
-trajectory, and reference constants from high-precision arithmetic.
+trajectory, and reference constants from high-precision arithmetic. The
+samplers' reference is the O(m) inverse-CDF count on the same streams.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import itertools
 
 import mpmath
 import numpy as np
+
+from mml.simulate import BLOCK_TRIALS, derive_stream
 
 MAX_ORACLE_ITERS = 200_000
 
@@ -115,3 +118,71 @@ def kl_highprec(p: float, q: float) -> float:
 
 def random_stochastic(rng, m: int) -> np.ndarray:
     return rng.dirichlet(np.full(m, 1.0), size=m)
+
+
+def pick_by_count(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF step by brute force: per draw, the count of entries cum[k] <= u."""
+    return np.sum(cum <= u[:, None], axis=1)
+
+
+def _cumulative_by_count(chain, pi):
+    cum = np.cumsum(chain.matrix.rows, axis=1)
+    cum[:, -1] = 1.0
+    cum_start = np.cumsum(np.asarray(chain.resolved_start(pi), dtype=float))
+    cum_start[-1] = 1.0
+    return cum, cum_start
+
+
+def trajectory_by_count(chain, n: int, master_seed: int, pi=None) -> np.ndarray:
+    """X_1, ..., X_n from one draw of n uniforms, each step counting cum entries <= u."""
+    cum, cum_start = _cumulative_by_count(chain, pi)
+    rows, row = cum.tolist(), cum_start.tolist()
+    path = []
+    for u in derive_stream(master_seed, 0).random(n).tolist():
+        x = sum(c <= u for c in row)
+        path.append(x)
+        row = rows[x]
+    return np.array(path, dtype=np.int64)
+
+
+def _block_sizes(trials: int):
+    return [min(BLOCK_TRIALS, trials - lo) for lo in range(0, trials, BLOCK_TRIALS)]
+
+
+def first_visit_table_by_count(chain, n: int, trials: int, master_seed: int, pi=None) -> np.ndarray:
+    """The first-visit table from the O(m) pick and ``np.minimum.at``, one block at a time."""
+    m = chain.matrix.m
+    cum, cum_start = _cumulative_by_count(chain, pi)
+    blocks = []
+    for block, size in enumerate(_block_sizes(trials)):
+        us = derive_stream(master_seed, block).random((size, n))
+        fv = np.full((size, m), n + 1, dtype=np.int64)
+        rows_idx = np.arange(size)
+        states = pick_by_count(cum_start, us[:, 0])
+        fv[rows_idx, states] = 1
+        for i in range(1, n):
+            states = pick_by_count(cum[states], us[:, i])
+            np.minimum.at(fv, (rows_idx, states), i + 1)
+        blocks.append(fv)
+    return np.vstack(blocks)
+
+
+def hitting_time_samples_by_count(chain, members, trials: int, master_seed: int, cap: int,
+                                  pi=None) -> np.ndarray:
+    """N_B per trial from the O(m) pick, drawing only for the trials still outside B."""
+    cum, cum_start = _cumulative_by_count(chain, pi)
+    in_B = np.zeros(chain.matrix.m, dtype=bool)
+    in_B[list(members)] = True
+    blocks = []
+    for block, size in enumerate(_block_sizes(trials)):
+        rng = derive_stream(master_seed, block)
+        states = pick_by_count(cum_start, rng.random(size))
+        N = np.where(in_B[states], 1, cap + 1)
+        for t in range(2, cap + 1):
+            alive = np.flatnonzero(N > cap)
+            if not alive.size:
+                break
+            states[alive] = pick_by_count(cum[states[alive]], rng.random(alive.size))
+            N[alive[in_B[states[alive]]]] = t
+        blocks.append(N)
+    return np.concatenate(blocks)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from mml.chain import ChainSpec, generate, point_start, stationary, validate
@@ -16,7 +19,11 @@ from mml.hitting import (
 )
 from mml.simulate import (
     BLOCK_TRIALS,
+    GUIDE_CELLS,
+    TRAJECTORY_CHUNK,
     SimConfig,
+    _cumulative_rows,
+    _InverseCdf,
     derive_stream,
     empirical_mgf,
     first_visit_table,
@@ -26,10 +33,20 @@ from mml.simulate import (
     sample_missing_mass,
     sample_trajectory,
 )
+from oracles import (
+    first_visit_table_by_count,
+    hitting_time_samples_by_count,
+    pick_by_count,
+    trajectory_by_count,
+)
 
 DIRECTED_CYCLE3 = ChainSpec(matrix=validate([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
                             start=point_start(3, 0))
 UNIFORM2 = generate("iid", mu=(0.5, 0.5))
+# cumsum of row 0 reaches 1 + 2^-52 at column 1, before the last column
+OVERSHOOT3 = ChainSpec(matrix=validate([[0.5, 0.5000000000000002, 0.0],
+                                        [0.0, 0.0, 1.0], [0.25, 0.0, 0.75]]))
+ULP_BELOW_1 = 1.0 - 2.0 ** -53
 
 
 def binom_ok(hits, trials, p, z=2.576):
@@ -52,10 +69,117 @@ class TestSampleTrajectory:
         freq = np.mean(traj == 0)
         assert abs(freq - 0.5) < 0.01
 
+    def test_long_path_matches_counting_sampler(self):
+        # longer than one chunk of uniforms: the chunks continue one stream
+        chain = generate("birth-death", m=6, p=0.3, q=0.4)
+        n = TRAJECTORY_CHUNK + 1001
+        assert np.array_equal(sample_trajectory(chain, n, 12), trajectory_by_count(chain, n, 12))
+
     def test_accepts_generator_or_seed(self):
         a = sample_trajectory(UNIFORM2, 10, 5)
         b = sample_trajectory(UNIFORM2, 10, derive_stream(5, 0))
         assert a.tolist() == b.tolist()
+
+
+SPECIAL_CUM = [0.0, 0.125, 0.25, 0.5, 1 / 3, 0.75, ULP_BELOW_1, 1.0, 1.0 + 2.0 ** -52]
+
+
+@st.composite
+def cumulative_tables(draw):
+    """(rows, m) tables as `_cumulative_rows` makes them: a non-decreasing prefix, then 1.0.
+
+    Entries repeat (zero-probability states, leading zeros included) and may pass 1.
+    """
+    m = draw(st.integers(1, 7))
+    n_rows = draw(st.integers(1, 4))
+    entry = st.one_of(st.sampled_from(SPECIAL_CUM), st.floats(0.0, 1.0))
+    table = np.ones((n_rows, m))
+    for r in range(n_rows):
+        table[r, :-1] = sorted(draw(st.lists(entry, min_size=m - 1, max_size=m - 1)))
+    return table
+
+
+class TestInverseCdf:
+    """The guide-table kernel returns the O(m) count's state for every u in [0, 1)."""
+
+    @staticmethod
+    def assert_matches_count(cum, us):
+        rows = np.repeat(np.arange(cum.shape[0]), us.size)  # every (row, u) pair in one call
+        us = np.tile(us, cum.shape[0])
+        assert _InverseCdf(cum).pick(rows, us).tolist() == pick_by_count(cum[rows], us).tolist()
+
+    @settings(deadline=None, max_examples=300)
+    @given(cum=cumulative_tables(), free=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(cum=np.array([[1.0]]), free=[])
+    @example(cum=np.array([[0.0, 0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]]), free=[])
+    @example(cum=np.array([[0.5, 1.0 + 2.0 ** -52, 1.0]]), free=[])
+    def test_matches_brute_force_count(self, cum, free):
+        grid = _InverseCdf(cum).grid
+        entries = cum[cum < 1.0]
+        us = np.concatenate([
+            free, [0.0, ULP_BELOW_1],
+            entries, np.nextafter(entries, 0.0),  # on an entry and just below it
+            np.arange(grid) / grid, np.nextafter(np.arange(1, grid + 1) / grid, 0.0),  # cell edges
+        ])
+        self.assert_matches_count(cum, us)
+
+    def test_cumulative_rows_of_an_overshooting_chain(self):
+        cum = _cumulative_rows(OVERSHOOT3, None)
+        assert cum[0, 1] > 1.0 and cum[0, 2] == 1.0 and cum.shape == (4, 3)
+        self.assert_matches_count(cum, np.linspace(0.0, ULP_BELOW_1, 4097))
+
+    def test_table_size_is_capped(self):
+        kernel = _InverseCdf(_cumulative_rows(generate("random-dense", m=2000, seed=1), None))
+        assert kernel.table.size <= GUIDE_CELLS + 2001
+        assert kernel.table.nbytes < 4 * 2 ** 20
+
+
+class TestAgainstCountingSampler:
+    """Bit-identity with the O(m) pick and np.minimum.at (tests/oracles.py), same streams."""
+
+    FAMILIES = [
+        ("random-dense", {"m": 6, "seed": 4}),
+        ("lazy-cycle", {"m": 5, "hold": 0.5}),
+        ("birth-death", {"m": 8, "p": 0.3, "q": 0.3}),
+        ("iid", {"mu": (0.1, 0.2, 0.3, 0.4)}),
+    ]
+    TRIALS = BLOCK_TRIALS + 37
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("family,params", FAMILIES)
+    def test_first_visit_table(self, family, params, workers):
+        chain = generate(family, **params)
+        pi = stationary(chain.matrix)
+        fv = first_visit_table(chain, 12, self.TRIALS, 61, workers, pi)
+        assert fv.dtype == np.int64
+        assert np.array_equal(fv, first_visit_table_by_count(chain, 12, self.TRIALS, 61, pi))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("family,params", FAMILIES)
+    def test_hitting_time_samples(self, family, params, workers):
+        chain = generate(family, **params)
+        pi = stationary(chain.matrix)
+        N = hitting_time_samples(chain, state_set([1]), self.TRIALS, 62, workers, cap=40, pi=pi)
+        assert N.dtype == np.int64
+        assert np.array_equal(N, hitting_time_samples_by_count(chain, [1], self.TRIALS, 62, 40, pi))
+
+    def test_point_start_and_overshooting_row(self):
+        assert np.array_equal(first_visit_table(OVERSHOOT3, 9, 500, 8),
+                              first_visit_table_by_count(OVERSHOOT3, 9, 500, 8))
+        assert np.array_equal(hitting_time_samples(OVERSHOOT3, state_set([2]), 500, 8, cap=30),
+                              hitting_time_samples_by_count(OVERSHOOT3, [2], 500, 8, 30))
+
+    def test_m500_stays_small(self):
+        chain = generate("random-dense", m=500, seed=6)
+        tracemalloc.start()
+        try:
+            fv = first_visit_table(chain, 4, 300, 17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # P's cumulative rows (2 MB) and a few arrays of their size; the guide table is 1 MB
+        assert peak < 16 * 2 ** 20
+        assert np.array_equal(fv, first_visit_table_by_count(chain, 4, 300, 17))
 
 
 class TestFirstVisitTable:
@@ -179,6 +303,18 @@ class TestMissingMass:
         for s in samples:
             recomputed = float(pi.pi[list(s.unseen_set.members)].sum())
             assert abs(s.value - recomputed) <= 1e-15
+
+    def test_trials_share_one_set_per_unseen_row(self):
+        chain = generate("random-dense", m=5, seed=8)
+        pi = stationary(chain.matrix)
+        samples = sample_missing_mass(SimConfig(chain=chain, n=3, trials=2000, master_seed=6), pi)
+        unseen = first_visit_table(chain, 3, 2000, 6, pi=pi) > 3
+        assert [s.unseen_set.members for s in samples] == [
+            tuple(np.flatnonzero(row).tolist()) for row in unseen]
+        by_members = {}
+        for s in samples:
+            assert by_members.setdefault(s.unseen_set.members, s.unseen_set) is s.unseen_set
+        assert len(by_members) == len({row.tobytes() for row in unseen}) < 2000
 
     def test_batch_values_match_samples(self):
         chain = generate("random-dense", m=5, seed=8)
@@ -328,3 +464,14 @@ class TestSimConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValidationError):
             SimConfig(chain=UNIFORM2, **kwargs)
+
+    @pytest.mark.parametrize("name,n,trials,workers", [
+        ("n", 0, 10, 1), ("trials", 4, 0, 1), ("workers", 4, 10, 0), ("trials", 4, -2, 1),
+    ])
+    def test_sampler_arguments_below_one(self, name, n, trials, workers):
+        value = {"n": n, "trials": trials, "workers": workers}[name]
+        with pytest.raises(ValidationError, match=f"^{name} must be >= 1, got {value}$"):
+            first_visit_table(UNIFORM2, n, trials, 0, workers)
+        if name != "n":
+            with pytest.raises(ValidationError, match=f"^{name} must be >= 1, got {value}$"):
+                hitting_time_samples(UNIFORM2, state_set([1]), trials, 0, workers)
