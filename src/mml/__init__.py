@@ -48,7 +48,7 @@ from .hitting import (
     t_minus,
     t_plus,
 )
-from .report import BoundReport
+from .report import BoundReport, ReportBlock
 from .simulate import (
     MissingMassSample,
     SimConfig,

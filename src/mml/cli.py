@@ -49,7 +49,7 @@ from .hitting import (
     t_minus,
     t_plus,
 )
-from .report import render_reports_csv, render_reports_json
+from .report import ReportBlock, format_params, render_reports_csv, render_reports_json
 from .simulate import (
     SimConfig,
     empirical_mgf,
@@ -183,7 +183,7 @@ def _emit_reports(reports, args, meta) -> None:
     if args.format == "json":
         _emit(render_reports_json(reports, meta), args)
     else:
-        _emit(render_reports_csv(reports, meta), args)
+        _emit(render_reports_csv(ReportBlock.from_reports(reports), meta), args)
 
 
 def _meta(args, **extra) -> dict:
@@ -517,8 +517,8 @@ def cmd_verify(args) -> int:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(("suite", "seed", "name", "chain_id", "coordinates"))
         for v in all_violations:
-            coords = ";".join(f"{k}={v[k]}" for k in sorted(v) if k not in
-                              ("suite", "seed", "name", "chain_id"))
+            coords = format_params({k: x for k, x in v.items()
+                                    if k not in ("suite", "seed", "name", "chain_id")})
             writer.writerow((v["suite"], v["seed"], v["name"], v.get("chain_id", ""), coords))
 
     return EXIT_VIOLATIONS if all_violations else 0

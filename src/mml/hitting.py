@@ -40,7 +40,7 @@ from .errors import (
     TooManyStatesError,
     ValidationError,
 )
-from .report import BoundReport
+from .report import BoundReport, Labels, ReportBlock
 
 SYSTEM_RESIDUAL_TOL = 1e-9
 INEQUALITY_TOL = 1e-9
@@ -337,14 +337,15 @@ def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B
     return lemma1_reports(pi, [A.members, B.members], h, [(0, 1)])[0]
 
 
-def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs) -> list[BoundReport]:
+def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs,
+                   chain_id: str = "") -> ReportBlock:
     """Check pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A)) for each index pair (a, b).
 
     A = sets[a], B = sets[b], and row k of h holds the hitting times of
     sets[k]. Overlapping A and B make T-(B,A) = 0 and the inequality
     trivial; such checks are reported with vacuous=true rather than
     rejected. The product form pi(A) * T-(B,A) <= T+(A,B) is checked
-    alongside and recorded in the metadata.
+    alongside and recorded in the params.
     """
     inside = np.zeros(h.shape, dtype=bool)
     for k, members in enumerate(sets):
@@ -356,23 +357,11 @@ def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs) -> li
     denom = tp + tm
     rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
     product_holds = lhs * tm <= tp + INEQUALITY_TOL
-    holds = (lhs <= rhs + INEQUALITY_TOL) & product_holds
-    vacuous = (inside[a] & inside[b]).any(axis=1)
-    return [
-        BoundReport(
-            name="lemma1",
-            bound_value=r,
-            value=v,
-            margin=r - v,
-            holds=ok,
-            vacuous=vac,
-            metadata={"A": sets[i], "B": sets[j], "t_plus": p, "t_minus": q,
-                      "product_lhs": v * q, "product_rhs": p, "product_holds": ph},
-        )
-        for i, j, p, q, v, r, ph, ok, vac in zip(
-            a.tolist(), b.tolist(), tp.tolist(), tm.tolist(), lhs.tolist(), rhs.tolist(),
-            product_holds.tolist(), holds.tolist(), vacuous.tolist())
-    ]
+    return ReportBlock.of_check(
+        "lemma1", chain_id, rhs, lhs, (lhs <= rhs + INEQUALITY_TOL) & product_holds,
+        (inside[a] & inside[b]).any(axis=1),
+        {"A": Labels(a, sets), "B": Labels(b, sets), "t_plus": tp, "t_minus": tm,
+         "product_lhs": lhs * tm, "product_rhs": tp, "product_holds": product_holds})
 
 
 def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> BoundReport:
@@ -382,15 +371,19 @@ def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -
     return lemma2_reports([pi.mass(A.members)], [A.members], hitting_table(P, A).h[None], t_half)[0]
 
 
-def lemma2_reports(masses, sets, h: np.ndarray, t_half: float) -> list[BoundReport]:
+def lemma2_reports(masses, sets, h: np.ndarray, t_half: float, chain_id: str = "") -> ReportBlock:
     """Check T(A) <= 2 T(0.5) / pi(A) for each A = sets[k], whose stationary mass is
     masses[k] and whose hitting times are row k of h.
 
     Also records the per-instance smallest constant kappa with
     T(A) <= kappa * T(0.5) / pi(A), without asserting any improved bound.
     """
-    return [BoundReport.from_check(
-                "lemma2", 2.0 * t_half / mass, t_a, tol=INEQUALITY_TOL, vacuous=t_half == 0.0,
-                metadata={"A": members, "t_half": t_half, "mass": mass,
-                          "tight_constant": t_a * mass / t_half if t_half > 0 else 0.0})
-            for members, mass, t_a in zip(sets, masses, h.max(axis=1).tolist())]
+    masses = np.asarray(masses, dtype=float)
+    t_a = h.max(axis=1)
+    bound = 2.0 * t_half / masses
+    tight = t_a * masses / t_half if t_half > 0 else np.zeros_like(t_a)
+    return ReportBlock.of_check(
+        "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL,
+        np.full(len(sets), t_half == 0.0),
+        {"A": Labels(np.arange(len(sets)), sets), "t_half": np.full(len(sets), t_half),
+         "mass": masses, "tight_constant": tight})

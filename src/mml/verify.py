@@ -33,7 +33,7 @@ from .hitting import (
     t_large,
     unseen_set_law,
 )
-from .report import BoundReport
+from .report import BoundReport, ReportBlock
 from .simulate import derive_stream, first_visit_table, missing_mass_values, occupancy_frequencies
 
 # run lengths n of the iid suite's survival and missing-mass checks
@@ -95,24 +95,30 @@ class VerificationSummary:
     extras: dict = field(default_factory=dict)
 
     @classmethod
-    def from_reports(cls, suite: str, seed: int, reports, extras=None) -> "VerificationSummary":
-        s = cls(suite=suite, seed=seed, extras=dict(extras or {}))
-        for r in reports:
-            s.checks += 1
-            if r.vacuous:
-                s.vacuous += 1
-            if r.holds or r.vacuous:
-                s.passed += 1
-            if not r.holds and not r.vacuous:
-                coords = {"suite": suite, "seed": seed, "name": r.name,
-                          "bound": r.bound_value, "value": r.value, "ci": r.ci}
-                coords.update({k: v for k, v in r.metadata.items()})
-                s.violations.append(coords)
-        return s
+    def from_reports(cls, suite: str, seed: int, reports: ReportBlock,
+                     extras=None) -> "VerificationSummary":
+        """Counts from the block's ``holds`` and ``vacuous`` columns; a row passes when it
+        holds or is vacuous, and every other row is a violation."""
+        passed = reports.holds | reports.vacuous
+        violations = []
+        for i in np.flatnonzero(~passed).tolist():
+            r = reports[i]
+            coords = {"suite": suite, "seed": seed, "name": r.name,
+                      "bound": r.bound_value, "value": r.value, "ci": r.ci}
+            coords.update(r.metadata)
+            violations.append(coords)
+        return cls(suite=suite, seed=seed, checks=len(reports), passed=int(passed.sum()),
+                   vacuous=int(reports.vacuous.sum()), violations=violations,
+                   extras=dict(extras or {}))
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _result(suite: str, opts: VerifyOptions, reports: ReportBlock, extras=None):
+    """A suite's (reports, summary)."""
+    return reports, VerificationSummary.from_reports(suite, opts.seed, reports, extras)
 
 
 def _random_subset(rng, m: int, size_hi: int) -> tuple[int, ...]:
@@ -137,31 +143,31 @@ def _random_chains(seed: int, count: int, m_max: int, picker):
     """(chain_id, pi, sets, h) of the lemma suites' random chains; row k of h targets sets[k].
 
     Draws each m from ``picker`` only when its chain is reached, so the
-    caller can draw from the same picker between chains.
+    caller can draw from the same picker between chains. Chains with the
+    same m share one ``sets`` list, so a report block formats each set once.
     """
+    sets_of: dict[int, list] = {}
     for i in range(count):
         m = int(picker.integers(2, m_max + 1))
         P = generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
-        sets = [_mask_members(mask) for mask in range(1, 1 << m)]
-        yield f"random-dense(m={m},#={i})", stationary(P), sets, subset_hitting_times(P)
+        if m not in sets_of:
+            sets_of[m] = [_mask_members(mask) for mask in range(1, 1 << m)]
+        yield f"random-dense(m={m},#={i})", stationary(P), sets_of[m], subset_hitting_times(P)
 
 
-def suite_lemma1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_lemma1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Mass-vs-commute ratio bound on random chains, all disjoint set pairs."""
     seed = derive_seed(opts.seed, 1)
     picker = derive_stream(seed, 0)
-    reports: list[BoundReport] = []
+    blocks = []
     for chain_id, pi, sets, h in _random_chains(seed, opts.lemma1_chains,
                                                 opts.lemma1_m_max, picker):
         pairs = _disjoint_pairs(h.shape[1])
         if len(pairs) > opts.lemma1_max_pairs:
             keep = picker.choice(len(pairs), size=opts.lemma1_max_pairs, replace=False)
             pairs = pairs[np.sort(keep)]
-        for rep in lemma1_reports(pi, sets, h, pairs):
-            rep.metadata["chain_id"] = chain_id
-            reports.append(rep)
-    summary = VerificationSummary.from_reports("lemma1", opts.seed, reports)
-    return reports, summary
+        blocks.append(lemma1_reports(pi, sets, h, pairs, chain_id))
+    return _result("lemma1", opts, ReportBlock.concat(blocks))
 
 
 def _disjoint_pairs(m: int) -> np.ndarray:
@@ -173,20 +179,17 @@ def _disjoint_pairs(m: int) -> np.ndarray:
     return np.column_stack((a, np.concatenate(b)))
 
 
-def suite_lemma2(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_lemma2(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """T(A) <= 2 T(0.5) / pi(A) for every non-empty A, exhaustive T(0.5)."""
     seed = derive_seed(opts.seed, 2)
-    reports: list[BoundReport] = []
+    blocks = []
     for chain_id, pi, sets, h in _random_chains(seed, opts.lemma2_chains, opts.lemma2_m_max,
                                                 derive_stream(seed, 0)):
         # every subset is solved anyway; T(0.5) falls out of the same array
-        masses = [pi.mass(members) for members in sets]
-        t_half = float(h[np.array(masses) >= 0.5 - 1e-12].max(initial=0.0))
-        for rep in lemma2_reports(masses, sets, h, t_half):
-            rep.metadata["chain_id"] = chain_id
-            reports.append(rep)
-    summary = VerificationSummary.from_reports("lemma2", opts.seed, reports)
-    return reports, summary
+        masses = np.array([pi.mass(members) for members in sets])
+        t_half = float(h[masses >= 0.5 - 1e-12].max(initial=0.0))
+        blocks.append(lemma2_reports(masses, sets, h, t_half, chain_id))
+    return _result("lemma2", opts, ReportBlock.concat(blocks))
 
 
 # --- simulation suites ------------------------------------------------------
@@ -202,7 +205,7 @@ def _iid_chain_set(seed: int, ms=(2, 4, 8), random_sets: int = 20):
     return out
 
 
-def suite_iid(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_iid(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Exact memory-less ground truth: empirical survivals and missing-mass means."""
     seed = derive_seed(opts.seed, 3)
     n_max = max(IID_HORIZONS)
@@ -227,8 +230,7 @@ def suite_iid(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumma
             reports.append(_iid_row("iid-mm-mean", float(missing_mass_values(tau, mu, n).mean()),
                                     float(np.sum(mu * (1.0 - mu) ** n)), opts.trials, threshold,
                                     chain_id=chain_id, n=n))
-    summary = VerificationSummary.from_reports("iid", opts.seed, reports)
-    return reports, summary
+    return _result("iid", opts, ReportBlock.from_reports(reports))
 
 
 def _iid_row(name: str, estimate: float, exact: float, trials: int, threshold: float,
@@ -271,7 +273,7 @@ def _prop1_chain_set(seed: int, count: int):
     return (chains + families)[:count]
 
 
-def suite_prop1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Chunked exponential tail of hitting times vs exact tails Pr[N_B > t]."""
     seed = derive_seed(opts.seed, 4)
     rng = derive_stream(seed, 2)
@@ -287,8 +289,7 @@ def suite_prop1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSum
             reports.append(BoundReport.from_check(
                 "prop1-tail", bnd.hitting_tail_bound(expected, t), p, tol=INEQUALITY_TOL,
                 metadata={"chain_id": chain_id, "B": members, "t": t, "expected": expected}))
-    summary = VerificationSummary.from_reports("prop1", opts.seed, reports)
-    return reports, summary
+    return _result("prop1", opts, ReportBlock.from_reports(reports))
 
 
 # --- exact chain-family suites ---------------------------------------------
@@ -360,7 +361,7 @@ def _survival_check(name: str, keys: tuple[str, str], point, c: float) -> BoundR
                   "c": c, "t_half": point.t_half})
 
 
-def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Joint-survival product bound with c = 1/(2e); publishes the certified c."""
     seed = derive_seed(opts.seed, 5)
     reports: list[BoundReport] = []
@@ -392,11 +393,10 @@ def suite_thm1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
         "certified_c_raw": cal.certified_c_raw,
         "c_used": opts.c,
     }
-    summary = VerificationSummary.from_reports("thm1", opts.seed, reports, extras)
-    return reports, summary
+    return _result("thm1", opts, ReportBlock.from_reports(reports), extras)
 
 
-def suite_cor1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_cor1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Missing-mass deviation bound (upper tail; lower tail out of scope)."""
     reports: list[BoundReport] = []
     for ch in _exact_chains(opts, _family_suite(opts, "cor1")):
@@ -413,11 +413,10 @@ def suite_cor1(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
                     metadata={"chain_id": ch.chain_id, "n": n, "eps": eps,
                               "threshold": tail.threshold, "mean_term": tail.mean_term,
                               "c2": opts.c2, "lower_tail": "out-of-scope"}))
-    summary = VerificationSummary.from_reports("cor1", opts.seed, reports)
-    return reports, summary
+    return _result("cor1", opts, ReportBlock.from_reports(reports))
 
 
-def suite_cor3(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_cor3(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Smooth explicit tail exp(-c t pi(A)/T(0.5)) vs exact set-hitting tails."""
     seed = derive_seed(opts.seed, 7)
     reports: list[BoundReport] = []
@@ -426,11 +425,10 @@ def suite_cor3(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSumm
         sets = _j_families(opts, derive_stream(seed, 800 + idx), ch.P.m, extra=5)
         reports += [_survival_check("cor3-explicit-tail", ("A", "t"), p, opts.c)
                     for p in _survivals(ch, sets, grid)]
-    summary = VerificationSummary.from_reports("cor3", opts.seed, reports)
-    return reports, summary
+    return _result("cor3", opts, ReportBlock.from_reports(reports))
 
 
-def suite_ergodic(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationSummary]:
+def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Occupancy frequencies of one long run vs the stationary law (TV <= 0.01)."""
     seed = derive_seed(opts.seed, 8)
     chain = generate("random-dense", m=5, alpha=1.0, seed=derive_seed(seed, 0))
@@ -440,8 +438,7 @@ def suite_ergodic(opts: VerifyOptions) -> tuple[list[BoundReport], VerificationS
     rep = BoundReport.from_check(
         "ergodic-tv", 0.01, tv,
         metadata={"chain_id": "random-dense(m=5)", "steps": opts.ergodic_steps})
-    summary = VerificationSummary.from_reports("ergodic", opts.seed, [rep])
-    return [rep], summary
+    return _result("ergodic", opts, ReportBlock.from_reports([rep]))
 
 
 SUITES = {

@@ -6,11 +6,14 @@ plain dense solve per target, the subset maximizer from brute-force
 enumeration, survival and visited-set laws from a sum over every
 trajectory, and reference constants from high-precision arithmetic. The
 samplers' reference is the O(m) inverse-CDF count on the same streams.
+The report renderer's reference formats one report at a time, cell by
+cell, and the summary's reference counts one report at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 import mpmath
 import numpy as np
@@ -186,3 +189,57 @@ def hitting_time_samples_by_count(chain, members, trials: int, master_seed: int,
             N[alive[in_B[states[alive]]]] = t
         blocks.append(N)
     return np.concatenate(blocks)
+
+
+# --- reports, one row at a time ----------------------------------------------------
+
+_ROW_COLUMNS = "name,chain_id,params,bound,value,ci,margin,holds,vacuous"
+
+
+def _row_fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(float(v))
+    if isinstance(v, (list, tuple)):
+        return "|".join(_row_fmt(x) for x in v)
+    return str(v)
+
+
+def _row_quote(text: str) -> str:
+    """A cell as csv.writer's default dialect writes it."""
+    if re.search('[,"\r\n]', text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def report_row(rep) -> str:
+    """One report's CSV row: ``k=v;...`` params in sorted key order, only ``chain_id``
+    and ``params`` quoted."""
+    params = ";".join(f"{k}={_row_fmt(v)}" for k, v in sorted(rep.metadata.items())
+                      if k != "chain_id")
+    cells = (rep.name, _row_quote(str(rep.metadata.get("chain_id", ""))), _row_quote(params),
+             _row_fmt(rep.bound_value), _row_fmt(rep.value), _row_fmt(rep.ci),
+             _row_fmt(rep.margin), _row_fmt(rep.holds), _row_fmt(rep.vacuous))
+    return ",".join(cells) + "\n"
+
+
+def render_rows_csv(reports, header_meta=None) -> str:
+    """Report CSV text built row by row."""
+    head = "".join(f"# {k}={_row_fmt(v)}\n" for k, v in (header_meta or {}).items())
+    return head + _ROW_COLUMNS + "\n" + "".join(map(report_row, reports))
+
+
+def summary_by_rows(suite: str, seed: int, reports) -> tuple[int, int, int, list[dict]]:
+    """(checks, passed, vacuous, violations) counted one report at a time."""
+    checks = passed = vacuous = 0
+    violations = []
+    for r in reports:
+        checks += 1
+        vacuous += bool(r.vacuous)
+        passed += bool(r.holds or r.vacuous)
+        if not r.holds and not r.vacuous:
+            violations.append({"suite": suite, "seed": seed, "name": r.name,
+                               "bound": r.bound_value, "value": r.value, "ci": r.ci,
+                               **r.metadata})
+    return checks, passed, vacuous, violations

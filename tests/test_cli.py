@@ -292,7 +292,7 @@ class TestVerifyCommand:
         with open(tmp_path / "violations.csv", newline="") as f:
             rows = list(csv.reader(f))
         assert len(rows) > 1 and all(len(row) == 5 for row in rows)
-        assert any("J=(0, 1" in row[4] for row in rows[1:])
+        assert any("J=0|1" in row[4] for row in rows[1:])
         with open(tmp_path / "thm1.csv", newline="") as f:
             rows = list(csv.reader(line for line in f if not line.startswith("#")))
         assert all(len(row) == 9 for row in rows)

@@ -28,6 +28,7 @@ from mml.hitting import (
     t_plus,
     unseen_set_law,
 )
+from mml.report import ReportBlock, render_reports_csv
 
 from oracles import (
     brute_force_t_large,
@@ -514,13 +515,14 @@ class TestLemmaKernels:
         sets = _all_subsets(m)
         h = subset_hitting_times(P)
         pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))]
-        for (a, b), rep in zip(pairs, lemma1_reports(pi, sets, h, pairs)):
-            single = check_lemma1(P, pi, StateSet(sets[a]), StateSet(sets[b]))
-            assert single.csv_cells() == rep.csv_cells()
+        singles = [check_lemma1(P, pi, StateSet(sets[a]), StateSet(sets[b])) for a, b in pairs]
+        assert render_reports_csv(ReportBlock.from_reports(singles)) == \
+            render_reports_csv(lemma1_reports(pi, sets, h, pairs))
         t_half = t_large(P, pi, 0.5).value
         masses = [pi.mass(members) for members in sets]
-        for members, rep in zip(sets, lemma2_reports(masses, sets, h, t_half)):
-            assert check_lemma2(P, pi, StateSet(members)).csv_cells() == rep.csv_cells()
+        singles = [check_lemma2(P, pi, StateSet(members)) for members in sets]
+        assert render_reports_csv(ReportBlock.from_reports(singles)) == \
+            render_reports_csv(lemma2_reports(masses, sets, h, t_half))
 
     def test_overlapping_pairs_vacuous(self):
         m = 4
