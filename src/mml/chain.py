@@ -2,8 +2,8 @@
 
 A chain is a validated row-stochastic matrix ``P`` over ``m`` states.
 The stationary distribution solves ``pi P = pi`` by a direct linear
-solve (normalization row replacing one equation) with a lazy-chain
-power-iteration fallback for systems that come back singular.
+solve (normalization row replacing one equation); a solve that fails or
+leaves a residual above tolerance raises ``SingularSystemError``.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ from .errors import (
 ROW_SUM_TOL = 1e-12
 ENTRY_CLAMP = 1e-15
 STATIONARY_RESIDUAL_TOL = 1e-10
-POWER_ITER_MAX = 10**6
-POWER_ITER_TOL = 1e-12
 
 CHAIN_FAMILIES = ("iid", "two-state", "lazy-cycle", "birth-death", "random-dense")
 
@@ -160,9 +158,11 @@ def stationary(P: TransitionMatrix) -> StationaryDistribution:
     """Solve ``pi P = pi`` for an irreducible chain.
 
     Direct solve of ``(P^T - I) pi = 0`` with the last equation replaced
-    by the normalization ``sum(pi) = 1``. If that system is singular to
-    working precision, falls back to power iteration on the half-lazy
-    chain ``(P + I)/2`` (same fixed point, guaranteed aperiodic).
+    by the normalization ``sum(pi) = 1``. Raises ``SingularSystemError``
+    naming the check that failed: the solve itself, its residual, the
+    residual once clipped to >= 0 and normalized, or an entry that
+    underflowed to zero. A non-finite solve has a NaN residual, which
+    fails the residual checks.
     """
     if not is_irreducible(P):
         raise NotIrreducibleError("chain is not irreducible")
@@ -170,24 +170,21 @@ def stationary(P: TransitionMatrix) -> StationaryDistribution:
     if m == 1:
         return StationaryDistribution(pi=np.array([1.0]), residual=0.0)
 
-    pi = None
     A = P.rows.T - np.eye(m)
     A[-1, :] = 1.0
     b = np.zeros(m)
     b[-1] = 1.0
     try:
         pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi = None
-    if pi is not None and (np.any(~np.isfinite(pi)) or _residual(pi, P) > STATIONARY_RESIDUAL_TOL):
-        pi = None
-    if pi is None:
-        pi = _stationary_power(P)
-
+    except np.linalg.LinAlgError as e:
+        raise SingularSystemError(f"stationary solve failed: {e}") from e
+    res = _residual(pi, P)
+    if not res <= STATIONARY_RESIDUAL_TOL:
+        raise SingularSystemError(f"stationary solve residual {res!r} exceeds tolerance")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     res = _residual(pi, P)
-    if res > STATIONARY_RESIDUAL_TOL:
+    if not res <= STATIONARY_RESIDUAL_TOL:
         raise SingularSystemError(f"stationary residual {res!r} exceeds tolerance")
     if np.any(pi <= 0):
         raise SingularSystemError("stationary entry underflowed to zero on an irreducible chain")
@@ -198,23 +195,14 @@ def _residual(pi, P) -> float:
     return float(np.max(np.abs(pi @ P.rows - pi)))
 
 
-def _stationary_power(P: TransitionMatrix) -> np.ndarray:
-    lazy = 0.5 * (P.rows + np.eye(P.m))
-    v = np.full(P.m, 1.0 / P.m)
-    for _ in range(POWER_ITER_MAX):
-        nxt = v @ lazy
-        if np.max(np.abs(nxt - v)) <= POWER_ITER_TOL:
-            return nxt
-        v = nxt
-    raise SingularSystemError("power iteration did not converge")
-
-
 def generate(family: str, m: int | None = None, seed: int = 0, **params) -> ChainSpec:
     """Deterministic chain construction for a named family.
 
     Families: ``iid(mu)``, ``two-state(p, q)``, ``lazy-cycle(m, hold)``,
     ``birth-death(m, p, q)``, ``random-dense(m, alpha)``. Every family is
     irreducible by construction; ``seed`` only matters for random-dense.
+    ``iid`` and ``two-state`` take their size from their parameters, so an
+    ``m`` given to them must equal it.
     """
     if family == "iid":
         rows = _gen_iid(params)
@@ -229,6 +217,8 @@ def generate(family: str, m: int | None = None, seed: int = 0, **params) -> Chai
     else:
         raise BadParamsError(f"unknown chain family {family!r}; known: {CHAIN_FAMILIES}")
     _reject_extras(family, params)
+    if m is not None and m != len(rows):
+        raise BadParamsError(f"{family} with these parameters has {len(rows)} states, got m={m}")
     return ChainSpec(matrix=validate(rows))
 
 

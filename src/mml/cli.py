@@ -1,5 +1,9 @@
 """Command-line harness: chain tools, hitting-time queries, simulation, bounds, verification.
 
+Each leaf subcommand has one handler and exactly the flags it reads. A handler
+returns its output text, which ``main`` writes to ``--out`` or stdout; ``verify``
+writes a report directory and returns its exit code instead.
+
 Exit codes: 0 success, 1 verification found violations, 2 file/parse
 error, 3 validation error, 4 mathematical precondition, 5 the rate
 constant c cannot be calibrated. Report CSVs carry metadata in ``#`` header lines;
@@ -23,12 +27,13 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from .chain import (
+    CHAIN_FAMILIES,
     ChainSpec,
+    StationaryDistribution,
     chain_to_dict,
     generate,
     is_irreducible,
     load_chain,
-    save_chain,
     stationary,
 )
 from .errors import (
@@ -51,7 +56,7 @@ from .hitting import (
 )
 from .report import ReportBlock, format_params, render_reports_csv, render_reports_json
 from .simulate import (
-    SimConfig,
+    _check_at_least_one,
     empirical_mgf,
     first_visit_table,
     hitting_time_samples,
@@ -60,10 +65,10 @@ from .simulate import (
 from .verify import SUITE_ORDER, VerifyOptions, run_all, run_suite
 
 EXIT_VIOLATIONS = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_PRECONDITION = 4
-EXIT_TRIALS = 5
+# the exit code of each error class, as listed above; an error takes the code of its
+# nearest listed class
+EXIT_CODES = {ChainFileError: 2, ValidationError: 3, PreconditionError: 4,
+              SingularSystemError: 4, InsufficientTrialsError: 5, MMLError: 3}
 
 
 def _default_workers() -> int:
@@ -132,58 +137,34 @@ def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
 
 
 def _chain_from_args(args) -> tuple[str, ChainSpec]:
-    if getattr(args, "infile", None):
+    if args.infile:
         return args.infile, load_chain(args.infile)
-    if getattr(args, "family", None):
-        params = {}
-        if args.mu is not None:
-            params["mu"] = parse_float_vector(args.mu)
-        for key in ("p", "q", "hold", "alpha"):
-            v = getattr(args, key, None)
-            if v is not None:
-                params[key] = v
-        chain = generate(args.family, m=args.m, seed=args.gen_seed, **params)
-        desc = args.family + (f"(m={args.m})" if args.m else "")
-        return desc, chain
-    raise ValidationError("no chain given: use --in FILE or --family NAME [params]")
+    if not args.family:
+        raise ValidationError("no chain given: use --in FILE or --family NAME [params]")
+    params = {}
+    if args.mu is not None:
+        params["mu"] = parse_float_vector(args.mu)
+    for key in ("p", "q", "hold", "alpha"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+    chain = generate(args.family, m=args.m, seed=args.gen_seed, **params)
+    return args.family + (f"(m={args.m})" if args.m else ""), chain
 
 
-def _add_chain_source(p):
-    p.add_argument("--in", dest="infile", metavar="FILE", help="chain-spec JSON file")
-    p.add_argument("--family", choices=("iid", "two-state", "lazy-cycle", "birth-death", "random-dense"))
-    p.add_argument("--m", type=int)
-    p.add_argument("--mu", help="comma-separated distribution for iid")
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--hold", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gen-seed", type=int, default=0)
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _add_output(p):
-    p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+def _csv(meta: dict, header: str, rows) -> str:
+    """``# key=value`` metadata lines, then a CSV header and its rows."""
+    return "\n".join([*(f"# {k}={v}" for k, v in meta.items()), header, *rows]) + "\n"
 
 
-def _add_sim(p):
-    p.add_argument("--n", type=int, default=1, help="run length (steps)")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--workers", type=int, help="worker threads (default MML_WORKERS or 1)")
-
-
-def _emit(text: str, args) -> None:
-    if getattr(args, "out", None):
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_reports(reports, args, meta) -> None:
+def _report(rep, args) -> str:
+    """One check's report, in the ``--format`` asked for."""
     if args.format == "json":
-        _emit(render_reports_json(reports, meta), args)
-    else:
-        _emit(render_reports_csv(ReportBlock.from_reports(reports), meta), args)
+        return render_reports_json([rep], _meta(args))
+    return render_reports_csv(ReportBlock.from_reports([rep]), _meta(args))
 
 
 def _meta(args, **extra) -> dict:
@@ -198,140 +179,144 @@ def _meta(args, **extra) -> dict:
 # --- chain ------------------------------------------------------------------
 
 
-def cmd_chain(args) -> int:
-    if args.chain_cmd == "validate":
-        chain = load_chain(args.infile)
-        irr = is_irreducible(chain.matrix)
-        print(f"ok m={chain.matrix.m} irreducible={'true' if irr else 'false'}")
-        return 0
-    if args.chain_cmd == "stationary":
-        _, chain = _chain_from_args(args)
-        pi = stationary(chain.matrix)
-        if args.format == "json":
-            _emit(json.dumps({"pi": list(map(float, pi.pi)), "residual": pi.residual},
-                             indent=2) + "\n", args)
-        else:
-            pretty = ", ".join(f"{x:.6f}" for x in pi.pi)
-            _emit(f"pi = ({pretty})\nresidual = {pi.residual!r}\n", args)
-        return 0
-    if args.chain_cmd == "generate":
-        _, chain = _chain_from_args(args)
-        if args.out:
-            save_chain(chain, args.out)
-        else:
-            sys.stdout.write(json.dumps(chain_to_dict(chain), indent=2) + "\n")
-        return 0
-    raise ValidationError(f"unknown chain subcommand {args.chain_cmd!r}")
+def cmd_chain_validate(args) -> str:
+    P = load_chain(args.infile).matrix
+    return f"ok m={P.m} irreducible={'true' if is_irreducible(P) else 'false'}\n"
+
+
+def cmd_chain_stationary(args) -> str:
+    pi = stationary(_chain_from_args(args)[1].matrix)
+    if args.format == "json":
+        return _json({"pi": list(map(float, pi.pi)), "residual": pi.residual})
+    pretty = ", ".join(f"{x:.6f}" for x in pi.pi)
+    return f"pi = ({pretty})\nresidual = {pi.residual!r}\n"
+
+
+def cmd_chain_generate(args) -> str:
+    return _json(chain_to_dict(_chain_from_args(args)[1]))
 
 
 # --- hit --------------------------------------------------------------------
 
 
-def cmd_hit(args) -> int:
+def cmd_hit_table(args) -> str:
     chain_id, chain = _chain_from_args(args)
-    P = chain.matrix
-    sub = args.hit_cmd
-    if sub == "table":
-        table = hitting_table(P, parse_index_set(args.B))
-        if args.format == "json":
-            _emit(json.dumps({"B": list(table.target.members), "h": list(map(float, table.h)),
-                              "t_plus_all": table.t_plus_all}, indent=2) + "\n", args)
-        else:
-            body = "\n".join(f"{x},{float(h)!r}" for x, h in enumerate(table.h))
-            _emit(f"# chain={chain_id}\nstate,h\n{body}\n", args)
-        return 0
-    if sub in ("tplus", "tminus"):
-        A = parse_index_set(args.A)
-        B = parse_index_set(args.B)
-        value = t_plus(P, A, B) if sub == "tplus" else t_minus(P, A, B)
-        _emit(f"{value!r}\n", args)
-        return 0
-    pi = stationary(P)
-    if sub == "tlarge":
-        res = t_large(P, pi, args.eps)
-        witness = "|".join(map(str, res.argmax_set.members))
-        if args.format == "json":
-            _emit(json.dumps({"epsilon": res.epsilon, "value": res.value,
-                              "witness": list(res.argmax_set.members)}, indent=2) + "\n", args)
-        else:
-            _emit(f"T({args.eps})={res.value!r} witness={{{witness}}}\n", args)
-        return 0
-    if sub in ("lemma1", "lemma2"):
-        A = parse_index_set(args.A)
-        rep = check_lemma1(P, pi, A, parse_index_set(args.B)) if sub == "lemma1" else check_lemma2(P, pi, A)
-        rep.metadata["chain_id"] = chain_id
-        _emit_reports([rep], args, _meta(args))
-        return 0
-    raise ValidationError(f"unknown hit subcommand {sub!r}")
+    table = hitting_table(chain.matrix, parse_index_set(args.B))
+    if args.format == "json":
+        return _json({"B": list(table.target.members), "h": list(map(float, table.h)),
+                      "t_plus_all": table.t_plus_all})
+    return _csv({"chain": chain_id}, "state,h",
+                [f"{x},{float(h)!r}" for x, h in enumerate(table.h)])
+
+
+def cmd_hit_tplus(args) -> str:
+    P = _chain_from_args(args)[1].matrix
+    return f"{t_plus(P, parse_index_set(args.A), parse_index_set(args.B))!r}\n"
+
+
+def cmd_hit_tminus(args) -> str:
+    P = _chain_from_args(args)[1].matrix
+    return f"{t_minus(P, parse_index_set(args.A), parse_index_set(args.B))!r}\n"
+
+
+def cmd_hit_tlarge(args) -> str:
+    P = _chain_from_args(args)[1].matrix
+    res = t_large(P, stationary(P), args.eps)
+    if args.format == "json":
+        return _json({"epsilon": res.epsilon, "value": res.value,
+                      "witness": list(res.argmax_set.members)})
+    witness = "|".join(map(str, res.argmax_set.members))
+    return f"T({args.eps})={res.value!r} witness={{{witness}}}\n"
+
+
+def cmd_hit_lemma1(args) -> str:
+    chain_id, chain = _chain_from_args(args)
+    pi = stationary(chain.matrix)
+    rep = check_lemma1(chain.matrix, pi, parse_index_set(args.A), parse_index_set(args.B))
+    rep.metadata["chain_id"] = chain_id
+    return _report(rep, args)
+
+
+def cmd_hit_lemma2(args) -> str:
+    chain_id, chain = _chain_from_args(args)
+    rep = check_lemma2(chain.matrix, stationary(chain.matrix), parse_index_set(args.A))
+    rep.metadata["chain_id"] = chain_id
+    return _report(rep, args)
 
 
 # --- simulate ---------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def _simulation(args):
+    """The chain, its stationary law and the header metadata of a checked simulate command."""
     # MML_WORKERS is checked even under --workers, as in verify
     workers = _default_workers()
     if args.workers is None:
         args.workers = workers
     chain_id, chain = _chain_from_args(args)
     pi = stationary(chain.matrix)
-    # rejects a bad --n, --trials or --workers
-    SimConfig(chain=chain, n=args.n, trials=args.trials, master_seed=args.seed,
-              workers=args.workers)
-    meta = _meta(args, chain=chain_id)
-    sub = args.sim_cmd
-    if sub == "hittail":
-        B = parse_index_set(args.B)
-        if args.cap < 1:
-            raise ValidationError(f"--cap must be >= 1, got {args.cap}")
-        thresholds = parse_grid(args.t)
-        for t in thresholds:
-            # a trial cut at the cap has an unknown N_B > cap
-            if not 0 <= t <= args.cap:
-                raise ValidationError(f"threshold t={t} is outside 0..{args.cap} (--cap)")
-        N = hitting_time_samples(chain, B, args.trials, args.seed, args.workers, args.cap, pi)
-        meta["cap_hits"] = int((N > args.cap).sum())
-        set_str = "|".join(map(str, B.members))
-        _emit_tail_rows([(f"N_B>t B={set_str} t={t}", int((N > t).sum())) for t in thresholds],
-                        args, meta)
-        return 0
-    if sub == "jointtail":
-        J = parse_index_set(args.J)
-        _check_members(J, chain.matrix.m, "set J")
+    _check_at_least_one(**{k: getattr(args, k) for k in ("n", "trials", "workers")
+                           if hasattr(args, k)})
+    return chain, pi, _meta(args, chain=chain_id)
+
+
+def _missing_mass(args):
+    """The header metadata, the first-visit table and the per-trial missing masses."""
+    chain, pi, meta = _simulation(args)
     tau = first_visit_table(chain, args.n, args.trials, args.seed, args.workers, pi)
-    if sub == "jointtail":
-        hits = int((tau[:, J.indices()].min(axis=1) > args.n).sum())
-        _emit_tail_rows([(f"tau_J>n J={'|'.join(map(str, J.members))} n={args.n}", hits)],
-                        args, meta)
-        return 0
-    values = missing_mass_values(tau, pi.pi, args.n).tolist()
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    if sub == "mgf":
-        lines += ["s,mgf,trials", f"{args.s!r},{empirical_mgf(values, args.s)!r},{args.trials}"]
-    else:
-        if args.dump:
-            _dump_samples(args.dump, tau > args.n, values)
-        mean = math.fsum(values) / len(values)
-        se = float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
-        lines += ["trials,n,mean,se,min,max",
-                  f"{args.trials},{args.n},{mean!r},{se!r},{min(values)!r},{max(values)!r}"]
-    _emit("\n".join(lines) + "\n", args)
-    return 0
+    return meta, tau, missing_mass_values(tau, pi.pi, args.n).tolist()
 
 
-def _dump_samples(path, unseen: np.ndarray, values: list[float]) -> None:
-    """Raw-sample dump: one row per trial, its missing mass and its unseen states."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("trial,value,unseen_set\n")
-        for i, (row, value) in enumerate(zip(unseen, values)):
-            fh.write(f"{i},{value!r},{'|'.join(map(str, np.flatnonzero(row).tolist()))}\n")
+def cmd_simulate_mm(args) -> str:
+    meta, tau, values = _missing_mass(args)
+    if args.dump:  # one row per trial: its missing mass and its unseen states
+        with open(args.dump, "w", encoding="utf-8") as fh:
+            fh.write("trial,value,unseen_set\n")
+            for i, (row, value) in enumerate(zip(tau > args.n, values)):
+                fh.write(f"{i},{value!r},{'|'.join(map(str, np.flatnonzero(row).tolist()))}\n")
+    mean = math.fsum(values) / len(values)
+    se = float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+    return _csv(meta, "trials,n,mean,se,min,max",
+                [f"{args.trials},{args.n},{mean!r},{se!r},{min(values)!r},{max(values)!r}"])
+
+
+def cmd_simulate_mgf(args) -> str:
+    meta, _, values = _missing_mass(args)
+    mgf = empirical_mgf(values, args.s)
+    return _csv(meta, "s,mgf,trials", [f"{args.s!r},{mgf!r},{args.trials}"])
+
+
+def cmd_simulate_jointtail(args) -> str:
+    chain, pi, meta = _simulation(args)
+    J = parse_index_set(args.J)
+    _check_members(J, chain.matrix.m, "set J")
+    tau = first_visit_table(chain, args.n, args.trials, args.seed, args.workers, pi)
+    hits = int((tau[:, J.indices()].min(axis=1) > args.n).sum())
+    return _tail_rows([(f"tau_J>n J={'|'.join(map(str, J.members))} n={args.n}", hits)], args, meta)
+
+
+def cmd_simulate_hittail(args) -> str:
+    chain, pi, meta = _simulation(args)
+    B = parse_index_set(args.B)
+    if args.cap < 1:
+        raise ValidationError(f"--cap must be >= 1, got {args.cap}")
+    thresholds = parse_grid(args.t)
+    for t in thresholds:
+        # a trial cut at the cap has an unknown N_B > cap
+        if not 0 <= t <= args.cap:
+            raise ValidationError(f"threshold t={t} is outside 0..{args.cap} (--cap)")
+    N = hitting_time_samples(chain, B, args.trials, args.seed, args.workers, args.cap, pi)
+    meta["cap_hits"] = int((N > args.cap).sum())
+    set_str = "|".join(map(str, B.members))
+    return _tail_rows([(f"N_B>t B={set_str} t={t}", int((N > t).sum())) for t in thresholds],
+                      args, meta)
 
 
 # z of the two-sided 99% normal-approximation CI half-width of a tail row
 Z99 = 2.576
 
 
-def _emit_tail_rows(events, args, meta) -> None:
+def _tail_rows(events, args, meta) -> str:
     """One row per (event, hits): the share p_hat of the trials and its 99% CI half-width."""
     rows = []
     for event, hits in events:
@@ -339,20 +324,17 @@ def _emit_tail_rows(events, args, meta) -> None:
         rows.append({"event": event, "hits": hits, "trials": args.trials, "p_hat": p,
                      "ci99_halfwidth": Z99 * math.sqrt(p * (1 - p) / args.trials)})
     if args.format == "json":
-        _emit(json.dumps({"meta": meta, "tails": rows}, indent=2, default=str) + "\n", args)
-        return
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append("event,hits,trials,p_hat,ci99_halfwidth")
-    lines += [f"{r['event']},{r['hits']},{r['trials']},{r['p_hat']!r},{r['ci99_halfwidth']!r}"
-              for r in rows]
-    _emit("\n".join(lines) + "\n", args)
+        return _json({"meta": meta, "tails": rows})
+    return _csv(meta, "event,hits,trials,p_hat,ci99_halfwidth",
+                [f"{r['event']},{r['hits']},{r['trials']},{r['p_hat']!r},{r['ci99_halfwidth']!r}"
+                 for r in rows])
 
 
 # --- bounds -----------------------------------------------------------------
 
 
-def _bound_params(args, pi) -> bnd.BoundParams:
-    return bnd.BoundParams(c=args.c, T=args.T, n=args.n, pi=pi)
+def _bound_params(args) -> bnd.BoundParams:
+    return bnd.BoundParams(c=args.c, T=args.T, n=args.n, pi=_pi_from_args(args))
 
 
 def _pi_from_args(args):
@@ -360,49 +342,51 @@ def _pi_from_args(args):
         vec = parse_float_vector(args.pi)
         if abs(vec.sum() - 1.0) > 1e-9 or np.any(vec < 0):
             raise ValidationError("--pi must be a probability vector")
-        from .chain import StationaryDistribution
         return StationaryDistribution(pi=vec, residual=0.0)
     _, chain = _chain_from_args(args)
     return stationary(chain.matrix)
 
 
-def cmd_bounds(args) -> int:
-    sub = args.bounds_cmd
-    if sub == "kl":
-        print(repr(bnd.kl_divergence(args.p, args.q)))
-        return 0
-    if sub == "pinsker":
-        _emit_reports([bnd.pinsker_check(args.p, args.q)], args, _meta(args))
-        return 0
-    if sub == "hittailbound":
-        print(repr(bnd.hitting_tail_bound(args.expected, args.t)))
-        return 0
-    if sub == "explicittail":
-        print(repr(bnd.explicit_hitting_tail(args.pi_a, args.t_half, args.t, args.c)))
-        return 0
-    pi = _pi_from_args(args)
-    if sub == "qprob":
-        q = bnd.q_probabilities(_bound_params(args, pi), iid_exact=args.iid)
-        print(",".join(repr(float(x)) for x in q))
-        return 0
-    if sub == "jointbound":
-        value = bnd.joint_survival_bound(_bound_params(args, pi), parse_index_set(args.J),
-                                         iid_exact=args.iid)
-        print(repr(value))
-        return 0
-    if sub == "iidsurv":
-        print(repr(bnd.iid_exact_survival(pi, parse_index_set(args.J), args.n)))
-        return 0
-    if sub == "product":
-        _emit_reports([bnd.product_inequality_check(pi, parse_index_set(args.J))],
-                      args, _meta(args))
-        return 0
-    if sub == "mmtail":
-        tail = bnd.missing_mass_tail_bound(_bound_params(args, pi), args.eps, c2=args.c2)
-        print(f"threshold={tail.threshold!r} failure_bound={tail.failure_bound!r} "
-              f"mean_term={tail.mean_term!r} c2={tail.c2!r} ({tail.c2_note})")
-        return 0
-    raise ValidationError(f"unknown bounds subcommand {sub!r}")
+def cmd_bounds_kl(args) -> str:
+    return f"{bnd.kl_divergence(args.p, args.q)!r}\n"
+
+
+def cmd_bounds_pinsker(args) -> str:
+    return _report(bnd.pinsker_check(args.p, args.q), args)
+
+
+def cmd_bounds_hittailbound(args) -> str:
+    return f"{bnd.hitting_tail_bound(args.expected, args.t)!r}\n"
+
+
+def cmd_bounds_explicittail(args) -> str:
+    return f"{bnd.explicit_hitting_tail(args.pi_a, args.t_half, args.t, args.c)!r}\n"
+
+
+def cmd_bounds_qprob(args) -> str:
+    q = bnd.q_probabilities(_bound_params(args), iid_exact=args.iid)
+    return ",".join(repr(float(x)) for x in q) + "\n"
+
+
+def cmd_bounds_jointbound(args) -> str:
+    params = _bound_params(args)
+    return f"{bnd.joint_survival_bound(params, parse_index_set(args.J), iid_exact=args.iid)!r}\n"
+
+
+def cmd_bounds_iidsurv(args) -> str:
+    return f"{bnd.iid_exact_survival(_pi_from_args(args), parse_index_set(args.J), args.n)!r}\n"
+
+
+def cmd_bounds_product(args) -> str:
+    rep = bnd.product_inequality_check(_pi_from_args(args), parse_index_set(args.J))
+    return _report(rep, args)
+
+
+def cmd_bounds_mmtail(args) -> str:
+    params = _bound_params(args)
+    tail = bnd.missing_mass_tail_bound(params, args.eps, c2=args.c2, iid_exact=args.iid)
+    return (f"threshold={tail.threshold!r} failure_bound={tail.failure_bound!r} "
+            f"mean_term={tail.mean_term!r} c2={tail.c2!r} ({tail.c2_note})\n")
 
 
 # --- verify -----------------------------------------------------------------
@@ -527,6 +511,54 @@ def cmd_verify(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _command(group, name: str, handler, sets=(), source: bool = True, fmt: bool = False):
+    """A leaf subcommand run by ``handler``: the chain-source flags if it reads a chain,
+    a required index-list flag per name in ``sets``, ``--out``, and ``--format`` if it has
+    both a CSV and a JSON form."""
+    p = group.add_parser(name)
+    p.set_defaults(handler=handler)
+    if source:
+        p.add_argument("--in", dest="infile", metavar="FILE", help="chain-spec JSON file")
+        p.add_argument("--family", choices=CHAIN_FAMILIES)
+        p.add_argument("--m", type=int)
+        p.add_argument("--mu", help="comma-separated distribution for iid")
+        for flag in ("--p", "--q", "--hold", "--alpha"):
+            p.add_argument(flag, type=float)
+        p.add_argument("--gen-seed", type=int, default=0)
+    for set_name in sets:
+        p.add_argument("--" + set_name, required=True, help="comma-separated state indices")
+    p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    if fmt:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    return p
+
+
+def _add_numbers(p, *flags) -> None:
+    """Required float flags."""
+    for flag in flags:
+        p.add_argument(flag, type=float, required=True)
+
+
+def _add_sim(p, n: bool = True):
+    if n:
+        p.add_argument("--n", type=int, default=1, help="run length (steps)")
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--workers", type=int, help="worker threads (default MML_WORKERS or 1)")
+    return p
+
+
+def _add_bound_params(p, n: bool = True, c_and_t: bool = True):
+    p.add_argument("--pi", help="explicit stationary vector (bypasses chain)")
+    if n:
+        p.add_argument("--n", type=int, default=1)
+    if c_and_t:
+        p.add_argument("--c", type=float, default=bnd.DEFAULT_C)
+        p.add_argument("--T", type=float, default=1.0)
+        p.add_argument("--iid", action="store_true", help="use exact (1-pi)^n surrogates")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mml",
                                  description="Hitting-time analysis, missing-mass simulation, "
@@ -535,76 +567,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     chain = sub.add_parser("chain", help="validate, analyze, or generate chain files")
-    chain_sub = chain.add_subparsers(dest="chain_cmd", required=True)
-    cv = chain_sub.add_parser("validate")
+    chain = chain.add_subparsers(dest="chain_cmd", required=True)
+    cv = chain.add_parser("validate")
+    cv.set_defaults(handler=cmd_chain_validate)
     cv.add_argument("--in", dest="infile", required=True)
-    cs = chain_sub.add_parser("stationary")
-    _add_chain_source(cs)
-    _add_output(cs)
-    cg = chain_sub.add_parser("generate")
-    _add_chain_source(cg)
-    cg.add_argument("--out", metavar="FILE")
+    _command(chain, "stationary", cmd_chain_stationary, fmt=True)
+    _command(chain, "generate", cmd_chain_generate)
 
     hit = sub.add_parser("hit", help="exact hitting-time queries and analytic checks")
-    hit_sub = hit.add_subparsers(dest="hit_cmd", required=True)
-    for name in ("table", "tplus", "tminus", "tlarge", "lemma1", "lemma2"):
-        hp = hit_sub.add_parser(name)
-        _add_chain_source(hp)
-        _add_output(hp)
-        if name in ("table", "tplus", "tminus", "lemma1"):
-            hp.add_argument("--B", required=True, help="comma-separated state indices")
-        if name in ("tplus", "tminus", "lemma1", "lemma2"):
-            hp.add_argument("--A", required=True, help="comma-separated state indices")
-        if name == "tlarge":
-            hp.add_argument("--eps", type=float, default=0.5)
+    hit = hit.add_subparsers(dest="hit_cmd", required=True)
+    _command(hit, "table", cmd_hit_table, ("B",), fmt=True)
+    _command(hit, "tplus", cmd_hit_tplus, ("B", "A"))
+    _command(hit, "tminus", cmd_hit_tminus, ("B", "A"))
+    _command(hit, "tlarge", cmd_hit_tlarge, fmt=True).add_argument("--eps", type=float, default=0.5)
+    _command(hit, "lemma1", cmd_hit_lemma1, ("B", "A"), fmt=True)
+    _command(hit, "lemma2", cmd_hit_lemma2, ("A",), fmt=True)
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
-    sim_sub = sim.add_subparsers(dest="sim_cmd", required=True)
-    for name in ("mm", "hittail", "jointtail", "mgf"):
-        sp = sim_sub.add_parser(name)
-        _add_chain_source(sp)
-        _add_output(sp)
-        _add_sim(sp)
-        if name == "mm":
-            sp.add_argument("--dump", metavar="FILE", help="write trial,value,unseen_set CSV")
-        if name == "hittail":
-            sp.add_argument("--B", required=True)
-            sp.add_argument("--t", required=True, help="thresholds: comma list or a..b")
-            sp.add_argument("--cap", type=int, default=10**6)
-        if name == "jointtail":
-            sp.add_argument("--J", required=True)
-        if name == "mgf":
-            sp.add_argument("--s", type=float, required=True)
+    sim = sim.add_subparsers(dest="sim_cmd", required=True)
+    sp = _add_sim(_command(sim, "mm", cmd_simulate_mm))
+    sp.add_argument("--dump", metavar="FILE", help="write trial,value,unseen_set CSV")
+    sp = _add_sim(_command(sim, "hittail", cmd_simulate_hittail, ("B",), fmt=True), n=False)
+    sp.add_argument("--t", required=True, help="thresholds: comma list or a..b")
+    sp.add_argument("--cap", type=int, default=10**6)
+    _add_sim(_command(sim, "jointtail", cmd_simulate_jointtail, ("J",), fmt=True))
+    _add_sim(_command(sim, "mgf", cmd_simulate_mgf)).add_argument("--s", type=float, required=True)
 
     b = sub.add_parser("bounds", help="closed-form bound evaluators")
-    b_sub = b.add_subparsers(dest="bounds_cmd", required=True)
-    for name in ("qprob", "jointbound", "iidsurv", "product", "mmtail"):
-        bp = b_sub.add_parser(name)
-        _add_chain_source(bp)
-        _add_output(bp)
-        bp.add_argument("--pi", help="explicit stationary vector (bypasses chain)")
-        bp.add_argument("--n", type=int, default=1)
-        bp.add_argument("--c", type=float, default=bnd.DEFAULT_C)
-        bp.add_argument("--T", type=float, default=1.0)
-        bp.add_argument("--iid", action="store_true", help="use exact (1-pi)^n surrogates")
-        if name in ("jointbound", "iidsurv", "product"):
-            bp.add_argument("--J", required=True)
-        if name == "mmtail":
-            bp.add_argument("--eps", type=float, required=True)
-            bp.add_argument("--c2", type=float, default=bnd.DEFAULT_C2)
-    for name, flags in (("hittailbound", (("--expected", float), ("--t", float))),
-                        ("explicittail", (("--pi-a", float), ("--t-half", float),
-                                          ("--t", float), ("--c", float))),
-                        ("kl", (("--p", float), ("--q", float))),
-                        ("pinsker", (("--p", float), ("--q", float)))):
-        bp = b_sub.add_parser(name)
-        _add_output(bp)
-        for flag, typ in flags:
-            required = not (name == "explicittail" and flag == "--c")
-            default = bnd.DEFAULT_C if flag == "--c" else None
-            bp.add_argument(flag, type=typ, required=required, default=default)
+    b = b.add_subparsers(dest="bounds_cmd", required=True)
+    _add_bound_params(_command(b, "qprob", cmd_bounds_qprob))
+    _add_bound_params(_command(b, "jointbound", cmd_bounds_jointbound, ("J",)))
+    _add_bound_params(_command(b, "iidsurv", cmd_bounds_iidsurv, ("J",)), c_and_t=False)
+    _add_bound_params(_command(b, "product", cmd_bounds_product, ("J",), fmt=True),
+                      n=False, c_and_t=False)
+    bp = _add_bound_params(_command(b, "mmtail", cmd_bounds_mmtail))
+    _add_numbers(bp, "--eps")
+    bp.add_argument("--c2", type=float, default=bnd.DEFAULT_C2)
+    _add_numbers(_command(b, "hittailbound", cmd_bounds_hittailbound, source=False),
+                 "--expected", "--t")
+    bp = _command(b, "explicittail", cmd_bounds_explicittail, source=False)
+    _add_numbers(bp, "--pi-a", "--t-half", "--t")
+    bp.add_argument("--c", type=float, default=bnd.DEFAULT_C)
+    _add_numbers(_command(b, "kl", cmd_bounds_kl, source=False), "--p", "--q")
+    _add_numbers(_command(b, "pinsker", cmd_bounds_pinsker, source=False, fmt=True), "--p", "--q")
 
     ver = sub.add_parser("verify", help="run inequality verification suites")
+    ver.set_defaults(handler=cmd_verify)
     ver.add_argument("suite", choices=SUITE_ORDER + ("all",))
     for name, help_text in OPTION_FLAGS.items():
         ver.add_argument("--" + name.replace("_", "-"), type=OPTION_TYPES[name], help=help_text)
@@ -620,32 +628,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "chain":
-            return cmd_chain(args)
-        if args.cmd == "hit":
-            return cmd_hit(args)
-        if args.cmd == "simulate":
-            return cmd_simulate(args)
-        if args.cmd == "bounds":
-            return cmd_bounds(args)
-        if args.cmd == "verify":
-            return cmd_verify(args)
-        raise ValidationError(f"unknown command {args.cmd!r}")
-    except ChainFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (PreconditionError, SingularSystemError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InsufficientTrialsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TRIALS
+        text = args.handler(args)
     except MMLError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next(EXIT_CODES[cls] for cls in type(e).__mro__ if cls in EXIT_CODES)
+    if isinstance(text, int):  # verify wrote its report directory
+        return text
+    if getattr(args, "out", None):
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

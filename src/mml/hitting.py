@@ -345,7 +345,8 @@ def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs,
     sets[k]. Overlapping A and B make T-(B,A) = 0 and the inequality
     trivial; such checks are reported with vacuous=true rather than
     rejected. The product form pi(A) * T-(B,A) <= T+(A,B) is checked
-    alongside and recorded in the params.
+    alongside and recorded in the params as ``product_lhs`` and
+    ``product_holds``; its right side is ``t_plus``.
     """
     inside = np.zeros(h.shape, dtype=bool)
     for k, members in enumerate(sets):
@@ -361,7 +362,7 @@ def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs,
         "lemma1", chain_id, rhs, lhs, (lhs <= rhs + INEQUALITY_TOL) & product_holds,
         (inside[a] & inside[b]).any(axis=1),
         {"A": Labels(a, sets), "B": Labels(b, sets), "t_plus": tp, "t_minus": tm,
-         "product_lhs": lhs * tm, "product_rhs": tp, "product_holds": product_holds})
+         "product_lhs": lhs * tm, "product_holds": product_holds})
 
 
 def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> BoundReport:

@@ -23,6 +23,7 @@ from mml.errors import (
     NonSquareError,
     NonStochasticRowError,
     NotIrreducibleError,
+    SingularSystemError,
     ValidationError,
 )
 
@@ -154,6 +155,20 @@ class TestStationary:
         pi2 = stationary(relabeled)
         np.testing.assert_allclose(pi2.pi, pi.pi[perm], atol=1e-10)
 
+    def test_failed_solve_raises(self, monkeypatch):
+        def singular(A, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularSystemError, match="stationary solve failed: Singular matrix"):
+            stationary(validate([[0.9, 0.1], [0.2, 0.8]]))
+
+    def test_non_finite_solve_raises(self, monkeypatch):
+        # a NaN residual compares false with any tolerance: it must still fail
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: np.full(len(b), np.nan))
+        with pytest.raises(SingularSystemError, match="stationary solve residual nan exceeds"):
+            stationary(validate([[0.9, 0.1], [0.2, 0.8]]))
+
 
 FAMILY_CASES = [
     ("iid", dict(mu=(0.5, 0.5))),
@@ -221,6 +236,15 @@ class TestGenerate:
         m = params.pop("m", None)
         with pytest.raises(BadParamsError):
             generate(family, m=m, **params)
+
+    @pytest.mark.parametrize("family,params,size", [("iid", dict(mu=(0.5, 0.5)), 2),
+                                                    ("iid", dict(mu=(0.2, 0.3, 0.5)), 3),
+                                                    ("two-state", dict(p=0.1, q=0.2), 2)])
+    def test_m_must_match_the_implied_size(self, family, params, size):
+        assert generate(family, m=size, **params).matrix.m == size
+        for m in (size - 1, size + 3):
+            with pytest.raises(BadParamsError, match=f"has {size} states, got m={m}"):
+                generate(family, m=m, **params)
 
 
 class TestChainSpec:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -9,6 +10,9 @@ import numpy as np
 import pytest
 
 import mml
+import mml.cli
+from mml.bounds import DEFAULT_C, BoundParams, explicit_hitting_tail, missing_mass_tail_bound
+from mml.chain import StationaryDistribution
 from mml.cli import (
     _options_from_args,
     build_parser,
@@ -17,7 +21,7 @@ from mml.cli import (
     parse_grid,
     parse_index_set,
 )
-from mml.errors import ValidationError
+from mml.errors import MMLError, ValidationError
 from mml.report import csv_body
 from mml.verify import SUITE_ORDER, SUITES
 
@@ -82,6 +86,44 @@ class TestChainCommands:
         bad.write_text(json.dumps({"m": 2, "P": [[1.0, 0.0], [0.5, 0.5]]}))
         assert main(["chain", "stationary", "--in", str(bad)]) == 4
 
+    def test_validate_valid_file(self, two_state, cycle3, capsys):
+        assert main(["chain", "validate", "--in", two_state]) == 0
+        assert main(["chain", "validate", "--in", cycle3]) == 0
+        assert capsys.readouterr().out == "ok m=2 irreducible=true\nok m=3 irreducible=true\n"
+
+    def test_stationary_json(self, two_state, capsys):
+        assert main(["chain", "stationary", "--in", two_state, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["pi"] == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+        assert 0 <= out["residual"] <= 1e-10
+
+    def test_generate_to_stdout(self, capsys):
+        assert main(["chain", "generate", "--family", "two-state", "--p", "0.1", "--q", "0.2"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"m": 2, "P": [[0.9, 0.1], [0.2, 0.8]]}
+
+    @pytest.mark.parametrize("flags", [["--family", "iid", "--mu", "0.5,0.5", "--m", "5"],
+                                       ["--family", "two-state", "--p", "0.1", "--q", "0.2",
+                                        "--m", "3"]])
+    def test_generate_m_the_family_ignores_exits_3(self, capsys, flags):
+        assert main(["chain", "stationary", *flags]) == 3
+        assert f"has 2 states, got m={flags[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("descriptor", ["iid:mu=0.5,0.5;m=3", "two-state:p=0.1;q=0.2;m=4"])
+    def test_descriptor_m_the_family_ignores_exits_3(self, tmp_path, capsys, descriptor):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"chains": [descriptor]}))
+        rc = main(["verify", "cor1", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"has 2 states, got m={descriptor[-1]}" in capsys.readouterr().err
+
+    def test_unclassified_library_error_exits_3(self, two_state, capsys, monkeypatch):
+        def fail(P):
+            raise MMLError("no exit code of its own")
+
+        monkeypatch.setattr(mml.cli, "stationary", fail)
+        assert main(["chain", "stationary", "--in", two_state]) == 3
+        assert capsys.readouterr().err == "error: no exit code of its own\n"
+
 
 class TestHitCommands:
     def test_table_cycle(self, cycle3, capsys):
@@ -117,6 +159,18 @@ class TestHitCommands:
 
     def test_empty_set_exits_4(self, cycle3):
         assert main(["hit", "table", "--in", cycle3, "--B", ""]) == 4
+
+    def test_table_json(self, cycle3, capsys):
+        assert main(["hit", "table", "--in", cycle3, "--B", "2", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["B"], out["h"]) == ([2], [2.0, 1.0, 0.0])
+        assert out["t_plus_all"] == 2.0
+
+    def test_tlarge_json(self, capsys):
+        rc = main(["hit", "tlarge", "--family", "iid", "--mu", "0.5,0.5", "--format", "json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out) == {"epsilon": 0.5, "value": 2.0,
+                                                       "witness": [0]}
 
 
 class TestSimulateCommands:
@@ -266,6 +320,65 @@ class TestBoundsCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "unspecified" in out and "threshold=" in out
+
+    def test_mmtail_iid(self, capsys):
+        argv = ["bounds", "mmtail", "--pi", "0.25,0.75", "--n", "3", "--c", "0.5", "--T", "2",
+                "--eps", "0.1"]
+        pi = StationaryDistribution(pi=np.array([0.25, 0.75]), residual=0.0)
+        params = BoundParams(c=0.5, T=2.0, n=3, pi=pi)
+        thresholds = []
+        for iid in (False, True):
+            assert main(argv + ["--iid"] * iid) == 0
+            tail = missing_mass_tail_bound(params, 0.1, iid_exact=iid)
+            out = capsys.readouterr().out
+            assert out.startswith(f"threshold={tail.threshold!r} failure_bound="
+                                  f"{tail.failure_bound!r} mean_term={tail.mean_term!r} ")
+            thresholds.append(tail.threshold)
+        # the IID mean term is the exact expected missing mass sum_j pi(j) (1 - pi(j))^n
+        assert thresholds[1] == pytest.approx(0.25 * 0.75 ** 3 + 0.75 * 0.25 ** 3 + 0.1)
+        assert thresholds[0] != thresholds[1]
+
+    def test_qprob(self, capsys):
+        base = ["bounds", "qprob", "--pi", "0.25,0.75", "--n", "2"]
+        assert main([*base, "--c", "1", "--T", "1"]) == 0
+        q = [float(x) for x in capsys.readouterr().out.split(",")]
+        assert q == pytest.approx([math.exp(-0.5), math.exp(-1.5)], rel=1e-15)
+        assert main([*base, "--iid"]) == 0
+        assert capsys.readouterr().out == "0.5625,0.0625\n"
+
+    def test_iidsurv(self, capsys):
+        assert main(["bounds", "iidsurv", "--pi", "0.25,0.25,0.5", "--J", "0,2", "--n", "3"]) == 0
+        assert capsys.readouterr().out == "0.015625\n"
+
+    def test_explicittail(self, capsys):
+        argv = ["bounds", "explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "50"]
+        for c in (DEFAULT_C, 0.7):
+            assert main([*argv, "--c", repr(c)]) == 0
+            expected = explicit_hitting_tail(0.3, 4.0, 50.0, c)
+            assert capsys.readouterr().out == f"{expected!r}\n"
+
+    def test_product_csv_and_json(self, capsys):
+        argv = ["bounds", "product", "--pi", "0.25,0.25,0.5", "--J", "0,2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == f"# tool=mml {mml.__version__}"
+        row = next(csv.DictReader(csv_body(out).splitlines()))
+        assert (row["name"], row["params"]) == ("product-inequality", "J=0|2;mass=0.75")
+        assert (row["bound"], row["value"], row["holds"]) == ("0.375", "0.25", "true")
+        assert main([*argv, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["meta"] == {"tool": f"mml {mml.__version__}"}
+        (report,) = out["reports"]
+        assert (report["bound"], report["value"], report["holds"]) == (0.375, 0.25, True)
+        assert report["metadata"] == {"J": [0, 2], "mass": 0.75}
+
+    def test_chain_from_family(self, capsys):
+        # a chain given by --family yields the same bound as its stationary law given by --pi
+        tail = ["--J", "0", "--n", "2", "--c", "1", "--T", "1"]
+        assert main(["bounds", "jointbound", "--family", "iid", "--mu", "0.25,0.75", *tail]) == 0
+        by_family = capsys.readouterr().out
+        assert main(["bounds", "jointbound", "--pi", "0.25,0.75", *tail]) == 0
+        assert by_family == capsys.readouterr().out == f"{math.exp(-0.5)!r}\n"
 
 
 class TestVerifyCommand:
@@ -557,3 +670,95 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+SOURCE = {"--in", "--family", "--m", "--mu", "--p", "--q", "--hold", "--alpha", "--gen-seed"}
+SIM = {"--trials", "--seed", "--workers"}
+BOUND = {"--pi", "--n", "--c", "--T", "--iid"}
+# every leaf subcommand's flags: --format only where a command has both a CSV and a JSON form
+COMMAND_FLAGS = {
+    "chain validate": {"--in"},
+    "chain stationary": SOURCE | {"--out", "--format"},
+    "chain generate": SOURCE | {"--out"},
+    "hit table": SOURCE | {"--out", "--format", "--B"},
+    "hit tplus": SOURCE | {"--out", "--A", "--B"},
+    "hit tminus": SOURCE | {"--out", "--A", "--B"},
+    "hit tlarge": SOURCE | {"--out", "--format", "--eps"},
+    "hit lemma1": SOURCE | {"--out", "--format", "--A", "--B"},
+    "hit lemma2": SOURCE | {"--out", "--format", "--A"},
+    "simulate mm": SOURCE | SIM | {"--out", "--n", "--dump"},
+    "simulate hittail": SOURCE | SIM | {"--out", "--format", "--B", "--t", "--cap"},
+    "simulate jointtail": SOURCE | SIM | {"--out", "--format", "--n", "--J"},
+    "simulate mgf": SOURCE | SIM | {"--out", "--n", "--s"},
+    "bounds qprob": SOURCE | BOUND | {"--out"},
+    "bounds jointbound": SOURCE | BOUND | {"--out", "--J"},
+    "bounds iidsurv": SOURCE | {"--out", "--pi", "--n", "--J"},
+    "bounds product": SOURCE | {"--out", "--format", "--pi", "--J"},
+    "bounds mmtail": SOURCE | BOUND | {"--out", "--eps", "--c2"},
+    "bounds hittailbound": {"--out", "--expected", "--t"},
+    "bounds explicittail": {"--out", "--pi-a", "--t-half", "--t", "--c"},
+    "bounds kl": {"--out", "--p", "--q"},
+    "bounds pinsker": {"--out", "--format", "--p", "--q"},
+    "verify": {"--seed", "--workers", "--trials", "--c", "--c2", "--ergodic-steps", "--out",
+               "--config", "--chains", "--m-max", "--max-pairs", "--eps"},
+}
+
+
+def _leaf_flags(parser, path=()):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield " ".join(path), {flag for a in parser._actions
+                               if not isinstance(a, argparse._HelpAction)
+                               for flag in a.option_strings}
+    for action in subparsers:
+        for name, sub in action.choices.items():
+            yield from _leaf_flags(sub, (*path, name))
+
+
+def test_each_command_has_exactly_the_flags_it_reads():
+    flags = dict(_leaf_flags(build_parser()))
+    assert flags == COMMAND_FLAGS
+    assert sum(map(len, flags.values())) == 259
+
+
+CHAIN = ["--family", "lazy-cycle", "--m", "5", "--hold", "0.5"]
+SIM_ARGS = ["--trials", "300", "--seed", "4"]
+# one invocation of every command that prints its output, that is, every one with --out but verify
+OUT_COMMANDS = [
+    ["chain", "stationary", *CHAIN],
+    ["chain", "generate", *CHAIN],
+    ["hit", "table", *CHAIN, "--B", "1,2", "--format", "json"],
+    ["hit", "tplus", *CHAIN, "--A", "0", "--B", "2"],
+    ["hit", "tminus", *CHAIN, "--A", "0", "--B", "2"],
+    ["hit", "tlarge", *CHAIN],
+    ["hit", "lemma1", *CHAIN, "--A", "0", "--B", "2"],
+    ["hit", "lemma2", *CHAIN, "--A", "0,1", "--format", "json"],
+    ["simulate", "mm", *CHAIN, *SIM_ARGS, "--n", "6"],
+    ["simulate", "hittail", *CHAIN, *SIM_ARGS, "--B", "2", "--t", "1..4", "--cap", "50"],
+    ["simulate", "jointtail", *CHAIN, *SIM_ARGS, "--n", "6", "--J", "0,2"],
+    ["simulate", "mgf", *CHAIN, *SIM_ARGS, "--n", "6", "--s", "1.5"],
+    ["bounds", "qprob", "--pi", "0.25,0.75", "--n", "3"],
+    ["bounds", "jointbound", *CHAIN, "--J", "0,2", "--n", "3", "--iid"],
+    ["bounds", "iidsurv", "--pi", "0.25,0.75", "--J", "1", "--n", "3"],
+    ["bounds", "product", "--pi", "0.25,0.75", "--J", "0,1", "--format", "json"],
+    ["bounds", "mmtail", *CHAIN, "--n", "4", "--eps", "0.1"],
+    ["bounds", "hittailbound", "--expected", "2", "--t", "20"],
+    ["bounds", "explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "50"],
+    ["bounds", "kl", "--p", "0.5", "--q", "0.25"],
+    ["bounds", "pinsker", "--p", "0.9", "--q", "0.1"],
+]
+
+
+def test_out_commands_cover_every_printing_command():
+    covered = {" ".join(argv[:2]) for argv in OUT_COMMANDS}
+    assert covered == {cmd for cmd, flags in COMMAND_FLAGS.items() if "--out" in flags} - {"verify"}
+
+
+@pytest.mark.parametrize("argv", OUT_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_out_writes_what_the_command_prints(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_text(encoding="utf-8") == printed

@@ -439,7 +439,7 @@ class TestLemma1:
         pi = stationary(CYCLE3)
         rep = check_lemma1(CYCLE3, pi, state_set([0]), state_set([1]))
         assert rep.metadata["product_holds"]
-        assert rep.metadata["product_lhs"] <= rep.metadata["product_rhs"] + 1e-9
+        assert rep.metadata["product_lhs"] <= rep.metadata["t_plus"] + 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_chains_random_pairs(self, seed):
