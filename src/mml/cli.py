@@ -148,7 +148,13 @@ def _chain_from_args(args) -> tuple[str, ChainSpec]:
         if getattr(args, key) is not None:
             params[key] = getattr(args, key)
     chain = generate(args.family, m=args.m, seed=args.gen_seed, **params)
-    return args.family + (f"(m={args.m})" if args.m else ""), chain
+    # the label names every value that picks the chain, as verify's ids do
+    label = [f"m={args.m}"] if args.m is not None else []
+    label += [f"{k}={'|'.join(map(repr, v.tolist())) if k == 'mu' else repr(v)}"
+              for k, v in params.items()]
+    if args.family == "random-dense":
+        label.append(f"seed={args.gen_seed}")
+    return f"{args.family}({','.join(label)})", chain
 
 
 def _json(obj) -> str:

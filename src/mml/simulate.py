@@ -15,6 +15,13 @@ it. Grid points k / G are exact in floating point, so the pick is
 bit-identical to the O(m) count for every u, at an expected O(1) probes
 per draw instead of O(m). The start law is one more row of the table.
 
+Once a trial of ``first_visit_table`` has seen every state, further steps
+cannot change its row (a first-visit step only ever takes its first
+value), so the trial stops at the next 16-step boundary. Its uniforms
+are still drawn with everyone else's, one row of the block's
+(trials, n) array per trial, so no trial's draws depend on when another
+stops, and the table is the one a run of all n steps gives.
+
 Time convention: a trajectory is X_1, ..., X_n with X_1 drawn from the
 start law; tau_j = min{i >= 1 : X_i = j} and N_B = min{i >= 1 : X_i in B},
 so a point-mass start inside B gives N_B = 1.
@@ -172,6 +179,12 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
 
     One table answers every survival query with horizon <= n exactly:
     tau_j > k iff table[trial, j] > k for any k <= n.
+
+    A trial stops stepping at the first 16-step boundary after it has seen
+    all m states (its cover time), and the block stops when every trial has.
+    The table stays exact: each trial's uniforms are still its own row of
+    one ``rng.random((size, n))`` draw, and the steps a covered trial skips
+    could not lower any of its first-visit steps.
     """
     _check_at_least_one(n=n, trials=trials, workers=workers)
     m = chain.matrix.m
@@ -182,14 +195,25 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
         us = rng.random((size, n))
         fv = np.full((size, m), n + 1, dtype=np.int64)
         flat = fv.reshape(-1)
-        offsets = np.arange(size) * m
+        offsets = np.arange(size) * m  # where the rows of the trials still stepping start
         states = np.full(size, m)  # the start-law row
+        seen = np.zeros(size, dtype=np.intp)
         for c in range(0, n, 16):
-            chunk = us[:, c:c + 16].copy()  # at most 1 MB: its strided columns stay in cache
+            open_ = seen < m
+            # a covered trial that kept stepping would change nothing, so drop
+            # the covered ones only once they are half of those still stepping
+            if 2 * np.count_nonzero(open_) <= offsets.size:
+                if not open_.any():
+                    break
+                offsets, states, seen = offsets[open_], states[open_], seen[open_]
+            chunk = us[offsets // m, c:c + 16]  # at most 1 MB: its strided columns stay in cache
             for i in range(chunk.shape[1]):
                 states = inverse_cdf.pick(states, chunk[:, i])
                 at = offsets + states  # one cell per trial row: no repeated index
-                flat[at] = np.minimum(flat[at], c + i + 1)
+                old = flat[at]
+                seen += old > n
+                flat[at] = np.minimum(old, c + i + 1, out=old)
+            del chunk  # before the next one is gathered: one chunk alive at a time
         return fv
 
     return np.vstack(_run_blocks(run, trials, workers))

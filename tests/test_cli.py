@@ -131,6 +131,29 @@ class TestHitCommands:
         out = capsys.readouterr().out
         assert "0,2.0" in out and "1,1.0" in out and "2,0.0" in out
 
+    def test_table_headers_tell_hold_values_apart(self, capsys):
+        headers = []
+        for hold in ("0.5", "0.9"):
+            assert main(["hit", "table", "--family", "lazy-cycle", "--m", "4", "--hold", hold,
+                         "--B", "0"]) == 0
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert headers == ["# chain=lazy-cycle(m=4,hold=0.5)", "# chain=lazy-cycle(m=4,hold=0.9)"]
+
+    @pytest.mark.parametrize("flags,label", [
+        ("--family birth-death --m 8 --p 0.3 --q 0.3", "birth-death(m=8,p=0.3,q=0.3)"),
+        ("--family two-state --p 0.1 --q 0.2", "two-state(p=0.1,q=0.2)"),
+        ("--family iid --mu 0.25,0.75", "iid(mu=0.25|0.75)"),
+        ("--family random-dense --m 4 --gen-seed 7", "random-dense(m=4,seed=7)"),
+    ])
+    def test_label_names_every_chain_parameter(self, capsys, flags, label):
+        assert main(["hit", "table", *flags.split(), "--B", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"# chain={label}"
+        assert main(["simulate", "mm", *flags.split(), "--n", "2", "--trials", "10"]) == 0
+        assert f"# chain={label}" in capsys.readouterr().out.splitlines()
+        assert main(["hit", "lemma1", *flags.split(), "--A", "0", "--B", "1"]) == 0
+        rows = list(csv.reader(csv_body(capsys.readouterr().out).splitlines()))
+        assert rows[1][1] == label  # chain_id
+
     def test_tlarge_uniform(self, capsys):
         rc = main(["hit", "tlarge", "--family", "iid", "--mu", "0.5,0.5", "--eps", "0.5"])
         assert rc == 0

@@ -155,6 +155,37 @@ class TestAgainstCountingSampler:
         assert np.array_equal(fv, first_visit_table_by_count(chain, 12, self.TRIALS, 61, pi))
 
     @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("n", [37, 100])
+    @pytest.mark.parametrize("family,params", FAMILIES + [("iid", {"mu": (1.0,)})])
+    def test_first_visit_table_past_cover(self, family, params, n, workers):
+        # several 16-step chunks: trials that have seen every state stop stepping,
+        # and on iid(mu=(1.0,)) every trial has after step 1
+        chain = generate(family, **params)
+        pi = stationary(chain.matrix)
+        fv = first_visit_table(chain, n, self.TRIALS, 63, workers, pi)
+        assert np.array_equal(fv, first_visit_table_by_count(chain, n, self.TRIALS, 63, pi))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_visit_table_no_trial_covers(self, workers):
+        chain = generate("lazy-cycle", m=40, hold=0.9)
+        fv = first_visit_table(chain, 100, self.TRIALS, 64, workers)
+        assert (fv > 100).any(axis=1).all()
+        assert np.array_equal(fv, first_visit_table_by_count(chain, 100, self.TRIALS, 64))
+
+    def test_covered_trials_stop_stepping(self, monkeypatch):
+        rows = []
+        pick = _InverseCdf.pick
+
+        def counting_pick(self, states, u):
+            rows.append(states.size)
+            return pick(self, states, u)
+
+        monkeypatch.setattr(_InverseCdf, "pick", counting_pick)
+        fv = first_visit_table(UNIFORM2, 512, 1000, 65)
+        assert (fv <= 512).all()
+        assert sum(rows) < 0.1 * 1000 * 512
+
+    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("family,params", FAMILIES)
     def test_hitting_time_samples(self, family, params, workers):
         chain = generate(family, **params)
