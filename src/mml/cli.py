@@ -340,7 +340,19 @@ def _tail_rows(events, args, meta) -> str:
 
 
 def _bound_params(args) -> bnd.BoundParams:
-    return bnd.BoundParams(c=args.c, T=args.T, n=args.n, pi=_pi_from_args(args))
+    c = bnd.DEFAULT_C if args.c is None else args.c
+    T = 1.0 if args.T is None else args.T
+    return bnd.BoundParams(c=c, T=T, n=args.n, pi=_pi_from_args(args))
+
+
+def _surrogate_params(args) -> bnd.BoundParams:
+    """``_bound_params`` of qprob and jointbound, whose --iid surrogates (1 - pi(j))^n
+    read neither c nor T: either flag given with --iid is rejected, not ignored."""
+    for flag in ("c", "T"):
+        if args.iid and getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag} has no effect with --iid: the surrogate "
+                                  f"(1 - pi(j))^n does not depend on it")
+    return _bound_params(args)
 
 
 def _pi_from_args(args):
@@ -370,12 +382,12 @@ def cmd_bounds_explicittail(args) -> str:
 
 
 def cmd_bounds_qprob(args) -> str:
-    q = bnd.q_probabilities(_bound_params(args), iid_exact=args.iid)
+    q = bnd.q_probabilities(_surrogate_params(args), iid_exact=args.iid)
     return ",".join(repr(float(x)) for x in q) + "\n"
 
 
 def cmd_bounds_jointbound(args) -> str:
-    params = _bound_params(args)
+    params = _surrogate_params(args)
     return f"{bnd.joint_survival_bound(params, parse_index_set(args.J), iid_exact=args.iid)!r}\n"
 
 
@@ -559,8 +571,9 @@ def _add_bound_params(p, n: bool = True, c_and_t: bool = True):
     if n:
         p.add_argument("--n", type=int, default=1)
     if c_and_t:
-        p.add_argument("--c", type=float, default=bnd.DEFAULT_C)
-        p.add_argument("--T", type=float, default=1.0)
+        # None until given, so qprob and jointbound can tell a flag --iid would ignore
+        p.add_argument("--c", type=float, help=f"constant c (default {bnd.DEFAULT_C!r})")
+        p.add_argument("--T", type=float, help="T(0.5) (default 1.0)")
         p.add_argument("--iid", action="store_true", help="use exact (1-pi)^n surrogates")
     return p
 

@@ -5,11 +5,16 @@ For a target set B the vector h solves the first-step system
     h(x) = 0                          x in B
     h(x) = 1 + sum_y P(x,y) h(y)      x not in B
 
-One solver, ``_hitting_times``, handles every target: it groups the
-targets by size, solves each stack of (I - Q) h = 1 systems with one
-``np.linalg.solve`` call and checks every system's residual. A single
-table (``hitting_table``), the array of every subset's hitting times
-(``subset_hitting_times``, m <= 20) and T(eps) are stacks of it.
+One solver, ``_hitting_times``, handles every target on a stack of chains
+of equal size: it groups the targets by size, solves each size's
+(I - Q) h = 1 systems on every chain of the stack with one
+``np.linalg.solve`` call per SOLVE_BATCH systems and checks every
+system's residual. A single table (``hitting_table``) and T(eps) pass a
+stack of one chain; the array of every subset's hitting times
+(``subset_hitting_times_stack``, m <= 20) passes the whole stack, so the
+lemma sweeps solve all their chains of one size together. The lemma
+kernels read their sets' members and stationary masses from arrays too
+(``subset_members``, ``member_masses``).
 
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
@@ -117,14 +122,23 @@ def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
     _check_members(B, P.m, "target set")
     outside = np.ones((1, P.m), dtype=bool)
     outside[0, B.indices()] = False
-    (h,), (residual,) = _hitting_times(P.rows, outside)
-    return HittingTimeTable(target=B, h=h, t_plus_all=float(h.max()), residual=float(residual))
+    h, residual = _hitting_times(P.rows[None], outside)
+    return HittingTimeTable(target=B, h=h[0, 0], t_plus_all=float(h.max()),
+                            residual=float(residual[0, 0]))
 
 
 def subset_hitting_times(P: TransitionMatrix) -> np.ndarray:
     """(2^m - 1, m) hitting times of every non-empty target set; row k - 1 targets bitmask k."""
-    _check_enumerable(P.m, "the subset enumeration")
-    return _hitting_times(P.rows, _outside(np.arange(1, 1 << P.m), P.m))[0]
+    return subset_hitting_times_stack([P])[0]
+
+
+def subset_hitting_times_stack(chains) -> np.ndarray:
+    """(C, 2^m - 1, m) hitting times of every non-empty target set on each of C chains of
+    m states; [c, k - 1] targets bitmask k on chains[c]. Equal, bit for bit, to
+    ``subset_hitting_times`` of each chain."""
+    m = chains[0].m
+    _check_enumerable(m, "the subset enumeration")
+    return _hitting_times(np.stack([P.rows for P in chains]), _outside(np.arange(1, 1 << m), m))[0]
 
 
 def _outside(masks: np.ndarray, m: int) -> np.ndarray:
@@ -133,24 +147,31 @@ def _outside(masks: np.ndarray, m: int) -> np.ndarray:
 
 
 def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the first-step system of every target; row k of ``outside`` is B_k^c.
+    """Solve the first-step system of every target on every chain of a stack; ``rows`` is a
+    (C, m, m) stack of transition rows, and row k of ``outside`` is B_k^c.
 
-    Returns h, a (k, m) array that is 0 on each target, and each system's
-    residual max |h - (1 + Q h)| on B_k^c. Targets are grouped by size into
-    stacks of at most SOLVE_BATCH systems, one ``np.linalg.solve`` per stack.
-    Raises SingularSystemError, naming the target, when a system is
-    singular or its residual exceeds SYSTEM_RESIDUAL_TOL.
+    Returns h, a (C, k, m) array that is 0 on each target, and each system's
+    residual max |h - (1 + Q h)| on B_k^c, a (C, k) array. Targets are grouped
+    by size; each size's systems on all C chains are solved in stacks of at
+    most SOLVE_BATCH, one ``np.linalg.solve`` per stack. Each system is solved
+    alone within its stack, so h does not depend on the stacking. Raises
+    SingularSystemError, naming the target, when a system is singular or its
+    residual exceeds SYSTEM_RESIDUAL_TOL.
     """
-    h = np.zeros(outside.shape)
-    residual = np.zeros(outside.shape[0])
+    chains = rows.shape[0]
+    h = np.zeros((chains, *outside.shape))
+    residual = np.zeros((chains, outside.shape[0]))
     sizes = outside.sum(axis=1)
-    for n in np.unique(sizes[sizes > 0]):
+    for n in np.unique(sizes[sizes > 0]).tolist():
         group = np.flatnonzero(sizes == n)
+        rest = np.nonzero(outside[group])[1].reshape(group.size, n)
         diagonal = np.arange(n)
-        for start in range(0, group.size, SOLVE_BATCH):
-            batch = group[start:start + SOLVE_BATCH]
-            rest = np.nonzero(outside[batch])[1].reshape(batch.size, n)
-            Q = rows[rest[:, :, None], rest[:, None, :]]
+        for start in range(0, chains * group.size, SOLVE_BATCH):
+            # system s is target group[s % size] on chain s // size
+            chain, k = np.divmod(np.arange(start, min(start + SOLVE_BATCH, chains * group.size)),
+                                 group.size)
+            target, r = group[k], rest[k]
+            Q = rows[chain[:, None, None], r[:, :, None], r[:, None, :]]
             # I - Q is built next to Q, not from a temporary np.eye: the hole a
             # freed eye leaves is too small for the solver's copy of A, which
             # would then grow the heap (+30 MB peak RSS at m = 2000)
@@ -158,18 +179,19 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
             A[:, diagonal, diagonal] = 1.0
             A -= Q
             try:
-                x = np.linalg.solve(A, np.ones((batch.size, n, 1)))
+                x = np.linalg.solve(A, np.ones((k.size, n, 1)))
             except np.linalg.LinAlgError as e:
-                which = (f"target {_target(outside[batch[0]])}" if batch.size == 1
-                         else f"one of {batch.size} targets of {outside.shape[1] - n} states")
+                which = (f"target {_target(outside[target[0]])}" if k.size == 1
+                         else f"one of {k.size} targets of {outside.shape[1] - n} states")
                 raise SingularSystemError(f"hitting system singular for {which}") from e
-            residual[batch] = np.abs(x - 1.0 - Q @ x).max(axis=(1, 2))
-            h[batch[:, None], rest] = x[:, :, 0]
-    bad = np.flatnonzero(~(residual <= SYSTEM_RESIDUAL_TOL))  # NaN fails too
+            residual[chain, target] = np.abs(x - 1.0 - Q @ x).max(axis=(1, 2))
+            h[chain[:, None], target[:, None], r] = x[:, :, 0]
+    bad = np.argwhere(~(residual <= SYSTEM_RESIDUAL_TOL))  # NaN fails too
     if bad.size:
+        chain, k = bad[0].tolist()
         raise SingularSystemError(
-            f"hitting system residual {residual[bad[0]]!r} exceeds tolerance "
-            f"for target {_target(outside[bad[0]])}")
+            f"hitting system residual {residual[chain, k]!r} exceeds tolerance "
+            f"for target {_target(outside[k])}")
     return h, residual
 
 
@@ -206,6 +228,36 @@ def subset_masses(pi_vec: np.ndarray) -> np.ndarray:
     masses = np.zeros(1)
     for p in pi_vec:
         masses = np.concatenate([masses, masses + p])
+    return masses
+
+
+def subset_members(m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Every non-empty subset of m states in bitmask order: its member tuples, and a
+    (2^m - 1, m) table whose row k - 1 is True at the members of bitmask k."""
+    masks = np.arange(1, 1 << m)
+    return [_mask_members(mask) for mask in masks.tolist()], ~_outside(masks, m)
+
+
+# numpy sums fewer terms than this left to right, as a running sum does, and
+# longer arrays pairwise
+_SEQUENTIAL_SUM_MAX = 7
+
+
+def member_masses(pis, sets, inside: np.ndarray) -> np.ndarray:
+    """(C, k) stationary masses of the sets: [c, k] is ``pis[c].mass(sets[k])`` bit for bit,
+    row k of ``inside`` marking the members of sets[k].
+
+    A set of up to _SEQUENTIAL_SUM_MAX members is read off a running sum of
+    its masses in ascending state order, the order ``mass`` adds them in;
+    larger sets, which numpy sums pairwise, call ``mass`` itself.
+    """
+    size = inside.sum(axis=1)
+    # each row's members first, in ascending order
+    order = np.argsort(~inside, axis=1, kind="stable")
+    running = np.cumsum(np.stack([pi.pi for pi in pis])[:, order], axis=2)
+    masses = running[:, np.arange(size.size), size - 1]
+    for k in np.flatnonzero(size > _SEQUENTIAL_SUM_MAX).tolist():
+        masses[:, k] = [pi.mass(sets[k]) for pi in pis]
     return masses
 
 
@@ -262,7 +314,7 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
         raise BadParamsError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     _check_enumerable(P.m, "T(eps)")
     masks = _minimal_qualifying_sets(pi.pi, epsilon)
-    values = _hitting_times(P.rows, _outside(masks, P.m))[0].max(axis=1)
+    values = _hitting_times(P.rows[None], _outside(masks, P.m))[0][0].max(axis=1)
     value = values.max()
     witness = StateSet(_lex_smallest(masks[values == value], P.m)).with_mass(pi)
     return LargeSetTime(epsilon=float(epsilon), value=float(value), argmax_set=witness)
@@ -339,22 +391,37 @@ def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B
 
 def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs,
                    chain_id: str = "") -> ReportBlock:
-    """Check pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A)) for each index pair (a, b).
+    """Check pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A)) for each index pair (a, b) on one chain.
 
     A = sets[a], B = sets[b], and row k of h holds the hitting times of
-    sets[k]. Overlapping A and B make T-(B,A) = 0 and the inequality
-    trivial; such checks are reported with vacuous=true rather than
-    rejected. The product form pi(A) * T-(B,A) <= T+(A,B) is checked
-    alongside and recorded in the params as ``product_lhs`` and
-    ``product_holds``; its right side is ``t_plus``.
+    sets[k]; see ``lemma1_stack_reports``.
     """
     inside = np.zeros(h.shape, dtype=bool)
     for k, members in enumerate(sets):
         inside[k, list(members)] = True
-    a, b = np.asarray(pairs, dtype=int).reshape(-1, 2).T
-    tp = np.where(inside[a], h[b], -np.inf).max(axis=1)
-    tm = np.where(inside[b], h[a], np.inf).min(axis=1)
-    lhs = np.array([pi.mass(members) for members in sets])[a]
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    return lemma1_stack_reports(np.array([[pi.mass(members) for members in sets]]), sets, inside,
+                                h[None], np.zeros(len(pairs), dtype=np.intp), pairs, chain_id)
+
+
+def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.ndarray,
+                         chain: np.ndarray, pairs: np.ndarray, chain_id) -> ReportBlock:
+    """Lemma 1's rows on a stack of chains: row i checks pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A))
+    for A = sets[a], B = sets[b] on chain c, where (a, b) = pairs[i] and c = chain[i].
+
+    masses[c, k] is the stationary mass of sets[k] on chain c, row k of
+    ``inside`` marks its members, and h[c, k] holds its hitting times;
+    ``chain_id`` labels the rows as in ``ReportBlock.of_check``. Overlapping
+    A and B make T-(B,A) = 0 and the inequality trivial; such checks are
+    reported with vacuous=true rather than rejected. The product form
+    pi(A) * T-(B,A) <= T+(A,B) is checked alongside and recorded in the
+    params as ``product_lhs`` and ``product_holds``; its right side is
+    ``t_plus``.
+    """
+    a, b = pairs.T
+    tp = np.where(inside[a], h[chain, b], -np.inf).max(axis=1)
+    tm = np.where(inside[b], h[chain, a], np.inf).min(axis=1)
+    lhs = masses[chain, a]
     denom = tp + tm
     rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
     product_holds = lhs * tm <= tp + INEQUALITY_TOL
@@ -373,18 +440,28 @@ def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -
 
 
 def lemma2_reports(masses, sets, h: np.ndarray, t_half: float, chain_id: str = "") -> ReportBlock:
-    """Check T(A) <= 2 T(0.5) / pi(A) for each A = sets[k], whose stationary mass is
-    masses[k] and whose hitting times are row k of h.
+    """Check T(A) <= 2 T(0.5) / pi(A) for each A = sets[k] on one chain, whose stationary mass
+    is masses[k] and whose hitting times are row k of h; see ``lemma2_stack_reports``."""
+    return lemma2_stack_reports(np.asarray(masses, dtype=float)[None], sets, h[None],
+                                np.array([t_half], dtype=float), chain_id)
+
+
+def lemma2_stack_reports(masses: np.ndarray, sets, h: np.ndarray, t_half: np.ndarray,
+                         chain_id) -> ReportBlock:
+    """Lemma 2's rows on a stack of C chains, chain by chain: T(A) <= 2 T(0.5) / pi(A) for
+    each A = sets[k] on chain c, whose mass is masses[c, k], whose hitting times are
+    h[c, k] and whose T(0.5) is t_half[c]; ``chain_id`` labels the rows as in
+    ``ReportBlock.of_check``.
 
     Also records the per-instance smallest constant kappa with
     T(A) <= kappa * T(0.5) / pi(A), without asserting any improved bound.
     """
-    masses = np.asarray(masses, dtype=float)
-    t_a = h.max(axis=1)
+    t_a = h.max(axis=2).ravel()
+    masses = masses.ravel()
+    t_half = np.repeat(t_half, len(sets))
     bound = 2.0 * t_half / masses
-    tight = t_a * masses / t_half if t_half > 0 else np.zeros_like(t_a)
+    tight = np.divide(t_a * masses, t_half, out=np.zeros_like(t_a), where=t_half > 0)
     return ReportBlock.of_check(
-        "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL,
-        np.full(len(sets), t_half == 0.0),
-        {"A": Labels(np.arange(len(sets)), sets), "t_half": np.full(len(sets), t_half),
-         "mass": masses, "tight_constant": tight})
+        "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL, t_half == 0.0,
+        {"A": Labels(np.tile(np.arange(len(sets)), h.shape[0]), sets),
+         "t_half": t_half, "mass": masses, "tight_constant": tight})

@@ -6,7 +6,7 @@ one per metadata key. The lemma kernels fill a block straight from their
 arrays; a list of ``BoundReport``s becomes one through
 ``ReportBlock.from_reports``. ``render_reports_csv`` renders a block column
 by column: each label (a chain id, a member set) is formatted once, and
-numeric columns are formatted from their arrays.
+each float column is formatted from its distinct values.
 
 Report CSV bodies are deterministic: metadata (tool version, seed,
 constants) lives in ``#``-prefixed header lines, data rows carry
@@ -112,11 +112,14 @@ class ReportBlock:
     params: dict[str, Any]
 
     @classmethod
-    def of_check(cls, name: str, chain_id: str, bound, value, holds, vacuous, params):
-        """Rows of one exact check on one chain: ``ci`` is 0 and ``margin`` is bound - value."""
+    def of_check(cls, name: str, chain_id, bound, value, holds, vacuous, params):
+        """Rows of one exact check: ``ci`` is 0 and ``margin`` is bound - value. ``chain_id``
+        is the ``Labels`` column of the rows' chains, or one chain's id."""
         same = np.zeros(len(bound), dtype=np.intp)
-        return cls(Labels(same, [name]), Labels(same, [chain_id]), bound, value,
-                   np.zeros(len(bound)), bound - value, holds, vacuous, params)
+        if not isinstance(chain_id, Labels):
+            chain_id = Labels(same, [chain_id])
+        return cls(Labels(same, [name]), chain_id, bound, value, np.zeros(len(bound)),
+                   bound - value, holds, vacuous, params)
 
     @classmethod
     def from_reports(cls, reports) -> "ReportBlock":
@@ -146,22 +149,26 @@ class ReportBlock:
         )
 
     @classmethod
-    def concat(cls, blocks) -> "ReportBlock":
-        """The rows of ``blocks`` in order; the blocks share their params keys, and each
-        key's column is an array in all of them or ``Labels`` in all of them. Columns
-        that share one ``labels`` list share it in the result too."""
+    def concat(cls, blocks, order=None) -> "ReportBlock":
+        """The rows of ``blocks`` in order, or with ``order`` the rows at ``order`` of
+        those; the blocks share their params keys, and each key's column is an array in
+        all of them or ``Labels`` in all of them. Columns that share one ``labels`` list
+        share it in the result too."""
         def join(cols):
             if not isinstance(cols[0], Labels):
-                return np.concatenate(cols)
+                col = np.concatenate(cols)
+                return col if order is None else col[order]
             offsets: dict[int, int] = {}
             labels: list = []
             for c in cols:
                 if id(c.labels) not in offsets:
                     offsets[id(c.labels)] = len(labels)
                     labels += c.labels
-            return Labels(np.concatenate([np.where(c.codes < 0, -1, c.codes + offsets[id(c.labels)])
-                                          for c in cols]), labels)
+            codes = np.concatenate([np.where(c.codes < 0, -1, c.codes + offsets[id(c.labels)])
+                                    for c in cols])
+            return Labels(codes if order is None else codes[order], labels)
 
+        # column by column, so at most one column is held in both orders
         columns = {f: join([getattr(b, f) for b in blocks])
                    for f in ("name", "chain_id", "bound", "value", "ci", "margin", "holds",
                              "vacuous")}
@@ -219,22 +226,29 @@ def _format_labels(col: Labels, fmt) -> Labels:
 
 
 def _cells(col, rows: slice) -> list[str]:
-    """The texts of ``col`` in ``rows``: formatted labels, or an array's values by dtype."""
+    """The texts of ``col`` in ``rows``: formatted labels, or an array's values by dtype.
+    Each distinct float is formatted once, by ``repr``; floats are told apart by their
+    bit patterns, so -0.0 keeps its sign."""
     if isinstance(col, Labels):
         return list(map(col.labels.__getitem__, col.codes[rows].tolist()))
-    values = col[rows].tolist()
+    values = col[rows]
     if col.dtype == bool:
-        return [("false", "true")[v] for v in values]
-    return list(map(repr if col.dtype.kind == "f" else str, values))
+        return [("false", "true")[v] for v in values.tolist()]
+    if col.dtype.kind != "f":
+        return list(map(str, values.tolist()))
+    distinct, codes = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.uint64),
+                                return_inverse=True)
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, codes.reshape(-1).tolist()))
 
 
 def render_reports_csv(reports: ReportBlock, header_meta=None) -> str:
     """Render a block of reports as CSV text; ``header_meta`` goes into ``#`` lines.
 
-    Each label is formatted once. A params cell joins ";k=v" for each key
-    the row has and cuts the leading ";"; it needs quotes only when a key or
-    a label does, as numbers and flags never do. Rows are joined
-    RENDER_CHUNK at a time.
+    Each label, and each distinct float of a chunk of rows, is formatted
+    once. A params cell joins ";k=v" for each key the row has and cuts the
+    leading ";"; it needs quotes only when a key or a label does, as numbers
+    and flags never do. Rows are joined RENDER_CHUNK at a time.
     """
     name = _format_labels(reports.name, str)
     chain_id = _format_labels(reports.chain_id, lambda v: _csv_quote(str(v)))
@@ -259,9 +273,8 @@ def render_reports_csv(reports: ReportBlock, header_meta=None) -> str:
         cells = ["".join(row)[1:] for row in zip(*parts)] if parts else [""] * len(names)
         if quote:
             cells = list(map(_csv_quote, cells))
-        pieces.append("".join(map("{},{},{},{},{},{},{},{},{}\n".format, names,
-                                  _cells(chain_id, rows), cells,
-                                  *(_cells(col, rows) for col in fixed))))
+        pieces.append("\n".join(map(",".join, zip(names, _cells(chain_id, rows), cells,
+                                                  *(_cells(col, rows) for col in fixed)))) + "\n")
     return "".join(pieces)
 
 

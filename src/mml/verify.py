@@ -22,18 +22,19 @@ from .hitting import (
     ENUMERATION_MAX_STATES,
     INEQUALITY_TOL,
     StateSet,
-    _mask_members,
     expected_hitting_time,
     hitting_table,
-    lemma1_reports,
-    lemma2_reports,
-    subset_hitting_times,
+    lemma1_stack_reports,
+    lemma2_stack_reports,
+    member_masses,
+    subset_hitting_times_stack,
     subset_masses,
+    subset_members,
     survival_probabilities,
     t_large,
     unseen_set_law,
 )
-from .report import BoundReport, ReportBlock
+from .report import BoundReport, Labels, ReportBlock
 from .simulate import derive_stream, first_visit_table, missing_mass_values, occupancy_frequencies
 
 # run lengths n of the iid suite's survival and missing-mass checks
@@ -139,57 +140,112 @@ def _index_sets(rng, m: int, extra: int, size_hi: int) -> list[tuple[int, ...]]:
 # --- analytic suites --------------------------------------------------------
 
 
-def _random_chains(seed: int, count: int, m_max: int, picker):
-    """(chain_id, pi, sets, h) of the lemma suites' random chains; row k of h targets sets[k].
+# the lemma suites solve their chains of equal m together, in groups of at most this
+# many hitting times: one m = 20 chain's, so memory does not grow with the chain count
+GROUP_ENTRIES = ((1 << ENUMERATION_MAX_STATES) - 1) * ENUMERATION_MAX_STATES
 
-    Draws each m from ``picker`` only when its chain is reached, so the
-    caller can draw from the same picker between chains. Chains with the
-    same m share one ``sets`` list, so a report block formats each set once.
+_ChainGroup = namedtuple("_ChainGroup", "m index chain_ids sets inside masses h")
+
+
+def _random_chains(seed: int, ms: list[int]):
+    """The lemma suites' random chains, chain i having ms[i] states, in groups of equal m.
+
+    Yields one ``_ChainGroup`` per group: ``index`` holds the group's chain
+    numbers, ascending, and ``chain_ids`` the ids of all the chains, so the
+    rows of the group's c-th chain are labelled Labels(index[c], chain_ids).
+    ``sets`` and ``inside`` list every non-empty subset of the m states in
+    bitmask order (``subset_members``); masses[c, k] is the stationary mass
+    of sets[k] on chain index[c] and h[c, k] its hitting times. Groups come
+    in order of m, so the rows of all groups are put back in chain order at
+    the end (``_in_chain_order``).
     """
-    sets_of: dict[int, list] = {}
-    for i in range(count):
-        m = int(picker.integers(2, m_max + 1))
-        P = generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
-        if m not in sets_of:
-            sets_of[m] = [_mask_members(mask) for mask in range(1, 1 << m)]
-        yield f"random-dense(m={m},#={i})", stationary(P), sets_of[m], subset_hitting_times(P)
+    chain_ids = [f"random-dense(m={m},#={i})" for i, m in enumerate(ms)]
+    ms = np.asarray(ms)
+    for m in np.unique(ms).tolist():
+        sets, inside = subset_members(m)
+        chains = np.flatnonzero(ms == m)
+        size = max(1, GROUP_ENTRIES // inside.size)
+        for lo in range(0, chains.size, size):
+            index = chains[lo:lo + size]
+            Ps = [generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
+                  for i in index.tolist()]
+            masses = member_masses([stationary(P) for P in Ps], sets, inside)
+            yield _ChainGroup(m, index, chain_ids, sets, inside, masses,
+                              subset_hitting_times_stack(Ps))
+
+
+def _in_chain_order(blocks) -> ReportBlock:
+    """The rows of the groups' blocks, chain by chain; each chain's rows keep their order.
+    Every group labels its rows by chain number (``_random_chains``)."""
+    chains = np.concatenate([block.chain_id.codes for block in blocks])
+    return ReportBlock.concat(blocks, np.argsort(chains, kind="stable"))
 
 
 def suite_lemma1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
-    """Mass-vs-commute ratio bound on random chains, all disjoint set pairs."""
+    """Mass-vs-commute ratio bound on random chains, up to lemma1_max_pairs disjoint set
+    pairs per chain, drawn from all of them."""
     seed = derive_seed(opts.seed, 1)
     picker = derive_stream(seed, 0)
+    # the picker draws each chain's m, then the ranks of its pairs, chain by chain
+    ms, ranks = [], []
+    for _ in range(opts.lemma1_chains):
+        ms.append(int(picker.integers(2, opts.lemma1_m_max + 1)))
+        total = _pair_count(ms[-1])
+        ranks.append(np.sort(picker.choice(total, size=opts.lemma1_max_pairs, replace=False))
+                     if total > opts.lemma1_max_pairs else np.arange(total))
     blocks = []
-    for chain_id, pi, sets, h in _random_chains(seed, opts.lemma1_chains,
-                                                opts.lemma1_m_max, picker):
-        pairs = _disjoint_pairs(h.shape[1])
-        if len(pairs) > opts.lemma1_max_pairs:
-            keep = picker.choice(len(pairs), size=opts.lemma1_max_pairs, replace=False)
-            pairs = pairs[np.sort(keep)]
-        blocks.append(lemma1_reports(pi, sets, h, pairs, chain_id))
-    return _result("lemma1", opts, ReportBlock.concat(blocks))
+    for g in _random_chains(seed, ms):
+        picked = [ranks[i] for i in g.index.tolist()]
+        chain = np.repeat(np.arange(g.index.size), [r.size for r in picked])
+        pairs = _disjoint_pairs(g.m, np.concatenate(picked))
+        blocks.append(lemma1_stack_reports(g.masses, g.sets, g.inside, g.h, chain, pairs,
+                                           Labels(g.index[chain], g.chain_ids)))
+    return _result("lemma1", opts, _in_chain_order(blocks))
 
 
-def _disjoint_pairs(m: int) -> np.ndarray:
-    """Index pairs (a, b) of disjoint subsets, index k being bitmask k + 1, ordered by a then b."""
+def _pair_count(m: int) -> int:
+    """Ordered pairs of disjoint non-empty subsets of m states: 3^m - 2^(m+1) + 1."""
+    return 3 ** m - 2 ** (m + 1) + 1
+
+
+def _disjoint_pairs(m: int, ranks: np.ndarray) -> np.ndarray:
+    """Index pairs (a, b) of disjoint subsets of m states, index k being bitmask k + 1: those
+    at ``ranks`` in the list of all of them ordered by a then b, without building it.
+
+    Set a has 2^(m - |a|) - 1 partners, so the pairs of a start at the sum of
+    the counts before it. The partner of rank r among them is the r + 1-th
+    non-empty subset of the complement of a in bitmask order: r + 1 with its
+    bits deposited, low to high, into the complement's bits.
+    """
     masks = np.arange(1, 1 << m)
-    # row by row, so memory stays near the size of the output
-    b = [np.flatnonzero((masks & mask) == 0) for mask in masks.tolist()]
-    a = np.repeat(np.arange(masks.size), [row.size for row in b])
-    return np.column_stack((a, np.concatenate(b)))
+    size = sum((masks >> j) & 1 for j in range(m))
+    partners = (1 << (m - size)) - 1
+    first = np.cumsum(partners) - partners
+    ranks = np.asarray(ranks, dtype=np.int64)
+    a = np.searchsorted(first, ranks, side="right") - 1
+    free = ~masks[a] & ((1 << m) - 1)
+    bits = ranks - first[a] + 1
+    b = np.zeros_like(ranks)
+    for j in range(m):
+        is_free = (free >> j) & 1
+        b |= (bits & is_free) << j
+        bits >>= is_free
+    return np.column_stack((a, b - 1))
 
 
 def suite_lemma2(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """T(A) <= 2 T(0.5) / pi(A) for every non-empty A, exhaustive T(0.5)."""
     seed = derive_seed(opts.seed, 2)
+    picker = derive_stream(seed, 0)
+    ms = [int(picker.integers(2, opts.lemma2_m_max + 1)) for _ in range(opts.lemma2_chains)]
     blocks = []
-    for chain_id, pi, sets, h in _random_chains(seed, opts.lemma2_chains, opts.lemma2_m_max,
-                                                derive_stream(seed, 0)):
+    for g in _random_chains(seed, ms):
         # every subset is solved anyway; T(0.5) falls out of the same array
-        masses = np.array([pi.mass(members) for members in sets])
-        t_half = float(h[masses >= 0.5 - 1e-12].max(initial=0.0))
-        blocks.append(lemma2_reports(masses, sets, h, t_half, chain_id))
-    return _result("lemma2", opts, ReportBlock.concat(blocks))
+        t_half = np.where(g.masses >= 0.5 - 1e-12, g.h.max(axis=2), 0.0).max(axis=1)
+        chain = np.repeat(g.index, len(g.sets))
+        blocks.append(lemma2_stack_reports(g.masses, g.sets, g.h, t_half,
+                                           Labels(chain, g.chain_ids)))
+    return _result("lemma2", opts, _in_chain_order(blocks))
 
 
 # --- simulation suites ------------------------------------------------------
@@ -456,9 +512,9 @@ SUITES = {
 OPTION_MINIMUMS = {"workers": 1, "trials": 1, "lemma1_chains": 1, "lemma1_m_max": 2,
                    "lemma1_max_pairs": 1, "lemma2_chains": 1, "lemma2_m_max": 2,
                    "prop1_chains": 1, "ergodic_steps": 1}
-# the exhaustive sweeps' largest chains: lemma1 lists all 3^m disjoint pairs before it
-# subsamples them (21 MiB at m = 12), and lemma2 solves every subset
-OPTION_MAXIMUMS = {"lemma1_m_max": 12, "lemma2_m_max": ENUMERATION_MAX_STATES}
+# the exhaustive sweeps' largest chains: both lemmas solve every subset, and lemma1 draws
+# its pairs by rank without listing all 3^m of them
+OPTION_MAXIMUMS = {"lemma1_m_max": ENUMERATION_MAX_STATES, "lemma2_m_max": ENUMERATION_MAX_STATES}
 
 
 def _check_options(opts: VerifyOptions, suites) -> None:

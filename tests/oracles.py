@@ -3,9 +3,10 @@
 These deliberately avoid the library's solver paths: hitting times come
 from truncated survival sums (iterating the sub-stochastic matrix) or one
 plain dense solve per target, the subset maximizer from brute-force
-enumeration, survival and visited-set laws from a sum over every
-trajectory, and reference constants from high-precision arithmetic. The
-samplers' reference is the O(m) inverse-CDF count on the same streams.
+enumeration, the lemma1 suite's disjoint set pairs from listing them
+all, survival and visited-set laws from a sum over every trajectory, and
+reference constants from high-precision arithmetic. The samplers'
+reference is the O(m) inverse-CDF count on the same streams.
 The report renderer's reference formats one report at a time, cell by
 cell, and the summary's reference counts one report at a time.
 """
@@ -90,6 +91,16 @@ def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float,
             if best is None or val > best[0] + 1e-9:
                 best = (val, combo)
     return best
+
+
+def disjoint_pairs_by_enumeration(m: int) -> np.ndarray:
+    """Index pairs (a, b) of disjoint subsets, index k being bitmask k + 1, ordered by a then
+    b: every one of the 3^m - 2^(m+1) + 1, listed."""
+    masks = np.arange(1, 1 << m)
+    # row by row, so memory stays near the size of the output
+    b = [np.flatnonzero((masks & mask) == 0) for mask in masks.tolist()]
+    a = np.repeat(np.arange(masks.size), [row.size for row in b])
+    return np.column_stack((a, np.concatenate(b)))
 
 
 def trajectory_visit_law(rows: np.ndarray, start, n: int) -> dict[frozenset, float]:

@@ -333,6 +333,18 @@ class TestBoundsCommands:
         assert rc == 0
         assert abs(float(capsys.readouterr().out) - 0.049787068367863944) < 1e-15
 
+    @pytest.mark.parametrize("command", [["qprob"], ["jointbound", "--J", "0"]])
+    @pytest.mark.parametrize("flag", ["--c", "--T"])
+    def test_iid_rejects_c_and_t(self, capsys, command, flag):
+        # the --iid surrogate (1 - pi(j))^n reads neither, so a value would be ignored
+        argv = ["bounds", *command, "--pi", "0.25,0.75", "--n", "3"]
+        assert main(argv + ["--iid", flag, "5"]) == 3
+        assert f"error: {flag} has no effect with --iid" in capsys.readouterr().err
+        assert main(argv + ["--iid"]) == 0
+        iid = capsys.readouterr().out
+        assert main(argv + [flag, "5"]) == 0
+        assert capsys.readouterr().out != iid
+
     def test_pinsker(self, capsys):
         assert main(["bounds", "pinsker", "--p", "0.9", "--q", "0.1"]) == 0
         assert ",true," in capsys.readouterr().out
@@ -609,7 +621,7 @@ class TestVerifyCommand:
         ([], {"j_sets": [[50]]}, "j_sets entry [50]"),
         (["--trials", "0"], None, "trials must be >= 1"),
         (["--trials", "-5"], None, "trials must be >= 1"),
-        ([], {"lemma1_m_max": 13}, "lemma1_m_max must be <= 12"),
+        ([], {"lemma1_m_max": 21}, "lemma1_m_max must be <= 20"),
         (["--m-max", "1"], None, "lemma1_m_max must be >= 2"),
         ([], {"lemma2_m_max": 1}, "lemma2_m_max must be >= 2"),
         (["--chains", "-1"], None, "lemma1_chains must be >= 1"),
@@ -621,7 +633,7 @@ class TestVerifyCommand:
         ([], {"constants": {"c2": 0}}, "c2 must be > 0"),
         (["--eps", "0"], None, "epsilon must be in (0, 1]"),
         (["--eps", "1.5"], None, "epsilon must be in (0, 1]"),
-        ([], {"lemma1_m_max": 20}, "lemma1_m_max must be <= 12"),
+        ([], {"lemma1_m_max": 64}, "lemma1_m_max must be <= 20"),
         ([], {"lemma2_m_max": 21}, "lemma2_m_max must be <= 20"),
     ])
     def test_out_of_range_option_exits_3_before_any_suite(self, tmp_path, capsys, monkeypatch,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mml import hitting
 from mml.chain import generate, stationary, validate
 from mml.errors import EmptySetError, SingularSystemError, TooManyStatesError, ValidationError
 from mml.hitting import (
@@ -19,9 +20,12 @@ from mml.hitting import (
     hitting_table,
     lemma1_reports,
     lemma2_reports,
+    member_masses,
     state_set,
     subset_hitting_times,
+    subset_hitting_times_stack,
     subset_masses,
+    subset_members,
     survival_probabilities,
     t_large,
     t_minus,
@@ -194,6 +198,37 @@ class TestSubsetHittingTables:
         P = generate("lazy-cycle", m=21, hold=0.5).matrix
         with pytest.raises(TooManyStatesError):
             subset_hitting_times(P)
+
+    @pytest.mark.parametrize("batch", [hitting.SOLVE_BATCH, 1, 5])
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_stack_equals_each_chain_alone(self, monkeypatch, batch, m):
+        chains = [random_chain(m, 1000 + 10 * m + k) if m > 1 else validate([[1.0]])
+                  for k in range(4)]
+        alone = [subset_hitting_times(P) for P in chains]
+        # a small batch makes the solver's stacks straddle chains
+        monkeypatch.setattr(hitting, "SOLVE_BATCH", batch)
+        stack = subset_hitting_times_stack(chains)
+        assert stack.shape == (4, (1 << m) - 1, m)
+        for h, single in zip(stack, alone):
+            assert np.array_equal(h, single)
+
+
+class TestMemberTable:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_members_in_bitmask_order(self, m):
+        sets, inside = subset_members(m)
+        assert sets == [_mask_members(mask) for mask in range(1, 1 << m)]
+        assert [tuple(np.flatnonzero(row).tolist()) for row in inside] == sets
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_masses_equal_pi_mass_bitwise(self, m):
+        # from m = 8 on, some sets have 8 or more members, which numpy sums pairwise
+        pis = [stationary(generate("random-dense", m=m, alpha=alpha, seed=50 * m + k).matrix)
+               for k, alpha in enumerate((1.0, 0.2, 5.0))]
+        sets, inside = subset_members(m)
+        masses = member_masses(pis, sets, inside)
+        expected = np.array([[pi.mass(members) for members in sets] for pi in pis])
+        assert masses.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestTPlusMinus:

@@ -183,6 +183,22 @@ def test_rows_beyond_one_chunk():
     assert len(csv_body(text).splitlines()) == n + 1
 
 
+def test_each_distinct_float_renders_as_its_repr():
+    # every float column is formatted from its distinct values; -0.0 beside 0.0 keeps its sign
+    special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.1, 1e16]
+    values = np.array(special * 3 + [0.1, 0.0, -0.0, 2.5] * 5, dtype=float)
+    n = len(values)
+    block = ReportBlock.of_check("x", "c", values, values[::-1].copy(), np.arange(n) % 2 == 0,
+                                 np.zeros(n, dtype=bool),
+                                 {"v": values, "w": -values, "k": np.arange(n) % 3,
+                                  "A": Labels(np.arange(n) % 2, [(0,), (1, 2)])})
+    assert render_reports_csv(block) == render_rows_csv(list(block))
+    # reordered through concat, as the lemma suites put their chains back in order
+    order = np.arange(2 * n)[::-1]
+    assert render_reports_csv(ReportBlock.concat([block, block], order)) == \
+        render_rows_csv(list(block)[::-1] * 2)
+
+
 def test_concat_shares_labels_lists():
     sets = [(0,), (1,), (0, 1)]
     parts = [ReportBlock.of_check("lemma2", f"c{i}", np.ones(3), np.zeros(3), np.ones(3, bool),

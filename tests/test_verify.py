@@ -1,15 +1,21 @@
 """The shared pieces of the verify suites: horizons, index sets, pairs, vacuous rows,
 and the power of the iid suite's test."""
 
+from itertools import groupby
+
+import numpy as np
 import pytest
 
 from mml import verify
 from mml.chain import generate, stationary
 from mml.cli import parse_descriptor
 from mml.errors import InsufficientTrialsError
-from mml.hitting import _mask_members, subset_hitting_times, t_large
-from mml.report import render_reports_csv
-from mml.verify import VerifyOptions, _disjoint_pairs, run_suite
+from mml.hitting import StateSet, _mask_members, check_lemma1, subset_hitting_times_stack, t_large
+from mml.report import ReportBlock, render_reports_csv
+from mml.simulate import derive_stream
+from mml.verify import VerifyOptions, _disjoint_pairs, _pair_count, derive_seed, run_suite
+
+from oracles import disjoint_pairs_by_enumeration
 
 LAZY4 = "lazy-cycle:m=4;hold=0.5"  # T(0.5) = 4
 TWO_STATE = "two-state:p=0.1;q=0.2"  # T(0.5) = 5.000000000000001
@@ -91,24 +97,93 @@ def test_disjoint_pairs_in_bitmask_order(m):
     keys = [_mask_members(mask) for mask in range(1, 1 << m)]
     expected = [[a, b] for a in range(len(keys)) for b in range(len(keys))
                 if not set(keys[a]) & set(keys[b])]
-    assert _disjoint_pairs(m).tolist() == expected
+    assert disjoint_pairs_by_enumeration(m).tolist() == expected
+    assert _disjoint_pairs(m, np.arange(_pair_count(m))).tolist() == expected
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_unranked_pairs_equal_the_listed_sample(m):
+    listed = disjoint_pairs_by_enumeration(m)
+    assert len(listed) == _pair_count(m)
+    for seed in range(4):
+        ranks = np.sort(derive_stream(seed, 0).choice(len(listed), size=min(500, len(listed)),
+                                                      replace=False))
+        assert np.array_equal(_disjoint_pairs(m, ranks), listed[ranks])
+
+
+def _chain_rows(reports):
+    """(m, the chain's rows) per chain of a lemma suite, in order."""
+    for chain_id, rows in groupby(reports, key=lambda r: r.metadata["chain_id"]):
+        yield int(chain_id.split("m=")[1].split(",")[0]), list(rows)
+
+
+def test_lemma1_takes_every_pair_when_they_fit():
+    opts = VerifyOptions(lemma1_chains=6, lemma1_m_max=5, lemma1_max_pairs=_pair_count(5))
+    chains = list(_chain_rows(run_suite("lemma1", opts)[0]))
+    assert len(chains) == 6
+    for m, rows in chains:
+        sets = [_mask_members(mask) for mask in range(1, 1 << m)]
+        assert [(r.metadata["A"], r.metadata["B"]) for r in rows] == \
+            [(sets[a], sets[b]) for a, b in disjoint_pairs_by_enumeration(m).tolist()]
+
+
+def test_lemma1_past_twelve_states():
+    # at seed 10 the two chains have 5 and 13 states
+    reports, summary = run_suite("lemma1", VerifyOptions(seed=10, lemma1_chains=2,
+                                                         lemma1_m_max=13))
+    assert [(m, len(rows)) for m, rows in _chain_rows(reports)] == [(5, 180), (13, 500)]
+    assert summary.ok
+    rows = list(reports)[180:]
+    P = generate("random-dense", m=13, alpha=1.0, seed=derive_seed(derive_seed(10, 1), 2)).matrix
+    pi = stationary(P)
+    singles = [check_lemma1(P, pi, StateSet(r.metadata["A"]), StateSet(r.metadata["B"]))
+               for r in rows[::50]]
+    for single, row in zip(singles, rows[::50]):
+        single.metadata["chain_id"] = row.metadata["chain_id"]
+    assert render_reports_csv(ReportBlock.from_reports(singles)) == \
+        render_reports_csv(ReportBlock.from_reports(rows[::50]))
+
+
+@pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
+def test_chains_past_one_group_give_the_same_block(monkeypatch, suite):
+    opts = VerifyOptions(lemma1_chains=12, lemma1_m_max=5, lemma2_chains=12, lemma2_m_max=5)
+    reports = run_suite(suite, opts)[0]
+    # the groups go by m; the rows come back chain by chain
+    numbers = [int(r.metadata["chain_id"].split("#=")[1][:-1]) for r in reports]
+    assert numbers == sorted(numbers) and set(numbers) == set(range(12))
+    whole = render_reports_csv(reports)
+    stacks = []
+
+    def spy(chains):
+        stacks.append(len(chains))
+        return subset_hitting_times_stack(chains)
+
+    monkeypatch.setattr(verify, "subset_hitting_times_stack", spy)
+    # 2 chains of m = 2, 1 of m = 3 or more, per group
+    monkeypatch.setattr(verify, "GROUP_ENTRIES", 12)
+    assert render_reports_csv(run_suite(suite, opts)[0]) == whole
+    assert sum(stacks) == 12 and len(stacks) > 4
 
 
 @pytest.mark.parametrize("seed", [3, 42])
 def test_lemma2_t_half_is_t_large(monkeypatch, seed):
-    # the suite reads T(0.5) off the subset array, filtering with pi.mass; t_large
-    # solves the minimal sets, filtering with subset_masses: the values agree bitwise
+    # the suite reads T(0.5) off the subset array, filtering with the member masses;
+    # t_large solves the minimal sets, filtering with subset_masses: the values agree bitwise
     chains = []
 
-    def spy(P):
-        chains.append(P)
-        return subset_hitting_times(P)
+    def spy(Ps):
+        chains.extend(Ps)
+        return subset_hitting_times_stack(Ps)
 
-    monkeypatch.setattr(verify, "subset_hitting_times", spy)
+    monkeypatch.setattr(verify, "subset_hitting_times_stack", spy)
     reports, _ = run_suite("lemma2", VerifyOptions(seed=seed))
     t_half = {r.metadata["chain_id"]: r.metadata["t_half"] for r in reports}
     assert len(chains) == len(t_half) == VerifyOptions().lemma2_chains
-    assert list(t_half.values()) == [t_large(P, stationary(P), 0.5).value for P in chains]
+    # the spy sees the chains grouped by m; each id names its m and its number
+    chains.sort(key=lambda P: P.m)
+    by_id = sorted(t_half, key=lambda c: (int(c.split("m=")[1].split(",")[0]),
+                                          int(c.split("#=")[1][:-1])))
+    assert [t_half[c] for c in by_id] == [t_large(P, stationary(P), 0.5).value for P in chains]
 
 
 class TestIidPower:
