@@ -17,10 +17,9 @@ per draw instead of O(m). The start law is one more row of the table.
 
 Once a trial of ``first_visit_table`` has seen every state, further steps
 cannot change its row (a first-visit step only ever takes its first
-value), so the trial stops at the next 16-step boundary. Its uniforms
-are still drawn with everyone else's, one row of the block's
-(trials, n) array per trial, so no trial's draws depend on when another
-stops, and the table is the one a run of all n steps gives.
+value), so it stops stepping and drawing at the next 16-step boundary.
+At each boundary the block draws one (steps, trials still open) array,
+a row per step, so a shorter horizon reads a prefix of the same stream.
 
 Time convention: a trajectory is X_1, ..., X_n with X_1 drawn from the
 start law; tau_j = min{i >= 1 : X_i = j} and N_B = min{i >= 1 : X_i in B},
@@ -180,11 +179,13 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
     One table answers every survival query with horizon <= n exactly:
     tau_j > k iff table[trial, j] > k for any k <= n.
 
-    A trial stops stepping at the first 16-step boundary after it has seen
-    all m states (its cover time), and the block stops when every trial has.
-    The table stays exact: each trial's uniforms are still its own row of
-    one ``rng.random((size, n))`` draw, and the steps a covered trial skips
-    could not lower any of its first-visit steps.
+    Draw rule: at each 16-step boundary c, the block's generator draws one
+    (min(16, n - c), k) array of uniforms, where the k trials are those
+    whose rows still hold an n + 1, in trial order; row i holds their step
+    c + i + 1. A trial that has seen all m states (its cover time) stops
+    drawing, since no later step could lower its row. So a horizon-n table
+    is the truncation of any longer-horizon table with the same seed and
+    trials, and a one-trial table replays the stream of ``sample_trajectory``.
     """
     _check_at_least_one(n=n, trials=trials, workers=workers)
     m = chain.matrix.m
@@ -192,28 +193,22 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
 
     def run(block: int, size: int) -> np.ndarray:
         rng = derive_stream(master_seed, block)
-        us = rng.random((size, n))
         fv = np.full((size, m), n + 1, dtype=np.int64)
         flat = fv.reshape(-1)
         offsets = np.arange(size) * m  # where the rows of the trials still stepping start
         states = np.full(size, m)  # the start-law row
         seen = np.zeros(size, dtype=np.intp)
         for c in range(0, n, 16):
-            open_ = seen < m
-            # a covered trial that kept stepping would change nothing, so drop
-            # the covered ones only once they are half of those still stepping
-            if 2 * np.count_nonzero(open_) <= offsets.size:
-                if not open_.any():
-                    break
-                offsets, states, seen = offsets[open_], states[open_], seen[open_]
-            chunk = us[offsets // m, c:c + 16]  # at most 1 MB: its strided columns stay in cache
-            for i in range(chunk.shape[1]):
-                states = inverse_cdf.pick(states, chunk[:, i])
+            open_ = seen < m  # the rows that still hold an n + 1
+            offsets, states, seen = offsets[open_], states[open_], seen[open_]
+            if not offsets.size:
+                break
+            for step, u in enumerate(rng.random((min(16, n - c), offsets.size)), start=c + 1):
+                states = inverse_cdf.pick(states, u)
                 at = offsets + states  # one cell per trial row: no repeated index
                 old = flat[at]
                 seen += old > n
-                flat[at] = np.minimum(old, c + i + 1, out=old)
-            del chunk  # before the next one is gathered: one chunk alive at a time
+                flat[at] = np.minimum(old, step, out=old)
         return fv
 
     return np.vstack(_run_blocks(run, trials, workers))

@@ -164,19 +164,25 @@ def _block_sizes(trials: int):
 
 
 def first_visit_table_by_count(chain, n: int, trials: int, master_seed: int, pi=None) -> np.ndarray:
-    """The first-visit table from the O(m) pick and ``np.minimum.at``, one block at a time."""
+    """The first-visit table from the O(m) pick and ``np.minimum.at``, one block at a time.
+
+    At each 16-step boundary c, the trials whose rows of the table still hold
+    an n + 1 draw one (min(16, n - c), k) array; row i holds their step c + i + 1.
+    """
     m = chain.matrix.m
     cum, cum_start = _cumulative_by_count(chain, pi)
     blocks = []
     for block, size in enumerate(_block_sizes(trials)):
-        us = derive_stream(master_seed, block).random((size, n))
+        rng = derive_stream(master_seed, block)
         fv = np.full((size, m), n + 1, dtype=np.int64)
-        rows_idx = np.arange(size)
-        states = pick_by_count(cum_start, us[:, 0])
-        fv[rows_idx, states] = 1
-        for i in range(1, n):
-            states = pick_by_count(cum[states], us[:, i])
-            np.minimum.at(fv, (rows_idx, states), i + 1)
+        states = np.zeros(size, dtype=np.int64)
+        for c in range(0, n, 16):
+            drawing = np.flatnonzero((fv > n).any(axis=1))
+            for i, u in enumerate(rng.random((min(16, n - c), drawing.size))):
+                step = c + i + 1
+                rows = cum_start if step == 1 else cum[states[drawing]]
+                states[drawing] = pick_by_count(rows, u)
+                np.minimum.at(fv, (drawing, states[drawing]), step)
         blocks.append(fv)
     return np.vstack(blocks)
 

@@ -172,6 +172,15 @@ class TestAgainstCountingSampler:
         assert (fv > 100).any(axis=1).all()
         assert np.array_equal(fv, first_visit_table_by_count(chain, 100, self.TRIALS, 64))
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("family,params", FAMILIES + [("lazy-cycle", {"m": 40, "hold": 0.9})])
+    def test_shorter_horizon_is_a_truncation(self, family, params, workers):
+        # steps 1..37 read the same uniforms at either horizon, covered trials or not
+        chain = generate(family, **params)
+        t100 = first_visit_table(chain, 100, self.TRIALS, 66, workers)
+        t37 = first_visit_table(chain, 37, self.TRIALS, 66, workers)
+        assert np.array_equal(t37, np.where(t100 <= 37, t100, 38))
+
     def test_covered_trials_stop_stepping(self, monkeypatch):
         rows = []
         pick = _InverseCdf.pick
@@ -236,6 +245,19 @@ class TestFirstVisitTable:
         a = first_visit_table(chain, 8, 3 * BLOCK_TRIALS + 17, 99, workers=1)
         b = first_visit_table(chain, 8, 3 * BLOCK_TRIALS + 17, 99, workers=workers)
         assert np.array_equal(a, b)
+
+    def test_long_horizon_draws_only_for_open_trials(self):
+        # nearly every trial covers random-dense(m=4) within a few dozen steps;
+        # a (trials, n) array of uniforms alone would take 31 MiB
+        chain = generate("random-dense", m=4, seed=2)
+        tracemalloc.start()
+        try:
+            fv = first_visit_table(chain, 2048, 2000, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (fv <= 2048).all()
+        assert peak < 4 * 2 ** 20
 
 
 class TestFirstVisitAgainstExact:
