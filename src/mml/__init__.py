@@ -7,8 +7,6 @@ from .bounds import (
     DEFAULT_C,
     DEFAULT_C2,
     BoundParams,
-    CalibrationInstance,
-    CalibrationResult,
     MissingMassTailBound,
     bernoulli_product_mgf,
     calibrate_c,

@@ -214,50 +214,28 @@ def pinsker_check(p: float, q: float) -> BoundReport:
 # --- calibration of the joint-survival constant on exact survivals ---------
 
 
-@dataclass(frozen=True)
-class CalibrationInstance:
-    """One exact joint survival probability Pr[tau_J > n] used to certify c."""
+def calibrate_c(p, n, mass, t_half) -> tuple[float, float]:
+    """Largest c with p <= exp(-c n pi(J) / T(0.5)) on every row of the survival columns:
+    p[i] = Pr[tau_J > n[i]] exactly, mass[i] = pi(J) and t_half[i] the chain's T(0.5).
 
-    chain_id: str
-    members: tuple[int, ...]
-    n: int
-    mass: float
-    t_half: float
-    p_hat: float
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    certified_c: float
-    certified_c_raw: float
-    binding: CalibrationInstance
-    tight: tuple[tuple[str, float], ...] = ()
-
-
-def calibrate_c(instances: Sequence[CalibrationInstance]) -> CalibrationResult:
-    """Largest c with p_hat <= exp(-c n pi(J) / T) on every instance.
-
-    The certified value is that c floored to a multiple of CERTIFIED_C_STEP.
-    Instances with n below the chain's T(0.5) are excluded (short-horizon
-    measurements are vacuous: the chain has not had one mixing scale to
-    move). Raises InsufficientTrialsError when no instance constrains c.
+    Returns (certified, raw): raw is that c, the minimum of -log p / (n pi(J) / T(0.5)),
+    and certified floors it to a multiple of CERTIFIED_C_STEP. Rows with n below
+    T(0.5) are excluded (short-horizon measurements are vacuous: the chain has
+    not had one mixing scale to move). Raises InsufficientTrialsError when no
+    row constrains c.
     """
-    if not instances:
+    p, n, mass, t_half = (np.asarray(x, dtype=float) for x in (p, n, mass, t_half))
+    if not p.size:
         raise ValidationError("empty calibration suite")
-    usable = [i for i in instances if i.n >= i.t_half]
-    if not usable:
+    usable = n >= t_half
+    if not usable.any():
         raise ValidationError("no instance passes the n >= T(0.5) inclusion filter")
-
     # an exact survival of 0, or T(0.5) = 0 (a single state), constrains nothing
-    c_max = [-math.log(i.p_hat) / (i.n * i.mass / i.t_half) if i.p_hat > 0 and i.t_half > 0
-             else math.inf for i in usable]
-    hi = min(c_max)
-    if not math.isfinite(hi):
+    rows = usable & (p > 0) & (t_half > 0)
+    if not rows.any():
         raise InsufficientTrialsError(
             "no instance constrains c: every survival probability is 0 "
             "or its chain has T(0.5) = 0")
-    tight = tuple((f"{i.chain_id} J={'|'.join(map(str, i.members))} n={i.n}", c)
-                  for i, c in zip(usable, c_max))
-    certified = math.floor(hi / CERTIFIED_C_STEP) * CERTIFIED_C_STEP
-    return CalibrationResult(certified_c=certified, certified_c_raw=hi,
-                             binding=usable[c_max.index(hi)], tight=tight)
+    raw = min(-math.log(q) / (k * a / t)
+              for q, k, a, t in zip(*(x[rows].tolist() for x in (p, n, mass, t_half))))
+    return math.floor(raw / CERTIFIED_C_STEP) * CERTIFIED_C_STEP, raw

@@ -382,26 +382,16 @@ def _check_horizons(horizons) -> np.ndarray:
 
 
 def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet) -> BoundReport:
-    """Check Lemma 1 for one pair of sets; see ``lemma1_reports``."""
+    """Check Lemma 1 for one pair of sets; see ``lemma1_stack_reports``."""
     _check_members(A, P.m, "set A")
     _check_members(B, P.m, "set B")
-    h = np.stack([hitting_table(P, S).h for S in (A, B)])
-    return lemma1_reports(pi, [A.members, B.members], h, [(0, 1)])[0]
-
-
-def lemma1_reports(pi: StationaryDistribution, sets, h: np.ndarray, pairs,
-                   chain_id: str = "") -> ReportBlock:
-    """Check pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A)) for each index pair (a, b) on one chain.
-
-    A = sets[a], B = sets[b], and row k of h holds the hitting times of
-    sets[k]; see ``lemma1_stack_reports``.
-    """
-    inside = np.zeros(h.shape, dtype=bool)
+    sets = [A.members, B.members]
+    inside = np.zeros((2, P.m), dtype=bool)
     for k, members in enumerate(sets):
         inside[k, list(members)] = True
-    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    h = np.stack([hitting_table(P, S).h for S in (A, B)])
     return lemma1_stack_reports(np.array([[pi.mass(members) for members in sets]]), sets, inside,
-                                h[None], np.zeros(len(pairs), dtype=np.intp), pairs, chain_id)
+                                h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), "")[0]
 
 
 def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.ndarray,
@@ -433,17 +423,11 @@ def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.nda
 
 
 def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> BoundReport:
-    """Check Lemma 2 for one set; needs exact T(0.5), so m <= 20. See ``lemma2_reports``."""
+    """Check Lemma 2 for one set; needs exact T(0.5), so m <= 20. See ``lemma2_stack_reports``."""
     _check_members(A, P.m, "set A")
     t_half = t_large(P, pi, 0.5).value
-    return lemma2_reports([pi.mass(A.members)], [A.members], hitting_table(P, A).h[None], t_half)[0]
-
-
-def lemma2_reports(masses, sets, h: np.ndarray, t_half: float, chain_id: str = "") -> ReportBlock:
-    """Check T(A) <= 2 T(0.5) / pi(A) for each A = sets[k] on one chain, whose stationary mass
-    is masses[k] and whose hitting times are row k of h; see ``lemma2_stack_reports``."""
-    return lemma2_stack_reports(np.asarray(masses, dtype=float)[None], sets, h[None],
-                                np.array([t_half], dtype=float), chain_id)
+    return lemma2_stack_reports(np.array([[pi.mass(A.members)]]), [A.members],
+                                hitting_table(P, A).h[None, None], np.array([t_half]), "")[0]
 
 
 def lemma2_stack_reports(masses: np.ndarray, sets, h: np.ndarray, t_half: np.ndarray,

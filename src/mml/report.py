@@ -2,8 +2,11 @@
 their CSV/JSON serialization.
 
 A suite's reports are one ``ReportBlock``: one column per CSV column, and
-one per metadata key. The lemma kernels fill a block straight from their
-arrays; a list of ``BoundReport``s becomes one through
+one per metadata key. The lemma kernels and the exact suites (prop1, thm1,
+cor1, cor3) fill blocks straight from their arrays with
+``ReportBlock.of_check`` and join them with ``ReportBlock.concat``, which
+also joins blocks whose metadata keys differ; the iid and ergodic suites
+turn a list of ``BoundReport``s into one through
 ``ReportBlock.from_reports``. ``render_reports_csv`` renders a block column
 by column: each label (a chain id, a member set) is formatted once, and
 each float column is formatted from its distinct values.
@@ -112,14 +115,14 @@ class ReportBlock:
     params: dict[str, Any]
 
     @classmethod
-    def of_check(cls, name: str, chain_id, bound, value, holds, vacuous, params):
-        """Rows of one exact check: ``ci`` is 0 and ``margin`` is bound - value. ``chain_id``
-        is the ``Labels`` column of the rows' chains, or one chain's id."""
+    def of_check(cls, name, chain_id, bound, value, holds, vacuous, params):
+        """Rows of exact checks: ``ci`` is 0 and ``margin`` is bound - value. ``name`` and
+        ``chain_id`` are each a ``Labels`` column, or one label for every row."""
         same = np.zeros(len(bound), dtype=np.intp)
-        if not isinstance(chain_id, Labels):
-            chain_id = Labels(same, [chain_id])
-        return cls(Labels(same, [name]), chain_id, bound, value, np.zeros(len(bound)),
-                   bound - value, holds, vacuous, params)
+        name, chain_id = (col if isinstance(col, Labels) else Labels(same, [col])
+                          for col in (name, chain_id))
+        return cls(name, chain_id, bound, value, np.zeros(len(bound)), bound - value, holds,
+                   vacuous, params)
 
     @classmethod
     def from_reports(cls, reports) -> "ReportBlock":
@@ -151,13 +154,15 @@ class ReportBlock:
     @classmethod
     def concat(cls, blocks, order=None) -> "ReportBlock":
         """The rows of ``blocks`` in order, or with ``order`` the rows at ``order`` of
-        those; the blocks share their params keys, and each key's column is an array in
-        all of them or ``Labels`` in all of them. Columns that share one ``labels`` list
-        share it in the result too."""
+        those. A params key that every block holds as an array stays an array; any
+        other key becomes ``Labels``, with code -1 on the rows of a block without
+        it. Columns that share one ``labels`` list share it in the result too."""
         def join(cols):
-            if not isinstance(cols[0], Labels):
+            if not any(isinstance(c, Labels) for c in cols):
                 col = np.concatenate(cols)
                 return col if order is None else col[order]
+            cols = [c if isinstance(c, Labels) else Labels(np.arange(len(c)), c.tolist())
+                    for c in cols]
             offsets: dict[int, int] = {}
             labels: list = []
             for c in cols:
@@ -172,8 +177,10 @@ class ReportBlock:
         columns = {f: join([getattr(b, f) for b in blocks])
                    for f in ("name", "chain_id", "bound", "value", "ci", "margin", "holds",
                              "vacuous")}
-        return cls(**columns, params={k: join([b.params[k] for b in blocks])
-                                      for k in blocks[0].params})
+        keys = dict.fromkeys(k for b in blocks for k in b.params)
+        return cls(**columns, params={
+            k: join([b.params[k] if k in b.params else Labels(np.full(len(b), -1), [])
+                     for b in blocks]) for k in keys})
 
     def __len__(self) -> int:
         return len(self.bound)

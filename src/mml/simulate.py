@@ -191,10 +191,12 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
     m = chain.matrix.m
     inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
 
-    def run(block: int, size: int) -> np.ndarray:
+    table = np.full((trials, m), n + 1, dtype=np.int64)
+
+    def run(block: int, size: int) -> None:
         rng = derive_stream(master_seed, block)
-        fv = np.full((size, m), n + 1, dtype=np.int64)
-        flat = fv.reshape(-1)
+        start = block * BLOCK_TRIALS
+        flat = table[start:start + size].reshape(-1)  # a view: the block writes its own rows
         offsets = np.arange(size) * m  # where the rows of the trials still stepping start
         states = np.full(size, m)  # the start-law row
         seen = np.zeros(size, dtype=np.intp)
@@ -209,9 +211,9 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
                 old = flat[at]
                 seen += old > n
                 flat[at] = np.minimum(old, step, out=old)
-        return fv
 
-    return np.vstack(_run_blocks(run, trials, workers))
+    _run_blocks(run, trials, workers)
+    return table
 
 
 def sample_missing_mass(config: SimConfig, pi: StationaryDistribution) -> list[MissingMassSample]:

@@ -333,7 +333,7 @@ def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Chunked exponential tail of hitting times vs exact tails Pr[N_B > t]."""
     seed = derive_seed(opts.seed, 4)
     rng = derive_stream(seed, 2)
-    reports: list[BoundReport] = []
+    blocks = []
     for chain_id, chain in opts.chains or _prop1_chain_set(seed, opts.prop1_chains):
         m = chain.matrix.m
         start = chain.resolved_start(stationary(chain.matrix))
@@ -341,11 +341,14 @@ def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         expected = expected_hitting_time(hitting_table(chain.matrix, StateSet(members)), start)
         thresholds = sorted({math.ceil(k * expected) for k in (1, 2, 3, 5, 8, 12, 20, 35, 50)})
         survival = survival_probabilities(chain.matrix, start, members, thresholds)
-        for t, p in zip(thresholds, survival.tolist()):
-            reports.append(BoundReport.from_check(
-                "prop1-tail", bnd.hitting_tail_bound(expected, t), p, tol=INEQUALITY_TOL,
-                metadata={"chain_id": chain_id, "B": members, "t": t, "expected": expected}))
-    return _result("prop1", opts, ReportBlock.from_reports(reports))
+        bound = np.array([bnd.hitting_tail_bound(expected, t) for t in thresholds])
+        rows = len(thresholds)
+        blocks.append(ReportBlock.of_check(
+            "prop1-tail", chain_id, bound, survival, survival <= bound + INEQUALITY_TOL,
+            np.zeros(rows, dtype=bool),
+            {"B": Labels(np.zeros(rows, dtype=np.intp), [members]), "t": np.array(thresholds),
+             "expected": np.full(rows, expected)}))
+    return _result("prop1", opts, ReportBlock.concat(blocks))
 
 
 # --- exact chain-family suites ---------------------------------------------
@@ -398,90 +401,91 @@ def _j_families(opts: VerifyOptions, rng, m: int, extra: int) -> list[tuple[int,
     return _index_sets(rng, m, extra, max(1, m - 1))
 
 
-def _survivals(ch: _ExactChain, sets, grid):
-    """Exact Pr[tau_J > n] for each set J and horizon n, as calibration instances."""
-    for members in sets:
-        mass = ch.pi.mass(members)
-        survival = survival_probabilities(ch.P, ch.start, members, grid)
-        for n, p in zip(grid, survival.tolist()):
-            yield bnd.CalibrationInstance(ch.chain_id, members, n, mass, ch.t_half, p)
-
-
-def _survival_check(name: str, keys: tuple[str, str], point, c: float) -> BoundReport:
-    """``point`` against exp(-c n pi(J) / T(0.5)), with J and n under ``keys``. T(0.5) = 0
-    only on a single-state chain, where the bound is 0 and vacuous."""
-    bound = bnd.explicit_hitting_tail(point.mass, point.t_half, point.n, c) if point.t_half else 0.0
-    return BoundReport.from_check(
-        name, bound, point.p_hat, tol=INEQUALITY_TOL, vacuous=not point.t_half,
-        metadata={"chain_id": point.chain_id, keys[0]: point.members, keys[1]: point.n,
-                  "c": c, "t_half": point.t_half})
+def _survival_block(name: str, keys: tuple[str, str], ch: _ExactChain, sets, grid,
+                    c: float) -> tuple[ReportBlock, np.ndarray]:
+    """Exact Pr[tau_J > n] for each set J and horizon n, set by set, against
+    exp(-c n pi(J) / T(0.5)), with J and n under ``keys``; also the rows' pi(J).
+    T(0.5) = 0 only on a single-state chain, where the bound is 0 and vacuous."""
+    # np.array, not np.concatenate: a chain may fit none of the configured sets
+    p = np.array([survival_probabilities(ch.P, ch.start, members, grid)
+                  for members in sets]).reshape(-1)
+    mass = np.repeat([ch.pi.mass(members) for members in sets], len(grid))
+    n = np.tile(grid, len(sets))
+    # math.exp row by row: np.exp may round differently
+    bound = np.array([bnd.explicit_hitting_tail(a, ch.t_half, t, c) if ch.t_half else 0.0
+                      for a, t in zip(mass.tolist(), n.tolist())])
+    rows = len(p)
+    block = ReportBlock.of_check(
+        name, ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL, np.full(rows, not ch.t_half),
+        {keys[0]: Labels(np.repeat(np.arange(len(sets)), len(grid)), sets), keys[1]: n,
+         "c": np.full(rows, c), "t_half": np.full(rows, ch.t_half)})
+    return block, mass
 
 
 def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Joint-survival product bound with c = 1/(2e); publishes the certified c."""
     seed = derive_seed(opts.seed, 5)
-    reports: list[BoundReport] = []
-    instances: list[bnd.CalibrationInstance] = []
+    blocks, survivals = [], []
     for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, "thm1"))):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(8)])
         sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
-        points = list(_survivals(ch, sets, grid))
-        instances += points
-        reports += [_survival_check("thm1-joint-survival", ("J", "n"), p, opts.c) for p in points]
+        block, mass = _survival_block("thm1-joint-survival", ("J", "n"), ch, sets, grid, opts.c)
+        survivals.append((block.value, block.params["n"], mass, block.params["t_half"]))
         # MGF domination by the independent-surrogate product, both normalizations
         # of the comparison weights (with and without the factor n) recorded.
         unseen = subset_masses(ch.pi.pi)[::-1]
+        rows = []
         for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
             params = bnd.BoundParams(c=opts.c, T=ch.t_half, n=n, pi=ch.pi)
             q = bnd.q_probabilities(params)
             for s in (0.5, 1.0, 2.0):
                 mgf = float(law @ np.exp(s * unseen))
-                for form, weights in (("eq3", n * ch.pi.pi), ("cor1", ch.pi.pi)):
-                    bound = bnd.bernoulli_product_mgf(weights, q, s)
-                    reports.append(BoundReport.from_check(
-                        f"thm1-mgf-{form}form", bound, mgf, tol=INEQUALITY_TOL,
-                        vacuous=params.vacuous,
-                        metadata={"chain_id": ch.chain_id, "n": n, "s": s,
-                                  "c": opts.c, "t_half": ch.t_half}))
-    cal = bnd.calibrate_c(instances)
-    extras = {
-        "certified_c": cal.certified_c,
-        "certified_c_raw": cal.certified_c_raw,
-        "c_used": opts.c,
-    }
-    return _result("thm1", opts, ReportBlock.from_reports(reports), extras)
+                rows += [(n, s, bnd.bernoulli_product_mgf(weights, q, s), mgf)
+                         for weights in (n * ch.pi.pi, ch.pi.pi)]
+        n, s, bound, mgf = map(np.array, zip(*rows))
+        forms = Labels(np.arange(len(rows)) % 2, ["thm1-mgf-eq3form", "thm1-mgf-cor1form"])
+        blocks += [block, ReportBlock.of_check(
+            forms, ch.chain_id, bound, mgf, mgf <= bound + INEQUALITY_TOL,
+            np.full(len(rows), not ch.t_half),
+            {"n": n, "s": s, "c": np.full(len(rows), opts.c),
+             "t_half": np.full(len(rows), ch.t_half)})]
+    certified, raw = bnd.calibrate_c(*map(np.concatenate, zip(*survivals)))
+    extras = {"certified_c": certified, "certified_c_raw": raw, "c_used": opts.c}
+    return _result("thm1", opts, ReportBlock.concat(blocks), extras)
 
 
 def suite_cor1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Missing-mass deviation bound (upper tail; lower tail out of scope)."""
-    reports: list[BoundReport] = []
+    blocks = []
     for ch in _exact_chains(opts, _family_suite(opts, "cor1")):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(7)])
         unseen = subset_masses(ch.pi.pi)[::-1]
+        rows = []
         for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
             params = bnd.BoundParams(c=opts.c, T=ch.t_half, n=n, pi=ch.pi)
             for eps in (0.05, 0.1, 0.2):
                 tail = bnd.missing_mass_tail_bound(params, eps, c2=opts.c2)
-                p = float(law[unseen > tail.threshold].sum())
-                reports.append(BoundReport.from_check(
-                    "cor1-upper-tail", tail.failure_bound, p, tol=INEQUALITY_TOL,
-                    vacuous=params.vacuous,
-                    metadata={"chain_id": ch.chain_id, "n": n, "eps": eps,
-                              "threshold": tail.threshold, "mean_term": tail.mean_term,
-                              "c2": opts.c2, "lower_tail": "out-of-scope"}))
-    return _result("cor1", opts, ReportBlock.from_reports(reports))
+                rows.append((n, eps, tail.threshold, tail.mean_term, tail.failure_bound,
+                             float(law[unseen > tail.threshold].sum())))
+        n, eps, threshold, mean_term, bound, p = map(np.array, zip(*rows))
+        blocks.append(ReportBlock.of_check(
+            "cor1-upper-tail", ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL,
+            np.full(len(rows), not ch.t_half),
+            {"n": n, "eps": eps, "threshold": threshold, "mean_term": mean_term,
+             "c2": np.full(len(rows), opts.c2),
+             "lower_tail": Labels(np.zeros(len(rows), dtype=np.intp), ["out-of-scope"])}))
+    return _result("cor1", opts, ReportBlock.concat(blocks))
 
 
 def suite_cor3(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Smooth explicit tail exp(-c t pi(A)/T(0.5)) vs exact set-hitting tails."""
     seed = derive_seed(opts.seed, 7)
-    reports: list[BoundReport] = []
+    blocks = []
     for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, "cor3"))):
         grid = _horizons(ch.t_half, opts.n_grid, (k * ch.t_half for k in (1, 2, 3, 5, 8, 12)), 512)
         sets = _j_families(opts, derive_stream(seed, 800 + idx), ch.P.m, extra=5)
-        reports += [_survival_check("cor3-explicit-tail", ("A", "t"), p, opts.c)
-                    for p in _survivals(ch, sets, grid)]
-    return _result("cor3", opts, ReportBlock.from_reports(reports))
+        blocks.append(_survival_block("cor3-explicit-tail", ("A", "t"), ch, sets, grid, opts.c)[0])
+    return _result("cor3", opts, ReportBlock.concat(blocks))
 
 
 def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:

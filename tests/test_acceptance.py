@@ -6,7 +6,9 @@ the heavyweight simulation suites are shared across criteria through
 module-scoped fixtures.
 """
 
+import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -178,3 +180,18 @@ def test_criterion_11_falsifiability(tmp_path, capsys):
     capsys.readouterr()
     report(11, "`verify thm1 --c 100` reports violations and exits nonzero",
            rc != 0 and len(rows) > 1, f"exit={rc} violations={len(rows) - 1}")
+
+
+@pytest.mark.parametrize("suite,count,sha256", [
+    ("thm1", 571, "b74a803eba467466483ea5e028c7787f97eef18bb5333fdf3dd3ff92bfa09974"),
+    ("cor3", 255, "b3c7a612dbeef554f43e7bfa80382cdd17584b302530bc73769c400626b812b0"),
+])
+def test_violations_keep_their_coordinates(tmp_path, capsys, suite, count, sha256):
+    # every violation names its set and horizon as the report rows do: n=4, J=0|1
+    assert main(["verify", suite, "--seed", str(ACCEPT_SEED), "--c", "100",
+                 "--out", str(tmp_path)]) == 1
+    text = (tmp_path / "violations.csv").read_text()
+    assert len(text.splitlines()) - 1 == count
+    assert re.search(r",[JA]=\d+\|\d+(\|\d+)*;", text)
+    assert re.search(r";[nt]=4;", text)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256

@@ -6,7 +6,6 @@ import pytest
 from mml.bounds import (
     DEFAULT_C,
     BoundParams,
-    CalibrationInstance,
     bernoulli_product_mgf,
     calibrate_c,
     explicit_hitting_tail,
@@ -298,68 +297,48 @@ class TestBernoulliProductMgf:
             assert emp <= bernoulli_product_mgf(n * mu, q, s) * (1 + 5e-2)
 
 
-class TestCalibrateC:
-    def _uniform2_instances(self):
-        # exact tails of the uniform IID 2-state chain with exact T(0.5) = 2
-        out = []
-        for n in (2, 4, 8):
-            p = 0.5 ** n
-            out.append(CalibrationInstance(
-                chain_id="iid-uniform2", members=(0,), n=n, mass=0.5,
-                t_half=2.0, p_hat=p))
-        return out
+# exact tails Pr[tau_{0} > n] = 0.5^n of the uniform IID 2-state chain, T(0.5) = 2
+UNIFORM2_SURVIVALS = dict(p=[0.25, 0.0625, 0.00390625], n=[2, 4, 8], mass=[0.5] * 3,
+                          t_half=[2.0] * 3)
 
+
+class TestCalibrateC:
     def test_uniform2_certifies_at_least_one(self):
-        res = calibrate_c(self._uniform2_instances())
-        assert res.certified_c >= 1.0
+        certified, raw = calibrate_c(**UNIFORM2_SURVIVALS)
+        assert certified >= 1.0
         # exact tails: certified c should be close to 4 ln 2
-        assert res.certified_c_raw == pytest.approx(4 * math.log(2), rel=0.05)
+        assert raw == pytest.approx(4 * math.log(2), rel=0.05)
 
     def test_exact_instances_leave_no_uncertainty(self):
-        inst = [CalibrationInstance(chain_id="iid-uniform2", members=(0,), n=n, mass=0.5,
-                                    t_half=2.0, p_hat=0.5 ** n) for n in (2, 4, 8)]
-        res = calibrate_c(inst)
-        assert res.certified_c_raw == pytest.approx(4 * math.log(2), rel=1e-12)
+        certified, raw = calibrate_c(**UNIFORM2_SURVIVALS)
+        assert raw == pytest.approx(4 * math.log(2), rel=1e-12)
+        assert certified == 2.75  # 4 ln 2 = 2.77 floored to a multiple of 0.25
 
     def test_exact_zero_survivals_constrain_nothing(self):
-        inst = CalibrationInstance(chain_id="x", members=(0,), n=4, mass=0.5,
-                                   t_half=2.0, p_hat=0.0)
-        with pytest.raises(InsufficientTrialsError, match="constrains"):
-            calibrate_c([inst])
+        with pytest.raises(InsufficientTrialsError, match="no instance constrains c"):
+            calibrate_c(p=[0.0], n=[4], mass=[0.5], t_half=[2.0])
 
     def test_empty_suite(self):
         with pytest.raises(ValidationError):
-            calibrate_c([])
+            calibrate_c(p=[], n=[], mass=[], t_half=[])
 
     def test_inclusion_filter(self):
-        inst = CalibrationInstance(chain_id="x", members=(0,), n=1, mass=0.5,
-                                   t_half=3.0, p_hat=0.5)
         with pytest.raises(ValidationError):
-            calibrate_c([inst])
-
-    def test_reports_tight_values_and_binding(self):
-        res = calibrate_c(self._uniform2_instances())
-        assert len(res.tight) == 3
-        assert res.binding is not None
+            calibrate_c(p=[0.5], n=[1], mass=[0.5], t_half=[3.0])
 
 
 class TestCalibrationFilterExample:
     def test_short_horizon_cycle_excluded(self):
-        # deterministic 3-cycle at n = 1 < T(0.5) would force any c to fail;
-        # the inclusion filter drops it
+        # deterministic 3-cycle at n = 0 < T(0.5) would force c = 0, as its survival is 1;
+        # the inclusion filter drops it, and the other row alone sets c
         P = validate([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-        pi = stationary(P)
-        t_half = t_large(P, pi, 0.5).value
-        bad = CalibrationInstance(chain_id="cycle3", members=(2,), n=0, mass=1 / 3,
-                                  t_half=t_half + 1, p_hat=1.0)
-        good = CalibrationInstance(chain_id="ok", members=(0,), n=4, mass=0.5,
-                                   t_half=2.0, p_hat=0.0625)
-        res = calibrate_c([bad, good])
-        assert res.binding.chain_id == "ok"
+        t_half = t_large(P, stationary(P), 0.5).value
+        _, raw = calibrate_c(p=[1.0, 0.0625], n=[0, 4], mass=[1 / 3, 0.5],
+                             t_half=[t_half + 1, 2.0])
+        assert raw == pytest.approx(4 * math.log(2), rel=1e-12)
 
 
 def test_calibration_skips_single_state_chains():
     # T(0.5) = 0 only on a single-state chain, whose bounds are vacuous
-    inst = CalibrationInstance(chain_id="one", members=(0,), n=1, mass=1.0, t_half=0.0, p_hat=0.5)
-    with pytest.raises(InsufficientTrialsError, match="constrains"):
-        calibrate_c([inst])
+    with pytest.raises(InsufficientTrialsError, match="no instance constrains c"):
+        calibrate_c(p=[0.5], n=[1], mass=[1.0], t_half=[0.0])

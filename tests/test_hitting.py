@@ -18,8 +18,8 @@ from mml.hitting import (
     check_lemma2,
     expected_hitting_time,
     hitting_table,
-    lemma1_reports,
-    lemma2_reports,
+    lemma1_stack_reports,
+    lemma2_stack_reports,
     member_masses,
     state_set,
     subset_hitting_times,
@@ -500,18 +500,35 @@ def _all_subsets(m):
     return [tuple(j for j in range(m) if mask >> j & 1) for mask in range(1, 1 << m)]
 
 
+def _one_chain(P):
+    """pi, then the stack kernels' inputs for every non-empty subset of P's states, on a
+    stack of one chain: sets, inside, masses and h."""
+    pi = stationary(P)
+    sets = _all_subsets(P.m)
+    inside = np.array([[j in members for j in range(P.m)] for members in sets])
+    masses = np.array([[pi.mass(members) for members in sets]])
+    return pi, sets, inside, masses, subset_hitting_times(P)[None]
+
+
+def _lemma1_rows(P, pairs):
+    """lemma1_stack_reports on the index pairs of P's subsets."""
+    _, sets, inside, masses, h = _one_chain(P)
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    return lemma1_stack_reports(masses, sets, inside, h, np.zeros(len(pairs), dtype=np.intp),
+                                pairs, "")
+
+
 class TestLemmaKernels:
     """The suites' array kernels against nested loops over one dense solve per set."""
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_lemma1_every_disjoint_pair_matches_oracle(self, m):
         P = random_chain(m, 700 + m)
-        pi = stationary(P)
-        sets = _all_subsets(m)
+        pi, sets, *_ = _one_chain(P)
         oracle = [direct_solve_table(P.rows, members) for members in sets]
         pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))
                  if not set(sets[a]) & set(sets[b])]
-        reports = lemma1_reports(pi, sets, subset_hitting_times(P), pairs)
+        reports = _lemma1_rows(P, pairs)
         assert len(reports) == len(pairs) == 3 ** m - 2 ** (m + 1) + 1
         for (a, b), rep in zip(pairs, reports):
             A, B = sets[a], sets[b]
@@ -527,11 +544,9 @@ class TestLemmaKernels:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_lemma2_every_set_matches_oracle(self, m):
         P = random_chain(m, 800 + m)
-        pi = stationary(P)
-        sets = _all_subsets(m)
+        pi, sets, _, masses, h = _one_chain(P)
         t_half, _ = brute_force_t_large(P.rows, pi.pi, 0.5, table=direct_solve_table)
-        reports = lemma2_reports([pi.mass(members) for members in sets], sets,
-                                 subset_hitting_times(P), t_large(P, pi, 0.5).value)
+        reports = lemma2_stack_reports(masses, sets, h, np.array([t_large(P, pi, 0.5).value]), "")
         assert len(reports) == len(sets)
         for members, rep in zip(sets, reports):
             t_a = direct_solve_table(P.rows, members).max()
@@ -546,26 +561,22 @@ class TestLemmaKernels:
     @pytest.mark.parametrize("m", range(2, 6))
     def test_one_pair_checks_equal_the_suite_rows(self, m):
         P = random_chain(m, 900 + m)
-        pi = stationary(P)
-        sets = _all_subsets(m)
-        h = subset_hitting_times(P)
+        pi, sets, _, masses, h = _one_chain(P)
         pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))]
         singles = [check_lemma1(P, pi, StateSet(sets[a]), StateSet(sets[b])) for a, b in pairs]
         assert render_reports_csv(ReportBlock.from_reports(singles)) == \
-            render_reports_csv(lemma1_reports(pi, sets, h, pairs))
-        t_half = t_large(P, pi, 0.5).value
-        masses = [pi.mass(members) for members in sets]
+            render_reports_csv(_lemma1_rows(P, pairs))
+        t_half = np.array([t_large(P, pi, 0.5).value])
         singles = [check_lemma2(P, pi, StateSet(members)) for members in sets]
         assert render_reports_csv(ReportBlock.from_reports(singles)) == \
-            render_reports_csv(lemma2_reports(masses, sets, h, t_half))
+            render_reports_csv(lemma2_stack_reports(masses, sets, h, t_half, ""))
 
     def test_overlapping_pairs_vacuous(self):
-        m = 4
-        P = random_chain(m, 950)
-        sets = _all_subsets(m)
+        P = random_chain(4, 950)
+        _, sets, *_ = _one_chain(P)
         pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))
                  if set(sets[a]) & set(sets[b])]
-        reports = lemma1_reports(stationary(P), sets, subset_hitting_times(P), pairs)
+        reports = _lemma1_rows(P, pairs)
         assert any(set(sets[a]) <= set(sets[b]) for a, b in pairs)  # T+ = T- = 0 among them
         for rep in reports:
             assert rep.vacuous and rep.holds

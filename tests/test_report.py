@@ -143,8 +143,9 @@ def test_block_of_reports_renders_as_rows(reports, header):
 
 @st.composite
 def _array_blocks(draw, key):
-    """Blocks as the lemma kernels build them: array params, member sets as Labels.
-    ``key`` is free text: quotes come from keys as well as values."""
+    """Blocks as the exact suites build them: array params, member sets as Labels, and a
+    name per row or one for the block. ``key`` is free text: quotes come from keys as well
+    as values. A block may lack any key, as thm1's survival rows lack ``s``."""
     n = draw(st.integers(0, 6))
     floats = st.lists(_FLOATS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float))
     bools = st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool))
@@ -155,7 +156,10 @@ def _array_blocks(draw, key):
     params = {"A": Labels(draw(codes), sets), key: draw(floats), "ok": draw(bools),
               "t": np.array(draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n)),
                             dtype=np.int64)}
-    return ReportBlock.of_check(draw(st.sampled_from(["lemma1", "lemma2"])),
+    params = {k: v for k, v in params.items() if draw(st.booleans())}
+    forms = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+        lambda v: Labels(np.array(v, dtype=np.intp), ["thm1-mgf-eq3form", "thm1-mgf-cor1form"]))
+    return ReportBlock.of_check(draw(st.one_of(st.sampled_from(["lemma1", "lemma2"]), forms)),
                                 draw(st.one_of(st.just("random-dense(m=3,#=0)"), _TEXT)),
                                 draw(floats), draw(floats), draw(bools), draw(bools), params)
 

@@ -259,6 +259,20 @@ class TestFirstVisitTable:
         assert (fv <= 2048).all()
         assert peak < 4 * 2 ** 20
 
+    def test_blocks_fill_one_table_in_place(self):
+        # four blocks write their rows of the returned table: no per-block
+        # tables joined by a copy, which would hold the table twice
+        chain = generate("random-dense", m=64, seed=2)
+        trials = 4 * BLOCK_TRIALS
+        tracemalloc.start()
+        try:
+            fv = first_visit_table(chain, 16, trials, 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fv.shape == (trials, 64) and fv.flags.c_contiguous
+        assert peak < 1.25 * fv.nbytes
+
 
 class TestFirstVisitAgainstExact:
     """Sampled first-visit tables against exact survival and missing-mass laws.

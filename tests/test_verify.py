@@ -1,6 +1,8 @@
 """The shared pieces of the verify suites: horizons, index sets, pairs, vacuous rows,
-and the power of the iid suite's test."""
+the power of the iid suite's test, and the pinned report bodies."""
 
+import hashlib
+import json
 from itertools import groupby
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 
 from mml import verify
 from mml.chain import generate, stationary
-from mml.cli import parse_descriptor
+from mml.cli import main, parse_descriptor
 from mml.errors import InsufficientTrialsError
 from mml.hitting import StateSet, _mask_members, check_lemma1, subset_hitting_times_stack, t_large
-from mml.report import ReportBlock, render_reports_csv
+from mml.report import ReportBlock, csv_body, render_reports_csv
 from mml.simulate import derive_stream
 from mml.verify import VerifyOptions, _disjoint_pairs, _pair_count, derive_seed, run_suite
 
@@ -222,3 +224,44 @@ class TestIidPower:
 
         monkeypatch.setattr(verify, "_iid_chain_set", skewed)
         assert self._flagged()
+
+
+def _body_sha256(path) -> str:
+    return hashlib.sha256(csv_body(path.read_text()).encode()).hexdigest()
+
+
+# sha256 of the CSV bodies that `verify all` writes: the exact suites and the summary,
+# with the certified c, may change only with a change that means to change results
+PINNED_BODIES = {
+    3: {"prop1": "9b9c45bea66297e53b2781ab7d5a219dc8893780888f475bef92cea1aed34676",
+        "thm1": "be9228704e4da9fd9d7cfa58bc995c3e4bf05c93798e53fd19a5cbc4c541f08e",
+        "cor1": "2996102fa1d5fa7088b797cafbaa32ac6761211ec961356e5492d090e44af7d3",
+        "cor3": "8652b5195225d2e88df13e27e11e7057a5d333715139f4be91999924856ff6de",
+        "summary": "26081b4dd8f3c0a9d3eeb6362e8e3f41d93b4e305e544b70def77c9bbf38ba05"},
+    42: {"prop1": "9811f33d61619cebd0d837410ddbfee47a895c1bc2850d6a84ca84e1b30a09c5",
+         "thm1": "2c770e43a83855df004a449b1491c7dee5124a0324a8877e125bc6542db07b90",
+         "cor1": "a23121ebef3b72fd0c78b8833dcfcc5f864af9221c69a7db0dc0c73b4508bfdc",
+         "cor3": "527e47003ccb154cf02365d9feb38ce385efd08632f94030604794add0452033",
+         "summary": "134d39a8cc2e8846718c0b5e51c02554178d2152eb675518f1bc79d7e2e07d2b"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_BODIES))
+def test_report_bodies_are_pinned(tmp_path, capsys, seed):
+    assert main(["verify", "all", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    assert {name: _body_sha256(tmp_path / f"{name}.csv") for name in PINNED_BODIES[seed]} == \
+        PINNED_BODIES[seed]
+
+
+@pytest.mark.parametrize("suite,sha256", [
+    # the two-state chain still gets its MGF rows
+    ("thm1", "ff270e444bdd1561391b0ed3a20e9310d85eb046327195c34fc9fe12a5c5d91a"),
+    ("cor3", "0ac5fe7869daa3c569113a175d7b694aa2c19ec969455d3830c22693739ca36e"),
+])
+def test_chain_that_fits_no_j_set(tmp_path, capsys, suite, sha256):
+    # both sets name state 2 or 3, which the two-state chain lacks
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"chains": [TWO_STATE, LAZY4], "j_sets": [[3], [0, 2]],
+                               "n_grid": [2, 4, 8]}))
+    assert main(["verify", suite, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert _body_sha256(tmp_path / "r" / f"{suite}.csv") == sha256
