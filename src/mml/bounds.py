@@ -22,14 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .chain import StationaryDistribution
-from .errors import (
-    DomainError,
-    EmptySetError,
-    InsufficientTrialsError,
-    ValidationError,
-)
-from .hitting import StateSet
-from .report import BoundReport
+from .errors import DomainError, InsufficientTrialsError, ValidationError
+from .hitting import StateSet, _check_members
+from .report import ReportBlock
 
 DEFAULT_C = 1.0 / (2.0 * math.e)
 DEFAULT_C2 = 1.0
@@ -51,13 +46,13 @@ class BoundParams:
     pi: StationaryDistribution
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:  # NaN fails too, here and below
             raise ValidationError(f"c must be > 0, got {self.c!r}")
-        if self.T < 0:
+        if not self.T >= 0:
             raise ValidationError(f"T must be >= 0, got {self.T!r}")
         if self.T == 0 and self.pi.pi.size > 1:
             raise ValidationError("T = 0 is only possible for m = 1")
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValidationError(f"n must be >= 1, got {self.n}")
 
     @property
@@ -85,8 +80,7 @@ def joint_survival_bound(params: BoundParams, J: StateSet, iid_exact: bool = Fal
 
     In the default mode the product collapses to exp(-c n pi(J) / T).
     """
-    if len(J) == 0:
-        raise EmptySetError("set J is empty")
+    _check_members(J, params.pi.pi.size, "set J")
     idx = J.indices()
     if iid_exact:
         return float(np.prod((1.0 - params.pi.pi[idx]) ** params.n))
@@ -100,22 +94,22 @@ def iid_exact_survival(pi: StationaryDistribution, J: StateSet, n: int) -> float
     """Exact memory-less joint survival (1 - pi(J))^n."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
+    if len(J):  # an empty J survives surely
+        _check_members(J, pi.pi.size, "set J")
     mass = math.fsum(pi.pi[j] for j in J.members)
     if mass > 1.0 + 1e-12:
         raise ValidationError(f"pi(J) = {mass!r} exceeds 1")
     return max(0.0, 1.0 - mass) ** n
 
 
-def product_inequality_check(pi: StationaryDistribution, J: StateSet) -> BoundReport:
-    """Check 1 - pi(J) <= prod_{j in J} (1 - pi(j))."""
-    if len(J) == 0:
-        raise EmptySetError("set J is empty")
+def product_inequality_check(pi: StationaryDistribution, J: StateSet) -> ReportBlock:
+    """Check 1 - pi(J) <= prod_{j in J} (1 - pi(j)); a one-row block."""
+    _check_members(J, pi.pi.size, "set J")
     mass = math.fsum(pi.pi[j] for j in J.members)
     lhs = 1.0 - mass
     rhs = float(np.prod(1.0 - pi.pi[J.indices()]))
-    return BoundReport.from_check(
-        "product-inequality", rhs, lhs, tol=1e-12,
-        metadata={"J": J.members, "mass": mass})
+    return ReportBlock.of_check("product-inequality", "", [rhs], [lhs], lhs <= rhs + 1e-12, False,
+                                {"J": J.members, "mass": mass})
 
 
 def hitting_tail_bound(expected: float, t) -> float:
@@ -124,10 +118,11 @@ def hitting_tail_bound(expected: float, t) -> float:
     Chunking argument: survive k independent windows of ceil(e * E N_B)
     steps each. Vacuous (= 1) for t below one window.
     """
-    if expected <= 0:
-        raise ValidationError(f"expected hitting time must be > 0, got {expected!r}")
-    if t < 0:
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    if not 0 < expected < math.inf:  # NaN fails too
+        raise ValidationError(
+            f"expected hitting time must be finite and > 0, got {expected!r}")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"t must be finite and >= 0, got {t!r}")
     window = math.ceil(math.e * expected)
     return math.exp(-math.floor(t / window))
 
@@ -136,11 +131,11 @@ def explicit_hitting_tail(pi_A: float, T_half: float, t, c_explicit: float = DEF
     """Smooth tail bound exp(-c t pi(A) / T(0.5)) for hitting a set A."""
     if not (0 < pi_A <= 1 + 1e-12):  # the mass of every state may round above 1
         raise ValidationError(f"pi_A must lie in (0, 1], got {pi_A!r}")
-    if T_half <= 0:
+    if not T_half > 0:  # NaN fails too, here and below
         raise ValidationError(f"T_half must be > 0, got {T_half!r}")
-    if c_explicit <= 0:
+    if not c_explicit > 0:
         raise ValidationError(f"c_explicit must be > 0, got {c_explicit!r}")
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"t must be >= 0, got {t!r}")
     return math.exp(-c_explicit * t * pi_A / T_half)
 
@@ -164,9 +159,9 @@ def missing_mass_tail_bound(params: BoundParams, epsilon: float,
     The mean term is sum_j pi(j) q_j, the expectation of the surrogate
     missing mass; in IID mode it equals the exact expected missing mass.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:  # NaN fails too
         raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
-    if c2 <= 0:
+    if not c2 > 0:
         raise ValidationError(f"c2 must be > 0, got {c2!r}")
     q = q_probabilities(params, iid_exact=iid_exact)
     mean_term = math.fsum(p * qq for p, qq in zip(params.pi.pi, q))
@@ -203,12 +198,12 @@ def _relative_entropy_term(a: float, b: float) -> float:
     return a * math.log(a / b) if b > 0 else math.inf
 
 
-def pinsker_check(p: float, q: float) -> BoundReport:
-    """Check D(p || q) >= 2 (p - q)^2."""
+def pinsker_check(p: float, q: float) -> ReportBlock:
+    """Check D(p || q) >= 2 (p - q)^2; a one-row block."""
     d = kl_divergence(p, q)
     lower = 2.0 * (p - q) ** 2
-    return BoundReport.from_check(
-        "pinsker", d, lower, tol=1e-12, metadata={"p": p, "q": q})
+    return ReportBlock.of_check("pinsker", "", [d], [lower], lower <= d + 1e-12, False,
+                                {"p": p, "q": q})
 
 
 # --- calibration of the joint-survival constant on exact survivals ---------

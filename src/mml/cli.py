@@ -54,7 +54,7 @@ from .hitting import (
     t_minus,
     t_plus,
 )
-from .report import ReportBlock, format_params, render_reports_csv, render_reports_json
+from .report import Labels, format_params, render_reports_csv, render_reports_json
 from .simulate import (
     _check_at_least_one,
     empirical_mgf,
@@ -166,11 +166,10 @@ def _csv(meta: dict, header: str, rows) -> str:
     return "\n".join([*(f"# {k}={v}" for k, v in meta.items()), header, *rows]) + "\n"
 
 
-def _report(rep, args) -> str:
-    """One check's report, in the ``--format`` asked for."""
-    if args.format == "json":
-        return render_reports_json([rep], _meta(args))
-    return render_reports_csv(ReportBlock.from_reports([rep]), _meta(args))
+def _report(block, args) -> str:
+    """A check's block of reports, in the ``--format`` asked for."""
+    render = render_reports_json if args.format == "json" else render_reports_csv
+    return render(block, _meta(args))
 
 
 def _meta(args, **extra) -> dict:
@@ -238,16 +237,16 @@ def cmd_hit_tlarge(args) -> str:
 def cmd_hit_lemma1(args) -> str:
     chain_id, chain = _chain_from_args(args)
     pi = stationary(chain.matrix)
-    rep = check_lemma1(chain.matrix, pi, parse_index_set(args.A), parse_index_set(args.B))
-    rep.metadata["chain_id"] = chain_id
-    return _report(rep, args)
+    block = check_lemma1(chain.matrix, pi, parse_index_set(args.A), parse_index_set(args.B))
+    block.chain_id = Labels(block.chain_id.codes, [chain_id])
+    return _report(block, args)
 
 
 def cmd_hit_lemma2(args) -> str:
     chain_id, chain = _chain_from_args(args)
-    rep = check_lemma2(chain.matrix, stationary(chain.matrix), parse_index_set(args.A))
-    rep.metadata["chain_id"] = chain_id
-    return _report(rep, args)
+    block = check_lemma2(chain.matrix, stationary(chain.matrix), parse_index_set(args.A))
+    block.chain_id = Labels(block.chain_id.codes, [chain_id])
+    return _report(block, args)
 
 
 # --- simulate ---------------------------------------------------------------
@@ -358,7 +357,7 @@ def _surrogate_params(args) -> bnd.BoundParams:
 def _pi_from_args(args):
     if args.pi is not None:
         vec = parse_float_vector(args.pi)
-        if abs(vec.sum() - 1.0) > 1e-9 or np.any(vec < 0):
+        if not abs(vec.sum() - 1.0) <= 1e-9 or np.any(vec < 0):  # NaN fails too
             raise ValidationError("--pi must be a probability vector")
         return StationaryDistribution(pi=vec, residual=0.0)
     _, chain = _chain_from_args(args)
@@ -396,8 +395,7 @@ def cmd_bounds_iidsurv(args) -> str:
 
 
 def cmd_bounds_product(args) -> str:
-    rep = bnd.product_inequality_check(_pi_from_args(args), parse_index_set(args.J))
-    return _report(rep, args)
+    return _report(bnd.product_inequality_check(_pi_from_args(args), parse_index_set(args.J)), args)
 
 
 def cmd_bounds_mmtail(args) -> str:

@@ -45,7 +45,7 @@ from .errors import (
     TooManyStatesError,
     ValidationError,
 )
-from .report import BoundReport, Labels, ReportBlock
+from .report import Labels, ReportBlock
 
 SYSTEM_RESIDUAL_TOL = 1e-9
 INEQUALITY_TOL = 1e-9
@@ -381,8 +381,8 @@ def _check_horizons(horizons) -> np.ndarray:
     return horizons
 
 
-def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet) -> BoundReport:
-    """Check Lemma 1 for one pair of sets; see ``lemma1_stack_reports``."""
+def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet) -> ReportBlock:
+    """Check Lemma 1 for one pair of sets, as a one-row block; see ``lemma1_stack_reports``."""
     _check_members(A, P.m, "set A")
     _check_members(B, P.m, "set B")
     sets = [A.members, B.members]
@@ -391,7 +391,7 @@ def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B
         inside[k, list(members)] = True
     h = np.stack([hitting_table(P, S).h for S in (A, B)])
     return lemma1_stack_reports(np.array([[pi.mass(members) for members in sets]]), sets, inside,
-                                h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), "")[0]
+                                h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), "")
 
 
 def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.ndarray,
@@ -422,12 +422,13 @@ def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.nda
          "product_lhs": lhs * tm, "product_holds": product_holds})
 
 
-def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> BoundReport:
-    """Check Lemma 2 for one set; needs exact T(0.5), so m <= 20. See ``lemma2_stack_reports``."""
+def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> ReportBlock:
+    """Check Lemma 2 for one set, as a one-row block; needs exact T(0.5), so m <= 20. See
+    ``lemma2_stack_reports``."""
     _check_members(A, P.m, "set A")
     t_half = t_large(P, pi, 0.5).value
     return lemma2_stack_reports(np.array([[pi.mass(A.members)]]), [A.members],
-                                hitting_table(P, A).h[None, None], np.array([t_half]), "")[0]
+                                hitting_table(P, A).h[None, None], np.array([t_half]), "")
 
 
 def lemma2_stack_reports(masses: np.ndarray, sets, h: np.ndarray, t_half: np.ndarray,

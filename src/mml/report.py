@@ -2,14 +2,12 @@
 their CSV/JSON serialization.
 
 A suite's reports are one ``ReportBlock``: one column per CSV column, and
-one per metadata key. The lemma kernels and the exact suites (prop1, thm1,
-cor1, cor3) fill blocks straight from their arrays with
-``ReportBlock.of_check`` and join them with ``ReportBlock.concat``, which
-also joins blocks whose metadata keys differ; the iid and ergodic suites
-turn a list of ``BoundReport``s into one through
-``ReportBlock.from_reports``. ``render_reports_csv`` renders a block column
-by column: each label (a chain id, a member set) is formatted once, and
-each float column is formatted from its distinct values.
+one per metadata key. Every check, from the suites to the one-row checks of
+the CLI, builds its rows with ``ReportBlock.of_check`` from its arrays, and
+a suite joins its blocks with ``ReportBlock.concat``, which also joins
+blocks whose metadata keys differ. ``render_reports_csv`` renders a block
+column by column: each label (a chain id, a member set) is formatted once,
+and each float column is formatted from its distinct values.
 
 Report CSV bodies are deterministic: metadata (tool version, seed,
 constants) lives in ``#``-prefixed header lines, data rows carry
@@ -24,16 +22,13 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Any
 
 import numpy as np
 
 CSV_COLUMNS = ("name", "chain_id", "params", "bound", "value", "ci", "margin", "holds", "vacuous")
-
-# metadata keys that get their own CSV column instead of the params blob
-_RESERVED_META = ("chain_id",)
 
 # characters that make csv.writer's default dialect quote a cell
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -48,7 +43,8 @@ Labels = namedtuple("Labels", "codes labels")
 
 @dataclass
 class BoundReport:
-    """One inequality check: bound vs. the exact or empirical value.
+    """One row of a ``ReportBlock``: an inequality's bound vs. the exact or
+    empirical value.
 
     ``holds`` means ``value <= bound_value + tol``. ``ci`` is 0 for an
     exact value. An iid row's value is the Chernoff-KL statistic of a
@@ -61,26 +57,15 @@ class BoundReport:
     value: float
     margin: float
     holds: bool
-    vacuous: bool = False
-    ci: float = 0.0
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_check(cls, name, bound_value, value, *, tol=0.0, vacuous=False, metadata=None):
-        """Build a report, deriving ``margin`` and ``holds`` from the inputs."""
-        bound_value = float(bound_value)
-        value = float(value)
-        return cls(
-            name=name,
-            bound_value=bound_value,
-            value=value,
-            margin=bound_value - value,
-            holds=bool(value <= bound_value + tol),
-            vacuous=vacuous,
-            metadata=dict(metadata or {}),
-        )
+    vacuous: bool
+    ci: float
+    metadata: dict[str, Any]
 
     def to_dict(self) -> dict[str, Any]:
+        """The row as JSON data; the chain id "" of a check of no chain is left out."""
+        metadata = {k: _jsonable(v) for k, v in self.metadata.items()}
+        if metadata.get("chain_id") == "":
+            del metadata["chain_id"]
         return {
             "name": self.name,
             "bound": self.bound_value,
@@ -89,7 +74,7 @@ class BoundReport:
             "margin": self.margin,
             "holds": self.holds,
             "vacuous": self.vacuous,
-            "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
+            "metadata": metadata,
         }
 
 
@@ -116,40 +101,24 @@ class ReportBlock:
 
     @classmethod
     def of_check(cls, name, chain_id, bound, value, holds, vacuous, params):
-        """Rows of exact checks: ``ci`` is 0 and ``margin`` is bound - value. ``name`` and
-        ``chain_id`` are each a ``Labels`` column, or one label for every row."""
+        """Rows of checks: ``ci`` is 0 and ``margin`` is bound - value.
+
+        ``bound`` and ``value`` are the float columns and fix the row count.
+        Each other argument is a column or one value for every row: ``name``
+        and ``chain_id`` are ``Labels`` or one label, ``holds`` and ``vacuous``
+        bool arrays or one bool, and a params value that is neither an array
+        nor ``Labels`` (a member set is a tuple) is the one label of its key.
+        """
+        bound, value = np.asarray(bound, dtype=float), np.asarray(value, dtype=float)
         same = np.zeros(len(bound), dtype=np.intp)
         name, chain_id = (col if isinstance(col, Labels) else Labels(same, [col])
                           for col in (name, chain_id))
+        holds, vacuous = (np.full(len(bound), col, dtype=bool) if np.ndim(col) == 0 else col
+                          for col in (holds, vacuous))
+        params = {k: col if isinstance(col, (np.ndarray, Labels)) else Labels(same, [col])
+                  for k, col in params.items()}
         return cls(name, chain_id, bound, value, np.zeros(len(bound)), bound - value, holds,
                    vacuous, params)
-
-    @classmethod
-    def from_reports(cls, reports) -> "ReportBlock":
-        """The block of a list of reports, row for row."""
-        n = len(reports)
-        params: dict[str, Labels] = {}
-        for i, r in enumerate(reports):
-            for k, v in r.metadata.items():
-                if k in _RESERVED_META:
-                    continue
-                if k not in params:
-                    params[k] = Labels(np.full(n, -1, dtype=np.intp), [])
-                col = params[k]
-                col.codes[i] = len(col.labels)
-                col.labels.append(v)
-        rows = np.arange(n)
-        return cls(
-            name=Labels(rows, [r.name for r in reports]),
-            chain_id=Labels(rows, [str(r.metadata.get("chain_id", "")) for r in reports]),
-            bound=np.array([r.bound_value for r in reports], dtype=float),
-            value=np.array([r.value for r in reports], dtype=float),
-            ci=np.array([r.ci for r in reports], dtype=float),
-            margin=np.array([r.margin for r in reports], dtype=float),
-            holds=np.array([bool(r.holds) for r in reports], dtype=bool),
-            vacuous=np.array([bool(r.vacuous) for r in reports], dtype=bool),
-            params=params,
-        )
 
     @classmethod
     def concat(cls, blocks, order=None) -> "ReportBlock":
@@ -285,7 +254,8 @@ def render_reports_csv(reports: ReportBlock, header_meta=None) -> str:
     return "".join(pieces)
 
 
-def render_reports_json(reports, header_meta=None) -> str:
+def render_reports_json(reports: ReportBlock, header_meta=None) -> str:
+    """Render a block of reports as JSON, one object per row, keys sorted."""
     payload = {
         "meta": {k: _jsonable(v) for k, v in (header_meta or {}).items()},
         "reports": [r.to_dict() for r in reports],

@@ -34,7 +34,7 @@ from .hitting import (
     t_large,
     unseen_set_law,
 )
-from .report import BoundReport, Labels, ReportBlock
+from .report import Labels, ReportBlock
 from .simulate import derive_stream, first_visit_table, missing_mass_values, occupancy_frequencies
 
 # run lengths n of the iid suite's survival and missing-mass checks
@@ -269,38 +269,40 @@ def suite_iid(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     # the row count K is fixed before sampling, so the union bound over the 2K tails holds
     rows = len(IID_HORIZONS) * sum(len(sets) + 1 for *_, sets in chains)
     threshold = math.log(2 * rows / IID_DELTA)
-    reports: list[BoundReport] = []
+
+    def check(name, chain_id, estimate, exact, params) -> ReportBlock:
+        """Chernoff-KL test of each estimate, a mean of ``trials`` iid draws in [0, 1],
+        against its exact mean: flagged iff trials * kl(estimate || exact) > threshold.
+        Hoeffding's bound Pr[trials * kl > x] <= 2 exp(-x) covers both tails."""
+        kl = np.array([opts.trials * bnd.kl_divergence(e, x) for e, x in zip(estimate, exact)])
+        params.update(estimate=np.array(estimate), exact=np.array(exact))
+        return ReportBlock.of_check(name, chain_id, np.full(kl.size, threshold), kl,
+                                    kl <= threshold, False, params)
+
+    blocks = []
     for idx, (chain_id, chain, mu, sets) in enumerate(chains):
         pi = stationary(chain.matrix)
         tau = first_visit_table(chain, n_max, opts.trials, derive_seed(seed, idx + 1),
                                 opts.workers, pi)
+        hits, exact = [], []
         for members in sets:
             cols = tau[:, list(members)].min(axis=1)
             mass = float(mu[list(members)].sum())
             for n in IID_HORIZONS:
-                hits = int((cols > n).sum())
-                reports.append(_iid_row("iid-exact-survival", hits / opts.trials,
-                                        max(0.0, 1.0 - mass) ** n, opts.trials, threshold,
-                                        chain_id=chain_id, J=members, n=n, hits=hits))
-        for n in IID_HORIZONS:
-            reports.append(_iid_row("iid-mm-mean", float(missing_mass_values(tau, mu, n).mean()),
-                                    float(np.sum(mu * (1.0 - mu) ** n)), opts.trials, threshold,
-                                    chain_id=chain_id, n=n))
-    return _result("iid", opts, ReportBlock.from_reports(reports))
-
-
-def _iid_row(name: str, estimate: float, exact: float, trials: int, threshold: float,
-             **metadata) -> BoundReport:
-    """Chernoff-KL test of ``estimate``, a mean of ``trials`` iid draws in [0, 1], against
-    its ``exact`` mean: flagged iff trials * kl(estimate || exact) > ``threshold``.
-
-    Hoeffding's bound Pr[trials * kl > x] <= 2 exp(-x) covers both tails. ``ci`` is
-    sqrt(threshold / 2 trials): by Pinsker, no accepted estimate is further from ``exact``.
-    """
-    rep = BoundReport.from_check(name, threshold, trials * bnd.kl_divergence(estimate, exact),
-                                 metadata=dict(metadata, estimate=estimate, exact=exact))
-    rep.ci = math.sqrt(threshold / (2 * trials))
-    return rep
+                hits.append(int((cols > n).sum()))
+                exact.append(max(0.0, 1.0 - mass) ** n)
+        J = Labels(np.repeat(np.arange(len(sets)), len(IID_HORIZONS)), sets)
+        blocks += [
+            check("iid-exact-survival", chain_id, [h / opts.trials for h in hits], exact,
+                  {"J": J, "n": np.tile(IID_HORIZONS, len(sets)), "hits": np.array(hits)}),
+            check("iid-mm-mean", chain_id,
+                  [float(missing_mass_values(tau, mu, n).mean()) for n in IID_HORIZONS],
+                  [float(np.sum(mu * (1.0 - mu) ** n)) for n in IID_HORIZONS],
+                  {"n": np.array(IID_HORIZONS)})]
+    block = ReportBlock.concat(blocks)
+    # by Pinsker, no estimate that its test accepts is further than this from its exact mean
+    block.ci[:] = math.sqrt(threshold / (2 * opts.trials))
+    return _result("iid", opts, block)
 
 
 def _prop1_chain_set(seed: int, count: int):
@@ -342,12 +344,9 @@ def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         thresholds = sorted({math.ceil(k * expected) for k in (1, 2, 3, 5, 8, 12, 20, 35, 50)})
         survival = survival_probabilities(chain.matrix, start, members, thresholds)
         bound = np.array([bnd.hitting_tail_bound(expected, t) for t in thresholds])
-        rows = len(thresholds)
         blocks.append(ReportBlock.of_check(
-            "prop1-tail", chain_id, bound, survival, survival <= bound + INEQUALITY_TOL,
-            np.zeros(rows, dtype=bool),
-            {"B": Labels(np.zeros(rows, dtype=np.intp), [members]), "t": np.array(thresholds),
-             "expected": np.full(rows, expected)}))
+            "prop1-tail", chain_id, bound, survival, survival <= bound + INEQUALITY_TOL, False,
+            {"B": members, "t": np.array(thresholds), "expected": expected}))
     return _result("prop1", opts, ReportBlock.concat(blocks))
 
 
@@ -414,11 +413,10 @@ def _survival_block(name: str, keys: tuple[str, str], ch: _ExactChain, sets, gri
     # math.exp row by row: np.exp may round differently
     bound = np.array([bnd.explicit_hitting_tail(a, ch.t_half, t, c) if ch.t_half else 0.0
                       for a, t in zip(mass.tolist(), n.tolist())])
-    rows = len(p)
     block = ReportBlock.of_check(
-        name, ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL, np.full(rows, not ch.t_half),
+        name, ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL, not ch.t_half,
         {keys[0]: Labels(np.repeat(np.arange(len(sets)), len(grid)), sets), keys[1]: n,
-         "c": np.full(rows, c), "t_half": np.full(rows, ch.t_half)})
+         "c": c, "t_half": ch.t_half})
     return block, mass
 
 
@@ -430,7 +428,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(8)])
         sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
         block, mass = _survival_block("thm1-joint-survival", ("J", "n"), ch, sets, grid, opts.c)
-        survivals.append((block.value, block.params["n"], mass, block.params["t_half"]))
+        survivals.append((block.value, block.params["n"], mass, np.full(len(mass), ch.t_half)))
         # MGF domination by the independent-surrogate product, both normalizations
         # of the comparison weights (with and without the factor n) recorded.
         unseen = subset_masses(ch.pi.pi)[::-1]
@@ -445,10 +443,8 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         n, s, bound, mgf = map(np.array, zip(*rows))
         forms = Labels(np.arange(len(rows)) % 2, ["thm1-mgf-eq3form", "thm1-mgf-cor1form"])
         blocks += [block, ReportBlock.of_check(
-            forms, ch.chain_id, bound, mgf, mgf <= bound + INEQUALITY_TOL,
-            np.full(len(rows), not ch.t_half),
-            {"n": n, "s": s, "c": np.full(len(rows), opts.c),
-             "t_half": np.full(len(rows), ch.t_half)})]
+            forms, ch.chain_id, bound, mgf, mgf <= bound + INEQUALITY_TOL, not ch.t_half,
+            {"n": n, "s": s, "c": opts.c, "t_half": ch.t_half})]
     certified, raw = bnd.calibrate_c(*map(np.concatenate, zip(*survivals)))
     extras = {"certified_c": certified, "certified_c_raw": raw, "c_used": opts.c}
     return _result("thm1", opts, ReportBlock.concat(blocks), extras)
@@ -469,11 +465,9 @@ def suite_cor1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
                              float(law[unseen > tail.threshold].sum())))
         n, eps, threshold, mean_term, bound, p = map(np.array, zip(*rows))
         blocks.append(ReportBlock.of_check(
-            "cor1-upper-tail", ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL,
-            np.full(len(rows), not ch.t_half),
-            {"n": n, "eps": eps, "threshold": threshold, "mean_term": mean_term,
-             "c2": np.full(len(rows), opts.c2),
-             "lower_tail": Labels(np.zeros(len(rows), dtype=np.intp), ["out-of-scope"])}))
+            "cor1-upper-tail", ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL, not ch.t_half,
+            {"n": n, "eps": eps, "threshold": threshold, "mean_term": mean_term, "c2": opts.c2,
+             "lower_tail": "out-of-scope"}))
     return _result("cor1", opts, ReportBlock.concat(blocks))
 
 
@@ -495,10 +489,9 @@ def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary
     pi = stationary(chain.matrix)
     freq = occupancy_frequencies(chain, opts.ergodic_steps, derive_stream(seed, 1), pi)
     tv = 0.5 * float(np.abs(freq - pi.pi).sum())
-    rep = BoundReport.from_check(
-        "ergodic-tv", 0.01, tv,
-        metadata={"chain_id": "random-dense(m=5)", "steps": opts.ergodic_steps})
-    return _result("ergodic", opts, ReportBlock.from_reports([rep]))
+    return _result("ergodic", opts, ReportBlock.of_check(
+        "ergodic-tv", "random-dense(m=5)", [0.01], [tv], tv <= 0.01, False,
+        {"steps": opts.ergodic_steps}))
 
 
 SUITES = {

@@ -407,6 +407,39 @@ class TestBoundsCommands:
         assert (report["bound"], report["value"], report["holds"]) == (0.375, 0.25, True)
         assert report["metadata"] == {"J": [0, 2], "mass": 0.75}
 
+    @pytest.mark.parametrize("command,J,rc,out,err", [
+        (["product"], "0,5", 3, "", "error: set J index 5 out of range for m=2"),
+        (["jointbound", "--n", "3"], "0,5", 3, "", "error: set J index 5 out of range for m=2"),
+        (["iidsurv", "--n", "3"], "0,5", 3, "", "error: set J index 5 out of range for m=2"),
+        # an empty J has no product to bound, and survives every run surely
+        (["product"], "", 4, "", "error: set J is empty"),
+        (["jointbound", "--n", "3"], "", 4, "", "error: set J is empty"),
+        (["iidsurv", "--n", "3"], "", 0, "1.0\n", ""),
+    ])
+    def test_set_j_is_checked(self, capsys, command, J, rc, out, err):
+        assert main(["bounds", *command, "--pi", "0.5,0.5", "--J", J]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == out and err in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["hittailbound", "--expected", "2", "--t", "nan"],
+        ["hittailbound", "--expected", "2", "--t", "inf"],
+        ["hittailbound", "--expected", "nan", "--t", "3"],
+        ["hittailbound", "--expected", "inf", "--t", "3"],
+        ["explicittail", "--pi-a", "0.3", "--t-half", "nan", "--t", "5"],
+        ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "nan"],
+        ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "5", "--c", "nan"],
+        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "nan"],
+        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--c2", "nan"],
+        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--c", "nan"],
+        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "nan"],
+        ["product", "--pi", "nan,1", "--J", "0"],
+    ], ids=" ".join)
+    def test_nan_arguments_exit_3(self, capsys, argv):
+        assert main(["bounds", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be" in captured.err
+
     def test_chain_from_family(self, capsys):
         # a chain given by --family yields the same bound as its stationary law given by --pi
         tail = ["--J", "0", "--n", "2", "--c", "1", "--T", "1"]

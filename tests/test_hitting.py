@@ -451,14 +451,14 @@ class TestExactSurvival:
 class TestLemma1:
     def test_uniform_tight(self):
         pi = stationary(UNIFORM2)
-        rep = check_lemma1(UNIFORM2, pi, state_set([0]), state_set([1]))
+        rep = check_lemma1(UNIFORM2, pi, state_set([0]), state_set([1]))[0]
         assert rep.value == pytest.approx(0.5, abs=1e-12)
         assert rep.bound_value == pytest.approx(0.5, abs=1e-12)
         assert rep.holds and not rep.vacuous
 
     def test_cycle_tight(self):
         pi = stationary(CYCLE3)
-        rep = check_lemma1(CYCLE3, pi, state_set([0]), state_set([1]))
+        rep = check_lemma1(CYCLE3, pi, state_set([0]), state_set([1]))[0]
         assert rep.metadata["t_plus"] == pytest.approx(1.0, abs=1e-9)
         assert rep.metadata["t_minus"] == pytest.approx(2.0, abs=1e-9)
         assert rep.bound_value == pytest.approx(1 / 3, abs=1e-9)
@@ -467,12 +467,12 @@ class TestLemma1:
 
     def test_overlap_is_vacuous(self):
         pi = stationary(UNIFORM2)
-        rep = check_lemma1(UNIFORM2, pi, state_set([0]), state_set([0]))
+        rep = check_lemma1(UNIFORM2, pi, state_set([0]), state_set([0]))[0]
         assert rep.vacuous
 
     def test_product_form_recorded(self):
         pi = stationary(CYCLE3)
-        rep = check_lemma1(CYCLE3, pi, state_set([0]), state_set([1]))
+        rep = check_lemma1(CYCLE3, pi, state_set([0]), state_set([1]))[0]
         assert rep.metadata["product_holds"]
         assert rep.metadata["product_lhs"] <= rep.metadata["t_plus"] + 1e-9
 
@@ -491,7 +491,7 @@ class TestLemma1:
                 continue
             k = int(rng.integers(1, rest.size + 1))
             b = tuple(sorted(rest[:k].tolist()))
-            rep = check_lemma1(P, pi, StateSet(a), StateSet(b))
+            rep = check_lemma1(P, pi, StateSet(a), StateSet(b))[0]
             assert rep.holds, (a, b, rep)
 
 
@@ -564,11 +564,11 @@ class TestLemmaKernels:
         pi, sets, _, masses, h = _one_chain(P)
         pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))]
         singles = [check_lemma1(P, pi, StateSet(sets[a]), StateSet(sets[b])) for a, b in pairs]
-        assert render_reports_csv(ReportBlock.from_reports(singles)) == \
+        assert render_reports_csv(ReportBlock.concat(singles)) == \
             render_reports_csv(_lemma1_rows(P, pairs))
         t_half = np.array([t_large(P, pi, 0.5).value])
         singles = [check_lemma2(P, pi, StateSet(members)) for members in sets]
-        assert render_reports_csv(ReportBlock.from_reports(singles)) == \
+        assert render_reports_csv(ReportBlock.concat(singles)) == \
             render_reports_csv(lemma2_stack_reports(masses, sets, h, t_half, ""))
 
     def test_overlapping_pairs_vacuous(self):
@@ -587,28 +587,28 @@ class TestLemmaKernels:
 class TestLemma2:
     def test_uniform(self):
         pi = stationary(UNIFORM2)
-        rep = check_lemma2(UNIFORM2, pi, state_set([0]))
+        rep = check_lemma2(UNIFORM2, pi, state_set([0]))[0]
         assert rep.value == pytest.approx(2.0, abs=1e-9)
         assert rep.bound_value == pytest.approx(8.0, abs=1e-9)
         assert rep.holds
 
     def test_full_space(self):
         pi = stationary(CYCLE3)
-        rep = check_lemma2(CYCLE3, pi, state_set([0, 1, 2]))
+        rep = check_lemma2(CYCLE3, pi, state_set([0, 1, 2]))[0]
         assert rep.value == 0.0
         assert rep.holds
 
     def test_cycle_singleton(self):
         # T({0}) = 2 and T(0.5) = 1, so the bound is 2 * 1 / (1/3) = 6
         pi = stationary(CYCLE3)
-        rep = check_lemma2(CYCLE3, pi, state_set([0]))
+        rep = check_lemma2(CYCLE3, pi, state_set([0]))[0]
         assert rep.value == pytest.approx(2.0, abs=1e-9)
         assert rep.bound_value == pytest.approx(6.0, abs=1e-9)
         assert rep.holds
 
     def test_single_state_vacuous(self):
         P = validate([[1.0]])
-        rep = check_lemma2(P, stationary(P), state_set([0]))
+        rep = check_lemma2(P, stationary(P), state_set([0]))[0]
         assert rep.vacuous and rep.holds
 
     def test_too_many_states(self):
@@ -623,6 +623,6 @@ class TestLemma2:
         pi = stationary(P)
         for mask in range(1, 1 << m):
             members = tuple(j for j in range(m) if mask >> j & 1)
-            rep = check_lemma2(P, pi, StateSet(members))
+            rep = check_lemma2(P, pi, StateSet(members))[0]
             assert rep.holds, (members, rep)
             assert rep.metadata["tight_constant"] <= 2.0 + 1e-9

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mml.report import (
     CSV_COLUMNS,
     RENDER_CHUNK,
-    BoundReport,
     Labels,
     ReportBlock,
     _fmt,
@@ -25,25 +24,39 @@ from mml.verify import VerificationSummary
 from oracles import render_rows_csv, summary_by_rows
 
 
-def _csv(reports, header_meta=None) -> str:
-    return render_reports_csv(ReportBlock.from_reports(reports), header_meta)
+def _check(name, bound, value, chain_id="", vacuous=False, **params) -> ReportBlock:
+    """The one-row block of the check value <= bound."""
+    return ReportBlock.of_check(name, chain_id, [bound], [value], value <= bound, vacuous, params)
 
 
-def test_from_check_derives_margin_and_holds():
-    rep = BoundReport.from_check("x", 1.0, 0.4)
+def _csv(blocks, header_meta=None) -> str:
+    return render_reports_csv(ReportBlock.concat(blocks), header_meta)
+
+
+def test_of_check_columns_and_scalars():
+    block = ReportBlock.of_check("x", "c", [1.0, 0.4], [0.4, 0.6], True, False,
+                                 {"t_half": 2.5, "J": (0, 2), "n": np.array([3, 4])})
+    rep = block[0]
     assert rep.margin == 0.6
     assert rep.holds and rep.ci == 0.0
-    rep2 = BoundReport.from_check("x", 0.4, 0.6)
-    assert not rep2.holds
-    assert BoundReport.from_check("x", 0.4, 0.6, tol=0.2).holds
+    assert block.margin.tolist() == [1.0 - 0.4, 0.4 - 0.6]
+    assert block.ci.tolist() == [0.0, 0.0]
+    # one holds or vacuous flag, and one value of a key, stand for every row
+    assert block.holds.tolist() == [True, True] and block.vacuous.tolist() == [False, False]
+    full = ReportBlock.of_check("x", Labels(np.zeros(2, dtype=np.intp), ["c"]),
+                                np.array([1.0, 0.4]), np.array([0.4, 0.6]), np.ones(2, bool),
+                                np.zeros(2, bool),
+                                {"t_half": np.full(2, 2.5), "n": np.array([3, 4]),
+                                 "J": Labels(np.zeros(2, dtype=np.intp), [(0, 2)])})
+    assert render_reports_csv(block) == render_reports_csv(full)
+    assert [r.metadata for r in block] == [r.metadata for r in full]
 
 
 def test_csv_layout_and_formatting():
-    rep = BoundReport.from_check(
-        "check", np.float64(0.5), 0.25,
-        metadata={"chain_id": "two-state", "J": (0, 2), "n": 3, "flag": True})
-    rep.ci = 0.01
-    text = _csv([rep], header_meta={"seed": 7})
+    block = _check("check", np.float64(0.5), 0.25, chain_id="two-state", J=(0, 2), n=3,
+                   flag=True)
+    block.ci[:] = 0.01
+    text = _csv([block], header_meta={"seed": 7})
     lines = text.splitlines()
     assert lines[0] == "# seed=7"
     assert lines[1] == "name,chain_id,params,bound,value,ci,margin,holds,vacuous"
@@ -51,9 +64,8 @@ def test_csv_layout_and_formatting():
 
 
 def test_numpy_scalars_render_as_plain_floats():
-    rep = BoundReport.from_check("n", np.float64(1.5), np.float64(0.5),
-                                 metadata={"v": np.float64(2.0)})
-    row = csv_body(_csv([rep])).splitlines()[1]
+    block = _check("n", np.float64(1.5), np.float64(0.5), v=np.float64(2.0))
+    row = csv_body(_csv([block])).splitlines()[1]
     assert "np.float64" not in row
     assert "v=2.0" in row
 
@@ -62,16 +74,13 @@ def test_numpy_bools_render_like_bools():
     assert _fmt(np.bool_(True)) == _fmt(True) == "true"
     assert _fmt(np.bool_(False)) == _fmt(False) == "false"
     assert _fmt((np.bool_(True), 1)) == "true|1"
-    rep = BoundReport.from_check("b", 1.0, 0.5, metadata={"flag": np.bool_(True)})
-    assert "flag=true" in _csv([rep])
+    assert "flag=true" in _csv([_check("b", 1.0, 0.5, flag=np.bool_(True))])
 
 
 def test_cells_with_commas_are_quoted():
-    reps = [BoundReport.from_check("lemma1", 0.5, 0.25,
-                                   metadata={"chain_id": "random-dense(m=6,#=0)", "A": (0, 1)}),
-            BoundReport.from_check("cor1", 1.0, 0.5,
-                                   metadata={"chain_id": "lazy-cycle(m=5,hold=0.5)", "n": 4})]
-    lines = csv_body(_csv(reps, {"seed": 3})).splitlines()
+    blocks = [_check("lemma1", 0.5, 0.25, chain_id="random-dense(m=6,#=0)", A=(0, 1)),
+              _check("cor1", 1.0, 0.5, chain_id="lazy-cycle(m=5,hold=0.5)", n=4)]
+    lines = csv_body(_csv(blocks, {"seed": 3})).splitlines()
     assert lines[1] == 'lemma1,"random-dense(m=6,#=0)",A=0|1,0.5,0.25,0.0,0.25,true,false'
     rows = list(csv.reader(lines))
     assert [len(row) for row in rows] == [9, 9, 9]
@@ -93,9 +102,9 @@ def _csv_line(cells) -> str:
 @settings(deadline=None)
 @given(chain_id=_TEXT, params=_TEXT)
 def test_rows_match_csv_writer(chain_id, params):
-    rep = BoundReport.from_check("x", 0.5, 0.25, metadata={"chain_id": chain_id, "p": params})
+    block = _check("x", 0.5, 0.25, chain_id=chain_id, p=params)
     row = ["x", chain_id, f"p={params}", "0.5", "0.25", "0.0", "0.25", "true", "false"]
-    assert _csv([rep]) == _csv_line(CSV_COLUMNS) + "\n" + _csv_line(row) + "\n"
+    assert _csv([block]) == _csv_line(CSV_COLUMNS) + "\n" + _csv_line(row) + "\n"
 
 
 # --- the column renderer against the row-by-row renderer ---------------------------
@@ -118,27 +127,30 @@ _KEYS = st.one_of(st.sampled_from(["A", "B", "J", "n", "t_half"]),
 
 
 @st.composite
-def _reports(draw):
-    metadata = draw(st.dictionaries(_KEYS, _VALUES, max_size=4))
-    chain_id = draw(st.one_of(st.none(), st.sampled_from(["c0", "lazy-cycle(m=5,hold=0.5)"]),
-                              _TEXT))
-    if chain_id is not None:
-        metadata["chain_id"] = chain_id
-    return BoundReport(name=draw(st.sampled_from(["lemma1", "thm1-mgf-eq3form", "x"])),
-                       bound_value=draw(_FLOATS), value=draw(_FLOATS), margin=draw(_FLOATS),
-                       holds=draw(st.booleans()), vacuous=draw(st.booleans()),
-                       ci=draw(_FLOATS), metadata=metadata)
+def _scalar_blocks(draw):
+    """Blocks whose name, chain id, flags, ci and params are each one value for every row,
+    as the iid and ergodic suites and the one-row checks build them."""
+    n = draw(st.integers(0, 3))
+    floats = st.lists(_FLOATS, min_size=n, max_size=n)
+    block = ReportBlock.of_check(
+        draw(st.sampled_from(["lemma1", "thm1-mgf-eq3form", "x"])),
+        draw(st.one_of(st.sampled_from(["", "c0", "lazy-cycle(m=5,hold=0.5)"]), _TEXT)),
+        draw(floats), draw(floats), draw(st.booleans()), draw(st.booleans()),
+        draw(st.dictionaries(_KEYS, _VALUES, max_size=4)))
+    block.ci[:] = draw(_FLOATS)
+    return block
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
 @settings(deadline=None)
-@given(reports=st.lists(_reports(), max_size=8),
+@given(blocks=st.lists(_scalar_blocks(), min_size=1, max_size=4),
        header=st.dictionaries(st.sampled_from(["seed", "c", "suite"]), _VALUES, max_size=3))
-def test_block_of_reports_renders_as_rows(reports, header):
-    block = ReportBlock.from_reports(reports)
-    assert len(block) == len(reports)
-    assert render_reports_csv(block, header) == render_rows_csv(reports, header)
-    twice = ReportBlock.concat([block, ReportBlock.from_reports(reports)])
-    assert render_reports_csv(twice, header) == render_rows_csv(reports * 2, header)
+def test_scalar_blocks_render_as_rows(blocks, header):
+    # scalar params are one-label Labels columns, which concat joins across differing keys
+    joined = ReportBlock.concat(blocks)
+    assert len(joined) == sum(map(len, blocks))
+    assert render_reports_csv(joined, header) == \
+        render_rows_csv([r for b in blocks for r in b], header)
 
 
 @st.composite
@@ -217,15 +229,15 @@ def test_concat_shares_labels_lists():
 # --- summary counts from the boolean columns ---------------------------------------
 
 def test_summary_counts_match_per_row_rule():
-    reports = [
-        BoundReport.from_check("ok", 1.0, 0.5, metadata={"chain_id": "c", "J": (0,), "n": 4}),
-        BoundReport.from_check("bad", 0.5, 1.0, metadata={"chain_id": "c", "J": (0, 1), "n": 8}),
-        BoundReport.from_check("vac", 1.0, 0.5, vacuous=True, metadata={"chain_id": "d", "s": 1.0}),
-        BoundReport.from_check("vac-bad", 0.5, 1.0, vacuous=True, metadata={"chain_id": "d"}),
-        BoundReport.from_check("bad2", 0.0, 2.0, metadata={"flag": True, "t": 3}),
-    ]
-    s = VerificationSummary.from_reports("thm1", 7, ReportBlock.from_reports(reports))
-    checks, passed, vacuous, violations = summary_by_rows("thm1", 7, reports)
+    block = ReportBlock.concat([
+        _check("ok", 1.0, 0.5, chain_id="c", J=(0,), n=4),
+        _check("bad", 0.5, 1.0, chain_id="c", J=(0, 1), n=8),
+        _check("vac", 1.0, 0.5, chain_id="d", vacuous=True, s=1.0),
+        _check("vac-bad", 0.5, 1.0, chain_id="d", vacuous=True),
+        _check("bad2", 0.0, 2.0, flag=True, t=3),
+    ])
+    s = VerificationSummary.from_reports("thm1", 7, block)
+    checks, passed, vacuous, violations = summary_by_rows("thm1", 7, list(block))
     assert (s.checks, s.passed, s.vacuous) == (checks, passed, vacuous) == (5, 3, 2)
     assert [v["name"] for v in s.violations] == ["bad", "bad2"]
     # the flagged rows' dicts carry their params; a row without a chain id reads ""
@@ -247,9 +259,9 @@ def test_csv_body_strips_comments():
 
 
 def test_json_rendering_round_trips():
-    reports = [BoundReport.from_check("x", 1.0, 0.5, metadata={"J": (1, 2)})]
-    for given_reports in (reports, ReportBlock.from_reports(reports)):
-        payload = json.loads(render_reports_json(given_reports, {"seed": 3}))
-        assert payload["meta"]["seed"] == 3
-        assert payload["reports"][0]["metadata"]["J"] == [1, 2]
-        assert payload["reports"][0]["holds"] is True
+    payload = json.loads(render_reports_json(_check("x", 1.0, 0.5, J=(1, 2)), {"seed": 3}))
+    assert payload["meta"]["seed"] == 3
+    assert payload["reports"][0]["metadata"]["J"] == [1, 2]
+    assert payload["reports"][0]["holds"] is True
+    # a check of no chain has no chain id to report
+    assert "chain_id" not in payload["reports"][0]["metadata"]

@@ -13,7 +13,7 @@ from mml.chain import generate, stationary
 from mml.cli import main, parse_descriptor
 from mml.errors import InsufficientTrialsError
 from mml.hitting import StateSet, _mask_members, check_lemma1, subset_hitting_times_stack, t_large
-from mml.report import ReportBlock, csv_body, render_reports_csv
+from mml.report import Labels, ReportBlock, csv_body, render_reports_csv
 from mml.simulate import derive_stream
 from mml.verify import VerifyOptions, _disjoint_pairs, _pair_count, derive_seed, run_suite
 
@@ -141,9 +141,9 @@ def test_lemma1_past_twelve_states():
     singles = [check_lemma1(P, pi, StateSet(r.metadata["A"]), StateSet(r.metadata["B"]))
                for r in rows[::50]]
     for single, row in zip(singles, rows[::50]):
-        single.metadata["chain_id"] = row.metadata["chain_id"]
-    assert render_reports_csv(ReportBlock.from_reports(singles)) == \
-        render_reports_csv(ReportBlock.from_reports(rows[::50]))
+        single.chain_id = Labels(single.chain_id.codes, [row.metadata["chain_id"]])
+    assert render_reports_csv(ReportBlock.concat(singles)) == \
+        render_reports_csv(ReportBlock.concat([reports], np.arange(180, len(reports), 50)))
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
