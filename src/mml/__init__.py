@@ -16,8 +16,6 @@ from .bounds import (
     joint_survival_bound,
     kl_divergence,
     missing_mass_tail_bound,
-    pinsker_check,
-    product_inequality_check,
     q_probabilities,
 )
 from .chain import (
@@ -36,8 +34,6 @@ from .hitting import (
     HittingTimeTable,
     LargeSetTime,
     StateSet,
-    check_lemma1,
-    check_lemma2,
     expected_hitting_time,
     hitting_table,
     state_set,
@@ -59,4 +55,13 @@ from .simulate import (
     sample_missing_mass,
     sample_trajectory,
 )
-from .verify import VerifyOptions, VerificationSummary, run_all, run_suite
+from .verify import (
+    VerificationSummary,
+    VerifyOptions,
+    check_lemma1,
+    check_lemma2,
+    pinsker_check,
+    product_inequality_check,
+    run_all,
+    run_suite,
+)

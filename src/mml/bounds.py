@@ -24,7 +24,6 @@ import numpy as np
 from .chain import StationaryDistribution
 from .errors import DomainError, InsufficientTrialsError, ValidationError
 from .hitting import StateSet, _check_members
-from .report import ReportBlock
 
 DEFAULT_C = 1.0 / (2.0 * math.e)
 DEFAULT_C2 = 1.0
@@ -46,10 +45,10 @@ class BoundParams:
     pi: StationaryDistribution
 
     def __post_init__(self):
-        if not self.c > 0:  # NaN fails too, here and below
-            raise ValidationError(f"c must be > 0, got {self.c!r}")
-        if not self.T >= 0:
-            raise ValidationError(f"T must be >= 0, got {self.T!r}")
+        if not 0 < self.c < math.inf:  # NaN fails too, here and below
+            raise ValidationError(f"c must be > 0 and finite, got {self.c!r}")
+        if not 0 <= self.T < math.inf:
+            raise ValidationError(f"T must be >= 0 and finite, got {self.T!r}")
         if self.T == 0 and self.pi.pi.size > 1:
             raise ValidationError("T = 0 is only possible for m = 1")
         if not self.n >= 1:
@@ -78,7 +77,8 @@ def q_probabilities(params: BoundParams, iid_exact: bool = False) -> np.ndarray:
 def joint_survival_bound(params: BoundParams, J: StateSet, iid_exact: bool = False) -> float:
     """Product bound on Pr[no state of J seen in n steps]: prod_j q_j.
 
-    In the default mode the product collapses to exp(-c n pi(J) / T).
+    In the default mode the product collapses to exp(-c n pi(J) / T), the
+    smooth tail ``explicit_hitting_tail`` at t = n.
     """
     _check_members(J, params.pi.pi.size, "set J")
     idx = J.indices()
@@ -87,7 +87,7 @@ def joint_survival_bound(params: BoundParams, J: StateSet, iid_exact: bool = Fal
     if params.vacuous:
         return 0.0
     mass = math.fsum(params.pi.pi[j] for j in J.members)
-    return math.exp(-params.c * params.n * mass / params.T)
+    return explicit_hitting_tail(mass, params.T, params.n, params.c)
 
 
 def iid_exact_survival(pi: StationaryDistribution, J: StateSet, n: int) -> float:
@@ -100,16 +100,6 @@ def iid_exact_survival(pi: StationaryDistribution, J: StateSet, n: int) -> float
     if mass > 1.0 + 1e-12:
         raise ValidationError(f"pi(J) = {mass!r} exceeds 1")
     return max(0.0, 1.0 - mass) ** n
-
-
-def product_inequality_check(pi: StationaryDistribution, J: StateSet) -> ReportBlock:
-    """Check 1 - pi(J) <= prod_{j in J} (1 - pi(j)); a one-row block."""
-    _check_members(J, pi.pi.size, "set J")
-    mass = math.fsum(pi.pi[j] for j in J.members)
-    lhs = 1.0 - mass
-    rhs = float(np.prod(1.0 - pi.pi[J.indices()]))
-    return ReportBlock.of_check("product-inequality", "", [rhs], [lhs], lhs <= rhs + 1e-12, False,
-                                {"J": J.members, "mass": mass})
 
 
 def hitting_tail_bound(expected: float, t) -> float:
@@ -131,12 +121,12 @@ def explicit_hitting_tail(pi_A: float, T_half: float, t, c_explicit: float = DEF
     """Smooth tail bound exp(-c t pi(A) / T(0.5)) for hitting a set A."""
     if not (0 < pi_A <= 1 + 1e-12):  # the mass of every state may round above 1
         raise ValidationError(f"pi_A must lie in (0, 1], got {pi_A!r}")
-    if not T_half > 0:  # NaN fails too, here and below
-        raise ValidationError(f"T_half must be > 0, got {T_half!r}")
-    if not c_explicit > 0:
-        raise ValidationError(f"c_explicit must be > 0, got {c_explicit!r}")
-    if not t >= 0:
-        raise ValidationError(f"t must be >= 0, got {t!r}")
+    if not 0 < T_half < math.inf:  # NaN fails too, here and below
+        raise ValidationError(f"T_half must be > 0 and finite, got {T_half!r}")
+    if not 0 < c_explicit < math.inf:
+        raise ValidationError(f"c_explicit must be > 0 and finite, got {c_explicit!r}")
+    if not 0 <= t < math.inf:
+        raise ValidationError(f"t must be >= 0 and finite, got {t!r}")
     return math.exp(-c_explicit * t * pi_A / T_half)
 
 
@@ -196,14 +186,6 @@ def _relative_entropy_term(a: float, b: float) -> float:
     if a == 0:
         return 0.0
     return a * math.log(a / b) if b > 0 else math.inf
-
-
-def pinsker_check(p: float, q: float) -> ReportBlock:
-    """Check D(p || q) >= 2 (p - q)^2; a one-row block."""
-    d = kl_divergence(p, q)
-    lower = 2.0 * (p - q) ** 2
-    return ReportBlock.of_check("pinsker", "", [d], [lower], lower <= d + 1e-12, False,
-                                {"p": p, "q": q})
 
 
 # --- calibration of the joint-survival constant on exact survivals ---------

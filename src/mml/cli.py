@@ -47,8 +47,6 @@ from .errors import (
 from .hitting import (
     StateSet,
     _check_members,
-    check_lemma1,
-    check_lemma2,
     hitting_table,
     t_large,
     t_minus,
@@ -62,7 +60,16 @@ from .simulate import (
     hitting_time_samples,
     missing_mass_values,
 )
-from .verify import SUITE_ORDER, VerifyOptions, run_all, run_suite
+from .verify import (
+    SUITE_ORDER,
+    VerifyOptions,
+    check_lemma1,
+    check_lemma2,
+    pinsker_check,
+    product_inequality_check,
+    run_all,
+    run_suite,
+)
 
 EXIT_VIOLATIONS = 1
 # the exit code of each error class, as listed above; an error takes the code of its
@@ -306,6 +313,8 @@ def cmd_simulate_hittail(args) -> str:
     if args.cap < 1:
         raise ValidationError(f"--cap must be >= 1, got {args.cap}")
     thresholds = parse_grid(args.t)
+    if not thresholds:
+        raise ValidationError(f"--t {args.t!r} names no threshold")
     for t in thresholds:
         # a trial cut at the cap has an unknown N_B > cap
         if not 0 <= t <= args.cap:
@@ -369,7 +378,7 @@ def cmd_bounds_kl(args) -> str:
 
 
 def cmd_bounds_pinsker(args) -> str:
-    return _report(bnd.pinsker_check(args.p, args.q), args)
+    return _report(pinsker_check(args.p, args.q), args)
 
 
 def cmd_bounds_hittailbound(args) -> str:
@@ -395,7 +404,7 @@ def cmd_bounds_iidsurv(args) -> str:
 
 
 def cmd_bounds_product(args) -> str:
-    return _report(bnd.product_inequality_check(_pi_from_args(args), parse_index_set(args.J)), args)
+    return _report(product_inequality_check(_pi_from_args(args), parse_index_set(args.J)), args)
 
 
 def cmd_bounds_mmtail(args) -> str:

@@ -12,8 +12,8 @@ of equal size: it groups the targets by size, solves each size's
 system's residual. A single table (``hitting_table``) and T(eps) pass a
 stack of one chain; the array of every subset's hitting times
 (``subset_hitting_times_stack``, m <= 20) passes the whole stack, so the
-lemma sweeps solve all their chains of one size together. The lemma
-kernels read their sets' members and stationary masses from arrays too
+lemma sweeps solve all their chains of one size together. The same
+subsets' members and stationary masses come as arrays too
 (``subset_members``, ``member_masses``).
 
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
@@ -38,17 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import StationaryDistribution, TransitionMatrix
-from .errors import (
-    BadParamsError,
-    EmptySetError,
-    SingularSystemError,
-    TooManyStatesError,
-    ValidationError,
-)
-from .report import Labels, ReportBlock
+from .errors import BadParamsError, EmptySetError, SingularSystemError, TooManyStatesError, ValidationError
 
 SYSTEM_RESIDUAL_TOL = 1e-9
-INEQUALITY_TOL = 1e-9
 ENUMERATION_MAX_STATES = 20
 MASS_FILTER_TOL = 1e-12
 # Systems per stacked solve: at most 2048 x 19 x 19 doubles (~6 MB) at m = 20.
@@ -234,8 +226,11 @@ def subset_masses(pi_vec: np.ndarray) -> np.ndarray:
 def subset_members(m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Every non-empty subset of m states in bitmask order: its member tuples, and a
     (2^m - 1, m) table whose row k - 1 is True at the members of bitmask k."""
-    masks = np.arange(1, 1 << m)
-    return [_mask_members(mask) for mask in masks.tolist()], ~_outside(masks, m)
+    sets = [()]
+    for j in range(m):
+        # the sets holding state j follow those without it, as bit j does
+        sets += [s + (j,) for s in sets]
+    return sets[1:], ~_outside(np.arange(1, 1 << m), m)
 
 
 # numpy sums fewer terms than this left to right, as a running sum does, and
@@ -243,33 +238,19 @@ def subset_members(m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
 _SEQUENTIAL_SUM_MAX = 7
 
 
-def member_masses(pis, sets, inside: np.ndarray) -> np.ndarray:
-    """(C, k) stationary masses of the sets: [c, k] is ``pis[c].mass(sets[k])`` bit for bit,
-    row k of ``inside`` marking the members of sets[k].
+def member_masses(pis, sets) -> np.ndarray:
+    """(C, 2^m - 1) stationary masses of every non-empty subset, ``sets`` listing them in
+    bitmask order (``subset_members``): [c, k] is ``pis[c].mass(sets[k])`` bit for bit.
 
-    A set of up to _SEQUENTIAL_SUM_MAX members is read off a running sum of
-    its masses in ascending state order, the order ``mass`` adds them in;
-    larger sets, which numpy sums pairwise, call ``mass`` itself.
+    ``subset_masses`` adds a set's masses in ascending state order, the order
+    ``mass`` adds up to _SEQUENTIAL_SUM_MAX of them in; larger sets, which
+    numpy sums pairwise, call ``mass`` itself.
     """
-    size = inside.sum(axis=1)
-    # each row's members first, in ascending order
-    order = np.argsort(~inside, axis=1, kind="stable")
-    running = np.cumsum(np.stack([pi.pi for pi in pis])[:, order], axis=2)
-    masses = running[:, np.arange(size.size), size - 1]
-    for k in np.flatnonzero(size > _SEQUENTIAL_SUM_MAX).tolist():
-        masses[:, k] = [pi.mass(sets[k]) for pi in pis]
+    masses = np.stack([subset_masses(pi.pi)[1:] for pi in pis])
+    for k, members in enumerate(sets):
+        if len(members) > _SEQUENTIAL_SUM_MAX:
+            masses[:, k] = [pi.mass(members) for pi in pis]
     return masses
-
-
-def _mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
 
 
 def _lex_smallest(masks: np.ndarray, m: int) -> tuple[int, ...]:
@@ -279,10 +260,8 @@ def _lex_smallest(masks: np.ndarray, m: int) -> tuple[int, ...]:
     holding the lowest state in which they differ; reversing the bit order
     makes that set the larger key.
     """
-    key = np.zeros_like(masks)
-    for j in range(m):
-        key |= ((masks >> j) & 1) << (m - 1 - j)
-    return _mask_members(int(masks[np.argmax(key)]))
+    outside = _outside(masks, m)
+    return _target(outside[np.argmax(~outside @ (1 << np.arange(m)[::-1]))])
 
 
 def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> np.ndarray:
@@ -379,74 +358,3 @@ def _check_horizons(horizons) -> np.ndarray:
     if horizons.size and horizons.min() < 1:
         raise ValidationError(f"horizons must be >= 1, got {horizons.min()}")
     return horizons
-
-
-def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet) -> ReportBlock:
-    """Check Lemma 1 for one pair of sets, as a one-row block; see ``lemma1_stack_reports``."""
-    _check_members(A, P.m, "set A")
-    _check_members(B, P.m, "set B")
-    sets = [A.members, B.members]
-    inside = np.zeros((2, P.m), dtype=bool)
-    for k, members in enumerate(sets):
-        inside[k, list(members)] = True
-    h = np.stack([hitting_table(P, S).h for S in (A, B)])
-    return lemma1_stack_reports(np.array([[pi.mass(members) for members in sets]]), sets, inside,
-                                h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), "")
-
-
-def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.ndarray,
-                         chain: np.ndarray, pairs: np.ndarray, chain_id) -> ReportBlock:
-    """Lemma 1's rows on a stack of chains: row i checks pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A))
-    for A = sets[a], B = sets[b] on chain c, where (a, b) = pairs[i] and c = chain[i].
-
-    masses[c, k] is the stationary mass of sets[k] on chain c, row k of
-    ``inside`` marks its members, and h[c, k] holds its hitting times;
-    ``chain_id`` labels the rows as in ``ReportBlock.of_check``. Overlapping
-    A and B make T-(B,A) = 0 and the inequality trivial; such checks are
-    reported with vacuous=true rather than rejected. The product form
-    pi(A) * T-(B,A) <= T+(A,B) is checked alongside and recorded in the
-    params as ``product_lhs`` and ``product_holds``; its right side is
-    ``t_plus``.
-    """
-    a, b = pairs.T
-    tp = np.where(inside[a], h[chain, b], -np.inf).max(axis=1)
-    tm = np.where(inside[b], h[chain, a], np.inf).min(axis=1)
-    lhs = masses[chain, a]
-    denom = tp + tm
-    rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
-    product_holds = lhs * tm <= tp + INEQUALITY_TOL
-    return ReportBlock.of_check(
-        "lemma1", chain_id, rhs, lhs, (lhs <= rhs + INEQUALITY_TOL) & product_holds,
-        (inside[a] & inside[b]).any(axis=1),
-        {"A": Labels(a, sets), "B": Labels(b, sets), "t_plus": tp, "t_minus": tm,
-         "product_lhs": lhs * tm, "product_holds": product_holds})
-
-
-def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> ReportBlock:
-    """Check Lemma 2 for one set, as a one-row block; needs exact T(0.5), so m <= 20. See
-    ``lemma2_stack_reports``."""
-    _check_members(A, P.m, "set A")
-    t_half = t_large(P, pi, 0.5).value
-    return lemma2_stack_reports(np.array([[pi.mass(A.members)]]), [A.members],
-                                hitting_table(P, A).h[None, None], np.array([t_half]), "")
-
-
-def lemma2_stack_reports(masses: np.ndarray, sets, h: np.ndarray, t_half: np.ndarray,
-                         chain_id) -> ReportBlock:
-    """Lemma 2's rows on a stack of C chains, chain by chain: T(A) <= 2 T(0.5) / pi(A) for
-    each A = sets[k] on chain c, whose mass is masses[c, k], whose hitting times are
-    h[c, k] and whose T(0.5) is t_half[c]; ``chain_id`` labels the rows as in
-    ``ReportBlock.of_check``.
-
-    Also records the per-instance smallest constant kappa with
-    T(A) <= kappa * T(0.5) / pi(A), without asserting any improved bound.
-    """
-    t_a = h.max(axis=2).ravel()
-    masses = masses.ravel()
-    t_half = np.repeat(t_half, len(sets))
-    bound = 2.0 * t_half / masses
-    tight = np.divide(t_a * masses, t_half, out=np.zeros_like(t_a), where=t_half > 0)
-    return ReportBlock.of_check(
-        "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL, t_half == 0.0,
-        {"A": Labels(np.tile(np.arange(len(sets)), h.shape[0]), sets),
-         "t_half": t_half, "mass": masses, "tight_constant": tight})

@@ -16,16 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds as bnd
-from .chain import generate, stationary
+from .chain import StationaryDistribution, TransitionMatrix, generate, stationary
 from .errors import ValidationError
 from .hitting import (
     ENUMERATION_MAX_STATES,
-    INEQUALITY_TOL,
+    MASS_FILTER_TOL,
     StateSet,
+    _check_members,
     expected_hitting_time,
     hitting_table,
-    lemma1_stack_reports,
-    lemma2_stack_reports,
     member_masses,
     subset_hitting_times_stack,
     subset_masses,
@@ -44,6 +43,8 @@ IID_HORIZONS = (1, 2, 4, 8, 16, 32, 64)
 IID_DELTA = 1e-3
 
 SUITE_ORDER = ("lemma1", "lemma2", "iid", "prop1", "thm1", "cor1", "cor3", "ergodic")
+# slack of every exact check: a row holds when value <= bound + INEQUALITY_TOL
+INEQUALITY_TOL = 1e-9
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -144,7 +145,7 @@ def _index_sets(rng, m: int, extra: int, size_hi: int) -> list[tuple[int, ...]]:
 # many hitting times: one m = 20 chain's, so memory does not grow with the chain count
 GROUP_ENTRIES = ((1 << ENUMERATION_MAX_STATES) - 1) * ENUMERATION_MAX_STATES
 
-_ChainGroup = namedtuple("_ChainGroup", "m index chain_ids sets inside masses h")
+_ChainGroup = namedtuple("_ChainGroup", "index chain_ids sets inside masses h")
 
 
 def _random_chains(seed: int, ms: list[int]):
@@ -169,8 +170,8 @@ def _random_chains(seed: int, ms: list[int]):
             index = chains[lo:lo + size]
             Ps = [generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
                   for i in index.tolist()]
-            masses = member_masses([stationary(P) for P in Ps], sets, inside)
-            yield _ChainGroup(m, index, chain_ids, sets, inside, masses,
+            masses = member_masses([stationary(P) for P in Ps], sets)
+            yield _ChainGroup(index, chain_ids, sets, inside, masses,
                               subset_hitting_times_stack(Ps))
 
 
@@ -197,7 +198,7 @@ def suite_lemma1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]
     for g in _random_chains(seed, ms):
         picked = [ranks[i] for i in g.index.tolist()]
         chain = np.repeat(np.arange(g.index.size), [r.size for r in picked])
-        pairs = _disjoint_pairs(g.m, np.concatenate(picked))
+        pairs = _disjoint_pairs(g.inside, np.concatenate(picked))
         blocks.append(lemma1_stack_reports(g.masses, g.sets, g.inside, g.h, chain, pairs,
                                            Labels(g.index[chain], g.chain_ids)))
     return _result("lemma1", opts, _in_chain_order(blocks))
@@ -208,26 +209,23 @@ def _pair_count(m: int) -> int:
     return 3 ** m - 2 ** (m + 1) + 1
 
 
-def _disjoint_pairs(m: int, ranks: np.ndarray) -> np.ndarray:
-    """Index pairs (a, b) of disjoint subsets of m states, index k being bitmask k + 1: those
-    at ``ranks`` in the list of all of them ordered by a then b, without building it.
+def _disjoint_pairs(inside: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Index pairs (a, b) of disjoint subsets of m states, row k of ``inside`` marking the
+    members of bitmask k + 1 (``subset_members``): those at ``ranks`` in the list of all of
+    them ordered by a then b, without building it.
 
     Set a has 2^(m - |a|) - 1 partners, so the pairs of a start at the sum of
     the counts before it. The partner of rank r among them is the r + 1-th
     non-empty subset of the complement of a in bitmask order: r + 1 with its
     bits deposited, low to high, into the complement's bits.
     """
-    masks = np.arange(1, 1 << m)
-    size = sum((masks >> j) & 1 for j in range(m))
-    partners = (1 << (m - size)) - 1
+    partners = (1 << (inside.shape[1] - inside.sum(axis=1))) - 1
     first = np.cumsum(partners) - partners
     ranks = np.asarray(ranks, dtype=np.int64)
     a = np.searchsorted(first, ranks, side="right") - 1
-    free = ~masks[a] & ((1 << m) - 1)
     bits = ranks - first[a] + 1
     b = np.zeros_like(ranks)
-    for j in range(m):
-        is_free = (free >> j) & 1
+    for j, is_free in enumerate((~inside[a].T).astype(np.int64)):
         b |= (bits & is_free) << j
         bits >>= is_free
     return np.column_stack((a, b - 1))
@@ -241,11 +239,101 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]
     blocks = []
     for g in _random_chains(seed, ms):
         # every subset is solved anyway; T(0.5) falls out of the same array
-        t_half = np.where(g.masses >= 0.5 - 1e-12, g.h.max(axis=2), 0.0).max(axis=1)
+        t_half = np.where(g.masses >= 0.5 - MASS_FILTER_TOL, g.h.max(axis=2), 0.0).max(axis=1)
         chain = np.repeat(g.index, len(g.sets))
         blocks.append(lemma2_stack_reports(g.masses, g.sets, g.h, t_half,
                                            Labels(chain, g.chain_ids)))
     return _result("lemma2", opts, _in_chain_order(blocks))
+
+
+def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet) -> ReportBlock:
+    """Check Lemma 1 for one pair of sets, as a one-row block; see ``lemma1_stack_reports``."""
+    _check_members(A, P.m, "set A")
+    _check_members(B, P.m, "set B")
+    sets = [A.members, B.members]
+    inside = np.array([np.isin(np.arange(P.m), members) for members in sets])
+    h = np.stack([hitting_table(P, S).h for S in (A, B)])
+    return lemma1_stack_reports(np.array([[pi.mass(members) for members in sets]]), sets, inside,
+                                h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), "")
+
+
+def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.ndarray,
+                         chain: np.ndarray, pairs: np.ndarray, chain_id) -> ReportBlock:
+    """Lemma 1's rows on a stack of chains: row i checks pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A))
+    for A = sets[a], B = sets[b] on chain c, where (a, b) = pairs[i] and c = chain[i].
+
+    masses[c, k] is the stationary mass of sets[k] on chain c, row k of
+    ``inside`` marks its members, and h[c, k] holds its hitting times;
+    ``chain_id`` labels the rows as in ``ReportBlock.of_check``. Overlapping
+    A and B make T-(B,A) = 0 and the inequality trivial; such checks are
+    reported with vacuous=true rather than rejected. The product form
+    pi(A) * T-(B,A) <= T+(A,B) is checked alongside and recorded in the
+    params as ``product_lhs`` and ``product_holds``; its right side is
+    ``t_plus``.
+    """
+    a, b = pairs.T
+    tp = np.where(inside[a], h[chain, b], -np.inf).max(axis=1)
+    tm = np.where(inside[b], h[chain, a], np.inf).min(axis=1)
+    lhs = masses[chain, a]
+    denom = tp + tm
+    rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
+    product_holds = lhs * tm <= tp + INEQUALITY_TOL
+    return ReportBlock.of_check(
+        "lemma1", chain_id, rhs, lhs, (lhs <= rhs + INEQUALITY_TOL) & product_holds,
+        (inside[a] & inside[b]).any(axis=1),
+        {"A": Labels(a, sets), "B": Labels(b, sets), "t_plus": tp, "t_minus": tm,
+         "product_lhs": lhs * tm, "product_holds": product_holds})
+
+
+def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> ReportBlock:
+    """Check Lemma 2 for one set, as a one-row block; needs exact T(0.5), so m <= 20. See
+    ``lemma2_stack_reports``."""
+    _check_members(A, P.m, "set A")
+    t_half = t_large(P, pi, 0.5).value
+    return lemma2_stack_reports(np.array([[pi.mass(A.members)]]), [A.members],
+                                hitting_table(P, A).h[None, None], np.array([t_half]), "")
+
+
+def lemma2_stack_reports(masses: np.ndarray, sets, h: np.ndarray, t_half: np.ndarray,
+                         chain_id) -> ReportBlock:
+    """Lemma 2's rows on a stack of C chains, chain by chain: T(A) <= 2 T(0.5) / pi(A) for
+    each A = sets[k] on chain c, whose mass is masses[c, k], whose hitting times are
+    h[c, k] and whose T(0.5) is t_half[c]; ``chain_id`` labels the rows as in
+    ``ReportBlock.of_check``.
+
+    Also records the per-instance smallest constant kappa with
+    T(A) <= kappa * T(0.5) / pi(A), without asserting any improved bound.
+    """
+    t_a = h.max(axis=2).ravel()
+    masses = masses.ravel()
+    t_half = np.repeat(t_half, len(sets))
+    bound = 2.0 * t_half / masses
+    tight = np.divide(t_a * masses, t_half, out=np.zeros_like(t_a), where=t_half > 0)
+    return ReportBlock.of_check(
+        "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL, t_half == 0.0,
+        {"A": Labels(np.tile(np.arange(len(sets)), h.shape[0]), sets),
+         "t_half": t_half, "mass": masses, "tight_constant": tight})
+
+
+# --- one-row checks of the bound formulas -----------------------------------
+
+
+def product_inequality_check(pi: StationaryDistribution, J: StateSet) -> ReportBlock:
+    """Check 1 - pi(J) <= prod_{j in J} (1 - pi(j)); a one-row block."""
+    _check_members(J, pi.pi.size, "set J")
+    mass = math.fsum(pi.pi[j] for j in J.members)
+    lhs = 1.0 - mass
+    rhs = float(np.prod(1.0 - pi.pi[J.indices()]))
+    return ReportBlock.of_check("product-inequality", "", [rhs], [lhs], lhs <= rhs + 1e-12, False,
+                                {"J": J.members, "mass": mass})
+
+
+def pinsker_check(p: float, q: float) -> ReportBlock:
+    """Check D(p || q) >= 2 (p - q)^2; a one-row block."""
+    d = bnd.kl_divergence(p, q)
+    lower = 2.0 * (p - q) ** 2
+    return ReportBlock.of_check("pinsker", "", [d], [lower], lower <= d + 1e-12, False,
+                                {"p": p, "q": q})
 
 
 # --- simulation suites ------------------------------------------------------
@@ -519,8 +607,11 @@ def _check_options(opts: VerifyOptions, suites) -> None:
     checks = [(name, getattr(opts, name) >= low, f">= {low}") for name, low in OPTION_MINIMUMS.items()]
     checks += [(name, getattr(opts, name) <= high, f"<= {high}")
                for name, high in OPTION_MAXIMUMS.items()]
-    checks += [("c", opts.c > 0, "> 0"), ("c2", opts.c2 > 0, "> 0"),
-               ("epsilon", 0 < opts.epsilon <= 1, "in (0, 1]")]
+    checks += [("c", 0 < opts.c < math.inf, "> 0 and finite"),
+               ("c2", 0 < opts.c2 < math.inf, "> 0 and finite"),
+               ("epsilon", 0 < opts.epsilon <= 1, "in (0, 1]"),
+               # an empty grid would fall back to the suites' default horizons
+               ("n_grid", opts.n_grid is None or len(opts.n_grid) > 0, "a non-empty grid")]
     for name, ok, what in checks:
         if not ok:  # NaN fails too
             raise ValidationError(f"{name} must be {what}, got {getattr(opts, name)!r}")

@@ -93,6 +93,11 @@ def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float,
     return best
 
 
+def mask_members(mask: int) -> tuple[int, ...]:
+    """Ascending member tuple of a bitmask, bit j being state j, read off its binary digits."""
+    return tuple(j for j, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1")
+
+
 def disjoint_pairs_by_enumeration(m: int) -> np.ndarray:
     """Index pairs (a, b) of disjoint subsets, index k being bitmask k + 1, ordered by a then
     b: every one of the 3^m - 2^(m+1) + 1, listed."""

@@ -14,8 +14,6 @@ from mml.bounds import (
     joint_survival_bound,
     kl_divergence,
     missing_mass_tail_bound,
-    pinsker_check,
-    product_inequality_check,
     q_probabilities,
 )
 from mml.chain import StationaryDistribution, generate, stationary, validate
@@ -27,6 +25,7 @@ from mml.errors import (
 )
 from mml.hitting import StateSet, state_set, t_large
 from mml.simulate import SimConfig, empirical_mgf, sample_missing_mass
+from mml.verify import pinsker_check, product_inequality_check
 
 from oracles import kl_highprec
 
@@ -94,6 +93,19 @@ class TestJointSurvivalBound:
         params = BoundParams(c=1.0, T=1.0, n=1, pi=dist(0.5, 0.5))
         with pytest.raises(EmptySetError):
             joint_survival_bound(params, StateSet(()))
+
+    @pytest.mark.parametrize("pi,J,n,c,T", [
+        ((0.1, 0.9), (0,), 10, DEFAULT_C, 1.0),
+        ((0.2, 0.3, 0.5), (0, 2), 7, 0.7, 3.5),
+        ((0.25, 0.25, 0.25, 0.25), (0, 1, 2, 3), 64, 1.0, 2.0),
+        ((0.05, 0.15, 0.3, 0.5), (1, 3), 1, 0.25, 0.3),
+    ])
+    def test_equals_explicit_tail_at_t_n(self, pi, J, n, c, T):
+        # one formula: Thm. 1's product collapses to Cor. 3's smooth tail, bit for bit
+        params = BoundParams(c=c, T=T, n=n, pi=dist(*pi))
+        mass = math.fsum(pi[j] for j in J)
+        assert joint_survival_bound(params, StateSet(J)) == explicit_hitting_tail(mass, T, n, c) \
+            == math.exp(-c * n * mass / T)
 
 
 class TestIidExactSurvival:

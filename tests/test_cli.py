@@ -310,6 +310,15 @@ class TestSimulateCommands:
         assert rc == 3
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t", ["5..3", ","])
+    def test_hittail_empty_grid_exits_3(self, capsys, t):
+        # no threshold: the command would sample every trial for a header with no rows
+        rc = main(["simulate", "hittail", "--family", "lazy-cycle", "--m", "10", "--hold", "0.9",
+                   "--B", "5", "--t", t, "--trials", "200", "--seed", "9"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: --t {t!r} names no threshold" in captured.err
+
 
 class TestBoundsCommands:
     def test_kl(self, capsys):
@@ -429,10 +438,18 @@ class TestBoundsCommands:
         ["explicittail", "--pi-a", "0.3", "--t-half", "nan", "--t", "5"],
         ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "nan"],
         ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "5", "--c", "nan"],
+        ["explicittail", "--pi-a", "0.3", "--t-half", "inf", "--t", "inf"],
+        ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "inf"],
+        ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "5", "--c", "inf"],
         ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "nan"],
         ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--c2", "nan"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--c", "nan"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "nan"],
+        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "inf", "--c", "inf"],
+        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "inf"],
+        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--c", "inf"],
+        ["jointbound", "--pi", "0.5,0.5", "--J", "0", "--n", "3", "--T", "inf", "--c", "inf"],
+        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--T", "inf", "--c", "inf"],
         ["product", "--pi", "nan,1", "--J", "0"],
     ], ids=" ".join)
     def test_nan_arguments_exit_3(self, capsys, argv):
@@ -664,6 +681,11 @@ class TestVerifyCommand:
         (["--ergodic-steps", "0"], None, "ergodic_steps must be >= 1"),
         (["--c", "-0.5"], None, "c must be > 0"),
         ([], {"constants": {"c2": 0}}, "c2 must be > 0"),
+        (["--c", "inf"], None, "c must be > 0 and finite, got inf"),
+        (["--c2", "inf"], None, "c2 must be > 0 and finite, got inf"),
+        ([], {"n_grid": "9..3"}, "n_grid must be a non-empty grid, got []"),
+        ([], {"n_grid": []}, "n_grid must be a non-empty grid, got []"),
+        ([], {"n_grid": ","}, "n_grid must be a non-empty grid, got []"),
         (["--eps", "0"], None, "epsilon must be in (0, 1]"),
         (["--eps", "1.5"], None, "epsilon must be in (0, 1]"),
         ([], {"lemma1_m_max": 64}, "lemma1_m_max must be <= 20"),

@@ -12,14 +12,9 @@ from mml.hitting import (
     MASS_FILTER_TOL,
     StateSet,
     _lex_smallest,
-    _mask_members,
     _minimal_qualifying_sets,
-    check_lemma1,
-    check_lemma2,
     expected_hitting_time,
     hitting_table,
-    lemma1_stack_reports,
-    lemma2_stack_reports,
     member_masses,
     state_set,
     subset_hitting_times,
@@ -33,10 +28,12 @@ from mml.hitting import (
     unseen_set_law,
 )
 from mml.report import ReportBlock, render_reports_csv
+from mml.verify import check_lemma1, check_lemma2, lemma1_stack_reports, lemma2_stack_reports
 
 from oracles import (
     brute_force_t_large,
     direct_solve_table,
+    mask_members,
     survival_sum_expected,
     survival_sum_table,
     trajectory_survival,
@@ -181,7 +178,7 @@ class TestSubsetHittingTables:
         h = subset_hitting_times(P)
         assert h.shape == ((1 << m) - 1, m)
         for mask, row in enumerate(h, start=1):
-            members = _mask_members(mask)
+            members = mask_members(mask)
             single = hitting_table(P, StateSet(members))
             assert np.array_equal(row, single.h)
             assert row.max() == single.t_plus_all
@@ -214,10 +211,10 @@ class TestSubsetHittingTables:
 
 
 class TestMemberTable:
-    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("m", range(1, 13))
     def test_members_in_bitmask_order(self, m):
         sets, inside = subset_members(m)
-        assert sets == [_mask_members(mask) for mask in range(1, 1 << m)]
+        assert sets == [mask_members(mask) for mask in range(1, 1 << m)]
         assert [tuple(np.flatnonzero(row).tolist()) for row in inside] == sets
 
     @pytest.mark.parametrize("m", range(2, 13))
@@ -225,8 +222,8 @@ class TestMemberTable:
         # from m = 8 on, some sets have 8 or more members, which numpy sums pairwise
         pis = [stationary(generate("random-dense", m=m, alpha=alpha, seed=50 * m + k).matrix)
                for k, alpha in enumerate((1.0, 0.2, 5.0))]
-        sets, inside = subset_members(m)
-        masses = member_masses(pis, sets, inside)
+        sets = subset_members(m)[0]
+        masses = member_masses(pis, sets)
         expected = np.array([[pi.mass(members) for members in sets] for pi in pis])
         assert masses.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
@@ -360,7 +357,7 @@ class TestTLarge:
         pi = stationary(P)
         masks = _minimal_qualifying_sets(pi.pi, 0.5)
         assert masks.size == 924
-        expected = min(_mask_members(int(mask)) for mask in masks)
+        expected = min(mask_members(int(mask)) for mask in masks)
         assert _lex_smallest(masks, 12) == expected == tuple(range(6))
         assert t_large(P, pi, 0.5).argmax_set.members == expected
 

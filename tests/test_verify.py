@@ -12,12 +12,12 @@ from mml import verify
 from mml.chain import generate, stationary
 from mml.cli import main, parse_descriptor
 from mml.errors import InsufficientTrialsError
-from mml.hitting import StateSet, _mask_members, check_lemma1, subset_hitting_times_stack, t_large
+from mml.hitting import StateSet, subset_hitting_times_stack, subset_members, t_large
 from mml.report import Labels, ReportBlock, csv_body, render_reports_csv
 from mml.simulate import derive_stream
-from mml.verify import VerifyOptions, _disjoint_pairs, _pair_count, derive_seed, run_suite
+from mml.verify import VerifyOptions, _disjoint_pairs, _pair_count, check_lemma1, derive_seed, run_suite
 
-from oracles import disjoint_pairs_by_enumeration
+from oracles import disjoint_pairs_by_enumeration, mask_members
 
 LAZY4 = "lazy-cycle:m=4;hold=0.5"  # T(0.5) = 4
 TWO_STATE = "two-state:p=0.1;q=0.2"  # T(0.5) = 5.000000000000001
@@ -96,11 +96,11 @@ class TestSingleStateChain:
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_disjoint_pairs_in_bitmask_order(m):
-    keys = [_mask_members(mask) for mask in range(1, 1 << m)]
+    keys = [mask_members(mask) for mask in range(1, 1 << m)]
     expected = [[a, b] for a in range(len(keys)) for b in range(len(keys))
                 if not set(keys[a]) & set(keys[b])]
     assert disjoint_pairs_by_enumeration(m).tolist() == expected
-    assert _disjoint_pairs(m, np.arange(_pair_count(m))).tolist() == expected
+    assert _disjoint_pairs(subset_members(m)[1], np.arange(_pair_count(m))).tolist() == expected
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -110,7 +110,7 @@ def test_unranked_pairs_equal_the_listed_sample(m):
     for seed in range(4):
         ranks = np.sort(derive_stream(seed, 0).choice(len(listed), size=min(500, len(listed)),
                                                       replace=False))
-        assert np.array_equal(_disjoint_pairs(m, ranks), listed[ranks])
+        assert np.array_equal(_disjoint_pairs(subset_members(m)[1], ranks), listed[ranks])
 
 
 def _chain_rows(reports):
@@ -124,7 +124,7 @@ def test_lemma1_takes_every_pair_when_they_fit():
     chains = list(_chain_rows(run_suite("lemma1", opts)[0]))
     assert len(chains) == 6
     for m, rows in chains:
-        sets = [_mask_members(mask) for mask in range(1, 1 << m)]
+        sets = [mask_members(mask) for mask in range(1, 1 << m)]
         assert [(r.metadata["A"], r.metadata["B"]) for r in rows] == \
             [(sets[a], sets[b]) for a, b in disjoint_pairs_by_enumeration(m).tolist()]
 
@@ -230,15 +230,19 @@ def _body_sha256(path) -> str:
     return hashlib.sha256(csv_body(path.read_text()).encode()).hexdigest()
 
 
-# sha256 of the CSV bodies that `verify all` writes: the exact suites and the summary,
-# with the certified c, may change only with a change that means to change results
+# sha256 of the CSV bodies that `verify all` writes: the lemma and exact suites and the
+# summary, with the certified c, may change only with a change that means to change results
 PINNED_BODIES = {
-    3: {"prop1": "9b9c45bea66297e53b2781ab7d5a219dc8893780888f475bef92cea1aed34676",
+    3: {"lemma1": "2023ab81db1942507ba45fe500a7918641720e234c25ea411fe6f32fb9c657a4",
+        "lemma2": "9b5aa8541d982018a542c6d0f168557705ece64efb1418f888692234c7c294fa",
+        "prop1": "9b9c45bea66297e53b2781ab7d5a219dc8893780888f475bef92cea1aed34676",
         "thm1": "be9228704e4da9fd9d7cfa58bc995c3e4bf05c93798e53fd19a5cbc4c541f08e",
         "cor1": "2996102fa1d5fa7088b797cafbaa32ac6761211ec961356e5492d090e44af7d3",
         "cor3": "8652b5195225d2e88df13e27e11e7057a5d333715139f4be91999924856ff6de",
         "summary": "26081b4dd8f3c0a9d3eeb6362e8e3f41d93b4e305e544b70def77c9bbf38ba05"},
-    42: {"prop1": "9811f33d61619cebd0d837410ddbfee47a895c1bc2850d6a84ca84e1b30a09c5",
+    42: {"lemma1": "45e03e54cb440057854551a75053617ba5ec817b6057179dd8be0294ca36fb24",
+         "lemma2": "e0c5dfcaaf01c5e91c26ef96bd10db70cb06cadc7f7dfa5e1520718a90356d1b",
+         "prop1": "9811f33d61619cebd0d837410ddbfee47a895c1bc2850d6a84ca84e1b30a09c5",
          "thm1": "2c770e43a83855df004a449b1491c7dee5124a0324a8877e125bc6542db07b90",
          "cor1": "a23121ebef3b72fd0c78b8833dcfcc5f864af9221c69a7db0dc0c73b4508bfdc",
          "cor3": "527e47003ccb154cf02365d9feb38ce385efd08632f94030604794add0452033",
