@@ -10,10 +10,13 @@ CDF of its row: the smallest k with u < cum[k], the count of entries
 cum[k] <= u. The vectorized samplers read it off an exact guide table
 (Chen & Asau's indexed search; Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. III): a power-of-two grid of G cells brackets the
-answer from floor(u G), and a binary search inside the bracket finishes
-it. Grid points k / G are exact in floating point, so the pick is
-bit-identical to the O(m) count for every u, at an expected O(1) probes
-per draw instead of O(m). The start law is one more row of the table.
+answer from floor(u G). A cell is open only when a CDF entry lies
+strictly inside it, and only then does a binary search inside the
+bracket finish the pick: entries on grid points (probabilities in
+multiples of 1/4, say) and entries >= 1 cost none. Grid points k / G
+are exact in floating point, so the pick is bit-identical to the O(m)
+count for every u, at an expected O(1) probes per draw instead of O(m).
+The start law is one more row of the table.
 
 Once a trial of ``first_visit_table`` has seen every state, further steps
 cannot change its row (a first-visit step only ever takes its first
@@ -42,7 +45,7 @@ from .hitting import StateSet, _check_members
 BLOCK_TRIALS = 8192  # fixed: part of the reproducibility contract
 TRAJECTORY_CAP = 10**6
 TRAJECTORY_CHUNK = 1 << 16  # uniforms drawn and listed at a time by sample_trajectory
-GUIDE_PER_STATE = 16  # G >= 16 m: a draw needs the search with probability < 1/16
+GUIDE_PER_STATE = 16  # G >= 16 m: fewer than m of a row's cells are open, so P(search) < 1/16
 GUIDE_CELLS = 1 << 18  # cap on (m + 1) x G: 2 MB of guide table at m = 2000
 
 _MASK64 = (1 << 64) - 1
@@ -95,42 +98,51 @@ class _InverseCdf:
 
     ``pick(rows, u)`` returns, per draw, count(cum[row, k] <= u) for u in
     [0, 1). The last entry is 1.0 > u, so only the non-decreasing prefix
-    cum[row, :m - 1] counts (it may overshoot 1 by round-off). With
-    count_k = count(prefix <= k / G), a draw in cell k = floor(u G) has its
-    answer c in [count_k, count_{k+1}], and cum[row, count_{k+1}] > u.
+    cum[row, :m - 1] counts (it may overshoot 1 by round-off). A draw in
+    cell k = floor(u G) has its answer in [lo_k, hi_k], lo_k = count(prefix
+    <= k / G) and hi_k = count(prefix < (k + 1) / G), and every entry of the
+    row past hi_k is > u. The cell is open (lo_k < hi_k) only when an entry
+    lies strictly inside it. ``table`` holds lo_k for a closed cell, which
+    is its answer, and ~lo_k < 0 for an open one, which is searched.
     """
 
     def __init__(self, cum: np.ndarray):
         rows, m = cum.shape
         grid = 1 << (GUIDE_PER_STATE * m - 1).bit_length()
         grid = min(grid, 1 << max(0, (GUIDE_CELLS // rows).bit_length() - 1))
-        # an entry c counts at grid point k / G iff c G <= k iff ceil(c G) <= k (c G is exact)
-        first = np.ceil(cum[:, :-1] * grid)
-        first = np.minimum(first, grid + 1, out=first).astype(np.intp)
-        first += (grid + 2) * np.arange(rows)[:, None]
-        counts = np.bincount(first.ravel(), minlength=rows * (grid + 2)).reshape(rows, grid + 2)
-        counts = np.cumsum(counts[:, :grid + 1], axis=1)  # row r: count_0 .. count_G
-        widest = int(np.diff(counts, axis=1).max(initial=0))
+        offsets = (grid + 1) * np.arange(rows)[:, None]
+
+        def counts(rounding):  # row r, k <= G: count(rounding(c G) <= k) over the prefix
+            index = rounding(cum[:, :-1] * grid)  # c G is exact: G is a power of two
+            index = np.minimum(index, grid, out=index).astype(np.intp)
+            index += offsets
+            tally = np.bincount(index.ravel(), minlength=rows * (grid + 1)).reshape(rows, grid + 1)
+            return np.cumsum(tally, axis=1, out=tally)
+
+        # c <= k / G iff ceil(c G) <= k, and c < (k + 1) / G iff floor(c G) <= k
+        lo, inside = counts(np.ceil), counts(np.floor)
+        inside -= lo  # hi_k - lo_k: the entries strictly inside cell k (none in the unused cell G)
+        widest = int(inside.max(initial=0))
         self.steps = [1 << e for e in reversed(range(widest.bit_length()))]
         self.grid, self.m = grid, m
-        self.table = counts.ravel()
+        self.table = np.invert(lo, out=lo, where=inside > 0).ravel()
         self.cum = cum.ravel()
 
     def pick(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         cell = rows * (self.grid + 1)
         cell += (u * self.grid).astype(np.intp)
-        lo, hi = self.table[cell], self.table[cell + 1]
-        open_ = np.flatnonzero(lo != hi)
+        state = self.table[cell]
+        open_ = np.flatnonzero(state < 0)
         if open_.size:
             base = rows[open_] * self.m
-            lo[open_] = self._search(base + lo[open_], base + hi[open_], u[open_]) - base
-        return lo
+            state[open_] = self._search(base + ~state[open_], base + (self.m - 1), u[open_]) - base
+        return state
 
     def _search(self, a, b, u):
         """Binary lifting over flat indices: a + #{j in [a, b) : cum[j] <= u}.
 
         The entries <= u come first and cum[b] > u, so a probe clipped at b
-        reads as "> u"; the steps sum to at least the widest bracket.
+        reads as "> u"; the steps sum to at least the widest hi_k - lo_k.
         """
         for step in self.steps:
             probe = np.minimum(a + (step - 1), b)
@@ -253,14 +265,16 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
         hit = member_mask[states]
         N[hit] = 1
         alive = np.flatnonzero(~hit)
+        states = states[alive]  # the states of the live trials, in trial order
         t = 1
         while alive.size and t < cap:
             t += 1
-            nxt = inverse_cdf.pick(states[alive], rng.random(alive.size))
-            states[alive] = nxt
-            hit = member_mask[nxt]
-            N[alive[hit]] = t
-            alive = alive[~hit]
+            states = inverse_cdf.pick(states, rng.random(alive.size))
+            hit = member_mask[states]
+            if hit.any():
+                N[alive[hit]] = t
+                keep = ~hit
+                alive, states = alive[keep], states[keep]
         return N
 
     return np.concatenate(_run_blocks(run, trials, workers))

@@ -113,15 +113,27 @@ class TestInverseCdf:
     @example(cum=np.array([[1.0]]), free=[])
     @example(cum=np.array([[0.0, 0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]]), free=[])
     @example(cum=np.array([[0.5, 1.0 + 2.0 ** -52, 1.0]]), free=[])
+    @example(cum=np.array([[0.25, 0.75, 1.0]]), free=[])  # every entry on a grid point
+    @example(cum=np.array([[0.5, 1.0, 1.0, 1.0]]), free=[])  # a plateau at 1.0
     def test_matches_brute_force_count(self, cum, free):
         grid = _InverseCdf(cum).grid
         entries = cum[cum < 1.0]
+        edges = np.arange(grid + 1) / grid
         us = np.concatenate([
             free, [0.0, ULP_BELOW_1],
-            entries, np.nextafter(entries, 0.0),  # on an entry and just below it
-            np.arange(grid) / grid, np.nextafter(np.arange(1, grid + 1) / grid, 0.0),  # cell edges
+            entries, np.nextafter(entries, 0.0), np.nextafter(entries, 1.0),  # an entry, one ulp off
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),  # a cell edge, one ulp off
         ])
-        self.assert_matches_count(cum, us)
+        self.assert_matches_count(cum, us[us < 1.0])
+
+    @pytest.mark.parametrize("family,params", [("lazy-cycle", {"m": 32, "hold": 0.5}),
+                                               ("birth-death", {"m": 20, "p": 0.25, "q": 0.25})])
+    def test_entries_on_grid_points_open_no_cell(self, family, params):
+        # every P entry is a multiple of 1/4: a cell opens only with an entry strictly inside it
+        chain = generate(family, **params)
+        m = chain.matrix.m
+        kernel = _InverseCdf(_cumulative_rows(chain, stationary(chain.matrix)))
+        assert (kernel.table.reshape(m + 1, kernel.grid + 1)[:m] >= 0).all()
 
     def test_cumulative_rows_of_an_overshooting_chain(self):
         cum = _cumulative_rows(OVERSHOOT3, None)
@@ -129,9 +141,12 @@ class TestInverseCdf:
         self.assert_matches_count(cum, np.linspace(0.0, ULP_BELOW_1, 4097))
 
     def test_table_size_is_capped(self):
-        kernel = _InverseCdf(_cumulative_rows(generate("random-dense", m=2000, seed=1), None))
+        cum = _cumulative_rows(generate("random-dense", m=2000, seed=1), None)
+        kernel = _InverseCdf(cum)
         assert kernel.table.size <= GUIDE_CELLS + 2001
-        assert kernel.table.nbytes < 4 * 2 ** 20
+        # every array the kernel holds but the caller's cumulative rows, summed
+        held = [a for a in vars(kernel).values() if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in held if not np.shares_memory(a, cum)) < 4 * 2 ** 20
 
 
 class TestAgainstCountingSampler:
@@ -202,6 +217,22 @@ class TestAgainstCountingSampler:
         N = hitting_time_samples(chain, state_set([1]), self.TRIALS, 62, workers, cap=40, pi=pi)
         assert N.dtype == np.int64
         assert np.array_equal(N, hitting_time_samples_by_count(chain, [1], self.TRIALS, 62, 40, pi))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_hitting_time_samples_dyadic_chain(self, workers):
+        # every P entry on a grid point: only the start row's cells are ever searched
+        chain = generate("birth-death", m=8, p=0.25, q=0.25)
+        pi = stationary(chain.matrix)
+        N = hitting_time_samples(chain, state_set([0]), self.TRIALS, 67, workers, cap=60, pi=pi)
+        assert np.array_equal(N, hitting_time_samples_by_count(chain, [0], self.TRIALS, 67, 60, pi))
+
+    def test_hitting_time_samples_to_the_last_trial(self):
+        chain = generate("lazy-cycle", m=16, hold=0.5)
+        cap = 100_000
+        N = hitting_time_samples(chain, state_set([0]), 2000, 68, cap=cap)
+        last = np.sort(N)[-5:]
+        assert last[-1] <= cap and last[0] < last[-1]  # the last steps ran with under 5 trials live
+        assert np.array_equal(N, hitting_time_samples_by_count(chain, [0], 2000, 68, cap))
 
     def test_point_start_and_overshooting_row(self):
         assert np.array_equal(first_visit_table(OVERSHOOT3, 9, 500, 8),
