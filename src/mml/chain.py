@@ -167,15 +167,14 @@ def stationary(P: TransitionMatrix) -> StationaryDistribution:
     if not is_irreducible(P):
         raise NotIrreducibleError("chain is not irreducible")
     m = P.m
-    if m == 1:
-        return StationaryDistribution(pi=np.array([1.0]), residual=0.0)
-
-    A = P.rows.T - np.eye(m)
-    A[-1, :] = 1.0
+    # A^T = P - I with its last column set to 1, so A is column-major, as the solver copies it
+    At = P.rows.copy()
+    At.flat[::m + 1] -= 1.0
+    At[:, -1] = 1.0
     b = np.zeros(m)
     b[-1] = 1.0
     try:
-        pi = np.linalg.solve(A, b)
+        pi = np.linalg.solve(At.T, b)
     except np.linalg.LinAlgError as e:
         raise SingularSystemError(f"stationary solve failed: {e}") from e
     res = _residual(pi, P)
@@ -250,11 +249,10 @@ def _gen_lazy_cycle(m, params):
         raise BadParamsError("lazy-cycle needs m >= 1")
     if hold is None or not (0 <= hold < 1):
         raise BadParamsError("lazy-cycle needs hold probability in [0, 1)")
+    i, step = np.arange(m), (1 - hold) / 2
     rows = np.zeros((m, m))
-    for i in range(m):
-        rows[i, i] += hold
-        rows[i, (i + 1) % m] += (1 - hold) / 2
-        rows[i, (i - 1) % m] += (1 - hold) / 2
+    for j, w in ((i, hold), ((i + 1) % m, step), ((i - 1) % m, step)):
+        np.add.at(rows, (i, j), w)  # in index order: a cell hit twice (m <= 2) sums in turn
     return rows
 
 
@@ -265,16 +263,9 @@ def _gen_birth_death(m, params):
         raise BadParamsError("birth-death needs m >= 1")
     if p is None or q is None or p <= 0 or q <= 0 or p + q > 1:
         raise BadParamsError("birth-death needs p > 0, q > 0 with p + q <= 1")
-    rows = np.zeros((m, m))
-    for i in range(m):
-        up = p if i + 1 < m else 0.0
-        down = q if i > 0 else 0.0
-        rows[i, i] = 1.0 - up - down
-        if i + 1 < m:
-            rows[i, i + 1] = up
-        if i > 0:
-            rows[i, i - 1] = down
-    return rows
+    up, down = np.full(m, float(p)), np.full(m, float(q))
+    up[-1] = down[0] = 0.0
+    return np.diag(1.0 - up - down) + np.diag(up[:-1], 1) + np.diag(down[1:], -1)
 
 
 def _gen_random_dense(m, params, seed):
@@ -288,8 +279,8 @@ def _gen_random_dense(m, params, seed):
     rng = derive_stream(seed, 0)
     rows = rng.dirichlet(np.full(m, float(alpha)), size=m)
     # Dirichlet samples are strictly positive a.s.; clamp defensively.
-    rows = np.clip(rows, 1e-300, None)
-    rows = rows / rows.sum(axis=1, keepdims=True)
+    np.clip(rows, 1e-300, None, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
     return rows
 
 

@@ -143,10 +143,10 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
     (C, m, m) stack of transition rows, and row k of ``outside`` is B_k^c.
 
     Returns h, a (C, k, m) array that is 0 on each target, and each system's
-    residual max |h - (1 + Q h)| on B_k^c, a (C, k) array. Targets are grouped
-    by size; each size's systems on all C chains are solved in stacks of at
-    most SOLVE_BATCH, one ``np.linalg.solve`` per stack. Each system is solved
-    alone within its stack, so h does not depend on the stacking. Raises
+    residual max |h - 1 - Q h| on B_k^c, a (C, k) array; Q h is (P h)[B_k^c], as
+    h = 0 on B_k. Targets are grouped by size; each size's systems on all C
+    chains are solved in stacks of at most SOLVE_BATCH, one ``np.linalg.solve``
+    per stack, each system alone, so h does not depend on the stacking. Raises
     SingularSystemError, naming the target, when a system is singular or its
     residual exceeds SYSTEM_RESIDUAL_TOL.
     """
@@ -157,27 +157,28 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
     for n in np.unique(sizes[sizes > 0]).tolist():
         group = np.flatnonzero(sizes == n)
         rest = np.nonzero(outside[group])[1].reshape(group.size, n)
-        diagonal = np.arange(n)
         for start in range(0, chains * group.size, SOLVE_BATCH):
             # system s is target group[s % size] on chain s // size
             chain, k = np.divmod(np.arange(start, min(start + SOLVE_BATCH, chains * group.size)),
                                  group.size)
             target, r = group[k], rest[k]
-            Q = rows[chain[:, None, None], r[:, :, None], r[:, None, :]]
-            # I - Q is built next to Q, not from a temporary np.eye: the hole a
-            # freed eye leaves is too small for the solver's copy of A, which
-            # would then grow the heap (+30 MB peak RSS at m = 2000)
-            A = np.zeros_like(Q)
-            A[:, diagonal, diagonal] = 1.0
-            A -= Q
+            # A^T = (I - Q)^T is built in the gather of Q^T (index arrays swapped), so
+            # A is column-major, as the solver copies it
+            At = rows[chain[:, None, None], r[:, None, :], r[:, :, None]]
+            np.subtract(0.0, At, out=At)
+            At.reshape(k.size, -1)[:, ::n + 1] += 1.0
             try:
-                x = np.linalg.solve(A, np.ones((k.size, n, 1)))
+                x = np.linalg.solve(At.transpose(0, 2, 1), np.ones((k.size, n, 1)))
             except np.linalg.LinAlgError as e:
                 which = (f"target {_target(outside[target[0]])}" if k.size == 1
                          else f"one of {k.size} targets of {outside.shape[1] - n} states")
                 raise SingularSystemError(f"hitting system singular for {which}") from e
-            residual[chain, target] = np.abs(x - 1.0 - Q @ x).max(axis=(1, 2))
             h[chain[:, None], target[:, None], r] = x[:, :, 0]
+    for c in range(chains):
+        for lo in range(0, outside.shape[0], SOLVE_BATCH):
+            hs, off = h[c, lo:lo + SOLVE_BATCH], outside[lo:lo + SOLVE_BATCH]
+            gap = np.where(off, np.abs(hs - 1.0 - hs @ rows[c].T), 0.0)
+            residual[c, lo:lo + SOLVE_BATCH] = gap.max(axis=1)
     bad = np.argwhere(~(residual <= SYSTEM_RESIDUAL_TOL))  # NaN fails too
     if bad.size:
         chain, k = bad[0].tolist()
@@ -233,23 +234,30 @@ def subset_members(m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     return sets[1:], ~_outside(np.arange(1, 1 << m), m)
 
 
-# numpy sums fewer terms than this left to right, as a running sum does, and
-# longer arrays pairwise
-_SEQUENTIAL_SUM_MAX = 7
+def member_masses(pis, inside) -> np.ndarray:
+    """(C, 2^m - 1) stationary masses of every non-empty subset, row k of ``inside`` marking
+    the members of bitmask k + 1 (``subset_members``): [c, k] is ``pis[c].mass`` of those
+    members, bit for bit.
 
-
-def member_masses(pis, sets) -> np.ndarray:
-    """(C, 2^m - 1) stationary masses of every non-empty subset, ``sets`` listing them in
-    bitmask order (``subset_members``): [c, k] is ``pis[c].mass(sets[k])`` bit for bit.
-
-    ``subset_masses`` adds a set's masses in ascending state order, the order
-    ``mass`` adds up to _SEQUENTIAL_SUM_MAX of them in; larger sets, which
-    numpy sums pairwise, call ``mass`` itself.
+    ``mass`` adds its terms in numpy's order. numpy adds fewer than 8 terms left to
+    right, as ``subset_masses`` does. It adds 8 to 128 terms in eight running sums over
+    strides of 8, joins them pairwise, ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    and adds the remaining terms one at a time; so do the larger sets here, size by size.
     """
     masses = np.stack([subset_masses(pi.pi)[1:] for pi in pis])
-    for k, members in enumerate(sets):
-        if len(members) > _SEQUENTIAL_SUM_MAX:
-            masses[:, k] = [pi.mass(members) for pi in pis]
+    weights = np.stack([pi.pi for pi in pis])
+    sizes = inside.sum(axis=1)
+    for n in range(8, inside.shape[1] + 1):
+        group = np.flatnonzero(sizes == n)
+        terms = weights[:, np.nonzero(inside[group])[1].reshape(group.size, n)]
+        r = terms[..., :8]
+        for i in range(8, n - n % 8, 8):
+            r = r + terms[..., i:i + 8]
+        while r.shape[-1] > 1:
+            r = r[..., ::2] + r[..., 1::2]
+        for i in range(n - n % 8, n):
+            r = r + terms[..., i:i + 1]
+        masses[:, group] = r[..., 0]
     return masses
 
 

@@ -170,7 +170,7 @@ def _random_chains(seed: int, ms: list[int]):
             index = chains[lo:lo + size]
             Ps = [generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
                   for i in index.tolist()]
-            masses = member_masses([stationary(P) for P in Ps], sets)
+            masses = member_masses([stationary(P) for P in Ps], inside)
             yield _ChainGroup(index, chain_ids, sets, inside, masses,
                               subset_hitting_times_stack(Ps))
 

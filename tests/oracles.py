@@ -5,8 +5,11 @@ from truncated survival sums (iterating the sub-stochastic matrix) or one
 plain dense solve per target, the subset maximizer from brute-force
 enumeration, the lemma1 suite's disjoint set pairs from listing them
 all, survival and visited-set laws from a sum over every trajectory, and
-reference constants from high-precision arithmetic. The samplers'
-reference is the O(m) inverse-CDF count on the same streams.
+reference constants from high-precision arithmetic. The stationary law
+and hitting times also come from the plain constructions of P^T - I
+(from np.eye) and I - Q (from zeros), which the library's in-place
+builds must equal bit for bit. The samplers' reference is the O(m)
+inverse-CDF count on the same streams.
 The report renderer's reference formats one report at a time, cell by
 cell, and the summary's reference counts one report at a time.
 """
@@ -68,13 +71,30 @@ def survival_sum_expected(rows: np.ndarray, members, start: np.ndarray) -> float
 
 
 def direct_solve_table(rows: np.ndarray, members) -> np.ndarray:
-    """h from one dense solve of the first-step system restricted to B^c."""
+    """h from one dense solve of the first-step system restricted to B^c, I - Q built from
+    zeros, a unit diagonal and a subtraction of Q = P restricted to B^c."""
     target = set(members)
     rest = [x for x in range(rows.shape[0]) if x not in target]
+    Q = rows[np.ix_(rest, rest)]
+    A = np.zeros_like(Q)
+    A[np.arange(len(rest)), np.arange(len(rest))] = 1.0
+    A -= Q
     h = np.zeros(rows.shape[0])
     if rest:
-        h[rest] = np.linalg.solve(np.eye(len(rest)) - rows[np.ix_(rest, rest)], np.ones(len(rest)))
+        h[rest] = np.linalg.solve(A, np.ones(len(rest)))
     return h
+
+
+def stationary_by_eye(rows: np.ndarray) -> np.ndarray:
+    """pi from one dense solve of P^T - I, built from np.eye, with the last equation
+    replaced by sum(pi) = 1; then clipped at 0 and normalized, as ``stationary`` does."""
+    m = rows.shape[0]
+    A = rows.T - np.eye(m)
+    A[-1, :] = 1.0
+    b = np.zeros(m)
+    b[-1] = 1.0
+    pi = np.clip(np.linalg.solve(A, b), 0.0, None)
+    return pi / pi.sum()
 
 
 def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     direct_solve_table,
     mask_members,
     survival_sum_expected,
+    stationary_by_eye,
     survival_sum_table,
     trajectory_survival,
     trajectory_visit_law,
@@ -222,10 +224,95 @@ class TestMemberTable:
         # from m = 8 on, some sets have 8 or more members, which numpy sums pairwise
         pis = [stationary(generate("random-dense", m=m, alpha=alpha, seed=50 * m + k).matrix)
                for k, alpha in enumerate((1.0, 0.2, 5.0))]
-        sets = subset_members(m)[0]
-        masses = member_masses(pis, sets)
+        sets, inside = subset_members(m)
+        masses = member_masses(pis, inside)
         expected = np.array([[pi.mass(members) for members in sets] for pi in pis])
         assert masses.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    def test_masses_at_20_states_equal_pi_mass_bitwise_on_a_sample(self):
+        # sets of 16 or more members take a second stride of eight terms
+        pis = [stationary(random_chain(20, 2020))]
+        sets, inside = subset_members(20)
+        masses = member_masses(pis, inside)[0]
+        ks = np.random.default_rng(20).choice(len(sets), size=4000, replace=False)
+        ks = np.concatenate([ks, np.flatnonzero(inside.sum(axis=1) >= 16)])
+        expected = np.array([pis[0].mass(sets[k]) for k in ks.tolist()])
+        assert masses[ks].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@st.composite
+def solver_chains(draw):
+    """A random chain of 1-60 states, dense or with about 80% of its entries exactly 0;
+    the cycle x -> x + 1 keeps weight, so the chain is irreducible."""
+    m = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.dirichlet(np.full(m, draw(st.sampled_from([0.5, 1.0, 5.0]))), size=m)
+    if draw(st.booleans()):
+        rows *= rng.random((m, m)) < 0.2
+    rows[np.arange(m), (np.arange(m) + 1) % m] += 0.05
+    return validate(rows / rows.sum(axis=1, keepdims=True))
+
+
+def _bits(a) -> list[int]:
+    return np.asarray(a, dtype=float).view(np.uint64).tolist()
+
+
+class TestSolverBuilds:
+    """``stationary`` and ``_hitting_times`` build their matrices in place; they must
+    solve, bit for bit, the systems of the plain constructions in ``oracles``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(P=solver_chains(), data=st.data())
+    def test_single_targets_equal_plain_solves(self, P, data):
+        assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
+        members = data.draw(st.sets(st.integers(0, P.m - 1), min_size=1))
+        table = hitting_table(P, StateSet(tuple(members)))
+        h = direct_solve_table(P.rows, members)
+        assert _bits(table.h) == _bits(h)
+        # the residual is max |h - 1 - Q h| on B^c, up to the order of the sums in Q h
+        rest = np.setdiff1d(np.arange(P.m), list(members))
+        expected = np.abs(h[rest] - 1.0 - P.rows[np.ix_(rest, rest)] @ h[rest]).max(initial=0.0)
+        assert abs(table.residual - expected) <= 1e-12 * (1.0 + h.max())
+
+    def test_stacked_batch_equals_plain_solves(self):
+        # 4 chains of 10 states: 4,092 systems, the stacks of one size straddling chains
+        chains = [random_chain(10, 3000 + k) for k in range(4)]
+        stack = subset_hitting_times_stack(chains)
+        sets = subset_members(10)[0]
+        for P, h in zip(chains, stack):
+            expected = [direct_solve_table(P.rows, members) for members in sets]
+            assert _bits(h) == _bits(expected)
+
+    def test_two_state_with_a_tiny_flip(self):
+        P = generate("two-state", p=1e-12, q=0.5).matrix
+        assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
+        for members in ([0], [1]):
+            assert (_bits(hitting_table(P, state_set(members)).h)
+                    == _bits(direct_solve_table(P.rows, members)))
+
+    def test_stiff_birth_death_still_underflows(self):
+        # the plain solve loses the smallest entry to cancellation too
+        P = generate("birth-death", m=20, p=0.1, q=0.8).matrix
+        assert stationary_by_eye(P.rows).min() == 0.0
+        with pytest.raises(SingularSystemError,
+                           match="stationary entry underflowed to zero on an irreducible chain"):
+            stationary(P)
+
+    @pytest.mark.parametrize("solve", [lambda P: stationary(P),
+                                       lambda P: hitting_table(P, state_set([0]))],
+                             ids=["stationary", "hitting_table"])
+    def test_one_traced_matrix_beside_P(self, solve):
+        # numpy reports its arrays to tracemalloc; LAPACK's own copy of A is not traced
+        m = 1000
+        P = random_chain(m, 1000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve(P)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * m * 8
 
 
 class TestTPlusMinus:
