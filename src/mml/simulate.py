@@ -7,7 +7,7 @@ plus floating sums combined in block order.
 
 Each step maps one uniform u in [0, 1) to the next state by the inverse
 CDF of its row: the smallest k with u < cum[k], the count of entries
-cum[k] <= u. The vectorized samplers read it off an exact guide table
+cum[k] <= u. Every sampler reads it off an exact guide table
 (Chen & Asau's indexed search; Devroye, Non-Uniform Random Variate
 Generation, 1986, ch. III): a power-of-two grid of G cells brackets the
 answer from floor(u G). A cell is open only when a CDF entry lies
@@ -17,6 +17,20 @@ multiples of 1/4, say) and entries >= 1 cost none. Grid points k / G
 are exact in floating point, so the pick is bit-identical to the O(m)
 count for every u, at an expected O(1) probes per draw instead of O(m).
 The start law is one more row of the table.
+
+``sample_trajectory`` has one path, not many trials, to vectorize
+across, so it composes blocks (the grand coupling of Propp & Wilson,
+Random Struct. Alg. 1996, run forward). Each chunk of TRAJECTORY_CHUNK
+uniforms is cut into blocks of L; a first pass steps every block from
+every state at once, and the lanes of a block that land on the same
+state merge, since they read the same uniforms from then on; the end
+states this leaves are chained block to block in Python; and a last
+pass replays every block from its entry state at once to write the
+path. The path is that of one step per uniform, bit for bit. On a chain
+whose lanes merge within a few steps the first pass costs about one
+pick per step; on one whose lanes never merge (a lazy cycle: every lane
+stays or moves together) it costs m, so at m = 128 the walk is several
+times slower per step than a scalar walk would be.
 
 Once a trial of ``first_visit_table`` has seen every state, further steps
 cannot change its row (a first-visit step only ever takes its first
@@ -32,7 +46,6 @@ so a point-mass start inside B gives N_B = 1.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,7 +57,7 @@ from .hitting import StateSet, _check_members
 
 BLOCK_TRIALS = 8192  # fixed: part of the reproducibility contract
 TRAJECTORY_CAP = 10**6
-TRAJECTORY_CHUNK = 1 << 16  # uniforms drawn and listed at a time by sample_trajectory
+TRAJECTORY_CHUNK = 1 << 16  # uniforms drawn and stepped at a time: bounds the walk's memory
 GUIDE_PER_STATE = 16  # G >= 16 m: fewer than m of a row's cells are open, so P(search) < 1/16
 GUIDE_CELLS = 1 << 18  # cap on (m + 1) x G: 2 MB of guide table at m = 2000
 
@@ -165,22 +178,100 @@ def _run_blocks(fn, trials: int, workers: int):
         return list(pool.map(lambda args: fn(*args), blocks))
 
 
-def sample_trajectory(chain: ChainSpec, n: int, stream, pi: StationaryDistribution | None = None) -> np.ndarray:
-    """Sample X_1, ..., X_n; X_1 ~ start, X_{i+1} ~ P(X_i, .).
+def _block_steps(m: int) -> int:
+    """L, the steps per block of the composed walk: 64, doubled while L < 16 sqrt(m).
 
-    ``stream`` is either a derived-seed integer or a numpy Generator.
+    The first pass steps each block from all m states until its lanes merge:
+    on a chain whose lanes meet within 16 steps, at most 16 m picks per block
+    on top of the L of each pass. A longer block dilutes that, but leaves
+    fewer blocks to step side by side.
+    """
+    steps = 64
+    while steps * steps < 256 * m:
+        steps *= 2
+    return steps
+
+
+def _block_entries(inverse_cdf: _InverseCdf, u: np.ndarray, x: int) -> list[int]:
+    """The state each block (a column of the (L, blocks) uniforms u) is entered from.
+
+    Block 0 is entered from x. Every other full block but the last is stepped
+    from each of the m states at once, one lane per state; lanes of a block
+    that sit on the same state read the same uniforms from then on, so after
+    steps 1, 2, 4, 8 and every 16th they merge into one. The end-state maps
+    this leaves are composed block by block.
+    """
+    steps, blocks = u.shape
+    m = inverse_cdf.m
+    if blocks == 1:
+        return [x]
+    # one lane for block 0, from x, then m lanes for each of blocks 1 .. blocks - 2
+    block = np.repeat(np.arange(blocks - 1), m)[m - 1:]
+    states = np.tile(np.arange(m), blocks - 1)[m - 1:]
+    states[0] = x
+    lanes = np.arange(states.size)
+    owner = lanes  # the live lane that carries each starting lane
+    slot = np.empty((blocks - 1) * m, dtype=np.intp)
+    for t in range(1, steps + 1):
+        states = inverse_cdf.pick(states, u[t - 1][block])
+        if t < steps and (t % 16 == 0 or t & (t - 1) == 0):
+            key = block * m + states
+            live = lanes[:key.size]
+            slot[key] = live
+            first = slot[key]  # one lane of each (block, state), the same for all of them
+            keep = first == live
+            if not keep.all():
+                owner = (np.cumsum(keep) - 1)[first][owner]
+                block, states = block[keep], states[keep]
+    ends = states[owner]
+    entries = [x, int(ends[0])]
+    for end in ends[1:].reshape(blocks - 2, m).tolist():
+        entries.append(end[entries[-1]])
+    return entries
+
+
+def _trajectory_chunks(chain: ChainSpec, n: int, stream, pi: StationaryDistribution | None):
+    """An iterator over X_1, ..., X_n in arrays of TRAJECTORY_CHUNK steps (the last one shorter).
+
+    Each chunk is cut into blocks of L = ``_block_steps(m)`` uniforms; the
+    blocks' entry states come from ``_block_entries``, and one last pass
+    replays every block from its entry state at once to write the path.
     """
     _check_at_least_one(n=n)
     rng = derive_stream(stream, 0) if isinstance(stream, (int, np.integer)) else stream
-    cum_rows = _cumulative_rows(chain, pi).tolist()
+    inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
+    steps = _block_steps(inverse_cdf.m)
+
+    def chunks():
+        x = inverse_cdf.m  # the start-law row
+        for lo in range(0, n, TRAJECTORY_CHUNK):
+            size = min(TRAJECTORY_CHUNK, n - lo)
+            blocks = -(-size // steps)
+            u = np.zeros(blocks * steps)  # the last block is padded; its extra steps are dropped
+            rng.random(out=u[:size])  # the chunks continue one stream, as one rng.random(n)
+            u = u.reshape(blocks, steps).T.copy()  # row t: step t of every block
+            states = np.array(_block_entries(inverse_cdf, u, x), dtype=np.intp)
+            path = np.empty((steps, blocks), dtype=np.int64)
+            for t in range(steps):
+                states = path[t] = inverse_cdf.pick(states, u[t])
+            path = path.T.ravel()[:size]
+            x = int(path[-1])
+            yield path
+
+    return chunks()
+
+
+def sample_trajectory(chain: ChainSpec, n: int, stream, pi: StationaryDistribution | None = None) -> np.ndarray:
+    """Sample X_1, ..., X_n; X_1 ~ start, X_{i+1} ~ P(X_i, .).
+
+    ``stream`` is either a derived-seed integer or a numpy Generator. Step i
+    reads the i-th uniform of ``stream.random(n)``, through the composed walk
+    (module docstring).
+    """
+    chunks = _trajectory_chunks(chain, n, stream, pi)
     out = np.empty(n, dtype=np.int64)
-    x = chain.matrix.m  # the start-law row
-    for lo in range(0, n, TRAJECTORY_CHUNK):  # the same stream as one rng.random(n)
-        path = []
-        for u in rng.random(min(TRAJECTORY_CHUNK, n - lo)).tolist():
-            x = bisect_right(cum_rows[x], u)
-            path.append(x)
-        out[lo:lo + len(path)] = path
+    for lo, path in zip(range(0, n, TRAJECTORY_CHUNK), chunks):
+        out[lo:lo + path.size] = path
     return out
 
 
@@ -236,10 +327,14 @@ def sample_missing_mass(config: SimConfig, pi: StationaryDistribution) -> list[M
     tau = first_visit_table(config.chain, config.n, config.trials,
                             config.master_seed, config.workers, pi)
     values = missing_mass_values(tau, pi.pi, config.n)
-    rows, which = np.unique(tau > config.n, axis=0, return_inverse=True)
-    sets = [StateSet(tuple(np.flatnonzero(row).tolist())) for row in rows]
+    unseen = tau > config.n
+    # one opaque item per row: bytes compare in column order, as np.unique(axis=0) sorts rows
+    packed = np.packbits(unseen, axis=1)
+    _, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                return_index=True, return_inverse=True)
+    sets = [StateSet(tuple(np.flatnonzero(unseen[i]).tolist())) for i in first.tolist()]
     return [MissingMassSample(value=v, unseen_set=sets[k])
-            for v, k in zip(values.tolist(), which.reshape(-1).tolist())]
+            for v, k in zip(values.tolist(), which.tolist())]
 
 
 def missing_mass_values(tau: np.ndarray, pi_vec: np.ndarray, n: int) -> np.ndarray:
@@ -298,6 +393,12 @@ def _sample_values(samples) -> np.ndarray:
 
 def occupancy_frequencies(chain: ChainSpec, n: int, stream,
                           pi: StationaryDistribution | None = None) -> np.ndarray:
-    """State-visit frequencies over an n-step trajectory (ergodic averages)."""
-    traj = sample_trajectory(chain, n, stream, pi)
-    return np.bincount(traj, minlength=chain.matrix.m) / n
+    """State-visit frequencies over an n-step trajectory (ergodic averages).
+
+    The path of ``sample_trajectory`` with the same arguments, counted one
+    chunk at a time: memory stays O(TRAJECTORY_CHUNK + m) for any n.
+    """
+    counts = np.zeros(chain.matrix.m, dtype=np.int64)
+    for path in _trajectory_chunks(chain, n, stream, pi):
+        counts += np.bincount(path, minlength=chain.matrix.m)
+    return counts / n

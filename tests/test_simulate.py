@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
+from functools import lru_cache
+
 from mml.chain import ChainSpec, generate, point_start, stationary, validate
 from mml.errors import EmptySetError, ValidationError
 from mml.hitting import (
@@ -22,6 +24,7 @@ from mml.simulate import (
     GUIDE_CELLS,
     TRAJECTORY_CHUNK,
     SimConfig,
+    _block_steps,
     _cumulative_rows,
     _InverseCdf,
     derive_stream,
@@ -79,6 +82,71 @@ class TestSampleTrajectory:
         a = sample_trajectory(UNIFORM2, 10, 5)
         b = sample_trajectory(UNIFORM2, 10, derive_stream(5, 0))
         assert a.tolist() == b.tolist()
+
+
+WALK_CHAINS = {
+    "random-dense": generate("random-dense", m=6, seed=4),  # a block's lanes merge
+    "lazy-cycle": generate("lazy-cycle", m=5, hold=0.5),  # lanes on interior states never merge
+    "overshoot": OVERSHOOT3,
+    "directed-cycle": DIRECTED_CYCLE3,
+    "single-state": ChainSpec(matrix=validate([[1.0]])),
+    "point-start": ChainSpec(matrix=generate("random-dense", m=4, seed=9).matrix, start=point_start(4, 2)),
+}
+WALK_SEED = 31
+
+
+@lru_cache(maxsize=None)
+def counted_walk(name: str) -> np.ndarray:
+    """The longest path the composed-walk tests compare; a shorter one is its prefix."""
+    return trajectory_by_count(WALK_CHAINS[name], 2 * TRAJECTORY_CHUNK + 64 + 1, WALK_SEED)
+
+
+class TestComposedWalk:
+    """The blocked, three-pass walk against the counting sampler, at every seam."""
+
+    LENGTHS = {  # n at each seam, from the block length L
+        "1": lambda L: 1, "L-1": lambda L: L - 1, "L": lambda L: L, "L+1": lambda L: L + 1,
+        "CHUNK-1": lambda L: TRAJECTORY_CHUNK - 1, "CHUNK": lambda L: TRAJECTORY_CHUNK,
+        "CHUNK+1": lambda L: TRAJECTORY_CHUNK + 1, "2CHUNK+L+1": lambda L: 2 * TRAJECTORY_CHUNK + L + 1,
+    }
+
+    @pytest.mark.parametrize("name", WALK_CHAINS)
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_matches_counting_sampler(self, name, length):
+        chain = WALK_CHAINS[name]
+        n = self.LENGTHS[length](_block_steps(chain.matrix.m))
+        path = sample_trajectory(chain, n, WALK_SEED)
+        assert path.dtype == np.int64
+        assert np.array_equal(path, counted_walk(name)[:n])
+
+    @settings(deadline=None, max_examples=40)
+    @given(family=st.sampled_from(["random-dense", "lazy-cycle"]), m=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 700))
+    @example(family="random-dense", m=9, seed=0, n=3 * 64 + 1)
+    def test_matches_counting_sampler_over_seeds(self, family, m, seed, n):
+        params = {"seed": seed % 1000} if family == "random-dense" else {"hold": 0.25}
+        chain = generate(family, m=m, **params)
+        assert np.array_equal(sample_trajectory(chain, n, seed), trajectory_by_count(chain, n, seed))
+
+    @pytest.mark.parametrize("m,steps", [(1, 64), (16, 64), (17, 128), (64, 128), (65, 256),
+                                         (256, 256), (2000, 1024)])
+    def test_block_steps(self, m, steps):
+        assert _block_steps(m) == steps
+
+    def test_lanes_merge(self, monkeypatch):
+        # random-dense lanes meet within a few steps: the walk picks about twice per step,
+        # where stepping every lane to the block's end would pick m + 1 times
+        picked = []
+        pick = _InverseCdf.pick
+
+        def counting_pick(self, states, u):
+            picked.append(states.size)
+            return pick(self, states, u)
+
+        monkeypatch.setattr(_InverseCdf, "pick", counting_pick)
+        n = TRAJECTORY_CHUNK
+        sample_trajectory(generate("random-dense", m=32, seed=5), n, 3)
+        assert sum(picked) < 3 * n
 
 
 SPECIAL_CUM = [0.0, 0.125, 0.25, 0.5, 1 / 3, 0.75, ULP_BELOW_1, 1.0, 1.0 + 2.0 ** -52]
@@ -414,6 +482,23 @@ class TestMissingMass:
             assert by_members.setdefault(s.unseen_set.members, s.unseen_set) is s.unseen_set
         assert len(by_members) == len({row.tobytes() for row in unseen}) < 2000
 
+    @pytest.mark.parametrize("chain,n", [
+        (generate("random-dense", m=8, seed=8), 4),
+        (generate("lazy-cycle", m=70, hold=0.5), 6),  # a packed row spans 9 bytes
+    ], ids=["m8", "m70"])
+    def test_groups_match_row_unique(self, chain, n):
+        pi = stationary(chain.matrix)
+        samples = sample_missing_mass(SimConfig(chain=chain, n=n, trials=3000, master_seed=12), pi)
+        unseen = first_visit_table(chain, n, 3000, 12, pi=pi) > n
+        rows, which = np.unique(unseen, axis=0, return_inverse=True)
+        assert [s.unseen_set.members for s in samples] == [
+            tuple(np.flatnonzero(rows[k]).tolist()) for k in which.reshape(-1)]
+        assert [s.value for s in samples] == missing_mass_values(unseen, pi.pi, 0).tolist()
+        by_row = {}
+        for s, k in zip(samples, which.reshape(-1).tolist()):
+            assert by_row.setdefault(k, s.unseen_set) is s.unseen_set
+        assert len({id(s.unseen_set) for s in samples}) == len(rows) < 3000
+
     def test_batch_values_match_samples(self):
         chain = generate("random-dense", m=5, seed=8)
         pi = stationary(chain.matrix)
@@ -551,6 +636,24 @@ class TestErgodic:
         freq = occupancy_frequencies(chain, 200_000, 5, pi)
         tv = 0.5 * np.abs(freq - pi.pi).sum()
         assert tv < 0.03
+
+    def test_counts_the_trajectory(self):
+        chain = generate("random-dense", m=5, seed=77)
+        n = 2 * TRAJECTORY_CHUNK + 3
+        freq = occupancy_frequencies(chain, n, 5)
+        assert freq.tolist() == (np.bincount(sample_trajectory(chain, n, 5), minlength=5) / n).tolist()
+
+    def test_never_holds_the_path(self):
+        # a 2e6-step path alone takes 15 MiB; chunk by chunk the walk holds a few of 512 KiB
+        chain = generate("random-dense", m=5, seed=77)
+        tracemalloc.start()
+        try:
+            freq = occupancy_frequencies(chain, 2 * 10**6, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert freq.sum() == pytest.approx(1.0)
 
 
 class TestSimConfig:
