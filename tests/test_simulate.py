@@ -1,13 +1,12 @@
 import math
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
-
-from functools import lru_cache
 
 from mml.chain import ChainSpec, generate, point_start, stationary, validate
 from mml.errors import EmptySetError, ValidationError
@@ -98,7 +97,8 @@ WALK_SEED = 31
 @lru_cache(maxsize=None)
 def counted_walk(name: str) -> np.ndarray:
     """The longest path the composed-walk tests compare; a shorter one is its prefix."""
-    return trajectory_by_count(WALK_CHAINS[name], 2 * TRAJECTORY_CHUNK + 64 + 1, WALK_SEED)
+    chain = WALK_CHAINS[name]
+    return trajectory_by_count(chain, 2 * TRAJECTORY_CHUNK + _block_steps(chain.matrix.m) + 1, WALK_SEED)
 
 
 class TestComposedWalk:
