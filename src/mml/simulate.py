@@ -38,6 +38,17 @@ value), so it stops stepping and drawing at the next 16-step boundary.
 At each boundary the block draws one (steps, trials still open) array,
 a row per step, so a shorter horizon reads a prefix of the same stream.
 
+``hitting_time_samples`` steps K at a time through a kernel that avoids
+B: row x outside B holds Pr_x[B first entered at step j] for j = 1..K,
+then Pr_x[X_K = y, B not entered] for each y outside B. With Q = P on
+B^c and r = P's mass into B, the hit columns are Q^(j-1) r and the
+position block is Q^K, sums and products of non-negative numbers only.
+X_1 is drawn from the start law; then each live trial draws one uniform
+per superstep, in trial order, and its pick either ends the trial at
+N_B = t + j or moves it to y. K = SUPERSTEP while at most
+SUPERSTEP_STATES states lie outside B; past that, building Q^K costs
+more than it saves, and K = 1 (the kernel is [r | Q]).
+
 Time convention: a trajectory is X_1, ..., X_n with X_1 drawn from the
 start law; tau_j = min{i >= 1 : X_i = j} and N_B = min{i >= 1 : X_i in B},
 so a point-mass start inside B gives N_B = 1.
@@ -60,6 +71,8 @@ TRAJECTORY_CAP = 10**6
 TRAJECTORY_CHUNK = 1 << 16  # uniforms drawn and stepped at a time: bounds the walk's memory
 GUIDE_PER_STATE = 16  # G >= 16 m: fewer than m of a row's cells are open, so P(search) < 1/16
 GUIDE_CELLS = 1 << 18  # cap on (m + 1) x G: 2 MB of guide table at m = 2000
+SUPERSTEP = 16  # steps per uniform of hitting_time_samples: Q^16 from four squarings
+SUPERSTEP_STATES = 1024  # the most states outside B that still get a superstep of 16
 
 _MASK64 = (1 << 64) - 1
 
@@ -98,12 +111,17 @@ class MissingMassSample:
     unseen_set: StateSet
 
 
+def _cumulative(rows: np.ndarray) -> np.ndarray:
+    """Cumulative sums along each row, in place, with each row's last entry set to 1."""
+    cum = np.cumsum(rows, axis=-1, out=rows)
+    cum[..., -1] = 1.0  # guard against round-off shortfall at the right edge
+    return cum
+
+
 def _cumulative_rows(chain: ChainSpec, pi: StationaryDistribution | None) -> np.ndarray:
     """(m + 1, m) cumulative rows: P's rows, then the start law as row m."""
     start = np.asarray(chain.resolved_start(pi), dtype=float)
-    cum = np.cumsum(np.vstack([chain.matrix.rows, start]), axis=1)
-    cum[:, -1] = 1.0  # guard against round-off shortfall at the right edge
-    return cum
+    return _cumulative(np.vstack([chain.matrix.rows, start]))
 
 
 class _InverseCdf:
@@ -342,34 +360,72 @@ def missing_mass_values(tau: np.ndarray, pi_vec: np.ndarray, n: int) -> np.ndarr
     return (tau > n).astype(float) @ np.asarray(pi_vec, dtype=float)
 
 
+def _avoiding_kernel(rows: np.ndarray, member_mask: np.ndarray) -> np.ndarray:
+    """(k, K + k) superstep kernel over the k states outside B (module docstring).
+
+    Row i is state x = flatnonzero(~member_mask)[i]: K hit columns, then one
+    column per state outside B. K = SUPERSTEP while k <= SUPERSTEP_STATES, else 1.
+    """
+    outside = np.flatnonzero(~member_mask)
+    k = outside.size
+    steps = SUPERSTEP if k <= SUPERSTEP_STATES else 1
+    Q = rows[np.ix_(outside, outside)]
+    kernel = np.empty((k, steps + k))
+    kernel[:, 0] = rows[np.ix_(outside, np.flatnonzero(member_mask))].sum(axis=1)
+    for j in range(1, steps):
+        kernel[:, j] = Q @ kernel[:, j - 1]
+    for _ in range(steps.bit_length() - 1):  # steps is a power of two
+        Q = Q @ Q
+    kernel[:, steps:] = Q
+    return kernel
+
+
 def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed: int,
                          workers: int = 1, cap: int = TRAJECTORY_CAP,
                          pi: StationaryDistribution | None = None) -> np.ndarray:
-    """Per-trial N_B; trajectories run until B is hit or ``cap`` steps (cap + 1 sentinel)."""
+    """Per-trial N_B; trajectories run until B is hit or ``cap`` steps (cap + 1 sentinel).
+
+    Draw rule: X_1 is read off the block's first ``size`` uniforms through
+    the start law, and a start in B gives N_B = 1. Then, at each superstep
+    from step t, the live trials draw one uniform each, in trial order,
+    through ``_avoiding_kernel``: a pick of hit column j records N_B = t + j
+    (cap + 1 past the cap) and ends the trial, and a pick of state y moves
+    the trial there and on to step t + K. K = SUPERSTEP steps while at most
+    SUPERSTEP_STATES states lie outside B, else 1. A trial is cut once
+    t >= cap, so Pr[N_B > t] is exact for every t <= cap.
+    """
     _check_members(B, chain.matrix.m, "set B")
     _check_at_least_one(trials=trials, workers=workers, cap=cap)
     m = chain.matrix.m
     member_mask = np.zeros(m, dtype=bool)
     member_mask[B.indices()] = True
-    inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
+    if member_mask.all():
+        return np.ones(trials, dtype=np.int64)
+    start = _InverseCdf(_cumulative(np.array([chain.resolved_start(pi)], dtype=float)))
+    kernel = _avoiding_kernel(chain.matrix.rows, member_mask)
+    rest, width = kernel.shape
+    steps = width - rest
+    superstep = _InverseCdf(_cumulative(kernel))
+    position = np.cumsum(~member_mask) - 1  # a state's row of the kernel
 
     def run(block: int, size: int) -> np.ndarray:
         rng = derive_stream(master_seed, block)
-        states = inverse_cdf.pick(np.full(size, m), rng.random(size))
+        states = start.pick(np.zeros(size, dtype=np.intp), rng.random(size))
         N = np.full(size, cap + 1, dtype=np.int64)
         hit = member_mask[states]
         N[hit] = 1
         alive = np.flatnonzero(~hit)
-        states = states[alive]  # the states of the live trials, in trial order
+        states = position[states[alive]]  # the kernel rows of the live trials, in trial order
         t = 1
         while alive.size and t < cap:
-            t += 1
-            states = inverse_cdf.pick(states, rng.random(alive.size))
-            hit = member_mask[states]
+            column = superstep.pick(states, rng.random(alive.size))
+            hit = column < steps
             if hit.any():
-                N[alive[hit]] = t
+                N[alive[hit]] = np.minimum(column[hit] + (t + 1), cap + 1)
                 keep = ~hit
-                alive, states = alive[keep], states[keep]
+                alive, column = alive[keep], column[keep]
+            states = column - steps
+            t += steps
         return N
 
     return np.concatenate(_run_blocks(run, trials, workers))
@@ -382,7 +438,7 @@ def empirical_mgf(samples, s: float) -> float:
         raise ValidationError("empirical_mgf needs at least one sample")
     if not math.isfinite(s):
         raise ValidationError(f"s must be finite, got {s!r}")
-    return math.fsum(math.exp(s * v) for v in values) / values.size
+    return math.fsum(map(math.exp, (s * values).tolist())) / values.size
 
 
 def _sample_values(samples) -> np.ndarray:

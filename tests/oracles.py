@@ -9,7 +9,9 @@ reference constants from high-precision arithmetic. The stationary law
 and hitting times also come from the plain constructions of P^T - I
 (from np.eye) and I - Q (from zeros), which the library's in-place
 builds must equal bit for bit. The samplers' reference is the O(m)
-inverse-CDF count on the same streams.
+inverse-CDF count on the same streams; for hitting times it counts over
+the rows of the library's kernel that avoids B, whose entries the tests
+check against exact survival laws separately.
 The report renderer's reference formats one report at a time, cell by
 cell, and the summary's reference counts one report at a time.
 """
@@ -22,7 +24,7 @@ import re
 import mpmath
 import numpy as np
 
-from mml.simulate import BLOCK_TRIALS, derive_stream
+from mml.simulate import BLOCK_TRIALS, _avoiding_kernel, derive_stream
 
 MAX_ORACLE_ITERS = 200_000
 
@@ -214,21 +216,34 @@ def first_visit_table_by_count(chain, n: int, trials: int, master_seed: int, pi=
 
 def hitting_time_samples_by_count(chain, members, trials: int, master_seed: int, cap: int,
                                   pi=None) -> np.ndarray:
-    """N_B per trial from the O(m) pick, drawing only for the trials still outside B."""
-    cum, cum_start = _cumulative_by_count(chain, pi)
+    """N_B per trial by the superstep rule, each pick the O(m) count over a CDF row.
+
+    X_1 is counted off the start law. Then each trial still outside B, and not
+    yet past the cap, counts one uniform per superstep of K steps against its
+    row of the library's kernel that avoids B: a count j < K is a hit at step
+    t + j + 1, any other moves the trial to state (count - K) of B^c.
+    """
+    _, cum_start = _cumulative_by_count(chain, pi)
     in_B = np.zeros(chain.matrix.m, dtype=bool)
     in_B[list(members)] = True
+    cum = np.cumsum(_avoiding_kernel(chain.matrix.rows, in_B), axis=1)
+    cum[:, -1] = 1.0
+    steps = cum.shape[1] - cum.shape[0]
+    row_of = {x: i for i, x in enumerate(np.flatnonzero(~in_B).tolist())}
     blocks = []
     for block, size in enumerate(_block_sizes(trials)):
         rng = derive_stream(master_seed, block)
-        states = pick_by_count(cum_start, rng.random(size))
-        N = np.where(in_B[states], 1, cap + 1)
-        for t in range(2, cap + 1):
-            alive = np.flatnonzero(N > cap)
+        starts = pick_by_count(cum_start, rng.random(size))
+        N = np.where(in_B[starts], 1, cap + 1)
+        rows = np.array([row_of.get(x, -1) for x in starts.tolist()])  # -1: the trial has ended
+        for t in range(1, cap, steps):
+            alive = np.flatnonzero(rows >= 0)
             if not alive.size:
                 break
-            states[alive] = pick_by_count(cum[states[alive]], rng.random(alive.size))
-            N[alive[in_B[states[alive]]]] = t
+            count = pick_by_count(cum[rows[alive]], rng.random(alive.size))
+            hit = count < steps
+            N[alive[hit]] = np.minimum(t + count[hit] + 1, cap + 1)
+            rows[alive] = np.where(hit, -1, count - steps)
         blocks.append(N)
     return np.concatenate(blocks)
 

@@ -21,8 +21,11 @@ from mml.hitting import (
 from mml.simulate import (
     BLOCK_TRIALS,
     GUIDE_CELLS,
+    SUPERSTEP,
+    SUPERSTEP_STATES,
     TRAJECTORY_CHUNK,
     SimConfig,
+    _avoiding_kernel,
     _block_steps,
     _cumulative_rows,
     _InverseCdf,
@@ -217,6 +220,54 @@ class TestInverseCdf:
         assert sum(a.nbytes for a in held if not np.shares_memory(a, cum)) < 4 * 2 ** 20
 
 
+class TestAvoidingKernel:
+    """The superstep kernel of hitting_time_samples against exact laws."""
+
+    CHAINS = [
+        ("birth-death", {"m": 20, "p": 0.25, "q": 0.25}, (0,)),
+        ("lazy-cycle", {"m": 32, "hold": 0.5}, (0,)),
+        ("random-dense", {"m": 10, "seed": 5}, (3, 7)),
+        ("two-state", {"p": 1e-12, "q": 0.5}, (1,)),
+    ]
+
+    @pytest.mark.parametrize("family,params,members", CHAINS)
+    def test_rows_are_exact(self, family, params, members):
+        P = generate(family, **params).matrix
+        mask = np.zeros(P.m, dtype=bool)
+        mask[list(members)] = True
+        outside = np.flatnonzero(~mask)
+        kernel = _avoiding_kernel(P.rows, mask)
+        assert kernel.shape == (outside.size, SUPERSTEP + outside.size)
+        for row, x in zip(kernel, outside.tolist()):
+            # Pr_x[B first entered at step j] = Pr[N_B > j] - Pr[N_B > j + 1] from X_1 = x;
+            # relative to the survival, since the difference itself may cancel
+            survival = survival_probabilities(P, point_start(P.m, x), members, range(1, SUPERSTEP + 2))
+            hits = survival[:-1] - survival[1:]
+            assert np.all(np.abs(row[:SUPERSTEP] - hits) <= 1e-12 * survival[:-1]), x
+        Q = P.rows[np.ix_(outside, outside)]
+        assert np.abs(kernel[:, SUPERSTEP:] - np.linalg.matrix_power(Q, SUPERSTEP)).max() <= 1e-15
+        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-14
+
+    def test_stiff_hits_keep_their_relative_accuracy(self):
+        # Pr_0[first entry into {1} at step j] = 1e-12 (1 - 1e-12)^(j - 1): no cancellation
+        P = generate("two-state", p=1e-12, q=0.5).matrix
+        kernel = _avoiding_kernel(P.rows, np.array([False, True]))
+        exact = [1e-12 * (1 - 1e-12) ** j for j in range(SUPERSTEP)]
+        assert kernel[0, :SUPERSTEP] == pytest.approx(exact, rel=1e-14)
+
+    def test_cutoff(self):
+        # SUPERSTEP_STATES states outside B still take 16 steps; one more takes one
+        P = generate("lazy-cycle", m=SUPERSTEP_STATES + 3, hold=0.5).matrix
+        mask = np.zeros(P.m, dtype=bool)
+        mask[:3] = True
+        assert _avoiding_kernel(P.rows, mask).shape == (SUPERSTEP_STATES, SUPERSTEP + SUPERSTEP_STATES)
+        mask[2] = False
+        kernel = _avoiding_kernel(P.rows, mask)
+        assert kernel.shape == (SUPERSTEP_STATES + 1, SUPERSTEP_STATES + 2)  # [r | Q]
+        assert np.array_equal(kernel[:, 1:], P.rows[2:, 2:])
+        assert kernel[[0, -1], 0].tolist() == [0.25, 0.25] and not kernel[1:-1, 0].any()
+
+
 class TestAgainstCountingSampler:
     """Bit-identity with the O(m) pick and np.minimum.at (tests/oracles.py), same streams."""
 
@@ -301,6 +352,21 @@ class TestAgainstCountingSampler:
         last = np.sort(N)[-5:]
         assert last[-1] <= cap and last[0] < last[-1]  # the last steps ran with under 5 trials live
         assert np.array_equal(N, hitting_time_samples_by_count(chain, [0], 2000, 68, cap))
+
+    def test_hitting_time_samples_cap_inside_the_first_superstep(self):
+        # a hit past the cap reads cap + 1
+        chain = generate("lazy-cycle", m=10, hold=0.9)
+        pi = stationary(chain.matrix)
+        cap = SUPERSTEP - 1
+        N = hitting_time_samples(chain, state_set([5]), self.TRIALS, 69, cap=cap, pi=pi)
+        assert np.array_equal(N, hitting_time_samples_by_count(chain, [5], self.TRIALS, 69, cap, pi))
+        assert N.max() == cap + 1 and (N == cap).any()
+
+    def test_hitting_time_samples_one_step_past_the_cutoff(self):
+        chain = generate("random-dense", m=SUPERSTEP_STATES + 60, seed=8)
+        pi = stationary(chain.matrix)
+        N = hitting_time_samples(chain, state_set(range(50)), 300, 70, cap=40, pi=pi)
+        assert np.array_equal(N, hitting_time_samples_by_count(chain, range(50), 300, 70, 40, pi))
 
     def test_point_start_and_overshooting_row(self):
         assert np.array_equal(first_visit_table(OVERSHOOT3, 9, 500, 8),
@@ -559,15 +625,39 @@ class TestHittingTail:
         assert [float((N > t).mean()) for t in (1, 2, 3)] == [1.0, 1.0, 0.0]
         assert N.max() == 3  # below the cap: no trial was cut
 
-    def test_cap_is_reported(self):
-        # a trial cut at the cap carries the sentinel cap + 1; the tail up to the cap stays exact
+    @pytest.mark.parametrize("cap", [3, SUPERSTEP - 1, 2 * SUPERSTEP + 5])
+    def test_cap_is_reported(self, cap):
+        # a trial cut at the cap, even inside a superstep, carries the sentinel cap + 1;
+        # the tail up to the cap stays exact
         slow = generate("lazy-cycle", m=10, hold=0.9)
         pi = stationary(slow.matrix)
         trials = 100_000
-        N = hitting_time_samples(slow, state_set([5]), trials, 9, cap=3, pi=pi)
-        assert (N == 4).sum() > 0 and N.max() == 4
-        for t, p in zip((1, 2, 3), survival_probabilities(slow.matrix, pi.pi, (5,), (1, 2, 3))):
-            assert abs(int((N > t).sum()) - trials * p) <= 6 * math.sqrt(trials * p * (1 - p))
+        N = hitting_time_samples(slow, state_set([5]), trials, 9, cap=cap, pi=pi)
+        assert N.max() == cap + 1
+        thresholds = range(1, cap + 1)
+        for t, p in zip(thresholds, survival_probabilities(slow.matrix, pi.pi, (5,), thresholds)):
+            assert abs(int((N > t).sum()) - trials * p) <= 6 * math.sqrt(trials * p * (1 - p)), t
+
+    def test_target_is_every_state(self, monkeypatch):
+        # every X_1 lies in B, so no CDF is built (a kernel of zero rows has no guide table)
+        def refuse(*args):
+            raise AssertionError("a CDF was built")
+
+        monkeypatch.setattr("mml.simulate._InverseCdf", refuse)
+        monkeypatch.setattr("mml.simulate._avoiding_kernel", refuse)
+        chain = generate("random-dense", m=4, seed=2)
+        N = hitting_time_samples(chain, state_set(range(4)), BLOCK_TRIALS + 3, 11, workers=2)
+        assert N.dtype == np.int64 and N.tolist() == [1] * (BLOCK_TRIALS + 3)
+
+    def test_mean_past_the_cutoff(self):
+        # more than SUPERSTEP_STATES states outside B: one step per uniform
+        chain = generate("random-dense", m=SUPERSTEP_STATES + 60, seed=8)
+        pi = stationary(chain.matrix)
+        B = state_set(range(50))
+        samples = hitting_time_samples(chain, B, 4000, 12, pi=pi)
+        exact = expected_hitting_time(hitting_table(chain.matrix, B), pi.pi)
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert abs(samples.mean() - exact) < 4 * se
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one_rejected(self, cap):
@@ -603,6 +693,15 @@ class TestMgf:
     def test_needs_samples(self):
         with pytest.raises(ValidationError):
             empirical_mgf([], 1.0)
+
+    @pytest.mark.parametrize("s", [1.0, -3.7, 25.0])
+    def test_same_sum_as_a_generator_of_scalars(self, s):
+        # the mc-sampling benchmark's missing-mass op at seed 3: iid(m=8), n = 16, 32,768 trials
+        mu = derive_stream(3_003_009, 0).dirichlet(np.ones(8))
+        iid = generate("iid", mu=mu)
+        config = SimConfig(chain=iid, n=16, trials=32_768, master_seed=3_003_010)
+        values = np.array([x.value for x in sample_missing_mass(config, stationary(iid.matrix))])
+        assert empirical_mgf(values, s) == math.fsum(math.exp(s * v) for v in values) / values.size
 
 
 class TestReproducibility:
