@@ -113,8 +113,8 @@ def hitting_tail_bound(expected: float, t) -> float:
             f"expected hitting time must be finite and > 0, got {expected!r}")
     if not 0 <= t < math.inf:
         raise ValidationError(f"t must be finite and >= 0, got {t!r}")
-    window = math.ceil(math.e * expected)
-    return math.exp(-math.floor(t / window))
+    window = math.e * expected  # inf when no window fits in any finite t
+    return 1.0 if window == math.inf else math.exp(-math.floor(t / math.ceil(window)))
 
 
 def explicit_hitting_tail(pi_A: float, T_half: float, t, c_explicit: float = DEFAULT_C) -> float:
@@ -158,7 +158,13 @@ def missing_mass_tail_bound(params: BoundParams, epsilon: float,
     if params.vacuous:
         failure = 0.0
     else:
-        failure = math.exp(-c2 * params.n * epsilon ** 2 / params.T)
+        try:
+            exponent = -c2 * params.n * epsilon ** 2 / params.T
+        except OverflowError:  # eps^2 passed the float range
+            exponent = -math.inf
+        if exponent == -math.inf:  # an overflow: divide by T before the second eps
+            exponent = -c2 * params.n * (epsilon / params.T) * epsilon
+        failure = math.exp(exponent)
     return MissingMassTailBound(threshold=mean_term + epsilon, failure_bound=failure,
                                 mean_term=mean_term, epsilon=epsilon, c2=c2)
 

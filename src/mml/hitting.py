@@ -13,8 +13,8 @@ system's residual. A single table (``hitting_table``) and T(eps) pass a
 stack of one chain; the array of every subset's hitting times
 (``subset_hitting_times_stack``, m <= 20) passes the whole stack, so the
 lemma sweeps solve all their chains of one size together. The same
-subsets' members and stationary masses come as arrays too
-(``subset_members``, ``member_masses``).
+subsets' membership rows and stationary masses come as arrays too
+(``subset_members``, ``member_masses``); ``row_members`` decodes rows.
 
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
@@ -45,6 +45,7 @@ ENUMERATION_MAX_STATES = 20
 MASS_FILTER_TOL = 1e-12
 # Systems per stacked solve: at most 2048 x 19 x 19 doubles (~6 MB) at m = 20.
 SOLVE_BATCH = 2048
+MEMBER_CHUNK = 10
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,7 @@ def _check_enumerable(m: int, what: str):
 def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
     """Exact expected hitting times of set B via the first-step linear system."""
     _check_members(B, P.m, "target set")
-    outside = np.ones((1, P.m), dtype=bool)
-    outside[0, B.indices()] = False
-    h, residual = _hitting_times(P.rows[None], outside)
+    h, residual = _hitting_times(P.rows[None], ~np.isin(np.arange(P.m), B.members)[None])
     return HittingTimeTable(target=B, h=h[0, 0], t_plus_all=float(h.max()),
                             residual=float(residual[0, 0]))
 
@@ -170,7 +169,7 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
             try:
                 x = np.linalg.solve(At.transpose(0, 2, 1), np.ones((k.size, n, 1)))
             except np.linalg.LinAlgError as e:
-                which = (f"target {_target(outside[target[0]])}" if k.size == 1
+                which = (f"target {row_members(~outside[target[:1]])[0]}" if k.size == 1
                          else f"one of {k.size} targets of {outside.shape[1] - n} states")
                 raise SingularSystemError(f"hitting system singular for {which}") from e
             h[chain[:, None], target[:, None], r] = x[:, :, 0]
@@ -184,12 +183,8 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
         chain, k = bad[0].tolist()
         raise SingularSystemError(
             f"hitting system residual {residual[chain, k]!r} exceeds tolerance "
-            f"for target {_target(outside[k])}")
+            f"for target {row_members(~outside[[k]])[0]}")
     return h, residual
-
-
-def _target(outside_row: np.ndarray) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(~outside_row).tolist())
 
 
 def t_plus(P: TransitionMatrix, A: StateSet, B: StateSet) -> float:
@@ -224,14 +219,24 @@ def subset_masses(pi_vec: np.ndarray) -> np.ndarray:
     return masses
 
 
-def subset_members(m: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Every non-empty subset of m states in bitmask order: its member tuples, and a
-    (2^m - 1, m) table whose row k - 1 is True at the members of bitmask k."""
-    sets = [()]
-    for j in range(m):
-        # the sets holding state j follow those without it, as bit j does
-        sets += [s + (j,) for s in sets]
-    return sets[1:], ~_outside(np.arange(1, 1 << m), m)
+def subset_members(m: int) -> np.ndarray:
+    """(2^m - 1, m) table of every non-empty subset of m states: row k - 1 marks bitmask k."""
+    return ~_outside(np.arange(1, 1 << m), m)
+
+
+def row_members(inside: np.ndarray) -> list[tuple[int, ...]]:
+    """The ascending member tuple of each row of a membership table (True at members): the
+    bits of each MEMBER_CHUNK columns index a list of every subset of those states, so a
+    row of a subset table (m <= 20) costs one lookup per chunk and at most one join."""
+    members = None
+    for lo in range(0, inside.shape[1], MEMBER_CHUNK):
+        block = inside[:, lo:lo + MEMBER_CHUNK]
+        subsets = [()]
+        for j in range(lo, lo + block.shape[1]):  # the sets holding j follow, as bit j does
+            subsets += [s + (j,) for s in subsets]
+        picked = list(map(subsets.__getitem__, (block @ (1 << np.arange(block.shape[1]))).tolist()))
+        members = picked if members is None else list(map(tuple.__add__, members, picked))
+    return members
 
 
 def member_masses(pis, inside) -> np.ndarray:
@@ -262,14 +267,8 @@ def member_masses(pis, inside) -> np.ndarray:
 
 
 def _lex_smallest(masks: np.ndarray, m: int) -> tuple[int, ...]:
-    """Member tuple of the lexicographically smallest set in an antichain.
-
-    Of two sets with neither inside the other, the smaller tuple is the one
-    holding the lowest state in which they differ; reversing the bit order
-    makes that set the larger key.
-    """
-    outside = _outside(masks, m)
-    return _target(outside[np.argmax(~outside @ (1 << np.arange(m)[::-1]))])
+    """Member tuple of the lexicographically smallest of the sets with bitmasks ``masks``."""
+    return min(row_members(~_outside(masks, m)))
 
 
 def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> np.ndarray:

@@ -432,13 +432,16 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
 
 
 def empirical_mgf(samples, s: float) -> float:
-    """Arithmetic mean of exp(s * value) over missing-mass samples."""
+    """Arithmetic mean of exp(s * value) over missing-mass samples; inf past the float range."""
     values = _sample_values(samples)
     if values.size == 0:
         raise ValidationError("empirical_mgf needs at least one sample")
     if not math.isfinite(s):
         raise ValidationError(f"s must be finite, got {s!r}")
-    return math.fsum(map(math.exp, (s * values).tolist())) / values.size
+    try:
+        return math.fsum(map(math.exp, (s * values).tolist())) / values.size
+    except OverflowError:
+        return math.inf
 
 
 def _sample_values(samples) -> np.ndarray:

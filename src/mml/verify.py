@@ -26,6 +26,7 @@ from .hitting import (
     expected_hitting_time,
     hitting_table,
     member_masses,
+    row_members,
     subset_hitting_times_stack,
     subset_masses,
     subset_members,
@@ -145,7 +146,7 @@ def _index_sets(rng, m: int, extra: int, size_hi: int) -> list[tuple[int, ...]]:
 # many hitting times: one m = 20 chain's, so memory does not grow with the chain count
 GROUP_ENTRIES = ((1 << ENUMERATION_MAX_STATES) - 1) * ENUMERATION_MAX_STATES
 
-_ChainGroup = namedtuple("_ChainGroup", "index chain_ids sets inside masses h")
+_ChainGroup = namedtuple("_ChainGroup", "index chain_ids inside masses h")
 
 
 def _random_chains(seed: int, ms: list[int]):
@@ -154,16 +155,15 @@ def _random_chains(seed: int, ms: list[int]):
     Yields one ``_ChainGroup`` per group: ``index`` holds the group's chain
     numbers, ascending, and ``chain_ids`` the ids of all the chains, so the
     rows of the group's c-th chain are labelled Labels(index[c], chain_ids).
-    ``sets`` and ``inside`` list every non-empty subset of the m states in
-    bitmask order (``subset_members``); masses[c, k] is the stationary mass
-    of sets[k] on chain index[c] and h[c, k] its hitting times. Groups come
-    in order of m, so the rows of all groups are put back in chain order at
-    the end (``_in_chain_order``).
+    Row k of ``inside`` marks the members of bitmask k + 1 (``subset_members``);
+    masses[c, k] is that set's stationary mass on chain index[c] and h[c, k]
+    its hitting times. Groups come in order of m, so the rows of all groups
+    are put back in chain order at the end (``_in_chain_order``).
     """
     chain_ids = [f"random-dense(m={m},#={i})" for i, m in enumerate(ms)]
     ms = np.asarray(ms)
     for m in np.unique(ms).tolist():
-        sets, inside = subset_members(m)
+        inside = subset_members(m)
         chains = np.flatnonzero(ms == m)
         size = max(1, GROUP_ENTRIES // inside.size)
         for lo in range(0, chains.size, size):
@@ -171,8 +171,7 @@ def _random_chains(seed: int, ms: list[int]):
             Ps = [generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
                   for i in index.tolist()]
             masses = member_masses([stationary(P) for P in Ps], inside)
-            yield _ChainGroup(index, chain_ids, sets, inside, masses,
-                              subset_hitting_times_stack(Ps))
+            yield _ChainGroup(index, chain_ids, inside, masses, subset_hitting_times_stack(Ps))
 
 
 def _in_chain_order(blocks) -> ReportBlock:
@@ -199,7 +198,7 @@ def suite_lemma1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]
         picked = [ranks[i] for i in g.index.tolist()]
         chain = np.repeat(np.arange(g.index.size), [r.size for r in picked])
         pairs = _disjoint_pairs(g.inside, np.concatenate(picked))
-        blocks.append(lemma1_stack_reports(g.masses, g.sets, g.inside, g.h, chain, pairs,
+        blocks.append(lemma1_stack_reports(g.masses, g.inside, g.h, chain, pairs,
                                            Labels(g.index[chain], g.chain_ids)))
     return _result("lemma1", opts, _in_chain_order(blocks))
 
@@ -240,9 +239,8 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]
     for g in _random_chains(seed, ms):
         # every subset is solved anyway; T(0.5) falls out of the same array
         t_half = np.where(g.masses >= 0.5 - MASS_FILTER_TOL, g.h.max(axis=2), 0.0).max(axis=1)
-        chain = np.repeat(g.index, len(g.sets))
-        blocks.append(lemma2_stack_reports(g.masses, g.sets, g.h, t_half,
-                                           Labels(chain, g.chain_ids)))
+        blocks.append(lemma2_stack_reports(g.masses, g.inside, g.h, t_half,
+                                           Labels(np.repeat(g.index, len(g.inside)), g.chain_ids)))
     return _result("lemma2", opts, _in_chain_order(blocks))
 
 
@@ -250,26 +248,25 @@ def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B
     """Check Lemma 1 for one pair of sets, as a one-row block; see ``lemma1_stack_reports``."""
     _check_members(A, P.m, "set A")
     _check_members(B, P.m, "set B")
-    sets = [A.members, B.members]
-    inside = np.array([np.isin(np.arange(P.m), members) for members in sets])
+    inside = np.array([np.isin(np.arange(P.m), S.members) for S in (A, B)])
     h = np.stack([hitting_table(P, S).h for S in (A, B)])
-    return lemma1_stack_reports(np.array([[pi.mass(members) for members in sets]]), sets, inside,
+    return lemma1_stack_reports(np.array([[pi.mass(S.members) for S in (A, B)]]), inside,
                                 h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), "")
 
 
-def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.ndarray,
+def lemma1_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
                          chain: np.ndarray, pairs: np.ndarray, chain_id) -> ReportBlock:
     """Lemma 1's rows on a stack of chains: row i checks pi(A) <= T+(A,B) / (T+(A,B) + T-(B,A))
-    for A = sets[a], B = sets[b] on chain c, where (a, b) = pairs[i] and c = chain[i].
+    for the sets A and B that rows a and b of ``inside`` mark, on chain c, where
+    (a, b) = pairs[i] and c = chain[i]; the A and B columns list the member tuples
+    of just the sets they name. masses[c, k] is the stationary mass of set k on
+    chain c, h[c, k] holds its hitting times, and ``chain_id`` labels the rows as
+    in ``ReportBlock.of_check``.
 
-    masses[c, k] is the stationary mass of sets[k] on chain c, row k of
-    ``inside`` marks its members, and h[c, k] holds its hitting times;
-    ``chain_id`` labels the rows as in ``ReportBlock.of_check``. Overlapping
-    A and B make T-(B,A) = 0 and the inequality trivial; such checks are
-    reported with vacuous=true rather than rejected. The product form
-    pi(A) * T-(B,A) <= T+(A,B) is checked alongside and recorded in the
-    params as ``product_lhs`` and ``product_holds``; its right side is
-    ``t_plus``.
+    Overlapping A and B make T-(B,A) = 0 and the inequality trivial; such
+    checks are reported with vacuous=true rather than rejected. The product form
+    pi(A) * T-(B,A) <= T+(A,B) is checked alongside and recorded in the params
+    as ``product_lhs`` and ``product_holds``; its right side is ``t_plus``.
     """
     a, b = pairs.T
     tp = np.where(inside[a], h[chain, b], -np.inf).max(axis=1)
@@ -278,11 +275,13 @@ def lemma1_stack_reports(masses: np.ndarray, sets, inside: np.ndarray, h: np.nda
     denom = tp + tm
     rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
     product_holds = lhs * tm <= tp + INEQUALITY_TOL
+    A, B = (Labels(codes, row_members(inside[used]))
+            for used, codes in (np.unique(k, return_inverse=True) for k in (a, b)))
     return ReportBlock.of_check(
         "lemma1", chain_id, rhs, lhs, (lhs <= rhs + INEQUALITY_TOL) & product_holds,
         (inside[a] & inside[b]).any(axis=1),
-        {"A": Labels(a, sets), "B": Labels(b, sets), "t_plus": tp, "t_minus": tm,
-         "product_lhs": lhs * tm, "product_holds": product_holds})
+        {"A": A, "B": B, "t_plus": tp, "t_minus": tm, "product_lhs": lhs * tm,
+         "product_holds": product_holds})
 
 
 def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> ReportBlock:
@@ -290,28 +289,27 @@ def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -
     ``lemma2_stack_reports``."""
     _check_members(A, P.m, "set A")
     t_half = t_large(P, pi, 0.5).value
-    return lemma2_stack_reports(np.array([[pi.mass(A.members)]]), [A.members],
+    return lemma2_stack_reports(np.array([[pi.mass(A.members)]]),
+                                np.isin(np.arange(P.m), A.members)[None],
                                 hitting_table(P, A).h[None, None], np.array([t_half]), "")
 
 
-def lemma2_stack_reports(masses: np.ndarray, sets, h: np.ndarray, t_half: np.ndarray,
-                         chain_id) -> ReportBlock:
+def lemma2_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
+                         t_half: np.ndarray, chain_id) -> ReportBlock:
     """Lemma 2's rows on a stack of C chains, chain by chain: T(A) <= 2 T(0.5) / pi(A) for
-    each A = sets[k] on chain c, whose mass is masses[c, k], whose hitting times are
-    h[c, k] and whose T(0.5) is t_half[c]; ``chain_id`` labels the rows as in
-    ``ReportBlock.of_check``.
-
-    Also records the per-instance smallest constant kappa with
-    T(A) <= kappa * T(0.5) / pi(A), without asserting any improved bound.
+    each set A that row k of ``inside`` marks, on chain c, whose mass is masses[c, k],
+    whose hitting times are h[c, k] and whose T(0.5) is t_half[c]; ``chain_id`` labels
+    the rows as in ``ReportBlock.of_check``. Also records the per-instance smallest
+    constant kappa with T(A) <= kappa * T(0.5) / pi(A), asserting no improved bound.
     """
     t_a = h.max(axis=2).ravel()
     masses = masses.ravel()
-    t_half = np.repeat(t_half, len(sets))
+    t_half = np.repeat(t_half, len(inside))
     bound = 2.0 * t_half / masses
     tight = np.divide(t_a * masses, t_half, out=np.zeros_like(t_a), where=t_half > 0)
     return ReportBlock.of_check(
         "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL, t_half == 0.0,
-        {"A": Labels(np.tile(np.arange(len(sets)), h.shape[0]), sets),
+        {"A": Labels(np.tile(np.arange(len(inside)), h.shape[0]), row_members(inside)),
          "t_half": t_half, "mass": masses, "tight_constant": tight})
 
 

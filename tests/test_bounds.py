@@ -173,6 +173,11 @@ class TestHittingTailBound:
         vals = [hitting_tail_bound(e, 50) for e in (1.0, 2.0, 3.0, 5.0, 8.0)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
+    def test_window_past_the_float_range_is_vacuous(self):
+        # e * E N_B overflows, so no window fits in any finite t
+        assert hitting_tail_bound(1e308, 1) == hitting_tail_bound(1e308, 1e300) == 1.0
+        assert hitting_tail_bound(6e307, 1e300) == 1.0  # e * 6e307 still fits
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             hitting_tail_bound(0.0, 5)
@@ -205,6 +210,15 @@ class TestMissingMassTailBound:
     def test_large_epsilon_kills_failure_probability(self):
         params = BoundParams(c=1.0, T=1.0, n=10, pi=dist(0.5, 0.5))
         assert missing_mass_tail_bound(params, 100.0).failure_bound < 1e-300
+
+    @pytest.mark.parametrize("eps,n", [(1e155, 3), (1e154, 10)])
+    def test_epsilon_whose_square_overflows(self, eps, n):
+        # eps^2, or c2 n eps^2, passes the float range, but eps^2 / T = (eps / 1e154)^2
+        params = BoundParams(c=1.0, T=1e308, n=n, pi=dist(0.5, 0.5))
+        expected = math.exp(-0.5 * n * (eps / 1e154) ** 2)
+        assert missing_mass_tail_bound(params, eps, c2=0.5).failure_bound == \
+            pytest.approx(expected, rel=1e-12)
+        assert expected > 0
 
     def test_uniform_four_states(self):
         params = BoundParams(c=1.0, T=1.0, n=4, pi=dist(0.25, 0.25, 0.25, 0.25))

@@ -219,6 +219,13 @@ class TestSimulateCommands:
         body = csv_body(capsys.readouterr().out)
         assert body.splitlines()[1].split(",")[1] == "1.0"
 
+    def test_mgf_past_the_float_range(self, capsys):
+        # a missing mass of 1/2 makes exp(5000 / 2) overflow
+        rc = main(["simulate", "mgf", "--family", "two-state", "--p", "0.1", "--q", "0.1",
+                   "--trials", "100", "--n", "3", "--s", "5000"])
+        assert rc == 0
+        assert csv_body(capsys.readouterr().out).splitlines()[1] == "5000.0,inf,100"
+
     def test_hittail_deterministic(self, cycle3, capsys):
         rc = main(["simulate", "hittail", "--in", cycle3, "--B", "2", "--t", "1,2,3",
                    "--trials", "20", "--seed", "5"])
@@ -335,6 +342,15 @@ class TestBoundsCommands:
     def test_hittailbound(self, capsys):
         assert main(["bounds", "hittailbound", "--expected", "2", "--t", "20"]) == 0
         assert abs(float(capsys.readouterr().out) - 0.049787068367863944) < 1e-15
+
+    def test_hittailbound_past_the_float_range(self, capsys):
+        # e * 1e308 overflows: no window fits, so the bound is vacuous
+        assert main(["bounds", "hittailbound", "--expected", "1e308", "--t", "1"]) == 0
+        assert capsys.readouterr().out == "1.0\n"
+
+    def test_mmtail_epsilon_past_the_float_range(self, capsys):
+        assert main(["bounds", "mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "1e200"]) == 0
+        assert " failure_bound=0.0 " in capsys.readouterr().out
 
     def test_jointbound(self, capsys):
         rc = main(["bounds", "jointbound", "--pi", "0.5,0.5", "--J", "0,1",

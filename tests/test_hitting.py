@@ -17,6 +17,7 @@ from mml.hitting import (
     expected_hitting_time,
     hitting_table,
     member_masses,
+    row_members,
     state_set,
     subset_hitting_times,
     subset_hitting_times_stack,
@@ -215,28 +216,39 @@ class TestSubsetHittingTables:
 class TestMemberTable:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_members_in_bitmask_order(self, m):
-        sets, inside = subset_members(m)
-        assert sets == [mask_members(mask) for mask in range(1, 1 << m)]
+        inside = subset_members(m)
+        sets = [mask_members(mask) for mask in range(1, 1 << m)]
+        assert row_members(inside) == sets
         assert [tuple(np.flatnonzero(row).tolist()) for row in inside] == sets
+
+    @settings(deadline=None)
+    @given(m=st.integers(1, 70), data=st.data())
+    def test_row_members_of_any_rows(self, m, data):
+        # past 64 states no row fits one integer; rows may repeat or be empty
+        rows = data.draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), max_size=8))
+        inside = np.array(rows, dtype=bool).reshape(len(rows), m)
+        expected = [mask_members(sum(1 << j for j, x in enumerate(row) if x)) for row in rows]
+        assert row_members(inside) == expected
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_masses_equal_pi_mass_bitwise(self, m):
         # from m = 8 on, some sets have 8 or more members, which numpy sums pairwise
         pis = [stationary(generate("random-dense", m=m, alpha=alpha, seed=50 * m + k).matrix)
                for k, alpha in enumerate((1.0, 0.2, 5.0))]
-        sets, inside = subset_members(m)
+        inside = subset_members(m)
         masses = member_masses(pis, inside)
-        expected = np.array([[pi.mass(members) for members in sets] for pi in pis])
+        expected = np.array([[pi.mass(mask_members(mask)) for mask in range(1, 1 << m)]
+                             for pi in pis])
         assert masses.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
     def test_masses_at_20_states_equal_pi_mass_bitwise_on_a_sample(self):
         # sets of 16 or more members take a second stride of eight terms
         pis = [stationary(random_chain(20, 2020))]
-        sets, inside = subset_members(20)
+        inside = subset_members(20)
         masses = member_masses(pis, inside)[0]
-        ks = np.random.default_rng(20).choice(len(sets), size=4000, replace=False)
+        ks = np.random.default_rng(20).choice(len(inside), size=4000, replace=False)
         ks = np.concatenate([ks, np.flatnonzero(inside.sum(axis=1) >= 16)])
-        expected = np.array([pis[0].mass(sets[k]) for k in ks.tolist()])
+        expected = np.array([pis[0].mass(mask_members(k + 1)) for k in ks.tolist()])
         assert masses[ks].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
@@ -278,7 +290,7 @@ class TestSolverBuilds:
         # 4 chains of 10 states: 4,092 systems, the stacks of one size straddling chains
         chains = [random_chain(10, 3000 + k) for k in range(4)]
         stack = subset_hitting_times_stack(chains)
-        sets = subset_members(10)[0]
+        sets = [mask_members(mask) for mask in range(1, 1 << 10)]
         for P, h in zip(chains, stack):
             expected = [direct_solve_table(P.rows, members) for members in sets]
             assert _bits(h) == _bits(expected)
@@ -579,16 +591,11 @@ class TestLemma1:
             assert rep.holds, (a, b, rep)
 
 
-def _all_subsets(m):
-    """Every non-empty subset of m states, in bitmask order (bit j = state j)."""
-    return [tuple(j for j in range(m) if mask >> j & 1) for mask in range(1, 1 << m)]
-
-
 def _one_chain(P):
-    """pi, then the stack kernels' inputs for every non-empty subset of P's states, on a
-    stack of one chain: sets, inside, masses and h."""
+    """pi, every non-empty subset of P's states in bitmask order, then the stack kernels'
+    inputs for those sets on a stack of one chain: inside, masses and h."""
     pi = stationary(P)
-    sets = _all_subsets(P.m)
+    sets = [mask_members(mask) for mask in range(1, 1 << P.m)]
     inside = np.array([[j in members for j in range(P.m)] for members in sets])
     masses = np.array([[pi.mass(members) for members in sets]])
     return pi, sets, inside, masses, subset_hitting_times(P)[None]
@@ -596,10 +603,9 @@ def _one_chain(P):
 
 def _lemma1_rows(P, pairs):
     """lemma1_stack_reports on the index pairs of P's subsets."""
-    _, sets, inside, masses, h = _one_chain(P)
+    _, _, inside, masses, h = _one_chain(P)
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    return lemma1_stack_reports(masses, sets, inside, h, np.zeros(len(pairs), dtype=np.intp),
-                                pairs, "")
+    return lemma1_stack_reports(masses, inside, h, np.zeros(len(pairs), dtype=np.intp), pairs, "")
 
 
 class TestLemmaKernels:
@@ -628,9 +634,10 @@ class TestLemmaKernels:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_lemma2_every_set_matches_oracle(self, m):
         P = random_chain(m, 800 + m)
-        pi, sets, _, masses, h = _one_chain(P)
+        pi, sets, inside, masses, h = _one_chain(P)
         t_half, _ = brute_force_t_large(P.rows, pi.pi, 0.5, table=direct_solve_table)
-        reports = lemma2_stack_reports(masses, sets, h, np.array([t_large(P, pi, 0.5).value]), "")
+        reports = lemma2_stack_reports(masses, inside, h, np.array([t_large(P, pi, 0.5).value]),
+                                       "")
         assert len(reports) == len(sets)
         for members, rep in zip(sets, reports):
             t_a = direct_solve_table(P.rows, members).max()
@@ -645,7 +652,7 @@ class TestLemmaKernels:
     @pytest.mark.parametrize("m", range(2, 6))
     def test_one_pair_checks_equal_the_suite_rows(self, m):
         P = random_chain(m, 900 + m)
-        pi, sets, _, masses, h = _one_chain(P)
+        pi, sets, inside, masses, h = _one_chain(P)
         pairs = [(a, b) for a in range(len(sets)) for b in range(len(sets))]
         singles = [check_lemma1(P, pi, StateSet(sets[a]), StateSet(sets[b])) for a, b in pairs]
         assert render_reports_csv(ReportBlock.concat(singles)) == \
@@ -653,7 +660,7 @@ class TestLemmaKernels:
         t_half = np.array([t_large(P, pi, 0.5).value])
         singles = [check_lemma2(P, pi, StateSet(members)) for members in sets]
         assert render_reports_csv(ReportBlock.concat(singles)) == \
-            render_reports_csv(lemma2_stack_reports(masses, sets, h, t_half, ""))
+            render_reports_csv(lemma2_stack_reports(masses, inside, h, t_half, ""))
 
     def test_overlapping_pairs_vacuous(self):
         P = random_chain(4, 950)

@@ -694,6 +694,12 @@ class TestMgf:
         with pytest.raises(ValidationError):
             empirical_mgf([], 1.0)
 
+    def test_past_the_float_range(self):
+        # one term overflows; so does the sum of two that fit
+        assert empirical_mgf(np.array([0.0, 1.0]), 800.0) == math.inf
+        assert empirical_mgf(np.array([1.0, 1.0]), 709.7) == math.inf
+        assert empirical_mgf(np.array([0.0, 1.0]), -800.0) == 0.5
+
     @pytest.mark.parametrize("s", [1.0, -3.7, 25.0])
     def test_same_sum_as_a_generator_of_scalars(self, s):
         # the mc-sampling benchmark's missing-mass op at seed 3: iid(m=8), n = 16, 32,768 trials

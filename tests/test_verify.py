@@ -100,7 +100,7 @@ def test_disjoint_pairs_in_bitmask_order(m):
     expected = [[a, b] for a in range(len(keys)) for b in range(len(keys))
                 if not set(keys[a]) & set(keys[b])]
     assert disjoint_pairs_by_enumeration(m).tolist() == expected
-    assert _disjoint_pairs(subset_members(m)[1], np.arange(_pair_count(m))).tolist() == expected
+    assert _disjoint_pairs(subset_members(m), np.arange(_pair_count(m))).tolist() == expected
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -110,7 +110,7 @@ def test_unranked_pairs_equal_the_listed_sample(m):
     for seed in range(4):
         ranks = np.sort(derive_stream(seed, 0).choice(len(listed), size=min(500, len(listed)),
                                                       replace=False))
-        assert np.array_equal(_disjoint_pairs(subset_members(m)[1], ranks), listed[ranks])
+        assert np.array_equal(_disjoint_pairs(subset_members(m), ranks), listed[ranks])
 
 
 def _chain_rows(reports):
@@ -144,6 +144,13 @@ def test_lemma1_past_twelve_states():
         single.chain_id = Labels(single.chain_id.codes, [row.metadata["chain_id"]])
     assert render_reports_csv(ReportBlock.concat(singles)) == \
         render_reports_csv(ReportBlock.concat([reports], np.arange(180, len(reports), 50)))
+
+
+def test_lemma1_labels_only_the_sets_of_its_rows():
+    # the chain of 13 states has 8,191 subsets, of which its 500 pairs name at most 1,000
+    reports = run_suite("lemma1", VerifyOptions(seed=10, lemma1_chains=2, lemma1_m_max=13))[0]
+    for key in ("A", "B"):
+        assert len(reports.params[key].labels) <= len(reports) == 680
 
 
 @pytest.mark.parametrize("suite", ["lemma1", "lemma2"])
