@@ -5,18 +5,24 @@ master seed s draws from a Philox generator keyed by (s, b), so results
 are bit-identical for any worker count. Aggregates are integer counts
 plus floating sums combined in block order.
 
-Each step maps one uniform u in [0, 1) to the next state by the inverse
-CDF of its row: the smallest k with u < cum[k], the count of entries
-cum[k] <= u. Every sampler reads it off an exact guide table
-(Chen & Asau's indexed search; Devroye, Non-Uniform Random Variate
-Generation, 1986, ch. III): a power-of-two grid of G cells brackets the
-answer from floor(u G). A cell is open only when a CDF entry lies
-strictly inside it, and only then does a binary search inside the
-bracket finish the pick: entries on grid points (probabilities in
-multiples of 1/4, say) and entries >= 1 cost none. Grid points k / G
-are exact in floating point, so the pick is bit-identical to the O(m)
-count for every u, at an expected O(1) probes per draw instead of O(m).
-The start law is one more row of the table.
+Each step maps one 64-bit word w of a stream to the next state by the
+inverse CDF of its row at u = (w >> 11) 2^-53, the uniform ``random()``
+makes of w: the smallest k with u < cum[k], the count of entries
+cum[k] <= u. numpy's Philox makes its doubles just so, so the samplers
+read its raw words and pick exactly as on ``random()``'s doubles; any
+other numpy generator's doubles are multiples of 2^-53 too (MT19937
+joins 27 and 26 bits), and are shifted back up into words. Every sampler
+reads the pick off an exact guide table (Chen & Asau's indexed search;
+Devroye, Non-Uniform Random Variate Generation, 1986, ch. III): a
+power-of-two grid of G cells brackets the answer from the cell
+floor(u G), the top log2 G bits of w. A cell is open only when a CDF
+entry lies strictly inside it, and only then does a binary search finish
+the pick, over a window of the row's entries that holds the bracket:
+entries on grid points (probabilities in multiples of 1/4, say) and
+entries >= 1 cost none. Grid points k / G and u are exact in floating
+point, so the pick is bit-identical to the O(m) count for every word, at
+an expected O(1) probes per draw instead of O(m). The start law is one
+more row of the table.
 
 ``sample_trajectory`` has one path, not many trials, to vectorize
 across, so it composes blocks (the grand coupling of Propp & Wilson,
@@ -37,6 +43,9 @@ cannot change its row (a first-visit step only ever takes its first
 value), so it stops stepping and drawing at the next 16-step boundary.
 At each boundary the block draws one (steps, trials still open) array,
 a row per step, so a shorter horizon reads a prefix of the same stream.
+Each block keeps a byte map of the states its trials have not seen, one
+byte per table cell: a step reads its trials' bytes, and only a first
+visit clears one and writes its step into the table, once per cell.
 
 ``hitting_time_samples`` steps K at a time through a kernel that avoids
 B: row x outside B holds Pr_x[B first entered at step j] for j = 1..K,
@@ -75,6 +84,7 @@ SUPERSTEP = 16  # steps per uniform of hitting_time_samples: Q^16 from four squa
 SUPERSTEP_STATES = 1024  # the most states outside B that still get a superstep of 16
 
 _MASK64 = (1 << 64) - 1
+SENTINEL_MAX = np.iinfo(np.int64).max - 1  # the largest n or cap whose sentinel + 1 fits int64
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -103,6 +113,12 @@ def _check_at_least_one(**counts: int) -> None:
             raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
+def _check_sentinel(name: str, value: int) -> None:
+    if value > SENTINEL_MAX:
+        raise ValidationError(f"{name} must be <= {SENTINEL_MAX} (its sentinel {name} + 1 is "
+                              f"an int64), got {value}")
+
+
 @dataclass(frozen=True)
 class MissingMassSample:
     """Stationary mass of the states unseen during one n-step trajectory."""
@@ -124,17 +140,33 @@ def _cumulative_rows(chain: ChainSpec, pi: StationaryDistribution | None) -> np.
     return _cumulative(np.vstack([chain.matrix.rows, start]))
 
 
+def _words(rng: np.random.Generator, shape) -> np.ndarray:
+    """64-bit words w whose uniforms (w >> 11) 2^-53 are ``rng.random(shape)``, same stream.
+
+    Philox's doubles are its raw words shifted so (numpy's ``next_double``),
+    so its words are read raw. Any other generator's doubles are multiples
+    of 2^-53 as well (MT19937 joins 27 and 26 bits), and are shifted back up.
+    """
+    if type(rng.bit_generator) is np.random.Philox:
+        return rng.bit_generator.random_raw(shape)
+    return (rng.random(shape) * 2.0 ** 53).astype(np.uint64) << 11
+
+
 class _InverseCdf:
     """Exact inverse CDF of every row of ``cum`` through a guide table.
 
-    ``pick(rows, u)`` returns, per draw, count(cum[row, k] <= u) for u in
-    [0, 1). The last entry is 1.0 > u, so only the non-decreasing prefix
-    cum[row, :m - 1] counts (it may overshoot 1 by round-off). A draw in
-    cell k = floor(u G) has its answer in [lo_k, hi_k], lo_k = count(prefix
+    ``pick(rows, words)`` returns, per draw, count(cum[row, k] <= u) for the
+    uniform u = (w >> 11) 2^-53 of the 64-bit word w. The last entry is
+    1.0 > u, so only the non-decreasing prefix cum[row, :m - 1] counts (it
+    may overshoot 1 by round-off). A draw in cell k = floor(u G), the top
+    log2 G bits of w, has its answer in [lo_k, hi_k], lo_k = count(prefix
     <= k / G) and hi_k = count(prefix < (k + 1) / G), and every entry of the
     row past hi_k is > u. The cell is open (lo_k < hi_k) only when an entry
     lies strictly inside it. ``table`` holds lo_k for a closed cell, which
-    is its answer, and ~lo_k < 0 for an open one, which is searched.
+    is its answer, and ~s < 0 for an open one: s is the flat index of the
+    first of the W = max(hi_k - lo_k) entries it searches, row m +
+    min(lo_k, m - W). That window lies inside the row and brackets the
+    answer, and the entries in it before lo_k are <= k / G <= u.
     """
 
     def __init__(self, cum: np.ndarray):
@@ -154,31 +186,38 @@ class _InverseCdf:
         lo, inside = counts(np.ceil), counts(np.floor)
         inside -= lo  # hi_k - lo_k: the entries strictly inside cell k (none in the unused cell G)
         widest = int(inside.max(initial=0))
-        self.steps = [1 << e for e in reversed(range(widest.bit_length()))]
-        self.grid, self.m = grid, m
-        self.table = np.invert(lo, out=lo, where=inside > 0).ravel()
+        # binary lifting steps that sum to W, each at most 1 + the sum of those after it
+        # (W = 5: 2, 2, 1): every count 0..W is reached, and every probe lies in the window
+        halves = [1 << e for e in reversed(range(widest.bit_length() - 1))]
+        self.steps = [widest - sum(halves)] + halves if widest else []
+        self.grid, self.m, self.shift = grid, m, 65 - grid.bit_length()  # cell: w >> (64 - log2 G)
+        first = np.minimum(lo, m - widest)
+        first += m * np.arange(rows)[:, None]
+        self.table = np.invert(first, out=lo, where=inside > 0).ravel()
         self.cum = cum.ravel()
 
-    def pick(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        cell = rows * (self.grid + 1)
-        cell += (u * self.grid).astype(np.intp)
+    def pick(self, rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+        cell = (words >> self.shift).view(np.intp)
+        cell += rows * (self.grid + 1)
         state = self.table[cell]
         open_ = np.flatnonzero(state < 0)
         if open_.size:
-            base = rows[open_] * self.m
-            state[open_] = self._search(base + ~state[open_], base + (self.m - 1), u[open_]) - base
+            state[open_] = self._search(state[open_], words[open_])
         return state
 
-    def _search(self, a, b, u):
-        """Binary lifting over flat indices: a + #{j in [a, b) : cum[j] <= u}.
+    def _search(self, code, words):
+        """The answer of each open-cell draw: the entries <= u in its window, past its start.
 
-        The entries <= u come first and cum[b] > u, so a probe clipped at b
-        reads as "> u"; the steps sum to at least the widest hi_k - lo_k.
+        The window's entries <= u come first, so binary lifting moves ``last``,
+        the last entry known to be <= u, to the last one that is.
         """
+        u = (words >> 11) * 2.0 ** -53
+        last = -2 - code  # ~code - 1: the entry before the window
         for step in self.steps:
-            probe = np.minimum(a + (step - 1), b)
-            a += step * (self.cum[probe] <= u)
-        return a
+            probe = last + step
+            np.copyto(last, probe, where=self.cum[probe] <= u)
+        last += 1
+        return np.remainder(last, self.m, out=last)
 
 
 def _blocks(trials: int):
@@ -210,16 +249,16 @@ def _block_steps(m: int) -> int:
     return steps
 
 
-def _block_entries(inverse_cdf: _InverseCdf, u: np.ndarray, x: int) -> list[int]:
-    """The state each block (a column of the (L, blocks) uniforms u) is entered from.
+def _block_entries(inverse_cdf: _InverseCdf, words: np.ndarray, x: int) -> list[int]:
+    """The state each block (a column of the (L, blocks) draws ``words``) is entered from.
 
     Block 0 is entered from x. Every other full block but the last is stepped
     from each of the m states at once, one lane per state; lanes of a block
-    that sit on the same state read the same uniforms from then on, so after
+    that sit on the same state read the same draws from then on, so after
     steps 1, 2, 4, 8 and every 16th they merge into one. The end-state maps
     this leaves are composed block by block.
     """
-    steps, blocks = u.shape
+    steps, blocks = words.shape
     m = inverse_cdf.m
     if blocks == 1:
         return [x]
@@ -231,7 +270,7 @@ def _block_entries(inverse_cdf: _InverseCdf, u: np.ndarray, x: int) -> list[int]
     owner = lanes  # the live lane that carries each starting lane
     slot = np.empty((blocks - 1) * m, dtype=np.intp)
     for t in range(1, steps + 1):
-        states = inverse_cdf.pick(states, u[t - 1][block])
+        states = inverse_cdf.pick(states, words[t - 1][block])
         if t < steps and (t % 16 == 0 or t & (t - 1) == 0):
             key = block * m + states
             live = lanes[:key.size]
@@ -265,13 +304,15 @@ def _trajectory_chunks(chain: ChainSpec, n: int, stream, pi: StationaryDistribut
         for lo in range(0, n, TRAJECTORY_CHUNK):
             size = min(TRAJECTORY_CHUNK, n - lo)
             blocks = -(-size // steps)
-            u = np.zeros(blocks * steps)  # the last block is padded; its extra steps are dropped
-            rng.random(out=u[:size])  # the chunks continue one stream, as one rng.random(n)
-            u = u.reshape(blocks, steps).T.copy()  # row t: step t of every block
-            states = np.array(_block_entries(inverse_cdf, u, x), dtype=np.intp)
+            # the chunks continue one stream, as one rng.random(n); zeros pad the last
+            # block in place, and its extra steps are dropped
+            words = _words(rng, size)
+            words.resize(blocks * steps, refcheck=False)
+            words = words.reshape(blocks, steps).T.copy()  # row t: step t of every block
+            states = np.array(_block_entries(inverse_cdf, words, x), dtype=np.intp)
             path = np.empty((steps, blocks), dtype=np.int64)
             for t in range(steps):
-                states = path[t] = inverse_cdf.pick(states, u[t])
+                states = path[t] = inverse_cdf.pick(states, words[t])
             path = path.T.ravel()[:size]
             x = int(path[-1])
             yield path
@@ -301,7 +342,7 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
     tau_j > k iff table[trial, j] > k for any k <= n.
 
     Draw rule: at each 16-step boundary c, the block's generator draws one
-    (min(16, n - c), k) array of uniforms, where the k trials are those
+    (min(16, n - c), k) array of words, where the k trials are those
     whose rows still hold an n + 1, in trial order; row i holds their step
     c + i + 1. A trial that has seen all m states (its cover time) stops
     drawing, since no later step could lower its row. So a horizon-n table
@@ -309,6 +350,7 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
     trials, and a one-trial table replays the stream of ``sample_trajectory``.
     """
     _check_at_least_one(n=n, trials=trials, workers=workers)
+    _check_sentinel("n", n)
     m = chain.matrix.m
     inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
 
@@ -318,6 +360,7 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
         rng = derive_stream(master_seed, block)
         start = block * BLOCK_TRIALS
         flat = table[start:start + size].reshape(-1)  # a view: the block writes its own rows
+        unseen = np.ones(size * m, dtype=bool)  # the block's byte map, laid out as its rows
         offsets = np.arange(size) * m  # where the rows of the trials still stepping start
         states = np.full(size, m)  # the start-law row
         seen = np.zeros(size, dtype=np.intp)
@@ -326,12 +369,14 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
             offsets, states, seen = offsets[open_], states[open_], seen[open_]
             if not offsets.size:
                 break
-            for step, u in enumerate(rng.random((min(16, n - c), offsets.size)), start=c + 1):
-                states = inverse_cdf.pick(states, u)
+            for step, words in enumerate(_words(rng, (min(16, n - c), offsets.size)), start=c + 1):
+                states = inverse_cdf.pick(states, words)
                 at = offsets + states  # one cell per trial row: no repeated index
-                old = flat[at]
-                seen += old > n
-                flat[at] = np.minimum(old, step, out=old)
+                new = unseen[at]
+                seen += new
+                at = at.compress(new)  # first visits: write each cell once
+                unseen[at] = False
+                flat[at] = step
 
     _run_blocks(run, trials, workers)
     return table
@@ -396,6 +441,7 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
     """
     _check_members(B, chain.matrix.m, "set B")
     _check_at_least_one(trials=trials, workers=workers, cap=cap)
+    _check_sentinel("cap", cap)
     m = chain.matrix.m
     member_mask = np.zeros(m, dtype=bool)
     member_mask[B.indices()] = True
@@ -410,7 +456,7 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
 
     def run(block: int, size: int) -> np.ndarray:
         rng = derive_stream(master_seed, block)
-        states = start.pick(np.zeros(size, dtype=np.intp), rng.random(size))
+        states = start.pick(np.zeros(size, dtype=np.intp), _words(rng, size))
         N = np.full(size, cap + 1, dtype=np.int64)
         hit = member_mask[states]
         N[hit] = 1
@@ -418,7 +464,7 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
         states = position[states[alive]]  # the kernel rows of the live trials, in trial order
         t = 1
         while alive.size and t < cap:
-            column = superstep.pick(states, rng.random(alive.size))
+            column = superstep.pick(states, _words(rng, alive.size))
             hit = column < steps
             if hit.any():
                 N[alive[hit]] = np.minimum(column[hit] + (t + 1), cap + 1)

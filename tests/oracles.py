@@ -174,12 +174,16 @@ def _cumulative_by_count(chain, pi):
     return cum, cum_start
 
 
-def trajectory_by_count(chain, n: int, master_seed: int, pi=None) -> np.ndarray:
-    """X_1, ..., X_n from one draw of n uniforms, each step counting cum entries <= u."""
+def trajectory_by_count(chain, n: int, stream, pi=None) -> np.ndarray:
+    """X_1, ..., X_n from one draw of n uniforms, each step counting cum entries <= u.
+
+    ``stream`` is a derived-seed integer or a numpy Generator, as in ``sample_trajectory``.
+    """
     cum, cum_start = _cumulative_by_count(chain, pi)
     rows, row = cum.tolist(), cum_start.tolist()
+    rng = derive_stream(stream, 0) if isinstance(stream, int) else stream
     path = []
-    for u in derive_stream(master_seed, 0).random(n).tolist():
+    for u in rng.random(n).tolist():
         x = sum(c <= u for c in row)
         path.append(x)
         row = rows[x]

@@ -327,6 +327,19 @@ class TestSimulateCommands:
         assert captured.out == "" and f"error: --t {t!r} names no threshold" in captured.err
 
 
+    @pytest.mark.parametrize("argv,name", [
+        (["mm", "--n", str(2 ** 63 - 1)], "n"),
+        (["hittail", "--B", "1", "--t", "1..8", "--cap", str(2 ** 63 - 1)], "cap"),
+    ])
+    def test_sentinel_past_int64_exits_3(self, capsys, argv, name):
+        # n + 1 and cap + 1 are the int64 sentinels of an unseen state and a cut trial
+        rc = main(["simulate", argv[0], "--family", "random-dense", "--m", "4", "--trials", "10",
+                   *argv[1:]])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"error: {name} must be <= {2 ** 63 - 2}" in err and "Traceback" not in err
+
+
 class TestBoundsCommands:
     def test_kl(self, capsys):
         assert main(["bounds", "kl", "--p", "0.5", "--q", "0.25"]) == 0

@@ -85,6 +85,13 @@ class TestSampleTrajectory:
         b = sample_trajectory(UNIFORM2, 10, derive_stream(5, 0))
         assert a.tolist() == b.tolist()
 
+    def test_generator_other_than_philox(self):
+        # MT19937 joins two 32-bit draws into a double, which is not its next64 >> 11
+        chain = generate("random-dense", m=6, seed=4)
+        n = 2 * _block_steps(6) + 5
+        path = sample_trajectory(chain, n, np.random.Generator(np.random.MT19937(5)))
+        assert np.array_equal(path, trajectory_by_count(chain, n, np.random.Generator(np.random.MT19937(5))))
+
 
 WALK_CHAINS = {
     "random-dense": generate("random-dense", m=6, seed=4),  # a block's lanes merge
@@ -171,16 +178,24 @@ def cumulative_tables(draw):
 
 
 class TestInverseCdf:
-    """The guide-table kernel returns the O(m) count's state for every u in [0, 1)."""
+    """The guide-table kernel returns the O(m) count's state for every word a generator emits.
+
+    A word w stands for the uniform u = (w >> 11) 2^-53 that ``random()``
+    makes of it, so the draws are t = w >> 11 in [0, 2^53): each is checked
+    with its low 11 bits clear and set.
+    """
 
     @staticmethod
-    def assert_matches_count(cum, us):
-        rows = np.repeat(np.arange(cum.shape[0]), us.size)  # every (row, u) pair in one call
-        us = np.tile(us, cum.shape[0])
-        assert _InverseCdf(cum).pick(rows, us).tolist() == pick_by_count(cum[rows], us).tolist()
+    def assert_matches_count(cum, draws):
+        words = np.asarray(draws, dtype=np.uint64) << 11
+        words = np.concatenate([words, words | 0x7FF])
+        us = (words >> 11) * 2.0 ** -53
+        rows = np.repeat(np.arange(cum.shape[0]), words.size)  # every (row, word) pair in one call
+        words, us = np.tile(words, cum.shape[0]), np.tile(us, cum.shape[0])
+        assert _InverseCdf(cum).pick(rows, words).tolist() == pick_by_count(cum[rows], us).tolist()
 
     @settings(deadline=None, max_examples=300)
-    @given(cum=cumulative_tables(), free=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @given(cum=cumulative_tables(), free=st.lists(st.integers(0, 2 ** 53 - 1), max_size=20))
     @example(cum=np.array([[1.0]]), free=[])
     @example(cum=np.array([[0.0, 0.0, 0.5, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0]]), free=[])
     @example(cum=np.array([[0.5, 1.0 + 2.0 ** -52, 1.0]]), free=[])
@@ -190,12 +205,10 @@ class TestInverseCdf:
         grid = _InverseCdf(cum).grid
         entries = cum[cum < 1.0]
         edges = np.arange(grid + 1) / grid
-        us = np.concatenate([
-            free, [0.0, ULP_BELOW_1],
-            entries, np.nextafter(entries, 0.0), np.nextafter(entries, 1.0),  # an entry, one ulp off
-            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),  # a cell edge, one ulp off
-        ])
-        self.assert_matches_count(cum, us[us < 1.0])
+        at = np.floor(np.concatenate([entries, edges]) * 2.0 ** 53).astype(np.int64)
+        draws = np.concatenate([np.array(free + [0, 2 ** 53 - 1], dtype=np.int64),
+                                at - 1, at, at + 1])  # an entry or a cell edge, one draw off
+        self.assert_matches_count(cum, draws[(draws >= 0) & (draws < 2 ** 53)])
 
     @pytest.mark.parametrize("family,params", [("lazy-cycle", {"m": 32, "hold": 0.5}),
                                                ("birth-death", {"m": 20, "p": 0.25, "q": 0.25})])
@@ -209,7 +222,7 @@ class TestInverseCdf:
     def test_cumulative_rows_of_an_overshooting_chain(self):
         cum = _cumulative_rows(OVERSHOOT3, None)
         assert cum[0, 1] > 1.0 and cum[0, 2] == 1.0 and cum.shape == (4, 3)
-        self.assert_matches_count(cum, np.linspace(0.0, ULP_BELOW_1, 4097))
+        self.assert_matches_count(cum, np.linspace(0, 2 ** 53 - 1, 4097).astype(np.int64))
 
     def test_table_size_is_capped(self):
         cum = _cumulative_rows(generate("random-dense", m=2000, seed=1), None)
@@ -268,6 +281,14 @@ class TestAvoidingKernel:
         assert kernel[[0, -1], 0].tolist() == [0.25, 0.25] and not kernel[1:-1, 0].any()
 
 
+BENCH_CHAIN = generate("random-dense", m=64, seed=1)  # the mc-sampling grid's largest m
+
+
+@lru_cache(maxsize=None)
+def bench_chain_by_count(n: int, trials: int, seed: int) -> np.ndarray:
+    return first_visit_table_by_count(BENCH_CHAIN, n, trials, seed, stationary(BENCH_CHAIN.matrix))
+
+
 class TestAgainstCountingSampler:
     """Bit-identity with the O(m) pick and np.minimum.at (tests/oracles.py), same streams."""
 
@@ -305,6 +326,16 @@ class TestAgainstCountingSampler:
         fv = first_visit_table(chain, 100, self.TRIALS, 64, workers)
         assert (fv > 100).any(axis=1).all()
         assert np.array_equal(fv, first_visit_table_by_count(chain, 100, self.TRIALS, 64))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_visit_table_at_the_benchmark_size(self, workers):
+        # open cells with up to 3 entries inside (the steps sum to the widest),
+        # and trials still stepping at n = 300 next to covered ones
+        pi = stationary(BENCH_CHAIN.matrix)
+        assert sum(_InverseCdf(_cumulative_rows(BENCH_CHAIN, pi)).steps) >= 2
+        fv = first_visit_table(BENCH_CHAIN, 300, self.TRIALS, 71, workers, pi)
+        assert 0 < (fv > 300).any(axis=1).sum() < self.TRIALS
+        assert np.array_equal(fv, bench_chain_by_count(300, self.TRIALS, 71))
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("family,params", FAMILIES + [("lazy-cycle", {"m": 40, "hold": 0.9})])
@@ -398,6 +429,14 @@ class TestFirstVisitTable:
         for i, x in enumerate(traj, start=1):
             expected[x] = min(expected[x], i)
         assert tau[0].tolist() == expected.tolist()
+
+    def test_horizon_past_the_sentinel_range_rejected(self):
+        # n + 1 marks an unseen state, and must fit an int64
+        largest = 2 ** 63 - 2
+        with pytest.raises(ValidationError, match=f"^n must be <= {largest} .* got {largest + 1}$"):
+            first_visit_table(UNIFORM2, largest + 1, 100, 0)
+        tau = first_visit_table(UNIFORM2, largest, 100, 0)  # every trial covers within a few steps
+        assert tau.max() < 100
 
     def test_sentinel_semantics(self):
         tau = first_visit_table(DIRECTED_CYCLE3, 2, 4, 0)
@@ -659,6 +698,14 @@ class TestHittingTail:
         se = samples.std(ddof=1) / math.sqrt(samples.size)
         assert abs(samples.mean() - exact) < 4 * se
 
+    def test_cap_past_the_sentinel_range_rejected(self):
+        # N_B = cap + 1 marks a cut trial, and must fit an int64
+        largest = 2 ** 63 - 2
+        with pytest.raises(ValidationError, match=f"^cap must be <= {largest} .* got {largest + 1}$"):
+            hitting_time_samples(UNIFORM2, state_set([1]), 100, 9, cap=largest + 1)
+        N = hitting_time_samples(UNIFORM2, state_set([1]), 100, 9, cap=largest)
+        assert N.max() < 100
+
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one_rejected(self, cap):
         slow = generate("lazy-cycle", m=10, hold=0.9)
@@ -747,6 +794,13 @@ class TestErgodic:
         n = 2 * TRAJECTORY_CHUNK + 3
         freq = occupancy_frequencies(chain, n, 5)
         assert freq.tolist() == (np.bincount(sample_trajectory(chain, n, 5), minlength=5) / n).tolist()
+
+    def test_counts_the_path_of_a_generator_other_than_philox(self):
+        chain = generate("random-dense", m=5, seed=77)
+        n = TRAJECTORY_CHUNK + 3
+        freq = occupancy_frequencies(chain, n, np.random.Generator(np.random.MT19937(5)))
+        path = trajectory_by_count(chain, n, np.random.Generator(np.random.MT19937(5)))
+        assert freq.tolist() == (np.bincount(path, minlength=5) / n).tolist()
 
     def test_never_holds_the_path(self):
         # a 2e6-step path alone takes 15 MiB; chunk by chunk the walk holds a few of 512 KiB
