@@ -84,7 +84,7 @@ SUPERSTEP = 16  # steps per uniform of hitting_time_samples: Q^16 from four squa
 SUPERSTEP_STATES = 1024  # the most states outside B that still get a superstep of 16
 
 _MASK64 = (1 << 64) - 1
-SENTINEL_MAX = np.iinfo(np.int64).max - 1  # the largest n or cap whose sentinel + 1 fits int64
+_SENTINEL_MAX = np.iinfo(np.int64).max - 1  # the largest n or cap whose sentinel + 1 fits int64
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -114,8 +114,8 @@ def _check_at_least_one(**counts: int) -> None:
 
 
 def _check_sentinel(name: str, value: int) -> None:
-    if value > SENTINEL_MAX:
-        raise ValidationError(f"{name} must be <= {SENTINEL_MAX} (its sentinel {name} + 1 is "
+    if value > _SENTINEL_MAX:
+        raise ValidationError(f"{name} must be <= {_SENTINEL_MAX} (its sentinel {name} + 1 is "
                               f"an int64), got {value}")
 
 
@@ -164,8 +164,8 @@ class _InverseCdf:
     row past hi_k is > u. The cell is open (lo_k < hi_k) only when an entry
     lies strictly inside it. ``table`` holds lo_k for a closed cell, which
     is its answer, and ~s < 0 for an open one: s is the flat index of the
-    first of the W = max(hi_k - lo_k) entries it searches, row m +
-    min(lo_k, m - W). That window lies inside the row and brackets the
+    first of the W = max(hi_k - lo_k) entries it searches,
+    row * m + min(lo_k, m - W). That window lies inside the row and brackets the
     answer, and the entries in it before lo_k are <= k / G <= u.
     """
 
@@ -206,10 +206,11 @@ class _InverseCdf:
         return state
 
     def _search(self, code, words):
-        """The answer of each open-cell draw: the entries <= u in its window, past its start.
+        """The state of each open-cell draw: its window's start, plus the entries <= u in it.
 
-        The window's entries <= u come first, so binary lifting moves ``last``,
-        the last entry known to be <= u, to the last one that is.
+        Those entries come first in the window, so binary lifting moves ``last``,
+        the last entry known to be <= u, onto the last one that is; the flat
+        index after it, modulo m, is the state.
         """
         u = (words >> 11) * 2.0 ** -53
         last = -2 - code  # ~code - 1: the entry before the window

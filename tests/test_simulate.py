@@ -201,6 +201,9 @@ class TestInverseCdf:
     @example(cum=np.array([[0.5, 1.0 + 2.0 ** -52, 1.0]]), free=[])
     @example(cum=np.array([[0.25, 0.75, 1.0]]), free=[])  # every entry on a grid point
     @example(cum=np.array([[0.5, 1.0, 1.0, 1.0]]), free=[])  # a plateau at 1.0
+    @example(cum=np.array([[0.3, 0.3001, 0.3002, 0.3003, 0.3004, 0.3005, 0.3006, 1.0],
+                           [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.9, 1.0],
+                           [0.0] * 7 + [1.0]]), free=[])  # a window that must end at its row's end
     def test_matches_brute_force_count(self, cum, free):
         grid = _InverseCdf(cum).grid
         entries = cum[cum < 1.0]
