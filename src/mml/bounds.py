@@ -151,8 +151,8 @@ def missing_mass_tail_bound(params: BoundParams, epsilon: float,
     """
     if not epsilon > 0:  # NaN fails too
         raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
-    if not c2 > 0:
-        raise ValidationError(f"c2 must be > 0, got {c2!r}")
+    if not 0 < c2 < math.inf:
+        raise ValidationError(f"c2 must be > 0 and finite, got {c2!r}")
     q = q_probabilities(params, iid_exact=iid_exact)
     mean_term = math.fsum(p * qq for p, qq in zip(params.pi.pi, q))
     if params.vacuous:

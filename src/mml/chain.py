@@ -230,7 +230,7 @@ def _gen_iid(params):
     mu = np.asarray(params.pop("mu", None), dtype=float)
     if mu.ndim != 1 or mu.size < 1:
         raise BadParamsError("iid needs a 1-d probability vector mu")
-    if np.any(mu <= 0) or abs(mu.sum() - 1.0) > ROW_SUM_TOL:
+    if not (np.all(mu > 0) and abs(mu.sum() - 1.0) <= ROW_SUM_TOL):  # NaN fails too
         raise BadParamsError("mu must be a strictly positive distribution")
     return np.tile(mu, (mu.size, 1))
 
@@ -261,7 +261,7 @@ def _gen_birth_death(m, params):
     q = params.pop("q", None)
     if m is None or m < 1:
         raise BadParamsError("birth-death needs m >= 1")
-    if p is None or q is None or p <= 0 or q <= 0 or p + q > 1:
+    if p is None or q is None or not (p > 0 and q > 0 and p + q <= 1):  # NaN fails too
         raise BadParamsError("birth-death needs p > 0, q > 0 with p + q <= 1")
     up, down = np.full(m, float(p)), np.full(m, float(q))
     up[-1] = down[0] = 0.0
@@ -272,8 +272,8 @@ def _gen_random_dense(m, params, seed):
     alpha = params.pop("alpha", 1.0)
     if m is None or m < 1:
         raise BadParamsError("random-dense needs m >= 1")
-    if alpha <= 0:
-        raise BadParamsError("random-dense needs alpha > 0")
+    if not 0 < alpha < math.inf:  # NaN fails too
+        raise BadParamsError("random-dense needs a finite alpha > 0")
     from .simulate import derive_stream
 
     rng = derive_stream(seed, 0)

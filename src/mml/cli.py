@@ -52,7 +52,7 @@ from .hitting import (
     t_minus,
     t_plus,
 )
-from .report import Labels, format_params, render_reports_csv, render_reports_json
+from .report import format_params, render_reports_csv, render_reports_json
 from .simulate import (
     _check_at_least_one,
     empirical_mgf,
@@ -243,17 +243,14 @@ def cmd_hit_tlarge(args) -> str:
 
 def cmd_hit_lemma1(args) -> str:
     chain_id, chain = _chain_from_args(args)
-    pi = stationary(chain.matrix)
-    block = check_lemma1(chain.matrix, pi, parse_index_set(args.A), parse_index_set(args.B))
-    block.chain_id = Labels(block.chain_id.codes, [chain_id])
-    return _report(block, args)
+    return _report(check_lemma1(chain.matrix, stationary(chain.matrix), parse_index_set(args.A),
+                                parse_index_set(args.B), chain_id), args)
 
 
 def cmd_hit_lemma2(args) -> str:
     chain_id, chain = _chain_from_args(args)
-    block = check_lemma2(chain.matrix, stationary(chain.matrix), parse_index_set(args.A))
-    block.chain_id = Labels(block.chain_id.codes, [chain_id])
-    return _report(block, args)
+    return _report(check_lemma2(chain.matrix, stationary(chain.matrix), parse_index_set(args.A),
+                                chain_id), args)
 
 
 # --- simulate ---------------------------------------------------------------

@@ -14,7 +14,8 @@ stack of one chain; the array of every subset's hitting times
 (``subset_hitting_times_stack``, m <= 20) passes the whole stack, so the
 lemma sweeps solve all their chains of one size together. The same
 subsets' membership rows and stationary masses come as arrays too
-(``subset_members``, ``member_masses``); ``row_members`` decodes rows.
+(``subset_members``; ``member_masses``, each set summed by numpy's own
+sum, as in ``StationaryDistribution.mass``); ``row_members`` decodes rows.
 
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
@@ -244,25 +245,17 @@ def member_masses(pis, inside) -> np.ndarray:
     the members of bitmask k + 1 (``subset_members``): [c, k] is ``pis[c].mass`` of those
     members, bit for bit.
 
-    ``mass`` adds its terms in numpy's order. numpy adds fewer than 8 terms left to
-    right, as ``subset_masses`` does. It adds 8 to 128 terms in eight running sums over
-    strides of 8, joins them pairwise, ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
-    and adds the remaining terms one at a time; so do the larger sets here, size by size.
+    ``mass`` sums a 1-d array of its terms. Here each set size's terms are gathered into
+    one C-contiguous (C, sets, n) array, so numpy sums each set's n terms as one
+    contiguous row, in the same order as that 1-d array.
     """
-    masses = np.stack([subset_masses(pi.pi)[1:] for pi in pis])
     weights = np.stack([pi.pi for pi in pis])
+    masses = np.empty((len(pis), inside.shape[0]))
     sizes = inside.sum(axis=1)
-    for n in range(8, inside.shape[1] + 1):
+    for n in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == n)
-        terms = weights[:, np.nonzero(inside[group])[1].reshape(group.size, n)]
-        r = terms[..., :8]
-        for i in range(8, n - n % 8, 8):
-            r = r + terms[..., i:i + 8]
-        while r.shape[-1] > 1:
-            r = r[..., ::2] + r[..., 1::2]
-        for i in range(n - n % 8, n):
-            r = r + terms[..., i:i + 1]
-        masses[:, group] = r[..., 0]
+        members = np.nonzero(inside[group])[1].reshape(group.size, n)
+        masses[:, group] = np.take(weights, members, axis=1).sum(axis=-1)
     return masses
 
 

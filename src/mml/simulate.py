@@ -27,12 +27,12 @@ more row of the table.
 ``sample_trajectory`` has one path, not many trials, to vectorize
 across, so it composes blocks (the grand coupling of Propp & Wilson,
 Random Struct. Alg. 1996, run forward). Each chunk of TRAJECTORY_CHUNK
-uniforms is cut into blocks of L; a first pass steps every block from
-every state at once, and the lanes of a block that land on the same
-state merge, since they read the same uniforms from then on; the end
-states this leaves are chained block to block in Python; and a last
-pass replays every block from its entry state at once to write the
-path. The path is that of one step per uniform, bit for bit. On a chain
+uniforms is cut into blocks of L; a first pass steps every block but the
+last from all m + 1 rows of the guide table at once (the start law is row
+m), and the lanes of a block that land on the same state merge, since
+they read the same uniforms from then on; the end states this leaves are
+chained block to block in Python; and a last pass replays every block
+from its entry state at once to write the path. The path is that of one step per uniform, bit for bit. On a chain
 whose lanes merge within a few steps the first pass costs about one
 pick per step; on one whose lanes never merge (a lazy cycle: every lane
 stays or moves together) it costs m, so at m = 128 the walk is several
@@ -253,27 +253,23 @@ def _block_steps(m: int) -> int:
 def _block_entries(inverse_cdf: _InverseCdf, words: np.ndarray, x: int) -> list[int]:
     """The state each block (a column of the (L, blocks) draws ``words``) is entered from.
 
-    Block 0 is entered from x. Every other full block but the last is stepped
-    from each of the m states at once, one lane per state; lanes of a block
-    that sit on the same state read the same draws from then on, so after
-    steps 1, 2, 4, 8 and every 16th they merge into one. The end-state maps
-    this leaves are composed block by block.
+    Block 0 is entered from x. Every block but the last is stepped from each of the
+    m + 1 rows of the guide table at once (the m states, then the start-law row m), one
+    lane per row; lanes of a block that sit on the same state read the same draws from
+    then on, so after steps 1, 2, 4, 8 and every 16th they merge into one. The end-state
+    maps this leaves are composed block by block.
     """
     steps, blocks = words.shape
-    m = inverse_cdf.m
-    if blocks == 1:
-        return [x]
-    # one lane for block 0, from x, then m lanes for each of blocks 1 .. blocks - 2
-    block = np.repeat(np.arange(blocks - 1), m)[m - 1:]
-    states = np.tile(np.arange(m), blocks - 1)[m - 1:]
-    states[0] = x
+    rows = inverse_cdf.m + 1
+    block = np.repeat(np.arange(blocks - 1), rows)
+    states = np.tile(np.arange(rows), blocks - 1)
     lanes = np.arange(states.size)
     owner = lanes  # the live lane that carries each starting lane
-    slot = np.empty((blocks - 1) * m, dtype=np.intp)
+    slot = np.empty(states.size, dtype=np.intp)
     for t in range(1, steps + 1):
         states = inverse_cdf.pick(states, words[t - 1][block])
         if t < steps and (t % 16 == 0 or t & (t - 1) == 0):
-            key = block * m + states
+            key = block * rows + states
             live = lanes[:key.size]
             slot[key] = live
             first = slot[key]  # one lane of each (block, state), the same for all of them
@@ -281,9 +277,8 @@ def _block_entries(inverse_cdf: _InverseCdf, words: np.ndarray, x: int) -> list[
             if not keep.all():
                 owner = (np.cumsum(keep) - 1)[first][owner]
                 block, states = block[keep], states[keep]
-    ends = states[owner]
-    entries = [x, int(ends[0])]
-    for end in ends[1:].reshape(blocks - 2, m).tolist():
+    entries = [x]
+    for end in states[owner].reshape(blocks - 1, rows).tolist():
         entries.append(end[entries[-1]])
     return entries
 

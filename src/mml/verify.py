@@ -244,14 +244,16 @@ def suite_lemma2(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]
     return _result("lemma2", opts, _in_chain_order(blocks))
 
 
-def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet) -> ReportBlock:
-    """Check Lemma 1 for one pair of sets, as a one-row block; see ``lemma1_stack_reports``."""
+def check_lemma1(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet, B: StateSet,
+                 chain_id: str = "") -> ReportBlock:
+    """Check Lemma 1 for one pair of sets, as a one-row block labelled ``chain_id``; see
+    ``lemma1_stack_reports``."""
     _check_members(A, P.m, "set A")
     _check_members(B, P.m, "set B")
     inside = np.array([np.isin(np.arange(P.m), S.members) for S in (A, B)])
     h = np.stack([hitting_table(P, S).h for S in (A, B)])
     return lemma1_stack_reports(np.array([[pi.mass(S.members) for S in (A, B)]]), inside,
-                                h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), "")
+                                h[None], np.zeros(1, dtype=np.intp), np.array([[0, 1]]), chain_id)
 
 
 def lemma1_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
@@ -284,14 +286,15 @@ def lemma1_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
          "product_holds": product_holds})
 
 
-def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet) -> ReportBlock:
-    """Check Lemma 2 for one set, as a one-row block; needs exact T(0.5), so m <= 20. See
-    ``lemma2_stack_reports``."""
+def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet,
+                 chain_id: str = "") -> ReportBlock:
+    """Check Lemma 2 for one set, as a one-row block labelled ``chain_id``; needs exact
+    T(0.5), so m <= 20. See ``lemma2_stack_reports``."""
     _check_members(A, P.m, "set A")
     t_half = t_large(P, pi, 0.5).value
     return lemma2_stack_reports(np.array([[pi.mass(A.members)]]),
                                 np.isin(np.arange(P.m), A.members)[None],
-                                hitting_table(P, A).h[None, None], np.array([t_half]), "")
+                                hitting_table(P, A).h[None, None], np.array([t_half]), chain_id)
 
 
 def lemma2_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
@@ -607,9 +610,11 @@ def _check_options(opts: VerifyOptions, suites) -> None:
                for name, high in OPTION_MAXIMUMS.items()]
     checks += [("c", 0 < opts.c < math.inf, "> 0 and finite"),
                ("c2", 0 < opts.c2 < math.inf, "> 0 and finite"),
-               ("epsilon", 0 < opts.epsilon <= 1, "in (0, 1]"),
-               # an empty grid would fall back to the suites' default horizons
-               ("n_grid", opts.n_grid is None or len(opts.n_grid) > 0, "a non-empty grid")]
+               ("epsilon", 0 < opts.epsilon <= 1, "in (0, 1]")]
+    # an empty override would be read as none, and the suites would run their defaults
+    for name, what in (("n_grid", "grid"), ("chains", "list"), ("j_sets", "list")):
+        value = getattr(opts, name)
+        checks.append((name, value is None or len(value) > 0, f"a non-empty {what}"))
     for name, ok, what in checks:
         if not ok:  # NaN fails too
             raise ValidationError(f"{name} must be {what}, got {getattr(opts, name)!r}")

@@ -243,6 +243,13 @@ class TestMissingMassTailBound:
         se = np.std([s.value for s in samples], ddof=1) / math.sqrt(len(samples))
         assert abs(mean - tail.mean_term) <= 3.5 * se
 
+    @pytest.mark.parametrize("c2", [0.0, -1.0, math.inf, math.nan])
+    def test_c2_must_be_positive_and_finite(self, c2):
+        # c2 = inf would certify a failure probability of exp(-inf) = 0
+        params = BoundParams(c=1.0, T=2.0, n=8, pi=dist(0.5, 0.5))
+        with pytest.raises(ValidationError, match=f"c2 must be > 0 and finite, got {c2!r}"):
+            missing_mass_tail_bound(params, 0.25, c2=c2)
+
     def test_failure_bound_formula(self):
         params = BoundParams(c=1.0, T=2.0, n=8, pi=dist(0.5, 0.5))
         tail = missing_mass_tail_bound(params, 0.25, c2=0.5)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ class TestGenerate:
     def test_bad_params(self, family, params):
         m = params.pop("m", None)
         with pytest.raises(BadParamsError):
+            generate(family, m=m, **params)
+
+    @pytest.mark.parametrize("family,params,name", [
+        ("random-dense", dict(m=3, alpha=math.nan), "alpha"),
+        ("random-dense", dict(m=3, alpha=math.inf), "alpha"),
+        ("birth-death", dict(m=3, p=math.nan, q=0.2), "p"),
+        ("birth-death", dict(m=3, p=0.2, q=math.nan), "q"),
+        ("iid", dict(mu=(0.5, math.nan)), "mu"),
+        ("iid", dict(mu=(math.nan, 0.5)), "mu"),
+    ])
+    def test_non_finite_params_name_the_parameter(self, family, params, name):
+        # NaN fails no comparison, so a check written as "reject if bad" would let it through
+        m = params.pop("m", None)
+        with pytest.raises(BadParamsError, match=rf"\b{name}\b"):
             generate(family, m=m, **params)
 
     @pytest.mark.parametrize("family,params,size", [("iid", dict(mu=(0.5, 0.5)), 2),

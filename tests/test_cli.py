@@ -472,6 +472,7 @@ class TestBoundsCommands:
         ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "5", "--c", "inf"],
         ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "nan"],
         ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--c2", "nan"],
+        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--c2", "inf"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--c", "nan"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "nan"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "inf", "--c", "inf"],
@@ -715,6 +716,8 @@ class TestVerifyCommand:
         ([], {"n_grid": "9..3"}, "n_grid must be a non-empty grid, got []"),
         ([], {"n_grid": []}, "n_grid must be a non-empty grid, got []"),
         ([], {"n_grid": ","}, "n_grid must be a non-empty grid, got []"),
+        ([], {"chains": []}, "chains must be a non-empty list, got []"),
+        ([], {"j_sets": []}, "j_sets must be a non-empty list, got []"),
         (["--eps", "0"], None, "epsilon must be in (0, 1]"),
         (["--eps", "1.5"], None, "epsilon must be in (0, 1]"),
         ([], {"lemma1_m_max": 64}, "lemma1_m_max must be <= 20"),

@@ -241,6 +241,14 @@ class TestMemberTable:
                              for pi in pis])
         assert masses.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
+    def test_masses_on_a_skewed_law_equal_pi_mass_bitwise_at_every_set(self):
+        # pi spans about three orders of magnitude, so the order of the additions shows
+        pi = stationary(generate("birth-death", m=14, p=0.35, q=0.2).matrix)
+        assert pi.pi.max() / pi.pi.min() > 500
+        masses = member_masses([pi], subset_members(14))[0]
+        expected = np.array([pi.mass(mask_members(mask)) for mask in range(1, 1 << 14)])
+        assert masses.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
     def test_masses_at_20_states_equal_pi_mass_bitwise_on_a_sample(self):
         # sets of 16 or more members take a second stride of eight terms
         pis = [stationary(random_chain(20, 2020))]
