@@ -254,7 +254,7 @@ def member_masses(pis, inside) -> np.ndarray:
     sizes = inside.sum(axis=1)
     for n in np.unique(sizes).tolist():
         group = np.flatnonzero(sizes == n)
-        members = np.nonzero(inside[group])[1].reshape(group.size, n)
+        members = np.flatnonzero(inside[group]).reshape(group.size, n) % inside.shape[1]
         masses[:, group] = np.take(weights, members, axis=1).sum(axis=-1)
     return masses
 

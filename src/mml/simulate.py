@@ -28,15 +28,15 @@ more row of the table.
 across, so it composes blocks (the grand coupling of Propp & Wilson,
 Random Struct. Alg. 1996, run forward). Each chunk of TRAJECTORY_CHUNK
 uniforms is cut into blocks of L; a first pass steps every block but the
-last from all m + 1 rows of the guide table at once (the start law is row
-m), and the lanes of a block that land on the same state merge, since
-they read the same uniforms from then on; the end states this leaves are
-chained block to block in Python; and a last pass replays every block
-from its entry state at once to write the path. The path is that of one step per uniform, bit for bit. On a chain
-whose lanes merge within a few steps the first pass costs about one
-pick per step; on one whose lanes never merge (a lazy cycle: every lane
-stays or moves together) it costs m, so at m = 128 the walk is several
-times slower per step than a scalar walk would be.
+last from all m + 1 rows of the guide table at once, and the lanes of a
+block that land on the same state merge, since they read the same
+uniforms from then on; the end states this leaves are chained block to
+block in Python; and a last pass replays every block from its entry
+state at once to write the path. The path is that of one step per
+uniform, bit for bit. On a chain whose lanes merge within a few steps
+the first pass costs about one pick per step; on one whose lanes never
+merge (a lazy cycle: every lane stays or moves together) it costs m, so
+at m = 128 the walk is several times slower per step than a scalar walk.
 
 Once a trial of ``first_visit_table`` has seen every state, further steps
 cannot change its row (a first-visit step only ever takes its first
