@@ -53,7 +53,6 @@ from .simulate import (
     missing_mass_values,
     occupancy_frequencies,
     sample_missing_mass,
-    sample_trajectory,
 )
 from .verify import (
     VerificationSummary,

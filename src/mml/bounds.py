@@ -170,11 +170,21 @@ def missing_mass_tail_bound(params: BoundParams, epsilon: float,
 
 
 def bernoulli_product_mgf(weights: Sequence[float], q: Sequence[float], s: float) -> float:
-    """MGF of sum_j w_j Q_j for independent Bernoulli(q_j): prod (1 - q_j + q_j e^{s w_j})."""
+    """MGF of sum_j w_j Q_j for independent Bernoulli(q_j): prod (1 - q_j + q_j e^{s w_j}).
+
+    inf once the product passes the float range."""
     total = 0.0
     for w, qq in zip(weights, q):
-        total += math.log1p(qq * (math.exp(s * w) - 1.0))
-    return math.exp(total)
+        if qq == 0:  # the factor is exactly 1
+            continue
+        try:
+            total += math.log1p(qq * (math.exp(s * w) - 1.0))
+        except OverflowError:  # e^{s w} passed the float range: log of e^{s w} (q + (1 - q) e^{-s w})
+            total += s * w + math.log(qq + (1.0 - qq) * math.exp(-s * w))
+    try:
+        return math.exp(total)
+    except OverflowError:
+        return math.inf
 
 
 def kl_divergence(p: float, q: float) -> float:

@@ -24,19 +24,12 @@ point, so the pick is bit-identical to the O(m) count for every word, at
 an expected O(1) probes per draw instead of O(m). The start law is one
 more row of the table.
 
-``sample_trajectory`` has one path, not many trials, to vectorize
-across, so it composes blocks (the grand coupling of Propp & Wilson,
-Random Struct. Alg. 1996, run forward). Each chunk of TRAJECTORY_CHUNK
-uniforms is cut into blocks of L; a first pass steps every block but the
-last from all m + 1 rows of the guide table at once, and the lanes of a
-block that land on the same state merge, since they read the same
-uniforms from then on; the end states this leaves are chained block to
-block in Python; and a last pass replays every block from its entry
-state at once to write the path. The path is that of one step per
-uniform, bit for bit. On a chain whose lanes merge within a few steps
-the first pass costs about one pick per step; on one whose lanes never
-merge (a lazy cycle: every lane stays or moves together) it costs m, so
-at m = 128 the walk is several times slower per step than a scalar walk.
+``occupancy_frequencies`` counts visits, not one path's order, so it
+splits its n steps among WALK_LANES lanes and steps them side by side
+through the same guide table, ceil(n / WALK_LANES) steps each. From pi
+every lane is stationary at every step; from any other start law the
+counts carry the burn-in of WALK_LANES short paths, not that of one long
+one.
 
 Once a trial of ``first_visit_table`` has seen every state, further steps
 cannot change its row (a first-visit step only ever takes its first
@@ -77,7 +70,7 @@ from .hitting import StateSet, _check_members
 
 BLOCK_TRIALS = 8192  # fixed: part of the reproducibility contract
 TRAJECTORY_CAP = 10**6
-TRAJECTORY_CHUNK = 1 << 16  # uniforms drawn and stepped at a time: bounds the walk's memory
+WALK_LANES = 1024  # fixed: paths occupancy_frequencies steps side by side, part of its draw rule
 GUIDE_PER_STATE = 16  # G >= 16 m: fewer than m of a row's cells are open, so P(search) < 1/16
 GUIDE_CELLS = 1 << 18  # cap on (m + 1) x G: 2 MB of guide table at m = 2000
 SUPERSTEP = 16  # steps per uniform of hitting_time_samples: Q^16 from four squarings
@@ -236,100 +229,6 @@ def _run_blocks(fn, trials: int, workers: int):
         return list(pool.map(lambda args: fn(*args), blocks))
 
 
-def _block_steps(m: int) -> int:
-    """L, the steps per block of the composed walk: 64, doubled while L < 16 sqrt(m).
-
-    The first pass steps each block from all m states until its lanes merge:
-    on a chain whose lanes meet within 16 steps, at most 16 m picks per block
-    on top of the L of each pass. A longer block dilutes that, but leaves
-    fewer blocks to step side by side.
-    """
-    steps = 64
-    while steps * steps < 256 * m:
-        steps *= 2
-    return steps
-
-
-def _block_entries(inverse_cdf: _InverseCdf, words: np.ndarray, x: int) -> list[int]:
-    """The state each block (a column of the (L, blocks) draws ``words``) is entered from.
-
-    Block 0 is entered from x. Every block but the last is stepped from each of the
-    m + 1 rows of the guide table at once (the m states, then the start-law row m), one
-    lane per row; lanes of a block that sit on the same state read the same draws from
-    then on, so after steps 1, 2, 4, 8 and every 16th they merge into one. The end-state
-    maps this leaves are composed block by block.
-    """
-    steps, blocks = words.shape
-    rows = inverse_cdf.m + 1
-    block = np.repeat(np.arange(blocks - 1), rows)
-    states = np.tile(np.arange(rows), blocks - 1)
-    lanes = np.arange(states.size)
-    owner = lanes  # the live lane that carries each starting lane
-    slot = np.empty(states.size, dtype=np.intp)
-    for t in range(1, steps + 1):
-        states = inverse_cdf.pick(states, words[t - 1][block])
-        if t < steps and (t % 16 == 0 or t & (t - 1) == 0):
-            key = block * rows + states
-            live = lanes[:key.size]
-            slot[key] = live
-            first = slot[key]  # one lane of each (block, state), the same for all of them
-            keep = first == live
-            if not keep.all():
-                owner = (np.cumsum(keep) - 1)[first][owner]
-                block, states = block[keep], states[keep]
-    entries = [x]
-    for end in states[owner].reshape(blocks - 1, rows).tolist():
-        entries.append(end[entries[-1]])
-    return entries
-
-
-def _trajectory_chunks(chain: ChainSpec, n: int, stream, pi: StationaryDistribution | None):
-    """An iterator over X_1, ..., X_n in arrays of TRAJECTORY_CHUNK steps (the last one shorter).
-
-    Each chunk is cut into blocks of L = ``_block_steps(m)`` uniforms; the
-    blocks' entry states come from ``_block_entries``, and one last pass
-    replays every block from its entry state at once to write the path.
-    """
-    _check_at_least_one(n=n)
-    rng = derive_stream(stream, 0) if isinstance(stream, (int, np.integer)) else stream
-    inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
-    steps = _block_steps(inverse_cdf.m)
-
-    def chunks():
-        x = inverse_cdf.m  # the start-law row
-        for lo in range(0, n, TRAJECTORY_CHUNK):
-            size = min(TRAJECTORY_CHUNK, n - lo)
-            blocks = -(-size // steps)
-            # the chunks continue one stream, as one rng.random(n); zeros pad the last
-            # block in place, and its extra steps are dropped
-            words = _words(rng, size)
-            words.resize(blocks * steps, refcheck=False)
-            words = words.reshape(blocks, steps).T.copy()  # row t: step t of every block
-            states = np.array(_block_entries(inverse_cdf, words, x), dtype=np.intp)
-            path = np.empty((steps, blocks), dtype=np.int64)
-            for t in range(steps):
-                states = path[t] = inverse_cdf.pick(states, words[t])
-            path = path.T.ravel()[:size]
-            x = int(path[-1])
-            yield path
-
-    return chunks()
-
-
-def sample_trajectory(chain: ChainSpec, n: int, stream, pi: StationaryDistribution | None = None) -> np.ndarray:
-    """Sample X_1, ..., X_n; X_1 ~ start, X_{i+1} ~ P(X_i, .).
-
-    ``stream`` is either a derived-seed integer or a numpy Generator. Step i
-    reads the i-th uniform of ``stream.random(n)``, through the composed walk
-    (module docstring).
-    """
-    chunks = _trajectory_chunks(chain, n, stream, pi)
-    out = np.empty(n, dtype=np.int64)
-    for lo, path in zip(range(0, n, TRAJECTORY_CHUNK), chunks):
-        out[lo:lo + path.size] = path
-    return out
-
-
 def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
                       workers: int = 1, pi: StationaryDistribution | None = None) -> np.ndarray:
     """(trials, m) table of first-visit steps; n + 1 marks states unseen in n steps.
@@ -343,7 +242,8 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
     c + i + 1. A trial that has seen all m states (its cover time) stops
     drawing, since no later step could lower its row. So a horizon-n table
     is the truncation of any longer-horizon table with the same seed and
-    trials, and a one-trial table replays the stream of ``sample_trajectory``.
+    trials, and a one-trial table reads one uniform of
+    ``derive_stream(master_seed, 0)`` per step, in order, up to its cover time.
     """
     _check_at_least_one(n=n, trials=trials, workers=workers)
     _check_sentinel("n", n)
@@ -494,12 +394,30 @@ def _sample_values(samples) -> np.ndarray:
 
 def occupancy_frequencies(chain: ChainSpec, n: int, stream,
                           pi: StationaryDistribution | None = None) -> np.ndarray:
-    """State-visit frequencies over an n-step trajectory (ergodic averages).
+    """State-visit frequencies of n steps from the start law (ergodic averages).
 
-    The path of ``sample_trajectory`` with the same arguments, counted one
-    chunk at a time: memory stays O(TRAJECTORY_CHUNK + m) for any n.
+    ``stream`` is either a derived-seed integer or a numpy Generator. Draw
+    rule: WALK_LANES lanes start from the start law and each walks
+    s = ceil(n / WALK_LANES) steps. At each 16-step boundary c the stream
+    draws one (min(16, s - c), WALK_LANES) array of words; row i moves every
+    lane to its step c + i + 1. The first n picks in step-major order (step 1
+    of every lane, then step 2, ...) are counted, so the last step counts only
+    its first n - (s - 1) WALK_LANES lanes. From pi the counts are those of
+    stationary steps; from any other start law they carry the burn-in bias
+    of WALK_LANES paths of s steps, not that of one path of n. Memory stays
+    O(16 WALK_LANES + m) for any n.
     """
-    counts = np.zeros(chain.matrix.m, dtype=np.int64)
-    for path in _trajectory_chunks(chain, n, stream, pi):
-        counts += np.bincount(path, minlength=chain.matrix.m)
+    _check_at_least_one(n=n)
+    rng = derive_stream(stream, 0) if isinstance(stream, (int, np.integer)) else stream
+    inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
+    m = inverse_cdf.m
+    states = np.full(WALK_LANES, m)  # the start-law row
+    counts = np.zeros(m, dtype=np.int64)
+    steps = -(-n // WALK_LANES)
+    for c in range(0, steps, 16):
+        words = _words(rng, (min(16, steps - c), WALK_LANES))
+        visits = np.empty(words.shape, dtype=np.intp)
+        for i, row in enumerate(words):
+            states = visits[i] = inverse_cdf.pick(states, row)
+        counts += np.bincount(visits.ravel()[:n - c * WALK_LANES], minlength=m)
     return counts / n

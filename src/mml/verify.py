@@ -572,7 +572,7 @@ def suite_cor3(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
 
 
 def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
-    """Occupancy frequencies of one long run vs the stationary law (TV <= 0.01)."""
+    """Occupancy frequencies of ergodic_steps steps from pi vs the stationary law (TV <= 0.01)."""
     seed = derive_seed(opts.seed, 8)
     chain = generate("random-dense", m=5, alpha=1.0, seed=derive_seed(seed, 0))
     pi = stationary(chain.matrix)

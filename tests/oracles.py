@@ -174,20 +174,29 @@ def _cumulative_by_count(chain, pi):
     return cum, cum_start
 
 
-def trajectory_by_count(chain, n: int, stream, pi=None) -> np.ndarray:
-    """X_1, ..., X_n from one draw of n uniforms, each step counting cum entries <= u.
+def walk_by_count(chain, n: int, stream, lanes: int, pi=None) -> np.ndarray:
+    """(ceil(n / lanes), lanes) states of ``lanes`` paths from the start law, by the O(m) count.
 
-    ``stream`` is a derived-seed integer or a numpy Generator, as in ``sample_trajectory``.
+    At each 16-step boundary c, ``stream`` (a derived-seed integer or a numpy
+    Generator) draws one (min(16, steps - c), lanes) array of uniforms; row i
+    moves every lane to its step c + i + 1.
     """
     cum, cum_start = _cumulative_by_count(chain, pi)
-    rows, row = cum.tolist(), cum_start.tolist()
     rng = derive_stream(stream, 0) if isinstance(stream, int) else stream
-    path = []
-    for u in rng.random(n).tolist():
-        x = sum(c <= u for c in row)
-        path.append(x)
-        row = rows[x]
-    return np.array(path, dtype=np.int64)
+    steps = -(-n // lanes)
+    walk = np.empty((steps, lanes), dtype=np.int64)
+    rows = np.broadcast_to(cum_start, (lanes, cum_start.size))
+    for c in range(0, steps, 16):
+        for i, u in enumerate(rng.random((min(16, steps - c), lanes)), start=c):
+            walk[i] = pick_by_count(rows, u)
+            rows = cum[walk[i]]
+    return walk
+
+
+def occupancy_by_count(chain, n: int, stream, lanes: int, pi=None) -> np.ndarray:
+    """Visit frequencies of the first n states of ``walk_by_count`` in step-major order."""
+    visits = walk_by_count(chain, n, stream, lanes, pi).ravel()[:n]
+    return np.bincount(visits, minlength=chain.matrix.m) / n
 
 
 def _block_sizes(trials: int):

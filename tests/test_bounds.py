@@ -316,6 +316,23 @@ class TestBernoulliProductMgf:
         got = bernoulli_product_mgf([2.0], [0.25], 1.5)
         assert got == pytest.approx(1 - 0.25 + 0.25 * math.exp(3.0), rel=1e-12)
 
+    def test_factor_past_the_float_range(self):
+        # e^1000 overflows: log(1 - q + q e^1000) = 1000 + log(q + (1 - q) e^-1000)
+        assert bernoulli_product_mgf([1000.0], [0.5], 1.0) == math.inf
+        # 1e-300 e^1000 = e^(1000 - 300 log 10) is back inside the float range
+        assert bernoulli_product_mgf([1000.0], [1e-300], 1.0) == \
+            pytest.approx(math.exp(1000.0 - 300.0 * math.log(10.0)), rel=1e-12)
+
+    def test_zero_q_factor_is_one_at_any_weight(self):
+        assert bernoulli_product_mgf([1000.0], [0.0], 1.0) == 1.0
+        assert bernoulli_product_mgf([1000.0, 2.0], [0.0, 0.25], 1.5) == \
+            bernoulli_product_mgf([2.0], [0.25], 1.5)
+
+    def test_product_past_the_float_range(self):
+        # each factor is finite (about e^400 / 2); their product is not
+        assert bernoulli_product_mgf([400.0], [0.5], 1.0) == pytest.approx(0.5 * math.exp(400.0))
+        assert bernoulli_product_mgf([400.0, 400.0], [0.5, 0.5], 1.0) == math.inf
+
     def test_mgf_domination_iid(self):
         # independent-surrogate product dominates the empirical missing-mass MGF
         mu = np.array([0.1, 0.2, 0.3, 0.4])

@@ -631,6 +631,15 @@ class TestVerifyCommand:
         assert "lazy-cycle:m=4;hold=0.5" in text
         assert two_state in text
 
+    def test_mgf_bound_past_the_float_range(self, tmp_path, capsys):
+        # at n = 2000 the weights n pi_j = 500 put e^{2 n pi_j} past the float range: the bound
+        # is inf, as on the default chains at n = 1e5 (a run of about 40 s, made in CI)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chains": ["lazy-cycle:m=4;hold=0.5"], "n_grid": [2000]}))
+        rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
+        assert rc == 0
+        assert ",inf," in (tmp_path / "r" / "thm1.csv").read_text()
+
     def test_exact_calibration_ignores_trials(self, tmp_path, capsys):
         # thm1 certifies c from exact survivals: a tiny trial budget does not matter
         rc = main(["verify", "thm1", "--seed", "1", "--trials", "300", "--out", str(tmp_path)])

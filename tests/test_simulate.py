@@ -23,10 +23,9 @@ from mml.simulate import (
     GUIDE_CELLS,
     SUPERSTEP,
     SUPERSTEP_STATES,
-    TRAJECTORY_CHUNK,
+    WALK_LANES,
     SimConfig,
     _avoiding_kernel,
-    _block_steps,
     _cumulative_rows,
     _InverseCdf,
     derive_stream,
@@ -36,13 +35,13 @@ from mml.simulate import (
     missing_mass_values,
     occupancy_frequencies,
     sample_missing_mass,
-    sample_trajectory,
 )
 from oracles import (
     first_visit_table_by_count,
     hitting_time_samples_by_count,
+    occupancy_by_count,
     pick_by_count,
-    trajectory_by_count,
+    walk_by_count,
 )
 
 DIRECTED_CYCLE3 = ChainSpec(matrix=validate([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
@@ -60,42 +59,9 @@ def binom_ok(hits, trials, p, z=2.576):
     return lo <= hits <= hi
 
 
-class TestSampleTrajectory:
-    def test_deterministic_cycle(self):
-        traj = sample_trajectory(DIRECTED_CYCLE3, 4, 1)
-        assert traj.tolist() == [0, 1, 2, 0]
-
-    def test_single_state(self):
-        chain = ChainSpec(matrix=validate([[1.0]]))
-        assert sample_trajectory(chain, 5, 9).tolist() == [0] * 5
-
-    def test_law_of_large_numbers(self):
-        traj = sample_trajectory(UNIFORM2, 100_000, 17)
-        freq = np.mean(traj == 0)
-        assert abs(freq - 0.5) < 0.01
-
-    def test_long_path_matches_counting_sampler(self):
-        # longer than one chunk of uniforms: the chunks continue one stream
-        chain = generate("birth-death", m=6, p=0.3, q=0.4)
-        n = TRAJECTORY_CHUNK + 1001
-        assert np.array_equal(sample_trajectory(chain, n, 12), trajectory_by_count(chain, n, 12))
-
-    def test_accepts_generator_or_seed(self):
-        a = sample_trajectory(UNIFORM2, 10, 5)
-        b = sample_trajectory(UNIFORM2, 10, derive_stream(5, 0))
-        assert a.tolist() == b.tolist()
-
-    def test_generator_other_than_philox(self):
-        # MT19937 joins two 32-bit draws into a double, which is not its next64 >> 11
-        chain = generate("random-dense", m=6, seed=4)
-        n = 2 * _block_steps(6) + 5
-        path = sample_trajectory(chain, n, np.random.Generator(np.random.MT19937(5)))
-        assert np.array_equal(path, trajectory_by_count(chain, n, np.random.Generator(np.random.MT19937(5))))
-
-
 WALK_CHAINS = {
-    "random-dense": generate("random-dense", m=6, seed=4),  # a block's lanes merge
-    "lazy-cycle": generate("lazy-cycle", m=5, hold=0.5),  # lanes on interior states never merge
+    "random-dense": generate("random-dense", m=6, seed=4),  # open guide cells: picks search
+    "lazy-cycle": generate("lazy-cycle", m=5, hold=0.5),  # CDF entries on grid points only
     "overshoot": OVERSHOOT3,
     "directed-cycle": DIRECTED_CYCLE3,
     "single-state": ChainSpec(matrix=validate([[1.0]])),
@@ -104,59 +70,52 @@ WALK_CHAINS = {
 WALK_SEED = 31
 
 
-@lru_cache(maxsize=None)
-def counted_walk(name: str) -> np.ndarray:
-    """The longest path the composed-walk tests compare; a shorter one is its prefix."""
-    chain = WALK_CHAINS[name]
-    return trajectory_by_count(chain, 2 * TRAJECTORY_CHUNK + _block_steps(chain.matrix.m) + 1, WALK_SEED)
+def walk_stream(kind: str):
+    # MT19937 joins two 32-bit draws into a double, which is not its next64 >> 11
+    return WALK_SEED if kind == "seed" else np.random.Generator(np.random.MT19937(WALK_SEED))
 
 
-class TestComposedWalk:
-    """The blocked, three-pass walk against the counting sampler, at every seam."""
+class TestLanesWalk:
+    """occupancy_frequencies against the counting oracle, at every seam of its draw rule."""
 
-    LENGTHS = {  # n at each seam, from the block length L
-        "1": lambda L: 1, "L-1": lambda L: L - 1, "L": lambda L: L, "L+1": lambda L: L + 1,
-        "CHUNK-1": lambda L: TRAJECTORY_CHUNK - 1, "CHUNK": lambda L: TRAJECTORY_CHUNK,
-        "CHUNK+1": lambda L: TRAJECTORY_CHUNK + 1, "2CHUNK+L+1": lambda L: 2 * TRAJECTORY_CHUNK + L + 1,
-    }
+    LENGTHS = {"1": 1, "L-1": WALK_LANES - 1, "L": WALK_LANES, "L+1": WALK_LANES + 1,
+               "16L+3": 16 * WALK_LANES + 3}
 
     @pytest.mark.parametrize("name", WALK_CHAINS)
     @pytest.mark.parametrize("length", LENGTHS)
-    def test_matches_counting_sampler(self, name, length):
-        chain = WALK_CHAINS[name]
-        n = self.LENGTHS[length](_block_steps(chain.matrix.m))
-        path = sample_trajectory(chain, n, WALK_SEED)
-        assert path.dtype == np.int64
-        assert np.array_equal(path, counted_walk(name)[:n])
+    @pytest.mark.parametrize("stream", ["seed", "mt19937"])
+    def test_matches_counting_oracle(self, name, length, stream):
+        chain, n = WALK_CHAINS[name], self.LENGTHS[length]
+        freq = occupancy_frequencies(chain, n, walk_stream(stream))
+        assert freq.tolist() == occupancy_by_count(chain, n, walk_stream(stream), WALK_LANES).tolist()
 
     @settings(deadline=None, max_examples=40)
     @given(family=st.sampled_from(["random-dense", "lazy-cycle"]), m=st.integers(1, 9),
-           seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 700))
-    @example(family="random-dense", m=9, seed=0, n=3 * 64 + 1)
-    def test_matches_counting_sampler_over_seeds(self, family, m, seed, n):
+           seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 20 * WALK_LANES))
+    @example(family="random-dense", m=9, seed=0, n=16 * WALK_LANES + 1)
+    def test_matches_counting_oracle_over_seeds(self, family, m, seed, n):
         params = {"seed": seed % 1000} if family == "random-dense" else {"hold": 0.25}
         chain = generate(family, m=m, **params)
-        assert np.array_equal(sample_trajectory(chain, n, seed), trajectory_by_count(chain, n, seed))
+        assert occupancy_frequencies(chain, n, seed).tolist() == \
+            occupancy_by_count(chain, n, seed, WALK_LANES).tolist()
 
-    @pytest.mark.parametrize("m,steps", [(1, 64), (16, 64), (17, 128), (64, 128), (65, 256),
-                                         (256, 256), (2000, 1024)])
-    def test_block_steps(self, m, steps):
-        assert _block_steps(m) == steps
-
-    def test_lanes_merge(self, monkeypatch):
-        # random-dense lanes meet within a few steps: the walk picks about twice per step,
-        # where stepping every lane to the block's end would pick m + 1 times
+    @pytest.mark.parametrize("chain", [generate("random-dense", m=32, seed=5),
+                                       generate("lazy-cycle", m=32, hold=0.5)],
+                             ids=["random-dense", "lazy-cycle"])
+    def test_counts_n_picks_and_wastes_under_one_step(self, monkeypatch, chain):
+        # every lane picks once a step, merged or not; only the last step's surplus goes uncounted
         picked = []
         pick = _InverseCdf.pick
 
-        def counting_pick(self, states, u):
+        def counting_pick(self, states, words):
             picked.append(states.size)
-            return pick(self, states, u)
+            return pick(self, states, words)
 
         monkeypatch.setattr(_InverseCdf, "pick", counting_pick)
-        n = TRAJECTORY_CHUNK
-        sample_trajectory(generate("random-dense", m=32, seed=5), n, 3)
-        assert sum(picked) < 3 * n
+        n = 40 * WALK_LANES + 5
+        counts = occupancy_frequencies(chain, n, 3) * n
+        assert np.allclose(counts, np.rint(counts)) and np.rint(counts).sum() == n
+        assert n <= sum(picked) < n + WALK_LANES
 
 
 SPECIAL_CUM = [0.0, 0.125, 0.25, 0.5, 1 / 3, 0.75, ULP_BELOW_1, 1.0, 1.0 + 2.0 ** -52]
@@ -423,13 +382,12 @@ class TestAgainstCountingSampler:
 
 class TestFirstVisitTable:
     def test_matches_trajectory_path(self):
-        # trial 0 of the table must replay the same stream as sample_trajectory
+        # a one-trial table reads one uniform of derive_stream(77, 0) per step: a one-lane walk
         chain = generate("random-dense", m=5, seed=3)
-        n = 12
+        n = 40
         tau = first_visit_table(chain, n, 1, 77)
-        traj = sample_trajectory(chain, n, derive_stream(77, 0))
         expected = np.full(5, n + 1)
-        for i, x in enumerate(traj, start=1):
+        for i, x in enumerate(walk_by_count(chain, n, 77, 1)[:, 0], start=1):
             expected[x] = min(expected[x], i)
         assert tau[0].tolist() == expected.tolist()
 
@@ -792,21 +750,18 @@ class TestErgodic:
         tv = 0.5 * np.abs(freq - pi.pi).sum()
         assert tv < 0.03
 
-    def test_counts_the_trajectory(self):
-        chain = generate("random-dense", m=5, seed=77)
-        n = 2 * TRAJECTORY_CHUNK + 3
-        freq = occupancy_frequencies(chain, n, 5)
-        assert freq.tolist() == (np.bincount(sample_trajectory(chain, n, 5), minlength=5) / n).tolist()
+    def test_accepts_generator_or_seed(self):
+        a = occupancy_frequencies(UNIFORM2, 3000, 5)
+        b = occupancy_frequencies(UNIFORM2, 3000, derive_stream(5, 0))
+        assert a.tolist() == b.tolist()
 
-    def test_counts_the_path_of_a_generator_other_than_philox(self):
-        chain = generate("random-dense", m=5, seed=77)
-        n = TRAJECTORY_CHUNK + 3
-        freq = occupancy_frequencies(chain, n, np.random.Generator(np.random.MT19937(5)))
-        path = trajectory_by_count(chain, n, np.random.Generator(np.random.MT19937(5)))
-        assert freq.tolist() == (np.bincount(path, minlength=5) / n).tolist()
+    def test_deterministic_cycle_and_single_state(self):
+        # every lane walks 0, 1, 2, 0, ... from the point start
+        assert occupancy_frequencies(DIRECTED_CYCLE3, 3 * WALK_LANES, 1).tolist() == [1 / 3] * 3
+        assert occupancy_frequencies(ChainSpec(matrix=validate([[1.0]])), 5, 9).tolist() == [1.0]
 
     def test_never_holds_the_path(self):
-        # a 2e6-step path alone takes 15 MiB; chunk by chunk the walk holds a few of 512 KiB
+        # a 2e6-step path alone takes 15 MiB; 16 steps of every lane at a time take 128 KiB
         chain = generate("random-dense", m=5, seed=77)
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ from itertools import groupby
 import numpy as np
 import pytest
 
-from mml import verify
+from mml import simulate, verify
 from mml.chain import generate, stationary
 from mml.cli import main, parse_descriptor
 from mml.errors import InsufficientTrialsError
@@ -231,6 +231,20 @@ class TestIidPower:
 
         monkeypatch.setattr(verify, "_iid_chain_set", skewed)
         assert self._flagged()
+
+
+def test_ergodic_flags_a_walk_on_a_perturbed_P(monkeypatch):
+    # a fifth of each row's mass on state 0 moves to state 1; the start law (pi) stays
+    real = simulate._cumulative_rows
+
+    def perturbed(chain, pi):
+        cum = real(chain, pi)
+        cum[:-1, 0] *= 0.8
+        return cum
+
+    monkeypatch.setattr(simulate, "_cumulative_rows", perturbed)
+    reports, summary = verify.suite_ergodic(VerifyOptions())
+    assert [r.holds for r in reports] == [False] and len(summary.violations) == 1
 
 
 def _body_sha256(path) -> str:
