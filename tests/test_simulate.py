@@ -103,7 +103,7 @@ class TestLanesWalk:
                                        generate("lazy-cycle", m=32, hold=0.5)],
                              ids=["random-dense", "lazy-cycle"])
     def test_counts_n_picks_and_wastes_under_one_step(self, monkeypatch, chain):
-        # every lane picks once a step, merged or not; only the last step's surplus goes uncounted
+        # every lane picks once a step; only the surplus lanes of the last step go uncounted
         picked = []
         pick = _InverseCdf.pick
 
