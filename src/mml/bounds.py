@@ -214,8 +214,10 @@ def calibrate_c(p, n, mass, t_half) -> tuple[float, float]:
     Returns (certified, raw): raw is that c, the minimum of -log p / (n pi(J) / T(0.5)),
     and certified floors it to a multiple of CERTIFIED_C_STEP. Rows with n below
     T(0.5) are excluded (short-horizon measurements are vacuous: the chain has
-    not had one mixing scale to move). Raises InsufficientTrialsError when no
-    row constrains c.
+    not had one mixing scale to move). Like an exact 0, a survival below the
+    smallest normal double constrains nothing: it is the round-off residue of a
+    tail that underflowed, and -log of it would read as a real survival.
+    Raises InsufficientTrialsError when no row constrains c.
     """
     p, n, mass, t_half = (np.asarray(x, dtype=float) for x in (p, n, mass, t_half))
     if not p.size:
@@ -223,12 +225,13 @@ def calibrate_c(p, n, mass, t_half) -> tuple[float, float]:
     usable = n >= t_half
     if not usable.any():
         raise ValidationError("no instance passes the n >= T(0.5) inclusion filter")
-    # an exact survival of 0, or T(0.5) = 0 (a single state), constrains nothing
-    rows = usable & (p > 0) & (t_half > 0)
+    # a survival of 0 or below the smallest normal double, or T(0.5) = 0 (a single
+    # state), constrains nothing
+    rows = usable & (p >= np.finfo(float).tiny) & (t_half > 0)
     if not rows.any():
         raise InsufficientTrialsError(
-            "no instance constrains c: every survival probability is 0 "
-            "or its chain has T(0.5) = 0")
+            "no instance constrains c: every survival probability is 0 or below the "
+            "smallest normal double, or its chain has T(0.5) = 0")
     raw = min(-math.log(q) / (k * a / t)
               for q, k, a, t in zip(*(x[rows].tolist() for x in (p, n, mass, t_half))))
     return math.floor(raw / CERTIFIED_C_STEP) * CERTIFIED_C_STEP, raw

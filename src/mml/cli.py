@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -414,34 +413,20 @@ def cmd_bounds_mmtail(args) -> str:
 # --- verify -----------------------------------------------------------------
 
 
-# config keys under "constants", and the options they set
-CONFIG_CONSTANTS = {"c": "c", "c2": "c2", "eps": "epsilon"}
-# the type of each scalar option's default: config values and flags must have it
-OPTION_TYPES = {f.name: type(f.default) for f in fields(VerifyOptions)
-                if type(f.default) in (int, float)}
-# options that are also verify flags of the same name (ergodic_steps is --ergodic-steps), with help
-OPTION_FLAGS = {"seed": "master seed (default 3)",
-                "workers": "worker threads (default MML_WORKERS or 1)",
-                "trials": None, "c": None, "c2": None, "ergodic_steps": None}
+def _each(parse, kind, what: str):
+    """The parser of a JSON list of ``kind`` items: ``parse`` of each item."""
+    def parse_list(value) -> list:
+        if not (isinstance(value, list) and all(isinstance(x, kind) for x in value)):
+            raise ValidationError(f"expected {what}, got {value!r}")
+        return [parse(x) for x in value]
+    return parse_list
 
 
-def _ints(value, low: int) -> bool:
-    return isinstance(value, list) and all(type(x) is int and x >= low for x in value)
-
-
-# each config option: whether a value is well-formed, what it must be, and its parser
-# (a bool is no number, and an int is a valid float)
-CONFIG_CHECKS = {name: (lambda v, typ=typ: type(v) in (typ, int), typ.__name__, lambda v: v)
-                 for name, typ in OPTION_TYPES.items()}
-CONFIG_CHECKS.update(
-    chains=(lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-            "a list of chain descriptors", lambda v: [parse_descriptor(s) for s in v]),
-    j_sets=(lambda v: isinstance(v, list) and all(_ints(js, 0) for js in v),
-            "a list of lists of non-negative integers", lambda v: [tuple(js) for js in v]),
-    n_grid=(lambda v: _ints(v, 1) or isinstance(v, str) and re.fullmatch(r"\d+\.\.\d+|[\d,]*", v),
-            "an 'a..b' range, comma-separated integers or a list of positive integers",
-            lambda v: parse_grid(v) if isinstance(v, str) else v),
-)
+# the parsers of the config values that are external text; every value is then checked
+# as its option, before any suite runs
+CONFIG_PARSERS = {"chains": _each(parse_descriptor, str, "a list of chain descriptors"),
+                  "j_sets": _each(tuple, list, "a list of lists of state indices"),
+                  "n_grid": lambda v: parse_grid(v) if isinstance(v, str) else v}
 
 
 def _options_from_args(args) -> VerifyOptions:
@@ -449,41 +434,31 @@ def _options_from_args(args) -> VerifyOptions:
     opts = VerifyOptions(workers=_default_workers())
     if args.config:
         _apply_config(opts, args.config)
-    given = {name: getattr(args, name) for name in OPTION_FLAGS}
-    given.update(epsilon=args.eps, lemma1_max_pairs=args.max_pairs)
-    if args.chains is not None:
-        given.update(lemma1_chains=args.chains, lemma2_chains=args.chains,
-                     prop1_chains=min(args.chains, 20))
-    if args.m_max is not None:
-        given.update(lemma1_m_max=min(args.m_max, 8), lemma2_m_max=min(args.m_max, 10))
-    for name, value in given.items():
-        if value is not None:
-            setattr(opts, name, value)
+    for f in fields(VerifyOptions):
+        if getattr(args, f.name, None) is not None:
+            setattr(opts, f.name, getattr(args, f.name))
     return opts
 
 
 def _apply_config(opts: VerifyOptions, path: str) -> None:
-    """Set the options named in a JSON config; any other key, or an ill-typed value, is an error."""
+    """Set the options a JSON config names, each key a field of ``VerifyOptions``; any other
+    key, or text its parser rejects, is an error."""
     try:
         cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ChainFileError(f"{path}: {e.strerror or e}") from e
     except json.JSONDecodeError as e:
         raise ChainFileError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
-    constants = cfg.pop("constants", {}) if isinstance(cfg, dict) else None
-    if not isinstance(constants, dict):
-        raise ValidationError(f"{path}: the config and its 'constants' must be JSON objects")
-    top = {f.name for f in fields(VerifyOptions)} - set(CONFIG_CONSTANTS.values())
-    items = [(key, key if key in top else None, value) for key, value in cfg.items()]
-    items += [(f"constants.{key}", CONFIG_CONSTANTS.get(key), value)
-              for key, value in constants.items()]
-    for key, option, value in items:
-        if option is None:
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{path}: the config must be a JSON object")
+    names = {f.name for f in fields(VerifyOptions)}
+    for key, value in cfg.items():
+        if key not in names:
             raise ValidationError(f"{path}: unknown config key {key!r}")
-        check, what, parse = CONFIG_CHECKS[option]
-        if not check(value):
-            raise ValidationError(f"{path}: config key {key!r} must be {what}, got {value!r}")
-        setattr(opts, option, parse(value))
+        try:
+            setattr(opts, key, CONFIG_PARSERS.get(key, lambda v: v)(value))
+        except ValidationError as e:
+            raise ValidationError(f"{path}: config key {key!r}: {e}") from e
 
 
 def cmd_verify(args) -> int:
@@ -500,7 +475,7 @@ def cmd_verify(args) -> int:
     all_violations = []
     for name, reports, summary in results:
         meta = {"tool": f"mml {__version__}", "suite": name, "seed": opts.seed,
-                "c": opts.c, "c2": opts.c2, "eps": opts.epsilon}
+                "c": opts.c, "c2": opts.c2, "eps": opts.eps}
         meta.update(summary.extras)
         (out_dir / f"{name}.csv").write_text(render_reports_csv(reports, meta), encoding="utf-8")
         summaries.append(summary)
@@ -634,17 +609,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_numbers(_command(b, "kl", cmd_bounds_kl, source=False), "--p", "--q")
     _add_numbers(_command(b, "pinsker", cmd_bounds_pinsker, source=False, fmt=True), "--p", "--q")
 
-    ver = sub.add_parser("verify", help="run inequality verification suites")
+    ver = sub.add_parser("verify", help="run inequality verification suites",
+                         description="Every int or float VerifyOptions field is a flag; MML_WORKERS, "
+                                     "then --config, then the flags override the defaults.")
     ver.set_defaults(handler=cmd_verify)
     ver.add_argument("suite", choices=SUITE_ORDER + ("all",))
-    for name, help_text in OPTION_FLAGS.items():
-        ver.add_argument("--" + name.replace("_", "-"), type=OPTION_TYPES[name], help=help_text)
+    for f in fields(VerifyOptions):
+        if type(f.default) in (int, float):
+            ver.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                             help=f"default {f.default!r}")
     ver.add_argument("--out", metavar="DIR", help="report directory (default ./reports)")
     ver.add_argument("--config", metavar="FILE", help="JSON experiment config")
-    ver.add_argument("--chains", type=int, help="random-chain count for lemma suites")
-    ver.add_argument("--m-max", type=int)
-    ver.add_argument("--max-pairs", type=int)
-    ver.add_argument("--eps", type=float)
     return ap
 
 

@@ -51,10 +51,9 @@ MEMBER_CHUNK = 10
 
 @dataclass(frozen=True)
 class StateSet:
-    """Sorted set of state indices, with the stationary mass once known."""
+    """Sorted set of state indices."""
 
     members: tuple[int, ...]
-    mass: float | None = None
 
     def __post_init__(self):
         norm = tuple(sorted({int(x) for x in self.members}))
@@ -67,9 +66,6 @@ class StateSet:
 
     def indices(self) -> np.ndarray:
         return np.asarray(self.members, dtype=int)
-
-    def with_mass(self, pi: StationaryDistribution) -> "StateSet":
-        return StateSet(self.members, mass=pi.mass(self.members))
 
 
 def state_set(members) -> StateSet:
@@ -295,7 +291,7 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
     masks = _minimal_qualifying_sets(pi.pi, epsilon)
     values = _hitting_times(P.rows[None], _outside(masks, P.m))[0][0].max(axis=1)
     value = values.max()
-    witness = StateSet(_lex_smallest(masks[values == value], P.m)).with_mass(pi)
+    witness = StateSet(_lex_smallest(masks[values == value], P.m))
     return LargeSetTime(epsilon=float(epsilon), value=float(value), argmax_set=witness)
 
 

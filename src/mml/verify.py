@@ -10,30 +10,19 @@ seed produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import bounds as bnd
-from .chain import StationaryDistribution, TransitionMatrix, generate, stationary
+from .chain import ChainSpec, StationaryDistribution, TransitionMatrix, generate, stationary
 from .errors import ValidationError
-from .hitting import (
-    ENUMERATION_MAX_STATES,
-    MASS_FILTER_TOL,
-    StateSet,
-    _check_members,
-    expected_hitting_time,
-    hitting_table,
-    member_masses,
-    row_members,
-    subset_hitting_times_stack,
-    subset_masses,
-    subset_members,
-    survival_probabilities,
-    t_large,
-    unseen_set_law,
-)
+from .hitting import (ENUMERATION_MAX_STATES, MASS_FILTER_TOL, StateSet, _check_members,
+                      expected_hitting_time, hitting_table, member_masses, row_members,
+                      subset_hitting_times_stack, subset_masses, subset_members,
+                      survival_probabilities, t_large, unseen_set_law)
 from .report import Labels, ReportBlock
 from .simulate import derive_stream, first_visit_table, missing_mass_values, occupancy_frequencies
 
@@ -43,7 +32,6 @@ IID_HORIZONS = (1, 2, 4, 8, 16, 32, 64)
 # probability at most this
 IID_DELTA = 1e-3
 
-SUITE_ORDER = ("lemma1", "lemma2", "iid", "prop1", "thm1", "cor1", "cor3", "ergodic")
 # slack of every exact check: a row holds when value <= bound + INEQUALITY_TOL
 INEQUALITY_TOL = 1e-9
 
@@ -60,8 +48,10 @@ class VerifyOptions:
     prop1, thm1, cor1 and cor3 compare the bounds with exact survival
     probabilities and exact missing-mass laws, so they do not depend on
     ``trials``, which sizes only the iid Monte Carlo suite.
-    The CLI reads its config keys, and the flags named like a field, from
-    these fields; a value must have the type of the field's default.
+
+    Each field is a top-level key of the CLI's config, and each int or float field
+    the flag ``--`` + its name with dashes. Before any suite runs, every value must
+    have its default's type and pass its rule in ``OPTION_RULES``, however it was set.
     """
 
     seed: int = 3
@@ -75,7 +65,7 @@ class VerifyOptions:
     prop1_chains: int = 20
     c: float = bnd.DEFAULT_C
     c2: float = bnd.DEFAULT_C2
-    epsilon: float = 0.5
+    eps: float = 0.5
     ergodic_steps: int = 1_000_000
     # optional overrides for the chain-family suites (prop1/thm1/cor1/cor3):
     # explicit chains as (chain_id, ChainSpec), explicit J-families, and an
@@ -398,12 +388,10 @@ def _prop1_chain_set(seed: int, count: int):
     """Mixed random/family chains for the hitting-tail suite."""
     picker = derive_stream(seed, 0)
     chains = []
-    k = 0
-    while len(chains) < max(0, count - 10):
+    for k in range(count - 10):
         m = int(picker.integers(3, 11))
         chains.append((f"random-dense(m={m},#={k})",
                        generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, 200 + k))))
-        k += 1
     rng = derive_stream(seed, 1)
     families = [
         ("lazy-cycle(m=5,hold=0.5)", generate("lazy-cycle", m=5, hold=0.5)),
@@ -442,13 +430,12 @@ def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
 # --- exact chain-family suites ---------------------------------------------
 
 
-def _family_suite(opts: VerifyOptions, suite: str) -> list:
-    """The (chain_id, ChainSpec) pairs of thm1, cor1 or cor3: the configured chains,
-    else the suite's picks of lazy cycles, birth-death and random chains."""
+def _family_suite(opts: VerifyOptions, seed: int, picks) -> list:
+    """The (chain_id, ChainSpec) pairs of thm1, cor1 or cor3: the configured chains, else
+    the suite's ``picks`` of lazy cycles, birth-death and random chains, the random
+    chains drawn from the suite's ``seed``."""
     if opts.chains:
         return opts.chains
-    index, picks = {"thm1": (5, range(6)), "cor1": (6, (0, 2, 4)), "cor3": (7, (0, 1, 2, 4))}[suite]
-    seed = derive_seed(opts.seed, index)
     family = [
         ("lazy-cycle(m=5,hold=0.5)", generate("lazy-cycle", m=5, hold=0.5)),
         ("lazy-cycle(m=10,hold=0.5)", generate("lazy-cycle", m=10, hold=0.5)),
@@ -469,7 +456,7 @@ def _exact_chains(opts: VerifyOptions, chains):
     for chain_id, chain in chains:
         pi = stationary(chain.matrix)
         yield _ExactChain(chain_id, chain.matrix, pi, chain.resolved_start(pi),
-                          t_large(chain.matrix, pi, opts.epsilon).value)
+                          t_large(chain.matrix, pi, opts.eps).value)
 
 
 def _horizons(t_half: float, override, defaults, cap: float = math.inf) -> list[int]:
@@ -513,7 +500,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Joint-survival product bound with c = 1/(2e); publishes the certified c."""
     seed = derive_seed(opts.seed, 5)
     blocks, survivals = [], []
-    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, "thm1"))):
+    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, seed, range(6)))):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(8)])
         sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
         block, mass = _survival_block("thm1-joint-survival", ("J", "n"), ch, sets, grid, opts.c)
@@ -542,7 +529,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
 def suite_cor1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Missing-mass deviation bound (upper tail; lower tail out of scope)."""
     blocks = []
-    for ch in _exact_chains(opts, _family_suite(opts, "cor1")):
+    for ch in _exact_chains(opts, _family_suite(opts, derive_seed(opts.seed, 6), (0, 2, 4))):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(7)])
         unseen = subset_masses(ch.pi.pi)[::-1]
         rows = []
@@ -564,7 +551,7 @@ def suite_cor3(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Smooth explicit tail exp(-c t pi(A)/T(0.5)) vs exact set-hitting tails."""
     seed = derive_seed(opts.seed, 7)
     blocks = []
-    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, "cor3"))):
+    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, seed, (0, 1, 2, 4)))):
         grid = _horizons(ch.t_half, opts.n_grid, (k * ch.t_half for k in (1, 2, 3, 5, 8, 12)), 512)
         sets = _j_families(opts, derive_stream(seed, 800 + idx), ch.P.m, extra=5)
         blocks.append(_survival_block("cor3-explicit-tail", ("A", "t"), ch, sets, grid, opts.c)[0])
@@ -583,49 +570,61 @@ def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary
         {"steps": opts.ergodic_steps}))
 
 
-SUITES = {
-    "lemma1": suite_lemma1,
-    "lemma2": suite_lemma2,
-    "iid": suite_iid,
-    "prop1": suite_prop1,
-    "thm1": suite_thm1,
-    "cor1": suite_cor1,
-    "cor3": suite_cor3,
-    "ergodic": suite_ergodic,
+SUITES = {"lemma1": suite_lemma1, "lemma2": suite_lemma2, "iid": suite_iid, "prop1": suite_prop1,
+          "thm1": suite_thm1, "cor1": suite_cor1, "cor3": suite_cor3, "ergodic": suite_ergodic}
+# the order of run_all
+SUITE_ORDER = tuple(SUITES)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# an override is None (none) or a non-empty list: an empty one would be read as none
+def _override(item_ok):
+    return lambda v: v is None or isinstance(v, list) and len(v) > 0 and all(map(item_ok, v))
+
+
+# what a value must be, by the type of its field's default: a bool is no number, and an int
+# is a valid float; the overrides, None by default, are typed by their rules
+DEFAULT_TYPES = {int: (_is_int, "an integer"), type(None): (lambda v: True, ""),
+                 float: (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+                         "a number")}
+_ONE = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: 0 < v < math.inf, "> 0 and finite")
+# both lemma sweeps solve every subset; lemma1 draws its pairs by rank, never listing 3^m
+_M_MAX = (lambda v: 2 <= v <= ENUMERATION_MAX_STATES, f"in 2..{ENUMERATION_MAX_STATES}")
+# each option's rule: a test of its value, which NaN fails, and the phrase an error names
+OPTION_RULES = {
+    "seed": (lambda v: True, "any integer"), "workers": _ONE, "trials": _ONE,
+    "lemma1_chains": _ONE, "lemma1_m_max": _M_MAX, "lemma1_max_pairs": _ONE,
+    "lemma2_chains": _ONE, "lemma2_m_max": _M_MAX, "prop1_chains": _ONE,
+    "c": _POSITIVE, "c2": _POSITIVE, "eps": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "ergodic_steps": _ONE,
+    "chains": (_override(lambda p: isinstance(p, (tuple, list)) and len(p) == 2
+                         and isinstance(p[1], ChainSpec)),
+               "a non-empty list of (chain_id, ChainSpec) pairs"),
+    "j_sets": (_override(lambda js: isinstance(js, (list, tuple))
+                         and all(_is_int(x) and x >= 0 for x in js)),
+               "a non-empty list of sets of state indices >= 0"),
+    "n_grid": (_override(lambda n: _is_int(n) and n >= 1), "a non-empty list of integers >= 1"),
 }
 
 
-OPTION_MINIMUMS = {"workers": 1, "trials": 1, "lemma1_chains": 1, "lemma1_m_max": 2,
-                   "lemma1_max_pairs": 1, "lemma2_chains": 1, "lemma2_m_max": 2,
-                   "prop1_chains": 1, "ergodic_steps": 1}
-# the exhaustive sweeps' largest chains: both lemmas solve every subset, and lemma1 draws
-# its pairs by rank without listing all 3^m of them
-OPTION_MAXIMUMS = {"lemma1_m_max": ENUMERATION_MAX_STATES, "lemma2_m_max": ENUMERATION_MAX_STATES}
-
-
 def _check_options(opts: VerifyOptions, suites) -> None:
-    """Reject an out-of-range option, naming it, before any of ``suites`` runs."""
-    checks = [(name, getattr(opts, name) >= low, f">= {low}") for name, low in OPTION_MINIMUMS.items()]
-    checks += [(name, getattr(opts, name) <= high, f"<= {high}")
-               for name, high in OPTION_MAXIMUMS.items()]
-    checks += [("c", 0 < opts.c < math.inf, "> 0 and finite"),
-               ("c2", 0 < opts.c2 < math.inf, "> 0 and finite"),
-               ("epsilon", 0 < opts.epsilon <= 1, "in (0, 1]")]
-    # an empty override would be read as none, and the suites would run their defaults
-    for name, what in (("n_grid", "grid"), ("chains", "list"), ("j_sets", "list")):
-        value = getattr(opts, name)
-        checks.append((name, value is None or len(value) > 0, f"a non-empty {what}"))
-    for name, ok, what in checks:
-        if not ok:  # NaN fails too
-            raise ValidationError(f"{name} must be {what}, got {getattr(opts, name)!r}")
-    # a J set that fits none of a suite's chains would be skipped on each and check nothing
-    for suite in ("thm1", "cor3"):
-        if opts.j_sets and suite in suites:
-            m_max = max(chain.matrix.m for _, chain in _family_suite(opts, suite))
-            for js in opts.j_sets:
-                if not js or max(js) >= m_max:
-                    raise ValidationError(f"j_sets entry {list(js)} fits none of the suite's "
-                                          f"chains: it must name states 0..{m_max - 1}")
+    """Reject an ill-typed or out-of-range option, naming it, before any of ``suites`` runs."""
+    for f in fields(VerifyOptions):
+        for ok, what in (DEFAULT_TYPES[type(f.default)], OPTION_RULES[f.name]):
+            if not ok(getattr(opts, f.name)):
+                raise ValidationError(f"{f.name} must be {what}, got {getattr(opts, f.name)!r}")
+    # a J set that fits none of a suite's chains would be skipped on each and check nothing;
+    # thm1 tests every default chain, cor3 the largest too, and no size depends on the seed
+    if opts.j_sets and {"thm1", "cor3"} & set(suites):
+        m_max = max(chain.matrix.m for _, chain in _family_suite(opts, opts.seed, range(6)))
+        for js in opts.j_sets:
+            if not js or max(js) >= m_max:
+                raise ValidationError(f"j_sets entry {list(js)} fits none of the suite's "
+                                      f"chains: it must name states 0..{m_max - 1}")
 
 
 def run_suite(name: str, opts: VerifyOptions):

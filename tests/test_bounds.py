@@ -368,6 +368,17 @@ class TestCalibrateC:
         with pytest.raises(InsufficientTrialsError, match="no instance constrains c"):
             calibrate_c(p=[0.0], n=[4], mass=[0.5], t_half=[2.0])
 
+    def test_subnormal_survivals_constrain_nothing(self):
+        # a residue such as 4.4e-323 is round-off of a tail that underflowed: as a real
+        # survival at n = 20000 it would certify a far smaller c than the row it joins
+        rows = dict(n=[4, 20000], mass=[0.5] * 2, t_half=[2.0] * 2)
+        assert calibrate_c(p=[0.0625, 4.4e-323], **rows) == calibrate_c(
+            p=[0.0625], n=[4], mass=[0.5], t_half=[2.0])
+        with pytest.raises(InsufficientTrialsError, match="below the smallest normal double"):
+            calibrate_c(p=[4.4e-323], n=[20000], mass=[0.5], t_half=[2.0])
+        # the smallest normal double itself is a real survival
+        assert calibrate_c(p=[np.finfo(float).tiny], **{k: v[1:] for k, v in rows.items()})[1] > 0
+
     def test_empty_suite(self):
         with pytest.raises(ValidationError):
             calibrate_c(p=[], n=[], mass=[], t_half=[])

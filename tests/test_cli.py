@@ -2,8 +2,10 @@ import argparse
 import csv
 import json
 import math
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from mml.cli import (
 )
 from mml.errors import MMLError, ValidationError
 from mml.report import csv_body
-from mml.verify import SUITE_ORDER, SUITES
+from mml.verify import OPTION_RULES, SUITE_ORDER, SUITES, VerifyOptions
 
 
 @pytest.fixture
@@ -497,10 +499,11 @@ class TestBoundsCommands:
 
 
 class TestVerifyCommand:
-    SMALL = ["--trials", "1500", "--chains", "8", "--ergodic-steps", "40000"]
+    SMALL = ["--trials", "1500", "--lemma1-chains", "8", "--lemma2-chains", "8",
+             "--prop1-chains", "8", "--ergodic-steps", "40000"]
 
     def test_verify_lemma1_small(self, tmp_path, capsys):
-        rc = main(["verify", "lemma1", "--seed", "1", "--chains", "10",
+        rc = main(["verify", "lemma1", "--seed", "1", "--lemma1-chains", "10",
                    "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "lemma1.csv").exists()
@@ -546,8 +549,7 @@ class TestVerifyCommand:
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 5, "trials": 1200,
-                                   "constants": {"c": 0.2}}))
+        cfg.write_text(json.dumps({"seed": 5, "trials": 1200, "c": 0.2}))
         rc = main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 0
         text = (tmp_path / "r" / "thm1.csv").read_text()
@@ -596,20 +598,20 @@ class TestVerifyCommand:
     def test_config_accepts_every_option(self, tmp_path):
         values = {"seed": 5, "workers": 2, "trials": 1000, "lemma1_chains": 4,
                   "lemma1_m_max": 3, "lemma1_max_pairs": 5, "lemma2_chains": 6,
-                  "lemma2_m_max": 4, "prop1_chains": 7, "ergodic_steps": 1000}
+                  "lemma2_m_max": 4, "prop1_chains": 7, "c": 0.2, "c2": 2.0, "eps": 0.4,
+                  "ergodic_steps": 1000}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**values, "chains": ["lazy-cycle:m=4;hold=0.5"],
-                                   "j_sets": [[0, 1]], "n_grid": "4..6",
-                                   "constants": {"c": 0.2, "c2": 2.0, "eps": 0.4}}))
+                                   "j_sets": [[0, 1]], "n_grid": "4..6"}))
         o = _options_from_args(build_parser().parse_args(["verify", "cor1", "--config", str(cfg)]))
         assert {k: getattr(o, k) for k in values} == values
         assert [cid for cid, _ in o.chains] == ["lazy-cycle:m=4;hold=0.5"]
         assert (o.j_sets, o.n_grid) == ([(0, 1)], [4, 5, 6])
-        assert (o.c, o.c2, o.epsilon) == (0.2, 2.0, 0.4)
 
     @pytest.mark.parametrize("cfg,key", [({"lemma1_chain": 3}, "'lemma1_chain'"),
-                                         ({"c": 0.2}, "'c'"),
-                                         ({"constants": {"epsilon": 0.4}}, "'constants.epsilon'")])
+                                         ({"epsilon": 0.4}, "'epsilon'"),
+                                         ({"constants": {"c": 0.2}}, "'constants'"),
+                                         ({"constants": {"eps": 0.4}}, "'constants'")])
     def test_unknown_config_key_exits_3(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -640,6 +642,20 @@ class TestVerifyCommand:
         assert rc == 0
         assert ",inf," in (tmp_path / "r" / "thm1.csv").read_text()
 
+    def test_long_horizon_residues_constrain_nothing(self, tmp_path, capsys):
+        # every singleton survival of lazy-cycle(4) at n = 20000 is a round-off residue
+        # (4.4e-323 for {0}) that must not certify c: [2000, 20000] certifies what [2000] does
+        certified = []
+        for grid in ([2000], [2000, 20000]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"chains": ["lazy-cycle:m=4;hold=0.5"], "n_grid": grid}))
+            assert main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+            certified.append(re.search(r"certified_c=(\S+)", capsys.readouterr().out).group(1))
+        assert certified == ["2.25", "2.25"]
+        cfg.write_text(json.dumps({"chains": ["lazy-cycle:m=4;hold=0.5"], "n_grid": [20000]}))
+        assert main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 5
+        assert "no instance constrains c" in capsys.readouterr().err
+
     def test_exact_calibration_ignores_trials(self, tmp_path, capsys):
         # thm1 certifies c from exact survivals: a tiny trial budget does not matter
         rc = main(["verify", "thm1", "--seed", "1", "--trials", "300", "--out", str(tmp_path)])
@@ -653,21 +669,23 @@ class TestVerifyCommand:
         assert rc == 5
         assert "no instance constrains c" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cfg,key", [({"seed": "abc"}, "'seed'"),
-                                         ({"seed": True}, "'seed'"),
-                                         ({"trials": 1.5}, "'trials'"),
-                                         ({"j_sets": [5]}, "'j_sets'"),
-                                         ({"j_sets": [[0, -1]]}, "'j_sets'"),
-                                         ({"n_grid": ["x"]}, "'n_grid'"),
-                                         ({"n_grid": "a..b"}, "'n_grid'"),
-                                         ({"chains": [3]}, "'chains'"),
-                                         ({"constants": {"c": "x"}}, "'constants.c'")])
-    def test_ill_typed_config_value_exits_3(self, tmp_path, capsys, cfg, key):
+    @pytest.mark.parametrize("cfg,message", [
+        ({"seed": "abc"}, "seed must be an integer, got 'abc'"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"trials": 1.5}, "trials must be an integer, got 1.5"),
+        ({"j_sets": [5]}, "config key 'j_sets': expected a list of lists of state indices"),
+        ({"j_sets": [[0, -1]]}, "j_sets must be a non-empty list of sets of state indices >= 0"),
+        ({"n_grid": ["x"]}, "n_grid must be a non-empty list of integers >= 1, got ['x']"),
+        ({"n_grid": "a..b"}, "config key 'n_grid': bad grid 'a..b'"),
+        ({"chains": [3]}, "config key 'chains': expected a list of chain descriptors"),
+        ({"c": "x"}, "c must be a number, got 'x'"),
+        ({"c": True}, "c must be a number, got True")])
+    def test_ill_typed_config_value_exits_3(self, tmp_path, capsys, cfg, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         rc = main(["verify", "cor1", "--config", str(path), "--out", str(tmp_path / "r")])
         assert rc == 3
-        assert f"config key {key} must be" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("descriptor,param", [("lazy-cycle:m=x", "'m'"),
                                                   ("lazy-cycle:m=4;hold=q", "'hold'"),
@@ -710,27 +728,31 @@ class TestVerifyCommand:
         ([], {"j_sets": [[50]]}, "j_sets entry [50]"),
         (["--trials", "0"], None, "trials must be >= 1"),
         (["--trials", "-5"], None, "trials must be >= 1"),
-        ([], {"lemma1_m_max": 21}, "lemma1_m_max must be <= 20"),
-        (["--m-max", "1"], None, "lemma1_m_max must be >= 2"),
-        ([], {"lemma2_m_max": 1}, "lemma2_m_max must be >= 2"),
-        (["--chains", "-1"], None, "lemma1_chains must be >= 1"),
+        ([], {"lemma1_m_max": 21}, "lemma1_m_max must be in 2..20"),
+        (["--lemma1-m-max", "1"], None, "lemma1_m_max must be in 2..20"),
+        ([], {"lemma2_m_max": 1}, "lemma2_m_max must be in 2..20"),
+        (["--lemma1-chains", "-1"], None, "lemma1_chains must be >= 1"),
         ([], {"prop1_chains": 0}, "prop1_chains must be >= 1"),
-        (["--max-pairs", "0"], None, "lemma1_max_pairs must be >= 1"),
+        (["--lemma1-max-pairs", "0"], None, "lemma1_max_pairs must be >= 1"),
         (["--workers", "0"], None, "workers must be >= 1"),
         (["--ergodic-steps", "0"], None, "ergodic_steps must be >= 1"),
         (["--c", "-0.5"], None, "c must be > 0"),
-        ([], {"constants": {"c2": 0}}, "c2 must be > 0"),
+        ([], {"c2": 0}, "c2 must be > 0"),
         (["--c", "inf"], None, "c must be > 0 and finite, got inf"),
         (["--c2", "inf"], None, "c2 must be > 0 and finite, got inf"),
-        ([], {"n_grid": "9..3"}, "n_grid must be a non-empty grid, got []"),
-        ([], {"n_grid": []}, "n_grid must be a non-empty grid, got []"),
-        ([], {"n_grid": ","}, "n_grid must be a non-empty grid, got []"),
-        ([], {"chains": []}, "chains must be a non-empty list, got []"),
-        ([], {"j_sets": []}, "j_sets must be a non-empty list, got []"),
-        (["--eps", "0"], None, "epsilon must be in (0, 1]"),
-        (["--eps", "1.5"], None, "epsilon must be in (0, 1]"),
-        ([], {"lemma1_m_max": 64}, "lemma1_m_max must be <= 20"),
-        ([], {"lemma2_m_max": 21}, "lemma2_m_max must be <= 20"),
+        ([], {"n_grid": "9..3"}, "n_grid must be a non-empty list of integers >= 1, got []"),
+        ([], {"n_grid": []}, "n_grid must be a non-empty list of integers >= 1, got []"),
+        ([], {"n_grid": ","}, "n_grid must be a non-empty list of integers >= 1, got []"),
+        # a grid that names horizon 0 is rejected in each of its three forms
+        ([], {"n_grid": "0"}, "n_grid must be a non-empty list of integers >= 1, got [0]"),
+        ([], {"n_grid": "0..3"}, "n_grid must be a non-empty list of integers >= 1, got [0, 1,"),
+        ([], {"n_grid": [0]}, "n_grid must be a non-empty list of integers >= 1, got [0]"),
+        ([], {"chains": []}, "chains must be a non-empty list of (chain_id, ChainSpec) pairs"),
+        ([], {"j_sets": []}, "j_sets must be a non-empty list of sets of state indices >= 0"),
+        (["--eps", "0"], None, "eps must be in (0, 1]"),
+        (["--eps", "1.5"], None, "eps must be in (0, 1]"),
+        ([], {"lemma1_m_max": 64}, "lemma1_m_max must be in 2..20"),
+        ([], {"lemma2_m_max": 21}, "lemma2_m_max must be in 2..20"),
     ])
     def test_out_of_range_option_exits_3_before_any_suite(self, tmp_path, capsys, monkeypatch,
                                                           flags, cfg, option):
@@ -744,16 +766,16 @@ class TestVerifyCommand:
 
     def test_config_int_is_a_valid_float(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"constants": {"c": 1, "eps": 0.5}}))
+        cfg.write_text(json.dumps({"c": 1, "eps": 0.5}))
         o = _options_from_args(build_parser().parse_args(["verify", "cor1", "--config", str(cfg)]))
-        assert (o.c, o.epsilon) == (1, 0.5)
+        assert (o.c, o.eps) == (1, 0.5)
 
     def test_c_resolution_is_gone(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"constants": {"c_resolution": 0.25}}))
+        cfg.write_text(json.dumps({"c_resolution": 0.25}))
         rc = main(["verify", "cor1", "--config", str(cfg), "--out", str(tmp_path / "r")])
         assert rc == 3
-        assert "unknown config key 'constants.c_resolution'" in capsys.readouterr().err
+        assert "unknown config key 'c_resolution'" in capsys.readouterr().err
         with pytest.raises(SystemExit):
             build_parser().parse_args(["verify", "thm1", "--c-resolution", "0.25"])
 
@@ -770,13 +792,50 @@ class TestVerifyCommand:
     def test_option_flags_set_their_fields(self):
         args = build_parser().parse_args(
             ["verify", "cor1", "--seed", "4", "--workers", "2", "--trials", "5",
-             "--c", "0.3", "--c2", "2", "--ergodic-steps", "7",
-             "--eps", "0.4", "--max-pairs", "8", "--chains", "30", "--m-max", "9"])
+             "--c", "0.3", "--c2", "2", "--ergodic-steps", "7", "--eps", "0.4",
+             "--lemma1-max-pairs", "8", "--lemma1-chains", "30", "--lemma2-chains", "30",
+             "--prop1-chains", "20", "--lemma1-m-max", "8", "--lemma2-m-max", "9"])
         o = _options_from_args(args)
         assert (o.seed, o.workers, o.trials, o.ergodic_steps) == (4, 2, 5, 7)
-        assert (o.c, o.c2, o.epsilon, o.lemma1_max_pairs) == (0.3, 2.0, 0.4, 8)
+        assert (o.c, o.c2, o.eps, o.lemma1_max_pairs) == (0.3, 2.0, 0.4, 8)
         assert (o.lemma1_chains, o.lemma2_chains, o.prop1_chains) == (30, 30, 20)
         assert (o.lemma1_m_max, o.lemma2_m_max) == (8, 9)
+
+    def test_every_option_is_declared_once(self, tmp_path):
+        # each VerifyOptions field is one top-level config key and has one rule; each int or
+        # float field is also one flag, its name with dashes, typed by its default
+        names = [f.name for f in fields(VerifyOptions)]
+        assert sorted(OPTION_RULES) == sorted(names)
+        verify = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices["verify"]
+        flags = {a.option_strings[0]: a for a in verify._actions if a.option_strings}
+        scalars = {f.name: type(f.default) for f in fields(VerifyOptions)
+                   if type(f.default) in (int, float)}
+        assert set(flags) - {"-h", "--out", "--config"} == {
+            "--" + name.replace("_", "-") for name in scalars}
+        for name, typ in scalars.items():
+            action = flags["--" + name.replace("_", "-")]
+            assert (action.dest, action.type) == (name, typ)
+        defaults = {name: getattr(VerifyOptions(), name) for name in scalars}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**defaults, "chains": ["iid:mu=1"], "j_sets": [[0]],
+                                   "n_grid": [1]}))
+        o = _options_from_args(build_parser().parse_args(["verify", "cor1", "--config", str(cfg)]))
+        assert {name: getattr(o, name) for name in scalars} == defaults
+        assert (len(o.chains), o.j_sets, o.n_grid) == (1, [(0,)], [1])
+
+    @pytest.mark.parametrize("flags", [["--chains", "8"], ["--m-max", "4"],
+                                       ["--max-pairs", "8"]])
+    def test_removed_flags_exit_2(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "lemma1", *flags, "--out", str(tmp_path / "r")])
+        assert e.value.code == 2
+
+    def test_constants_section_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"constants": {"c": 0.2}}))
+        assert main(["verify", "thm1", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+        assert "unknown config key 'constants'" in capsys.readouterr().err
 
     def test_single_state_chain(self, tmp_path, capsys):
         # T(0.5) = 0: cor3's rows are vacuous, and no thm1 instance constrains c
@@ -830,8 +889,9 @@ COMMAND_FLAGS = {
     "bounds explicittail": {"--out", "--pi-a", "--t-half", "--t", "--c"},
     "bounds kl": {"--out", "--p", "--q"},
     "bounds pinsker": {"--out", "--format", "--p", "--q"},
-    "verify": {"--seed", "--workers", "--trials", "--c", "--c2", "--ergodic-steps", "--out",
-               "--config", "--chains", "--m-max", "--max-pairs", "--eps"},
+    "verify": {"--seed", "--workers", "--trials", "--lemma1-chains", "--lemma1-m-max",
+               "--lemma1-max-pairs", "--lemma2-chains", "--lemma2-m-max", "--prop1-chains",
+               "--c", "--c2", "--eps", "--ergodic-steps", "--out", "--config"},
 }
 
 
@@ -849,7 +909,7 @@ def _leaf_flags(parser, path=()):
 def test_each_command_has_exactly_the_flags_it_reads():
     flags = dict(_leaf_flags(build_parser()))
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 259
+    assert sum(map(len, flags.values())) == 262
 
 
 CHAIN = ["--family", "lazy-cycle", "--m", "5", "--hold", "0.5"]

@@ -82,10 +82,6 @@ class TestStateSet:
         with pytest.raises(ValidationError):
             StateSet((-1, 0))
 
-    def test_with_mass(self):
-        pi = stationary(UNIFORM2)
-        assert state_set([0]).with_mass(pi).mass == 0.5
-
 
 class TestHittingTable:
     def test_uniform_two_state(self):
@@ -398,7 +394,7 @@ class TestTLarge:
         P = random_chain(6, 5)
         pi = stationary(P)
         res = t_large(P, pi, 0.4)
-        assert res.argmax_set.mass >= 0.4 - 1e-12
+        assert pi.mass(res.argmax_set.members) >= 0.4 - 1e-12
         assert hitting_table(P, res.argmax_set).t_plus_all == res.value
 
     @pytest.mark.parametrize("seed,eps", [(0, 0.3), (1, 0.5), (2, 0.5), (3, 0.7)])
@@ -420,7 +416,7 @@ class TestTLarge:
             assert res.value == pytest.approx(val, rel=1e-12)
             # the witness is a minimal qualifying set that attains the value
             members = res.argmax_set.members
-            assert res.argmax_set.mass >= eps - MASS_FILTER_TOL
+            assert pi.mass(members) >= eps - MASS_FILTER_TOL
             for x in members:
                 assert pi.mass(set(members) - {x}) < eps - MASS_FILTER_TOL
             assert direct_solve_table(P.rows, members).max() == pytest.approx(val, rel=1e-12)

@@ -3,6 +3,7 @@ the power of the iid suite's test, and the pinned report bodies."""
 
 import hashlib
 import json
+import re
 from itertools import groupby
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from mml import simulate, verify
 from mml.chain import generate, stationary
 from mml.cli import main, parse_descriptor
-from mml.errors import InsufficientTrialsError
+from mml.errors import InsufficientTrialsError, ValidationError
 from mml.hitting import StateSet, subset_hitting_times_stack, subset_members, t_large
 from mml.report import Labels, ReportBlock, csv_body, render_reports_csv
 from mml.simulate import derive_stream
@@ -290,3 +291,20 @@ def test_chain_that_fits_no_j_set(tmp_path, capsys, suite, sha256):
                                "n_grid": [2, 4, 8]}))
     assert main(["verify", suite, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     assert _body_sha256(tmp_path / "r" / f"{suite}.csv") == sha256
+
+
+@pytest.mark.parametrize("options,message", [
+    (dict(trials=1.5), "trials must be an integer, got 1.5"),
+    (dict(c=True), "c must be a number, got True"),
+    (dict(eps=2), "eps must be in (0, 1], got 2"),
+    (dict(n_grid=[0, 4]), "n_grid must be a non-empty list of integers >= 1, got [0, 4]"),
+])
+@pytest.mark.parametrize("suite", ["iid", "cor1"])
+def test_python_api_checks_options_before_any_suite(monkeypatch, options, message, suite):
+    # direct callers get the checks the CLI gets: type and range, before any suite runs
+    for name in verify.SUITE_ORDER:
+        monkeypatch.setitem(verify.SUITES, name, lambda opts: pytest.fail("a suite ran"))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_suite(suite, VerifyOptions(**options))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        verify.run_all(VerifyOptions(**options))
