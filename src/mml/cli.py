@@ -465,28 +465,20 @@ def cmd_verify(args) -> int:
     opts = _options_from_args(args)
     out_dir = Path(args.out or "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.suite == "all":
-        results = run_all(opts)
-    else:
-        reports, summary = run_suite(args.suite, opts)
-        results = [(args.suite, reports, summary)]
+    results = run_all(opts) if args.suite == "all" else [(args.suite, *run_suite(args.suite, opts))]
 
-    summaries = []
-    all_violations = []
     for name, reports, summary in results:
         meta = {"tool": f"mml {__version__}", "suite": name, "seed": opts.seed,
                 "c": opts.c, "c2": opts.c2, "eps": opts.eps}
         meta.update(summary.extras)
         (out_dir / f"{name}.csv").write_text(render_reports_csv(reports, meta), encoding="utf-8")
-        summaries.append(summary)
-        all_violations.extend(summary.violations)
         flag = "ok" if summary.ok else "VIOLATIONS"
         extras = " ".join(f"{k}={v}" for k, v in summary.extras.items())
         print(f"{name}: checks={summary.checks} passed={summary.passed} "
               f"vacuous={summary.vacuous} violations={len(summary.violations)} {flag} {extras}".rstrip())
 
     lines = ["suite,checks,passed,vacuous,violations,extras"]
-    for s in summaries:
+    for *_, s in results:
         extras = ";".join(f"{k}={repr(float(v)) if isinstance(v, float) else v}"
                           for k, v in sorted(s.extras.items()))
         lines.append(f"{s.suite},{s.checks},{s.passed},{s.vacuous},{len(s.violations)},{extras}")
@@ -494,6 +486,7 @@ def cmd_verify(args) -> int:
         f"# tool=mml {__version__}\n# seed={opts.seed}\n" + "\n".join(lines) + "\n",
         encoding="utf-8")
 
+    all_violations = [v for *_, s in results for v in s.violations]
     with open(out_dir / "violations.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(("suite", "seed", "name", "chain_id", "coordinates"))

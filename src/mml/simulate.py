@@ -214,15 +214,10 @@ class _InverseCdf:
         return np.remainder(last, self.m, out=last)
 
 
-def _blocks(trials: int):
-    full, rem = divmod(trials, BLOCK_TRIALS)
-    sizes = [BLOCK_TRIALS] * full + ([rem] if rem else [])
-    return list(enumerate(sizes))
-
-
 def _run_blocks(fn, trials: int, workers: int):
     """Apply fn(block_index, block_size) and return results in block order."""
-    blocks = _blocks(trials)
+    blocks = [(b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+              for b in range(-(-trials // BLOCK_TRIALS))]
     if workers <= 1 or len(blocks) <= 1:
         return [fn(b, sz) for b, sz in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -281,7 +276,9 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
 def sample_missing_mass(config: SimConfig, pi: StationaryDistribution) -> list[MissingMassSample]:
     """One missing-mass sample per trial: total pi-mass of states with tau_j > n.
 
-    Trials with the same unseen set share one ``StateSet``.
+    Trials with the same unseen set share one record, so a call builds at most
+    min(trials, 2^m); its value is the set's first trial's row of
+    ``missing_mass_values``, equal to every such trial's row bit for bit.
     """
     tau = first_visit_table(config.chain, config.n, config.trials,
                             config.master_seed, config.workers, pi)
@@ -291,9 +288,9 @@ def sample_missing_mass(config: SimConfig, pi: StationaryDistribution) -> list[M
     packed = np.packbits(unseen, axis=1)
     _, first, which = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                 return_index=True, return_inverse=True)
-    sets = [StateSet(tuple(np.flatnonzero(unseen[i]).tolist())) for i in first.tolist()]
-    return [MissingMassSample(value=v, unseen_set=sets[k])
-            for v, k in zip(values.tolist(), which.tolist())]
+    records = [MissingMassSample(v, StateSet(tuple(np.flatnonzero(unseen[i]).tolist())))
+               for i, v in zip(first.tolist(), values[first].tolist())]
+    return list(map(records.__getitem__, which.tolist()))
 
 
 def missing_mass_values(tau: np.ndarray, pi_vec: np.ndarray, n: int) -> np.ndarray:
@@ -375,7 +372,8 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
 
 def empirical_mgf(samples, s: float) -> float:
     """Arithmetic mean of exp(s * value) over missing-mass samples; inf past the float range."""
-    values = _sample_values(samples)
+    values = (samples.astype(float, copy=False) if isinstance(samples, np.ndarray) else
+              np.array([s.value if isinstance(s, MissingMassSample) else float(s) for s in samples]))
     if values.size == 0:
         raise ValidationError("empirical_mgf needs at least one sample")
     if not math.isfinite(s):
@@ -384,12 +382,6 @@ def empirical_mgf(samples, s: float) -> float:
         return math.fsum(map(math.exp, (s * values).tolist())) / values.size
     except OverflowError:
         return math.inf
-
-
-def _sample_values(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return samples.astype(float, copy=False)
-    return np.array([s.value if isinstance(s, MissingMassSample) else float(s) for s in samples])
 
 
 def occupancy_frequencies(chain: ChainSpec, n: int, stream,

@@ -67,9 +67,9 @@ class VerifyOptions:
     c2: float = bnd.DEFAULT_C2
     eps: float = 0.5
     ergodic_steps: int = 1_000_000
-    # optional overrides for the chain-family suites (prop1/thm1/cor1/cor3):
-    # explicit chains as (chain_id, ChainSpec), explicit J-families, and an
-    # explicit n-grid (still filtered to n >= T(0.5) per chain; cor3 drops n > 512)
+    # optional overrides, each read by the suites OVERRIDE_READERS names: explicit
+    # chains as (chain_id, ChainSpec), explicit J-families, and an explicit n-grid
+    # (still filtered to n >= T(0.5) per chain; cor3 drops n > 512)
     chains: list | None = None
     j_sets: list | None = None
     n_grid: list | None = None
@@ -358,18 +358,20 @@ def suite_iid(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         return ReportBlock.of_check(name, chain_id, np.full(kl.size, threshold), kl,
                                     kl <= threshold, False, params)
 
+    after = np.add(IID_HORIZONS, 1)
     blocks = []
     for idx, (chain_id, chain, mu, sets) in enumerate(chains):
         pi = stationary(chain.matrix)
         tau = first_visit_table(chain, n_max, opts.trials, derive_seed(seed, idx + 1),
                                 opts.workers, pi)
+        by_state = np.ascontiguousarray(tau.T)  # a state's first visits, contiguous
         hits, exact = [], []
         for members in sets:
-            cols = tau[:, list(members)].min(axis=1)
+            first = by_state[list(members)].min(axis=0)  # tau_J, n_max + 1 if J went unseen
+            # tau_J > n for the trials counted at n + 1 and past
+            hits += np.cumsum(np.bincount(first, minlength=n_max + 2)[::-1])[::-1][after].tolist()
             mass = float(mu[list(members)].sum())
-            for n in IID_HORIZONS:
-                hits.append(int((cols > n).sum()))
-                exact.append(max(0.0, 1.0 - mass) ** n)
+            exact += [max(0.0, 1.0 - mass) ** n for n in IID_HORIZONS]
         J = Labels(np.repeat(np.arange(len(sets)), len(IID_HORIZONS)), sets)
         blocks += [
             check("iid-exact-survival", chain_id, [h / opts.trials for h in hits], exact,
@@ -611,15 +613,25 @@ OPTION_RULES = {
 }
 
 
+# the suites that read each override: one that none of the suites to run reads checks nothing
+OVERRIDE_READERS = {"chains": ("prop1", "thm1", "cor1", "cor3"), "j_sets": ("thm1", "cor3"),
+                    "n_grid": ("thm1", "cor1", "cor3")}
+
+
 def _check_options(opts: VerifyOptions, suites) -> None:
-    """Reject an ill-typed or out-of-range option, naming it, before any of ``suites`` runs."""
+    """Reject an ill-typed or out-of-range option, or an override that none of ``suites``
+    reads, naming it, before any of them runs."""
     for f in fields(VerifyOptions):
         for ok, what in (DEFAULT_TYPES[type(f.default)], OPTION_RULES[f.name]):
             if not ok(getattr(opts, f.name)):
                 raise ValidationError(f"{f.name} must be {what}, got {getattr(opts, f.name)!r}")
+    for name, readers in OVERRIDE_READERS.items():
+        if getattr(opts, name) is not None and not set(readers) & set(suites):
+            raise ValidationError(f"{name} is read only by {', '.join(readers)}, so "
+                                  f"{', '.join(suites)} would check nothing with it")
     # a J set that fits none of a suite's chains would be skipped on each and check nothing;
     # thm1 tests every default chain, cor3 the largest too, and no size depends on the seed
-    if opts.j_sets and {"thm1", "cor3"} & set(suites):
+    if opts.j_sets:
         m_max = max(chain.matrix.m for _, chain in _family_suite(opts, opts.seed, range(6)))
         for js in opts.j_sets:
             if not js or max(js) >= m_max:

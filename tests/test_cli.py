@@ -717,6 +717,30 @@ class TestVerifyCommand:
         tested = {(row["chain_id"], row["params"].split(";")[0]) for row in rows}
         assert tested == {(small, "A=0"), (large, "A=0"), (large, "A=6")}
 
+    @pytest.mark.parametrize("suite,cfg,message", [
+        ("prop1", {"j_sets": [[0]], "n_grid": [8]}, "j_sets is read only by thm1, cor3, so prop1"),
+        ("cor1", {"j_sets": [[0]]}, "j_sets is read only by thm1, cor3, so cor1"),
+        ("prop1", {"n_grid": [8]}, "n_grid is read only by thm1, cor1, cor3, so prop1"),
+        ("iid", {"chains": ["lazy-cycle:m=4;hold=0.5"]},
+         "chains is read only by prop1, thm1, cor1, cor3, so iid"),
+    ])
+    def test_override_no_suite_to_run_reads_exits_3(self, tmp_path, capsys, monkeypatch, suite,
+                                                     cfg, message):
+        for name in SUITE_ORDER:
+            monkeypatch.setitem(SUITES, name, lambda opts: pytest.fail("a suite ran"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["verify", suite, "--config", str(path), "--out", str(tmp_path / "r")])
+        assert rc == 3
+        assert f"error: {message} would check nothing with it" in capsys.readouterr().err
+
+    def test_every_override_is_read_under_all(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"chains": ["lazy-cycle:m=4;hold=0.5"], "j_sets": [[0]],
+                                    "n_grid": [8]}))
+        args = build_parser().parse_args(["verify", "all", "--config", str(path)])
+        mml.verify._check_options(_options_from_args(args), SUITE_ORDER)
+
     @pytest.mark.parametrize("flags", [["--c", "0"], ["--c", "-1"]])
     def test_cor3_nonpositive_c_exits_3(self, tmp_path, capsys, flags):
         # a bound of exp(0) = 1 would let every survival pass

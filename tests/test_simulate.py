@@ -562,8 +562,21 @@ class TestMissingMass:
         assert [s.value for s in samples] == missing_mass_values(unseen, pi.pi, 0).tolist()
         by_row = {}
         for s, k in zip(samples, which.reshape(-1).tolist()):
-            assert by_row.setdefault(k, s.unseen_set) is s.unseen_set
-        assert len({id(s.unseen_set) for s in samples}) == len(rows) < 3000
+            assert by_row.setdefault(k, s) is s  # one shared record, and so one StateSet, per row
+        assert len({id(s) for s in samples}) == len({id(s.unseen_set) for s in samples}) \
+            == len(rows) < 3000
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_records_match_rows_across_blocks(self, workers):
+        trials = BLOCK_TRIALS + 100
+        chain = generate("random-dense", m=7, seed=3)
+        pi = stationary(chain.matrix)
+        samples = sample_missing_mass(
+            SimConfig(chain=chain, n=6, trials=trials, master_seed=17, workers=workers), pi)
+        tau = first_visit_table(chain, 6, trials, 17, pi=pi)
+        assert [s.value for s in samples] == missing_mass_values(tau, pi.pi, 6).tolist()
+        assert [s.unseen_set.members for s in samples] == [
+            tuple(np.flatnonzero(row).tolist()) for row in tau > 6]
 
     def test_batch_values_match_samples(self):
         chain = generate("random-dense", m=5, seed=8)
@@ -694,6 +707,13 @@ class TestMgf:
         samples = sample_missing_mass(SimConfig(chain=UNIFORM2, n=1, trials=64, master_seed=3), pi)
         assert empirical_mgf(samples, 2.0) == pytest.approx(math.e, abs=1e-12)
         assert empirical_mgf(samples, 1.0) == pytest.approx(math.exp(0.5), abs=1e-12)
+
+    def test_accepts_floats_and_shared_records(self):
+        pi = stationary(UNIFORM2.matrix)
+        samples = sample_missing_mass(SimConfig(chain=UNIFORM2, n=1, trials=8, master_seed=3), pi)
+        assert len({id(s) for s in samples}) == 2  # unseen {0} or {1}, each worth 0.5
+        mixed = [0.0, *samples, np.float64(0.25)]
+        assert empirical_mgf(mixed, 1.0) == empirical_mgf(np.array([0.0] + [0.5] * 8 + [0.25]), 1.0)
 
     def test_accepts_value_array(self):
         assert empirical_mgf(np.array([0.0, 0.0]), 3.0) == 1.0

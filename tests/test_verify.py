@@ -4,6 +4,7 @@ the power of the iid suite's test, and the pinned report bodies."""
 import hashlib
 import json
 import re
+from dataclasses import replace
 from itertools import groupby
 
 import numpy as np
@@ -26,8 +27,9 @@ SLOW = "two-state:p=0.01;q=0.01"  # T(0.5) = 99.99999999999991
 
 
 def _rows(suite, descriptor, n_grid=None, j_sets=((0,),)):
-    opts = VerifyOptions(chains=[parse_descriptor(descriptor)], j_sets=list(j_sets),
-                         n_grid=n_grid)
+    # cor1 reads no j_sets, and rejects them
+    j_sets = list(j_sets) if suite in verify.OVERRIDE_READERS["j_sets"] else None
+    opts = VerifyOptions(chains=[parse_descriptor(descriptor)], j_sets=j_sets, n_grid=n_grid)
     return run_suite(suite, opts)[0]
 
 
@@ -291,6 +293,19 @@ def test_chain_that_fits_no_j_set(tmp_path, capsys, suite, sha256):
                                "n_grid": [2, 4, 8]}))
     assert main(["verify", suite, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
     assert _body_sha256(tmp_path / "r" / f"{suite}.csv") == sha256
+
+
+@pytest.mark.parametrize("suite,override", [("prop1", {"j_sets": [[0]]}),
+                                            ("prop1", {"n_grid": [8]}), ("cor1", {"j_sets": [[0]]})])
+def test_overrides_a_suite_is_not_listed_for_change_nothing(suite, override):
+    # so OVERRIDE_READERS may reject them: the suite's rows are the same with and without
+    base = VerifyOptions(chains=[parse_descriptor(LAZY4)])
+    assert suite not in verify.OVERRIDE_READERS[next(iter(override))]
+    given = replace(base, **override)
+    suite_fn = verify.SUITES[suite]
+    assert render_reports_csv(suite_fn(base)[0]) == render_reports_csv(suite_fn(given)[0])
+    with pytest.raises(ValidationError, match="would check nothing"):
+        run_suite(suite, given)
 
 
 @pytest.mark.parametrize("options,message", [
