@@ -194,14 +194,15 @@ def _residual(pi, P) -> float:
     return float(np.max(np.abs(pi @ P.rows - pi)))
 
 
-def generate(family: str, m: int | None = None, seed: int = 0, **params) -> ChainSpec:
+def generate(family: str, /, m: int | None = None, **params) -> ChainSpec:
     """Deterministic chain construction for a named family.
 
     Families: ``iid(mu)``, ``two-state(p, q)``, ``lazy-cycle(m, hold)``,
-    ``birth-death(m, p, q)``, ``random-dense(m, alpha)``. Every family is
-    irreducible by construction; ``seed`` only matters for random-dense.
-    ``iid`` and ``two-state`` take their size from their parameters, so an
-    ``m`` given to them must equal it.
+    ``birth-death(m, p, q)``, ``random-dense(m, alpha, seed)``. Every family is
+    irreducible by construction. A parameter the family does not read, such as
+    a ``seed`` given to any family but random-dense (whose seed defaults to 0),
+    is rejected. ``iid`` and ``two-state`` take their size from their
+    parameters, so an ``m`` given to them must equal it.
     """
     if family == "iid":
         rows = _gen_iid(params)
@@ -212,7 +213,7 @@ def generate(family: str, m: int | None = None, seed: int = 0, **params) -> Chai
     elif family == "birth-death":
         rows = _gen_birth_death(m, params)
     elif family == "random-dense":
-        rows = _gen_random_dense(m, params, seed)
+        rows = _gen_random_dense(m, params)
     else:
         raise BadParamsError(f"unknown chain family {family!r}; known: {CHAIN_FAMILIES}")
     _reject_extras(family, params)
@@ -268,8 +269,9 @@ def _gen_birth_death(m, params):
     return np.diag(1.0 - up - down) + np.diag(up[:-1], 1) + np.diag(down[1:], -1)
 
 
-def _gen_random_dense(m, params, seed):
+def _gen_random_dense(m, params):
     alpha = params.pop("alpha", 1.0)
+    seed = params.pop("seed", 0)
     if m is None or m < 1:
         raise BadParamsError("random-dense needs m >= 1")
     if not 0 < alpha < math.inf:  # NaN fails too

@@ -2,7 +2,10 @@
 
 Each leaf subcommand has one handler and exactly the flags it reads. A handler
 returns its output text, which ``main`` writes to ``--out`` or stdout; ``verify``
-writes a report directory and returns its exit code instead.
+writes a report directory and returns its exit code instead. A command that reads
+a chain names it with ``--chain SOURCE``, a chain file or a descriptor
+``'family:key=value;...'`` parsed by ``parse_descriptor``, as each entry of verify's
+``chains`` config is; the SOURCE text is the chain's id in the output.
 
 Exit codes: 0 success, 1 verification found violations, 2 file/parse
 error, 3 validation error, 4 mathematical precondition, 5 the rate
@@ -26,7 +29,6 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from .chain import (
-    CHAIN_FAMILIES,
     ChainSpec,
     StationaryDistribution,
     chain_to_dict,
@@ -120,7 +122,8 @@ DESCRIPTOR_VALUES = {"mu": (parse_float_vector, "a comma-separated number list")
 
 
 def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
-    """Chain source: a .json path or 'family:key=value;key=value'."""
+    """Chain source: a .json path or an existing file, else 'family:key=value;key=value'
+    with each key at most once."""
     if text.endswith(".json") or Path(text).exists():
         return text, load_chain(text)
     family, _, rest = text.partition(":")
@@ -131,36 +134,22 @@ def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
         if "=" not in tok:
             raise ValidationError(f"bad descriptor parameter {tok!r} in {text!r}")
         k, v = tok.split("=", 1)
+        if k in params:
+            raise ValidationError(f"descriptor {text!r}: parameter {k!r} is given twice")
         parse, what = DESCRIPTOR_VALUES.get(k, (float, "a number"))
         try:
             params[k] = parse(v)
         except (ValueError, ValidationError) as e:
             raise ValidationError(f"descriptor {text!r}: parameter {k!r} must be {what}, "
                                   f"got {v!r}") from e
-    m = params.pop("m", None)
-    seed = params.pop("seed", 0)
-    return text, generate(family, m=m, seed=seed, **params)
+    return text, generate(family, **params)
 
 
-def _chain_from_args(args) -> tuple[str, ChainSpec]:
-    if args.infile:
-        return args.infile, load_chain(args.infile)
-    if not args.family:
-        raise ValidationError("no chain given: use --in FILE or --family NAME [params]")
-    params = {}
-    if args.mu is not None:
-        params["mu"] = parse_float_vector(args.mu)
-    for key in ("p", "q", "hold", "alpha"):
-        if getattr(args, key) is not None:
-            params[key] = getattr(args, key)
-    chain = generate(args.family, m=args.m, seed=args.gen_seed, **params)
-    # the label names every value that picks the chain, as verify's ids do
-    label = [f"m={args.m}"] if args.m is not None else []
-    label += [f"{k}={'|'.join(map(repr, v.tolist())) if k == 'mu' else repr(v)}"
-              for k, v in params.items()]
-    if args.family == "random-dense":
-        label.append(f"seed={args.gen_seed}")
-    return f"{args.family}({','.join(label)})", chain
+def _chain(args) -> tuple[str, ChainSpec]:
+    """The SOURCE text of ``--chain`` and the chain it names."""
+    if args.chain is None:
+        raise ValidationError("no chain given: use --chain FILE|DESCRIPTOR")
+    return parse_descriptor(args.chain)
 
 
 def _json(obj) -> str:
@@ -191,12 +180,12 @@ def _meta(args, **extra) -> dict:
 
 
 def cmd_chain_validate(args) -> str:
-    P = load_chain(args.infile).matrix
+    P = _chain(args)[1].matrix
     return f"ok m={P.m} irreducible={'true' if is_irreducible(P) else 'false'}\n"
 
 
 def cmd_chain_stationary(args) -> str:
-    pi = stationary(_chain_from_args(args)[1].matrix)
+    pi = stationary(_chain(args)[1].matrix)
     if args.format == "json":
         return _json({"pi": list(map(float, pi.pi)), "residual": pi.residual})
     pretty = ", ".join(f"{x:.6f}" for x in pi.pi)
@@ -204,14 +193,14 @@ def cmd_chain_stationary(args) -> str:
 
 
 def cmd_chain_generate(args) -> str:
-    return _json(chain_to_dict(_chain_from_args(args)[1]))
+    return _json(chain_to_dict(_chain(args)[1]))
 
 
 # --- hit --------------------------------------------------------------------
 
 
 def cmd_hit_table(args) -> str:
-    chain_id, chain = _chain_from_args(args)
+    chain_id, chain = _chain(args)
     table = hitting_table(chain.matrix, parse_index_set(args.B))
     if args.format == "json":
         return _json({"B": list(table.target.members), "h": list(map(float, table.h)),
@@ -221,17 +210,17 @@ def cmd_hit_table(args) -> str:
 
 
 def cmd_hit_tplus(args) -> str:
-    P = _chain_from_args(args)[1].matrix
+    P = _chain(args)[1].matrix
     return f"{t_plus(P, parse_index_set(args.A), parse_index_set(args.B))!r}\n"
 
 
 def cmd_hit_tminus(args) -> str:
-    P = _chain_from_args(args)[1].matrix
+    P = _chain(args)[1].matrix
     return f"{t_minus(P, parse_index_set(args.A), parse_index_set(args.B))!r}\n"
 
 
 def cmd_hit_tlarge(args) -> str:
-    P = _chain_from_args(args)[1].matrix
+    P = _chain(args)[1].matrix
     res = t_large(P, stationary(P), args.eps)
     if args.format == "json":
         return _json({"epsilon": res.epsilon, "value": res.value,
@@ -241,13 +230,13 @@ def cmd_hit_tlarge(args) -> str:
 
 
 def cmd_hit_lemma1(args) -> str:
-    chain_id, chain = _chain_from_args(args)
+    chain_id, chain = _chain(args)
     return _report(check_lemma1(chain.matrix, stationary(chain.matrix), parse_index_set(args.A),
                                 parse_index_set(args.B), chain_id), args)
 
 
 def cmd_hit_lemma2(args) -> str:
-    chain_id, chain = _chain_from_args(args)
+    chain_id, chain = _chain(args)
     return _report(check_lemma2(chain.matrix, stationary(chain.matrix), parse_index_set(args.A),
                                 chain_id), args)
 
@@ -261,7 +250,7 @@ def _simulation(args):
     workers = _default_workers()
     if args.workers is None:
         args.workers = workers
-    chain_id, chain = _chain_from_args(args)
+    chain_id, chain = _chain(args)
     pi = stationary(chain.matrix)
     _check_at_least_one(**{k: getattr(args, k) for k in ("n", "trials", "workers")
                            if hasattr(args, k)})
@@ -360,13 +349,14 @@ def _surrogate_params(args) -> bnd.BoundParams:
 
 
 def _pi_from_args(args):
-    if args.pi is not None:
-        vec = parse_float_vector(args.pi)
-        if not abs(vec.sum() - 1.0) <= 1e-9 or np.any(vec < 0):  # NaN fails too
-            raise ValidationError("--pi must be a probability vector")
-        return StationaryDistribution(pi=vec, residual=0.0)
-    _, chain = _chain_from_args(args)
-    return stationary(chain.matrix)
+    if args.pi is None:
+        return stationary(_chain(args)[1].matrix)
+    if args.chain is not None:
+        raise ValidationError("give --chain or --pi, not both")
+    vec = parse_float_vector(args.pi)
+    if not abs(vec.sum() - 1.0) <= 1e-9 or np.any(vec < 0):  # NaN fails too
+        raise ValidationError("--pi must be a probability vector")
+    return StationaryDistribution(pi=vec, residual=0.0)
 
 
 def cmd_bounds_kl(args) -> str:
@@ -502,19 +492,15 @@ def cmd_verify(args) -> int:
 
 
 def _command(group, name: str, handler, sets=(), source: bool = True, fmt: bool = False):
-    """A leaf subcommand run by ``handler``: the chain-source flags if it reads a chain,
-    a required index-list flag per name in ``sets``, ``--out``, and ``--format`` if it has
-    both a CSV and a JSON form."""
-    p = group.add_parser(name)
+    """A leaf subcommand run by ``handler``: ``--chain`` if it reads a chain, a required
+    index-list flag per name in ``sets``, ``--out``, and ``--format`` if it has both a CSV
+    and a JSON form. A flag is matched whole, never by a prefix, so a removed flag such
+    as ``--p`` exits 2 rather than reading as ``--pi``."""
+    p = group.add_parser(name, allow_abbrev=False)
     p.set_defaults(handler=handler)
     if source:
-        p.add_argument("--in", dest="infile", metavar="FILE", help="chain-spec JSON file")
-        p.add_argument("--family", choices=CHAIN_FAMILIES)
-        p.add_argument("--m", type=int)
-        p.add_argument("--mu", help="comma-separated distribution for iid")
-        for flag in ("--p", "--q", "--hold", "--alpha"):
-            p.add_argument(flag, type=float)
-        p.add_argument("--gen-seed", type=int, default=0)
+        p.add_argument("--chain", metavar="SOURCE",
+                       help="chain file, or a descriptor such as 'lazy-cycle:m=5;hold=0.5'")
     for set_name in sets:
         p.add_argument("--" + set_name, required=True, help="comma-separated state indices")
     p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
@@ -539,7 +525,7 @@ def _add_sim(p, n: bool = True):
 
 
 def _add_bound_params(p, n: bool = True, c_and_t: bool = True):
-    p.add_argument("--pi", help="explicit stationary vector (bypasses chain)")
+    p.add_argument("--pi", help="explicit stationary vector, in place of --chain")
     if n:
         p.add_argument("--n", type=int, default=1)
     if c_and_t:
@@ -559,9 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chain = sub.add_parser("chain", help="validate, analyze, or generate chain files")
     chain = chain.add_subparsers(dest="chain_cmd", required=True)
-    cv = chain.add_parser("validate")
-    cv.set_defaults(handler=cmd_chain_validate)
-    cv.add_argument("--in", dest="infile", required=True)
+    _command(chain, "validate", cmd_chain_validate)
     _command(chain, "stationary", cmd_chain_stationary, fmt=True)
     _command(chain, "generate", cmd_chain_generate)
 
@@ -602,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_numbers(_command(b, "kl", cmd_bounds_kl, source=False), "--p", "--q")
     _add_numbers(_command(b, "pinsker", cmd_bounds_pinsker, source=False, fmt=True), "--p", "--q")
 
-    ver = sub.add_parser("verify", help="run inequality verification suites",
+    ver = sub.add_parser("verify", allow_abbrev=False,
+                         help="run inequality verification suites",
                          description="Every int or float VerifyOptions field is a flag; MML_WORKERS, "
                                      "then --config, then the flags override the defaults.")
     ver.set_defaults(handler=cmd_verify)
@@ -625,7 +610,7 @@ def main(argv=None) -> int:
         return next(EXIT_CODES[cls] for cls in type(e).__mro__ if cls in EXIT_CODES)
     if isinstance(text, int):  # verify wrote its report directory
         return text
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)

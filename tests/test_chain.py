@@ -208,10 +208,20 @@ class TestGenerate:
     @pytest.mark.parametrize("family,params", FAMILY_CASES)
     def test_families_validate_and_are_irreducible(self, family, params):
         m = params.pop("m", None)
-        chain = generate(family, m=m, seed=11, **params)
+        seed = {"seed": 11} if family == "random-dense" else {}
+        chain = generate(family, m=m, **params, **seed)
         assert is_irreducible(chain.matrix)
         # re-validating the produced rows must succeed
         validate(chain.matrix.rows)
+
+    def test_seed_is_read_by_random_dense_alone(self):
+        for family, params in [("iid", dict(mu=(0.5, 0.5))), ("two-state", dict(p=0.1, q=0.2)),
+                               ("lazy-cycle", dict(m=4, hold=0.5)),
+                               ("birth-death", dict(m=5, p=0.3, q=0.3))]:
+            with pytest.raises(BadParamsError, match=r"unused parameters .*\['seed'\]"):
+                generate(family, seed=9, **params)
+        assert np.array_equal(generate("random-dense", m=4).matrix.rows,
+                              generate("random-dense", m=4, seed=0).matrix.rows)
 
     def test_generate_is_deterministic(self):
         a = generate("random-dense", m=5, seed=123)

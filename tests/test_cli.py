@@ -19,7 +19,6 @@ from mml.cli import (
     _options_from_args,
     build_parser,
     main,
-    parse_descriptor,
     parse_grid,
     parse_index_set,
 )
@@ -56,14 +55,13 @@ class TestArgHelpers:
 
 class TestChainCommands:
     def test_stationary_prints_pi(self, two_state, capsys):
-        assert main(["chain", "stationary", "--in", two_state]) == 0
+        assert main(["chain", "stationary", "--chain", two_state]) == 0
         out = capsys.readouterr().out
         assert "0.666667" in out and "0.333333" in out
 
     def test_generate_writes_iid_file(self, tmp_path, capsys):
         out_file = tmp_path / "c.json"
-        rc = main(["chain", "generate", "--family", "iid", "--mu", "0.5,0.5",
-                   "--out", str(out_file)])
+        rc = main(["chain", "generate", "--chain", "iid:mu=0.5,0.5", "--out", str(out_file)])
         assert rc == 0
         obj = json.loads(out_file.read_text())
         assert obj["P"][0] == obj["P"][1] == [0.5, 0.5]
@@ -71,44 +69,42 @@ class TestChainCommands:
     def test_validate_bad_rows_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"m": 2, "P": [[0.6, 0.5], [0.5, 0.5]]}))
-        assert main(["chain", "validate", "--in", str(bad)]) == 3
+        assert main(["chain", "validate", "--chain", str(bad)]) == 3
         assert "row 0" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["chain", "validate", "--in", str(tmp_path / "nope.json")]) == 2
+        assert main(["chain", "validate", "--chain", str(tmp_path / "nope.json")]) == 2
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"m": 2,')
-        assert main(["chain", "validate", "--in", str(bad)]) == 2
+        assert main(["chain", "validate", "--chain", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
     def test_stationary_not_irreducible_exits_4(self, tmp_path, capsys):
         bad = tmp_path / "red.json"
         bad.write_text(json.dumps({"m": 2, "P": [[1.0, 0.0], [0.5, 0.5]]}))
-        assert main(["chain", "stationary", "--in", str(bad)]) == 4
+        assert main(["chain", "stationary", "--chain", str(bad)]) == 4
 
     def test_validate_valid_file(self, two_state, cycle3, capsys):
-        assert main(["chain", "validate", "--in", two_state]) == 0
-        assert main(["chain", "validate", "--in", cycle3]) == 0
+        assert main(["chain", "validate", "--chain", two_state]) == 0
+        assert main(["chain", "validate", "--chain", cycle3]) == 0
         assert capsys.readouterr().out == "ok m=2 irreducible=true\nok m=3 irreducible=true\n"
 
     def test_stationary_json(self, two_state, capsys):
-        assert main(["chain", "stationary", "--in", two_state, "--format", "json"]) == 0
+        assert main(["chain", "stationary", "--chain", two_state, "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["pi"] == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
         assert 0 <= out["residual"] <= 1e-10
 
     def test_generate_to_stdout(self, capsys):
-        assert main(["chain", "generate", "--family", "two-state", "--p", "0.1", "--q", "0.2"]) == 0
+        assert main(["chain", "generate", "--chain", "two-state:p=0.1;q=0.2"]) == 0
         assert json.loads(capsys.readouterr().out) == {"m": 2, "P": [[0.9, 0.1], [0.2, 0.8]]}
 
-    @pytest.mark.parametrize("flags", [["--family", "iid", "--mu", "0.5,0.5", "--m", "5"],
-                                       ["--family", "two-state", "--p", "0.1", "--q", "0.2",
-                                        "--m", "3"]])
-    def test_generate_m_the_family_ignores_exits_3(self, capsys, flags):
-        assert main(["chain", "stationary", *flags]) == 3
-        assert f"has 2 states, got m={flags[-1]}" in capsys.readouterr().err
+    @pytest.mark.parametrize("source", ["iid:mu=0.5,0.5;m=5", "two-state:p=0.1;q=0.2;m=3"])
+    def test_generate_m_the_family_ignores_exits_3(self, capsys, source):
+        assert main(["chain", "stationary", "--chain", source]) == 3
+        assert f"has 2 states, got m={source[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("descriptor", ["iid:mu=0.5,0.5;m=3", "two-state:p=0.1;q=0.2;m=4"])
     def test_descriptor_m_the_family_ignores_exits_3(self, tmp_path, capsys, descriptor):
@@ -118,81 +114,137 @@ class TestChainCommands:
         assert rc == 3
         assert f"has 2 states, got m={descriptor[-1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,rc,message", [
+        ([], 3, "error: no chain given: use --chain FILE|DESCRIPTOR"),
+        # no .json suffix and no such file: a descriptor of an unknown family
+        (["--chain", "nope"], 3, "error: unknown chain family 'nope'"),
+        (["--chain", "nope.json"], 2, "error: nope.json:"),
+    ])
+    def test_chain_source_errors(self, tmp_path, monkeypatch, capsys, argv, rc, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["chain", "validate", *argv]) == rc
+        assert message in capsys.readouterr().err
+
+    def test_descriptor_validates_its_chain(self, capsys):
+        assert main(["chain", "validate", "--chain", "lazy-cycle:m=5;hold=0.5"]) == 0
+        assert capsys.readouterr().out == "ok m=5 irreducible=true\n"
+
+    @pytest.mark.parametrize("source,message", [
+        ("lazy-cycle:m=4;hold=0.5;hold=0.9", "parameter 'hold' is given twice"),
+        ("random-dense:m=4;seed=1;seed=2", "parameter 'seed' is given twice"),
+        # a family reads only its own parameters: a seed is read by random-dense alone
+        ("lazy-cycle:m=4;hold=0.5;seed=9", "unused parameters for family 'lazy-cycle': ['seed']"),
+        ("lazy-cycle:m=4;hold=0.5;family=3",
+         "unused parameters for family 'lazy-cycle': ['family']"),
+    ])
+    def test_descriptor_parameter_read_once_exits_3(self, tmp_path, capsys, source, message):
+        assert main(["hit", "table", "--chain", source, "--B", "0"]) == 3
+        assert message in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"chains": [source]}))
+        assert main(["verify", "cor1", "--config", str(path), "--out", str(tmp_path / "r")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--in", "c.json"), ("--family", "lazy-cycle"), ("--m", "5"), ("--mu", "0.5,0.5"),
+        ("--p", "0.1"), ("--q", "0.2"), ("--hold", "0.5"), ("--alpha", "1"), ("--gen-seed", "7")])
+    @pytest.mark.parametrize("command", [
+        ["hit", "table", "--chain", "lazy-cycle:m=5;hold=0.5", "--B", "0"],
+        # a flag is matched whole: --p is not read as a prefix of --pi
+        ["bounds", "iidsurv", "--pi", "0.5,0.5", "--J", "0", "--n", "3"]], ids=lambda c: c[1])
+    def test_removed_chain_flags_exit_2(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as e:
+            main([*command, flag, value])
+        assert e.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_generated_file_names_the_same_chain(self, tmp_path, capsys):
+        source, path = "random-dense:m=6;seed=7", str(tmp_path / "f.json")
+        assert main(["chain", "generate", "--chain", source, "--out", path]) == 0
+        outs = []
+        for chain in (source, path):
+            assert main(["hit", "table", "--chain", chain, "--B", "0,3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert [out.splitlines()[0] for out in outs] == [f"# chain={source}", f"# chain={path}"]
+        assert csv_body(outs[0]) == csv_body(outs[1])
+
     def test_unclassified_library_error_exits_3(self, two_state, capsys, monkeypatch):
         def fail(P):
             raise MMLError("no exit code of its own")
 
         monkeypatch.setattr(mml.cli, "stationary", fail)
-        assert main(["chain", "stationary", "--in", two_state]) == 3
+        assert main(["chain", "stationary", "--chain", two_state]) == 3
         assert capsys.readouterr().err == "error: no exit code of its own\n"
 
 
 class TestHitCommands:
     def test_table_cycle(self, cycle3, capsys):
-        assert main(["hit", "table", "--in", cycle3, "--B", "2"]) == 0
+        assert main(["hit", "table", "--chain", cycle3, "--B", "2"]) == 0
         out = capsys.readouterr().out
         assert "0,2.0" in out and "1,1.0" in out and "2,0.0" in out
 
     def test_table_headers_tell_hold_values_apart(self, capsys):
-        headers = []
-        for hold in ("0.5", "0.9"):
-            assert main(["hit", "table", "--family", "lazy-cycle", "--m", "4", "--hold", hold,
-                         "--B", "0"]) == 0
+        headers, ids = [], []
+        for source in ("lazy-cycle:m=4;hold=0.5", "lazy-cycle:m=4;hold=0.9"):
+            assert main(["hit", "table", "--chain", source, "--B", "0"]) == 0
             headers.append(capsys.readouterr().out.splitlines()[0])
-        assert headers == ["# chain=lazy-cycle(m=4,hold=0.5)", "# chain=lazy-cycle(m=4,hold=0.9)"]
+            assert main(["hit", "lemma1", "--chain", source, "--A", "0", "--B", "1"]) == 0
+            body = csv_body(capsys.readouterr().out).splitlines()
+            ids.append(next(csv.DictReader(body))["chain_id"])
+        assert headers == ["# chain=lazy-cycle:m=4;hold=0.5", "# chain=lazy-cycle:m=4;hold=0.9"]
+        assert ids == ["lazy-cycle:m=4;hold=0.5", "lazy-cycle:m=4;hold=0.9"]
 
-    @pytest.mark.parametrize("flags,label", [
-        ("--family birth-death --m 8 --p 0.3 --q 0.3", "birth-death(m=8,p=0.3,q=0.3)"),
-        ("--family two-state --p 0.1 --q 0.2", "two-state(p=0.1,q=0.2)"),
-        ("--family iid --mu 0.25,0.75", "iid(mu=0.25|0.75)"),
-        ("--family random-dense --m 4 --gen-seed 7", "random-dense(m=4,seed=7)"),
+    @pytest.mark.parametrize("source,cell", [
+        ("birth-death:m=8;p=0.3;q=0.3", "birth-death:m=8;p=0.3;q=0.3"),
+        ("two-state:p=0.1;q=0.2", "two-state:p=0.1;q=0.2"),
+        ("iid:mu=0.25,0.75", '"iid:mu=0.25,0.75"'),  # a CSV cell holding a comma is quoted
+        ("random-dense:m=4;seed=7", "random-dense:m=4;seed=7"),
     ])
-    def test_label_names_every_chain_parameter(self, capsys, flags, label):
-        assert main(["hit", "table", *flags.split(), "--B", "0"]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == f"# chain={label}"
-        assert main(["simulate", "mm", *flags.split(), "--n", "2", "--trials", "10"]) == 0
-        assert f"# chain={label}" in capsys.readouterr().out.splitlines()
-        assert main(["hit", "lemma1", *flags.split(), "--A", "0", "--B", "1"]) == 0
-        rows = list(csv.reader(csv_body(capsys.readouterr().out).splitlines()))
-        assert rows[1][1] == label  # chain_id
+    def test_label_names_every_chain_parameter(self, capsys, source, cell):
+        # the chain id is the SOURCE text, which names every value that picks the chain
+        assert main(["hit", "table", "--chain", source, "--B", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"# chain={source}"
+        assert main(["simulate", "mm", "--chain", source, "--n", "2", "--trials", "10"]) == 0
+        assert f"# chain={source}" in capsys.readouterr().out.splitlines()
+        for argv in (["lemma1", "--A", "0", "--B", "1"], ["lemma2", "--A", "0"]):
+            assert main(["hit", argv[0], "--chain", source, *argv[1:]]) == 0
+            row = csv_body(capsys.readouterr().out).splitlines()[1]
+            assert row.startswith(f"{argv[0]},{cell},")
+            assert next(csv.reader([row]))[1] == source  # chain_id
 
     def test_tlarge_uniform(self, capsys):
-        rc = main(["hit", "tlarge", "--family", "iid", "--mu", "0.5,0.5", "--eps", "0.5"])
+        rc = main(["hit", "tlarge", "--chain", "iid:mu=0.5,0.5", "--eps", "0.5"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "T(0.5)=2.0" in out and "witness={0}" in out
 
     def test_lemma1_uniform(self, capsys):
-        rc = main(["hit", "lemma1", "--family", "iid", "--mu", "0.5,0.5",
+        rc = main(["hit", "lemma1", "--chain", "iid:mu=0.5,0.5",
                    "--A", "0", "--B", "1"])
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "lemma1" in out
-        row = [l for l in out.splitlines() if l.startswith("lemma1")][0]
-        cells = row.split(",")
-        assert cells[3] == "0.5" and cells[4] == "0.5"  # bound, value
-        assert cells[7] == "true"
+        (row,) = csv.DictReader(csv_body(capsys.readouterr().out).splitlines())
+        assert row["name"] == "lemma1"
+        assert (row["bound"], row["value"], row["holds"]) == ("0.5", "0.5", "true")
 
     def test_tplus(self, cycle3, capsys):
-        assert main(["hit", "tplus", "--in", cycle3, "--A", "0,1", "--B", "2"]) == 0
+        assert main(["hit", "tplus", "--chain", cycle3, "--A", "0,1", "--B", "2"]) == 0
         assert capsys.readouterr().out.strip() == "2.0"
 
     def test_tlarge_too_many_states_exits_4(self, capsys):
-        rc = main(["hit", "tlarge", "--family", "lazy-cycle", "--m", "21",
-                   "--hold", "0.5", "--eps", "0.5"])
+        rc = main(["hit", "tlarge", "--chain", "lazy-cycle:m=21;hold=0.5", "--eps", "0.5"])
         assert rc == 4
 
     def test_empty_set_exits_4(self, cycle3):
-        assert main(["hit", "table", "--in", cycle3, "--B", ""]) == 4
+        assert main(["hit", "table", "--chain", cycle3, "--B", ""]) == 4
 
     def test_table_json(self, cycle3, capsys):
-        assert main(["hit", "table", "--in", cycle3, "--B", "2", "--format", "json"]) == 0
+        assert main(["hit", "table", "--chain", cycle3, "--B", "2", "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["B"], out["h"]) == ([2], [2.0, 1.0, 0.0])
         assert out["t_plus_all"] == 2.0
 
     def test_tlarge_json(self, capsys):
-        rc = main(["hit", "tlarge", "--family", "iid", "--mu", "0.5,0.5", "--format", "json"])
+        rc = main(["hit", "tlarge", "--chain", "iid:mu=0.5,0.5", "--format", "json"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out) == {"epsilon": 0.5, "value": 2.0,
                                                        "witness": [0]}
@@ -200,14 +252,14 @@ class TestHitCommands:
 
 class TestSimulateCommands:
     def test_mm_mean_exactly_half(self, capsys):
-        rc = main(["simulate", "mm", "--family", "iid", "--mu", "0.5,0.5",
+        rc = main(["simulate", "mm", "--chain", "iid:mu=0.5,0.5",
                    "--n", "1", "--trials", "1000", "--seed", "7"])
         assert rc == 0
         body = csv_body(capsys.readouterr().out)
         assert body.splitlines()[1].split(",")[2] == "0.5"
 
     def test_jointtail_iid(self, capsys):
-        rc = main(["simulate", "jointtail", "--family", "iid", "--mu", "0.5,0.5",
+        rc = main(["simulate", "jointtail", "--chain", "iid:mu=0.5,0.5",
                    "--J", "1", "--n", "3", "--trials", "20000", "--seed", "7"])
         assert rc == 0
         body = csv_body(capsys.readouterr().out)
@@ -215,7 +267,7 @@ class TestSimulateCommands:
         assert abs(p_hat - 0.125) < 0.01
 
     def test_mgf_s_zero(self, capsys):
-        rc = main(["simulate", "mgf", "--family", "iid", "--mu", "0.5,0.5",
+        rc = main(["simulate", "mgf", "--chain", "iid:mu=0.5,0.5",
                    "--s", "0", "--n", "2", "--trials", "100", "--seed", "3"])
         assert rc == 0
         body = csv_body(capsys.readouterr().out)
@@ -223,13 +275,13 @@ class TestSimulateCommands:
 
     def test_mgf_past_the_float_range(self, capsys):
         # a missing mass of 1/2 makes exp(5000 / 2) overflow
-        rc = main(["simulate", "mgf", "--family", "two-state", "--p", "0.1", "--q", "0.1",
+        rc = main(["simulate", "mgf", "--chain", "two-state:p=0.1;q=0.1",
                    "--trials", "100", "--n", "3", "--s", "5000"])
         assert rc == 0
         assert csv_body(capsys.readouterr().out).splitlines()[1] == "5000.0,inf,100"
 
     def test_hittail_deterministic(self, cycle3, capsys):
-        rc = main(["simulate", "hittail", "--in", cycle3, "--B", "2", "--t", "1,2,3",
+        rc = main(["simulate", "hittail", "--chain", cycle3, "--B", "2", "--t", "1,2,3",
                    "--trials", "20", "--seed", "5"])
         assert rc == 0
         body = csv_body(capsys.readouterr().out)
@@ -238,7 +290,7 @@ class TestSimulateCommands:
 
     def test_mm_dump(self, tmp_path, capsys):
         dump = tmp_path / "raw.csv"
-        rc = main(["simulate", "mm", "--family", "iid", "--mu", "0.5,0.5",
+        rc = main(["simulate", "mm", "--chain", "iid:mu=0.5,0.5",
                    "--n", "1", "--trials", "5", "--seed", "7", "--dump", str(dump)])
         assert rc == 0
         lines = dump.read_text().splitlines()
@@ -250,10 +302,10 @@ class TestSimulateCommands:
 
     def test_mm_dump_rows_match_samples(self, tmp_path, capsys):
         dump = tmp_path / "raw.csv"
-        argv = ["simulate", "mm", "--family", "random-dense", "--m", "6", "--n", "3",
+        argv = ["simulate", "mm", "--chain", "random-dense:m=6", "--n", "3",
                 "--trials", "300", "--seed", "5"]
         assert main([*argv, "--dump", str(dump)]) == 0
-        _, chain = parse_descriptor("random-dense:m=6")
+        chain = mml.generate("random-dense", m=6)
         config = mml.SimConfig(chain=chain, n=3, trials=300, master_seed=5)
         samples = mml.sample_missing_mass(config, mml.stationary(chain.matrix))
         rows = [line.split(",") for line in dump.read_text().splitlines()[1:]]
@@ -265,7 +317,7 @@ class TestSimulateCommands:
         assert mean == pytest.approx(np.mean([s.value for s in samples]), rel=1e-12)
 
     def test_tail_ci99_halfwidth(self, capsys):
-        rc = main(["simulate", "jointtail", "--family", "iid", "--mu", "0.5,0.5",
+        rc = main(["simulate", "jointtail", "--chain", "iid:mu=0.5,0.5",
                    "--J", "1", "--n", "2", "--trials", "1000", "--seed", "7"])
         assert rc == 0
         header, row = csv_body(capsys.readouterr().out).splitlines()
@@ -277,14 +329,14 @@ class TestSimulateCommands:
         assert float(ci) == 2.576 * np.sqrt(p * (1 - p) / 1000)
 
     def test_jointtail_full_space_is_zero(self, capsys):
-        rc = main(["simulate", "jointtail", "--family", "iid", "--mu", "0.5,0.5",
+        rc = main(["simulate", "jointtail", "--chain", "iid:mu=0.5,0.5",
                    "--J", "0,1", "--n", "1", "--trials", "200", "--seed", "2"])
         assert rc == 0
         row = csv_body(capsys.readouterr().out).splitlines()[1]
         assert row.split(",")[1:4] == ["0", "200", "0.0"]
 
     def test_jointtail_cycle_needs_more_steps(self, cycle3, capsys):
-        rc = main(["simulate", "jointtail", "--in", cycle3, "--J", "2", "--n", "2",
+        rc = main(["simulate", "jointtail", "--chain", cycle3, "--J", "2", "--n", "2",
                    "--trials", "100", "--seed", "3", "--format", "json"])
         assert rc == 0
         tail = json.loads(capsys.readouterr().out)["tails"][0]
@@ -292,12 +344,12 @@ class TestSimulateCommands:
 
     @pytest.mark.parametrize("J", ["", "3"])
     def test_jointtail_bad_set(self, cycle3, capsys, J):
-        rc = main(["simulate", "jointtail", "--in", cycle3, "--J", J, "--n", "2"])
+        rc = main(["simulate", "jointtail", "--chain", cycle3, "--J", J, "--n", "2"])
         assert rc == (4 if J == "" else 3)
         assert "set J" in capsys.readouterr().err
 
     def test_hittail_cap_is_reported(self, capsys):
-        rc = main(["simulate", "hittail", "--family", "lazy-cycle", "--m", "10", "--hold", "0.9",
+        rc = main(["simulate", "hittail", "--chain", "lazy-cycle:m=10;hold=0.9",
                    "--B", "5", "--t", "1,2,3", "--trials", "200", "--seed", "9", "--cap", "3"])
         assert rc == 0
         out = capsys.readouterr().out
@@ -314,7 +366,7 @@ class TestSimulateCommands:
     ])
     def test_hittail_beyond_cap_exits_3(self, capsys, cap, t, message):
         # p_hat beyond the cap is unknown: a cut trial may be hit at any later step
-        rc = main(["simulate", "hittail", "--family", "lazy-cycle", "--m", "10", "--hold", "0.9",
+        rc = main(["simulate", "hittail", "--chain", "lazy-cycle:m=10;hold=0.9",
                    "--B", "5", "--t", t, "--trials", "200", "--seed", "9", "--cap", cap])
         assert rc == 3
         assert f"error: {message}" in capsys.readouterr().err
@@ -322,7 +374,7 @@ class TestSimulateCommands:
     @pytest.mark.parametrize("t", ["5..3", ","])
     def test_hittail_empty_grid_exits_3(self, capsys, t):
         # no threshold: the command would sample every trial for a header with no rows
-        rc = main(["simulate", "hittail", "--family", "lazy-cycle", "--m", "10", "--hold", "0.9",
+        rc = main(["simulate", "hittail", "--chain", "lazy-cycle:m=10;hold=0.9",
                    "--B", "5", "--t", t, "--trials", "200", "--seed", "9"])
         assert rc == 3
         captured = capsys.readouterr()
@@ -335,7 +387,7 @@ class TestSimulateCommands:
     ])
     def test_sentinel_past_int64_exits_3(self, capsys, argv, name):
         # n + 1 and cap + 1 are the int64 sentinels of an unseen state and a cut trial
-        rc = main(["simulate", argv[0], "--family", "random-dense", "--m", "4", "--trials", "10",
+        rc = main(["simulate", argv[0], "--chain", "random-dense:m=4", "--trials", "10",
                    *argv[1:]])
         assert rc == 3
         err = capsys.readouterr().err
@@ -490,12 +542,22 @@ class TestBoundsCommands:
         assert captured.out == "" and "must be" in captured.err
 
     def test_chain_from_family(self, capsys):
-        # a chain given by --family yields the same bound as its stationary law given by --pi
+        # a chain given by --chain yields the same bound as its stationary law given by --pi
         tail = ["--J", "0", "--n", "2", "--c", "1", "--T", "1"]
-        assert main(["bounds", "jointbound", "--family", "iid", "--mu", "0.25,0.75", *tail]) == 0
-        by_family = capsys.readouterr().out
+        assert main(["bounds", "jointbound", "--chain", "iid:mu=0.25,0.75", *tail]) == 0
+        by_chain = capsys.readouterr().out
         assert main(["bounds", "jointbound", "--pi", "0.25,0.75", *tail]) == 0
-        assert by_family == capsys.readouterr().out == f"{math.exp(-0.5)!r}\n"
+        assert by_chain == capsys.readouterr().out == f"{math.exp(-0.5)!r}\n"
+
+    @pytest.mark.parametrize("argv", [["qprob", "--n", "3"], ["jointbound", "--J", "0", "--n", "3"],
+                                      ["iidsurv", "--J", "0", "--n", "3"], ["product", "--J", "0"],
+                                      ["mmtail", "--n", "3", "--eps", "0.1"]], ids=lambda a: a[0])
+    def test_chain_and_pi_exit_3(self, capsys, argv):
+        # either names the stationary law: one would be dropped without a word
+        rc = main(["bounds", *argv, "--pi", "0.5,0.5", "--chain", "lazy-cycle:m=5;hold=0.5"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: give --chain or --pi, not both" in captured.err
 
 
 class TestVerifyCommand:
@@ -586,8 +648,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv", [
         ["verify", "ergodic", "--ergodic-steps", "10"],
         ["verify", "ergodic", "--ergodic-steps", "10", "--workers", "2"],
-        ["simulate", "mm", "--family", "iid", "--mu", "0.5,0.5", "--trials", "10"],
-        ["simulate", "mm", "--family", "iid", "--mu", "0.5,0.5", "--trials", "10",
+        ["simulate", "mm", "--chain", "iid:mu=0.5,0.5", "--trials", "10"],
+        ["simulate", "mm", "--chain", "iid:mu=0.5,0.5", "--trials", "10",
          "--workers", "2"],
     ])
     def test_bad_mml_workers_exits_3(self, tmp_path, monkeypatch, capsys, value, argv):
@@ -886,12 +948,12 @@ def test_runtime_imports_no_scipy():
     assert out.strip() == "[]"
 
 
-SOURCE = {"--in", "--family", "--m", "--mu", "--p", "--q", "--hold", "--alpha", "--gen-seed"}
+SOURCE = {"--chain"}
 SIM = {"--trials", "--seed", "--workers"}
 BOUND = {"--pi", "--n", "--c", "--T", "--iid"}
 # every leaf subcommand's flags: --format only where a command has both a CSV and a JSON form
 COMMAND_FLAGS = {
-    "chain validate": {"--in"},
+    "chain validate": SOURCE | {"--out"},
     "chain stationary": SOURCE | {"--out", "--format"},
     "chain generate": SOURCE | {"--out"},
     "hit table": SOURCE | {"--out", "--format", "--B"},
@@ -933,13 +995,14 @@ def _leaf_flags(parser, path=()):
 def test_each_command_has_exactly_the_flags_it_reads():
     flags = dict(_leaf_flags(build_parser()))
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 262
+    assert sum(map(len, flags.values())) == 127
 
 
-CHAIN = ["--family", "lazy-cycle", "--m", "5", "--hold", "0.5"]
+CHAIN = ["--chain", "lazy-cycle:m=5;hold=0.5"]
 SIM_ARGS = ["--trials", "300", "--seed", "4"]
 # one invocation of every command that prints its output, that is, every one with --out but verify
 OUT_COMMANDS = [
+    ["chain", "validate", *CHAIN],
     ["chain", "stationary", *CHAIN],
     ["chain", "generate", *CHAIN],
     ["hit", "table", *CHAIN, "--B", "1,2", "--format", "json"],
