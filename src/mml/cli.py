@@ -124,7 +124,7 @@ DESCRIPTOR_VALUES = {"mu": (parse_float_vector, "a comma-separated number list")
 def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
     """Chain source: a .json path or an existing file, else 'family:key=value;key=value'
     with each key at most once."""
-    if text.endswith(".json") or Path(text).exists():
+    if text.endswith(".json") or os.path.exists(text):
         return text, load_chain(text)
     family, _, rest = text.partition(":")
     params: dict = {}
@@ -491,10 +491,11 @@ def cmd_verify(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _command(group, name: str, handler, sets=(), source: bool = True, fmt: bool = False):
+def _command(group, name: str, handler, sets=(), source: bool = True, out: bool = True,
+             fmt: bool = False):
     """A leaf subcommand run by ``handler``: ``--chain`` if it reads a chain, a required
-    index-list flag per name in ``sets``, ``--out``, and ``--format`` if it has both a CSV
-    and a JSON form. A flag is matched whole, never by a prefix, so a removed flag such
+    index-list flag per name in ``sets``, ``--out`` if it prints its output, and ``--format``
+    if it has both a CSV and a JSON form. A flag is matched whole, never by a prefix, so a removed flag such
     as ``--p`` exits 2 rather than reading as ``--pi``."""
     p = group.add_parser(name, allow_abbrev=False)
     p.set_defaults(handler=handler)
@@ -503,7 +504,8 @@ def _command(group, name: str, handler, sets=(), source: bool = True, fmt: bool 
                        help="chain file, or a descriptor such as 'lazy-cycle:m=5;hold=0.5'")
     for set_name in sets:
         p.add_argument("--" + set_name, required=True, help="comma-separated state indices")
-    p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
+    if out:
+        p.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     if fmt:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return p
@@ -545,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chain = sub.add_parser("chain", help="validate, analyze, or generate chain files")
     chain = chain.add_subparsers(dest="chain_cmd", required=True)
-    _command(chain, "validate", cmd_chain_validate)
+    _command(chain, "validate", cmd_chain_validate, out=False)
     _command(chain, "stationary", cmd_chain_stationary, fmt=True)
     _command(chain, "generate", cmd_chain_generate)
 
@@ -610,7 +612,7 @@ def main(argv=None) -> int:
         return next(EXIT_CODES[cls] for cls in type(e).__mro__ if cls in EXIT_CODES)
     if isinstance(text, int):  # verify wrote its report directory
         return text
-    if args.out:
+    if getattr(args, "out", None):
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
