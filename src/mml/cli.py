@@ -188,7 +188,7 @@ def cmd_chain_stationary(args) -> str:
     pi = stationary(_chain(args)[1].matrix)
     if args.format == "json":
         return _json({"pi": list(map(float, pi.pi)), "residual": pi.residual})
-    pretty = ", ".join(f"{x:.6f}" for x in pi.pi)
+    pretty = ", ".join(f"{x:.6g}" for x in pi.pi)
     return f"pi = ({pretty})\nresidual = {pi.residual!r}\n"
 
 

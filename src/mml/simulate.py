@@ -2,24 +2,16 @@
 
 Trials are partitioned into fixed-size blocks; block b of a run with
 master seed s draws from a Philox generator keyed by (s, b), so results
-are bit-identical for any worker count. Aggregates are integer counts
-plus floating sums combined in block order.
+are bit-identical for any worker count.
 
-Each step maps one 64-bit word w of a stream to the next state by the
-inverse CDF of its row at u = (w >> 11) 2^-53, the uniform ``random()``
-makes of w: the smallest k with u < cum[k], the count of entries
-cum[k] <= u. numpy's Philox makes its doubles just so, so the samplers
-read its raw words and pick exactly as on ``random()``'s doubles; any
-other numpy generator's doubles are multiples of 2^-53 too (MT19937
-joins 27 and 26 bits), and are shifted back up into words. Every sampler
-reads the pick off an exact guide table (Chen & Asau's indexed search;
-Devroye, Non-Uniform Random Variate Generation, 1986, ch. III): a
-power-of-two grid of G cells brackets the answer from the cell
-floor(u G), the top log2 G bits of w. A cell is open only when a CDF
-entry lies strictly inside it, and only then does a binary search finish
-the pick, over a window of the row's entries that holds the bracket:
-entries on grid points (probabilities in multiples of 1/4, say) and
-entries >= 1 cost none. Grid points k / G and u are exact in floating
+Each step maps one 64-bit word w of a stream (``_words``) to the next
+state by the inverse CDF of its row at u = (w >> 11) 2^-53, the uniform
+``random()`` makes of w: the count of entries cum[k] <= u. Every sampler
+reads the pick off an exact guide table (``_InverseCdf``; Chen & Asau's
+indexed search, Devroye, Non-Uniform Random Variate Generation, 1986,
+ch. III): the top bits of w name a cell of a power-of-two grid that
+brackets the answer, and only a cell with a CDF entry strictly inside it
+needs a short binary search. Grid points and u are exact in floating
 point, so the pick is bit-identical to the O(m) count for every word, at
 an expected O(1) probes per draw instead of O(m). The start law is one
 more row of the table.
@@ -34,8 +26,6 @@ one.
 Once a trial of ``first_visit_table`` has seen every state, further steps
 cannot change its row (a first-visit step only ever takes its first
 value), so it stops stepping and drawing at the next 16-step boundary.
-At each boundary the block draws one (steps, trials still open) array,
-a row per step, so a shorter horizon reads a prefix of the same stream.
 Each block keeps a byte map of the states its trials have not seen, one
 byte per table cell: a step reads its trials' bytes, and only a first
 visit clears one and writes its step into the table, once per cell.
@@ -50,6 +40,11 @@ per superstep, in trial order, and its pick either ends the trial at
 N_B = t + j or moves it to y. K = SUPERSTEP while at most
 SUPERSTEP_STATES states lie outside B; past that, building Q^K costs
 more than it saves, and K = 1 (the kernel is [r | Q]).
+
+Both samplers store steps in the narrowest signed integer type that holds
+the sentinel n + 1 (cap + 1 for N_B): int8 up to n = 126, int16 up to
+32,766, int32 up to 2^31 - 2, else int64. Comparisons, minima and
+``bincount`` need no cast; arithmetic that can pass the sentinel does.
 
 Time convention: a trajectory is X_1, ..., X_n with X_1 drawn from the
 start law; tau_j = min{i >= 1 : X_i = j} and N_B = min{i >= 1 : X_i in B},
@@ -77,7 +72,7 @@ SUPERSTEP = 16  # steps per uniform of hitting_time_samples: Q^16 from four squa
 SUPERSTEP_STATES = 1024  # the most states outside B that still get a superstep of 16
 
 _MASK64 = (1 << 64) - 1
-_SENTINEL_MAX = np.iinfo(np.int64).max - 1  # the largest n or cap whose sentinel + 1 fits int64
+_SENTINEL_MAX = np.iinfo(np.int64).max - 1  # the largest n or cap whose sentinel + 1 fits a table
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -106,10 +101,13 @@ def _check_at_least_one(**counts: int) -> None:
             raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
-def _check_sentinel(name: str, value: int) -> None:
-    if value > _SENTINEL_MAX:
-        raise ValidationError(f"{name} must be <= {_SENTINEL_MAX} (its sentinel {name} + 1 is "
-                              f"an int64), got {value}")
+def _sentinel_dtype(name: str, value: int) -> type:
+    """The narrowest signed integer type whose max is >= the sentinel value + 1."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if value < np.iinfo(dtype).max:
+            return dtype
+    raise ValidationError(f"{name} must be <= {_SENTINEL_MAX} (its sentinel {name} + 1 is "
+                          f"an int64), got {value}")
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,9 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
                       workers: int = 1, pi: StationaryDistribution | None = None) -> np.ndarray:
     """(trials, m) table of first-visit steps; n + 1 marks states unseen in n steps.
 
-    One table answers every survival query with horizon <= n exactly:
-    tau_j > k iff table[trial, j] > k for any k <= n.
+    Its type is the narrowest that holds n + 1 (module docstring): cast before
+    arithmetic past n + 1. One table answers every survival query with horizon
+    <= n exactly: tau_j > k iff table[trial, j] > k for any k <= n.
 
     Draw rule: at each 16-step boundary c, the block's generator draws one
     (min(16, n - c), k) array of words, where the k trials are those
@@ -241,11 +240,11 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
     ``derive_stream(master_seed, 0)`` per step, in order, up to its cover time.
     """
     _check_at_least_one(n=n, trials=trials, workers=workers)
-    _check_sentinel("n", n)
+    dtype = _sentinel_dtype("n", n)
     m = chain.matrix.m
     inverse_cdf = _InverseCdf(_cumulative_rows(chain, pi))
 
-    table = np.full((trials, m), n + 1, dtype=np.int64)
+    table = np.full((trials, m), n + 1, dtype=dtype)
 
     def run(block: int, size: int) -> None:
         rng = derive_stream(master_seed, block)
@@ -330,16 +329,17 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
     (cap + 1 past the cap) and ends the trial, and a pick of state y moves
     the trial there and on to step t + K. K = SUPERSTEP steps while at most
     SUPERSTEP_STATES states lie outside B, else 1. A trial is cut once
-    t >= cap, so Pr[N_B > t] is exact for every t <= cap.
+    t >= cap, so Pr[N_B > t] is exact for every t <= cap. N_B's type is the
+    narrowest that holds cap + 1 (module docstring).
     """
     _check_members(B, chain.matrix.m, "set B")
     _check_at_least_one(trials=trials, workers=workers, cap=cap)
-    _check_sentinel("cap", cap)
+    dtype = _sentinel_dtype("cap", cap)
     m = chain.matrix.m
     member_mask = np.zeros(m, dtype=bool)
     member_mask[B.indices()] = True
     if member_mask.all():
-        return np.ones(trials, dtype=np.int64)
+        return np.ones(trials, dtype=dtype)
     start = _InverseCdf(_cumulative(np.array([chain.resolved_start(pi)], dtype=float)))
     kernel = _avoiding_kernel(chain.matrix.rows, member_mask)
     rest, width = kernel.shape
@@ -350,7 +350,7 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
     def run(block: int, size: int) -> np.ndarray:
         rng = derive_stream(master_seed, block)
         states = start.pick(np.zeros(size, dtype=np.intp), _words(rng, size))
-        N = np.full(size, cap + 1, dtype=np.int64)
+        N = np.full(size, cap + 1, dtype=dtype)
         hit = member_mask[states]
         N[hit] = 1
         alive = np.flatnonzero(~hit)

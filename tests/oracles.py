@@ -218,6 +218,8 @@ def first_visit_table_by_count(chain, n: int, trials: int, master_seed: int, pi=
         states = np.zeros(size, dtype=np.int64)
         for c in range(0, n, 16):
             drawing = np.flatnonzero((fv > n).any(axis=1))
+            if not drawing.size:  # no row can change: a huge n costs nothing
+                break
             for i, u in enumerate(rng.random((min(16, n - c), drawing.size))):
                 step = c + i + 1
                 rows = cum_start if step == 1 else cum[states[drawing]]

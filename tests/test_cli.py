@@ -59,6 +59,13 @@ class TestChainCommands:
         out = capsys.readouterr().out
         assert "0.666667" in out and "0.333333" in out
 
+    def test_stationary_prints_a_tiny_entry(self, capsys):
+        # pi is about (1 - 2e-12, 2e-12): six significant digits, not six decimals that read 0
+        assert main(["chain", "stationary", "--chain", "two-state:p=1e-12;q=0.5"]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        first, second = map(float, line.removeprefix("pi = (").removesuffix(")").split(", "))
+        assert first == 1 and second > 0
+
     def test_generate_writes_iid_file(self, tmp_path, capsys):
         out_file = tmp_path / "c.json"
         rc = main(["chain", "generate", "--chain", "iid:mu=0.5,0.5", "--out", str(out_file)])
@@ -382,7 +389,7 @@ class TestSimulateCommands:
         (["hittail", "--B", "1", "--t", "1..8", "--cap", str(2 ** 63 - 1)], "cap"),
     ])
     def test_sentinel_past_int64_exits_3(self, capsys, argv, name):
-        # n + 1 and cap + 1 are the int64 sentinels of an unseen state and a cut trial
+        # n + 1 and cap + 1, the sentinels of an unseen state and a cut trial, must fit an int64
         rc = main(["simulate", argv[0], "--chain", "random-dense:m=4", "--trials", "10",
                    *argv[1:]])
         assert rc == 3

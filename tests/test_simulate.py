@@ -246,6 +246,26 @@ class TestAvoidingKernel:
 BENCH_CHAIN = generate("random-dense", m=64, seed=1)  # the mc-sampling grid's largest m
 
 
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def block_working_set(m: int) -> int:
+    """Bytes first_visit_table holds at m states beside its table, with room to spare.
+
+    One block's byte map (m bytes a trial), two 16-step draws of 64-bit words
+    (a chunk's and the next), a dozen intp arrays of one entry per trial, and
+    the guide table of m + 1 rows of 16 m + 1 cells.
+    """
+    return BLOCK_TRIALS * (m + 2 * 16 * 8 + 12 * 8) + (m + 1) * (16 * m + 1) * 8
+
+
 @lru_cache(maxsize=None)
 def bench_chain_by_count(n: int, trials: int, seed: int) -> np.ndarray:
     return first_visit_table_by_count(BENCH_CHAIN, n, trials, seed, stationary(BENCH_CHAIN.matrix))
@@ -268,7 +288,7 @@ class TestAgainstCountingSampler:
         chain = generate(family, **params)
         pi = stationary(chain.matrix)
         fv = first_visit_table(chain, 12, self.TRIALS, 61, workers, pi)
-        assert fv.dtype == np.int64
+        assert fv.dtype == np.int8  # the narrowest type that holds n + 1 = 13
         assert np.array_equal(fv, first_visit_table_by_count(chain, 12, self.TRIALS, 61, pi))
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -327,7 +347,7 @@ class TestAgainstCountingSampler:
         chain = generate(family, **params)
         pi = stationary(chain.matrix)
         N = hitting_time_samples(chain, state_set([1]), self.TRIALS, 62, workers, cap=40, pi=pi)
-        assert N.dtype == np.int64
+        assert N.dtype == np.int8  # the narrowest type that holds cap + 1 = 41
         assert np.array_equal(N, hitting_time_samples_by_count(chain, [1], self.TRIALS, 62, 40, pi))
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -369,12 +389,7 @@ class TestAgainstCountingSampler:
 
     def test_m500_stays_small(self):
         chain = generate("random-dense", m=500, seed=6)
-        tracemalloc.start()
-        try:
-            fv = first_visit_table(chain, 4, 300, 17)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fv, peak = traced_peak(first_visit_table, chain, 4, 300, 17)
         # P's cumulative rows (2 MB) and a few arrays of their size; the guide table is 1 MB
         assert peak < 16 * 2 ** 20
         assert np.array_equal(fv, first_visit_table_by_count(chain, 4, 300, 17))
@@ -415,28 +430,63 @@ class TestFirstVisitTable:
         # nearly every trial covers random-dense(m=4) within a few dozen steps;
         # a (trials, n) array of uniforms alone would take 31 MiB
         chain = generate("random-dense", m=4, seed=2)
-        tracemalloc.start()
-        try:
-            fv = first_visit_table(chain, 2048, 2000, 18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fv, peak = traced_peak(first_visit_table, chain, 2048, 2000, 18)
         assert (fv <= 2048).all()
         assert peak < 4 * 2 ** 20
 
     def test_blocks_fill_one_table_in_place(self):
-        # four blocks write their rows of the returned table: no per-block
-        # tables joined by a copy, which would hold the table twice
+        # sixteen blocks write their rows of the returned 8 MiB int8 table: no
+        # per-block tables joined by a copy, which would hold the table twice
         chain = generate("random-dense", m=64, seed=2)
-        trials = 4 * BLOCK_TRIALS
-        tracemalloc.start()
-        try:
-            fv = first_visit_table(chain, 16, trials, 18)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert fv.shape == (trials, 64) and fv.flags.c_contiguous
-        assert peak < 1.25 * fv.nbytes
+        trials = 16 * BLOCK_TRIALS
+        fv, peak = traced_peak(first_visit_table, chain, 16, trials, 18)
+        assert fv.shape == (trials, 64) and fv.flags.c_contiguous and fv.dtype == np.int8
+        assert peak < fv.nbytes + block_working_set(64)
+
+    def test_benchmark_call_peaks_at_an_int16_table(self):
+        # the mc-sampling workload's largest call: its 2 MiB int16 table and one
+        # block's working set, where an int64 table alone took 8 MiB
+        pi = stationary(BENCH_CHAIN.matrix)
+        fv, peak = traced_peak(first_visit_table, BENCH_CHAIN, 512, 2 * BLOCK_TRIALS, 3, pi=pi)
+        assert fv.dtype == np.int16 and fv.nbytes == 2 * 2 ** 20
+        assert peak < fv.nbytes + block_working_set(64)
+
+
+# (n or cap, the type of its sentinel + 1): 127/128, 32,767/32,768, 2^31 - 1/2^31, 2^63 - 1
+SENTINEL_TYPES = [(126, np.int8), (127, np.int16), (2 ** 15 - 2, np.int16), (2 ** 15 - 1, np.int32),
+                  (2 ** 31 - 2, np.int32), (2 ** 31 - 1, np.int64), (2 ** 63 - 2, np.int64)]
+STAY2 = ChainSpec(matrix=validate([[1, 0], [0, 1]]), start=point_start(2, 0))  # never leaves 0
+
+
+class TestSentinelType:
+    """Both samplers store steps in the narrowest signed integer type that holds the sentinel.
+
+    UNIFORM2 sees both states within a few steps, so a huge n or cap costs nothing,
+    and each table equals the int64 one of the counting oracles.
+    """
+
+    TRIALS = BLOCK_TRIALS + 37
+
+    @pytest.mark.parametrize("n,dtype", SENTINEL_TYPES)
+    def test_first_visit_table(self, n, dtype):
+        fv = first_visit_table(UNIFORM2, n, self.TRIALS, 5, workers=2)
+        assert fv.dtype == dtype
+        assert np.array_equal(fv, first_visit_table_by_count(UNIFORM2, n, self.TRIALS, 5))
+
+    @pytest.mark.parametrize("cap,dtype", SENTINEL_TYPES)
+    def test_hitting_time_samples(self, cap, dtype):
+        N = hitting_time_samples(UNIFORM2, state_set([1]), self.TRIALS, 5, workers=2, cap=cap)
+        assert N.dtype == dtype
+        assert np.array_equal(N, hitting_time_samples_by_count(UNIFORM2, [1], self.TRIALS, 5, cap))
+
+    @pytest.mark.parametrize("n,dtype", [(126, np.int8), (2 ** 15 - 2, np.int16)])
+    def test_sentinel_is_the_type_max(self, n, dtype):
+        # state 1 goes unseen and B = {1} unhit: n + 1 and cap + 1 fill the type to its max
+        top = np.iinfo(dtype).max
+        fv = first_visit_table(STAY2, n, 3, 5)
+        assert fv.dtype == dtype and fv.tolist() == [[1, top]] * 3
+        N = hitting_time_samples(STAY2, state_set([1]), 3, 5, cap=n)
+        assert N.dtype == dtype and N.tolist() == [top] * 3
 
 
 class TestFirstVisitAgainstExact:
@@ -660,7 +710,7 @@ class TestHittingTail:
         monkeypatch.setattr("mml.simulate._avoiding_kernel", refuse)
         chain = generate("random-dense", m=4, seed=2)
         N = hitting_time_samples(chain, state_set(range(4)), BLOCK_TRIALS + 3, 11, workers=2)
-        assert N.dtype == np.int64 and N.tolist() == [1] * (BLOCK_TRIALS + 3)
+        assert N.dtype == np.int32 and N.tolist() == [1] * (BLOCK_TRIALS + 3)  # cap + 1 = 10^6 + 1
 
     def test_mean_past_the_cutoff(self):
         # more than SUPERSTEP_STATES states outside B: one step per uniform
@@ -783,12 +833,7 @@ class TestErgodic:
     def test_never_holds_the_path(self):
         # a 2e6-step path alone takes 15 MiB; 16 steps of every lane at a time take 128 KiB
         chain = generate("random-dense", m=5, seed=77)
-        tracemalloc.start()
-        try:
-            freq = occupancy_frequencies(chain, 2 * 10**6, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        freq, peak = traced_peak(occupancy_frequencies, chain, 2 * 10**6, 5)
         assert peak < 4 * 2 ** 20
         assert freq.sum() == pytest.approx(1.0)
 
