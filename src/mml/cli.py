@@ -47,8 +47,8 @@ from .errors import (
 )
 from .hitting import (
     StateSet,
-    _check_members,
     hitting_table,
+    survival_probabilities,
     t_large,
     t_minus,
     t_plus,
@@ -58,7 +58,6 @@ from .simulate import (
     _check_at_least_one,
     empirical_mgf,
     first_visit_table,
-    hitting_time_samples,
     missing_mass_values,
 )
 from .verify import (
@@ -241,6 +240,22 @@ def cmd_hit_lemma2(args) -> str:
                                 chain_id), args)
 
 
+def cmd_hit_survival(args) -> str:
+    """Exact Pr[N_B > t] for each horizon t of ``--t``, X_1 drawn from the chain's start law."""
+    chain_id, chain = _chain(args)
+    B = parse_index_set(args.B)
+    horizons = parse_grid(args.t)
+    if not horizons:
+        raise ValidationError(f"--t {args.t!r} names no horizon")
+    start = chain.resolved_start(stationary(chain.matrix))
+    survival = survival_probabilities(chain.matrix, start, [B.members], horizons)[0].tolist()
+    if args.format == "json":
+        return _json({"chain": chain_id, "B": list(B.members), "t": horizons,
+                      "survival": survival})
+    return _csv({"chain": chain_id, "B": "|".join(map(str, B.members))}, "t,survival",
+                [f"{t},{p!r}" for t, p in zip(horizons, survival)])
+
+
 # --- simulate ---------------------------------------------------------------
 
 
@@ -252,8 +267,7 @@ def _simulation(args):
         args.workers = workers
     chain_id, chain = _chain(args)
     pi = stationary(chain.matrix)
-    _check_at_least_one(**{k: getattr(args, k) for k in ("n", "trials", "workers")
-                           if hasattr(args, k)})
+    _check_at_least_one(n=args.n, trials=args.trials, workers=args.workers)
     return chain, pi, _meta(args, chain=chain_id)
 
 
@@ -283,52 +297,6 @@ def cmd_simulate_mgf(args) -> str:
     return _csv(meta, "s,mgf,trials", [f"{args.s!r},{mgf!r},{args.trials}"])
 
 
-def cmd_simulate_jointtail(args) -> str:
-    chain, pi, meta = _simulation(args)
-    J = parse_index_set(args.J)
-    _check_members(J, chain.matrix.m, "set J")
-    tau = first_visit_table(chain, args.n, args.trials, args.seed, args.workers, pi)
-    hits = int((tau[:, J.indices()].min(axis=1) > args.n).sum())
-    return _tail_rows([(f"tau_J>n J={'|'.join(map(str, J.members))} n={args.n}", hits)], args, meta)
-
-
-def cmd_simulate_hittail(args) -> str:
-    chain, pi, meta = _simulation(args)
-    B = parse_index_set(args.B)
-    if args.cap < 1:
-        raise ValidationError(f"--cap must be >= 1, got {args.cap}")
-    thresholds = parse_grid(args.t)
-    if not thresholds:
-        raise ValidationError(f"--t {args.t!r} names no threshold")
-    for t in thresholds:
-        # a trial cut at the cap has an unknown N_B > cap
-        if not 0 <= t <= args.cap:
-            raise ValidationError(f"threshold t={t} is outside 0..{args.cap} (--cap)")
-    N = hitting_time_samples(chain, B, args.trials, args.seed, args.workers, args.cap, pi)
-    meta["cap_hits"] = int((N > args.cap).sum())
-    set_str = "|".join(map(str, B.members))
-    return _tail_rows([(f"N_B>t B={set_str} t={t}", int((N > t).sum())) for t in thresholds],
-                      args, meta)
-
-
-# z of the two-sided 99% normal-approximation CI half-width of a tail row
-Z99 = 2.576
-
-
-def _tail_rows(events, args, meta) -> str:
-    """One row per (event, hits): the share p_hat of the trials and its 99% CI half-width."""
-    rows = []
-    for event, hits in events:
-        p = hits / args.trials
-        rows.append({"event": event, "hits": hits, "trials": args.trials, "p_hat": p,
-                     "ci99_halfwidth": Z99 * math.sqrt(p * (1 - p) / args.trials)})
-    if args.format == "json":
-        return _json({"meta": meta, "tails": rows})
-    return _csv(meta, "event,hits,trials,p_hat,ci99_halfwidth",
-                [f"{r['event']},{r['hits']},{r['trials']},{r['p_hat']!r},{r['ci99_halfwidth']!r}"
-                 for r in rows])
-
-
 # --- bounds -----------------------------------------------------------------
 
 
@@ -338,10 +306,11 @@ def _bound_params(args) -> bnd.BoundParams:
     return bnd.BoundParams(c=c, T=T, n=args.n, pi=_pi_from_args(args))
 
 
-def _surrogate_params(args) -> bnd.BoundParams:
-    """``_bound_params`` of qprob and jointbound, whose --iid surrogates (1 - pi(j))^n
-    read neither c nor T: either flag given with --iid is rejected, not ignored."""
-    for flag in ("c", "T"):
+def _surrogate_params(args, unread=("c", "T")) -> bnd.BoundParams:
+    """``_bound_params`` of a command with --iid surrogates (1 - pi(j))^n, which read
+    neither c nor T: a flag of ``unread``, which the command then reads nowhere else,
+    given with --iid is rejected, not ignored."""
+    for flag in unread:
         if args.iid and getattr(args, flag) is not None:
             raise ValidationError(f"--{flag} has no effect with --iid: the surrogate "
                                   f"(1 - pi(j))^n does not depend on it")
@@ -394,7 +363,8 @@ def cmd_bounds_product(args) -> str:
 
 
 def cmd_bounds_mmtail(args) -> str:
-    params = _bound_params(args)
+    # --T stays: the failure bound exp(-c2 n eps^2 / T) reads it under --iid too
+    params = _surrogate_params(args, unread=("c",))
     tail = bnd.missing_mass_tail_bound(params, args.eps, c2=args.c2, iid_exact=args.iid)
     return (f"threshold={tail.threshold!r} failure_bound={tail.failure_bound!r} "
             f"mean_term={tail.mean_term!r} c2={tail.c2!r} ({tail.c2_note})\n")
@@ -517,9 +487,8 @@ def _add_numbers(p, *flags) -> None:
         p.add_argument(flag, type=float, required=True)
 
 
-def _add_sim(p, n: bool = True):
-    if n:
-        p.add_argument("--n", type=int, default=1, help="run length (steps)")
+def _add_sim(p):
+    p.add_argument("--n", type=int, default=1, help="run length (steps)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--workers", type=int, help="worker threads (default MML_WORKERS or 1)")
@@ -559,15 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     _command(hit, "tlarge", cmd_hit_tlarge, fmt=True).add_argument("--eps", type=float, default=0.5)
     _command(hit, "lemma1", cmd_hit_lemma1, ("B", "A"), fmt=True)
     _command(hit, "lemma2", cmd_hit_lemma2, ("A",), fmt=True)
+    _command(hit, "survival", cmd_hit_survival, ("B",), fmt=True).add_argument(
+        "--t", required=True, help="horizons >= 1: comma list or a..b")
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
     sim = sim.add_subparsers(dest="sim_cmd", required=True)
     sp = _add_sim(_command(sim, "mm", cmd_simulate_mm))
     sp.add_argument("--dump", metavar="FILE", help="write trial,value,unseen_set CSV")
-    sp = _add_sim(_command(sim, "hittail", cmd_simulate_hittail, ("B",), fmt=True), n=False)
-    sp.add_argument("--t", required=True, help="thresholds: comma list or a..b")
-    sp.add_argument("--cap", type=int, default=10**6)
-    _add_sim(_command(sim, "jointtail", cmd_simulate_jointtail, ("J",), fmt=True))
     _add_sim(_command(sim, "mgf", cmd_simulate_mgf)).add_argument("--s", type=float, required=True)
 
     b = sub.add_parser("bounds", help="closed-form bound evaluators")

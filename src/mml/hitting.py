@@ -26,10 +26,15 @@ solved: typically under a second at m = 20.
 
 The survival law of the walk is exact too. Pr[N_B > t] (no state of B
 among X_1..X_t) is start restricted to B^c times Q^(t-1) times 1, with
-Q = P restricted to B^c, and the law of the visited set V_n = {X_1..X_n}
-follows from a DP over (visited set, current state), m 2^m numbers per
-step (m <= 20). Both only add non-negative terms, so they keep their
-relative accuracy down to the smallest probabilities.
+Q = P restricted to B^c. One engine, ``survival_probabilities``, answers a
+stack of sets on a horizon grid: like ``_hitting_times`` it groups the
+sets by size, gathers each size's Q's as one (g, k, k) stack and steps
+the g row vectors through the sorted horizons with one batched product a
+step, so a row equals the set's own one-set call bit for bit. The law of
+the visited set V_n = {X_1..X_n} follows from a DP over (visited set,
+current state), m 2^m numbers per step (m <= 20). Both only add
+non-negative terms, so they keep their relative accuracy down to the
+smallest probabilities.
 """
 
 from __future__ import annotations
@@ -134,6 +139,16 @@ def _outside(masks: np.ndarray, m: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(m)) & 1) == 0
 
 
+def _by_size(table: np.ndarray):
+    """The rows of a boolean table grouped by their count n >= 1 of True entries, n
+    ascending: for each n, the rows' indices and a (rows, n) array of each row's True
+    columns, ascending. Rows with no True entry are left out."""
+    sizes = table.sum(axis=1)
+    for n in np.unique(sizes[sizes > 0]).tolist():
+        group = np.flatnonzero(sizes == n)
+        yield group, np.nonzero(table[group])[1].reshape(group.size, n)
+
+
 def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the first-step system of every target on every chain of a stack; ``rows`` is a
     (C, m, m) stack of transition rows, and row k of ``outside`` is B_k^c.
@@ -149,10 +164,8 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
     chains = rows.shape[0]
     h = np.zeros((chains, *outside.shape))
     residual = np.zeros((chains, outside.shape[0]))
-    sizes = outside.sum(axis=1)
-    for n in np.unique(sizes[sizes > 0]).tolist():
-        group = np.flatnonzero(sizes == n)
-        rest = np.nonzero(outside[group])[1].reshape(group.size, n)
+    for group, rest in _by_size(outside):
+        n = rest.shape[1]
         for start in range(0, chains * group.size, SOLVE_BATCH):
             # system s is target group[s % size] on chain s // size
             chain, k = np.divmod(np.arange(start, min(start + SOLVE_BATCH, chains * group.size)),
@@ -247,10 +260,7 @@ def member_masses(pis, inside) -> np.ndarray:
     """
     weights = np.stack([pi.pi for pi in pis])
     masses = np.empty((len(pis), inside.shape[0]))
-    sizes = inside.sum(axis=1)
-    for n in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == n)
-        members = np.flatnonzero(inside[group]).reshape(group.size, n) % inside.shape[1]
+    for group, members in _by_size(inside):
         masses[:, group] = np.take(weights, members, axis=1).sum(axis=-1)
     return masses
 
@@ -295,26 +305,33 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
     return LargeSetTime(epsilon=float(epsilon), value=float(value), argmax_set=witness)
 
 
-def survival_probabilities(P: TransitionMatrix, start, members, horizons) -> np.ndarray:
-    """Exact Pr[N_B > t] for each horizon t >= 1, with X_1 ~ start.
+def survival_probabilities(P: TransitionMatrix, start, sets, horizons) -> np.ndarray:
+    """Exact Pr[N_B > t] for each set B of ``sets`` (member tuples) and each horizon
+    t >= 1, with X_1 ~ start: a (len(sets), len(horizons)) array.
 
-    N_B > t means X_1, ..., X_t all lie outside B = ``members``, so the
-    probability is start restricted to B^c, times Q^(t-1), times 1, where
-    Q is P restricted to B^c. Works for any m.
+    N_B > t means X_1, ..., X_t all lie outside B, so the probability is start
+    restricted to B^c, times Q^(t-1), times 1, where Q is P restricted to B^c.
+    The sets are grouped by size; each group's Q's are gathered as one (g, k, k)
+    stack, and its (g, 1, k) row vectors step through the sorted horizons
+    together. Works for any m.
     """
-    B = StateSet(tuple(members))
-    _check_members(B, P.m, "target set")
+    outside = np.ones((len(sets), P.m), dtype=bool)
+    for row, members in zip(outside, sets):
+        B = StateSet(tuple(members))
+        _check_members(B, P.m, "target set")
+        row[B.indices()] = False
     horizons = _check_horizons(horizons)
-    rest = np.setdiff1d(np.arange(P.m), B.indices())
-    Q = P.rows[np.ix_(rest, rest)]
-    v = np.asarray(start, dtype=float)[rest]
-    out = np.empty(horizons.size)
-    t = 1
-    for i in np.argsort(horizons, kind="stable"):
-        for _ in range(t, horizons[i]):
-            v = v @ Q
-        t = horizons[i]
-        out[i] = v.sum()
+    start = np.asarray(start, dtype=float)
+    out = np.zeros((len(sets), horizons.size))  # B = every state: N_B = 1
+    for group, rest in _by_size(outside):
+        Q = P.rows[rest[:, :, None], rest[:, None, :]]
+        v = start[rest][:, None, :]
+        t = 1
+        for i in np.argsort(horizons, kind="stable"):
+            for _ in range(t, horizons[i]):
+                v = v @ Q
+            t = horizons[i]
+            out[group, i] = v.sum(axis=2)[:, 0]
     return out
 
 

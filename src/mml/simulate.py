@@ -267,6 +267,7 @@ def first_visit_table(chain: ChainSpec, n: int, trials: int, master_seed: int,
                 at = at.compress(new)  # first visits: write each cell once
                 unseen[at] = False
                 flat[at] = step
+            del words  # a row of the chunk: free the chunk before the next one is drawn
 
     _run_blocks(run, trials, workers)
     return table

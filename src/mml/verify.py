@@ -68,8 +68,9 @@ class VerifyOptions:
     eps: float = 0.5
     ergodic_steps: int = 1_000_000
     # optional overrides, each read by the suites OVERRIDE_READERS names: explicit
-    # chains as (chain_id, ChainSpec), explicit J-families, and an explicit n-grid
-    # (still filtered to n >= T(0.5) per chain; cor3 drops n > 512)
+    # chains as (chain_id, ChainSpec), with no start law where thm1, cor1 or cor3 run,
+    # explicit J-families, and an explicit n-grid (still filtered to n >= T(0.5) per
+    # chain; cor3 drops n > 512)
     chains: list | None = None
     j_sets: list | None = None
     n_grid: list | None = None
@@ -421,7 +422,7 @@ def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         members = _random_subset(rng, m, max(1, m // 3))
         expected = expected_hitting_time(hitting_table(chain.matrix, StateSet(members)), start)
         thresholds = sorted({math.ceil(k * expected) for k in (1, 2, 3, 5, 8, 12, 20, 35, 50)})
-        survival = survival_probabilities(chain.matrix, start, members, thresholds)
+        survival = survival_probabilities(chain.matrix, start, [members], thresholds)[0]
         bound = np.array([bnd.hitting_tail_bound(expected, t) for t in thresholds])
         blocks.append(ReportBlock.of_check(
             "prop1-tail", chain_id, bound, survival, survival <= bound + INEQUALITY_TOL, False,
@@ -449,16 +450,15 @@ def _family_suite(opts: VerifyOptions, seed: int, picks) -> list:
     return [family[i] for i in picks]
 
 
-_ExactChain = namedtuple("_ExactChain", "chain_id P pi start t_half")
+_ExactChain = namedtuple("_ExactChain", "chain_id P pi t_half")
 
 
 def _exact_chains(opts: VerifyOptions, chains):
-    """Per-chain setup of thm1, cor1 and cor3 for (chain_id, ChainSpec) pairs:
-    pi, the start law and T(eps)."""
+    """Per-chain setup of thm1, cor1 and cor3 for (chain_id, ChainSpec) pairs: pi and
+    T(eps). These suites start every chain from pi (``_check_options``)."""
     for chain_id, chain in chains:
         pi = stationary(chain.matrix)
-        yield _ExactChain(chain_id, chain.matrix, pi, chain.resolved_start(pi),
-                          t_large(chain.matrix, pi, opts.eps).value)
+        yield _ExactChain(chain_id, chain.matrix, pi, t_large(chain.matrix, pi, opts.eps).value)
 
 
 def _horizons(t_half: float, override, defaults, cap: float = math.inf) -> list[int]:
@@ -480,12 +480,10 @@ def _j_families(opts: VerifyOptions, rng, m: int, extra: int) -> list[tuple[int,
 
 def _survival_block(name: str, keys: tuple[str, str], ch: _ExactChain, sets, grid,
                     c: float) -> tuple[ReportBlock, np.ndarray]:
-    """Exact Pr[tau_J > n] for each set J and horizon n, set by set, against
+    """Exact Pr[tau_J > n] for each set J and horizon n, X_1 ~ pi, against
     exp(-c n pi(J) / T(0.5)), with J and n under ``keys``; also the rows' pi(J).
     T(0.5) = 0 only on a single-state chain, where the bound is 0 and vacuous."""
-    # np.array, not np.concatenate: a chain may fit none of the configured sets
-    p = np.array([survival_probabilities(ch.P, ch.start, members, grid)
-                  for members in sets]).reshape(-1)
+    p = survival_probabilities(ch.P, ch.pi.pi, sets, grid).reshape(-1)
     mass = np.repeat([ch.pi.mass(members) for members in sets], len(grid))
     n = np.tile(grid, len(sets))
     # math.exp row by row: np.exp may round differently
@@ -511,7 +509,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         # of the comparison weights (with and without the factor n) recorded.
         unseen = subset_masses(ch.pi.pi)[::-1]
         rows = []
-        for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
+        for n, law in zip(grid, unseen_set_law(ch.P, ch.pi.pi, grid)):
             params = bnd.BoundParams(c=opts.c, T=ch.t_half, n=n, pi=ch.pi)
             q = bnd.q_probabilities(params)
             for s in (0.5, 1.0, 2.0):
@@ -535,7 +533,7 @@ def suite_cor1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(7)])
         unseen = subset_masses(ch.pi.pi)[::-1]
         rows = []
-        for n, law in zip(grid, unseen_set_law(ch.P, ch.start, grid)):
+        for n, law in zip(grid, unseen_set_law(ch.P, ch.pi.pi, grid)):
             params = bnd.BoundParams(c=opts.c, T=ch.t_half, n=n, pi=ch.pi)
             for eps in (0.05, 0.1, 0.2):
                 tail = bnd.missing_mass_tail_bound(params, eps, c2=opts.c2)
@@ -629,6 +627,14 @@ def _check_options(opts: VerifyOptions, suites) -> None:
         if getattr(opts, name) is not None and not set(readers) & set(suites):
             raise ValidationError(f"{name} is read only by {', '.join(readers)}, so "
                                   f"{', '.join(suites)} would check nothing with it")
+    # the abstract states no start law for Thm 1 and its corollaries, and from a point
+    # start a chain can break them at short horizons: they are checked from pi alone, and
+    # a configured start is rejected, not ignored
+    from_pi = [s for s in ("thm1", "cor1", "cor3") if s in suites]
+    for chain_id, chain in opts.chains or []:
+        if from_pi and chain.start is not None:
+            raise ValidationError(f"chain {chain_id!r} sets a start law, but X_1 ~ pi in "
+                                  f"{', '.join(from_pi)}: drop its 'start'")
     # a J set that fits none of a suite's chains would be skipped on each and check nothing;
     # thm1 tests every default chain, cor3 the largest too, and no size depends on the seed
     if opts.j_sets:

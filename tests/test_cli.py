@@ -23,6 +23,7 @@ from mml.cli import (
     parse_index_set,
 )
 from mml.errors import MMLError, ValidationError
+from mml.hitting import survival_probabilities
 from mml.report import csv_body
 from mml.verify import OPTION_RULES, SUITE_ORDER, SUITES, VerifyOptions
 
@@ -246,6 +247,43 @@ class TestHitCommands:
         assert (out["B"], out["h"]) == ([2], [2.0, 1.0, 0.0])
         assert out["t_plus_all"] == 2.0
 
+    def test_survival_equals_the_engine(self, capsys):
+        source = "birth-death:m=8;p=0.35;q=0.25"
+        assert main(["hit", "survival", "--chain", source, "--B", "6,1", "--t", "9,1,2,3"]) == 0
+        out = capsys.readouterr().out
+        chain = mml.generate("birth-death", m=8, p=0.35, q=0.25)
+        exact = survival_probabilities(chain.matrix, mml.stationary(chain.matrix).pi, [(1, 6)],
+                                       [9, 1, 2, 3])[0]
+        assert out.splitlines()[:2] == [f"# chain={source}", "# B=1|6"]
+        assert csv_body(out).splitlines() == ["t,survival"] + [
+            f"{t},{p!r}" for t, p in zip([9, 1, 2, 3], exact.tolist())]
+        assert main(["hit", "survival", "--chain", source, "--B", "1,6", "--t", "9,1,2,3",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "chain": source, "B": [1, 6], "t": [9, 1, 2, 3], "survival": exact.tolist()}
+
+    def test_survival_counts_the_start_state(self, cycle3, capsys):
+        # X_1 = 0, X_2 = 1, X_3 = 2 from the file's start law: N_B = 3
+        assert main(["hit", "survival", "--chain", cycle3, "--B", "2", "--t", "1..3"]) == 0
+        assert csv_body(capsys.readouterr().out).splitlines()[1:] == ["1,1.0", "2,1.0", "3,0.0"]
+
+    def test_survival_of_the_full_state_set_is_zero(self, capsys):
+        assert main(["hit", "survival", "--chain", "iid:mu=0.5,0.5", "--B", "0,1", "--t", "1"]) == 0
+        assert csv_body(capsys.readouterr().out).splitlines()[1:] == ["1,0.0"]
+
+    @pytest.mark.parametrize("B,t,code,message", [
+        ("2", "5..3", 3, "--t '5..3' names no horizon"),
+        ("2", ",", 3, "--t ',' names no horizon"),
+        ("2", "0..4", 3, "horizons must be >= 1, got 0"),
+        ("2", "3,-1", 3, "horizons must be >= 1, got -1"),
+        ("3", "1", 3, "target set index 3 out of range"),
+        ("", "1", 4, "target set is empty"),
+    ])
+    def test_survival_bad_input(self, cycle3, capsys, B, t, code, message):
+        assert main(["hit", "survival", "--chain", cycle3, "--B", B, "--t", t]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+
     def test_tlarge_json(self, capsys):
         rc = main(["hit", "tlarge", "--chain", "iid:mu=0.5,0.5", "--format", "json"])
         assert rc == 0
@@ -261,14 +299,6 @@ class TestSimulateCommands:
         body = csv_body(capsys.readouterr().out)
         assert body.splitlines()[1].split(",")[2] == "0.5"
 
-    def test_jointtail_iid(self, capsys):
-        rc = main(["simulate", "jointtail", "--chain", "iid:mu=0.5,0.5",
-                   "--J", "1", "--n", "3", "--trials", "20000", "--seed", "7"])
-        assert rc == 0
-        body = csv_body(capsys.readouterr().out)
-        p_hat = float(body.splitlines()[1].split(",")[3])
-        assert abs(p_hat - 0.125) < 0.01
-
     def test_mgf_s_zero(self, capsys):
         rc = main(["simulate", "mgf", "--chain", "iid:mu=0.5,0.5",
                    "--s", "0", "--n", "2", "--trials", "100", "--seed", "3"])
@@ -282,14 +312,6 @@ class TestSimulateCommands:
                    "--trials", "100", "--n", "3", "--s", "5000"])
         assert rc == 0
         assert csv_body(capsys.readouterr().out).splitlines()[1] == "5000.0,inf,100"
-
-    def test_hittail_deterministic(self, cycle3, capsys):
-        rc = main(["simulate", "hittail", "--chain", cycle3, "--B", "2", "--t", "1,2,3",
-                   "--trials", "20", "--seed", "5"])
-        assert rc == 0
-        body = csv_body(capsys.readouterr().out)
-        p_hats = [float(line.split(",")[3]) for line in body.splitlines()[1:]]
-        assert p_hats == [1.0, 1.0, 0.0]
 
     def test_mm_dump(self, tmp_path, capsys):
         dump = tmp_path / "raw.csv"
@@ -319,82 +341,21 @@ class TestSimulateCommands:
         mean = float(body[1].split(",")[2])
         assert mean == pytest.approx(np.mean([s.value for s in samples]), rel=1e-12)
 
-    def test_tail_ci99_halfwidth(self, capsys):
-        rc = main(["simulate", "jointtail", "--chain", "iid:mu=0.5,0.5",
-                   "--J", "1", "--n", "2", "--trials", "1000", "--seed", "7"])
-        assert rc == 0
-        header, row = csv_body(capsys.readouterr().out).splitlines()
-        assert header == "event,hits,trials,p_hat,ci99_halfwidth"
-        event, hits, trials, p_hat, ci = row.split(",")
-        assert event == "tau_J>n J=1 n=2" and trials == "1000"
-        p = int(hits) / 1000
-        assert float(p_hat) == p
-        assert float(ci) == 2.576 * np.sqrt(p * (1 - p) / 1000)
-
-    def test_jointtail_full_space_is_zero(self, capsys):
-        rc = main(["simulate", "jointtail", "--chain", "iid:mu=0.5,0.5",
-                   "--J", "0,1", "--n", "1", "--trials", "200", "--seed", "2"])
-        assert rc == 0
-        row = csv_body(capsys.readouterr().out).splitlines()[1]
-        assert row.split(",")[1:4] == ["0", "200", "0.0"]
-
-    def test_jointtail_cycle_needs_more_steps(self, cycle3, capsys):
-        rc = main(["simulate", "jointtail", "--chain", cycle3, "--J", "2", "--n", "2",
-                   "--trials", "100", "--seed", "3", "--format", "json"])
-        assert rc == 0
-        tail = json.loads(capsys.readouterr().out)["tails"][0]
-        assert (tail["hits"], tail["p_hat"], tail["ci99_halfwidth"]) == (100, 1.0, 0.0)
-
-    @pytest.mark.parametrize("J", ["", "3"])
-    def test_jointtail_bad_set(self, cycle3, capsys, J):
-        rc = main(["simulate", "jointtail", "--chain", cycle3, "--J", J, "--n", "2"])
-        assert rc == (4 if J == "" else 3)
-        assert "set J" in capsys.readouterr().err
-
-    def test_hittail_cap_is_reported(self, capsys):
-        rc = main(["simulate", "hittail", "--chain", "lazy-cycle:m=10;hold=0.9",
-                   "--B", "5", "--t", "1,2,3", "--trials", "200", "--seed", "9", "--cap", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        cap_hits = int(out.split("# cap_hits=")[1].split()[0])
-        last = csv_body(out).splitlines()[-1].split(",")
-        # every trial cut at the cap is still unhit at t = 3
-        assert cap_hits > 0 and last[0].endswith("t=3") and int(last[1]) == cap_hits
-
-    @pytest.mark.parametrize("cap,t,message", [
-        ("0", "1", "--cap must be >= 1, got 0"),
-        ("-2", "1", "--cap must be >= 1, got -2"),
-        ("3", "3,4,50", "threshold t=4 is outside 0..3"),
-        ("3", "-1", "threshold t=-1 is outside 0..3"),
-    ])
-    def test_hittail_beyond_cap_exits_3(self, capsys, cap, t, message):
-        # p_hat beyond the cap is unknown: a cut trial may be hit at any later step
-        rc = main(["simulate", "hittail", "--chain", "lazy-cycle:m=10;hold=0.9",
-                   "--B", "5", "--t", t, "--trials", "200", "--seed", "9", "--cap", cap])
-        assert rc == 3
-        assert f"error: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("t", ["5..3", ","])
-    def test_hittail_empty_grid_exits_3(self, capsys, t):
-        # no threshold: the command would sample every trial for a header with no rows
-        rc = main(["simulate", "hittail", "--chain", "lazy-cycle:m=10;hold=0.9",
-                   "--B", "5", "--t", t, "--trials", "200", "--seed", "9"])
-        assert rc == 3
-        captured = capsys.readouterr()
-        assert captured.out == "" and f"error: --t {t!r} names no threshold" in captured.err
-
-
-    @pytest.mark.parametrize("argv,name", [
-        (["mm", "--n", str(2 ** 63 - 1)], "n"),
-        (["hittail", "--B", "1", "--t", "1..8", "--cap", str(2 ** 63 - 1)], "cap"),
-    ])
-    def test_sentinel_past_int64_exits_3(self, capsys, argv, name):
-        # n + 1 and cap + 1, the sentinels of an unseen state and a cut trial, must fit an int64
-        rc = main(["simulate", argv[0], "--chain", "random-dense:m=4", "--trials", "10",
-                   *argv[1:]])
+    def test_sentinel_past_int64_exits_3(self, capsys):
+        # n + 1, the sentinel of an unseen state, must fit an int64
+        rc = main(["simulate", "mm", "--chain", "random-dense:m=4", "--trials", "10",
+                   "--n", str(2 ** 63 - 1)])
         assert rc == 3
         err = capsys.readouterr().err
-        assert f"error: {name} must be <= {2 ** 63 - 2}" in err and "Traceback" not in err
+        assert f"error: n must be <= {2 ** 63 - 2}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["hittail", "jointtail"])
+    def test_monte_carlo_tail_commands_are_gone(self, capsys, command):
+        # hit survival prints the exact Pr[N_B > t]; the estimators are rejected, not aliased
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", command, "--chain", "iid:mu=0.5,0.5", "--B", "1", "--t", "3"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestBoundsCommands:
@@ -440,6 +401,17 @@ class TestBoundsCommands:
         assert main(argv + [flag, "5"]) == 0
         assert capsys.readouterr().out != iid
 
+    def test_mmtail_iid_rejects_c_but_reads_t(self, capsys):
+        # the surrogates (1 - pi(j))^n ignore c; the failure bound exp(-c2 n eps^2 / T) reads T
+        argv = ["bounds", "mmtail", "--pi", "0.25,0.75", "--n", "3", "--eps", "0.1", "--iid"]
+        assert main(argv + ["--c", "5"]) == 3
+        assert "error: --c has no effect with --iid" in capsys.readouterr().err
+        failures = []
+        for T in ("1", "4"):
+            assert main(argv + ["--T", T]) == 0
+            failures.append(capsys.readouterr().out.split(" failure_bound=")[1].split()[0])
+        assert failures[0] != failures[1]
+
     def test_pinsker(self, capsys):
         assert main(["bounds", "pinsker", "--p", "0.9", "--q", "0.1"]) == 0
         assert ",true," in capsys.readouterr().out
@@ -452,13 +424,12 @@ class TestBoundsCommands:
         assert "unspecified" in out and "threshold=" in out
 
     def test_mmtail_iid(self, capsys):
-        argv = ["bounds", "mmtail", "--pi", "0.25,0.75", "--n", "3", "--c", "0.5", "--T", "2",
-                "--eps", "0.1"]
+        argv = ["bounds", "mmtail", "--pi", "0.25,0.75", "--n", "3", "--T", "2", "--eps", "0.1"]
         pi = StationaryDistribution(pi=np.array([0.25, 0.75]), residual=0.0)
         params = BoundParams(c=0.5, T=2.0, n=3, pi=pi)
         thresholds = []
         for iid in (False, True):
-            assert main(argv + ["--iid"] * iid) == 0
+            assert main(argv + (["--iid"] if iid else ["--c", "0.5"])) == 0
             tail = missing_mass_tail_bound(params, 0.1, iid_exact=iid)
             out = capsys.readouterr().out
             assert out.startswith(f"threshold={tail.threshold!r} failure_bound="
@@ -561,6 +532,48 @@ class TestBoundsCommands:
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "error: give --chain or --pi, not both" in captured.err
+
+
+# the 4-state chain whose point start in state 2 breaks Thm 1 and Cor. 3 at short horizons:
+# from there, thm1 found 1 violation (certified_c = 0.0) and cor3 found 2; from pi, none
+START_LAW_WITNESS = [[0.30535, 0.68954, 0.00254, 0.00257],
+                     [0.61773, 0.00252, 0.01806, 0.36169],
+                     [0.99246, 0.00252, 0.00252, 0.00250],
+                     [0.67662, 0.00250, 0.06735, 0.25353]]
+
+
+@pytest.fixture
+def witness(tmp_path):
+    """A config for the start-law witness: its chain file with "start" = state 2 if asked."""
+    def config(suite: str, start: bool) -> str:
+        rows = [[x / sum(row) for x in row] for row in START_LAW_WITNESS]
+        chain = tmp_path / f"witness-{start}.json"
+        chain.write_text(json.dumps({"m": 4, "P": rows, **({"start": [0, 0, 1, 0]} if start else {})}))
+        cfg = tmp_path / f"{suite}-{start}.json"
+        # cor1 reads no J-family
+        cfg.write_text(json.dumps({"chains": [str(chain)],
+                                   **({} if suite == "cor1" else {"j_sets": [[3]]})}))
+        return str(cfg)
+    return config
+
+
+@pytest.mark.parametrize("suite", ["thm1", "cor1", "cor3", "all"])
+def test_start_law_is_rejected_where_the_suites_assume_pi(tmp_path, capsys, witness, suite):
+    rc = main(["verify", suite, "--config", witness(suite, True), "--out", str(tmp_path / "a")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "witness-True.json' sets a start law, but X_1 ~ pi in" in err and "Traceback" not in err
+    assert not (tmp_path / "a" / f"{suite}.csv").exists()
+    if suite != "all":  # all also runs the suites that read no chains
+        rc = main(["verify", suite, "--config", witness(suite, False), "--out", str(tmp_path / "b")])
+        assert rc == 0
+        assert "violations=0 ok" in capsys.readouterr().out
+
+
+def test_prop1_keeps_the_start_law(tmp_path, capsys, witness):
+    # Prop. 1 bounds the tail from any start: the chains-only config of cor1 runs
+    assert main(["verify", "prop1", "--config", witness("cor1", True), "--out", str(tmp_path)]) == 0
+    assert "witness-True.json" in (tmp_path / "prop1.csv").read_text()
 
 
 class TestVerifyCommand:
@@ -965,9 +978,8 @@ COMMAND_FLAGS = {
     "hit tlarge": SOURCE | {"--out", "--format", "--eps"},
     "hit lemma1": SOURCE | {"--out", "--format", "--A", "--B"},
     "hit lemma2": SOURCE | {"--out", "--format", "--A"},
+    "hit survival": SOURCE | {"--out", "--format", "--B", "--t"},
     "simulate mm": SOURCE | SIM | {"--out", "--n", "--dump"},
-    "simulate hittail": SOURCE | SIM | {"--out", "--format", "--B", "--t", "--cap"},
-    "simulate jointtail": SOURCE | SIM | {"--out", "--format", "--n", "--J"},
     "simulate mgf": SOURCE | SIM | {"--out", "--n", "--s"},
     "bounds qprob": SOURCE | BOUND | {"--out"},
     "bounds jointbound": SOURCE | BOUND | {"--out", "--J"},
@@ -998,7 +1010,7 @@ def _leaf_flags(parser, path=()):
 def test_each_command_has_exactly_the_flags_it_reads():
     flags = dict(_leaf_flags(build_parser()))
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 126
+    assert sum(map(len, flags.values())) == 114
 
 
 CHAIN = ["--chain", "lazy-cycle:m=5;hold=0.5"]
@@ -1013,9 +1025,8 @@ OUT_COMMANDS = [
     ["hit", "tlarge", *CHAIN],
     ["hit", "lemma1", *CHAIN, "--A", "0", "--B", "2"],
     ["hit", "lemma2", *CHAIN, "--A", "0,1", "--format", "json"],
+    ["hit", "survival", *CHAIN, "--B", "0,2", "--t", "1..6"],
     ["simulate", "mm", *CHAIN, *SIM_ARGS, "--n", "6"],
-    ["simulate", "hittail", *CHAIN, *SIM_ARGS, "--B", "2", "--t", "1..4", "--cap", "50"],
-    ["simulate", "jointtail", *CHAIN, *SIM_ARGS, "--n", "6", "--J", "0,2"],
     ["simulate", "mgf", *CHAIN, *SIM_ARGS, "--n", "6", "--s", "1.5"],
     ["bounds", "qprob", "--pi", "0.25,0.75", "--n", "3"],
     ["bounds", "jointbound", *CHAIN, "--J", "0,2", "--n", "3", "--iid"],

@@ -489,11 +489,10 @@ class TestExactSurvival:
         for visited, p in trajectory_visit_law(P.rows, start, n).items():
             expected[sum(1 << j for j in visited)] = p
         np.testing.assert_allclose(unseen_set_law(P, start, [n])[0], expected, rtol=1e-12, atol=0)
-        for k in range(1, m + 1):
-            for members in itertools.combinations(range(m), k):
-                got = survival_probabilities(P, start, members, [n])[0]
-                assert got == pytest.approx(trajectory_survival(P.rows, start, members, n),
-                                            rel=1e-12, abs=0)
+        sets = [c for k in range(1, m + 1) for c in itertools.combinations(range(m), k)]
+        for members, got in zip(sets, survival_probabilities(P, start, sets, [n])[:, 0]):
+            assert got == pytest.approx(trajectory_survival(P.rows, start, members, n),
+                                        rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("m", [2, 5, 9])
     def test_iid_closed_forms(self, m):
@@ -503,46 +502,62 @@ class TestExactSurvival:
         unseen = subset_masses(mu)[::-1]
         mean = unseen_set_law(P, mu, horizons) @ unseen
         np.testing.assert_allclose(mean, [np.sum(mu * (1 - mu) ** n) for n in horizons], rtol=1e-12)
-        for members in [(0,), (m - 1,), tuple(range(0, m, 2))]:
-            mass = mu[list(members)].sum()
-            np.testing.assert_allclose(survival_probabilities(P, mu, members, horizons),
-                                       (1 - mass) ** np.array(horizons), rtol=1e-12)
+        sets = [(0,), (m - 1,), tuple(range(0, m, 2))]
+        mass = np.array([mu[list(members)].sum() for members in sets])
+        np.testing.assert_allclose(survival_probabilities(P, mu, sets, horizons),
+                                   (1 - mass[:, None]) ** np.array(horizons), rtol=1e-12)
 
     def test_horizons_in_any_order(self):
         P = random_chain(5, 7)
         start = stationary(P).pi
         horizons = [8, 1, 3, 3, 20]
-        surv = survival_probabilities(P, start, (1, 3), horizons)
+        surv = survival_probabilities(P, start, [(1, 3)], horizons)[0]
         law = unseen_set_law(P, start, horizons)
         for i, n in enumerate(horizons):
-            assert surv[i] == survival_probabilities(P, start, (1, 3), [n])[0]
+            assert surv[i] == survival_probabilities(P, start, [(1, 3)], [n])[0, 0]
             assert np.array_equal(law[i], unseen_set_law(P, start, [n])[0])
 
     @settings(deadline=None, max_examples=50)
     @given(rows=stochastic_rows(), data=st.data())
-    def test_survival_matches_law(self, rows, data):
+    def test_stacked_rows_match_one_set_calls_and_the_law(self, rows, data):
+        # sets of mixed sizes, repeats and the full state set in one stack
         m = rows.shape[0]
         P = validate(rows)
         weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
         start = weights / weights.sum()
-        members = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+        sets = data.draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1), min_size=1,
+                                  max_size=8))
+        sets = [tuple(sorted(S)) for S in sets] + data.draw(st.lists(st.sampled_from(
+            [tuple(sorted(S)) for S in sets]), max_size=3))
         horizons = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
         law = unseen_set_law(P, start, horizons)
         np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        target = sum(1 << j for j in members)
-        avoiding = [S for S in range(1 << m) if not S & target]
-        surv = survival_probabilities(P, start, members, horizons)
-        np.testing.assert_allclose(surv, law[:, avoiding].sum(axis=1), rtol=1e-10, atol=1e-300)
+        surv = survival_probabilities(P, start, sets, horizons)
+        assert surv.shape == (len(sets), len(horizons))
+        for members, row in zip(sets, surv):
+            assert np.array_equal(row, survival_probabilities(P, start, [members], horizons)[0])
+            target = sum(1 << j for j in members)
+            avoiding = [S for S in range(1 << m) if not S & target]
+            np.testing.assert_allclose(row, law[:, avoiding].sum(axis=1), rtol=1e-12, atol=1e-300)
+
+    def test_empty_stack_and_full_set(self):
+        P = random_chain(4, 2)
+        start = stationary(P).pi
+        assert survival_probabilities(P, start, [], [1, 5, 9]).shape == (0, 3)
+        surv = survival_probabilities(P, start, [(0, 1, 2, 3), (3, 1, 0, 2), (1,)], [1, 5])
+        assert surv[:2].tolist() == [[0.0, 0.0], [0.0, 0.0]] and (surv[2] > 0).all()
 
     def test_rejects_bad_input(self):
         P = random_chain(3, 1)
         start = stationary(P).pi
         with pytest.raises(ValidationError):
-            survival_probabilities(P, start, (0,), [0, 4])
+            survival_probabilities(P, start, [(0,)], [0, 4])
         with pytest.raises(ValidationError):
             unseen_set_law(P, start, [0])
         with pytest.raises(EmptySetError):
-            survival_probabilities(P, start, (), [1])
+            survival_probabilities(P, start, [(1,), ()], [1])
+        with pytest.raises(ValidationError, match="index 3 out of range"):
+            survival_probabilities(P, start, [(0,), (1, 3)], [1])
         big = generate("lazy-cycle", m=21, hold=0.5).matrix
         with pytest.raises(TooManyStatesError):
             unseen_set_law(big, np.full(21, 1 / 21), [1])

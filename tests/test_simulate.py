@@ -216,7 +216,8 @@ class TestAvoidingKernel:
         for row, x in zip(kernel, outside.tolist()):
             # Pr_x[B first entered at step j] = Pr[N_B > j] - Pr[N_B > j + 1] from X_1 = x;
             # relative to the survival, since the difference itself may cancel
-            survival = survival_probabilities(P, point_start(P.m, x), members, range(1, SUPERSTEP + 2))
+            survival = survival_probabilities(P, point_start(P.m, x), [members],
+                                              range(1, SUPERSTEP + 2))[0]
             hits = survival[:-1] - survival[1:]
             assert np.all(np.abs(row[:SUPERSTEP] - hits) <= 1e-12 * survival[:-1]), x
         Q = P.rows[np.ix_(outside, outside)]
@@ -259,11 +260,11 @@ def traced_peak(fn, *args, **kwargs):
 def block_working_set(m: int) -> int:
     """Bytes first_visit_table holds at m states beside its table, with room to spare.
 
-    One block's byte map (m bytes a trial), two 16-step draws of 64-bit words
-    (a chunk's and the next), a dozen intp arrays of one entry per trial, and
-    the guide table of m + 1 rows of 16 m + 1 cells.
+    One block's byte map (m bytes a trial), one 16-step draw of 64-bit words
+    (each chunk is freed before the next is drawn), a dozen intp arrays of one
+    entry per trial, and the guide table of m + 1 rows of 16 m + 1 cells.
     """
-    return BLOCK_TRIALS * (m + 2 * 16 * 8 + 12 * 8) + (m + 1) * (16 * m + 1) * 8
+    return BLOCK_TRIALS * (m + 16 * 8 + 12 * 8) + (m + 1) * (16 * m + 1) * 8
 
 
 @lru_cache(maxsize=None)
@@ -381,6 +382,15 @@ class TestAgainstCountingSampler:
         N = hitting_time_samples(chain, state_set(range(50)), 300, 70, cap=40, pi=pi)
         assert np.array_equal(N, hitting_time_samples_by_count(chain, range(50), 300, 70, 40, pi))
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_step_kernel_of_a_sparse_chain_warns_nothing(self):
+        # lazy-cycle(1100) leaves 1099 states outside B, past SUPERSTEP_STATES, so K = 1;
+        # its rows are mostly zeros
+        chain = generate("lazy-cycle", m=1100, hold=0.5)
+        assert 1099 > SUPERSTEP_STATES
+        N = hitting_time_samples(chain, state_set([0]), 200, 7, cap=50)
+        assert np.array_equal(N, hitting_time_samples_by_count(chain, [0], 200, 7, 50))
+
     def test_point_start_and_overshooting_row(self):
         assert np.array_equal(first_visit_table(OVERSHOOT3, 9, 500, 8),
                               first_visit_table_by_count(OVERSHOOT3, 9, 500, 8))
@@ -441,6 +451,13 @@ class TestFirstVisitTable:
         trials = 16 * BLOCK_TRIALS
         fv, peak = traced_peak(first_visit_table, chain, 16, trials, 18)
         assert fv.shape == (trials, 64) and fv.flags.c_contiguous and fv.dtype == np.int8
+        assert peak < fv.nbytes + block_working_set(64)
+
+    @pytest.mark.parametrize("n", [32, 100])
+    def test_one_word_chunk_at_a_time(self, n):
+        # past one 16-step chunk, holding the last chunk while the next is drawn would
+        # add 128 bytes a trial, 1 MiB a block, to the one-chunk working set
+        fv, peak = traced_peak(first_visit_table, BENCH_CHAIN, n, BLOCK_TRIALS, 3)
         assert peak < fv.nbytes + block_working_set(64)
 
     def test_benchmark_call_peaks_at_an_int16_table(self):
@@ -509,17 +526,16 @@ class TestFirstVisitAgainstExact:
         pi = stationary(P)
         start = chain.resolved_start(pi)
         tau = first_visit_table(chain, max(self.HORIZONS), self.TRIALS, 2024, pi=pi)
-        for members in [(0,), (m // 2,), (0, m - 1), tuple(range(m // 2))]:
+        sets = [(0,), (m // 2,), (0, m - 1), tuple(range(m // 2))]
+        for members, exact in zip(sets, survival_probabilities(P, start, sets, self.HORIZONS)):
             first = tau[:, list(members)].min(axis=1)
-            exact = survival_probabilities(P, start, members, self.HORIZONS)
             for n, p in zip(self.HORIZONS, exact):
                 hits = int((first > n).sum())
                 sd = math.sqrt(self.TRIALS * p * (1 - p))
                 assert abs(hits - self.TRIALS * p) <= 6 * sd + 1e-9, (members, n, hits, p)
         unseen = subset_masses(pi.pi)[::-1]
         law = unseen_set_law(P, start, self.HORIZONS)
-        singles = np.array([survival_probabilities(P, start, (j,), self.HORIZONS)
-                            for j in range(m)])
+        singles = survival_probabilities(P, start, [(j,) for j in range(m)], self.HORIZONS)
         for i, n in enumerate(self.HORIZONS):
             mean = float(law[i] @ unseen)
             # E[missing mass] = sum_j pi_j Pr[tau_j > n]
@@ -544,7 +560,8 @@ class TestHittingSamplesAgainstExact:
         pi = stationary(chain.matrix)
         N = hitting_time_samples(chain, state_set(members), self.TRIALS, 2025, pi=pi)
         thresholds = [1, 2, 3, 5, 10, 20, 50, 100]
-        exact = survival_probabilities(chain.matrix, chain.resolved_start(pi), members, thresholds)
+        exact = survival_probabilities(chain.matrix, chain.resolved_start(pi), [members],
+                                       thresholds)[0]
         for t, p in zip(thresholds, exact):
             hits = int((N > t).sum())
             sd = math.sqrt(self.TRIALS * p * (1 - p))
@@ -660,7 +677,7 @@ class TestJointSurvival:
     def test_empty_set(self):
         # the exact joint survival refuses an empty J as the CLI does (exit 4, in test_cli)
         with pytest.raises(EmptySetError):
-            survival_probabilities(UNIFORM2.matrix, [0.5, 0.5], (), [1])
+            survival_probabilities(UNIFORM2.matrix, [0.5, 0.5], [()], [1])
 
     def test_joint_below_singles(self):
         chain = generate("random-dense", m=6, seed=31)
@@ -698,7 +715,8 @@ class TestHittingTail:
         N = hitting_time_samples(slow, state_set([5]), trials, 9, cap=cap, pi=pi)
         assert N.max() == cap + 1
         thresholds = range(1, cap + 1)
-        for t, p in zip(thresholds, survival_probabilities(slow.matrix, pi.pi, (5,), thresholds)):
+        exact = survival_probabilities(slow.matrix, pi.pi, [(5,)], thresholds)[0]
+        for t, p in zip(thresholds, exact):
             assert abs(int((N > t).sum()) - trials * p) <= 6 * math.sqrt(trials * p * (1 - p)), t
 
     def test_target_is_every_state(self, monkeypatch):
