@@ -4,12 +4,18 @@ A chain is a validated row-stochastic matrix ``P`` over ``m`` states.
 The stationary distribution solves ``pi P = pi`` by a direct linear
 solve (normalization row replacing one equation); a solve that fails or
 leaves a residual above tolerance raises ``SingularSystemError``.
+
+A chain is named by a source text: a chain file, or a descriptor
+``'family:key=value;...'`` that ``parse_descriptor`` builds with ``generate``.
+The text is the chain's id wherever a report names it, so the id of any row
+rebuilds its chain.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -284,6 +290,51 @@ def _gen_random_dense(m, params):
     np.clip(rows, 1e-300, None, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
+
+
+# --- chain sources ----------------------------------------------------------
+
+
+def parse_float_vector(text: str) -> np.ndarray:
+    try:
+        return np.array([float(tok) for tok in text.replace("|", ",").split(",") if tok != ""])
+    except ValueError as e:
+        raise ValidationError(f"bad number list {text!r}") from e
+
+
+# descriptor parameters not parsed as a float: their parser and what a value must be
+DESCRIPTOR_VALUES = {"mu": (parse_float_vector, "a comma-separated number list"),
+                     "m": (int, "an integer"), "seed": (int, "an integer")}
+
+
+def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
+    """The chain 'family:key=value;key=value' names, each key at most once, with the text
+    as its id; a float parameter read back from its ``repr`` is the float written."""
+    family, _, rest = text.partition(":")
+    params: dict = {}
+    for tok in rest.split(";"):
+        if not tok:
+            continue
+        if "=" not in tok:
+            raise ValidationError(f"bad descriptor parameter {tok!r} in {text!r}")
+        k, v = tok.split("=", 1)
+        if k in params:
+            raise ValidationError(f"descriptor {text!r}: parameter {k!r} is given twice")
+        parse, what = DESCRIPTOR_VALUES.get(k, (float, "a number"))
+        try:
+            params[k] = parse(v)
+        except (ValueError, ValidationError) as e:
+            raise ValidationError(f"descriptor {text!r}: parameter {k!r} must be {what}, "
+                                  f"got {v!r}") from e
+    return text, generate(family, **params)
+
+
+def chain_source(text: str) -> tuple[str, ChainSpec]:
+    """A chain given by the user: a .json path or an existing file, else a descriptor;
+    the text is its id."""
+    if text.endswith(".json") or os.path.exists(text):
+        return text, load_chain(text)
+    return parse_descriptor(text)
 
 
 # --- chain-spec files -------------------------------------------------------

@@ -4,8 +4,11 @@ Each leaf subcommand has one handler and exactly the flags it reads. A handler
 returns its output text, which ``main`` writes to ``--out`` or stdout; ``verify``
 writes a report directory and returns its exit code instead. A command that reads
 a chain names it with ``--chain SOURCE``, a chain file or a descriptor
-``'family:key=value;...'`` parsed by ``parse_descriptor``, as each entry of verify's
-``chains`` config is; the SOURCE text is the chain's id in the output.
+``'family:key=value;...'`` (``chain_source``), as each entry of verify's ``chains``
+config is; the SOURCE text is the chain's id in the output. Every row of a ``verify``
+report names its chain the same way, so ``--chain`` given a row's ``chain_id``
+rebuilds the row's chain, and ``hit lemma1``, ``hit lemma2`` or ``hit survival``
+replays the row.
 
 Exit codes: 0 success, 1 verification found violations, 2 file/parse
 error, 3 validation error, 4 mathematical precondition, 5 the rate
@@ -19,7 +22,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -31,10 +33,10 @@ from . import bounds as bnd
 from .chain import (
     ChainSpec,
     StationaryDistribution,
+    chain_source,
     chain_to_dict,
-    generate,
     is_irreducible,
-    load_chain,
+    parse_float_vector,
     stationary,
 )
 from .errors import (
@@ -78,30 +80,11 @@ EXIT_CODES = {ChainFileError: 2, ValidationError: 3, PreconditionError: 4,
               SingularSystemError: 4, InsufficientTrialsError: 5, MMLError: 3}
 
 
-def _default_workers() -> int:
-    """MML_WORKERS, or 1 when it is unset; any other value must be an integer >= 1."""
-    text = os.environ.get("MML_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValidationError(f"MML_WORKERS must be an integer >= 1, got {text!r}")
-    return workers
-
-
 def parse_index_set(text: str) -> StateSet:
     try:
         return StateSet(tuple(int(tok) for tok in text.split(",") if tok != ""))
     except ValueError as e:
         raise ValidationError(f"bad index list {text!r}: expected comma-separated integers") from e
-
-
-def parse_float_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.replace("|", ",").split(",") if tok != ""])
-    except ValueError as e:
-        raise ValidationError(f"bad number list {text!r}") from e
 
 
 def parse_grid(text: str) -> list[int]:
@@ -115,40 +98,11 @@ def parse_grid(text: str) -> list[int]:
         raise ValidationError(f"bad grid {text!r}: expected 'a..b' or comma-separated integers") from e
 
 
-# descriptor parameters not parsed as a float: their parser and what a value must be
-DESCRIPTOR_VALUES = {"mu": (parse_float_vector, "a comma-separated number list"),
-                     "m": (int, "an integer"), "seed": (int, "an integer")}
-
-
-def parse_descriptor(text: str) -> tuple[str, ChainSpec]:
-    """Chain source: a .json path or an existing file, else 'family:key=value;key=value'
-    with each key at most once."""
-    if text.endswith(".json") or os.path.exists(text):
-        return text, load_chain(text)
-    family, _, rest = text.partition(":")
-    params: dict = {}
-    for tok in rest.split(";"):
-        if not tok:
-            continue
-        if "=" not in tok:
-            raise ValidationError(f"bad descriptor parameter {tok!r} in {text!r}")
-        k, v = tok.split("=", 1)
-        if k in params:
-            raise ValidationError(f"descriptor {text!r}: parameter {k!r} is given twice")
-        parse, what = DESCRIPTOR_VALUES.get(k, (float, "a number"))
-        try:
-            params[k] = parse(v)
-        except (ValueError, ValidationError) as e:
-            raise ValidationError(f"descriptor {text!r}: parameter {k!r} must be {what}, "
-                                  f"got {v!r}") from e
-    return text, generate(family, **params)
-
-
 def _chain(args) -> tuple[str, ChainSpec]:
     """The SOURCE text of ``--chain`` and the chain it names."""
     if args.chain is None:
         raise ValidationError("no chain given: use --chain FILE|DESCRIPTOR")
-    return parse_descriptor(args.chain)
+    return chain_source(args.chain)
 
 
 def _json(obj) -> str:
@@ -261,10 +215,6 @@ def cmd_hit_survival(args) -> str:
 
 def _simulation(args):
     """The chain, its stationary law and the header metadata of a checked simulate command."""
-    # MML_WORKERS is checked even under --workers, as in verify
-    workers = _default_workers()
-    if args.workers is None:
-        args.workers = workers
     chain_id, chain = _chain(args)
     pi = stationary(chain.matrix)
     _check_at_least_one(n=args.n, trials=args.trials, workers=args.workers)
@@ -384,14 +334,14 @@ def _each(parse, kind, what: str):
 
 # the parsers of the config values that are external text; every value is then checked
 # as its option, before any suite runs
-CONFIG_PARSERS = {"chains": _each(parse_descriptor, str, "a list of chain descriptors"),
+CONFIG_PARSERS = {"chains": _each(chain_source, str, "a list of chain descriptors"),
                   "j_sets": _each(tuple, list, "a list of lists of state indices"),
                   "n_grid": lambda v: parse_grid(v) if isinstance(v, str) else v}
 
 
 def _options_from_args(args) -> VerifyOptions:
-    """Defaults, then MML_WORKERS, then the --config file, then explicit flags."""
-    opts = VerifyOptions(workers=_default_workers())
+    """Defaults, then the --config file, then explicit flags."""
+    opts = VerifyOptions()
     if args.config:
         _apply_config(opts, args.config)
     for f in fields(VerifyOptions):
@@ -429,7 +379,7 @@ def cmd_verify(args) -> int:
 
     for name, reports, summary in results:
         meta = {"tool": f"mml {__version__}", "suite": name, "seed": opts.seed,
-                "c": opts.c, "c2": opts.c2, "eps": opts.eps}
+                "c": opts.c, "c2": opts.c2}
         meta.update(summary.extras)
         (out_dir / f"{name}.csv").write_text(render_reports_csv(reports, meta), encoding="utf-8")
         flag = "ok" if summary.ok else "VIOLATIONS"
@@ -491,7 +441,7 @@ def _add_sim(p):
     p.add_argument("--n", type=int, default=1, help="run length (steps)")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--workers", type=int, help="worker threads (default MML_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
     return p
 
 
@@ -557,8 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", allow_abbrev=False,
                          help="run inequality verification suites",
-                         description="Every int or float VerifyOptions field is a flag; MML_WORKERS, "
-                                     "then --config, then the flags override the defaults.")
+                         description="Every int or float VerifyOptions field is a flag; "
+                                     "--config, then the flags override the defaults.")
     ver.set_defaults(handler=cmd_verify)
     ver.add_argument("suite", choices=SUITE_ORDER + ("all",))
     for f in fields(VerifyOptions):

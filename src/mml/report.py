@@ -11,10 +11,11 @@ and each float column is formatted from its distinct values.
 
 Report CSV bodies are deterministic: metadata (tool version, seed,
 constants) lives in ``#``-prefixed header lines, data rows carry
-repr-formatted floats so files round-trip and diff cleanly. Cells are
-quoted as ``csv.writer``'s default dialect quotes them: a cell holding a
-comma, a quote, ``\r`` or ``\n`` (chain ids such as
-``lazy-cycle(m=5,hold=0.5)``) is quoted, so every row keeps its cells.
+repr-formatted floats so files round-trip and diff cleanly. A row holds no
+cell that its other cells determine: bound - value, for one, is left to the
+reader. Cells are quoted as ``csv.writer``'s default dialect quotes them: a
+cell holding a comma, a quote, ``\r`` or ``\n`` (chain ids such as
+``iid:mu=0.25,0.75``) is quoted, so every row keeps its cells.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-CSV_COLUMNS = ("name", "chain_id", "params", "bound", "value", "ci", "margin", "holds", "vacuous")
+CSV_COLUMNS = ("name", "chain_id", "params", "bound", "value", "ci", "holds", "vacuous")
 
 # characters that make csv.writer's default dialect quote a cell
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -55,7 +56,6 @@ class BoundReport:
     name: str
     bound_value: float
     value: float
-    margin: float
     holds: bool
     vacuous: bool
     ci: float
@@ -71,7 +71,6 @@ class BoundReport:
             "bound": self.bound_value,
             "value": self.value,
             "ci": self.ci,
-            "margin": self.margin,
             "holds": self.holds,
             "vacuous": self.vacuous,
             "metadata": metadata,
@@ -82,8 +81,8 @@ class BoundReport:
 class ReportBlock:
     """Report rows held as columns.
 
-    ``name`` and ``chain_id`` are ``Labels``; ``bound``, ``value``, ``ci``
-    and ``margin`` are float arrays; ``holds`` and ``vacuous`` bool arrays.
+    ``name`` and ``chain_id`` are ``Labels``; ``bound``, ``value`` and ``ci``
+    are float arrays; ``holds`` and ``vacuous`` bool arrays.
     ``params`` maps each metadata key to its column: a bool, int or float
     array when every row has the key, else ``Labels``. Indexing or iterating
     a block gives its rows as ``BoundReport``s.
@@ -94,14 +93,13 @@ class ReportBlock:
     bound: np.ndarray
     value: np.ndarray
     ci: np.ndarray
-    margin: np.ndarray
     holds: np.ndarray
     vacuous: np.ndarray
     params: dict[str, Any]
 
     @classmethod
     def of_check(cls, name, chain_id, bound, value, holds, vacuous, params):
-        """Rows of checks: ``ci`` is 0 and ``margin`` is bound - value.
+        """Rows of checks, with ``ci`` 0.
 
         ``bound`` and ``value`` are the float columns and fix the row count.
         Each other argument is a column or one value for every row: ``name``
@@ -117,8 +115,7 @@ class ReportBlock:
                           for col in (holds, vacuous))
         params = {k: col if isinstance(col, (np.ndarray, Labels)) else Labels(same, [col])
                   for k, col in params.items()}
-        return cls(name, chain_id, bound, value, np.zeros(len(bound)), bound - value, holds,
-                   vacuous, params)
+        return cls(name, chain_id, bound, value, np.zeros(len(bound)), holds, vacuous, params)
 
     @classmethod
     def concat(cls, blocks, order=None) -> "ReportBlock":
@@ -144,8 +141,7 @@ class ReportBlock:
 
         # column by column, so at most one column is held in both orders
         columns = {f: join([getattr(b, f) for b in blocks])
-                   for f in ("name", "chain_id", "bound", "value", "ci", "margin", "holds",
-                             "vacuous")}
+                   for f in ("name", "chain_id", "bound", "value", "ci", "holds", "vacuous")}
         keys = dict.fromkeys(k for b in blocks for k in b.params)
         return cls(**columns, params={
             k: join([b.params[k] if k in b.params else Labels(np.full(len(b), -1), [])
@@ -163,9 +159,8 @@ class ReportBlock:
                 metadata[k] = col.labels[col.codes[i]]
         return BoundReport(name=self.name.labels[self.name.codes[i]],
                            bound_value=float(self.bound[i]), value=float(self.value[i]),
-                           margin=float(self.margin[i]), holds=bool(self.holds[i]),
-                           vacuous=bool(self.vacuous[i]), ci=float(self.ci[i]),
-                           metadata=metadata)
+                           holds=bool(self.holds[i]), vacuous=bool(self.vacuous[i]),
+                           ci=float(self.ci[i]), metadata=metadata)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -238,8 +233,7 @@ def render_reports_csv(reports: ReportBlock, header_meta=None) -> str:
         else:
             quote = quote or bool(_NEEDS_QUOTES(k))
             params += [f";{k}=", col]
-    fixed = (reports.bound, reports.value, reports.ci, reports.margin, reports.holds,
-             reports.vacuous)
+    fixed = (reports.bound, reports.value, reports.ci, reports.holds, reports.vacuous)
     pieces = [f"# {k}={_fmt(v)}\n" for k, v in (header_meta or {}).items()]
     pieces.append(",".join(CSV_COLUMNS) + "\n")
     for lo in range(0, len(reports), RENDER_CHUNK):

@@ -5,6 +5,13 @@ and returns per-check reports plus a summary. Suites are deterministic
 functions of their options: the seed schedule for ``run_all`` is derived
 from the master seed with a fixed counter, so two runs with the same
 seed produce byte-identical CSV bodies.
+
+Every chain, default or configured, is built from its id: a descriptor
+such as ``lazy-cycle:m=5;hold=0.5``, ``random-dense:m=7;seed=<derived seed>``
+or ``iid:mu=<repr of each entry>`` (``parse_descriptor``), or a configured
+chain file. So a row's own cells replay it: ``mml hit lemma1|lemma2|survival
+--chain <chain_id>`` with its sets and horizons. A row holds no cell that its
+other cells determine.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import bounds as bnd
-from .chain import ChainSpec, StationaryDistribution, TransitionMatrix, generate, stationary
+from .chain import ChainSpec, StationaryDistribution, TransitionMatrix, parse_descriptor, stationary
 from .errors import ValidationError
 from .hitting import (ENUMERATION_MAX_STATES, MASS_FILTER_TOL, StateSet, _check_members,
                       expected_hitting_time, hitting_table, member_masses, row_members,
@@ -39,6 +46,16 @@ INEQUALITY_TOL = 1e-9
 def derive_seed(master_seed: int, index: int) -> int:
     """Stable sub-seed for suite/chain number ``index``."""
     return int(derive_stream(master_seed, 0x5EED0000 + index).integers(0, 2**63))
+
+
+def _random_dense(m: int, seed: int) -> str:
+    """The descriptor of the random-dense chain of m states drawn from ``seed``."""
+    return f"random-dense:m={m};seed={seed}"
+
+
+def _iid(mu: np.ndarray) -> str:
+    """The descriptor of the iid chain of law ``mu``; each entry reads back bit for bit."""
+    return "iid:mu=" + ",".join(map(repr, mu.tolist()))
 
 
 @dataclass
@@ -65,7 +82,6 @@ class VerifyOptions:
     prop1_chains: int = 20
     c: float = bnd.DEFAULT_C
     c2: float = bnd.DEFAULT_C2
-    eps: float = 0.5
     ergodic_steps: int = 1_000_000
     # optional overrides, each read by the suites OVERRIDE_READERS names: explicit
     # chains as (chain_id, ChainSpec), with no start law where thm1, cor1 or cor3 run,
@@ -144,14 +160,15 @@ def _random_chains(seed: int, ms: list[int]):
     """The lemma suites' random chains, chain i having ms[i] states, in groups of equal m.
 
     Yields one ``_ChainGroup`` per group: ``index`` holds the group's chain
-    numbers, ascending, and ``chain_ids`` the ids of all the chains, so the
-    rows of the group's c-th chain are labelled Labels(index[c], chain_ids).
+    numbers, ascending, and ``chain_ids`` the descriptors of all the chains,
+    chain i drawn from derive_seed(seed, i + 1), so the rows of the group's
+    c-th chain are labelled Labels(index[c], chain_ids).
     Row k of ``inside`` marks the members of bitmask k + 1 (``subset_members``);
     masses[c, k] is that set's stationary mass on chain index[c] and h[c, k]
     its hitting times. Groups come in order of m, so the rows of all groups
     are put back in chain order at the end (``_in_chain_order``).
     """
-    chain_ids = [f"random-dense(m={m},#={i})" for i, m in enumerate(ms)]
+    chain_ids = [_random_dense(m, derive_seed(seed, i + 1)) for i, m in enumerate(ms)]
     ms = np.asarray(ms)
     for m in np.unique(ms).tolist():
         inside = subset_members(m)
@@ -159,8 +176,7 @@ def _random_chains(seed: int, ms: list[int]):
         size = max(1, GROUP_ENTRIES // inside.size)
         for lo in range(0, chains.size, size):
             index = chains[lo:lo + size]
-            Ps = [generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, i + 1)).matrix
-                  for i in index.tolist()]
+            Ps = [parse_descriptor(chain_ids[i])[1].matrix for i in index.tolist()]
             masses = member_masses([stationary(P) for P in Ps], inside)
             yield _ChainGroup(index, chain_ids, inside, masses, subset_hitting_times_stack(Ps))
 
@@ -257,9 +273,9 @@ def lemma1_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
     in ``ReportBlock.of_check``.
 
     Overlapping A and B make T-(B,A) = 0 and the inequality trivial; such
-    checks are reported with vacuous=true rather than rejected. The product form
-    pi(A) * T-(B,A) <= T+(A,B) is checked alongside and recorded in the params
-    as ``product_lhs`` and ``product_holds``; its right side is ``t_plus``.
+    checks are reported with vacuous=true rather than rejected. A row holds only
+    if the product form pi(A) * T-(B,A) <= T+(A,B) holds too, that is
+    value * t_minus <= t_plus, which its cells give bit for bit.
     """
     a, b = pairs.T
     tp = np.where(inside[a], h[chain, b], -np.inf).max(axis=1)
@@ -267,14 +283,12 @@ def lemma1_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
     lhs = masses[chain, a]
     denom = tp + tm
     rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
-    product_holds = lhs * tm <= tp + INEQUALITY_TOL
     A, B = (Labels(codes, row_members(inside[used]))
             for used, codes in (np.unique(k, return_inverse=True) for k in (a, b)))
     return ReportBlock.of_check(
-        "lemma1", chain_id, rhs, lhs, (lhs <= rhs + INEQUALITY_TOL) & product_holds,
-        (inside[a] & inside[b]).any(axis=1),
-        {"A": A, "B": B, "t_plus": tp, "t_minus": tm, "product_lhs": lhs * tm,
-         "product_holds": product_holds})
+        "lemma1", chain_id, rhs, lhs,
+        (lhs <= rhs + INEQUALITY_TOL) & (lhs * tm <= tp + INEQUALITY_TOL),
+        (inside[a] & inside[b]).any(axis=1), {"A": A, "B": B, "t_plus": tp, "t_minus": tm})
 
 
 def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet,
@@ -293,18 +307,17 @@ def lemma2_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
     """Lemma 2's rows on a stack of C chains, chain by chain: T(A) <= 2 T(0.5) / pi(A) for
     each set A that row k of ``inside`` marks, on chain c, whose mass is masses[c, k],
     whose hitting times are h[c, k] and whose T(0.5) is t_half[c]; ``chain_id`` labels
-    the rows as in ``ReportBlock.of_check``. Also records the per-instance smallest
-    constant kappa with T(A) <= kappa * T(0.5) / pi(A), asserting no improved bound.
+    the rows as in ``ReportBlock.of_check``. A row's smallest constant kappa with
+    T(A) <= kappa * T(0.5) / pi(A) is value * mass / t_half, from its own cells.
     """
     t_a = h.max(axis=2).ravel()
     masses = masses.ravel()
     t_half = np.repeat(t_half, len(inside))
     bound = 2.0 * t_half / masses
-    tight = np.divide(t_a * masses, t_half, out=np.zeros_like(t_a), where=t_half > 0)
     return ReportBlock.of_check(
         "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL, t_half == 0.0,
         {"A": Labels(np.tile(np.arange(len(inside)), h.shape[0]), row_members(inside)),
-         "t_half": t_half, "mass": masses, "tight_constant": tight})
+         "t_half": t_half, "mass": masses})
 
 
 # --- one-row checks of the bound formulas -----------------------------------
@@ -332,12 +345,12 @@ def pinsker_check(p: float, q: float) -> ReportBlock:
 
 
 def _iid_chain_set(seed: int, ms=(2, 4, 8), random_sets: int = 20):
-    """Seeded IID chains with their tested index-set families."""
+    """Seeded IID chains as (chain_id, ChainSpec, mu, tested index sets)."""
     out = []
     for k, m in enumerate(ms):
         rng = derive_stream(seed, 100 + k)
         mu = rng.dirichlet(np.full(m, 1.0))
-        out.append((f"iid(m={m})", generate("iid", mu=mu), mu, _index_sets(rng, m, random_sets, m)))
+        out.append((*parse_descriptor(_iid(mu)), mu, _index_sets(rng, m, random_sets, m)))
     return out
 
 
@@ -390,25 +403,14 @@ def suite_iid(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
 def _prop1_chain_set(seed: int, count: int):
     """Mixed random/family chains for the hitting-tail suite."""
     picker = derive_stream(seed, 0)
-    chains = []
-    for k in range(count - 10):
-        m = int(picker.integers(3, 11))
-        chains.append((f"random-dense(m={m},#={k})",
-                       generate("random-dense", m=m, alpha=1.0, seed=derive_seed(seed, 200 + k))))
+    ids = [_random_dense(int(picker.integers(3, 11)), derive_seed(seed, 200 + k))
+           for k in range(count - 10)]
     rng = derive_stream(seed, 1)
-    families = [
-        ("lazy-cycle(m=5,hold=0.5)", generate("lazy-cycle", m=5, hold=0.5)),
-        ("lazy-cycle(m=8,hold=0.3)", generate("lazy-cycle", m=8, hold=0.3)),
-        ("lazy-cycle(m=10,hold=0.5)", generate("lazy-cycle", m=10, hold=0.5)),
-        ("birth-death(m=8,p=0.3,q=0.3)", generate("birth-death", m=8, p=0.3, q=0.3)),
-        ("birth-death(m=6,p=0.25,q=0.25)", generate("birth-death", m=6, p=0.25, q=0.25)),
-        ("birth-death(m=8,p=0.35,q=0.25)", generate("birth-death", m=8, p=0.35, q=0.25)),
-        ("two-state(p=0.1,q=0.2)", generate("two-state", p=0.1, q=0.2)),
-        ("two-state(p=0.5,q=0.5)", generate("two-state", p=0.5, q=0.5)),
-        ("iid(m=4,random)", generate("iid", mu=rng.dirichlet(np.full(4, 1.0)))),
-        ("iid(m=8,random)", generate("iid", mu=rng.dirichlet(np.full(8, 1.0)))),
-    ]
-    return (chains + families)[:count]
+    ids += ["lazy-cycle:m=5;hold=0.5", "lazy-cycle:m=8;hold=0.3", "lazy-cycle:m=10;hold=0.5",
+            "birth-death:m=8;p=0.3;q=0.3", "birth-death:m=6;p=0.25;q=0.25",
+            "birth-death:m=8;p=0.35;q=0.25", "two-state:p=0.1;q=0.2", "two-state:p=0.5;q=0.5",
+            _iid(rng.dirichlet(np.full(4, 1.0))), _iid(rng.dirichlet(np.full(8, 1.0)))]
+    return [parse_descriptor(text) for text in ids[:count]]
 
 
 def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
@@ -439,26 +441,20 @@ def _family_suite(opts: VerifyOptions, seed: int, picks) -> list:
     chains drawn from the suite's ``seed``."""
     if opts.chains:
         return opts.chains
-    family = [
-        ("lazy-cycle(m=5,hold=0.5)", generate("lazy-cycle", m=5, hold=0.5)),
-        ("lazy-cycle(m=10,hold=0.5)", generate("lazy-cycle", m=10, hold=0.5)),
-        ("birth-death(m=8,p=0.3,q=0.3)", generate("birth-death", m=8, p=0.3, q=0.3)),
-        ("random-dense(m=6)", generate("random-dense", m=6, alpha=1.0, seed=derive_seed(seed, 400))),
-        ("random-dense(m=8)", generate("random-dense", m=8, alpha=1.0, seed=derive_seed(seed, 401))),
-        ("random-dense(m=10)", generate("random-dense", m=10, alpha=1.0, seed=derive_seed(seed, 402))),
-    ]
-    return [family[i] for i in picks]
+    family = ["lazy-cycle:m=5;hold=0.5", "lazy-cycle:m=10;hold=0.5", "birth-death:m=8;p=0.3;q=0.3",
+              *(_random_dense(m, derive_seed(seed, 400 + k)) for k, m in enumerate((6, 8, 10)))]
+    return [parse_descriptor(family[i]) for i in picks]
 
 
 _ExactChain = namedtuple("_ExactChain", "chain_id P pi t_half")
 
 
-def _exact_chains(opts: VerifyOptions, chains):
+def _exact_chains(chains):
     """Per-chain setup of thm1, cor1 and cor3 for (chain_id, ChainSpec) pairs: pi and
-    T(eps). These suites start every chain from pi (``_check_options``)."""
+    T(0.5). These suites start every chain from pi (``_check_options``)."""
     for chain_id, chain in chains:
         pi = stationary(chain.matrix)
-        yield _ExactChain(chain_id, chain.matrix, pi, t_large(chain.matrix, pi, opts.eps).value)
+        yield _ExactChain(chain_id, chain.matrix, pi, t_large(chain.matrix, pi, 0.5).value)
 
 
 def _horizons(t_half: float, override, defaults, cap: float = math.inf) -> list[int]:
@@ -500,7 +496,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Joint-survival product bound with c = 1/(2e); publishes the certified c."""
     seed = derive_seed(opts.seed, 5)
     blocks, survivals = [], []
-    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, seed, range(6)))):
+    for idx, ch in enumerate(_exact_chains(_family_suite(opts, seed, range(6)))):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(8)])
         sets = _j_families(opts, derive_stream(seed, 500 + idx), ch.P.m, extra=10)
         block, mass = _survival_block("thm1-joint-survival", ("J", "n"), ch, sets, grid, opts.c)
@@ -529,7 +525,7 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
 def suite_cor1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Missing-mass deviation bound (upper tail; lower tail out of scope)."""
     blocks = []
-    for ch in _exact_chains(opts, _family_suite(opts, derive_seed(opts.seed, 6), (0, 2, 4))):
+    for ch in _exact_chains(_family_suite(opts, derive_seed(opts.seed, 6), (0, 2, 4))):
         grid = _horizons(ch.t_half, opts.n_grid, [ch.t_half] + [2 ** k for k in range(7)])
         unseen = subset_masses(ch.pi.pi)[::-1]
         rows = []
@@ -551,7 +547,7 @@ def suite_cor3(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Smooth explicit tail exp(-c t pi(A)/T(0.5)) vs exact set-hitting tails."""
     seed = derive_seed(opts.seed, 7)
     blocks = []
-    for idx, ch in enumerate(_exact_chains(opts, _family_suite(opts, seed, (0, 1, 2, 4)))):
+    for idx, ch in enumerate(_exact_chains(_family_suite(opts, seed, (0, 1, 2, 4)))):
         grid = _horizons(ch.t_half, opts.n_grid, (k * ch.t_half for k in (1, 2, 3, 5, 8, 12)), 512)
         sets = _j_families(opts, derive_stream(seed, 800 + idx), ch.P.m, extra=5)
         blocks.append(_survival_block("cor3-explicit-tail", ("A", "t"), ch, sets, grid, opts.c)[0])
@@ -561,12 +557,12 @@ def suite_cor3(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
 def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
     """Occupancy frequencies of ergodic_steps steps from pi vs the stationary law (TV <= 0.01)."""
     seed = derive_seed(opts.seed, 8)
-    chain = generate("random-dense", m=5, alpha=1.0, seed=derive_seed(seed, 0))
+    chain_id, chain = parse_descriptor(_random_dense(5, derive_seed(seed, 0)))
     pi = stationary(chain.matrix)
     freq = occupancy_frequencies(chain, opts.ergodic_steps, derive_stream(seed, 1), pi)
     tv = 0.5 * float(np.abs(freq - pi.pi).sum())
     return _result("ergodic", opts, ReportBlock.of_check(
-        "ergodic-tv", "random-dense(m=5)", [0.01], [tv], tv <= 0.01, False,
+        "ergodic-tv", chain_id, [0.01], [tv], tv <= 0.01, False,
         {"steps": opts.ergodic_steps}))
 
 
@@ -599,8 +595,7 @@ OPTION_RULES = {
     "seed": (lambda v: True, "any integer"), "workers": _ONE, "trials": _ONE,
     "lemma1_chains": _ONE, "lemma1_m_max": _M_MAX, "lemma1_max_pairs": _ONE,
     "lemma2_chains": _ONE, "lemma2_m_max": _M_MAX, "prop1_chains": _ONE,
-    "c": _POSITIVE, "c2": _POSITIVE, "eps": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "ergodic_steps": _ONE,
+    "c": _POSITIVE, "c2": _POSITIVE, "ergodic_steps": _ONE,
     "chains": (_override(lambda p: isinstance(p, (tuple, list)) and len(p) == 2
                          and isinstance(p[1], ChainSpec)),
                "a non-empty list of (chain_id, ChainSpec) pairs"),

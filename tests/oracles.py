@@ -265,7 +265,7 @@ def hitting_time_samples_by_count(chain, members, trials: int, master_seed: int,
 
 # --- reports, one row at a time ----------------------------------------------------
 
-_ROW_COLUMNS = "name,chain_id,params,bound,value,ci,margin,holds,vacuous"
+_ROW_COLUMNS = "name,chain_id,params,bound,value,ci,holds,vacuous"
 
 
 def _row_fmt(v) -> str:
@@ -292,7 +292,7 @@ def report_row(rep) -> str:
                       if k != "chain_id")
     cells = (rep.name, _row_quote(str(rep.metadata.get("chain_id", ""))), _row_quote(params),
              _row_fmt(rep.bound_value), _row_fmt(rep.value), _row_fmt(rep.ci),
-             _row_fmt(rep.margin), _row_fmt(rep.holds), _row_fmt(rep.vacuous))
+             _row_fmt(rep.holds), _row_fmt(rep.vacuous))
     return ",".join(cells) + "\n"
 
 

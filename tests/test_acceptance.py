@@ -183,8 +183,8 @@ def test_criterion_11_falsifiability(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite,count,sha256", [
-    ("thm1", 571, "b74a803eba467466483ea5e028c7787f97eef18bb5333fdf3dd3ff92bfa09974"),
-    ("cor3", 255, "b3c7a612dbeef554f43e7bfa80382cdd17584b302530bc73769c400626b812b0"),
+    ("thm1", 571, "c0700a1d5752119f507843d2147d439a45ac222c70dab3f618fd7b7fafd0580f"),
+    ("cor3", 255, "0f57db10dd162d0e9239d26ea1b6e1b9c281717c9d89feb1a28ee44666af86bf"),
 ])
 def test_violations_keep_their_coordinates(tmp_path, capsys, suite, count, sha256):
     # every violation names its set and horizon as the report rows do: n=4, J=0|1

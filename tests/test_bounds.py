@@ -138,7 +138,7 @@ class TestProductInequality:
 
     def test_singleton_equality(self):
         rep = product_inequality_check(dist(0.3, 0.7), state_set([0]))[0]
-        assert rep.margin == pytest.approx(0.0, abs=1e-15)
+        assert rep.bound_value - rep.value == pytest.approx(0.0, abs=1e-15)
         assert rep.holds
 
     def test_ten_tenths(self):
@@ -260,7 +260,7 @@ class TestKlPinsker:
     def test_identical_distributions(self):
         assert kl_divergence(0.3, 0.3) == 0.0
         rep = pinsker_check(0.3, 0.3)[0]
-        assert rep.holds and rep.margin == 0.0
+        assert rep.holds and rep.bound_value == rep.value
 
     def test_half_vs_quarter(self):
         d = kl_divergence(0.5, 0.25)

@@ -585,11 +585,11 @@ class TestLemma1:
         rep = check_lemma1(UNIFORM2, pi, state_set([0]), state_set([0]))[0]
         assert rep.vacuous
 
-    def test_product_form_recorded(self):
+    def test_product_form_follows_from_the_row(self):
+        # pi(A) * T-(B,A) <= T+(A,B): value * t_minus <= t_plus, from the row's own cells
         pi = stationary(CYCLE3)
         rep = check_lemma1(CYCLE3, pi, state_set([0]), state_set([1]))[0]
-        assert rep.metadata["product_holds"]
-        assert rep.metadata["product_lhs"] <= rep.metadata["t_plus"] + 1e-9
+        assert rep.value * rep.metadata["t_minus"] <= rep.metadata["t_plus"] + 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_chains_random_pairs(self, seed):
@@ -648,7 +648,7 @@ class TestLemmaKernels:
             assert rep.metadata["t_minus"] == pytest.approx(tm, rel=1e-12)
             assert rep.value == pi.mass(A)
             assert rep.bound_value == pytest.approx(tp / (tp + tm), rel=1e-12)
-            assert rep.holds and not rep.vacuous and rep.metadata["product_holds"]
+            assert rep.holds and not rep.vacuous and rep.value * tm <= tp + 1e-9
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_lemma2_every_set_matches_oracle(self, m):
@@ -664,8 +664,7 @@ class TestLemmaKernels:
             assert rep.value == pytest.approx(t_a, rel=1e-12)
             assert rep.metadata["t_half"] == pytest.approx(t_half, rel=1e-12)
             assert rep.bound_value == pytest.approx(2 * t_half / pi.mass(members), rel=1e-12)
-            assert rep.metadata["tight_constant"] == pytest.approx(
-                t_a * pi.mass(members) / t_half, rel=1e-12)
+            assert rep.metadata["mass"] == pi.mass(members)
             assert rep.holds and not rep.vacuous
 
     @pytest.mark.parametrize("m", range(2, 6))
@@ -735,4 +734,6 @@ class TestLemma2:
             members = tuple(j for j in range(m) if mask >> j & 1)
             rep = check_lemma2(P, pi, StateSet(members))[0]
             assert rep.holds, (members, rep)
-            assert rep.metadata["tight_constant"] <= 2.0 + 1e-9
+            # the smallest constant kappa with T(A) <= kappa T(0.5) / pi(A)
+            kappa = rep.value * rep.metadata["mass"] / rep.metadata["t_half"]
+            assert kappa <= 2.0 + 1e-9

@@ -1,6 +1,7 @@
 """The shared pieces of the verify suites: horizons, index sets, pairs, vacuous rows,
 the power of the iid suite's test, and the pinned report bodies."""
 
+import csv
 import hashlib
 import json
 import re
@@ -11,11 +12,11 @@ import numpy as np
 import pytest
 
 from mml import simulate, verify
-from mml.chain import generate, stationary
-from mml.cli import main, parse_descriptor
+from mml.chain import generate, parse_descriptor, stationary
+from mml.cli import main
 from mml.errors import InsufficientTrialsError, ValidationError
 from mml.hitting import StateSet, subset_hitting_times_stack, subset_members, t_large
-from mml.report import Labels, ReportBlock, csv_body, render_reports_csv
+from mml.report import ReportBlock, csv_body, render_reports_csv
 from mml.simulate import derive_stream
 from mml.verify import VerifyOptions, _disjoint_pairs, _pair_count, check_lemma1, derive_seed, run_suite
 
@@ -119,7 +120,7 @@ def test_unranked_pairs_equal_the_listed_sample(m):
 def _chain_rows(reports):
     """(m, the chain's rows) per chain of a lemma suite, in order."""
     for chain_id, rows in groupby(reports, key=lambda r: r.metadata["chain_id"]):
-        yield int(chain_id.split("m=")[1].split(",")[0]), list(rows)
+        yield int(chain_id.split("m=")[1].split(";")[0]), list(rows)
 
 
 def test_lemma1_takes_every_pair_when_they_fit():
@@ -139,12 +140,13 @@ def test_lemma1_past_twelve_states():
     assert [(m, len(rows)) for m, rows in _chain_rows(reports)] == [(5, 180), (13, 500)]
     assert summary.ok
     rows = list(reports)[180:]
-    P = generate("random-dense", m=13, alpha=1.0, seed=derive_seed(derive_seed(10, 1), 2)).matrix
+    # the second chain's id names its seed, and rebuilds it
+    chain_id = f"random-dense:m=13;seed={derive_seed(derive_seed(10, 1), 2)}"
+    assert {r.metadata["chain_id"] for r in rows} == {chain_id}
+    P = parse_descriptor(chain_id)[1].matrix
     pi = stationary(P)
-    singles = [check_lemma1(P, pi, StateSet(r.metadata["A"]), StateSet(r.metadata["B"]))
+    singles = [check_lemma1(P, pi, StateSet(r.metadata["A"]), StateSet(r.metadata["B"]), chain_id)
                for r in rows[::50]]
-    for single, row in zip(singles, rows[::50]):
-        single.chain_id = Labels(single.chain_id.codes, [row.metadata["chain_id"]])
     assert render_reports_csv(ReportBlock.concat(singles)) == \
         render_reports_csv(ReportBlock.concat([reports], np.arange(180, len(reports), 50)))
 
@@ -160,9 +162,11 @@ def test_lemma1_labels_only_the_sets_of_its_rows():
 def test_chains_past_one_group_give_the_same_block(monkeypatch, suite):
     opts = VerifyOptions(lemma1_chains=12, lemma1_m_max=5, lemma2_chains=12, lemma2_m_max=5)
     reports = run_suite(suite, opts)[0]
-    # the groups go by m; the rows come back chain by chain
-    numbers = [int(r.metadata["chain_id"].split("#=")[1][:-1]) for r in reports]
-    assert numbers == sorted(numbers) and set(numbers) == set(range(12))
+    # the groups go by m; the rows come back chain by chain, chain i drawn from seed i + 1
+    suite_seed = derive_seed(opts.seed, {"lemma1": 1, "lemma2": 2}[suite])
+    seeds = [int(chain_id.split("seed=")[1]) for chain_id, _ in
+             groupby(r.metadata["chain_id"] for r in reports)]
+    assert seeds == [derive_seed(suite_seed, i + 1) for i in range(12)]
     whole = render_reports_csv(reports)
     stacks = []
 
@@ -178,24 +182,15 @@ def test_chains_past_one_group_give_the_same_block(monkeypatch, suite):
 
 
 @pytest.mark.parametrize("seed", [3, 42])
-def test_lemma2_t_half_is_t_large(monkeypatch, seed):
+def test_lemma2_t_half_is_t_large(seed):
     # the suite reads T(0.5) off the subset array, filtering with the member masses;
     # t_large solves the minimal sets, filtering with subset_masses: the values agree bitwise
-    chains = []
-
-    def spy(Ps):
-        chains.extend(Ps)
-        return subset_hitting_times_stack(Ps)
-
-    monkeypatch.setattr(verify, "subset_hitting_times_stack", spy)
     reports, _ = run_suite("lemma2", VerifyOptions(seed=seed))
     t_half = {r.metadata["chain_id"]: r.metadata["t_half"] for r in reports}
-    assert len(chains) == len(t_half) == VerifyOptions().lemma2_chains
-    # the spy sees the chains grouped by m; each id names its m and its number
-    chains.sort(key=lambda P: P.m)
-    by_id = sorted(t_half, key=lambda c: (int(c.split("m=")[1].split(",")[0]),
-                                          int(c.split("#=")[1][:-1])))
-    assert [t_half[c] for c in by_id] == [t_large(P, stationary(P), 0.5).value for P in chains]
+    assert len(t_half) == VerifyOptions().lemma2_chains
+    # each id rebuilds its chain
+    Ps = [parse_descriptor(chain_id)[1].matrix for chain_id in t_half]
+    assert list(t_half.values()) == [t_large(P, stationary(P), 0.5).value for P in Ps]
 
 
 class TestIidPower:
@@ -257,19 +252,19 @@ def _body_sha256(path) -> str:
 # sha256 of the CSV bodies that `verify all` writes: the lemma and exact suites and the
 # summary, with the certified c, may change only with a change that means to change results
 PINNED_BODIES = {
-    3: {"lemma1": "2023ab81db1942507ba45fe500a7918641720e234c25ea411fe6f32fb9c657a4",
-        "lemma2": "9b5aa8541d982018a542c6d0f168557705ece64efb1418f888692234c7c294fa",
-        "prop1": "9b9c45bea66297e53b2781ab7d5a219dc8893780888f475bef92cea1aed34676",
-        "thm1": "be9228704e4da9fd9d7cfa58bc995c3e4bf05c93798e53fd19a5cbc4c541f08e",
-        "cor1": "2996102fa1d5fa7088b797cafbaa32ac6761211ec961356e5492d090e44af7d3",
-        "cor3": "8652b5195225d2e88df13e27e11e7057a5d333715139f4be91999924856ff6de",
+    3: {"lemma1": "f2a4959d24f76af0f91934cd63a7aeff6f97a4d38cb7cf3956f6991765946457",
+        "lemma2": "c79fcebe921a2f57de043248b6aa0ddef9f8af5c1d4bac498575742d94cb4549",
+        "prop1": "c2fe64ce6915cf816bccfa00d97c2c68814bc2b7d0bb85d87b2a10f3991feb3a",
+        "thm1": "96ccf7e9e2b7f39f0f03445297970af20a8929c725d05dfa802fe313d2d7492b",
+        "cor1": "2dba527f59190a81a325c1d0d603733f5731317e68ac5de61cd7a3bf32db35f3",
+        "cor3": "ef4e838cfe535d6c9cf56a17fa793871faa5a5fbba36b4957dba9a73e93a52db",
         "summary": "26081b4dd8f3c0a9d3eeb6362e8e3f41d93b4e305e544b70def77c9bbf38ba05"},
-    42: {"lemma1": "45e03e54cb440057854551a75053617ba5ec817b6057179dd8be0294ca36fb24",
-         "lemma2": "e0c5dfcaaf01c5e91c26ef96bd10db70cb06cadc7f7dfa5e1520718a90356d1b",
-         "prop1": "9811f33d61619cebd0d837410ddbfee47a895c1bc2850d6a84ca84e1b30a09c5",
-         "thm1": "2c770e43a83855df004a449b1491c7dee5124a0324a8877e125bc6542db07b90",
-         "cor1": "a23121ebef3b72fd0c78b8833dcfcc5f864af9221c69a7db0dc0c73b4508bfdc",
-         "cor3": "527e47003ccb154cf02365d9feb38ce385efd08632f94030604794add0452033",
+    42: {"lemma1": "694abef051573302abaae44e67067a42566f4193e58c7fe6e6cab9afd146f60c",
+         "lemma2": "40500cfa3224ddaa448118958c3df703c93da53126d8efc5eea1762b9fc419b6",
+         "prop1": "0d8cb01fe1335e70631258741b390803ee98f92df6de786abf99f66d1feb082f",
+         "thm1": "e95c68114583ddd7447e40f7048fefc785d643ee02b0cb1ed0938a339c6195b6",
+         "cor1": "3cdc4285eff9c0aed678f51b1748aa39f27814c02be5fafbc80b91f518208582",
+         "cor3": "d43aefdf282828e26a534a493798c2b2ad0e7089983bddd3d4d76ddc7d7423d5",
          "summary": "134d39a8cc2e8846718c0b5e51c02554178d2152eb675518f1bc79d7e2e07d2b"},
 }
 
@@ -283,8 +278,8 @@ def test_report_bodies_are_pinned(tmp_path, capsys, seed):
 
 @pytest.mark.parametrize("suite,sha256", [
     # the two-state chain still gets its MGF rows
-    ("thm1", "ff270e444bdd1561391b0ed3a20e9310d85eb046327195c34fc9fe12a5c5d91a"),
-    ("cor3", "0ac5fe7869daa3c569113a175d7b694aa2c19ec969455d3830c22693739ca36e"),
+    ("thm1", "7be5ee52455592fbcd9b9b9866ae4cd1818fbd2533295760b26a62ec325c5b5d"),
+    ("cor3", "5dcd0cdb4edd0b4446d1a6d026ebf67998d8dac7b0338ffc3d78994a0374c26e"),
 ])
 def test_chain_that_fits_no_j_set(tmp_path, capsys, suite, sha256):
     # both sets name state 2 or 3, which the two-state chain lacks
@@ -311,7 +306,7 @@ def test_overrides_a_suite_is_not_listed_for_change_nothing(suite, override):
 @pytest.mark.parametrize("options,message", [
     (dict(trials=1.5), "trials must be an integer, got 1.5"),
     (dict(c=True), "c must be a number, got True"),
-    (dict(eps=2), "eps must be in (0, 1], got 2"),
+    (dict(c2=0), "c2 must be > 0 and finite, got 0"),
     (dict(n_grid=[0, 4]), "n_grid must be a non-empty list of integers >= 1, got [0, 4]"),
 ])
 @pytest.mark.parametrize("suite", ["iid", "cor1"])
@@ -323,3 +318,78 @@ def test_python_api_checks_options_before_any_suite(monkeypatch, options, messag
         run_suite(suite, VerifyOptions(**options))
     with pytest.raises(ValidationError, match=re.escape(message)):
         verify.run_all(VerifyOptions(**options))
+
+
+# --- every row replays from its own cells ----------------------------------------
+
+# a small `verify all`: few lemma chains, the default thm1/cor1/cor3 chains, and 12 prop1
+# chains, so both random chains and every prop1 family appear
+SMALL_RUN = ["--seed", "3", "--lemma1-chains", "3", "--lemma1-m-max", "5", "--lemma1-max-pairs", "20",
+             "--lemma2-chains", "3", "--lemma2-m-max", "4", "--prop1-chains", "12",
+             "--trials", "200"]
+
+
+def _small_run(out) -> dict:
+    """The body lines of each suite of SMALL_RUN written to ``out``, header first."""
+    assert main(["verify", "all", *SMALL_RUN, "--out", str(out)]) == 0
+    return {name: csv_body((out / f"{name}.csv").read_text()).splitlines()
+            for name in verify.SUITE_ORDER}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    return _small_run(tmp_path_factory.mktemp("small-run"))
+
+
+def _cells(lines) -> list[dict]:
+    """Each row as its chain_id, name, value and params (a dict of the params cell)."""
+    return [{**row, "params": dict(kv.split("=", 1) for kv in row["params"].split(";"))}
+            for row in csv.DictReader(lines)]
+
+
+def _printed(capsys, argv) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite,sets", [("lemma1", ("A", "B")), ("lemma2", ("A",))])
+def test_hit_reprints_every_lemma_row(small_run, capsys, suite, sets):
+    header, *lines = small_run[suite]
+    assert lines
+    for line, row in zip(lines, _cells([header, *lines])):
+        flags = [x for key in sets for x in ("--" + key, row["params"][key].replace("|", ","))]
+        out = _printed(capsys, ["hit", suite, "--chain", row["chain_id"], *flags])
+        assert csv_body(out).splitlines() == [header, line]
+
+
+@pytest.mark.parametrize("suite,name,keys", [("thm1", "thm1-joint-survival", ("J", "n")),
+                                             ("cor3", "cor3-explicit-tail", ("A", "t")),
+                                             ("prop1", "prop1-tail", ("B", "t"))])
+def test_hit_survival_reprints_every_survival(small_run, capsys, suite, name, keys):
+    rows = [r for r in _cells(small_run[suite]) if r["name"] == name]
+    assert rows
+    by_set = {}
+    for r in rows:
+        by_set.setdefault((r["chain_id"], r["params"][keys[0]]), {})[r["params"][keys[1]]] = r["value"]
+    for (chain_id, members), values in by_set.items():
+        out = _printed(capsys, ["hit", "survival", "--chain", chain_id,
+                                "--B", members.replace("|", ","), "--t", ",".join(values)])
+        assert dict(line.split(",") for line in csv_body(out).splitlines()[1:]) == values
+
+
+def test_every_chain_id_is_a_chain_source(small_run, capsys):
+    ids = {r["chain_id"] for lines in small_run.values() for r in csv.DictReader(lines)}
+    # 3 + 3 lemma chains, 3 iid, 12 prop1 (3 of them thm1's), thm1's 3 random chains, the
+    # random chain of cor1 and of cor3, each drawn from its suite's seed, and 1 ergodic
+    assert len(ids) == 27
+    for chain_id in ids:
+        assert _printed(capsys, ["chain", "validate", "--chain", chain_id]).startswith("ok m=")
+
+
+def test_default_chains_read_no_file(small_run, tmp_path, monkeypatch):
+    # a file named like each default chain's id, in the working directory, changes nothing
+    monkeypatch.chdir(tmp_path)
+    ids = {r["chain_id"] for lines in small_run.values() for r in csv.DictReader(lines)}
+    for chain_id in ids:
+        (tmp_path / chain_id).write_text("not a chain file")
+    assert _small_run(tmp_path / "r") == small_run
