@@ -119,14 +119,16 @@ def validate(raw, labels=None) -> TransitionMatrix:
     P = np.array(raw, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
         raise NonSquareError(f"expected a square matrix, got shape {P.shape}")
-    if not np.all(np.isfinite(P)):
-        i, j = np.argwhere(~np.isfinite(P))[0]
-        raise ValidationError(f"P[{i}][{j}] is not finite")
-    P[(P > -ENTRY_CLAMP) & (P < 0.0)] = 0.0
-    P[(P > 1.0) & (P < 1.0 + ENTRY_CLAMP)] = 1.0
-    if np.any(P < 0):
-        i, j = np.argwhere(P < 0)[0]
-        raise NegativeEntryError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
+    # an entry outside [0, 1], NaN included, is searched for and clamped; the rest pass
+    if not (P.min() >= 0.0 and P.max() <= 1.0):
+        if not np.all(np.isfinite(P)):
+            i, j = np.argwhere(~np.isfinite(P))[0]
+            raise ValidationError(f"P[{i}][{j}] is not finite")
+        P[(P > -ENTRY_CLAMP) & (P < 0.0)] = 0.0
+        P[(P > 1.0) & (P < 1.0 + ENTRY_CLAMP)] = 1.0
+        if np.any(P < 0):
+            i, j = np.argwhere(P < 0)[0]
+            raise NegativeEntryError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
     sums = P.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:

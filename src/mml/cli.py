@@ -81,10 +81,11 @@ EXIT_CODES = {ChainFileError: 2, ValidationError: 3, PreconditionError: 4,
 
 
 def parse_index_set(text: str) -> StateSet:
+    """State indices separated by ',' or by '|', as a report's params cell writes a set."""
     try:
-        return StateSet(tuple(int(tok) for tok in text.split(",") if tok != ""))
+        return StateSet(tuple(int(tok) for tok in text.replace("|", ",").split(",") if tok != ""))
     except ValueError as e:
-        raise ValidationError(f"bad index list {text!r}: expected comma-separated integers") from e
+        raise ValidationError(f"bad index list {text!r}: expected integers separated by ',' or '|'") from e
 
 
 def parse_grid(text: str) -> list[int]:

@@ -9,8 +9,12 @@ One solver, ``_hitting_times``, handles every target on a stack of chains
 of equal size: it groups the targets by size, solves each size's
 (I - Q) h = 1 systems on every chain of the stack with one
 ``np.linalg.solve`` call per SOLVE_BATCH systems and checks every
-system's residual. A single table (``hitting_table``) and T(eps) pass a
-stack of one chain; the array of every subset's hitting times
+system's residual. A stack gathers each Q^T with one fancy index; a lone
+system (every ``hitting_table``) takes whole rows of P, then Q's columns,
+GATHER_ROWS rows at a time, which reads P in order. numpy hands LAPACK the
+same column-major copy of I - Q either way, so h does not depend on the
+path. A single table (``hitting_table``) and T(eps) pass a stack of one
+chain; the array of every subset's hitting times
 (``subset_hitting_times_stack``, m <= 20) passes the whole stack, so the
 lemma sweeps solve all their chains of one size together. The same
 subsets' membership rows and stationary masses come as arrays too
@@ -21,8 +25,14 @@ The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
 target can only shorten the walk to it (B subset of B' gives h_B' <= h_B
 pointwise), so the maximum is attained on a minimal qualifying set, one
-that drops below eps when any member is removed. Only those sets are
-solved: typically under a second at m = 20.
+that drops below eps when any member is removed. Not all of those need a
+solve: from outside B each step enters B with probability at least
+min_{z not in B} P(z, B), so T(B) is at most one over that. One stacked
+solve takes the sets whose bound is infinite and the SOLVE_BATCH largest
+finite ones; a second takes every other set whose bound, widened by
+BOUND_SLACK, reaches the largest T(B) of the first. On random dense chains
+at m = 16-20 that solves about half of the minimal sets or fewer; where
+most bounds are infinite (cycles, birth-death chains) it solves nearly all.
 
 The survival law of the walk is exact too. Pr[N_B > t] (no state of B
 among X_1..X_t) is start restricted to B^c times Q^(t-1) times 1, with
@@ -52,6 +62,11 @@ MASS_FILTER_TOL = 1e-12
 # Systems per stacked solve: at most 2048 x 19 x 19 doubles (~6 MB) at m = 20.
 SOLVE_BATCH = 2048
 MEMBER_CHUNK = 10
+# Rows of Q per gather of a one-system solve: a (64, m) block of P's rows beside Q.
+GATHER_ROWS = 64
+# Relative widening of the one-step bound before it rules a set out of T(eps): far above
+# the rounding of a solve or of the bound's own sum.
+BOUND_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -171,13 +186,23 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
             chain, k = np.divmod(np.arange(start, min(start + SOLVE_BATCH, chains * group.size)),
                                  group.size)
             target, r = group[k], rest[k]
-            # A^T = (I - Q)^T is built in the gather of Q^T (index arrays swapped), so
-            # A is column-major, as the solver copies it
-            At = rows[chain[:, None, None], r[:, None, :], r[:, :, None]]
-            np.subtract(0.0, At, out=At)
-            At.reshape(k.size, -1)[:, ::n + 1] += 1.0
+            if k.size == 1:
+                # Q by whole rows of P, then its columns, GATHER_ROWS rows at a time; the
+                # indices are valid, and "clip" writes to out unbuffered
+                A = M = np.empty((1, n, n))
+                for lo in range(0, n, GATHER_ROWS):
+                    np.take(np.take(rows[chain[0]], r[0, lo:lo + GATHER_ROWS], axis=0), r[0],
+                            axis=1, out=M[0, lo:lo + GATHER_ROWS], mode="clip")
+            else:
+                # Q^T in one gather (index arrays swapped), so A is column-major
+                M = rows[chain[:, None, None], r[:, None, :], r[:, :, None]]
+                A = M.transpose(0, 2, 1)
+            # M becomes I - Q (or its transpose) in place; the solver copies A column-major
+            # either way, to the same bits
+            np.subtract(0.0, M, out=M)
+            M.reshape(k.size, -1)[:, ::n + 1] += 1.0
             try:
-                x = np.linalg.solve(At.transpose(0, 2, 1), np.ones((k.size, n, 1)))
+                x = np.linalg.solve(A, np.ones((k.size, n, 1)))
             except np.linalg.LinAlgError as e:
                 which = (f"target {row_members(~outside[target[:1]])[0]}" if k.size == 1
                          else f"one of {k.size} targets of {outside.shape[1] - n} states")
@@ -287,21 +312,56 @@ def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> np.ndarray:
     return np.flatnonzero(minimal)
 
 
+def _one_step_bounds(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Upper bound 1 / min_{z not in B} P(z, B) on T(B) for each target bitmask B: from
+    outside B every step enters B with at least that probability, so the walk needs at
+    most that many steps in expectation. The bound is inf when some state outside B
+    cannot enter B in one step, and 0 for B = every state."""
+    bits = np.arange(rows.shape[0], dtype=np.int32)[:, None]  # int32 holds a mask, m <= 20
+    enter = np.empty(masks.size)
+    for lo in range(0, masks.size, SOLVE_BATCH):
+        inside = (masks[lo:lo + SOLVE_BATCH].astype(np.int32) >> bits) & 1  # [y, k]: y in B_k
+        block = rows @ inside.astype(float)  # block[z, k] = P(z, B_k)
+        np.putmask(block, inside, np.inf)
+        enter[lo:lo + SOLVE_BATCH] = block.min(axis=0)
+    with np.errstate(divide="ignore"):
+        return 1.0 / enter
+
+
 def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> LargeSetTime:
     """Exact T(eps): max of T(B) over all non-empty B with pi(B) >= eps.
 
-    T(B) can only fall when B grows, so only the minimal qualifying sets are
-    solved, in the stacked solves of ``_hitting_times``; capped at m = 20.
-    Ties go to the lexicographically smallest member list among the
-    minimal sets.
+    T(B) can only fall when B grows, so only the minimal qualifying sets
+    count; capped at m = 20. They are solved in decreasing order of their
+    ``_one_step_bounds``, in at most two stacked solves of ``_hitting_times``:
+    the first takes every set with an infinite bound and the SOLVE_BATCH
+    largest finite ones, the second every other set whose bound, widened by
+    BOUND_SLACK, reaches the largest T(B) of the first. A set left out has
+    T(B) below that, so the value is that of solving every minimal set, bit
+    for bit. Ties go to the lexicographically smallest member list among
+    the minimal sets.
     """
     if not (0 < epsilon <= 1):
         raise BadParamsError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     _check_enumerable(P.m, "T(eps)")
     masks = _minimal_qualifying_sets(pi.pi, epsilon)
-    values = _hitting_times(P.rows[None], _outside(masks, P.m))[0][0].max(axis=1)
+    head = masks.size
+    if masks.size > SOLVE_BATCH:  # more sets than the first solve takes: rank them by bound
+        bounds = _one_step_bounds(P.rows, masks)
+        order = np.argsort(bounds, kind="stable")[::-1]
+        masks, bounds = masks[order], bounds[order]
+        head = np.count_nonzero(np.isinf(bounds)) + SOLVE_BATCH
+
+    def max_times(sets):
+        return _hitting_times(P.rows[None], _outside(sets, P.m))[0][0].max(axis=1)
+
+    values = max_times(masks[:head])
+    if head < masks.size:
+        # the bounds decrease, so the sets they do not rule out come next
+        end = head + np.count_nonzero(bounds[head:] * (1.0 + BOUND_SLACK) >= values.max())
+        values = np.concatenate([values, max_times(masks[head:end])])
     value = values.max()
-    witness = StateSet(_lex_smallest(masks[values == value], P.m))
+    witness = StateSet(_lex_smallest(masks[:values.size][values == value], P.m))
     return LargeSetTime(epsilon=float(epsilon), value=float(value), argmax_set=witness)
 
 

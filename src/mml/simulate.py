@@ -54,7 +54,6 @@ so a point-mass start inside B gives N_B = 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +217,9 @@ def _run_blocks(fn, trials: int, workers: int):
               for b in range(-(-trials // BLOCK_TRIALS))]
     if workers <= 1 or len(blocks) <= 1:
         return [fn(b, sz) for b, sz in blocks]
+    # imported here: it loads threading, queue and logging, which one worker never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda args: fn(*args), blocks))
 

@@ -14,6 +14,9 @@ the rows of the library's kernel that avoids B, whose entries the tests
 check against exact survival laws separately.
 The report renderer's reference formats one report at a time, cell by
 cell, and the summary's reference counts one report at a time.
+T(eps)'s reference solves every minimal qualifying set, one plain dense
+solve each, with no bound to rule a set out; chain validation's reference
+clamps and searches the whole matrix on every call, one pass per check.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ import re
 import mpmath
 import numpy as np
 
+from mml.chain import ENTRY_CLAMP, ROW_SUM_TOL
+from mml.errors import NegativeEntryError, NonSquareError, NonStochasticRowError, ValidationError
+from mml.hitting import _minimal_qualifying_sets
 from mml.simulate import BLOCK_TRIALS, _avoiding_kernel, derive_stream
 
 MAX_ORACLE_ITERS = 200_000
@@ -113,6 +119,38 @@ def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float,
             if best is None or val > best[0] + 1e-9:
                 best = (val, combo)
     return best
+
+
+def unpruned_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float):
+    """(T(eps), witness) from one ``direct_solve_table`` per minimal qualifying set, every
+    one of them solved; the witness is the smallest member tuple among the sets whose
+    T(B) equals the maximum, bit for bit."""
+    sets = [mask_members(int(mask)) for mask in _minimal_qualifying_sets(pi_vec, epsilon)]
+    values = [direct_solve_table(rows, members).max() for members in sets]
+    value = max(values)
+    return value, min(s for s, v in zip(sets, values) if v == value)
+
+
+def validate_by_passes(raw) -> np.ndarray:
+    """The rows ``validate`` accepts, found by a pass over the matrix per check: every
+    finiteness test, clamp and sign search runs whatever the entries are."""
+    P = np.array(raw, dtype=float)
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
+        raise NonSquareError(f"expected a square matrix, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        i, j = np.argwhere(~np.isfinite(P))[0]
+        raise ValidationError(f"P[{i}][{j}] is not finite")
+    P[(P > -ENTRY_CLAMP) & (P < 0.0)] = 0.0
+    P[(P > 1.0) & (P < 1.0 + ENTRY_CLAMP)] = 1.0
+    if np.any(P < 0):
+        i, j = np.argwhere(P < 0)[0]
+        raise NegativeEntryError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
+    sums = P.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise NonStochasticRowError(f"row {i} sums to {sums[i]!r}, expected 1")
+    return P
 
 
 def mask_members(mask: int) -> tuple[int, ...]:

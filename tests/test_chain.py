@@ -20,6 +20,7 @@ from mml.chain import (
 from mml.errors import (
     BadParamsError,
     ChainFileError,
+    MMLError,
     NegativeEntryError,
     NonSquareError,
     NonStochasticRowError,
@@ -28,7 +29,14 @@ from mml.errors import (
     ValidationError,
 )
 
+from oracles import validate_by_passes
+
 DIRECTED_3CYCLE = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+# values an entry is set to: each side of the 1e-15 clamps, non-finite, plainly out of [0, 1]
+EDGE_VALUES = [0.0, -0.0, -5e-16, -1e-15, -2e-15, -0.25, 1.0, 1.0 + 5e-16, 1.0 + 1e-15,
+               1.0 + 2e-15, 1.25, np.nan, np.inf, -np.inf]
+# and offsets added to one: each side of the clamps and of the 1e-12 row-sum tolerance
+EDGE_OFFSETS = [-2e-12, -5e-13, -2e-15, -5e-16, 5e-16, 2e-15, 5e-13, 2e-12]
 
 
 class TestValidate:
@@ -60,6 +68,30 @@ class TestValidate:
         P = validate([[1.0 + 5e-16, -5e-16], [0.5, 0.5]])
         assert P.rows[0, 0] == 1.0
         assert P.rows[0, 1] == 0.0
+
+    @settings(deadline=None, max_examples=300)
+    @given(m=st.integers(1, 4), data=st.data())
+    def test_matches_a_pass_per_check(self, m, data):
+        rows = []
+        for _ in range(m):
+            weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                                                  min_size=m, max_size=m)))
+            rows.append(weights / weights.sum() if weights.any() else np.eye(m)[0])
+        raw = np.array(rows)
+        for _ in range(data.draw(st.integers(0, 3))):
+            i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+            if data.draw(st.booleans()):
+                raw[i, j] = data.draw(st.sampled_from(EDGE_VALUES))
+            else:
+                raw[i, j] += data.draw(st.sampled_from(EDGE_OFFSETS))
+        try:
+            expected = validate_by_passes(raw)
+        except MMLError as e:
+            with pytest.raises(MMLError) as got:
+                validate(raw)
+            assert (type(got.value), str(got.value)) == (type(e), str(e))
+        else:
+            assert validate(raw).rows.tobytes() == expected.tobytes()
 
     def test_rows_frozen(self):
         P = validate([[0.5, 0.5], [0.5, 0.5]])

@@ -46,6 +46,7 @@ def cycle3(tmp_path):
 class TestArgHelpers:
     def test_parse_index_set(self):
         assert parse_index_set("2,0,1").members == (0, 1, 2)
+        assert parse_index_set("2|0").members == (0, 2)
         with pytest.raises(ValidationError):
             parse_index_set("a,b")
 
@@ -221,6 +222,16 @@ class TestHitCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "T(0.5)=2.0" in out and "witness={0}" in out
+
+    def test_bar_separated_set_prints_the_comma_separated_row(self, capsys):
+        # '|' separates a set's members in a report's params cell
+        outs = []
+        for A in ("0|2", "0,2"):
+            assert main(["hit", "lemma1", "--chain", "lazy-cycle:m=5;hold=0.5",
+                         "--A", A, "--B", "3"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "A=0|2;B=3" in outs[0]
 
     def test_lemma1_uniform(self, capsys):
         rc = main(["hit", "lemma1", "--chain", "iid:mu=0.5,0.5",
@@ -965,6 +976,15 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_import_loads_no_thread_pool():
+    # the pool's import (threading, queue, logging) is paid only by a run with workers > 1
+    src = str(Path(mml.__file__).resolve().parents[1])
+    code = "import sys, mml.cli\nprint('concurrent.futures' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 SOURCE = {"--chain"}

@@ -11,9 +11,13 @@ from mml.chain import generate, stationary, validate
 from mml.errors import EmptySetError, SingularSystemError, TooManyStatesError, ValidationError
 from mml.hitting import (
     MASS_FILTER_TOL,
+    SOLVE_BATCH,
     StateSet,
+    _hitting_times,
     _lex_smallest,
     _minimal_qualifying_sets,
+    _one_step_bounds,
+    _outside,
     expected_hitting_time,
     hitting_table,
     member_masses,
@@ -38,6 +42,7 @@ from oracles import (
     mask_members,
     survival_sum_expected,
     stationary_by_eye,
+    unpruned_t_large,
     survival_sum_table,
     trajectory_survival,
     trajectory_visit_law,
@@ -315,8 +320,9 @@ class TestSolverBuilds:
             stationary(P)
 
     @pytest.mark.parametrize("solve", [lambda P: stationary(P),
-                                       lambda P: hitting_table(P, state_set([0]))],
-                             ids=["stationary", "hitting_table"])
+                                       lambda P: hitting_table(P, state_set([0])),
+                                       lambda P: hitting_table(P, state_set(range(P.m // 10)))],
+                             ids=["stationary", "hitting_table", "hitting_table-tenth"])
     def test_one_traced_matrix_beside_P(self, solve):
         # numpy reports its arrays to tracemalloc; LAPACK's own copy of A is not traced
         m = 1000
@@ -473,6 +479,56 @@ class TestTLarge:
         chosen = data.draw(st.lists(st.sampled_from(combos), min_size=1, unique=True))
         masks = np.array([sum(1 << j for j in combo) for combo in chosen])
         assert _lex_smallest(masks, m) == min(chosen)
+
+    @settings(deadline=None, max_examples=12)
+    @given(m=st.integers(13, 16), seed=st.integers(0, 2**32 - 1),
+           eps=st.sampled_from([0.3, 0.5, 0.7]))
+    def test_pruned_equals_unpruned(self, m, seed, eps):
+        # from m = 14 there can be more minimal sets than the first stacked solve takes
+        P = random_chain(m, seed)
+        pi = stationary(P)
+        res = t_large(P, pi, eps)
+        assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, eps)
+
+    @pytest.mark.parametrize("family", ["random-dense", "lazy-cycle", "birth-death", "iid"])
+    @pytest.mark.parametrize("m", [2, 5, 9, 13])
+    def test_one_step_bound_holds(self, family, m):
+        P = family_chain(family, m)
+        pi = stationary(P)
+        for eps in (0.3, 0.5, 0.7, 1.0):
+            masks = _minimal_qualifying_sets(pi.pi, eps)
+            h = _hitting_times(P.rows[None], _outside(masks, m))[0][0]
+            # an iid chain's T(B) is its bound, so the two may round apart by an ulp
+            assert np.all(h.max(axis=1) <= _one_step_bounds(P.rows, masks) * (1 + 1e-12))
+
+    def test_bound_rules_out_most_sets(self, monkeypatch):
+        solved = []
+
+        def counting(rows, outside):
+            solved.append(outside.shape[0])
+            return _hitting_times(rows, outside)
+
+        monkeypatch.setattr(hitting, "_hitting_times", counting)
+        P = random_chain(16, 0)
+        pi = stationary(P)
+        res = t_large(P, pi, 0.5)
+        n_sets = _minimal_qualifying_sets(pi.pi, 0.5).size
+        assert n_sets > SOLVE_BATCH and len(solved) == 2
+        # the sets of largest bound come first, so the first solve finds a T(B) that rules
+        # out most of the rest
+        assert sum(solved) < 0.5 * n_sets
+        assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, 0.5)
+
+    @pytest.mark.parametrize("m,eps,size", [(14, 0.5, 7), (16, 0.6, 10)])
+    def test_tie_break_across_solves(self, m, eps, size):
+        # every minimal set of the uniform law ties at its bound, and more of them than the
+        # first solve takes; at m = 16 the solved T(B) rounds above the bound
+        P = generate("iid", mu=np.full(m, 1 / m)).matrix
+        pi = stationary(P)
+        assert _minimal_qualifying_sets(pi.pi, eps).size > SOLVE_BATCH
+        res = t_large(P, pi, eps)
+        assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, eps)
+        assert res.argmax_set.members == tuple(range(size))
 
     def test_subset_masses(self):
         masses = subset_masses(np.array([0.25, 0.75]))
