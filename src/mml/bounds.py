@@ -78,25 +78,23 @@ def joint_survival_bound(params: BoundParams, J: StateSet, iid_exact: bool = Fal
     """Product bound on Pr[no state of J seen in n steps]: prod_j q_j.
 
     In the default mode the product collapses to exp(-c n pi(J) / T), the
-    smooth tail ``explicit_hitting_tail`` at t = n.
+    smooth tail ``explicit_hitting_tail`` at t = n, pi(J) by ``StationaryDistribution.mass``.
     """
     _check_members(J, params.pi.pi.size, "set J")
-    idx = J.indices()
     if iid_exact:
-        return float(np.prod((1.0 - params.pi.pi[idx]) ** params.n))
+        return float(np.prod((1.0 - params.pi.pi[J.indices()]) ** params.n))
     if params.vacuous:
         return 0.0
-    mass = math.fsum(params.pi.pi[j] for j in J.members)
-    return explicit_hitting_tail(mass, params.T, params.n, params.c)
+    return explicit_hitting_tail(params.pi.mass(J.members), params.T, params.n, params.c)
 
 
 def iid_exact_survival(pi: StationaryDistribution, J: StateSet, n: int) -> float:
-    """Exact memory-less joint survival (1 - pi(J))^n."""
+    """Exact memory-less joint survival (1 - pi(J))^n, pi(J) by ``StationaryDistribution.mass``."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     if len(J):  # an empty J survives surely
         _check_members(J, pi.pi.size, "set J")
-    mass = math.fsum(pi.pi[j] for j in J.members)
+    mass = pi.mass(J.members)
     if mass > 1.0 + 1e-12:
         raise ValidationError(f"pi(J) = {mass!r} exceeds 1")
     return max(0.0, 1.0 - mass) ** n
@@ -216,10 +214,12 @@ def calibrate_c(p, n, mass, t_half) -> tuple[float, float]:
     T(0.5) are excluded (short-horizon measurements are vacuous: the chain has
     not had one mixing scale to move). Like an exact 0, a survival below the
     smallest normal double constrains nothing: it is the round-off residue of a
-    tail that underflowed, and -log of it would read as a real survival.
+    tail that underflowed, and -log of it would read as a real survival. A
+    survival that rounds above 1 reads as 1, so no c below 0 is certified.
     Raises InsufficientTrialsError when no row constrains c.
     """
     p, n, mass, t_half = (np.asarray(x, dtype=float) for x in (p, n, mass, t_half))
+    p = np.minimum(p, 1.0)
     if not p.size:
         raise ValidationError("empty calibration suite")
     usable = n >= t_half
@@ -232,6 +232,6 @@ def calibrate_c(p, n, mass, t_half) -> tuple[float, float]:
         raise InsufficientTrialsError(
             "no instance constrains c: every survival probability is 0 or below the "
             "smallest normal double, or its chain has T(0.5) = 0")
-    raw = min(-math.log(q) / (k * a / t)
+    raw = min((0.0 - math.log(q)) / (k * a / t)  # 0.0 - log 1 is 0.0; -log 1 is -0.0
               for q, k, a, t in zip(*(x[rows].tolist() for x in (p, n, mass, t_half))))
     return math.floor(raw / CERTIFIED_C_STEP) * CERTIFIED_C_STEP, raw

@@ -36,8 +36,6 @@ ROW_SUM_TOL = 1e-12
 ENTRY_CLAMP = 1e-15
 STATIONARY_RESIDUAL_TOL = 1e-10
 
-CHAIN_FAMILIES = ("iid", "two-state", "lazy-cycle", "birth-death", "random-dense")
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
@@ -84,6 +82,9 @@ class ChainSpec:
             if s.shape != (self.matrix.m,):
                 raise ValidationError(
                     f"start has length {s.shape}, expected ({self.matrix.m},)")
+            if not np.all(np.isfinite(s)):
+                j = int(np.flatnonzero(~np.isfinite(s))[0])
+                raise ValidationError(f"start[{j}] is not finite: {float(s[j])!r}")
             if np.any(s < 0):
                 raise ValidationError("start has a negative entry")
             if abs(s.sum() - 1.0) > ROW_SUM_TOL:
@@ -212,18 +213,9 @@ def generate(family: str, /, m: int | None = None, **params) -> ChainSpec:
     is rejected. ``iid`` and ``two-state`` take their size from their
     parameters, so an ``m`` given to them must equal it.
     """
-    if family == "iid":
-        rows = _gen_iid(params)
-    elif family == "two-state":
-        rows = _gen_two_state(params)
-    elif family == "lazy-cycle":
-        rows = _gen_lazy_cycle(m, params)
-    elif family == "birth-death":
-        rows = _gen_birth_death(m, params)
-    elif family == "random-dense":
-        rows = _gen_random_dense(m, params)
-    else:
+    if family not in FAMILY_BUILDERS:
         raise BadParamsError(f"unknown chain family {family!r}; known: {CHAIN_FAMILIES}")
+    rows = FAMILY_BUILDERS[family](m, params)
     _reject_extras(family, params)
     if m is not None and m != len(rows):
         raise BadParamsError(f"{family} with these parameters has {len(rows)} states, got m={m}")
@@ -235,7 +227,7 @@ def _reject_extras(family, params):
         raise BadParamsError(f"unused parameters for family {family!r}: {sorted(params)}")
 
 
-def _gen_iid(params):
+def _gen_iid(m, params):  # the size is mu's
     mu = np.asarray(params.pop("mu", None), dtype=float)
     if mu.ndim != 1 or mu.size < 1:
         raise BadParamsError("iid needs a 1-d probability vector mu")
@@ -244,7 +236,7 @@ def _gen_iid(params):
     return np.tile(mu, (mu.size, 1))
 
 
-def _gen_two_state(params):
+def _gen_two_state(m, params):  # the size is 2
     p = params.pop("p", None)
     q = params.pop("q", None)
     if p is None or q is None or not (0 < p <= 1) or not (0 < q <= 1):
@@ -292,6 +284,12 @@ def _gen_random_dense(m, params):
     np.clip(rows, 1e-300, None, out=rows)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows
+
+
+# each family's builder of its rows from (m, params); it pops the parameters it reads
+FAMILY_BUILDERS = {"iid": _gen_iid, "two-state": _gen_two_state, "lazy-cycle": _gen_lazy_cycle,
+                   "birth-death": _gen_birth_death, "random-dense": _gen_random_dense}
+CHAIN_FAMILIES = tuple(FAMILY_BUILDERS)
 
 
 # --- chain sources ----------------------------------------------------------

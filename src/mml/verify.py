@@ -39,7 +39,7 @@ IID_HORIZONS = (1, 2, 4, 8, 16, 32, 64)
 # probability at most this
 IID_DELTA = 1e-3
 
-# slack of every exact check: a row holds when value <= bound + INEQUALITY_TOL
+# slack of every check: a row holds when value <= bound + INEQUALITY_TOL (``_check``)
 INEQUALITY_TOL = 1e-9
 
 
@@ -129,6 +129,15 @@ class VerificationSummary:
 def _result(suite: str, opts: VerifyOptions, reports: ReportBlock, extras=None):
     """A suite's (reports, summary)."""
     return reports, VerificationSummary.from_reports(suite, opts.seed, reports, extras)
+
+
+def _check(name, chain_id, bound, value, vacuous, params, also=()) -> ReportBlock:
+    """Rows of checks, as ``ReportBlock.of_check`` takes them; the one verdict of every
+    suite and one-row check: a row holds when value <= bound + INEQUALITY_TOL, and so
+    does each further (value, bound) pair of columns in ``also`` (lemma1's product form)."""
+    holds = np.logical_and.reduce([np.asarray(v, dtype=float) <= np.asarray(b, dtype=float)
+                                   + INEQUALITY_TOL for v, b in ((value, bound), *also)])
+    return ReportBlock.of_check(name, chain_id, bound, value, holds, vacuous, params)
 
 
 def _random_subset(rng, m: int, size_hi: int) -> tuple[int, ...]:
@@ -285,10 +294,8 @@ def lemma1_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
     rhs = np.divide(tp, denom, out=np.ones_like(tp), where=denom > 0)
     A, B = (Labels(codes, row_members(inside[used]))
             for used, codes in (np.unique(k, return_inverse=True) for k in (a, b)))
-    return ReportBlock.of_check(
-        "lemma1", chain_id, rhs, lhs,
-        (lhs <= rhs + INEQUALITY_TOL) & (lhs * tm <= tp + INEQUALITY_TOL),
-        (inside[a] & inside[b]).any(axis=1), {"A": A, "B": B, "t_plus": tp, "t_minus": tm})
+    return _check("lemma1", chain_id, rhs, lhs, (inside[a] & inside[b]).any(axis=1),
+                  {"A": A, "B": B, "t_plus": tp, "t_minus": tm}, [(lhs * tm, tp)])
 
 
 def check_lemma2(P: TransitionMatrix, pi: StationaryDistribution, A: StateSet,
@@ -314,8 +321,8 @@ def lemma2_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
     masses = masses.ravel()
     t_half = np.repeat(t_half, len(inside))
     bound = 2.0 * t_half / masses
-    return ReportBlock.of_check(
-        "lemma2", chain_id, bound, t_a, t_a <= bound + INEQUALITY_TOL, t_half == 0.0,
+    return _check(
+        "lemma2", chain_id, bound, t_a, t_half == 0.0,
         {"A": Labels(np.tile(np.arange(len(inside)), h.shape[0]), row_members(inside)),
          "t_half": t_half, "mass": masses})
 
@@ -326,19 +333,17 @@ def lemma2_stack_reports(masses: np.ndarray, inside: np.ndarray, h: np.ndarray,
 def product_inequality_check(pi: StationaryDistribution, J: StateSet) -> ReportBlock:
     """Check 1 - pi(J) <= prod_{j in J} (1 - pi(j)); a one-row block."""
     _check_members(J, pi.pi.size, "set J")
-    mass = math.fsum(pi.pi[j] for j in J.members)
-    lhs = 1.0 - mass
+    mass = pi.mass(J.members)
     rhs = float(np.prod(1.0 - pi.pi[J.indices()]))
-    return ReportBlock.of_check("product-inequality", "", [rhs], [lhs], lhs <= rhs + 1e-12, False,
-                                {"J": J.members, "mass": mass})
+    return _check("product-inequality", "", [rhs], [1.0 - mass], False,
+                  {"J": J.members, "mass": mass})
 
 
 def pinsker_check(p: float, q: float) -> ReportBlock:
     """Check D(p || q) >= 2 (p - q)^2; a one-row block."""
     d = bnd.kl_divergence(p, q)
     lower = 2.0 * (p - q) ** 2
-    return ReportBlock.of_check("pinsker", "", [d], [lower], lower <= d + 1e-12, False,
-                                {"p": p, "q": q})
+    return _check("pinsker", "", [d], [lower], False, {"p": p, "q": q})
 
 
 # --- simulation suites ------------------------------------------------------
@@ -369,13 +374,13 @@ def suite_iid(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         Hoeffding's bound Pr[trials * kl > x] <= 2 exp(-x) covers both tails."""
         kl = np.array([opts.trials * bnd.kl_divergence(e, x) for e, x in zip(estimate, exact)])
         params.update(estimate=np.array(estimate), exact=np.array(exact))
-        return ReportBlock.of_check(name, chain_id, np.full(kl.size, threshold), kl,
-                                    kl <= threshold, False, params)
+        return _check(name, chain_id, np.full(kl.size, threshold), kl, False, params)
 
     after = np.add(IID_HORIZONS, 1)
     blocks = []
     for idx, (chain_id, chain, mu, sets) in enumerate(chains):
         pi = stationary(chain.matrix)
+        law = StationaryDistribution(mu, 0.0)  # an iid chain's law, bit for bit
         tau = first_visit_table(chain, n_max, opts.trials, derive_seed(seed, idx + 1),
                                 opts.workers, pi)
         by_state = np.ascontiguousarray(tau.T)  # a state's first visits, contiguous
@@ -384,8 +389,7 @@ def suite_iid(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
             first = by_state[list(members)].min(axis=0)  # tau_J, n_max + 1 if J went unseen
             # tau_J > n for the trials counted at n + 1 and past
             hits += np.cumsum(np.bincount(first, minlength=n_max + 2)[::-1])[::-1][after].tolist()
-            mass = float(mu[list(members)].sum())
-            exact += [max(0.0, 1.0 - mass) ** n for n in IID_HORIZONS]
+            exact += [bnd.iid_exact_survival(law, StateSet(members), n) for n in IID_HORIZONS]
         J = Labels(np.repeat(np.arange(len(sets)), len(IID_HORIZONS)), sets)
         blocks += [
             check("iid-exact-survival", chain_id, [h / opts.trials for h in hits], exact,
@@ -426,9 +430,8 @@ def suite_prop1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
         thresholds = sorted({math.ceil(k * expected) for k in (1, 2, 3, 5, 8, 12, 20, 35, 50)})
         survival = survival_probabilities(chain.matrix, start, [members], thresholds)[0]
         bound = np.array([bnd.hitting_tail_bound(expected, t) for t in thresholds])
-        blocks.append(ReportBlock.of_check(
-            "prop1-tail", chain_id, bound, survival, survival <= bound + INEQUALITY_TOL, False,
-            {"B": members, "t": np.array(thresholds), "expected": expected}))
+        blocks.append(_check("prop1-tail", chain_id, bound, survival, False,
+                             {"B": members, "t": np.array(thresholds), "expected": expected}))
     return _result("prop1", opts, ReportBlock.concat(blocks))
 
 
@@ -476,19 +479,17 @@ def _j_families(opts: VerifyOptions, rng, m: int, extra: int) -> list[tuple[int,
 
 def _survival_block(name: str, keys: tuple[str, str], ch: _ExactChain, sets, grid,
                     c: float) -> tuple[ReportBlock, np.ndarray]:
-    """Exact Pr[tau_J > n] for each set J and horizon n, X_1 ~ pi, against
-    exp(-c n pi(J) / T(0.5)), with J and n under ``keys``; also the rows' pi(J).
-    T(0.5) = 0 only on a single-state chain, where the bound is 0 and vacuous."""
+    """Exact Pr[tau_J > n] for each set J and horizon n, X_1 ~ pi, against its
+    ``joint_survival_bound`` exp(-c n pi(J) / T(0.5)), with J and n under ``keys``; also the
+    rows' pi(J). T(0.5) = 0 only on a single-state chain, where the bound is 0 and vacuous."""
     p = survival_probabilities(ch.P, ch.pi.pi, sets, grid).reshape(-1)
     mass = np.repeat([ch.pi.mass(members) for members in sets], len(grid))
     n = np.tile(grid, len(sets))
-    # math.exp row by row: np.exp may round differently
-    bound = np.array([bnd.explicit_hitting_tail(a, ch.t_half, t, c) if ch.t_half else 0.0
-                      for a, t in zip(mass.tolist(), n.tolist())])
-    block = ReportBlock.of_check(
-        name, ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL, not ch.t_half,
-        {keys[0]: Labels(np.repeat(np.arange(len(sets)), len(grid)), sets), keys[1]: n,
-         "c": c, "t_half": ch.t_half})
+    params = [bnd.BoundParams(c=c, T=ch.t_half, n=t, pi=ch.pi) for t in grid]
+    bound = np.array([bnd.joint_survival_bound(q, J) for J in map(StateSet, sets) for q in params])
+    block = _check(name, ch.chain_id, bound, p, not ch.t_half,
+                   {keys[0]: Labels(np.repeat(np.arange(len(sets)), len(grid)), sets), keys[1]: n,
+                    "c": c, "t_half": ch.t_half})
     return block, mass
 
 
@@ -514,9 +515,8 @@ def suite_thm1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
                          for weights in (n * ch.pi.pi, ch.pi.pi)]
         n, s, bound, mgf = map(np.array, zip(*rows))
         forms = Labels(np.arange(len(rows)) % 2, ["thm1-mgf-eq3form", "thm1-mgf-cor1form"])
-        blocks += [block, ReportBlock.of_check(
-            forms, ch.chain_id, bound, mgf, mgf <= bound + INEQUALITY_TOL, not ch.t_half,
-            {"n": n, "s": s, "c": opts.c, "t_half": ch.t_half})]
+        blocks += [block, _check(forms, ch.chain_id, bound, mgf, not ch.t_half,
+                                 {"n": n, "s": s, "c": opts.c, "t_half": ch.t_half})]
     certified, raw = bnd.calibrate_c(*map(np.concatenate, zip(*survivals)))
     extras = {"certified_c": certified, "certified_c_raw": raw, "c_used": opts.c}
     return _result("thm1", opts, ReportBlock.concat(blocks), extras)
@@ -536,8 +536,8 @@ def suite_cor1(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
                 rows.append((n, eps, tail.threshold, tail.mean_term, tail.failure_bound,
                              float(law[unseen > tail.threshold].sum())))
         n, eps, threshold, mean_term, bound, p = map(np.array, zip(*rows))
-        blocks.append(ReportBlock.of_check(
-            "cor1-upper-tail", ch.chain_id, bound, p, p <= bound + INEQUALITY_TOL, not ch.t_half,
+        blocks.append(_check(
+            "cor1-upper-tail", ch.chain_id, bound, p, not ch.t_half,
             {"n": n, "eps": eps, "threshold": threshold, "mean_term": mean_term, "c2": opts.c2,
              "lower_tail": "out-of-scope"}))
     return _result("cor1", opts, ReportBlock.concat(blocks))
@@ -561,9 +561,8 @@ def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary
     pi = stationary(chain.matrix)
     freq = occupancy_frequencies(chain, opts.ergodic_steps, derive_stream(seed, 1), pi)
     tv = 0.5 * float(np.abs(freq - pi.pi).sum())
-    return _result("ergodic", opts, ReportBlock.of_check(
-        "ergodic-tv", chain_id, [0.01], [tv], tv <= 0.01, False,
-        {"steps": opts.ergodic_steps}))
+    return _result("ergodic", opts, _check("ergodic-tv", chain_id, [0.01], [tv], False,
+                                           {"steps": opts.ergodic_steps}))
 
 
 SUITES = {"lemma1": suite_lemma1, "lemma2": suite_lemma2, "iid": suite_iid, "prop1": suite_prop1,

@@ -101,9 +101,10 @@ class TestJointSurvivalBound:
         ((0.05, 0.15, 0.3, 0.5), (1, 3), 1, 0.25, 0.3),
     ])
     def test_equals_explicit_tail_at_t_n(self, pi, J, n, c, T):
-        # one formula: Thm. 1's product collapses to Cor. 3's smooth tail, bit for bit
+        # one formula: Thm. 1's product collapses to Cor. 3's smooth tail, bit for bit, with
+        # pi(J) summed by StationaryDistribution.mass, as the verify suites sum it
         params = BoundParams(c=c, T=T, n=n, pi=dist(*pi))
-        mass = math.fsum(pi[j] for j in J)
+        mass = params.pi.mass(J)
         assert joint_survival_bound(params, StateSet(J)) == explicit_hitting_tail(mass, T, n, c) \
             == math.exp(-c * n * mass / T)
 
@@ -117,6 +118,15 @@ class TestIidExactSurvival:
 
     def test_quarter_squared(self):
         assert iid_exact_survival(dist(0.25, 0.75), state_set([0]), 2) == 0.5625
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sums_pi_of_j_by_mass(self, seed):
+        # the pi(J) of the verify suites' rows, bit for bit: an fsum differs on some sets
+        rng = np.random.default_rng(seed)
+        pi = dist(*rng.dirichlet(np.full(8, 1.0)))
+        for mask in range(1, 1 << 8):
+            members = tuple(j for j in range(8) if mask >> j & 1)
+            assert iid_exact_survival(pi, StateSet(members), 5) == max(0.0, 1.0 - pi.mass(members)) ** 5
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_dominated_by_product_exhaustively(self, m):
@@ -378,6 +388,13 @@ class TestCalibrateC:
             calibrate_c(p=[4.4e-323], n=[20000], mass=[0.5], t_half=[2.0])
         # the smallest normal double itself is a real survival
         assert calibrate_c(p=[np.finfo(float).tiny], **{k: v[1:] for k, v in rows.items()})[1] > 0
+
+    def test_survival_above_one_reads_as_one(self):
+        # a survival that rounds above 1 would certify a c below 0; read as 1, it gives
+        # 0.0 for both, and not -0.0
+        certified, raw = calibrate_c([1.0000000000000002, 0.5], [2, 4], [0.5, 0.5], [1.0, 1.0])
+        assert (certified, raw) == (0.0, 0.0)
+        assert math.copysign(1.0, certified) == math.copysign(1.0, raw) == 1.0
 
     def test_empty_suite(self):
         with pytest.raises(ValidationError):

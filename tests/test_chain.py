@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mml.chain import (
+    CHAIN_FAMILIES,
+    FAMILY_BUILDERS,
     ChainSpec,
     chain_from_dict,
     generate,
@@ -255,6 +258,15 @@ class TestGenerate:
         assert np.array_equal(generate("random-dense", m=4).matrix.rows,
                               generate("random-dense", m=4, seed=0).matrix.rows)
 
+    def test_families_are_the_builder_table(self):
+        # one table dispatches generate and names the families, in the order errors list them
+        assert CHAIN_FAMILIES == tuple(FAMILY_BUILDERS) == (
+            "iid", "two-state", "lazy-cycle", "birth-death", "random-dense")
+        assert {family for family, _ in FAMILY_CASES} == set(CHAIN_FAMILIES)
+        with pytest.raises(BadParamsError, match=re.escape(
+                f"unknown chain family 'ring'; known: {CHAIN_FAMILIES}")):
+            generate("ring", m=4)
+
     def test_generate_is_deterministic(self):
         a = generate("random-dense", m=5, seed=123)
         b = generate("random-dense", m=5, seed=123)
@@ -311,6 +323,15 @@ class TestChainSpec:
             ChainSpec(matrix=P, start=np.array([0.6, 0.6]))
         with pytest.raises(ValidationError):
             ChainSpec(matrix=P, start=np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("start,entry", [([math.nan, 1.0], "start[0] is not finite: nan"),
+                                             ([0.0, math.inf], "start[1] is not finite: inf"),
+                                             ([-math.inf, 1.0], "start[0] is not finite: -inf")])
+    def test_start_must_be_finite(self, start, entry):
+        # a NaN entry once passed the sign and sum checks, and broke the samplers later
+        P = generate("two-state", p=0.5, q=0.5).matrix
+        with pytest.raises(ValidationError, match=re.escape(entry)):
+            ChainSpec(matrix=P, start=start)
 
     def test_default_start_is_stationary(self):
         chain = generate("two-state", p=0.1, q=0.2)

@@ -377,6 +377,51 @@ def test_hit_survival_reprints_every_survival(small_run, capsys, suite, name, ke
         assert dict(line.split(",") for line in csv_body(out).splitlines()[1:]) == values
 
 
+@pytest.mark.parametrize("suite,name,keys", [("thm1", "thm1-joint-survival", ("J", "n")),
+                                             ("cor3", "cor3-explicit-tail", ("A", "t"))])
+def test_jointbound_reprints_every_survival_bound(small_run, capsys, suite, name, keys):
+    # the suites take each bound from joint_survival_bound, pi(J) summed by
+    # StationaryDistribution.mass, so the bounds command prints the cell as written
+    rows = [r for r in _cells(small_run[suite]) if r["name"] == name]
+    assert rows
+    for r in rows:
+        p = r["params"]
+        out = _printed(capsys, ["bounds", "jointbound", "--chain", r["chain_id"], "--J", p[keys[0]],
+                                "--n", p[keys[1]], "--c", p["c"], "--T", p["t_half"]])
+        assert out == r["bound"] + "\n", r
+
+
+def test_iidsurv_reprints_every_exact_survival(small_run, capsys):
+    rows = [r for r in _cells(small_run["iid"]) if r["name"] == "iid-exact-survival"]
+    assert rows
+    for r in rows:
+        out = _printed(capsys, ["bounds", "iidsurv", "--pi", r["chain_id"].removeprefix("iid:mu="),
+                                "--J", r["params"]["J"], "--n", r["params"]["n"]])
+        assert out == r["params"]["exact"] + "\n", r
+
+
+def _verdicts(reports: ReportBlock, name: str, tol: float) -> np.ndarray:
+    """value <= bound + tol, and for lemma1 also value * t_minus <= t_plus + tol."""
+    holds = reports.value <= reports.bound + tol
+    if name == "lemma1":
+        holds &= reports.value * reports.params["t_minus"] <= reports.params["t_plus"] + tol
+    return holds
+
+
+@pytest.mark.parametrize("tol", [verify.INEQUALITY_TOL, -np.inf])
+def test_one_verdict_decides_every_row(monkeypatch, tol):
+    # every suite's holds comes from its (value, bound) cells and lemma1's product form alone:
+    # at -inf no row holds, so a suite that compares by its own rule fails one of the two
+    monkeypatch.setattr(verify, "INEQUALITY_TOL", tol)
+    opts = VerifyOptions(seed=3) if tol == verify.INEQUALITY_TOL else VerifyOptions(
+        seed=3, lemma1_chains=3, lemma2_chains=3, prop1_chains=12, trials=200)
+    results = verify.run_all(opts)
+    assert [name for name, *_ in results] == list(verify.SUITE_ORDER)
+    for name, reports, _ in results:
+        assert len(reports)
+        assert np.array_equal(reports.holds, _verdicts(reports, name, tol)), name
+
+
 def test_every_chain_id_is_a_chain_source(small_run, capsys):
     ids = {r["chain_id"] for lines in small_run.values() for r in csv.DictReader(lines)}
     # 3 + 3 lemma chains, 3 iid, 12 prop1 (3 of them thm1's), thm1's 3 random chains, the
