@@ -37,10 +37,7 @@ from .hitting import (
     expected_hitting_time,
     hitting_table,
     state_set,
-    subset_hitting_times,
     t_large,
-    t_minus,
-    t_plus,
 )
 from .report import BoundReport, ReportBlock
 from .simulate import (

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import StationaryDistribution
-from .errors import DomainError, InsufficientTrialsError, ValidationError
+from .errors import InsufficientTrialsError, PreconditionError, ValidationError
 from .hitting import StateSet, _check_members
 
 DEFAULT_C = 1.0 / (2.0 * math.e)
@@ -191,7 +191,7 @@ def kl_divergence(p: float, q: float) -> float:
     With 0 log 0 = 0: D is +inf where p > 0 = q or p < 1 = q, and 0 at p = q in {0, 1}.
     """
     if not (0 <= p <= 1) or not (0 <= q <= 1):  # NaN fails too
-        raise DomainError(f"p, q must lie in [0, 1], got p={p!r}, q={q!r}")
+        raise PreconditionError(f"p, q must lie in [0, 1], got p={p!r}, q={q!r}")
     return _relative_entropy_term(p, q) + _relative_entropy_term(1 - p, 1 - q)
 
 

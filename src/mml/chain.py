@@ -21,16 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadParamsError,
-    ChainFileError,
-    NegativeEntryError,
-    NonSquareError,
-    NonStochasticRowError,
-    NotIrreducibleError,
-    SingularSystemError,
-    ValidationError,
-)
+from .errors import ChainFileError, PreconditionError, SingularSystemError, ValidationError
 
 ROW_SUM_TOL = 1e-12
 ENTRY_CLAMP = 1e-15
@@ -115,11 +106,11 @@ def validate(raw, labels=None) -> TransitionMatrix:
 
     Raises
     ------
-    NonSquareError, NegativeEntryError, NonStochasticRowError
+    ValidationError
     """
     P = np.array(raw, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
-        raise NonSquareError(f"expected a square matrix, got shape {P.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {P.shape}")
     # an entry outside [0, 1], NaN included, is searched for and clamped; the rest pass
     if not (P.min() >= 0.0 and P.max() <= 1.0):
         if not np.all(np.isfinite(P)):
@@ -129,12 +120,12 @@ def validate(raw, labels=None) -> TransitionMatrix:
         P[(P > 1.0) & (P < 1.0 + ENTRY_CLAMP)] = 1.0
         if np.any(P < 0):
             i, j = np.argwhere(P < 0)[0]
-            raise NegativeEntryError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
+            raise ValidationError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
     sums = P.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         i = int(bad[0])
-        raise NonStochasticRowError(f"row {i} sums to {sums[i]!r}, expected 1")
+        raise ValidationError(f"row {i} sums to {sums[i]!r}, expected 1")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != P.shape[0]:
@@ -174,7 +165,7 @@ def stationary(P: TransitionMatrix) -> StationaryDistribution:
     fails the residual checks.
     """
     if not is_irreducible(P):
-        raise NotIrreducibleError("chain is not irreducible")
+        raise PreconditionError("chain is not irreducible")
     m = P.m
     # A^T = P - I with its last column set to 1, so A is column-major, as the solver copies it
     At = P.rows.copy()
@@ -214,25 +205,25 @@ def generate(family: str, /, m: int | None = None, **params) -> ChainSpec:
     parameters, so an ``m`` given to them must equal it.
     """
     if family not in FAMILY_BUILDERS:
-        raise BadParamsError(f"unknown chain family {family!r}; known: {CHAIN_FAMILIES}")
+        raise ValidationError(f"unknown chain family {family!r}; known: {CHAIN_FAMILIES}")
     rows = FAMILY_BUILDERS[family](m, params)
     _reject_extras(family, params)
     if m is not None and m != len(rows):
-        raise BadParamsError(f"{family} with these parameters has {len(rows)} states, got m={m}")
+        raise ValidationError(f"{family} with these parameters has {len(rows)} states, got m={m}")
     return ChainSpec(matrix=validate(rows))
 
 
 def _reject_extras(family, params):
     if params:
-        raise BadParamsError(f"unused parameters for family {family!r}: {sorted(params)}")
+        raise ValidationError(f"unused parameters for family {family!r}: {sorted(params)}")
 
 
 def _gen_iid(m, params):  # the size is mu's
     mu = np.asarray(params.pop("mu", None), dtype=float)
     if mu.ndim != 1 or mu.size < 1:
-        raise BadParamsError("iid needs a 1-d probability vector mu")
+        raise ValidationError("iid needs a 1-d probability vector mu")
     if not (np.all(mu > 0) and abs(mu.sum() - 1.0) <= ROW_SUM_TOL):  # NaN fails too
-        raise BadParamsError("mu must be a strictly positive distribution")
+        raise ValidationError("mu must be a strictly positive distribution")
     return np.tile(mu, (mu.size, 1))
 
 
@@ -240,16 +231,16 @@ def _gen_two_state(m, params):  # the size is 2
     p = params.pop("p", None)
     q = params.pop("q", None)
     if p is None or q is None or not (0 < p <= 1) or not (0 < q <= 1):
-        raise BadParamsError("two-state needs flip probabilities p, q in (0, 1]")
+        raise ValidationError("two-state needs flip probabilities p, q in (0, 1]")
     return np.array([[1 - p, p], [q, 1 - q]])
 
 
 def _gen_lazy_cycle(m, params):
     hold = params.pop("hold", None)
     if m is None or m < 1:
-        raise BadParamsError("lazy-cycle needs m >= 1")
+        raise ValidationError("lazy-cycle needs m >= 1")
     if hold is None or not (0 <= hold < 1):
-        raise BadParamsError("lazy-cycle needs hold probability in [0, 1)")
+        raise ValidationError("lazy-cycle needs hold probability in [0, 1)")
     i, step = np.arange(m), (1 - hold) / 2
     rows = np.zeros((m, m))
     for j, w in ((i, hold), ((i + 1) % m, step), ((i - 1) % m, step)):
@@ -261,9 +252,9 @@ def _gen_birth_death(m, params):
     p = params.pop("p", None)
     q = params.pop("q", None)
     if m is None or m < 1:
-        raise BadParamsError("birth-death needs m >= 1")
+        raise ValidationError("birth-death needs m >= 1")
     if p is None or q is None or not (p > 0 and q > 0 and p + q <= 1):  # NaN fails too
-        raise BadParamsError("birth-death needs p > 0, q > 0 with p + q <= 1")
+        raise ValidationError("birth-death needs p > 0, q > 0 with p + q <= 1")
     up, down = np.full(m, float(p)), np.full(m, float(q))
     up[-1] = down[0] = 0.0
     return np.diag(1.0 - up - down) + np.diag(up[:-1], 1) + np.diag(down[1:], -1)
@@ -273,9 +264,9 @@ def _gen_random_dense(m, params):
     alpha = params.pop("alpha", 1.0)
     seed = params.pop("seed", 0)
     if m is None or m < 1:
-        raise BadParamsError("random-dense needs m >= 1")
+        raise ValidationError("random-dense needs m >= 1")
     if not 0 < alpha < math.inf:  # NaN fails too
-        raise BadParamsError("random-dense needs a finite alpha > 0")
+        raise ValidationError("random-dense needs a finite alpha > 0")
     from .simulate import derive_stream
 
     rng = derive_stream(seed, 0)

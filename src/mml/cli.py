@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from . import bounds as bnd
 from .chain import (
+    ROW_SUM_TOL,
     ChainSpec,
     StationaryDistribution,
     chain_source,
@@ -47,14 +48,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .hitting import (
-    StateSet,
-    hitting_table,
-    survival_probabilities,
-    t_large,
-    t_minus,
-    t_plus,
-)
+from .hitting import StateSet, hitting_table, survival_probabilities, t_large
 from .report import format_params, render_reports_csv, render_reports_json
 from .simulate import (
     _check_at_least_one,
@@ -163,16 +157,6 @@ def cmd_hit_table(args) -> str:
                 [f"{x},{float(h)!r}" for x, h in enumerate(table.h)])
 
 
-def cmd_hit_tplus(args) -> str:
-    P = _chain(args)[1].matrix
-    return f"{t_plus(P, parse_index_set(args.A), parse_index_set(args.B))!r}\n"
-
-
-def cmd_hit_tminus(args) -> str:
-    P = _chain(args)[1].matrix
-    return f"{t_minus(P, parse_index_set(args.A), parse_index_set(args.B))!r}\n"
-
-
 def cmd_hit_tlarge(args) -> str:
     P = _chain(args)[1].matrix
     res = t_large(P, stationary(P), args.eps)
@@ -184,6 +168,8 @@ def cmd_hit_tlarge(args) -> str:
 
 
 def cmd_hit_lemma1(args) -> str:
+    """Lemma 1's row for A and B: its t_plus cell is T+(A,B) = max_{x in A} E_x tau_B and
+    its t_minus cell T-(B,A) = min_{x in B} E_x tau_A, so A and B swapped give T-(A,B)."""
     chain_id, chain = _chain(args)
     return _report(check_lemma1(chain.matrix, stationary(chain.matrix), parse_index_set(args.A),
                                 parse_index_set(args.B), chain_id), args)
@@ -274,7 +260,8 @@ def _pi_from_args(args):
     if args.chain is not None:
         raise ValidationError("give --chain or --pi, not both")
     vec = parse_float_vector(args.pi)
-    if not abs(vec.sum() - 1.0) <= 1e-9 or np.any(vec < 0):  # NaN fails too
+    # the rule of a chain's start law, so every pi(J) the formulas sum stays within theirs
+    if not abs(vec.sum() - 1.0) <= ROW_SUM_TOL or np.any(vec < 0):  # NaN fails too
         raise ValidationError("--pi must be a probability vector")
     return StationaryDistribution(pi=vec, residual=0.0)
 
@@ -474,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     hit = sub.add_parser("hit", help="exact hitting-time queries and analytic checks")
     hit = hit.add_subparsers(dest="hit_cmd", required=True)
     _command(hit, "table", cmd_hit_table, ("B",), fmt=True)
-    _command(hit, "tplus", cmd_hit_tplus, ("B", "A"))
-    _command(hit, "tminus", cmd_hit_tminus, ("B", "A"))
     _command(hit, "tlarge", cmd_hit_tlarge, fmt=True).add_argument("--eps", type=float, default=0.5)
     _command(hit, "lemma1", cmd_hit_lemma1, ("B", "A"), fmt=True)
     _command(hit, "lemma2", cmd_hit_lemma2, ("A",), fmt=True)

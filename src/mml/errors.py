@@ -1,4 +1,4 @@
-"""Exception hierarchy. The CLI maps these classes onto documented exit codes."""
+"""Exception hierarchy. The CLI maps each class onto one documented exit code."""
 
 
 class MMLError(Exception):
@@ -10,43 +10,12 @@ class ChainFileError(MMLError):
 
 
 class ValidationError(MMLError):
-    """Input data violates a structural invariant."""
-
-
-class NonSquareError(ValidationError):
-    pass
-
-
-class NegativeEntryError(ValidationError):
-    pass
-
-
-class NonStochasticRowError(ValidationError):
-    """A row of the transition matrix does not sum to 1 within tolerance."""
-
-
-class BadParamsError(ValidationError):
-    """Chain-family generator called with unusable parameters."""
+    """Input data violates a structural invariant, or a generator got unusable parameters."""
 
 
 class PreconditionError(MMLError):
-    """A mathematical precondition of the operation is not met."""
-
-
-class NotIrreducibleError(PreconditionError):
-    pass
-
-
-class EmptySetError(PreconditionError):
-    pass
-
-
-class TooManyStatesError(PreconditionError):
-    """Exhaustive subset enumeration is capped at 20 states."""
-
-
-class DomainError(PreconditionError):
-    """Argument outside the domain of the function."""
+    """A mathematical precondition of the operation is not met: a reducible chain, an
+    empty set, more states than an enumeration allows, or an argument outside a domain."""
 
 
 class SingularSystemError(MMLError):

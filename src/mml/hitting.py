@@ -9,14 +9,14 @@ One solver, ``_hitting_times``, handles every target on a stack of chains
 of equal size: it groups the targets by size, solves each size's
 (I - Q) h = 1 systems on every chain of the stack with one
 ``np.linalg.solve`` call per SOLVE_BATCH systems and checks every
-system's residual. A stack gathers each Q^T with one fancy index; a lone
-system (every ``hitting_table``) takes whole rows of P, then Q's columns,
-GATHER_ROWS rows at a time, which reads P in order. numpy hands LAPACK the
-same column-major copy of I - Q either way, so h does not depend on the
-path. A single table (``hitting_table``) and T(eps) pass a stack of one
-chain; the array of every subset's hitting times
-(``subset_hitting_times_stack``, m <= 20) passes the whole stack, so the
-lemma sweeps solve all their chains of one size together. The same
+system's residual, relative to its largest h. A stack gathers each Q^T
+with one fancy index; a lone system (every ``hitting_table``) takes whole
+rows of P, then Q's columns, GATHER_ROWS rows at a time, which reads P in
+order. numpy hands LAPACK the same column-major copy of I - Q either way,
+so h does not depend on the path. A single table (``hitting_table``) and
+T(eps) pass a stack of one chain; the array of every subset's hitting
+times (``subset_hitting_times_stack``, m <= 20) passes the whole stack, so
+the lemma sweeps solve all their chains of one size together. The same
 subsets' membership rows and stationary masses come as arrays too
 (``subset_members``; ``member_masses``, each set summed by numpy's own
 sum, as in ``StationaryDistribution.mass``); ``row_members`` decodes rows.
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import StationaryDistribution, TransitionMatrix
-from .errors import BadParamsError, EmptySetError, SingularSystemError, TooManyStatesError, ValidationError
+from .errors import PreconditionError, SingularSystemError, ValidationError
 
 SYSTEM_RESIDUAL_TOL = 1e-9
 ENUMERATION_MAX_STATES = 20
@@ -116,14 +116,14 @@ class LargeSetTime:
 
 def _check_members(S: StateSet, m: int, what: str = "set"):
     if len(S) == 0:
-        raise EmptySetError(f"{what} is empty")
+        raise PreconditionError(f"{what} is empty")
     if S.members[-1] >= m:
         raise ValidationError(f"{what} index {S.members[-1]} out of range for m={m}")
 
 
 def _check_enumerable(m: int, what: str):
     if m > ENUMERATION_MAX_STATES:
-        raise TooManyStatesError(
+        raise PreconditionError(
             f"m={m} exceeds the enumeration cap {ENUMERATION_MAX_STATES} of {what}")
 
 
@@ -135,15 +135,10 @@ def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
                             residual=float(residual[0, 0]))
 
 
-def subset_hitting_times(P: TransitionMatrix) -> np.ndarray:
-    """(2^m - 1, m) hitting times of every non-empty target set; row k - 1 targets bitmask k."""
-    return subset_hitting_times_stack([P])[0]
-
-
 def subset_hitting_times_stack(chains) -> np.ndarray:
     """(C, 2^m - 1, m) hitting times of every non-empty target set on each of C chains of
-    m states; [c, k - 1] targets bitmask k on chains[c]. Equal, bit for bit, to
-    ``subset_hitting_times`` of each chain."""
+    m states; [c, k - 1] targets bitmask k on chains[c], bit for bit as on a stack of
+    that chain alone."""
     m = chains[0].m
     _check_enumerable(m, "the subset enumeration")
     return _hitting_times(np.stack([P.rows for P in chains]), _outside(np.arange(1, 1 << m), m))[0]
@@ -174,7 +169,8 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
     chains are solved in stacks of at most SOLVE_BATCH, one ``np.linalg.solve``
     per stack, each system alone, so h does not depend on the stacking. Raises
     SingularSystemError, naming the target, when a system is singular or its
-    residual exceeds SYSTEM_RESIDUAL_TOL.
+    residual exceeds SYSTEM_RESIDUAL_TOL * max(1, max_x h(x)): the rounding of an
+    accurate solve grows with h, which reaches 1e7 on stiff birth-death chains.
     """
     chains = rows.shape[0]
     h = np.zeros((chains, *outside.shape))
@@ -213,25 +209,17 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
             hs, off = h[c, lo:lo + SOLVE_BATCH], outside[lo:lo + SOLVE_BATCH]
             gap = np.where(off, np.abs(hs - 1.0 - hs @ rows[c].T), 0.0)
             residual[c, lo:lo + SOLVE_BATCH] = gap.max(axis=1)
-    bad = np.argwhere(~(residual <= SYSTEM_RESIDUAL_TOL))  # NaN fails too
+    # a tolerance scaled by the system's largest h is at least SYSTEM_RESIDUAL_TOL, so only
+    # the systems past that one are scaled; NaN fails too
+    chain, k = np.nonzero(~(residual <= SYSTEM_RESIDUAL_TOL))
+    scale = np.maximum(1.0, h[chain, k].max(axis=1))
+    bad = np.flatnonzero(~(residual[chain, k] <= SYSTEM_RESIDUAL_TOL * scale))
     if bad.size:
-        chain, k = bad[0].tolist()
+        chain, k = chain[bad[0]], k[bad[0]]
         raise SingularSystemError(
-            f"hitting system residual {residual[chain, k]!r} exceeds tolerance "
+            f"hitting system residual {float(residual[chain, k])!r} exceeds tolerance "
             f"for target {row_members(~outside[[k]])[0]}")
     return h, residual
-
-
-def t_plus(P: TransitionMatrix, A: StateSet, B: StateSet) -> float:
-    """Worst expected hitting time of B over starting states in A."""
-    _check_members(A, P.m, "start set")
-    return float(hitting_table(P, B).h[A.indices()].max())
-
-
-def t_minus(P: TransitionMatrix, A: StateSet, B: StateSet) -> float:
-    """Best expected hitting time of B over starting states in A."""
-    _check_members(A, P.m, "start set")
-    return float(hitting_table(P, B).h[A.indices()].min())
 
 
 def expected_hitting_time(table: HittingTimeTable, start: np.ndarray) -> float:
@@ -342,15 +330,13 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
     the minimal sets.
     """
     if not (0 < epsilon <= 1):
-        raise BadParamsError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+        raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     _check_enumerable(P.m, "T(eps)")
     masks = _minimal_qualifying_sets(pi.pi, epsilon)
-    head = masks.size
-    if masks.size > SOLVE_BATCH:  # more sets than the first solve takes: rank them by bound
-        bounds = _one_step_bounds(P.rows, masks)
-        order = np.argsort(bounds, kind="stable")[::-1]
-        masks, bounds = masks[order], bounds[order]
-        head = np.count_nonzero(np.isinf(bounds)) + SOLVE_BATCH
+    bounds = _one_step_bounds(P.rows, masks)
+    order = np.argsort(bounds, kind="stable")[::-1]
+    masks, bounds = masks[order], bounds[order]
+    head = np.count_nonzero(np.isinf(bounds)) + SOLVE_BATCH
 
     def max_times(sets):
         return _hitting_times(P.rows[None], _outside(sets, P.m))[0][0].max(axis=1)

@@ -5,7 +5,8 @@ from truncated survival sums (iterating the sub-stochastic matrix) or one
 plain dense solve per target, the subset maximizer from brute-force
 enumeration, the lemma1 suite's disjoint set pairs from listing them
 all, survival and visited-set laws from a sum over every trajectory, and
-reference constants from high-precision arithmetic. The stationary law
+reference constants and a stiff chain's hitting times from high-precision
+arithmetic. The stationary law
 and hitting times also come from the plain constructions of P^T - I
 (from np.eye) and I - Q (from zeros), which the library's in-place
 builds must equal bit for bit. The samplers' reference is the O(m)
@@ -28,7 +29,7 @@ import mpmath
 import numpy as np
 
 from mml.chain import ENTRY_CLAMP, ROW_SUM_TOL
-from mml.errors import NegativeEntryError, NonSquareError, NonStochasticRowError, ValidationError
+from mml.errors import ValidationError
 from mml.hitting import _minimal_qualifying_sets
 from mml.simulate import BLOCK_TRIALS, _avoiding_kernel, derive_stream
 
@@ -93,6 +94,20 @@ def direct_solve_table(rows: np.ndarray, members) -> np.ndarray:
     return h
 
 
+def exact_hitting_table(rows: np.ndarray, members, dps: int = 60) -> np.ndarray:
+    """h rounded from a solve of the first-step system in ``dps`` decimal digits: the
+    binary entries of P are exact in mpmath, so only the solve itself rounds."""
+    target = set(members)
+    rest = [x for x in range(rows.shape[0]) if x not in target]
+    h = np.zeros(rows.shape[0])
+    with mpmath.workdps(dps):
+        A = mpmath.matrix([[float(x == y) - mpmath.mpf(float(rows[x, y])) for y in rest]
+                           for x in rest])
+        if rest:
+            h[rest] = [float(v) for v in mpmath.lu_solve(A, mpmath.ones(len(rest), 1))]
+    return h
+
+
 def stationary_by_eye(rows: np.ndarray) -> np.ndarray:
     """pi from one dense solve of P^T - I, built from np.eye, with the last equation
     replaced by sum(pi) = 1; then clipped at 0 and normalized, as ``stationary`` does."""
@@ -136,7 +151,7 @@ def validate_by_passes(raw) -> np.ndarray:
     finiteness test, clamp and sign search runs whatever the entries are."""
     P = np.array(raw, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
-        raise NonSquareError(f"expected a square matrix, got shape {P.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {P.shape}")
     if not np.all(np.isfinite(P)):
         i, j = np.argwhere(~np.isfinite(P))[0]
         raise ValidationError(f"P[{i}][{j}] is not finite")
@@ -144,12 +159,12 @@ def validate_by_passes(raw) -> np.ndarray:
     P[(P > 1.0) & (P < 1.0 + ENTRY_CLAMP)] = 1.0
     if np.any(P < 0):
         i, j = np.argwhere(P < 0)[0]
-        raise NegativeEntryError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
+        raise ValidationError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
     sums = P.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         i = int(bad[0])
-        raise NonStochasticRowError(f"row {i} sums to {sums[i]!r}, expected 1")
+        raise ValidationError(f"row {i} sums to {sums[i]!r}, expected 1")
     return P
 
 

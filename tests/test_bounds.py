@@ -18,9 +18,8 @@ from mml.bounds import (
 )
 from mml.chain import StationaryDistribution, generate, stationary, validate
 from mml.errors import (
-    DomainError,
-    EmptySetError,
     InsufficientTrialsError,
+    PreconditionError,
     ValidationError,
 )
 from mml.hitting import StateSet, state_set, t_large
@@ -91,7 +90,7 @@ class TestJointSurvivalBound:
 
     def test_empty_set(self):
         params = BoundParams(c=1.0, T=1.0, n=1, pi=dist(0.5, 0.5))
-        with pytest.raises(EmptySetError):
+        with pytest.raises(PreconditionError, match="set J is empty"):
             joint_survival_bound(params, StateSet(()))
 
     @pytest.mark.parametrize("pi,J,n,c,T", [
@@ -286,9 +285,9 @@ class TestKlPinsker:
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, -math.inf, math.nan])
     def test_domain_errors(self, p):
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError, match="p, q must lie in"):
             kl_divergence(p, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError, match="p, q must lie in"):
             kl_divergence(0.5, p)
 
     @pytest.mark.parametrize("q", [1e-12, 0.25, 0.5, 0.9, 1 - 1e-12])

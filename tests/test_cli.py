@@ -22,8 +22,9 @@ from mml.cli import (
     parse_grid,
     parse_index_set,
 )
-from mml.errors import MMLError, ValidationError
-from mml.hitting import survival_probabilities
+from mml.chain import generate, stationary, validate
+from mml.errors import MMLError, PreconditionError, ValidationError
+from mml.hitting import StateSet, hitting_table, survival_probabilities, t_large
 from mml.report import csv_body
 from mml.verify import OPTION_RULES, SUITE_ORDER, SUITES, VerifyOptions
 
@@ -242,8 +243,34 @@ class TestHitCommands:
         assert (row["bound"], row["value"], row["holds"]) == ("0.5", "0.5", "true")
 
     def test_tplus(self, cycle3, capsys):
-        assert main(["hit", "tplus", "--chain", cycle3, "--A", "0,1", "--B", "2"]) == 0
-        assert capsys.readouterr().out.strip() == "2.0"
+        # T+(A,B) is lemma1's t_plus cell, and T-(A,B) the t_minus cell with A and B swapped
+        cells = []
+        for A, B in (("0,1", "2"), ("2", "0,1")):
+            assert main(["hit", "lemma1", "--chain", cycle3, "--A", A, "--B", B]) == 0
+            (row,) = csv.DictReader(csv_body(capsys.readouterr().out).splitlines())
+            cells.append(dict(kv.split("=", 1) for kv in row["params"].split(";")))
+        assert (cells[0]["t_plus"], cells[1]["t_minus"]) == ("2.0", "1.0")
+
+    @pytest.mark.parametrize("command", ["tplus", "tminus"])
+    def test_tplus_and_tminus_are_gone(self, cycle3, capsys, command):
+        # hit lemma1 prints both in its row; the one-value commands are rejected, not aliased
+        with pytest.raises(SystemExit) as exc:
+            main(["hit", command, "--chain", cycle3, "--A", "0", "--B", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["table", "--B", "0"], ["lemma2", "--A", "0"]])
+    def test_stiff_birth_death_exits_0(self, capsys, argv):
+        # h reaches 1.3e7, so an accurate solve leaves an absolute residual of 1.9e-9
+        assert main(["hit", argv[0], "--chain", "birth-death:m=8;p=0.45;q=0.05", *argv[1:]]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_inaccurate_solve_exits_4(self, capsys, monkeypatch):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) * (1.0 + 1e-6))
+        assert main(["hit", "table", "--chain", "random-dense:m=6;seed=3", "--B", "0"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: hitting system residual ") and "np.float64" not in err
 
     def test_tlarge_too_many_states_exits_4(self, capsys):
         rc = main(["hit", "tlarge", "--chain", "lazy-cycle:m=21;hold=0.5", "--eps", "0.5"])
@@ -525,6 +552,18 @@ class TestBoundsCommands:
         assert main(["bounds", *argv]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "must be" in captured.err
+
+    @pytest.mark.parametrize("offset,rc", [(0.9e-12, 0), (-0.9e-12, 0), (2e-12, 3), (-2e-12, 3),
+                                           (5e-10, 3)])
+    @pytest.mark.parametrize("command", [["iidsurv", "--n", "1"], ["jointbound", "--n", "1"],
+                                         ["product"]], ids=lambda c: c[0])
+    def test_pi_sums_to_one_as_a_start_law_does(self, capsys, command, offset, rc):
+        # --pi passes the rule of a chain's start law, |sum - 1| <= ROW_SUM_TOL, so a vector
+        # it accepts is one every formula reads, J = every state included
+        pi = f"0.5,{0.5 + offset!r}"
+        assert main(["bounds", *command, "--pi", pi, "--J", "0,1"]) == rc
+        err = capsys.readouterr().err
+        assert err == ("" if rc == 0 else "error: --pi must be a probability vector\n")
 
     def test_chain_from_family(self, capsys):
         # a chain given by --chain yields the same bound as its stationary law given by --pi
@@ -987,6 +1026,59 @@ def test_import_loads_no_thread_pool():
     assert out.strip() == "False"
 
 
+NEGATIVE = [[1.5, -0.5], [0.5, 0.5]]
+ROW_OVER = [[0.6, 0.5], [0.5, 0.5]]
+REDUCIBLE = [[1.0, 0.0], [0.5, 0.5]]
+# the raise sites of the eight subclasses that ValidationError and PreconditionError used to
+# have: the library call, the class it raises, its message, and a command that reaches it
+# (FILE is a chain file of the given rows; no command reaches a non-square matrix, since a
+# chain file's rows are checked first)
+FORMER_SUBCLASSES = {
+    "NonSquareError": (lambda: validate([[0.5, 0.5]]), ValidationError,
+                       "expected a square matrix, got shape (1, 2)", None, None),
+    "NegativeEntryError": (lambda: validate(NEGATIVE), ValidationError,
+                           f"P[0][1] = {np.float64(-0.5)!r} is negative",
+                           ["chain", "validate"], NEGATIVE),
+    "NonStochasticRowError": (lambda: validate(ROW_OVER), ValidationError,
+                              f"row 0 sums to {np.float64(0.6) + np.float64(0.5)!r}, expected 1",
+                              ["chain", "validate"], ROW_OVER),
+    "BadParamsError": (lambda: generate("lazy-cycle", m=0, hold=0.5), ValidationError,
+                       "lazy-cycle needs m >= 1",
+                       ["chain", "validate", "--chain", "lazy-cycle:m=0;hold=0.5"], None),
+    "NotIrreducibleError": (lambda: stationary(validate(REDUCIBLE)), PreconditionError,
+                            "chain is not irreducible", ["chain", "stationary"], REDUCIBLE),
+    "EmptySetError": (lambda: hitting_table(validate(REDUCIBLE), StateSet(())),
+                      PreconditionError, "target set is empty",
+                      ["hit", "table", "--chain", "lazy-cycle:m=5;hold=0.5", "--B", ""], None),
+    "TooManyStatesError": (lambda: t_large(validate(np.eye(21)), None, 0.5), PreconditionError,
+                           "m=21 exceeds the enumeration cap 20 of T(eps)",
+                           ["hit", "tlarge", "--chain", "lazy-cycle:m=21;hold=0.5"], None),
+    "DomainError": (lambda: mml.kl_divergence(-0.1, 0.25), PreconditionError,
+                    "p, q must lie in [0, 1], got p=-0.1, q=0.25",
+                    ["bounds", "kl", "--p", "-0.1", "--q", "0.25"], None),
+}
+
+
+@pytest.mark.parametrize("kind", FORMER_SUBCLASSES)
+def test_former_subclass_raises_its_parent(tmp_path, capsys, monkeypatch, kind):
+    call, parent, message, argv, rows = FORMER_SUBCLASSES[kind]
+    with pytest.raises(MMLError) as exc:
+        call()
+    assert type(exc.value) is parent and str(exc.value) == message
+    code = {ValidationError: 3, PreconditionError: 4}[parent]
+    if argv is not None:
+        if rows is not None:
+            path = tmp_path / "chain.json"
+            path.write_text(json.dumps({"m": len(rows), "P": rows}))
+            argv = [*argv, "--chain", str(path)]
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # every raise site, one a command reaches or not, exits with its class's code
+    monkeypatch.setattr(mml.cli, "cmd_bounds_kl", lambda args: call())
+    assert main(["bounds", "kl", "--p", "0.5", "--q", "0.5"]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 SOURCE = {"--chain"}
 SIM = {"--trials", "--seed", "--workers"}
 BOUND = {"--pi", "--n", "--c", "--T", "--iid"}
@@ -996,8 +1088,6 @@ COMMAND_FLAGS = {
     "chain stationary": SOURCE | {"--out", "--format"},
     "chain generate": SOURCE | {"--out"},
     "hit table": SOURCE | {"--out", "--format", "--B"},
-    "hit tplus": SOURCE | {"--out", "--A", "--B"},
-    "hit tminus": SOURCE | {"--out", "--A", "--B"},
     "hit tlarge": SOURCE | {"--out", "--format", "--eps"},
     "hit lemma1": SOURCE | {"--out", "--format", "--A", "--B"},
     "hit lemma2": SOURCE | {"--out", "--format", "--A"},
@@ -1033,7 +1123,7 @@ def _leaf_flags(parser, path=()):
 def test_each_command_has_exactly_the_flags_it_reads():
     flags = dict(_leaf_flags(build_parser()))
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 113
+    assert sum(map(len, flags.values())) == 105
 
 
 CHAIN = ["--chain", "lazy-cycle:m=5;hold=0.5"]
@@ -1043,8 +1133,6 @@ OUT_COMMANDS = [
     ["chain", "stationary", *CHAIN],
     ["chain", "generate", *CHAIN],
     ["hit", "table", *CHAIN, "--B", "1,2", "--format", "json"],
-    ["hit", "tplus", *CHAIN, "--A", "0", "--B", "2"],
-    ["hit", "tminus", *CHAIN, "--A", "0", "--B", "2"],
     ["hit", "tlarge", *CHAIN],
     ["hit", "lemma1", *CHAIN, "--A", "0", "--B", "2"],
     ["hit", "lemma2", *CHAIN, "--A", "0,1", "--format", "json"],

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mml import hitting
-from mml.chain import generate, stationary, validate
-from mml.errors import EmptySetError, SingularSystemError, TooManyStatesError, ValidationError
+from mml.chain import generate, parse_descriptor, stationary, validate
+from mml.errors import PreconditionError, SingularSystemError, ValidationError
 from mml.hitting import (
     MASS_FILTER_TOL,
     SOLVE_BATCH,
@@ -23,14 +23,11 @@ from mml.hitting import (
     member_masses,
     row_members,
     state_set,
-    subset_hitting_times,
     subset_hitting_times_stack,
     subset_masses,
     subset_members,
     survival_probabilities,
     t_large,
-    t_minus,
-    t_plus,
     unseen_set_law,
 )
 from mml.report import ReportBlock, render_reports_csv
@@ -39,6 +36,7 @@ from mml.verify import check_lemma1, check_lemma2, lemma1_stack_reports, lemma2_
 from oracles import (
     brute_force_t_large,
     direct_solve_table,
+    exact_hitting_table,
     mask_members,
     survival_sum_expected,
     stationary_by_eye,
@@ -50,6 +48,8 @@ from oracles import (
 
 UNIFORM2 = validate([[0.5, 0.5], [0.5, 0.5]])
 CYCLE3 = validate([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+# pi(0) = 1.9e-7, so h reaches 1.3e7: an accurate solve leaves an absolute residual of 1.9e-9
+STIFF_BIRTH_DEATH = "birth-death:m=8;p=0.45;q=0.05"
 
 
 def random_chain(m, seed):
@@ -105,7 +105,7 @@ class TestHittingTable:
         np.testing.assert_allclose(table.h, [2.0, 1.0, 0.0], atol=1e-9)
 
     def test_empty_target(self):
-        with pytest.raises(EmptySetError):
+        with pytest.raises(PreconditionError, match="is empty"):
             hitting_table(UNIFORM2, StateSet(()))
 
     def test_single_state_chain(self):
@@ -174,12 +174,57 @@ class TestHittingTable:
                 assert h[x] == pytest.approx(expected, rel=1e-9)
 
 
+class TestScaledResidual:
+    """A system passes when its residual is at most SYSTEM_RESIDUAL_TOL * max(1, max h)."""
+
+    def test_stiff_birth_death_is_accurate(self):
+        P = parse_descriptor(STIFF_BIRTH_DEATH)[1].matrix
+        table = hitting_table(P, state_set([0]))
+        assert table.t_plus_all > 1e7 and table.residual > hitting.SYSTEM_RESIDUAL_TOL
+        # backward stable: the residual is an ulp of h; I - Q has a condition number near
+        # 1e7, so h itself is within about 1e-10 of the exact solution
+        assert table.residual < 1e-15 * table.t_plus_all
+        np.testing.assert_allclose(table.h, exact_hitting_table(P.rows, [0]), rtol=1e-9, atol=0)
+
+    def test_stiff_birth_death_every_subset_and_lemma2(self):
+        P = parse_descriptor(STIFF_BIRTH_DEATH)[1].matrix
+        h = subset_hitting_times_stack([P])[0]
+        assert h[0].tolist() == hitting_table(P, state_set([0])).h.tolist()
+        rep = check_lemma2(P, stationary(P), state_set([0]))[0]
+        assert rep.holds and rep.value == h[0].max()
+
+    @staticmethod
+    def _perturbed_solve(monkeypatch, rel):
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda A, b: solve(A, b) * (1.0 + rel))
+
+    def test_inaccurate_solve_raises(self, monkeypatch):
+        # h off by a relative 1e-6 leaves a residual of 1e-6 on B^c, far above 1e-9 * max h
+        P = random_chain(6, 3)
+        self._perturbed_solve(monkeypatch, 1e-6)
+        with pytest.raises(SingularSystemError, match=r"^hitting system residual \d(\.\d+)?e-0[67] "
+                                                      r"exceeds tolerance for target \(0,\)$"):
+            hitting_table(P, state_set([0]))
+        with pytest.raises(SingularSystemError, match="exceeds tolerance for target"):
+            subset_hitting_times_stack([P])
+
+    def test_inaccurate_stiff_solve_raises(self, monkeypatch):
+        # the tolerance scales with max h = 1.3e7: 1e-9 * 1.3e7 = 0.013 lets through an h off
+        # by a relative 1e-2, and not one off by 0.1
+        P = parse_descriptor(STIFF_BIRTH_DEATH)[1].matrix
+        self._perturbed_solve(monkeypatch, 1e-2)
+        hitting_table(P, state_set([0]))
+        self._perturbed_solve(monkeypatch, 0.1)
+        with pytest.raises(SingularSystemError, match="exceeds tolerance for target \\(0,\\)"):
+            hitting_table(P, state_set([0]))
+
+
 class TestSubsetHittingTables:
     @pytest.mark.parametrize("family", ["random-dense", "lazy-cycle", "birth-death", "iid"])
     @pytest.mark.parametrize("m", range(1, 7))
     def test_every_subset_matches_single_solves(self, family, m):
         P = family_chain(family, m) if m > 1 else validate([[1.0]])
-        h = subset_hitting_times(P)
+        h = subset_hitting_times_stack([P])[0]
         assert h.shape == ((1 << m) - 1, m)
         for mask, row in enumerate(h, start=1):
             members = mask_members(mask)
@@ -192,20 +237,21 @@ class TestSubsetHittingTables:
 
     def test_keys_in_bitmask_order(self):
         # h is 0 exactly on its target, so each row's zeros name the set it targets
-        targets = [tuple(np.flatnonzero(row == 0).tolist()) for row in subset_hitting_times(CYCLE3)]
+        targets = [tuple(np.flatnonzero(row == 0).tolist())
+                   for row in subset_hitting_times_stack([CYCLE3])[0]]
         assert targets == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]
 
     def test_too_many_states(self):
         P = generate("lazy-cycle", m=21, hold=0.5).matrix
-        with pytest.raises(TooManyStatesError):
-            subset_hitting_times(P)
+        with pytest.raises(PreconditionError, match="exceeds the enumeration cap 20"):
+            subset_hitting_times_stack([P])
 
     @pytest.mark.parametrize("batch", [hitting.SOLVE_BATCH, 1, 5])
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_stack_equals_each_chain_alone(self, monkeypatch, batch, m):
         chains = [random_chain(m, 1000 + 10 * m + k) if m > 1 else validate([[1.0]])
                   for k in range(4)]
-        alone = [subset_hitting_times(P) for P in chains]
+        alone = [subset_hitting_times_stack([P])[0] for P in chains]
         # a small batch makes the solver's stacks straddle chains
         monkeypatch.setattr(hitting, "SOLVE_BATCH", batch)
         stack = subset_hitting_times_stack(chains)
@@ -337,23 +383,41 @@ class TestSolverBuilds:
         assert peak < 1.5 * m * m * 8
 
 
+def _t_plus_minus(P, A, B):
+    """T+(A,B) = max_{x in A} E_x tau_B from Lemma 1's row for (A, B), and
+    T-(A,B) = min_{x in A} E_x tau_B from its row for (B, A)."""
+    pi = stationary(P)
+    A, B = state_set(A), state_set(B)
+    return (check_lemma1(P, pi, A, B)[0].metadata["t_plus"],
+            check_lemma1(P, pi, B, A)[0].metadata["t_minus"])
+
+
 class TestTPlusMinus:
+    """T+ and T- come from Lemma 1's rows, the one place that computes them."""
+
     def test_uniform(self):
-        A, B = state_set([0]), state_set([1])
-        assert t_plus(UNIFORM2, A, B) == pytest.approx(2.0, abs=1e-9)
-        assert t_minus(UNIFORM2, A, B) == pytest.approx(2.0, abs=1e-9)
+        assert _t_plus_minus(UNIFORM2, [0], [1]) == pytest.approx((2.0, 2.0), abs=1e-9)
 
     def test_start_inside_target(self):
-        assert t_plus(CYCLE3, state_set([1]), state_set([0, 1])) == 0.0
+        assert _t_plus_minus(CYCLE3, [1], [0, 1])[0] == 0.0
 
     def test_cycle(self):
-        A, B = state_set([0, 1]), state_set([2])
-        assert t_plus(CYCLE3, A, B) == pytest.approx(2.0, abs=1e-9)
-        assert t_minus(CYCLE3, A, B) == pytest.approx(1.0, abs=1e-9)
+        assert _t_plus_minus(CYCLE3, [0, 1], [2]) == pytest.approx((2.0, 1.0), abs=1e-9)
 
     def test_empty_start_set(self):
-        with pytest.raises(EmptySetError):
-            t_plus(UNIFORM2, StateSet(()), state_set([1]))
+        with pytest.raises(PreconditionError, match="set A is empty"):
+            _t_plus_minus(UNIFORM2, [], [1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cells_are_the_table_extremes(self, seed):
+        # each cell is the max or min of one hitting table over the other set, bit for bit
+        P = random_chain(5, 600 + seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            members = rng.permutation(5).tolist()
+            A, B = sorted(members[:2]), sorted(members[2:2 + int(rng.integers(1, 4))])
+            h = hitting_table(P, state_set(B)).h
+            assert _t_plus_minus(P, A, B) == (h[A].max(), h[A].min())
 
 
 class TestExpectedHittingTime:
@@ -438,7 +502,7 @@ class TestTLarge:
 
     def test_too_many_states(self):
         P = generate("lazy-cycle", m=21, hold=0.5).matrix
-        with pytest.raises(TooManyStatesError):
+        with pytest.raises(PreconditionError, match="exceeds the enumeration cap 20"):
             t_large(P, stationary(P), 0.5)
 
     @settings(deadline=None)
@@ -479,6 +543,17 @@ class TestTLarge:
         chosen = data.draw(st.lists(st.sampled_from(combos), min_size=1, unique=True))
         masks = np.array([sum(1 << j for j in combo) for combo in chosen])
         assert _lex_smallest(masks, m) == min(chosen)
+
+    @settings(deadline=None, max_examples=30)
+    @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+           eps=st.sampled_from([0.3, 0.5, 0.7]))
+    def test_ranked_equals_unpruned_below_one_batch(self, m, seed, eps):
+        # every minimal set fits in the first solve, in the order of their bounds
+        P = random_chain(m, seed)
+        pi = stationary(P)
+        assert _minimal_qualifying_sets(pi.pi, eps).size <= SOLVE_BATCH
+        res = t_large(P, pi, eps)
+        assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, eps)
 
     @settings(deadline=None, max_examples=12)
     @given(m=st.integers(13, 16), seed=st.integers(0, 2**32 - 1),
@@ -610,12 +685,12 @@ class TestExactSurvival:
             survival_probabilities(P, start, [(0,)], [0, 4])
         with pytest.raises(ValidationError):
             unseen_set_law(P, start, [0])
-        with pytest.raises(EmptySetError):
+        with pytest.raises(PreconditionError, match="is empty"):
             survival_probabilities(P, start, [(1,), ()], [1])
         with pytest.raises(ValidationError, match="index 3 out of range"):
             survival_probabilities(P, start, [(0,), (1, 3)], [1])
         big = generate("lazy-cycle", m=21, hold=0.5).matrix
-        with pytest.raises(TooManyStatesError):
+        with pytest.raises(PreconditionError, match="exceeds the enumeration cap 20"):
             unseen_set_law(big, np.full(21, 1 / 21), [1])
 
 
@@ -673,7 +748,7 @@ def _one_chain(P):
     sets = [mask_members(mask) for mask in range(1, 1 << P.m)]
     inside = np.array([[j in members for j in range(P.m)] for members in sets])
     masses = np.array([[pi.mass(members) for members in sets]])
-    return pi, sets, inside, masses, subset_hitting_times(P)[None]
+    return pi, sets, inside, masses, subset_hitting_times_stack([P])
 
 
 def _lemma1_rows(P, pairs):
@@ -778,7 +853,7 @@ class TestLemma2:
 
     def test_too_many_states(self):
         P = generate("lazy-cycle", m=21, hold=0.5).matrix
-        with pytest.raises(TooManyStatesError):
+        with pytest.raises(PreconditionError, match="exceeds the enumeration cap 20"):
             check_lemma2(P, stationary(P), state_set([0]))
 
     @pytest.mark.parametrize("seed", range(5))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from mml.chain import ChainSpec, generate, point_start, stationary, validate
-from mml.errors import EmptySetError, ValidationError
+from mml.errors import PreconditionError, ValidationError
 from mml.hitting import (
     expected_hitting_time,
     hitting_table,
@@ -676,7 +676,7 @@ class TestJointSurvival:
 
     def test_empty_set(self):
         # the exact joint survival refuses an empty J as the CLI does (exit 4, in test_cli)
-        with pytest.raises(EmptySetError):
+        with pytest.raises(PreconditionError, match="target set is empty"):
             survival_probabilities(UNIFORM2.matrix, [0.5, 0.5], [()], [1])
 
     def test_joint_below_singles(self):
