@@ -1,9 +1,17 @@
 """Finite Markov chains: validation, stationary distributions, generators, JSON I/O.
 
 A chain is a validated row-stochastic matrix ``P`` over ``m`` states.
-The stationary distribution solves ``pi P = pi`` by a direct linear
-solve (normalization row replacing one equation); a solve that fails or
-leaves a residual above tolerance raises ``SingularSystemError``.
+The stationary distribution solves ``pi P = pi`` on one of two paths. A
+chain of POWER_MIN_STATES = 32 or more states first runs power iteration
+x <- xP from the uniform law: each step must halve the fixed-point
+residual max |xP - x| until it is within the rounding of one product,
+and the first step that does not drops the iterate. Every other chain,
+and every chain whose iteration is dropped (periodic, slow-mixing, stiff
+or nearly reducible chains), takes a direct LAPACK solve with the
+normalization row replacing one equation. Below 32 states a direct solve
+costs about as much as a few products, and every chain ``verify`` builds
+by default (m <= 20) keeps its bits. A solve that fails or leaves a
+residual above tolerance raises ``SingularSystemError``.
 
 A chain is named by a source text: a chain file, or a descriptor
 ``'family:key=value;...'`` that ``parse_descriptor`` builds with ``generate``.
@@ -26,6 +34,11 @@ from .errors import ChainFileError, PreconditionError, SingularSystemError, Vali
 ROW_SUM_TOL = 1e-12
 ENTRY_CLAMP = 1e-15
 STATIONARY_RESIDUAL_TOL = 1e-10
+# Chains of this many states or more try power iteration before the direct solve.
+POWER_MIN_STATES = 32
+# Rows of P read per gather, by the irreducibility search and by a one-system hitting
+# solve: a (64, m) block of P's rows.
+GATHER_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +92,7 @@ class ChainSpec:
             if np.any(s < 0):
                 raise ValidationError("start has a negative entry")
             if abs(s.sum() - 1.0) > ROW_SUM_TOL:
-                raise ValidationError(f"start sums to {s.sum()!r}, expected 1")
+                raise ValidationError(f"start sums to {float(s.sum())!r}, expected 1")
             s.setflags(write=False)
             object.__setattr__(self, "start", s)
 
@@ -120,12 +133,12 @@ def validate(raw, labels=None) -> TransitionMatrix:
         P[(P > 1.0) & (P < 1.0 + ENTRY_CLAMP)] = 1.0
         if np.any(P < 0):
             i, j = np.argwhere(P < 0)[0]
-            raise ValidationError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
+            raise ValidationError(f"P[{i}][{j}] = {float(P[i, j])!r} is negative")
     sums = P.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(f"row {i} sums to {sums[i]!r}, expected 1")
+        raise ValidationError(f"row {i} sums to {float(sums[i])!r}, expected 1")
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != P.shape[0]:
@@ -136,36 +149,85 @@ def validate(raw, labels=None) -> TransitionMatrix:
 def is_irreducible(P: TransitionMatrix) -> bool:
     """True iff the support graph {(x, y): P(x, y) > 0} is strongly connected:
     state 0 reaches every state, and every state reaches state 0."""
-    support = P.rows > 0
-    return _reaches_all(support) and _reaches_all(np.ascontiguousarray(support.T))
+    return _reaches_all(P.rows) and _reaches_all(P.rows.T)
 
 
 def _reaches_all(adj: np.ndarray) -> bool:
-    """True iff a breadth-first search from state 0 along ``adj`` visits every state.
+    """True iff a breadth-first search from state 0 along the nonzero entries of ``adj``
+    visits every state.
 
-    Each state enters the frontier once, so the row reads total O(m^2).
+    Each state enters the frontier once, and the frontier's rows are read GATHER_ROWS
+    at a time, so the row reads total O(m^2) and no m x m array is built. The search
+    stops once every state is seen: on a dense chain that is after one row.
     """
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+    unseen = np.ones(adj.shape[0], dtype=bool)
+    unseen[0] = False
+    left = adj.shape[0] - 1
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size and left:
+        # P's entries are >= 0, so a nonzero entry is an edge
+        reached = adj[frontier[:GATHER_ROWS]].any(axis=0)
+        for lo in range(GATHER_ROWS, frontier.size, GATHER_ROWS):
+            reached |= adj[frontier[lo:lo + GATHER_ROWS]].any(axis=0)
+        frontier = np.flatnonzero(reached & unseen)
+        unseen[frontier] = False
+        left -= frontier.size
+    return not left
 
 
 def stationary(P: TransitionMatrix) -> StationaryDistribution:
     """Solve ``pi P = pi`` for an irreducible chain.
 
-    Direct solve of ``(P^T - I) pi = 0`` with the last equation replaced
-    by the normalization ``sum(pi) = 1``. Raises ``SingularSystemError``
-    naming the check that failed: the solve itself, its residual, the
-    residual once clipped to >= 0 and normalized, or an entry that
-    underflowed to zero. A non-finite solve has a NaN residual, which
-    fails the residual checks.
+    A chain of at least POWER_MIN_STATES = 32 states first runs power iteration from
+    the uniform law (``_power_iteration``); each step must halve its residual until that
+    is down to the rounding of one product. Every other chain, and one whose iteration
+    fails to halve it first, takes the direct LAPACK solve (``_direct_solve``).
+    Below 32 states the direct solve costs about as much as a few products, and the
+    chains ``verify`` builds (m <= 20) keep its bits. Both paths end in the same checks:
+    a residual above STATIONARY_RESIDUAL_TOL (NaN included), or an entry that
+    underflowed to zero, raises ``SingularSystemError``.
     """
     if not is_irreducible(P):
         raise PreconditionError("chain is not irreducible")
+    found = _power_iteration(P) if P.m >= POWER_MIN_STATES else None
+    pi, res = found if found is not None else _direct_solve(P)
+    if not res <= STATIONARY_RESIDUAL_TOL:
+        raise SingularSystemError(f"stationary residual {res!r} exceeds tolerance")
+    if np.any(pi <= 0):
+        raise SingularSystemError("stationary entry underflowed to zero on an irreducible chain")
+    return StationaryDistribution(pi=pi, residual=res)
+
+
+def _power_iteration(P: TransitionMatrix) -> tuple[np.ndarray, float] | None:
+    """pi and its residual by x <- xP from the uniform law, or None where it does not contract.
+
+    Each step takes one product y = xP; max |y - x| is x's own residual, and y,
+    renormalized, is the next x. Until the residual is within the rounding of one
+    product, m * eps * max x, every step must halve it: the first that does not ends
+    the iteration and returns None, so an attempt stops within about 60 products.
+    From there the iteration goes on while the residual still falls, and keeps the x
+    of the smallest. It only adds non-negative terms.
+    """
+    rounding = P.m * np.finfo(float).eps
+    x = np.full(P.m, 1.0 / P.m)
+    best, best_res = x, math.inf
+    while True:
+        y = x @ P.rows
+        res = float(np.max(np.abs(y - x)))
+        converged = best_res <= rounding * best.max()
+        if not res < (best_res if converged else best_res / 2):
+            return (best, best_res) if converged else None
+        best, best_res = x, res
+        x = y / y.sum()
+
+
+def _direct_solve(P: TransitionMatrix) -> tuple[np.ndarray, float]:
+    """pi and its residual by one LAPACK solve of ``(P^T - I) pi = 0`` with the last
+    equation replaced by ``sum(pi) = 1``, then clipped to >= 0 and normalized.
+
+    Raises ``SingularSystemError`` if the solve fails, or if its residual before
+    clipping exceeds STATIONARY_RESIDUAL_TOL; a non-finite solve has a NaN residual.
+    """
     m = P.m
     # A^T = P - I with its last column set to 1, so A is column-major, as the solver copies it
     At = P.rows.copy()
@@ -182,12 +244,7 @@ def stationary(P: TransitionMatrix) -> StationaryDistribution:
         raise SingularSystemError(f"stationary solve residual {res!r} exceeds tolerance")
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
-    res = _residual(pi, P)
-    if not res <= STATIONARY_RESIDUAL_TOL:
-        raise SingularSystemError(f"stationary residual {res!r} exceeds tolerance")
-    if np.any(pi <= 0):
-        raise SingularSystemError("stationary entry underflowed to zero on an irreducible chain")
-    return StationaryDistribution(pi=pi, residual=res)
+    return pi, _residual(pi, P)
 
 
 def _residual(pi, P) -> float:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import StationaryDistribution, TransitionMatrix
+from .chain import GATHER_ROWS, StationaryDistribution, TransitionMatrix
 from .errors import PreconditionError, SingularSystemError, ValidationError
 
 SYSTEM_RESIDUAL_TOL = 1e-9
@@ -62,8 +62,6 @@ MASS_FILTER_TOL = 1e-12
 # Systems per stacked solve: at most 2048 x 19 x 19 doubles (~6 MB) at m = 20.
 SOLVE_BATCH = 2048
 MEMBER_CHUNK = 10
-# Rows of Q per gather of a one-system solve: a (64, m) block of P's rows beside Q.
-GATHER_ROWS = 64
 # Relative widening of the one-step bound before it rules a set out of T(eps): far above
 # the rounding of a solve or of the bound's own sum.
 BOUND_SLACK = 1e-6

@@ -159,12 +159,12 @@ def validate_by_passes(raw) -> np.ndarray:
     P[(P > 1.0) & (P < 1.0 + ENTRY_CLAMP)] = 1.0
     if np.any(P < 0):
         i, j = np.argwhere(P < 0)[0]
-        raise ValidationError(f"P[{i}][{j}] = {P[i, j]!r} is negative")
+        raise ValidationError(f"P[{i}][{j}] = {float(P[i, j])!r} is negative")
     sums = P.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(f"row {i} sums to {sums[i]!r}, expected 1")
+        raise ValidationError(f"row {i} sums to {float(sums[i])!r}, expected 1")
     return P
 
 

@@ -3,11 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mml import hitting
-from mml.chain import generate, parse_descriptor, stationary, validate
+from mml.chain import (
+    POWER_MIN_STATES,
+    TransitionMatrix,
+    _power_iteration,
+    generate,
+    parse_descriptor,
+    stationary,
+    validate,
+)
 from mml.errors import PreconditionError, SingularSystemError, ValidationError
 from mml.hitting import (
     MASS_FILTER_TOL,
@@ -308,10 +316,10 @@ class TestMemberTable:
 
 
 @st.composite
-def solver_chains(draw):
-    """A random chain of 1-60 states, dense or with about 80% of its entries exactly 0;
-    the cycle x -> x + 1 keeps weight, so the chain is irreducible."""
-    m = draw(st.integers(1, 60))
+def solver_chains(draw, min_m=1, max_m=60):
+    """A random chain of min_m-max_m states, dense or with about 80% of its entries
+    exactly 0; the cycle x -> x + 1 keeps weight, so the chain is irreducible."""
+    m = draw(st.integers(min_m, max_m))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     rows = rng.dirichlet(np.full(m, draw(st.sampled_from([0.5, 1.0, 5.0]))), size=m)
     if draw(st.booleans()):
@@ -325,13 +333,14 @@ def _bits(a) -> list[int]:
 
 
 class TestSolverBuilds:
-    """``stationary`` and ``_hitting_times`` build their matrices in place; they must
-    solve, bit for bit, the systems of the plain constructions in ``oracles``."""
+    """``stationary``'s direct solve and ``_hitting_times`` build their matrices in place;
+    they must solve, bit for bit, the systems of the plain constructions in ``oracles``."""
 
     @settings(deadline=None, max_examples=60)
     @given(P=solver_chains(), data=st.data())
     def test_single_targets_equal_plain_solves(self, P, data):
-        assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
+        if P.m < POWER_MIN_STATES:  # larger chains may take power iteration: TestPowerPath
+            assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
         members = data.draw(st.sets(st.integers(0, P.m - 1), min_size=1))
         table = hitting_table(P, StateSet(tuple(members)))
         h = direct_solve_table(P.rows, members)
@@ -365,11 +374,13 @@ class TestSolverBuilds:
                            match="stationary entry underflowed to zero on an irreducible chain"):
             stationary(P)
 
-    @pytest.mark.parametrize("solve", [lambda P: stationary(P),
-                                       lambda P: hitting_table(P, state_set([0])),
-                                       lambda P: hitting_table(P, state_set(range(P.m // 10)))],
-                             ids=["stationary", "hitting_table", "hitting_table-tenth"])
-    def test_one_traced_matrix_beside_P(self, solve):
+    # stationary takes power iteration on this chain, which holds a few vectors and no matrix
+    @pytest.mark.parametrize("solve,matrices", [
+        (lambda P: stationary(P), 0.1),
+        (lambda P: hitting_table(P, state_set([0])), 1.5),
+        (lambda P: hitting_table(P, state_set(range(P.m // 10))), 1.5)],
+        ids=["stationary", "hitting_table", "hitting_table-tenth"])
+    def test_one_traced_matrix_beside_P(self, solve, matrices):
         # numpy reports its arrays to tracemalloc; LAPACK's own copy of A is not traced
         m = 1000
         P = random_chain(m, 1000)
@@ -380,7 +391,75 @@ class TestSolverBuilds:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * m * m * 8
+        assert peak < matrices * m * m * 8
+
+
+class TestPowerPath:
+    """From POWER_MIN_STATES states on, ``stationary`` tries power iteration first and
+    falls back to the direct solve where the iteration does not halve its residual."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(P=solver_chains(POWER_MIN_STATES, 120))
+    # stopping at the first residual within m * eps * max x would leave 2.5e-16 here,
+    # above the plain solve's 2.1e-17
+    @example(P=random_chain(32, 9))
+    def test_agrees_with_the_plain_solve(self, P):
+        pi, by_eye = stationary(P), stationary_by_eye(P.rows)
+        assert np.max(np.abs(pi.pi - by_eye) / by_eye) <= 1e-10
+        assert pi.residual == np.max(np.abs(pi.pi @ P.rows - pi.pi))
+        assert pi.residual <= np.max(np.abs(by_eye @ P.rows - by_eye))
+
+    def test_the_floor_is_32_states(self):
+        P = random_chain(32, 9)
+        assert _bits(stationary(P).pi) == _bits(_power_iteration(P)[0])
+
+    @pytest.mark.parametrize("m", [64, 300])
+    def test_iid_returns_mu(self, m):
+        mu = np.random.default_rng(m).dirichlet(np.ones(m))
+        mu /= mu.sum()
+        pi = stationary(generate("iid", mu=mu).matrix)
+        assert np.max(np.abs(pi.pi - mu) / mu) <= 1e-14
+
+    @pytest.mark.parametrize("descriptor", ["birth-death:m=64;p=0.3;q=0.7",
+                                            "birth-death:m=500;p=0.26;q=0.25"])
+    def test_oscillating_and_slow_chains_take_the_direct_solve(self, descriptor):
+        # the first moves only between neighbours, save at its two ends, so it is close to
+        # period 2; the second mixes slowly. Neither's residual falls by half in a step
+        P = parse_descriptor(descriptor)[1].matrix
+        assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
+
+    @settings(deadline=None, max_examples=20)
+    @given(P=solver_chains(31, 31))
+    def test_below_the_floor_takes_the_direct_solve(self, P):
+        assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
+
+    def test_lazy_cycle_returns_the_uniform_law(self):
+        # its first product leaves x = 1/m in place: a residual of 0, which no step halves
+        pi = stationary(generate("lazy-cycle", m=1000, hold=0.5).matrix)
+        assert np.all(pi.pi == 1.0 / 1000) and pi.residual == 0.0
+
+    @pytest.mark.parametrize("descriptor,found", [
+        ("birth-death:m=64;p=0.3;q=0.7", False), ("birth-death:m=500;p=0.26;q=0.25", False),
+        ("random-dense:m=500;seed=7", True), ("lazy-cycle:m=1000;hold=0.5", True)])
+    def test_an_attempt_stops_within_60_products(self, descriptor, found):
+        P = parse_descriptor(descriptor)[1].matrix
+        rows = _CountedRows(P.rows)
+        assert (_power_iteration(TransitionMatrix(P.m, rows)) is not None) == found
+        assert 1 <= rows.products <= 60
+
+
+class _CountedRows(np.ndarray):
+    """P's rows, counting the products x @ rows taken with them."""
+
+    def __new__(cls, rows):
+        out = np.array(rows).view(cls)
+        out.products = 0
+        return out
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        return getattr(ufunc, method)(*(np.asarray(a) for a in inputs), **kwargs)
 
 
 def _t_plus_minus(P, A, B):
