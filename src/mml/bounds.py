@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import StationaryDistribution
+from .chain import ROW_SUM_TOL, StationaryDistribution
 from .errors import InsufficientTrialsError, PreconditionError, ValidationError
 from .hitting import StateSet, _check_members
 
@@ -95,7 +95,7 @@ def iid_exact_survival(pi: StationaryDistribution, J: StateSet, n: int) -> float
     if len(J):  # an empty J survives surely
         _check_members(J, pi.pi.size, "set J")
     mass = pi.mass(J.members)
-    if mass > 1.0 + 1e-12:
+    if mass > 1.0 + ROW_SUM_TOL:
         raise ValidationError(f"pi(J) = {mass!r} exceeds 1")
     return max(0.0, 1.0 - mass) ** n
 
@@ -117,7 +117,7 @@ def hitting_tail_bound(expected: float, t) -> float:
 
 def explicit_hitting_tail(pi_A: float, T_half: float, t, c_explicit: float = DEFAULT_C) -> float:
     """Smooth tail bound exp(-c t pi(A) / T(0.5)) for hitting a set A."""
-    if not (0 < pi_A <= 1 + 1e-12):  # the mass of every state may round above 1
+    if not (0 < pi_A <= 1.0 + ROW_SUM_TOL):  # the mass of every state may round above 1
         raise ValidationError(f"pi_A must lie in (0, 1], got {pi_A!r}")
     if not 0 < T_half < math.inf:  # NaN fails too, here and below
         raise ValidationError(f"T_half must be > 0 and finite, got {T_half!r}")

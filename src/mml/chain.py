@@ -343,9 +343,15 @@ CHAIN_FAMILIES = tuple(FAMILY_BUILDERS)
 # --- chain sources ----------------------------------------------------------
 
 
+def list_items(text: str) -> list[str]:
+    """The non-empty items of a list separated by ',' or by '|', as a report's params cell
+    writes a set: the one tokenizer of every list a flag, config key or descriptor takes."""
+    return [tok for tok in text.replace("|", ",").split(",") if tok != ""]
+
+
 def parse_float_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.replace("|", ",").split(",") if tok != ""])
+        return np.array([float(tok) for tok in list_items(text)])
     except ValueError as e:
         raise ValidationError(f"bad number list {text!r}") from e
 

@@ -37,6 +37,7 @@ from .chain import (
     chain_source,
     chain_to_dict,
     is_irreducible,
+    list_items,
     parse_float_vector,
     stationary,
 )
@@ -77,18 +78,18 @@ EXIT_CODES = {ChainFileError: 2, ValidationError: 3, PreconditionError: 4,
 def parse_index_set(text: str) -> StateSet:
     """State indices separated by ',' or by '|', as a report's params cell writes a set."""
     try:
-        return StateSet(tuple(int(tok) for tok in text.replace("|", ",").split(",") if tok != ""))
+        return StateSet(tuple(int(tok) for tok in list_items(text)))
     except ValueError as e:
         raise ValidationError(f"bad index list {text!r}: expected integers separated by ',' or '|'") from e
 
 
 def parse_grid(text: str) -> list[int]:
-    """n-grids: 'a..b' inclusive or comma-separated integers."""
+    """n-grids: 'a..b' inclusive, or integers separated by ',' or '|'."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
             return list(range(int(lo), int(hi) + 1))
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [int(tok) for tok in list_items(text)]
     except ValueError as e:
         raise ValidationError(f"bad grid {text!r}: expected 'a..b' or comma-separated integers") from e
 
@@ -237,21 +238,26 @@ def cmd_simulate_mgf(args) -> str:
 # --- bounds -----------------------------------------------------------------
 
 
-def _bound_params(args) -> bnd.BoundParams:
-    c = bnd.DEFAULT_C if args.c is None else args.c
-    T = 1.0 if args.T is None else args.T
-    return bnd.BoundParams(c=c, T=T, n=args.n, pi=_pi_from_args(args))
-
-
 def _surrogate_params(args, unread=("c", "T")) -> bnd.BoundParams:
-    """``_bound_params`` of a command with --iid surrogates (1 - pi(j))^n, which read
+    """The bound constants of a command with --iid surrogates (1 - pi(j))^n, which read
     neither c nor T: a flag of ``unread``, which the command then reads nowhere else,
-    given with --iid is rejected, not ignored."""
+    given with --iid is rejected, not ignored.
+
+    T is --T, else the chain's T(0.5) from ``t_large`` (exit 4 past its state cap); a
+    --pi vector names no chain, so a command that reads T needs --T with it. A T the
+    command does not read is neither computed nor required.
+    """
     for flag in unread:
         if args.iid and getattr(args, flag) is not None:
             raise ValidationError(f"--{flag} has no effect with --iid: the surrogate "
                                   f"(1 - pi(j))^n does not depend on it")
-    return _bound_params(args)
+    pi, T = _pi_from_args(args), args.T
+    if T is None and not (args.iid and "T" in unread):
+        if args.pi is not None:
+            raise ValidationError("--T is needed with --pi: T(0.5) is computed from --chain only")
+        T = t_large(_chain(args)[1].matrix, pi, 0.5).value
+    c = bnd.DEFAULT_C if args.c is None else args.c
+    return bnd.BoundParams(c=c, T=1.0 if T is None else T, n=args.n, pi=pi)  # 1.0: unread
 
 
 def _pi_from_args(args):
@@ -440,7 +446,7 @@ def _add_bound_params(p, n: bool = True, c_and_t: bool = True):
     if c_and_t:
         # None until given, so qprob and jointbound can tell a flag --iid would ignore
         p.add_argument("--c", type=float, help=f"constant c (default {bnd.DEFAULT_C!r})")
-        p.add_argument("--T", type=float, help="T(0.5) (default 1.0)")
+        p.add_argument("--T", type=float, help="T(0.5) (default: the chain's; needed with --pi)")
         p.add_argument("--iid", action="store_true", help="use exact (1-pi)^n surrogates")
     return p
 
@@ -465,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     _command(hit, "lemma1", cmd_hit_lemma1, ("B", "A"), fmt=True)
     _command(hit, "lemma2", cmd_hit_lemma2, ("A",), fmt=True)
     _command(hit, "survival", cmd_hit_survival, ("B",), fmt=True).add_argument(
-        "--t", required=True, help="horizons >= 1: comma list or a..b")
+        "--t", required=True, help="horizons >= 1: a list split by ',' or '|', or a..b")
 
     sim = sub.add_parser("simulate", help="seeded Monte Carlo estimates")
     sim = sim.add_subparsers(dest="sim_cmd", required=True)

@@ -6,10 +6,10 @@ are bit-identical for any worker count.
 
 Each step maps one 64-bit word w of a stream (``_words``) to the next
 state by the inverse CDF of its row at u = (w >> 11) 2^-53, the uniform
-``random()`` makes of w: the count of entries cum[k] <= u. Every sampler
-reads the pick off an exact guide table (``_InverseCdf``; Chen & Asau's
-indexed search, Devroye, Non-Uniform Random Variate Generation, 1986,
-ch. III): the top bits of w name a cell of a power-of-two grid that
+``random()`` makes of w: the count of entries cum[k] <= u. Every path
+sampler reads the pick off an exact guide table (``_InverseCdf``; Chen &
+Asau's indexed search, Devroye, Non-Uniform Random Variate Generation,
+1986, ch. III): the top bits of w name a cell of a power-of-two grid that
 brackets the answer, and only a cell with a CDF entry strictly inside it
 needs a short binary search. Grid points and u are exact in floating
 point, so the pick is bit-identical to the O(m) count for every word, at
@@ -30,16 +30,9 @@ Each block keeps a byte map of the states its trials have not seen, one
 byte per table cell: a step reads its trials' bytes, and only a first
 visit clears one and writes its step into the table, once per cell.
 
-``hitting_time_samples`` steps K at a time through a kernel that avoids
-B: row x outside B holds Pr_x[B first entered at step j] for j = 1..K,
-then Pr_x[X_K = y, B not entered] for each y outside B. With Q = P on
-B^c and r = P's mass into B, the hit columns are Q^(j-1) r and the
-position block is Q^K, sums and products of non-negative numbers only.
-X_1 is drawn from the start law; then each live trial draws one uniform
-per superstep, in trial order, and its pick either ends the trial at
-N_B = t + j or moves it to y. K = SUPERSTEP while at most
-SUPERSTEP_STATES states lie outside B; past that, building Q^K costs
-more than it saves, and K = 1 (the kernel is [r | Q]).
+``hitting_time_samples`` inverts the exact tail of N_B: one uniform per
+trial, and one vector-matrix product per step of the tail, for all trials
+at once (Devroye, 1986, ch. II).
 
 Both samplers store steps in the narrowest signed integer type that holds
 the sentinel n + 1 (cap + 1 for N_B): int8 up to n = 126, int16 up to
@@ -67,8 +60,6 @@ TRAJECTORY_CAP = 10**6
 WALK_LANES = 1024  # fixed: paths occupancy_frequencies steps side by side, part of its draw rule
 GUIDE_PER_STATE = 16  # G >= 16 m: fewer than m of a row's cells are open, so P(search) < 1/16
 GUIDE_CELLS = 1 << 18  # cap on (m + 1) x G: 2 MB of guide table at m = 2000
-SUPERSTEP = 16  # steps per uniform of hitting_time_samples: Q^16 from four squarings
-SUPERSTEP_STATES = 1024  # the most states outside B that still get a superstep of 16
 
 _MASK64 = (1 << 64) - 1
 _SENTINEL_MAX = np.iinfo(np.int64).max - 1  # the largest n or cap whose sentinel + 1 fits a table
@@ -117,17 +108,13 @@ class MissingMassSample:
     unseen_set: StateSet
 
 
-def _cumulative(rows: np.ndarray) -> np.ndarray:
-    """Cumulative sums along each row, in place, with each row's last entry set to 1."""
-    cum = np.cumsum(rows, axis=-1, out=rows)
-    cum[..., -1] = 1.0  # guard against round-off shortfall at the right edge
-    return cum
-
-
 def _cumulative_rows(chain: ChainSpec, pi: StationaryDistribution | None) -> np.ndarray:
-    """(m + 1, m) cumulative rows: P's rows, then the start law as row m."""
+    """(m + 1, m) cumulative rows: P's rows, then the start law as row m, each ending at 1."""
     start = np.asarray(chain.resolved_start(pi), dtype=float)
-    return _cumulative(np.vstack([chain.matrix.rows, start]))
+    cum = np.vstack([chain.matrix.rows, start])
+    np.cumsum(cum, axis=1, out=cum)
+    cum[:, -1] = 1.0  # guard against round-off shortfall at the right edge
+    return cum
 
 
 def _words(rng: np.random.Generator, shape) -> np.ndarray:
@@ -300,77 +287,36 @@ def missing_mass_values(tau: np.ndarray, pi_vec: np.ndarray, n: int) -> np.ndarr
     return (tau > n).astype(float) @ np.asarray(pi_vec, dtype=float)
 
 
-def _avoiding_kernel(rows: np.ndarray, member_mask: np.ndarray) -> np.ndarray:
-    """(k, K + k) superstep kernel over the k states outside B (module docstring).
-
-    Row i is state x = flatnonzero(~member_mask)[i]: K hit columns, then one
-    column per state outside B. K = SUPERSTEP while k <= SUPERSTEP_STATES, else 1.
-    """
-    outside = np.flatnonzero(~member_mask)
-    k = outside.size
-    steps = SUPERSTEP if k <= SUPERSTEP_STATES else 1
-    Q = rows[np.ix_(outside, outside)]
-    kernel = np.empty((k, steps + k))
-    kernel[:, 0] = rows[np.ix_(outside, np.flatnonzero(member_mask))].sum(axis=1)
-    for j in range(1, steps):
-        kernel[:, j] = Q @ kernel[:, j - 1]
-    for _ in range(steps.bit_length() - 1):  # steps is a power of two
-        Q = Q @ Q
-    kernel[:, steps:] = Q
-    return kernel
-
-
 def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed: int,
                          workers: int = 1, cap: int = TRAJECTORY_CAP,
                          pi: StationaryDistribution | None = None) -> np.ndarray:
-    """Per-trial N_B; trajectories run until B is hit or ``cap`` steps (cap + 1 sentinel).
+    """Per-trial N_B, X_1 drawn from the start law; cap + 1 marks a trial with N_B > cap.
 
-    Draw rule: X_1 is read off the block's first ``size`` uniforms through
-    the start law, and a start in B gives N_B = 1. Then, at each superstep
-    from step t, the live trials draw one uniform each, in trial order,
-    through ``_avoiding_kernel``: a pick of hit column j records N_B = t + j
-    (cap + 1 past the cap) and ends the trial, and a pick of state y moves
-    the trial there and on to step t + K. K = SUPERSTEP steps while at most
-    SUPERSTEP_STATES states lie outside B, else 1. A trial is cut once
-    t >= cap, so Pr[N_B > t] is exact for every t <= cap. N_B's type is the
-    narrowest that holds cap + 1 (module docstring).
+    Draw rule: block b draws one uniform u per trial, ``derive_stream(master_seed,
+    b).random(size)``, and the trial's N_B is 1 + #{1 <= t <= cap : S(t) > u}, where S
+    is the running minimum of the exact tail Pr[N_B > t] = start|B^c Q^(t-1) 1 (Q is P on
+    B^c, as in ``survival_probabilities``). S is stepped once for all trials, one k x k
+    vector-matrix product per step over the k states outside B, until S(t) <= min u or
+    t = cap. So a cap-c array is the uncapped array clipped at c + 1, and a start in B or
+    a B of every state gives N_B = 1. The cost grows with the tail's length, not the
+    trials: a chain of ~1,000 states whose tail lasts ~10^5 steps is slow. N_B's type is
+    the narrowest that holds cap + 1 (module docstring).
     """
     _check_members(B, chain.matrix.m, "set B")
     _check_at_least_one(trials=trials, workers=workers, cap=cap)
     dtype = _sentinel_dtype("cap", cap)
-    m = chain.matrix.m
-    member_mask = np.zeros(m, dtype=bool)
-    member_mask[B.indices()] = True
-    if member_mask.all():
-        return np.ones(trials, dtype=dtype)
-    start = _InverseCdf(_cumulative(np.array([chain.resolved_start(pi)], dtype=float)))
-    kernel = _avoiding_kernel(chain.matrix.rows, member_mask)
-    rest, width = kernel.shape
-    steps = width - rest
-    superstep = _InverseCdf(_cumulative(kernel))
-    position = np.cumsum(~member_mask) - 1  # a state's row of the kernel
-
-    def run(block: int, size: int) -> np.ndarray:
-        rng = derive_stream(master_seed, block)
-        states = start.pick(np.zeros(size, dtype=np.intp), _words(rng, size))
-        N = np.full(size, cap + 1, dtype=dtype)
-        hit = member_mask[states]
-        N[hit] = 1
-        alive = np.flatnonzero(~hit)
-        states = position[states[alive]]  # the kernel rows of the live trials, in trial order
-        t = 1
-        while alive.size and t < cap:
-            column = superstep.pick(states, _words(rng, alive.size))
-            hit = column < steps
-            if hit.any():
-                N[alive[hit]] = np.minimum(column[hit] + (t + 1), cap + 1)
-                keep = ~hit
-                alive, column = alive[keep], column[keep]
-            states = column - steps
-            t += steps
-        return N
-
-    return np.concatenate(_run_blocks(run, trials, workers))
+    u = np.concatenate(_run_blocks(lambda b, size: derive_stream(master_seed, b).random(size),
+                                   trials, workers))
+    outside = np.ones(chain.matrix.m, dtype=bool)
+    outside[B.indices()] = False
+    Q = chain.matrix.rows[np.ix_(outside, outside)]
+    v = np.asarray(chain.resolved_start(pi), dtype=float)[outside]
+    tail, lowest = [v.sum()], u.min()
+    while tail[-1] > lowest and len(tail) < cap:
+        v = v @ Q
+        tail.append(min(tail[-1], v.sum()))
+    # S does not increase, so #{t : S(t) > u} is where -u falls in -S
+    return (np.searchsorted(-np.array(tail), -u) + 1).astype(dtype)
 
 
 def empirical_mgf(samples, s: float) -> float:

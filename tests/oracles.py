@@ -10,9 +10,8 @@ arithmetic. The stationary law
 and hitting times also come from the plain constructions of P^T - I
 (from np.eye) and I - Q (from zeros), which the library's in-place
 builds must equal bit for bit. The samplers' reference is the O(m)
-inverse-CDF count on the same streams; for hitting times it counts over
-the rows of the library's kernel that avoids B, whose entries the tests
-check against exact survival laws separately.
+inverse-CDF count on the same streams; for hitting times it counts, per
+uniform, the values above it of the exact tail from ``survival_probabilities``.
 The report renderer's reference formats one report at a time, cell by
 cell, and the summary's reference counts one report at a time.
 T(eps)'s reference solves every minimal qualifying set, one plain dense
@@ -30,8 +29,8 @@ import numpy as np
 
 from mml.chain import ENTRY_CLAMP, ROW_SUM_TOL
 from mml.errors import ValidationError
-from mml.hitting import _minimal_qualifying_sets
-from mml.simulate import BLOCK_TRIALS, _avoiding_kernel, derive_stream
+from mml.hitting import _minimal_qualifying_sets, survival_probabilities
+from mml.simulate import BLOCK_TRIALS, derive_stream
 
 MAX_ORACLE_ITERS = 200_000
 
@@ -282,38 +281,25 @@ def first_visit_table_by_count(chain, n: int, trials: int, master_seed: int, pi=
     return np.vstack(blocks)
 
 
-def hitting_time_samples_by_count(chain, members, trials: int, master_seed: int, cap: int,
-                                  pi=None) -> np.ndarray:
-    """N_B per trial by the superstep rule, each pick the O(m) count over a CDF row.
+def hitting_time_samples_by_tail(chain, members, trials: int, master_seed: int, cap: int,
+                                 pi=None) -> np.ndarray:
+    """N_B per trial as 1 + #{1 <= t <= cap : tail(t) > u}, one count per uniform.
 
-    X_1 is counted off the start law. Then each trial still outside B, and not
-    yet past the cap, counts one uniform per superstep of K steps against its
-    row of the library's kernel that avoids B: a count j < K is a hit at step
-    t + j + 1, any other moves the trial to state (count - K) of B^c.
+    u is ``derive_stream(master_seed, b).random(size)`` per block b, and the tail is
+    the running minimum of ``survival_probabilities`` on 1..cap. The horizon doubles
+    from 64 until the tail's last value is <= min u, after which no t counts, so a
+    huge cap costs only the horizons the uniforms reach.
     """
-    _, cum_start = _cumulative_by_count(chain, pi)
-    in_B = np.zeros(chain.matrix.m, dtype=bool)
-    in_B[list(members)] = True
-    cum = np.cumsum(_avoiding_kernel(chain.matrix.rows, in_B), axis=1)
-    cum[:, -1] = 1.0
-    steps = cum.shape[1] - cum.shape[0]
-    row_of = {x: i for i, x in enumerate(np.flatnonzero(~in_B).tolist())}
-    blocks = []
-    for block, size in enumerate(_block_sizes(trials)):
-        rng = derive_stream(master_seed, block)
-        starts = pick_by_count(cum_start, rng.random(size))
-        N = np.where(in_B[starts], 1, cap + 1)
-        rows = np.array([row_of.get(x, -1) for x in starts.tolist()])  # -1: the trial has ended
-        for t in range(1, cap, steps):
-            alive = np.flatnonzero(rows >= 0)
-            if not alive.size:
-                break
-            count = pick_by_count(cum[rows[alive]], rng.random(alive.size))
-            hit = count < steps
-            N[alive[hit]] = np.minimum(t + count[hit] + 1, cap + 1)
-            rows[alive] = np.where(hit, -1, count - steps)
-        blocks.append(N)
-    return np.concatenate(blocks)
+    u = np.concatenate([derive_stream(master_seed, b).random(size)
+                        for b, size in enumerate(_block_sizes(trials))])
+    start = chain.resolved_start(pi)
+    horizon = min(cap, 64)
+    while True:
+        tail = np.minimum.accumulate(survival_probabilities(
+            chain.matrix, start, [tuple(members)], range(1, horizon + 1))[0])
+        if horizon == cap or tail[-1] <= u.min():
+            return 1 + np.array([np.count_nonzero(tail > x) for x in u.tolist()])
+        horizon = min(cap, 2 * horizon)
 
 
 # --- reports, one row at a time ----------------------------------------------------

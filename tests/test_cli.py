@@ -300,6 +300,15 @@ class TestHitCommands:
         assert json.loads(capsys.readouterr().out) == {
             "chain": source, "B": [1, 6], "t": [9, 1, 2, 3], "survival": exact.tolist()}
 
+    def test_bar_separated_horizons_are_the_comma_separated_ones(self, capsys):
+        # --t splits its list as --B does
+        outs = []
+        for t in ("1|2", "1,2"):
+            assert main(["hit", "survival", "--chain", "lazy-cycle:m=5;hold=0.5", "--B", "2",
+                         "--t", t]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and len(csv_body(outs[0]).splitlines()) == 3
+
     def test_survival_counts_the_start_state(self, cycle3, capsys):
         # X_1 = 0, X_2 = 1, X_3 = 2 from the file's start law: N_B = 3
         assert main(["hit", "survival", "--chain", cycle3, "--B", "2", "--t", "1..3"]) == 0
@@ -418,7 +427,8 @@ class TestBoundsCommands:
         assert capsys.readouterr().out == "1.0\n"
 
     def test_mmtail_epsilon_past_the_float_range(self, capsys):
-        assert main(["bounds", "mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "1e200"]) == 0
+        assert main(["bounds", "mmtail", "--pi", "0.5,0.5", "--n", "3", "--T", "1",
+                     "--eps", "1e200"]) == 0
         assert " failure_bound=0.0 " in capsys.readouterr().out
 
     def test_jointbound(self, capsys):
@@ -436,7 +446,8 @@ class TestBoundsCommands:
         assert f"error: {flag} has no effect with --iid" in capsys.readouterr().err
         assert main(argv + ["--iid"]) == 0
         iid = capsys.readouterr().out
-        assert main(argv + [flag, "5"]) == 0
+        # without --iid the surrogates exp(-c n pi(j) / T) read T, which --pi needs given
+        assert main(argv + [flag, "5"] + (["--T", "1"] if flag == "--c" else [])) == 0
         assert capsys.readouterr().out != iid
 
     def test_mmtail_iid_rejects_c_but_reads_t(self, capsys):
@@ -513,11 +524,11 @@ class TestBoundsCommands:
 
     @pytest.mark.parametrize("command,J,rc,out,err", [
         (["product"], "0,5", 3, "", "error: set J index 5 out of range for m=2"),
-        (["jointbound", "--n", "3"], "0,5", 3, "", "error: set J index 5 out of range for m=2"),
+        (["jointbound", "--n", "3", "--T", "1"], "0,5", 3, "", "error: set J index 5 out of range for m=2"),
         (["iidsurv", "--n", "3"], "0,5", 3, "", "error: set J index 5 out of range for m=2"),
         # an empty J has no product to bound, and survives every run surely
         (["product"], "", 4, "", "error: set J is empty"),
-        (["jointbound", "--n", "3"], "", 4, "", "error: set J is empty"),
+        (["jointbound", "--n", "3", "--T", "1"], "", 4, "", "error: set J is empty"),
         (["iidsurv", "--n", "3"], "", 0, "1.0\n", ""),
     ])
     def test_set_j_is_checked(self, capsys, command, J, rc, out, err):
@@ -536,14 +547,14 @@ class TestBoundsCommands:
         ["explicittail", "--pi-a", "0.3", "--t-half", "inf", "--t", "inf"],
         ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "inf"],
         ["explicittail", "--pi-a", "0.3", "--t-half", "4", "--t", "5", "--c", "inf"],
-        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "nan"],
-        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--c2", "nan"],
-        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--c2", "inf"],
-        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--c", "nan"],
+        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--T", "1", "--eps", "nan"],
+        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--T", "1", "--eps", "0.1", "--c2", "nan"],
+        ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--T", "1", "--eps", "0.1", "--c2", "inf"],
+        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "1", "--c", "nan"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "nan"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "inf", "--c", "inf"],
         ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "inf"],
-        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--c", "inf"],
+        ["qprob", "--pi", "0.5,0.5", "--n", "3", "--T", "1", "--c", "inf"],
         ["jointbound", "--pi", "0.5,0.5", "--J", "0", "--n", "3", "--T", "inf", "--c", "inf"],
         ["mmtail", "--pi", "0.5,0.5", "--n", "3", "--eps", "0.1", "--T", "inf", "--c", "inf"],
         ["product", "--pi", "nan,1", "--J", "0"],
@@ -555,8 +566,9 @@ class TestBoundsCommands:
 
     @pytest.mark.parametrize("offset,rc", [(0.9e-12, 0), (-0.9e-12, 0), (2e-12, 3), (-2e-12, 3),
                                            (5e-10, 3)])
-    @pytest.mark.parametrize("command", [["iidsurv", "--n", "1"], ["jointbound", "--n", "1"],
-                                         ["product"]], ids=lambda c: c[0])
+    @pytest.mark.parametrize("command", [["iidsurv", "--n", "1"],
+                                         ["jointbound", "--n", "1", "--T", "1"], ["product"]],
+                             ids=lambda c: c[0])
     def test_pi_sums_to_one_as_a_start_law_does(self, capsys, command, offset, rc):
         # --pi passes the rule of a chain's start law, |sum - 1| <= ROW_SUM_TOL, so a vector
         # it accepts is one every formula reads, J = every state included
@@ -564,6 +576,38 @@ class TestBoundsCommands:
         assert main(["bounds", *command, "--pi", pi, "--J", "0,1"]) == rc
         err = capsys.readouterr().err
         assert err == ("" if rc == 0 else "error: --pi must be a probability vector\n")
+
+    def test_t_defaults_to_the_chains_t_half(self, capsys):
+        # T(0.5) = 300 here; a default of 1 printed 0.3986..., below Pr[N_{0} > 100] = 0.745...
+        chain = ["--chain", "lazy-cycle:m=20;hold=0.9"]
+        argv = ["bounds", "jointbound", *chain, "--J", "0", "--n", "100"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "0.9969390323337016\n"
+        assert main(["hit", "tlarge", *chain]) == 0
+        t_half = capsys.readouterr().out.split("=")[1].split()[0]
+        assert main([*argv, "--T", t_half]) == 0
+        assert capsys.readouterr().out == "0.9969390323337016\n"
+        assert main(["hit", "survival", *chain, "--B", "0", "--t", "100"]) == 0
+        assert float(capsys.readouterr().out.splitlines()[-1].split(",")[1]) <= 0.9969390323337016
+
+    @pytest.mark.parametrize("argv", [["qprob", "--n", "3"], ["jointbound", "--J", "0", "--n", "3"],
+                                      ["mmtail", "--n", "3", "--eps", "0.1"],
+                                      ["mmtail", "--n", "3", "--eps", "0.1", "--iid"]],
+                             ids=" ".join)
+    def test_pi_without_t_exits_3_where_t_is_read(self, capsys, argv):
+        assert main(["bounds", *argv, "--pi", "0.5,0.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --T is needed with --pi" in captured.err
+        assert main(["bounds", *argv, "--pi", "0.5,0.5", "--T", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", [["qprob", "--n", "3"], ["jointbound", "--J", "0", "--n", "3"]],
+                             ids=lambda a: a[0])
+    def test_iid_computes_no_t(self, capsys, argv):
+        # the surrogates (1 - pi(j))^n read no T: neither --pi nor a chain past T's cap needs one
+        assert main(["bounds", *argv, "--pi", "0.5,0.5", "--iid"]) == 0
+        assert main(["bounds", *argv, "--chain", "lazy-cycle:m=21;hold=0.5", "--iid"]) == 0
+        assert main(["bounds", *argv, "--chain", "lazy-cycle:m=21;hold=0.5"]) == 4
+        assert "exceeds the enumeration cap 20 of T(eps)" in capsys.readouterr().err
 
     def test_chain_from_family(self, capsys):
         # a chain given by --chain yields the same bound as its stationary law given by --pi
@@ -1139,7 +1183,7 @@ OUT_COMMANDS = [
     ["hit", "survival", *CHAIN, "--B", "0,2", "--t", "1..6"],
     ["simulate", "mm", *CHAIN, *SIM_ARGS, "--n", "6"],
     ["simulate", "mgf", *CHAIN, *SIM_ARGS, "--n", "6", "--s", "1.5"],
-    ["bounds", "qprob", "--pi", "0.25,0.75", "--n", "3"],
+    ["bounds", "qprob", "--pi", "0.25,0.75", "--n", "3", "--T", "1"],
     ["bounds", "jointbound", *CHAIN, "--J", "0,2", "--n", "3", "--iid"],
     ["bounds", "iidsurv", "--pi", "0.25,0.75", "--J", "1", "--n", "3"],
     ["bounds", "product", "--pi", "0.25,0.75", "--J", "0,1", "--format", "json"],

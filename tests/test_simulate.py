@@ -21,11 +21,8 @@ from mml.hitting import (
 from mml.simulate import (
     BLOCK_TRIALS,
     GUIDE_CELLS,
-    SUPERSTEP,
-    SUPERSTEP_STATES,
     WALK_LANES,
     SimConfig,
-    _avoiding_kernel,
     _cumulative_rows,
     _InverseCdf,
     derive_stream,
@@ -38,7 +35,7 @@ from mml.simulate import (
 )
 from oracles import (
     first_visit_table_by_count,
-    hitting_time_samples_by_count,
+    hitting_time_samples_by_tail,
     occupancy_by_count,
     pick_by_count,
     walk_by_count,
@@ -195,55 +192,6 @@ class TestInverseCdf:
         assert sum(a.nbytes for a in held if not np.shares_memory(a, cum)) < 4 * 2 ** 20
 
 
-class TestAvoidingKernel:
-    """The superstep kernel of hitting_time_samples against exact laws."""
-
-    CHAINS = [
-        ("birth-death", {"m": 20, "p": 0.25, "q": 0.25}, (0,)),
-        ("lazy-cycle", {"m": 32, "hold": 0.5}, (0,)),
-        ("random-dense", {"m": 10, "seed": 5}, (3, 7)),
-        ("two-state", {"p": 1e-12, "q": 0.5}, (1,)),
-    ]
-
-    @pytest.mark.parametrize("family,params,members", CHAINS)
-    def test_rows_are_exact(self, family, params, members):
-        P = generate(family, **params).matrix
-        mask = np.zeros(P.m, dtype=bool)
-        mask[list(members)] = True
-        outside = np.flatnonzero(~mask)
-        kernel = _avoiding_kernel(P.rows, mask)
-        assert kernel.shape == (outside.size, SUPERSTEP + outside.size)
-        for row, x in zip(kernel, outside.tolist()):
-            # Pr_x[B first entered at step j] = Pr[N_B > j] - Pr[N_B > j + 1] from X_1 = x;
-            # relative to the survival, since the difference itself may cancel
-            survival = survival_probabilities(P, point_start(P.m, x), [members],
-                                              range(1, SUPERSTEP + 2))[0]
-            hits = survival[:-1] - survival[1:]
-            assert np.all(np.abs(row[:SUPERSTEP] - hits) <= 1e-12 * survival[:-1]), x
-        Q = P.rows[np.ix_(outside, outside)]
-        assert np.abs(kernel[:, SUPERSTEP:] - np.linalg.matrix_power(Q, SUPERSTEP)).max() <= 1e-15
-        assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-14
-
-    def test_stiff_hits_keep_their_relative_accuracy(self):
-        # Pr_0[first entry into {1} at step j] = 1e-12 (1 - 1e-12)^(j - 1): no cancellation
-        P = generate("two-state", p=1e-12, q=0.5).matrix
-        kernel = _avoiding_kernel(P.rows, np.array([False, True]))
-        exact = [1e-12 * (1 - 1e-12) ** j for j in range(SUPERSTEP)]
-        assert kernel[0, :SUPERSTEP] == pytest.approx(exact, rel=1e-14)
-
-    def test_cutoff(self):
-        # SUPERSTEP_STATES states outside B still take 16 steps; one more takes one
-        P = generate("lazy-cycle", m=SUPERSTEP_STATES + 3, hold=0.5).matrix
-        mask = np.zeros(P.m, dtype=bool)
-        mask[:3] = True
-        assert _avoiding_kernel(P.rows, mask).shape == (SUPERSTEP_STATES, SUPERSTEP + SUPERSTEP_STATES)
-        mask[2] = False
-        kernel = _avoiding_kernel(P.rows, mask)
-        assert kernel.shape == (SUPERSTEP_STATES + 1, SUPERSTEP_STATES + 2)  # [r | Q]
-        assert np.array_equal(kernel[:, 1:], P.rows[2:, 2:])
-        assert kernel[[0, -1], 0].tolist() == [0.25, 0.25] and not kernel[1:-1, 0].any()
-
-
 BENCH_CHAIN = generate("random-dense", m=64, seed=1)  # the mc-sampling grid's largest m
 
 
@@ -342,60 +290,9 @@ class TestAgainstCountingSampler:
         assert (fv <= 512).all()
         assert sum(rows) < 0.1 * 1000 * 512
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("family,params", FAMILIES)
-    def test_hitting_time_samples(self, family, params, workers):
-        chain = generate(family, **params)
-        pi = stationary(chain.matrix)
-        N = hitting_time_samples(chain, state_set([1]), self.TRIALS, 62, workers, cap=40, pi=pi)
-        assert N.dtype == np.int8  # the narrowest type that holds cap + 1 = 41
-        assert np.array_equal(N, hitting_time_samples_by_count(chain, [1], self.TRIALS, 62, 40, pi))
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_hitting_time_samples_dyadic_chain(self, workers):
-        # every P entry on a grid point: only the start row's cells are ever searched
-        chain = generate("birth-death", m=8, p=0.25, q=0.25)
-        pi = stationary(chain.matrix)
-        N = hitting_time_samples(chain, state_set([0]), self.TRIALS, 67, workers, cap=60, pi=pi)
-        assert np.array_equal(N, hitting_time_samples_by_count(chain, [0], self.TRIALS, 67, 60, pi))
-
-    def test_hitting_time_samples_to_the_last_trial(self):
-        chain = generate("lazy-cycle", m=16, hold=0.5)
-        cap = 100_000
-        N = hitting_time_samples(chain, state_set([0]), 2000, 68, cap=cap)
-        last = np.sort(N)[-5:]
-        assert last[-1] <= cap and last[0] < last[-1]  # the last steps ran with under 5 trials live
-        assert np.array_equal(N, hitting_time_samples_by_count(chain, [0], 2000, 68, cap))
-
-    def test_hitting_time_samples_cap_inside_the_first_superstep(self):
-        # a hit past the cap reads cap + 1
-        chain = generate("lazy-cycle", m=10, hold=0.9)
-        pi = stationary(chain.matrix)
-        cap = SUPERSTEP - 1
-        N = hitting_time_samples(chain, state_set([5]), self.TRIALS, 69, cap=cap, pi=pi)
-        assert np.array_equal(N, hitting_time_samples_by_count(chain, [5], self.TRIALS, 69, cap, pi))
-        assert N.max() == cap + 1 and (N == cap).any()
-
-    def test_hitting_time_samples_one_step_past_the_cutoff(self):
-        chain = generate("random-dense", m=SUPERSTEP_STATES + 60, seed=8)
-        pi = stationary(chain.matrix)
-        N = hitting_time_samples(chain, state_set(range(50)), 300, 70, cap=40, pi=pi)
-        assert np.array_equal(N, hitting_time_samples_by_count(chain, range(50), 300, 70, 40, pi))
-
-    @pytest.mark.filterwarnings("error")
-    def test_one_step_kernel_of_a_sparse_chain_warns_nothing(self):
-        # lazy-cycle(1100) leaves 1099 states outside B, past SUPERSTEP_STATES, so K = 1;
-        # its rows are mostly zeros
-        chain = generate("lazy-cycle", m=1100, hold=0.5)
-        assert 1099 > SUPERSTEP_STATES
-        N = hitting_time_samples(chain, state_set([0]), 200, 7, cap=50)
-        assert np.array_equal(N, hitting_time_samples_by_count(chain, [0], 200, 7, 50))
-
     def test_point_start_and_overshooting_row(self):
         assert np.array_equal(first_visit_table(OVERSHOOT3, 9, 500, 8),
                               first_visit_table_by_count(OVERSHOOT3, 9, 500, 8))
-        assert np.array_equal(hitting_time_samples(OVERSHOOT3, state_set([2]), 500, 8, cap=30),
-                              hitting_time_samples_by_count(OVERSHOOT3, [2], 500, 8, 30))
 
     def test_m500_stays_small(self):
         chain = generate("random-dense", m=500, seed=6)
@@ -403,6 +300,79 @@ class TestAgainstCountingSampler:
         # P's cumulative rows (2 MB) and a few arrays of their size; the guide table is 1 MB
         assert peak < 16 * 2 ** 20
         assert np.array_equal(fv, first_visit_table_by_count(chain, 4, 300, 17))
+
+
+class TestAgainstTailOracle:
+    """Bit-identity with the count of exact-tail values above each uniform (tests/oracles.py)."""
+
+    TRIALS = BLOCK_TRIALS + 37
+    FAMILIES = ["random-dense", "lazy-cycle", "birth-death"]
+
+    @classmethod
+    def random_case(cls, index: int):
+        """A chain of 2-11 states, a random B that misses a state, and a cap in 1..200."""
+        rng = np.random.default_rng(index)
+        m = int(rng.integers(2, 12))
+        family = cls.FAMILIES[index % 3]
+        params = {"random-dense": {"seed": index}, "lazy-cycle": {"hold": 0.5},
+                  "birth-death": {"p": 0.3, "q": 0.25}}[family]
+        chain = generate(family, m=m, **params)
+        members = np.flatnonzero(rng.random(m) < 0.3).tolist() or [int(rng.integers(m))]
+        return chain, members[:m - 1], int(rng.integers(1, 201))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("index", range(12))
+    def test_random_cases(self, index, workers):
+        chain, members, cap = self.random_case(index)
+        pi = stationary(chain.matrix)
+        N = hitting_time_samples(chain, state_set(members), self.TRIALS, 62 + index, workers,
+                                 cap=cap, pi=pi)
+        assert N.dtype == (np.int8 if cap <= 126 else np.int16)
+        assert np.array_equal(N, hitting_time_samples_by_tail(chain, members, self.TRIALS,
+                                                              62 + index, cap, pi))
+
+    def test_cap_c_is_the_uncapped_array_clipped(self):
+        chain = generate("lazy-cycle", m=10, hold=0.9)
+        pi = stationary(chain.matrix)
+        uncapped = hitting_time_samples(chain, state_set([5]), self.TRIALS, 69, pi=pi)
+        assert uncapped.max() > 200
+        for cap in (1, 15, 16, 17, 200):
+            N = hitting_time_samples(chain, state_set([5]), self.TRIALS, 69, cap=cap, pi=pi)
+            assert np.array_equal(N, np.minimum(uncapped, cap + 1)), cap
+
+    def test_short_cap(self):
+        # a hit past the cap reads cap + 1
+        chain = generate("lazy-cycle", m=10, hold=0.9)
+        pi = stationary(chain.matrix)
+        N = hitting_time_samples(chain, state_set([5]), self.TRIALS, 69, cap=15, pi=pi)
+        assert np.array_equal(N, hitting_time_samples_by_tail(chain, [5], self.TRIALS, 69, 15, pi))
+        assert N.max() == 16 and (N == 15).any()
+
+    def test_long_tail_to_the_last_trial(self):
+        # the tail is stepped until it falls to the smallest uniform, not to the cap
+        chain = generate("lazy-cycle", m=16, hold=0.5)
+        cap = 100_000
+        N = hitting_time_samples(chain, state_set([0]), 2000, 68, cap=cap)
+        last = np.sort(N)[-5:]
+        assert last[-1] <= cap and last[0] < last[-1]
+        assert np.array_equal(N, hitting_time_samples_by_tail(chain, [0], 2000, 68, cap))
+
+    def test_1084_states(self):
+        chain = generate("random-dense", m=1084, seed=8)
+        pi = stationary(chain.matrix)
+        N = hitting_time_samples(chain, state_set(range(50)), 300, 70, cap=40, pi=pi)
+        assert np.array_equal(N, hitting_time_samples_by_tail(chain, range(50), 300, 70, 40, pi))
+
+    @pytest.mark.filterwarnings("error")
+    def test_sparse_chain_of_1100_states_warns_nothing(self):
+        # lazy-cycle(1100)'s rows are mostly zeros
+        chain = generate("lazy-cycle", m=1100, hold=0.5)
+        N = hitting_time_samples(chain, state_set([0]), 200, 7, cap=50)
+        assert np.array_equal(N, hitting_time_samples_by_tail(chain, [0], 200, 7, 50))
+
+    def test_point_start_and_overshooting_row(self):
+        assert np.array_equal(hitting_time_samples(OVERSHOOT3, state_set([2]), 500, 8, cap=30),
+                              hitting_time_samples_by_tail(OVERSHOOT3, [2], 500, 8, 30))
 
 
 class TestFirstVisitTable:
@@ -494,7 +464,7 @@ class TestSentinelType:
     def test_hitting_time_samples(self, cap, dtype):
         N = hitting_time_samples(UNIFORM2, state_set([1]), self.TRIALS, 5, workers=2, cap=cap)
         assert N.dtype == dtype
-        assert np.array_equal(N, hitting_time_samples_by_count(UNIFORM2, [1], self.TRIALS, 5, cap))
+        assert np.array_equal(N, hitting_time_samples_by_tail(UNIFORM2, [1], self.TRIALS, 5, cap))
 
     @pytest.mark.parametrize("n,dtype", [(126, np.int8), (2 ** 15 - 2, np.int16)])
     def test_sentinel_is_the_type_max(self, n, dtype):
@@ -705,10 +675,9 @@ class TestHittingTail:
         assert [float((N > t).mean()) for t in (1, 2, 3)] == [1.0, 1.0, 0.0]
         assert N.max() == 3  # below the cap: no trial was cut
 
-    @pytest.mark.parametrize("cap", [3, SUPERSTEP - 1, 2 * SUPERSTEP + 5])
+    @pytest.mark.parametrize("cap", [3, 15, 37])
     def test_cap_is_reported(self, cap):
-        # a trial cut at the cap, even inside a superstep, carries the sentinel cap + 1;
-        # the tail up to the cap stays exact
+        # a trial cut at the cap carries the sentinel cap + 1; the tail up to the cap stays exact
         slow = generate("lazy-cycle", m=10, hold=0.9)
         pi = stationary(slow.matrix)
         trials = 100_000
@@ -719,20 +688,14 @@ class TestHittingTail:
         for t, p in zip(thresholds, exact):
             assert abs(int((N > t).sum()) - trials * p) <= 6 * math.sqrt(trials * p * (1 - p)), t
 
-    def test_target_is_every_state(self, monkeypatch):
-        # every X_1 lies in B, so no CDF is built (a kernel of zero rows has no guide table)
-        def refuse(*args):
-            raise AssertionError("a CDF was built")
-
-        monkeypatch.setattr("mml.simulate._InverseCdf", refuse)
-        monkeypatch.setattr("mml.simulate._avoiding_kernel", refuse)
+    def test_target_is_every_state(self):
+        # every X_1 lies in B: the tail is 0 from t = 1
         chain = generate("random-dense", m=4, seed=2)
         N = hitting_time_samples(chain, state_set(range(4)), BLOCK_TRIALS + 3, 11, workers=2)
         assert N.dtype == np.int32 and N.tolist() == [1] * (BLOCK_TRIALS + 3)  # cap + 1 = 10^6 + 1
 
-    def test_mean_past_the_cutoff(self):
-        # more than SUPERSTEP_STATES states outside B: one step per uniform
-        chain = generate("random-dense", m=SUPERSTEP_STATES + 60, seed=8)
+    def test_mean_on_1084_states(self):
+        chain = generate("random-dense", m=1084, seed=8)
         pi = stationary(chain.matrix)
         B = state_set(range(50))
         samples = hitting_time_samples(chain, B, 4000, 12, pi=pi)
@@ -753,6 +716,19 @@ class TestHittingTail:
         slow = generate("lazy-cycle", m=10, hold=0.9)
         with pytest.raises(ValidationError, match=f"cap must be >= 1, got {cap}"):
             hitting_time_samples(slow, state_set([5]), 100, 9, cap=cap)
+
+    @pytest.mark.parametrize("family,params", [
+        ("lazy-cycle", {"m": 32, "hold": 0.5}),
+        ("birth-death", {"m": 20, "p": 0.25, "q": 0.25}),
+    ])
+    def test_mean_on_the_benchmark_chains(self, family, params):
+        # mc-sampling's two hitting_time_samples ops: E N_B = 1 + pi h
+        chain = generate(family, **params)
+        pi = stationary(chain.matrix)
+        samples = hitting_time_samples(chain, state_set([0]), 16_384, 3, pi=pi)
+        exact = expected_hitting_time(hitting_table(chain.matrix, state_set([0])), pi.pi)
+        se = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert abs(samples.mean() - exact) < 6 * se
 
     def test_mean_matches_solver(self):
         chain = generate("random-dense", m=5, seed=41)
@@ -820,8 +796,9 @@ class TestReproducibility:
     def test_hitting_samples_reproducible(self):
         chain = generate("random-dense", m=4, seed=2)
         a = hitting_time_samples(chain, state_set([1]), BLOCK_TRIALS * 2 + 5, 7, workers=1)
-        b = hitting_time_samples(chain, state_set([1]), BLOCK_TRIALS * 2 + 5, 7, workers=3)
-        assert np.array_equal(a, b)
+        for workers in (2, 3):
+            b = hitting_time_samples(chain, state_set([1]), BLOCK_TRIALS * 2 + 5, 7, workers)
+            assert np.array_equal(a, b), workers
 
     def test_different_seeds_differ(self):
         chain = generate("random-dense", m=4, seed=2)
