@@ -3,15 +3,16 @@
 A chain is a validated row-stochastic matrix ``P`` over ``m`` states.
 The stationary distribution solves ``pi P = pi`` on one of two paths. A
 chain of POWER_MIN_STATES = 32 or more states first runs power iteration
-x <- xP from the uniform law: each step must halve the fixed-point
-residual max |xP - x| until it is within the rounding of one product,
-and the first step that does not drops the iterate. Every other chain,
-and every chain whose iteration is dropped (periodic, slow-mixing, stiff
-or nearly reducible chains), takes a direct LAPACK solve with the
-normalization row replacing one equation. Below 32 states a direct solve
-costs about as much as a few products, and every chain ``verify`` builds
-by default (m <= 20) keeps its bits. A solve that fails or leaves a
-residual above tolerance raises ``SingularSystemError``.
+x <- xP from the uniform law under ``_contract``'s rule, which
+``hitting.hitting_table``'s iteration follows too: each step must halve
+the fixed-point residual max |xP - x| until it is within the rounding of
+one product, and the first step that does not drops the iterate. Every
+other chain, and every chain whose iteration is dropped (periodic,
+slow-mixing, stiff or nearly reducible chains), takes a direct LAPACK
+solve with the normalization row replacing one equation. Below 32 states
+a direct solve costs about as much as a few products, and every chain
+``verify`` builds by default (m <= 20) keeps its bits. A solve that fails
+or leaves a residual above tolerance raises ``SingularSystemError``.
 
 A chain is named by a source text: a chain file, or a descriptor
 ``'family:key=value;...'`` that ``parse_descriptor`` builds with ``generate``.
@@ -34,7 +35,7 @@ from .errors import ChainFileError, PreconditionError, SingularSystemError, Vali
 ROW_SUM_TOL = 1e-12
 ENTRY_CLAMP = 1e-15
 STATIONARY_RESIDUAL_TOL = 1e-10
-# Chains of this many states or more try power iteration before the direct solve.
+# Chains of this many states or more try iteration before the direct solve, for pi and h.
 POWER_MIN_STATES = 32
 # Rows of P read per gather, by the irreducibility search and by a one-system hitting
 # solve: a (64, m) block of P's rows.
@@ -199,26 +200,29 @@ def stationary(P: TransitionMatrix) -> StationaryDistribution:
 
 
 def _power_iteration(P: TransitionMatrix) -> tuple[np.ndarray, float] | None:
-    """pi and its residual by x <- xP from the uniform law, or None where it does not contract.
+    """pi and its residual by x <- xP from the uniform law under ``_contract``'s rule, with
+    m * eps * max x the rounding of one product, or None: max |xP - x| is x's residual, and
+    xP renormalized is the next x. It only adds non-negative terms."""
 
-    Each step takes one product y = xP; max |y - x| is x's own residual, and y,
-    renormalized, is the next x. Until the residual is within the rounding of one
-    product, m * eps * max x, every step must halve it: the first that does not ends
-    the iteration and returns None, so an attempt stops within about 60 products.
-    From there the iteration goes on while the residual still falls, and keeps the x
-    of the smallest. It only adds non-negative terms.
-    """
-    rounding = P.m * np.finfo(float).eps
-    x = np.full(P.m, 1.0 / P.m)
+    def step(x):
+        y = x @ P.rows
+        return float(np.max(np.abs(y - x))), y / y.sum()
+
+    return _contract(step, np.full(P.m, 1.0 / P.m), lambda x: P.m * np.finfo(float).eps * x.max())
+
+
+def _contract(step, x, rounding) -> tuple[np.ndarray, float] | None:
+    """The fixed point of an iteration from x, ``step(x)`` giving x's residual and the next x,
+    or None. Until the residual is within ``rounding(x)`` each step must halve it, so an
+    attempt that does not contract stops within about 60 steps; from there the iteration
+    goes on while the residual falls, and returns the x of the smallest and its residual."""
     best, best_res = x, math.inf
     while True:
-        y = x @ P.rows
-        res = float(np.max(np.abs(y - x)))
-        converged = best_res <= rounding * best.max()
+        res, nxt = step(x)
+        converged = best_res <= rounding(best)
         if not res < (best_res if converged else best_res / 2):
             return (best, best_res) if converged else None
-        best, best_res = x, res
-        x = y / y.sum()
+        best, best_res, x = x, res, nxt
 
 
 def _direct_solve(P: TransitionMatrix) -> tuple[np.ndarray, float]:

@@ -5,21 +5,23 @@ For a target set B the vector h solves the first-step system
     h(x) = 0                          x in B
     h(x) = 1 + sum_y P(x,y) h(y)      x not in B
 
-One solver, ``_hitting_times``, handles every target on a stack of chains
-of equal size: it groups the targets by size, solves each size's
-(I - Q) h = 1 systems on every chain of the stack with one
-``np.linalg.solve`` call per SOLVE_BATCH systems and checks every
-system's residual, relative to its largest h. A stack gathers each Q^T
-with one fancy index; a lone system (every ``hitting_table``) takes whole
-rows of P, then Q's columns, GATHER_ROWS rows at a time, which reads P in
-order. numpy hands LAPACK the same column-major copy of I - Q either way,
-so h does not depend on the path. A single table (``hitting_table``) and
-T(eps) pass a stack of one chain; the array of every subset's hitting
-times (``subset_hitting_times_stack``, m <= 20) passes the whole stack, so
-the lemma sweeps solve all their chains of one size together. The same
-subsets' membership rows and stationary masses come as arrays too
-(``subset_members``; ``member_masses``, each set summed by numpy's own
-sum, as in ``StationaryDistribution.mass``); ``row_members`` decodes rows.
+``hitting_table`` on 32 or more states first tries a fixed-point iteration,
+one product P h a step, under the halving rule of stationary's power
+iteration (``chain._contract``). Every other system takes ``_hitting_times``,
+which handles every target on a stack of chains of equal size: it groups the
+targets by size and solves each size's (I - Q) h = 1 systems on every chain
+of the stack with one ``np.linalg.solve`` call per SOLVE_BATCH systems. Both
+paths check every system's residual, relative to its largest h. A stack
+gathers each Q^T with one fancy index; a lone system takes whole rows of P,
+then Q's columns, GATHER_ROWS rows at a time, which reads P in order. numpy
+hands LAPACK the same column-major copy of I - Q either way, so h does not
+depend on the stacking. T(eps) passes a stack of one chain; the array of
+every subset's hitting times (``subset_hitting_times_stack``, m <= 20)
+passes the whole stack, so the lemma sweeps solve all their chains of one
+size together. The same subsets' membership rows and stationary masses come
+as arrays too (``subset_members``; ``member_masses``, each set summed by
+numpy's own sum, as in ``StationaryDistribution.mass``); ``row_members``
+decodes rows.
 
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
@@ -53,7 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import GATHER_ROWS, StationaryDistribution, TransitionMatrix
+from .chain import (GATHER_ROWS, POWER_MIN_STATES, StationaryDistribution, TransitionMatrix,
+                    _contract)
 from .errors import PreconditionError, SingularSystemError, ValidationError
 
 SYSTEM_RESIDUAL_TOL = 1e-9
@@ -126,11 +129,39 @@ def _check_enumerable(m: int, what: str):
 
 
 def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
-    """Exact expected hitting times of set B via the first-step linear system."""
+    """Exact expected hitting times of set B via the first-step linear system: by
+    ``_hitting_iteration`` on POWER_MIN_STATES or more states where it contracts, else by
+    the LAPACK solve of ``_hitting_times``; both paths end in the same residual check."""
     _check_members(B, P.m, "target set")
-    h, residual = _hitting_times(P.rows[None], ~np.isin(np.arange(P.m), B.members)[None])
+    outside = ~np.isin(np.arange(P.m), B.members)[None]
+    found = _hitting_iteration(P.rows, outside[0]) if P.m >= POWER_MIN_STATES else None
+    h, residual = (_hitting_times(P.rows[None], outside) if found is None
+                   else _checked(found[0][None, None], np.array([[found[1]]]), outside))
     return HittingTimeTable(target=B, h=h[0, 0], t_plus_all=float(h.max()),
                             residual=float(residual[0, 0]))
+
+
+def _hitting_iteration(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """h and its residual on the n states ``outside`` B by a deflated fixed-point iteration
+    under ``_contract``'s rule (rounding n * eps * max(1, max h)), or None.
+
+    M = I - 1 q^T, q the column means of Q, preconditions (I - Q) h = 1. With c the column
+    sums of P's rows off B and S their sum over B, M^-1 r = r + 1 (c . r) / S for r = 0 on B
+    (Sherman-Morrison), and M^-1 1 = n / S is the start. A step takes one product P h (Q h
+    off B, as h = 0 on B): r = 1 + Q h - h is h's residual, and the next h is
+    max(h + M^-1 r, 1), since an exact h is at least 1 off B. S = 0 returns None."""
+    c = outside @ rows
+    enter, n = c[~outside].sum(), np.count_nonzero(outside)
+    if not enter > 0:
+        return None
+
+    def step(h):
+        r = np.where(outside, 1.0 + rows @ h - h, 0.0)
+        nxt = np.where(outside, np.maximum(h + r + (c @ r) / enter, 1.0), 0.0)
+        return float(np.max(np.abs(r))), nxt
+
+    return _contract(step, np.where(outside, n / enter, 0.0),
+                     lambda h: n * np.finfo(float).eps * max(1.0, h.max()))
 
 
 def subset_hitting_times_stack(chains) -> np.ndarray:
@@ -158,8 +189,8 @@ def _by_size(table: np.ndarray):
 
 
 def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the first-step system of every target on every chain of a stack; ``rows`` is a
-    (C, m, m) stack of transition rows, and row k of ``outside`` is B_k^c.
+    """Solve the first-step system of every target on every chain of a stack by LAPACK;
+    ``rows`` is a (C, m, m) stack of transition rows, and row k of ``outside`` is B_k^c.
 
     Returns h, a (C, k, m) array that is 0 on each target, and each system's
     residual max |h - 1 - Q h| on B_k^c, a (C, k) array; Q h is (P h)[B_k^c], as
@@ -207,6 +238,11 @@ def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, n
             hs, off = h[c, lo:lo + SOLVE_BATCH], outside[lo:lo + SOLVE_BATCH]
             gap = np.where(off, np.abs(hs - 1.0 - hs @ rows[c].T), 0.0)
             residual[c, lo:lo + SOLVE_BATCH] = gap.max(axis=1)
+    return _checked(h, residual, outside)
+
+
+def _checked(h: np.ndarray, residual: np.ndarray, outside: np.ndarray):
+    """h and residual, once every residual is within tolerance (see ``_hitting_times``)."""
     # a tolerance scaled by the system's largest h is at least SYSTEM_RESIDUAL_TOL, so only
     # the systems past that one are scaled; NaN fails too
     chain, k = np.nonzero(~(residual <= SYSTEM_RESIDUAL_TOL))

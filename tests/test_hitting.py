@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mml.chain import (
     _power_iteration,
     generate,
     parse_descriptor,
+    point_start,
     stationary,
     validate,
 )
@@ -21,6 +23,7 @@ from mml.hitting import (
     MASS_FILTER_TOL,
     SOLVE_BATCH,
     StateSet,
+    _hitting_iteration,
     _hitting_times,
     _lex_smallest,
     _minimal_qualifying_sets,
@@ -343,8 +346,9 @@ class TestSolverBuilds:
             assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
         members = data.draw(st.sets(st.integers(0, P.m - 1), min_size=1))
         table = hitting_table(P, StateSet(tuple(members)))
-        h = direct_solve_table(P.rows, members)
-        assert _bits(table.h) == _bits(h)
+        h = table.h
+        if P.m < POWER_MIN_STATES:  # larger chains may take the iteration: TestHittingIteration
+            assert _bits(h) == _bits(direct_solve_table(P.rows, members))
         # the residual is max |h - 1 - Q h| on B^c, up to the order of the sums in Q h
         rest = np.setdiff1d(np.arange(P.m), list(members))
         expected = np.abs(h[rest] - 1.0 - P.rows[np.ix_(rest, rest)] @ h[rest]).max(initial=0.0)
@@ -374,16 +378,19 @@ class TestSolverBuilds:
                            match="stationary entry underflowed to zero on an irreducible chain"):
             stationary(P)
 
-    # stationary takes power iteration on this chain, which holds a few vectors and no matrix
-    @pytest.mark.parametrize("solve,matrices", [
-        (lambda P: stationary(P), 0.1),
-        (lambda P: hitting_table(P, state_set([0])), 1.5),
-        (lambda P: hitting_table(P, state_set(range(P.m // 10))), 1.5)],
-        ids=["stationary", "hitting_table", "hitting_table-tenth"])
-    def test_one_traced_matrix_beside_P(self, solve, matrices):
+    # stationary and hitting_table take their iterations on the random chain, which hold a
+    # few vectors and no matrix; the lazy cycle's hitting systems take the direct solve
+    @pytest.mark.parametrize("descriptor,solve,matrices", [
+        ("random-dense:m=1000;seed=1000", lambda P: stationary(P), 0.1),
+        ("random-dense:m=1000;seed=1000", lambda P: hitting_table(P, state_set([0])), 0.1),
+        ("lazy-cycle:m=1000;hold=0.5", lambda P: hitting_table(P, state_set([0])), 1.5),
+        ("lazy-cycle:m=1000;hold=0.5", lambda P: hitting_table(P, state_set(range(P.m // 10))),
+         1.5)],
+        ids=["stationary", "hitting_table-iteration", "hitting_table", "hitting_table-tenth"])
+    def test_one_traced_matrix_beside_P(self, descriptor, solve, matrices):
         # numpy reports its arrays to tracemalloc; LAPACK's own copy of A is not traced
-        m = 1000
-        P = random_chain(m, 1000)
+        P = parse_descriptor(descriptor)[1].matrix
+        m = P.m
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -446,6 +453,116 @@ class TestPowerPath:
         rows = _CountedRows(P.rows)
         assert (_power_iteration(TransitionMatrix(P.m, rows)) is not None) == found
         assert 1 <= rows.products <= 60
+
+
+@st.composite
+def chain_targets(draw, min_m, max_m):
+    """A ``solver_chains`` chain and a non-empty target set of its states."""
+    P = draw(solver_chains(min_m, max_m))
+    return P, tuple(sorted(draw(st.sets(st.integers(0, P.m - 1), min_size=1))))
+
+
+def _sure_entry_chain(m, seed):
+    """A dense chain whose states 1-5 step into state 0 with probability 1: their hitting
+    times of {0} are exactly 1."""
+    rng = np.random.default_rng(seed)
+    rows = rng.dirichlet(np.ones(m), size=m)
+    rows[np.arange(m), (np.arange(m) + 1) % m] += 0.05
+    rows[1:6] = 0.0
+    rows[1:6, 0] = 1.0
+    return validate(rows / rows.sum(axis=1, keepdims=True))
+
+
+class TestHittingIteration:
+    """From POWER_MIN_STATES states on, ``hitting_table`` tries a deflated fixed-point
+    iteration first and falls back to the direct solve where it does not halve its residual."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=chain_targets(POWER_MIN_STATES, 120))
+    # without the clamp at 1, states 1-5 come out a few ulps below 1
+    @example(case=(_sure_entry_chain(32, 0), (0,)))
+    def test_agrees_with_the_plain_solve(self, case):
+        P, members = case
+        outside = ~np.isin(np.arange(P.m), members)
+        table, plain = hitting_table(P, StateSet(members)), direct_solve_table(P.rows, members)
+        h = table.h
+        assert np.max(np.abs(h - plain) / np.maximum(plain, 1.0)) <= 1e-12
+        assert np.all(h[~outside] == 0.0) and np.all(h[outside] >= 1.0)
+        if _hitting_iteration(P.rows, outside) is None:
+            assert _bits(h) == _bits(plain)
+            return
+        # the residual is the returned h's own, and as small as the plain solve's or rounding
+        def residual(x):
+            return np.max(np.abs(1.0 + (P.rows @ x)[outside] - x[outside]))
+        assert table.residual == residual(h)
+        rounding = np.count_nonzero(outside) * np.finfo(float).eps * max(1.0, h.max())
+        assert table.residual <= max(residual(plain), rounding)
+
+    @settings(deadline=None, max_examples=30)
+    @given(case=chain_targets(POWER_MIN_STATES, 120))
+    def test_an_attempt_stops_within_60_products(self, case):
+        P, members = case
+        rows = _CountedRows(P.rows)
+        _hitting_iteration(rows, ~np.isin(np.arange(P.m), members))
+        assert 1 <= rows.products <= 60
+
+    @pytest.mark.parametrize("descriptor,found", [
+        ("random-dense:m=500;seed=7", True), ("lazy-cycle:m=1000;hold=0.5", False),
+        ("birth-death:m=500;p=0.26;q=0.25", False), ("birth-death:m=64;p=0.3;q=0.7", False)])
+    def test_products_on_the_benchmark_chains(self, descriptor, found):
+        P = parse_descriptor(descriptor)[1].matrix
+        rows = _CountedRows(P.rows)
+        outside = np.arange(P.m) != 0
+        assert (_hitting_iteration(rows, outside) is not None) == found
+        assert 1 <= rows.products <= 60
+
+    def test_every_state_a_target_gives_zero(self):
+        P = random_chain(40, 4)
+        table = hitting_table(P, state_set(range(40)))
+        assert np.array_equal(table.h, np.zeros(40)) and table.t_plus_all == 0.0
+
+    @pytest.mark.parametrize("descriptor", ["lazy-cycle:m=1000;hold=0.5",
+                                            "birth-death:m=500;p=0.26;q=0.25",
+                                            "birth-death:m=64;p=0.3;q=0.7"])
+    def test_slow_and_oscillating_chains_take_the_direct_solve(self, descriptor):
+        P = parse_descriptor(descriptor)[1].matrix
+        assert _bits(hitting_table(P, state_set([0])).h) == _bits(direct_solve_table(P.rows, [0]))
+
+    @settings(deadline=None, max_examples=20)
+    @given(case=chain_targets(31, 31))
+    def test_below_the_floor_takes_the_direct_solve(self, case):
+        P, members = case
+        table = hitting_table(P, StateSet(members))
+        assert _bits(table.h) == _bits(direct_solve_table(P.rows, members))
+
+    def test_the_floor_is_32_states(self):
+        P = random_chain(32, 9)
+        found = _hitting_iteration(P.rows, np.arange(32) != 0)
+        table = hitting_table(P, state_set([0]))
+        assert _bits(table.h) == _bits(found[0]) and table.residual == found[1]
+
+    # {1} is entered from every state but 0, so the iteration runs and stops; from the one
+    # state off the second target nothing enters it (S = 0), so no iteration starts
+    @pytest.mark.parametrize("members,named", [((1,), r"\(1,\)"),
+                                               (tuple(range(1, 40)), r"\(1, 2, ")])
+    def test_unreachable_target_names_the_set(self, members, named):
+        # state 0 never leaves, so h(0) = 1 + h(0) has no solution
+        rows = random_chain(40, 5).rows.copy()
+        rows[0] = point_start(40, 0)
+        P = validate(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError,
+                               match="hitting system singular for target " + named):
+                hitting_table(P, StateSet(members))
+
+    def test_the_iteration_passes_the_same_residual_check(self, monkeypatch):
+        P = random_chain(40, 6)
+        found = _hitting_iteration(P.rows, np.arange(40) != 0)
+        monkeypatch.setattr(hitting, "_hitting_iteration", lambda rows, outside: (found[0], 1e-6))
+        with pytest.raises(SingularSystemError, match=r"^hitting system residual 1e-06 exceeds "
+                                                      r"tolerance for target \(0,\)$"):
+            hitting_table(P, state_set([0]))
 
 
 class _CountedRows(np.ndarray):
