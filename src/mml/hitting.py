@@ -5,17 +5,22 @@ For a target set B the vector h solves the first-step system
     h(x) = 0                          x in B
     h(x) = 1 + sum_y P(x,y) h(y)      x not in B
 
-``hitting_table`` on 32 or more states first tries a fixed-point iteration,
-one product P h a step, under the halving rule of stationary's power
-iteration (``chain._contract``). Every other system takes ``_hitting_times``,
-which handles every target on a stack of chains of equal size: it groups the
-targets by size and solves each size's (I - Q) h = 1 systems on every chain
-of the stack with one ``np.linalg.solve`` call per SOLVE_BATCH systems. Both
-paths check every system's residual, relative to its largest h. A stack
-gathers each Q^T with one fancy index; a lone system takes whole rows of P,
-then Q's columns, GATHER_ROWS rows at a time, which reads P in order. numpy
-hands LAPACK the same column-major copy of I - Q either way, so h does not
-depend on the stacking. T(eps) passes a stack of one chain; the array of
+``hitting_table`` on 32 or more states solves a band chain (support in
+{x-1, x, x+1} mod m, as ``chain._band_links`` tests) arc by arc: B^c splits
+into arcs of the cycle, each a path whose ends step into B, and each takes
+one subtraction-free elimination and one back-substitution, O(m) in all
+(``_arc_hitting``). On any other chain of that size it first tries a
+fixed-point iteration, one product P h a step, under the halving rule of
+stationary's power iteration (``chain._contract``). Every other system
+takes ``_hitting_times``, which handles every target on a stack of chains
+of equal size: it groups the targets by size and solves each size's
+(I - Q) h = 1 systems on every chain of the stack with one
+``np.linalg.solve`` call per SOLVE_BATCH systems. Every path checks each
+system's residual, relative to its largest h. A stack gathers each Q^T with
+one fancy index; a lone system takes whole rows of P, then Q's columns,
+GATHER_ROWS rows at a time, which reads P in order. numpy hands LAPACK the
+same column-major copy of I - Q either way, so h does not depend on the
+stacking. T(eps) passes a stack of one chain; the array of
 every subset's hitting times (``subset_hitting_times_stack``, m <= 20)
 passes the whole stack, so the lemma sweeps solve all their chains of one
 size together. The same subsets' membership rows and stationary masses come
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (GATHER_ROWS, POWER_MIN_STATES, StationaryDistribution, TransitionMatrix,
-                    _contract)
+                    _band_links, _contract)
 from .errors import PreconditionError, SingularSystemError, ValidationError
 
 SYSTEM_RESIDUAL_TOL = 1e-9
@@ -129,16 +134,60 @@ def _check_enumerable(m: int, what: str):
 
 
 def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
-    """Exact expected hitting times of set B via the first-step linear system: by
-    ``_hitting_iteration`` on POWER_MIN_STATES or more states where it contracts, else by
-    the LAPACK solve of ``_hitting_times``; both paths end in the same residual check."""
+    """Exact expected hitting times of set B via the first-step linear system. On
+    POWER_MIN_STATES or more states a band chain solves it arc by arc (``_arc_hitting``) and
+    any other chain tries ``_hitting_iteration``; every system that takes neither, or where
+    the iteration does not contract, takes the LAPACK solve of ``_hitting_times``. All paths
+    end in the same residual check."""
     _check_members(B, P.m, "target set")
     outside = ~np.isin(np.arange(P.m), B.members)[None]
-    found = _hitting_iteration(P.rows, outside[0]) if P.m >= POWER_MIN_STATES else None
+    found = None
+    if P.m >= POWER_MIN_STATES:
+        band = _band_links(P)
+        found = (_arc_hitting(P.rows, *band, outside[0]) if band is not None
+                 else _hitting_iteration(P.rows, outside[0]))
     h, residual = (_hitting_times(P.rows[None], outside) if found is None
                    else _checked(found[0][None, None], np.array([[found[1]]]), outside))
     return HittingTimeTable(target=B, h=h[0, 0], t_plus_all=float(h.max()),
                             residual=float(residual[0, 0]))
+
+
+def _arc_hitting(rows: np.ndarray, down: np.ndarray, up: np.ndarray,
+                 outside: np.ndarray) -> tuple[np.ndarray, float]:
+    """h and its residual max |1 + Q h - h| on a band chain of links d and u
+    (``chain._band_links``).
+
+    B^c splits into arcs of the cycle, and each arc x_1..x_L is a path whose ends step into
+    B. Eliminating x_L, ..., x_1 in turn leaves x_i with pivot s_i = d(x_i) + e_i, e_i
+    being its reduced mass up into B (e_L = u(x_L), e_i = u(x_i) e_(i+1) / s_(i+1)), and
+    right-hand side c_i = 1 + u(x_i) c_(i+1) / s_(i+1); back-substitution from the bottom
+    gives h(x_i) = (c_i + d(x_i) h(x_(i-1))) / s_i. Only non-negative terms are added, and
+    no array larger than m is built. A pivot of 0 leaves a state that cannot reach B, and
+    raises ``SingularSystemError`` naming the target.
+    """
+    d, u, out = down.tolist(), up.tolist(), outside.tolist()
+    m = len(d)
+    h, pivot, rhs = [0.0] * m, [0.0] * m, [0.0] * m
+    # each arc starts above a state of B and runs up to the next one
+    for bottom in np.flatnonzero(outside & ~np.roll(outside, 1)).tolist():
+        top = bottom
+        while out[(top + 1) % m]:
+            top += 1
+        e, c = u[top % m], 1.0
+        for x in range(top, bottom - 1, -1):
+            x %= m
+            s = d[x] + e
+            if not s > 0:
+                raise SingularSystemError(f"hitting system singular for target "
+                                          f"{tuple(np.flatnonzero(~outside).tolist())}")
+            pivot[x], rhs[x] = s, c
+            e, c = u[x - 1] * e / s, 1.0 + u[x - 1] * c / s
+        below = 0.0
+        for x in range(bottom, top + 1):
+            x %= m
+            below = h[x] = (rhs[x] + d[x] * below) / pivot[x]
+    h = np.array(h)
+    return h, float(np.max(np.abs(np.where(outside, 1.0 + rows @ h - h, 0.0))))
 
 
 def _hitting_iteration(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, float] | None:

@@ -6,7 +6,9 @@ plain dense solve per target, the subset maximizer from brute-force
 enumeration, the lemma1 suite's disjoint set pairs from listing them
 all, survival and visited-set laws from a sum over every trajectory, and
 reference constants and a stiff chain's hitting times from high-precision
-arithmetic. The stationary law
+arithmetic, and the stationary law and hitting times of sparse chains from
+GTH state reduction in exact rationals over a dict of each state's links.
+The stationary law
 and hitting times also come from the plain constructions of P^T - I
 (from np.eye) and I - Q (from zeros), which the library's in-place
 builds must equal bit for bit. The samplers' reference is the O(m)
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -105,6 +108,64 @@ def exact_hitting_table(rows: np.ndarray, members, dps: int = 60) -> np.ndarray:
         if rest:
             h[rest] = [float(v) for v in mpmath.lu_solve(A, mpmath.ones(len(rest), 1))]
     return h
+
+
+def _state_reduction(rows: np.ndarray, order):
+    """GTH state reduction, in exact rationals, of the chain whose off-diagonal entries are
+    P's (its diagonal is 1 minus their sum): the states of ``order`` are eliminated in
+    turn. Yields each state with its pivot (the reduced mass leaving it), its reduced row
+    and its reduced in-flows, each over the states not yet eliminated."""
+    out = [{} for _ in range(rows.shape[0])]
+    into = [{} for _ in range(rows.shape[0])]
+    for x, y in zip(*np.nonzero(rows)):
+        if x != y:
+            out[x][y] = into[y][x] = Fraction(float(rows[x, y]))
+    for n in order:
+        row, col = out[n], into[n]
+        pivot = sum(row.values(), Fraction(0))
+        for i in col:
+            del out[i][n]
+        for y in row:
+            del into[y][n]
+        for i, w in col.items():
+            for y, v in row.items():
+                if y != i:
+                    out[i][y] = into[y][i] = out[i].get(y, 0) + w * v / pivot
+        yield n, pivot, row, col
+
+
+def gth_stationary_exact(rows: np.ndarray) -> list[Fraction]:
+    """pi of an irreducible chain in exact rationals: eliminate m-1, ..., 1, then pi(0) = 1
+    and pi(n) = (the in-flows into n from below, weighted by pi) / n's pivot, normalized."""
+    m = rows.shape[0]
+    pi = [Fraction(1)] * m
+    for n, pivot, _, col in reversed(list(_state_reduction(rows, range(m - 1, 0, -1)))):
+        pi[n] = sum((pi[i] * w for i, w in col.items()), Fraction(0)) / pivot
+    total = sum(pi)
+    return [x / total for x in pi]
+
+
+def gth_hitting_exact(rows: np.ndarray, members) -> list[Fraction]:
+    """h of target ``members`` in exact rationals: eliminate the other states from the top
+    down, each carrying its expected steps c (1, plus what the eliminated states pass on),
+    then h(n) = (c(n) + n's reduced row times h) / n's pivot from the bottom up."""
+    m = rows.shape[0]
+    target = set(members)
+    c, h, steps = [Fraction(1)] * m, [Fraction(0)] * m, []
+    for n, pivot, row, col in _state_reduction(rows, [x for x in range(m - 1, -1, -1)
+                                                      if x not in target]):
+        for i, w in col.items():
+            c[i] += w * c[n] / pivot
+        steps.append((n, pivot, row))
+    for n, pivot, row in reversed(steps):
+        h[n] = (c[n] + sum((v * h[y] for y, v in row.items()), Fraction(0))) / pivot
+    return h
+
+
+def max_rel_err(computed, exact) -> float:
+    """Largest entrywise error of floats against exact rationals: relative where the exact
+    value is non-zero, absolute where it is 0."""
+    return max(float(abs(Fraction(float(c)) - e) / (e if e else 1)) for c, e in zip(computed, exact))
 
 
 def stationary_by_eye(rows: np.ndarray) -> np.ndarray:

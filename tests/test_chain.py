@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 from mml.chain import (
     CHAIN_FAMILIES,
     FAMILY_BUILDERS,
+    POWER_MIN_STATES,
     ChainSpec,
+    TransitionMatrix,
+    _band_links,
+    _reaches_all,
     chain_from_dict,
     generate,
     is_irreducible,
@@ -139,6 +143,54 @@ class TestIrreducible:
         rows[x, x] -= 0.25
         rows[x, y] += 0.25
         assert not is_irreducible(validate(rows))
+
+
+class TestBandIrreducibility:
+    """From POWER_MIN_STATES states on, a chain whose support lies in the cyclic tridiagonal
+    band is decided from its up and down links instead of by search."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(m=st.integers(POWER_MIN_STATES, 80), data=st.data())
+    def test_matches_the_search(self, m, data):
+        # link x joins x and x+1; up[x] = 0 breaks it upward and down[x + 1] = 0 downward.
+        # A few broken links each way, at the same link or not, or one way broken everywhere
+        link = st.integers(0, m - 1)
+        no_up = data.draw(st.sets(link, max_size=3))
+        no_down = no_up if data.draw(st.booleans()) else data.draw(st.sets(link, max_size=3))
+        one_way = data.draw(st.sampled_from([None, "up", "down"]))
+        no_up = set(range(m)) if one_way == "up" else no_up
+        no_down = set(range(m)) if one_way == "down" else no_down
+        x = np.arange(m)
+        up = np.where(np.isin(x, list(no_up)), 0.0, 0.25)
+        down = np.where(np.isin((x - 1) % m, list(no_down)), 0.0, 0.25)
+        rows = np.zeros((m, m))
+        rows[x, (x + 1) % m], rows[x, x - 1], rows[x, x] = up, down, 1.0 - up - down
+        P = validate(rows)
+        assert _band_links(P) is not None
+        assert is_irreducible(P) == (_reaches_all(P.rows) and _reaches_all(P.rows.T))
+
+    def test_a_dense_chain_is_rejected_after_one_row(self):
+        rows = _ReadCounted(generate("random-dense", m=2000, seed=1).matrix.rows)
+        assert _band_links(TransitionMatrix(2000, rows)) is None
+        assert 0 < rows.read <= 2000
+
+    @pytest.mark.parametrize("m", [2, 3, POWER_MIN_STATES - 1])
+    def test_below_the_floor_no_chain_is_a_band_chain(self, m):
+        assert _band_links(generate("lazy-cycle", m=m, hold=0.5).matrix) is None
+
+
+class _ReadCounted(np.ndarray):
+    """P's rows, counting the entries read through indexing."""
+
+    def __new__(cls, rows):
+        out = np.array(rows).view(cls)
+        out.read = 0
+        return out
+
+    def __getitem__(self, key):
+        part = np.asarray(self)[key]
+        self.read += np.size(part)
+        return part
 
 
 def _strongly_connected(support: np.ndarray) -> bool:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,12 @@ from mml.errors import MMLError, PreconditionError, ValidationError
 from mml.hitting import StateSet, hitting_table, survival_probabilities, t_large
 from mml.report import csv_body
 from mml.verify import OPTION_RULES, SUITE_ORDER, SUITES, VerifyOptions
+
+from oracles import gth_hitting_exact, max_rel_err
+
+
+# pi spans 1e-57 to 1: LAPACK loses its smallest entries, the band reduction keeps them
+STIFF_BIRTH_DEATH_64 = "birth-death:m=64;p=0.1;q=0.8"
 
 
 @pytest.fixture
@@ -68,6 +75,15 @@ class TestChainCommands:
         line = capsys.readouterr().out.splitlines()[0]
         first, second = map(float, line.removeprefix("pi = (").removesuffix(")").split(", "))
         assert first == 1 and second > 0
+
+    def test_stationary_of_a_stiff_birth_death_chain(self, capsys):
+        # pi_k is proportional to (p/q)^k = 8^-k, down to 1e-57; it exited 4 as underflowed
+        assert main(["chain", "stationary", "--chain", STIFF_BIRTH_DEATH_64,
+                     "--format", "json"]) == 0
+        weights = [Fraction(1, 8) ** k for k in range(64)]
+        total = sum(weights)
+        assert max_rel_err(json.loads(capsys.readouterr().out)["pi"],
+                           [w / total for w in weights]) <= 1e-13
 
     def test_generate_writes_iid_file(self, tmp_path, capsys):
         out_file = tmp_path / "c.json"
@@ -184,6 +200,13 @@ class TestChainCommands:
 
 
 class TestHitCommands:
+    def test_table_of_a_stiff_birth_death_chain(self, capsys):
+        assert main(["hit", "table", "--chain", STIFF_BIRTH_DEATH_64, "--B", "0",
+                     "--format", "json"]) == 0
+        h = json.loads(capsys.readouterr().out)["h"]
+        P = generate("birth-death", m=64, p=0.1, q=0.8).matrix
+        assert max_rel_err(h, gth_hitting_exact(P.rows, [0])) <= 1e-13
+
     def test_table_cycle(self, cycle3, capsys):
         assert main(["hit", "table", "--chain", cycle3, "--B", "2"]) == 0
         out = capsys.readouterr().out

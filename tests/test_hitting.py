@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from mml import hitting
 from mml.chain import (
     POWER_MIN_STATES,
+    STATIONARY_RESIDUAL_TOL,
     TransitionMatrix,
+    _band_links,
     _power_iteration,
     generate,
     parse_descriptor,
@@ -23,6 +26,7 @@ from mml.hitting import (
     MASS_FILTER_TOL,
     SOLVE_BATCH,
     StateSet,
+    _arc_hitting,
     _hitting_iteration,
     _hitting_times,
     _lex_smallest,
@@ -48,7 +52,10 @@ from oracles import (
     brute_force_t_large,
     direct_solve_table,
     exact_hitting_table,
+    gth_hitting_exact,
+    gth_stationary_exact,
     mask_members,
+    max_rel_err,
     survival_sum_expected,
     stationary_by_eye,
     unpruned_t_large,
@@ -378,14 +385,14 @@ class TestSolverBuilds:
                            match="stationary entry underflowed to zero on an irreducible chain"):
             stationary(P)
 
-    # stationary and hitting_table take their iterations on the random chain, which hold a
-    # few vectors and no matrix; the lazy cycle's hitting systems take the direct solve
+    # stationary and hitting_table take their iterations on the random chain, and the arc
+    # solve on the lazy cycle; each holds a few vectors and no matrix
     @pytest.mark.parametrize("descriptor,solve,matrices", [
         ("random-dense:m=1000;seed=1000", lambda P: stationary(P), 0.1),
         ("random-dense:m=1000;seed=1000", lambda P: hitting_table(P, state_set([0])), 0.1),
-        ("lazy-cycle:m=1000;hold=0.5", lambda P: hitting_table(P, state_set([0])), 1.5),
+        ("lazy-cycle:m=1000;hold=0.5", lambda P: hitting_table(P, state_set([0])), 0.1),
         ("lazy-cycle:m=1000;hold=0.5", lambda P: hitting_table(P, state_set(range(P.m // 10))),
-         1.5)],
+         0.1)],
         ids=["stationary", "hitting_table-iteration", "hitting_table", "hitting_table-tenth"])
     def test_one_traced_matrix_beside_P(self, descriptor, solve, matrices):
         # numpy reports its arrays to tracemalloc; LAPACK's own copy of A is not traced
@@ -402,8 +409,9 @@ class TestSolverBuilds:
 
 
 class TestPowerPath:
-    """From POWER_MIN_STATES states on, ``stationary`` tries power iteration first and
-    falls back to the direct solve where the iteration does not halve its residual."""
+    """From POWER_MIN_STATES states on, ``stationary`` reduces a band chain and tries power
+    iteration first on any other, falling back to the direct solve where the iteration
+    does not halve its residual."""
 
     @settings(deadline=None, max_examples=60)
     @given(P=solver_chains(POWER_MIN_STATES, 120))
@@ -429,11 +437,11 @@ class TestPowerPath:
 
     @pytest.mark.parametrize("descriptor", ["birth-death:m=64;p=0.3;q=0.7",
                                             "birth-death:m=500;p=0.26;q=0.25"])
-    def test_oscillating_and_slow_chains_take_the_direct_solve(self, descriptor):
-        # the first moves only between neighbours, save at its two ends, so it is close to
-        # period 2; the second mixes slowly. Neither's residual falls by half in a step
+    def test_oscillating_and_slow_chains_are_exact(self, descriptor):
+        # the first is close to period 2 and the second mixes slowly, so neither's power
+        # iteration contracts; both are band chains, which the reduction solves to rounding
         P = parse_descriptor(descriptor)[1].matrix
-        assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
+        assert max_rel_err(stationary(P).pi, gth_stationary_exact(P.rows)) <= 1e-13
 
     @settings(deadline=None, max_examples=20)
     @given(P=solver_chains(31, 31))
@@ -441,9 +449,8 @@ class TestPowerPath:
         assert _bits(stationary(P).pi) == _bits(stationary_by_eye(P.rows))
 
     def test_lazy_cycle_returns_the_uniform_law(self):
-        # its first product leaves x = 1/m in place: a residual of 0, which no step halves
         pi = stationary(generate("lazy-cycle", m=1000, hold=0.5).matrix)
-        assert np.all(pi.pi == 1.0 / 1000) and pi.residual == 0.0
+        assert max_rel_err(pi.pi, [Fraction(1, 1000)] * 1000) <= 1e-13
 
     @pytest.mark.parametrize("descriptor,found", [
         ("birth-death:m=64;p=0.3;q=0.7", False), ("birth-death:m=500;p=0.26;q=0.25", False),
@@ -524,9 +531,11 @@ class TestHittingIteration:
     @pytest.mark.parametrize("descriptor", ["lazy-cycle:m=1000;hold=0.5",
                                             "birth-death:m=500;p=0.26;q=0.25",
                                             "birth-death:m=64;p=0.3;q=0.7"])
-    def test_slow_and_oscillating_chains_take_the_direct_solve(self, descriptor):
+    def test_slow_and_oscillating_chains_are_exact(self, descriptor):
+        # the iteration does not contract on these band chains; the arc solve is exact
         P = parse_descriptor(descriptor)[1].matrix
-        assert _bits(hitting_table(P, state_set([0])).h) == _bits(direct_solve_table(P.rows, [0]))
+        h = hitting_table(P, state_set([0])).h
+        assert max_rel_err(h, gth_hitting_exact(P.rows, [0])) <= 1e-13
 
     @settings(deadline=None, max_examples=20)
     @given(case=chain_targets(31, 31))
@@ -563,6 +572,67 @@ class TestHittingIteration:
         with pytest.raises(SingularSystemError, match=r"^hitting system residual 1e-06 exceeds "
                                                       r"tolerance for target \(0,\)$"):
             hitting_table(P, state_set([0]))
+
+
+@st.composite
+def band_targets(draw, min_m=POWER_MIN_STATES, max_m=300):
+    """A band chain of min_m-max_m states and a target of 1-5 of its states. Each up and down
+    rate is k 2^-11 with log k uniform on [0, log 1000], so one rate is up to 1000 times
+    its partner and every entry, the diagonal too, is exact. A birth-death chain has no
+    wrap links; a cycle has them all, and a one-way cycle loses some down links."""
+    m = draw(st.integers(min_m, max_m))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    up, down = (np.round(1000.0 ** rng.random((2, m))) * 2.0 ** -11)
+    kind = draw(st.sampled_from(["birth-death", "cycle", "one-way"]))
+    if kind == "birth-death":
+        up[-1] = down[0] = 0.0
+    elif kind == "one-way":
+        down[rng.random(m) < 0.3] = 0.0
+    x = np.arange(m)
+    rows = np.zeros((m, m))
+    rows[x, (x + 1) % m], rows[x, x - 1], rows[x, x] = up, down, 1.0 - up - down
+    members = rng.choice(m, size=draw(st.integers(1, 5)), replace=False)
+    return validate(rows), tuple(sorted(members.tolist()))
+
+
+class TestBandPath:
+    """From POWER_MIN_STATES states on, a chain whose support lies in the cyclic tridiagonal
+    band takes GTH reduction for pi and the arc solve for h, exact to rounding."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=band_targets())
+    def test_reduction_matches_exact_rationals(self, case):
+        P, members = case
+        assert _band_links(P) is not None
+        pi = stationary(P)
+        assert pi.residual <= STATIONARY_RESIDUAL_TOL
+        assert max_rel_err(pi.pi, gth_stationary_exact(P.rows)) <= 1e-13
+        table = hitting_table(P, StateSet(members))
+        outside = ~np.isin(np.arange(P.m), members)
+        assert _bits(table.h) == _bits(_arc_hitting(P.rows, *_band_links(P), outside)[0])
+        assert table.residual <= hitting.SYSTEM_RESIDUAL_TOL * max(1.0, table.t_plus_all)
+        assert max_rel_err(table.h, gth_hitting_exact(P.rows, members)) <= 1e-13
+        every = hitting_table(P, state_set(range(P.m)))
+        assert not every.h.any() and every.residual == 0.0
+
+    def test_stiff_birth_death_keeps_its_smallest_entries(self):
+        # pi_k is proportional to 8^-k, down to 1e-180; LAPACK loses the smallest entries of
+        # this chain already at 20 states
+        P = generate("birth-death", m=200, p=0.1, q=0.8).matrix
+        pi = stationary(P)
+        assert pi.pi.min() < 1e-150
+        assert max_rel_err(pi.pi, gth_stationary_exact(P.rows)) <= 1e-13
+
+    @pytest.mark.parametrize("members,named", [((0,), r"\(0,\)"), ((0, 3), r"\(0, 3\)")])
+    def test_unreachable_target_is_singular(self, members, named):
+        # states 10 and up never step below 10, so the target is out of their reach: the arc
+        # solve meets a zero pivot (LAPACK, given the same system, returns h near 1e15)
+        rows = generate("birth-death", m=40, p=0.3, q=0.3).matrix.rows.copy()
+        rows[10, 10] += rows[10, 9]
+        rows[10, 9] = 0.0
+        with pytest.raises(SingularSystemError,
+                           match="^hitting system singular for target " + named + "$"):
+            hitting_table(validate(rows), state_set(members))
 
 
 class _CountedRows(np.ndarray):
