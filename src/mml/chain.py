@@ -1,25 +1,6 @@
 """Finite Markov chains: validation, stationary distributions, generators, JSON I/O.
 
-A chain is a validated row-stochastic matrix ``P`` over ``m`` states.
-The stationary distribution solves ``pi P = pi`` on one of three paths. A
-chain of POWER_MIN_STATES = 32 or more states whose support lies in the
-cyclic tridiagonal band, P(x, y) > 0 only for y in {x-1, x, x+1} mod m
-(birth-death chains, lazy cycles), takes GTH state reduction around the
-cycle in O(m) (``_band_stationary``): it adds only non-negative terms, so
-pi keeps its relative accuracy where it spans many orders of magnitude.
-The band test (``_band_links``) reads row 0 first, so most other chains
-leave it after one row, and on band chains irreducibility is decided from
-the up and down links in O(m) too. Any other chain of 32 or more states
-first runs power iteration x <- xP from the uniform law under
-``_contract``'s rule, which ``hitting.hitting_table``'s iteration follows
-too: each step must halve the fixed-point residual max |xP - x| until it is
-within the rounding of one product, and the first step that does not drops
-the iterate. Every other chain, and every chain whose iteration is dropped
-(periodic, slow-mixing, stiff or nearly reducible chains), takes a direct
-LAPACK solve with the normalization row replacing one equation. Below 32
-states a direct solve costs about as much as a few products, and every
-chain ``verify`` builds by default (m <= 20) keeps its bits. A solve that
-fails or leaves a residual above tolerance raises ``SingularSystemError``.
+A chain is a validated row-stochastic matrix ``P`` over ``m`` states; ``solve`` solves it.
 
 A chain is named by a source text: a chain file, or a descriptor
 ``'family:key=value;...'`` that ``parse_descriptor`` builds with ``generate``.
@@ -33,21 +14,16 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ChainFileError, PreconditionError, SingularSystemError, ValidationError
+from .errors import ChainFileError, PreconditionError, ValidationError
+from .solve import Structure, stationary_law, structure
 
 ROW_SUM_TOL = 1e-12
 ENTRY_CLAMP = 1e-15
-STATIONARY_RESIDUAL_TOL = 1e-10
-# Chains of this many states or more take the band reduction or try iteration before the
-# direct solve, for pi and h.
-POWER_MIN_STATES = 32
-# Rows of P read per gather, by the irreducibility search and by a one-system hitting
-# solve: a (64, m) block of P's rows.
-GATHER_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +36,11 @@ class TransitionMatrix:
 
     def __post_init__(self):
         self.rows.setflags(write=False)
+
+    @cached_property
+    def structure(self) -> Structure:
+        """P's band links and irreducibility, read once: the rows cannot change."""
+        return structure(self.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,185 +139,15 @@ def validate(raw, labels=None) -> TransitionMatrix:
 def is_irreducible(P: TransitionMatrix) -> bool:
     """True iff the support graph {(x, y): P(x, y) > 0} is strongly connected:
     state 0 reaches every state, and every state reaches state 0."""
-    return _irreducible(P, _band_links(P))
-
-
-def _irreducible(P: TransitionMatrix, band) -> bool:
-    """``is_irreducible`` given P's ``_band_links``: O(m) on a band chain, else two searches."""
-    return _band_irreducible(*band) if band is not None else (
-        _reaches_all(P.rows) and _reaches_all(P.rows.T))
-
-
-def _band_links(P: TransitionMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """P's down and up links d(x) = P(x, x-1) and u(x) = P(x, x+1), indices mod m, when P has
-    POWER_MIN_STATES or more states and every row's support lies in {x-1, x, x+1} mod m;
-    else None. Row 0 is read first, so a chain outside the band is most often rejected after
-    one row; a band chain is accepted once the nonzero count of the other rows is that of
-    their band entries."""
-    m, rows = P.m, P.rows
-    # row 0's band is columns m-1, 0 and 1
-    if m < POWER_MIN_STATES or np.count_nonzero(rows[0, 2:-1]):
-        return None
-    x = np.arange(m)
-    down, stay, up = rows[x, x - 1], rows[x, x], rows[x, (x + 1) % m]
-    inside = sum(np.count_nonzero(links[1:]) for links in (down, stay, up))
-    return (down, up) if np.count_nonzero(rows[1:]) == inside else None
-
-
-def _band_irreducible(down: np.ndarray, up: np.ndarray) -> bool:
-    """Strong connectivity of a band chain's support in O(m). Link x joins x and x+1; it is
-    crossed upward if u(x) > 0 and downward if d(x+1) > 0. Going up, state 0 reaches the
-    states below the first link with no upward step, and going down those above the first
-    with no downward step, so what it reaches is an arc of the cycle. Every state lies in
-    it when one direction is never broken, or both break only at the same link, leaving a
-    path walked both ways. Two different broken links, i with no upward step and j with no
-    downward one, cut the cycle into two arcs, and the walk never leaves the arc from j+1
-    up to i: leaving it crosses link i upward or link j downward."""
-    no_up, no_down = up == 0, np.roll(down, -1) == 0
-    return (not no_up.any() or not no_down.any()
-            or (np.count_nonzero(no_up) == 1 and np.array_equal(no_up, no_down)))
-
-
-def _reaches_all(adj: np.ndarray) -> bool:
-    """True iff a breadth-first search from state 0 along the nonzero entries of ``adj``
-    visits every state.
-
-    Each state enters the frontier once, and the frontier's rows are read GATHER_ROWS
-    at a time, so the row reads total O(m^2) and no m x m array is built. The search
-    stops once every state is seen: on a dense chain that is after one row.
-    """
-    unseen = np.ones(adj.shape[0], dtype=bool)
-    unseen[0] = False
-    left = adj.shape[0] - 1
-    frontier = np.zeros(1, dtype=np.intp)
-    while frontier.size and left:
-        # P's entries are >= 0, so a nonzero entry is an edge
-        reached = adj[frontier[:GATHER_ROWS]].any(axis=0)
-        for lo in range(GATHER_ROWS, frontier.size, GATHER_ROWS):
-            reached |= adj[frontier[lo:lo + GATHER_ROWS]].any(axis=0)
-        frontier = np.flatnonzero(reached & unseen)
-        unseen[frontier] = False
-        left -= frontier.size
-    return not left
+    return P.structure.irreducible
 
 
 def stationary(P: TransitionMatrix) -> StationaryDistribution:
-    """Solve ``pi P = pi`` for an irreducible chain.
-
-    A chain of at least POWER_MIN_STATES = 32 states whose support lies in the cyclic
-    tridiagonal band takes GTH state reduction in O(m) (``_band_stationary``); any other
-    chain of that size first runs power iteration from the uniform law
-    (``_power_iteration``); each step must halve its residual until that is down to the
-    rounding of one product. Every other chain, and one whose reduction hits a zero pivot
-    or whose iteration fails to halve its residual, takes the direct LAPACK solve
-    (``_direct_solve``). Below 32 states the direct solve costs about as much as a few
-    products, and the chains ``verify`` builds (m <= 20) keep its bits. Every path ends in
-    the same checks: a residual above STATIONARY_RESIDUAL_TOL (NaN included), or an entry
-    that underflowed to zero, raises ``SingularSystemError``.
-    """
-    band = _band_links(P)
-    if not _irreducible(P, band):
+    """Solve ``pi P = pi`` for an irreducible chain, by ``solve.stationary_law``."""
+    if not P.structure.irreducible:
         raise PreconditionError("chain is not irreducible")
-    found = None
-    if band is not None:
-        found = _band_stationary(P, *band)
-    elif P.m >= POWER_MIN_STATES:
-        found = _power_iteration(P)
-    pi, res = found if found is not None else _direct_solve(P)
-    if not res <= STATIONARY_RESIDUAL_TOL:
-        raise SingularSystemError(f"stationary residual {res!r} exceeds tolerance")
-    if np.any(pi <= 0):
-        raise SingularSystemError("stationary entry underflowed to zero on an irreducible chain")
+    pi, res = stationary_law(P.rows, P.structure)
     return StationaryDistribution(pi=pi, residual=res)
-
-
-def _band_stationary(P: TransitionMatrix, down: np.ndarray,
-                     up: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """pi and its residual on a band chain by GTH state reduction around the cycle, or None
-    if a pivot is 0 or pi leaves the float range.
-
-    Eliminating m-1, ..., n+1 in turn leaves state n joined to n-1 by the band and to 0 by
-    fill: t = P(n, 0) and f = P(0, n) as reduced so far, so each step updates two numbers.
-    State n's pivot is its reduced mass towards the states below it, d(n) + t, and pi(n),
-    relative to pi(0) = 1, is the mass flowing into n from below, pi(n-1) u(n-1) + f, over
-    that pivot. Only non-negative terms are added, so every entry keeps its relative
-    accuracy.
-    """
-    d, u = down.tolist(), up.tolist()
-    m = len(d)
-    pivot, fill = [0.0] * m, [0.0] * m
-    t, f = u[-1], d[0]
-    for n in range(m - 1, 0, -1):
-        s = d[n] + t
-        if not s > 0:
-            return None
-        pivot[n], fill[n] = s, f
-        t, f = u[n - 1] * t / s, f * d[n] / s
-    pi = [1.0]
-    for n in range(1, m):
-        pi.append((pi[-1] * u[n - 1] + fill[n]) / pivot[n])
-    pi = np.array(pi)
-    total = pi.sum()
-    if not np.isfinite(total):
-        return None
-    pi /= total
-    return pi, _residual(pi, P)
-
-
-def _power_iteration(P: TransitionMatrix) -> tuple[np.ndarray, float] | None:
-    """pi and its residual by x <- xP from the uniform law under ``_contract``'s rule, with
-    m * eps * max x the rounding of one product, or None: max |xP - x| is x's residual, and
-    xP renormalized is the next x. It only adds non-negative terms."""
-
-    def step(x):
-        y = x @ P.rows
-        return float(np.max(np.abs(y - x))), y / y.sum()
-
-    return _contract(step, np.full(P.m, 1.0 / P.m), lambda x: P.m * np.finfo(float).eps * x.max())
-
-
-def _contract(step, x, rounding) -> tuple[np.ndarray, float] | None:
-    """The fixed point of an iteration from x, ``step(x)`` giving x's residual and the next x,
-    or None. Until the residual is within ``rounding(x)`` each step must halve it, so an
-    attempt that does not contract stops within about 60 steps; from there the iteration
-    goes on while the residual falls, and returns the x of the smallest and its residual."""
-    best, best_res = x, math.inf
-    while True:
-        res, nxt = step(x)
-        converged = best_res <= rounding(best)
-        if not res < (best_res if converged else best_res / 2):
-            return (best, best_res) if converged else None
-        best, best_res, x = x, res, nxt
-
-
-def _direct_solve(P: TransitionMatrix) -> tuple[np.ndarray, float]:
-    """pi and its residual by one LAPACK solve of ``(P^T - I) pi = 0`` with the last
-    equation replaced by ``sum(pi) = 1``, then clipped to >= 0 and normalized.
-
-    Raises ``SingularSystemError`` if the solve fails, or if its residual before
-    clipping exceeds STATIONARY_RESIDUAL_TOL; a non-finite solve has a NaN residual.
-    """
-    m = P.m
-    # A^T = P - I with its last column set to 1, so A is column-major, as the solver copies it
-    At = P.rows.copy()
-    At.flat[::m + 1] -= 1.0
-    At[:, -1] = 1.0
-    b = np.zeros(m)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(At.T, b)
-    except np.linalg.LinAlgError as e:
-        raise SingularSystemError(f"stationary solve failed: {e}") from e
-    res = _residual(pi, P)
-    if not res <= STATIONARY_RESIDUAL_TOL:
-        raise SingularSystemError(f"stationary solve residual {res!r} exceeds tolerance")
-    pi = np.clip(pi, 0.0, None)
-    pi = pi / pi.sum()
-    return pi, _residual(pi, P)
-
-
-def _residual(pi, P) -> float:
-    return float(np.max(np.abs(pi @ P.rows - pi)))
 
 
 def generate(family: str, /, m: int | None = None, **params) -> ChainSpec:

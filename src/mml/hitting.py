@@ -5,28 +5,12 @@ For a target set B the vector h solves the first-step system
     h(x) = 0                          x in B
     h(x) = 1 + sum_y P(x,y) h(y)      x not in B
 
-``hitting_table`` on 32 or more states solves a band chain (support in
-{x-1, x, x+1} mod m, as ``chain._band_links`` tests) arc by arc: B^c splits
-into arcs of the cycle, each a path whose ends step into B, and each takes
-one subtraction-free elimination and one back-substitution, O(m) in all
-(``_arc_hitting``). On any other chain of that size it first tries a
-fixed-point iteration, one product P h a step, under the halving rule of
-stationary's power iteration (``chain._contract``). Every other system
-takes ``_hitting_times``, which handles every target on a stack of chains
-of equal size: it groups the targets by size and solves each size's
-(I - Q) h = 1 systems on every chain of the stack with one
-``np.linalg.solve`` call per SOLVE_BATCH systems. Every path checks each
-system's residual, relative to its largest h. A stack gathers each Q^T with
-one fancy index; a lone system takes whole rows of P, then Q's columns,
-GATHER_ROWS rows at a time, which reads P in order. numpy hands LAPACK the
-same column-major copy of I - Q either way, so h does not depend on the
-stacking. T(eps) passes a stack of one chain; the array of
-every subset's hitting times (``subset_hitting_times_stack``, m <= 20)
-passes the whole stack, so the lemma sweeps solve all their chains of one
-size together. The same subsets' membership rows and stationary masses come
-as arrays too (``subset_members``; ``member_masses``, each set summed by
-numpy's own sum, as in ``StationaryDistribution.mass``); ``row_members``
-decodes rows.
+``solve`` solves it. T(eps) passes ``solve.hitting_times`` a stack of one chain;
+the array of every subset's hitting times (``subset_hitting_times_stack``,
+m <= 20) passes the whole stack, so the lemma sweeps solve all their chains of
+one size together. The same subsets' membership rows and stationary masses come
+as arrays too (``subset_members``; ``member_masses``, each set summed by numpy's
+own sum, as in ``StationaryDistribution.mass``); ``row_members`` decodes rows.
 
 The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
 T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
@@ -44,7 +28,7 @@ most bounds are infinite (cycles, birth-death chains) it solves nearly all.
 The survival law of the walk is exact too. Pr[N_B > t] (no state of B
 among X_1..X_t) is start restricted to B^c times Q^(t-1) times 1, with
 Q = P restricted to B^c. One engine, ``survival_probabilities``, answers a
-stack of sets on a horizon grid: like ``_hitting_times`` it groups the
+stack of sets on a horizon grid: like ``solve.hitting_times`` it groups the
 sets by size, gathers each size's Q's as one (g, k, k) stack and steps
 the g row vectors through the sorted horizons with one batched product a
 step, so a row equals the set's own one-set call bit for bit. The law of
@@ -60,15 +44,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (GATHER_ROWS, POWER_MIN_STATES, StationaryDistribution, TransitionMatrix,
-                    _band_links, _contract)
-from .errors import PreconditionError, SingularSystemError, ValidationError
+from .chain import StationaryDistribution, TransitionMatrix
+from .errors import PreconditionError, ValidationError
+from .solve import SOLVE_BATCH, by_size, hitting_times, hitting_vector
 
-SYSTEM_RESIDUAL_TOL = 1e-9
 ENUMERATION_MAX_STATES = 20
 MASS_FILTER_TOL = 1e-12
-# Systems per stacked solve: at most 2048 x 19 x 19 doubles (~6 MB) at m = 20.
-SOLVE_BATCH = 2048
 MEMBER_CHUNK = 10
 # Relative widening of the one-step bound before it rules a set out of T(eps): far above
 # the rounding of a solve or of the bound's own sum.
@@ -134,83 +115,10 @@ def _check_enumerable(m: int, what: str):
 
 
 def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
-    """Exact expected hitting times of set B via the first-step linear system. On
-    POWER_MIN_STATES or more states a band chain solves it arc by arc (``_arc_hitting``) and
-    any other chain tries ``_hitting_iteration``; every system that takes neither, or where
-    the iteration does not contract, takes the LAPACK solve of ``_hitting_times``. All paths
-    end in the same residual check."""
+    """Exact expected hitting times of set B, by ``solve.hitting_vector``."""
     _check_members(B, P.m, "target set")
-    outside = ~np.isin(np.arange(P.m), B.members)[None]
-    found = None
-    if P.m >= POWER_MIN_STATES:
-        band = _band_links(P)
-        found = (_arc_hitting(P.rows, *band, outside[0]) if band is not None
-                 else _hitting_iteration(P.rows, outside[0]))
-    h, residual = (_hitting_times(P.rows[None], outside) if found is None
-                   else _checked(found[0][None, None], np.array([[found[1]]]), outside))
-    return HittingTimeTable(target=B, h=h[0, 0], t_plus_all=float(h.max()),
-                            residual=float(residual[0, 0]))
-
-
-def _arc_hitting(rows: np.ndarray, down: np.ndarray, up: np.ndarray,
-                 outside: np.ndarray) -> tuple[np.ndarray, float]:
-    """h and its residual max |1 + Q h - h| on a band chain of links d and u
-    (``chain._band_links``).
-
-    B^c splits into arcs of the cycle, and each arc x_1..x_L is a path whose ends step into
-    B. Eliminating x_L, ..., x_1 in turn leaves x_i with pivot s_i = d(x_i) + e_i, e_i
-    being its reduced mass up into B (e_L = u(x_L), e_i = u(x_i) e_(i+1) / s_(i+1)), and
-    right-hand side c_i = 1 + u(x_i) c_(i+1) / s_(i+1); back-substitution from the bottom
-    gives h(x_i) = (c_i + d(x_i) h(x_(i-1))) / s_i. Only non-negative terms are added, and
-    no array larger than m is built. A pivot of 0 leaves a state that cannot reach B, and
-    raises ``SingularSystemError`` naming the target.
-    """
-    d, u, out = down.tolist(), up.tolist(), outside.tolist()
-    m = len(d)
-    h, pivot, rhs = [0.0] * m, [0.0] * m, [0.0] * m
-    # each arc starts above a state of B and runs up to the next one
-    for bottom in np.flatnonzero(outside & ~np.roll(outside, 1)).tolist():
-        top = bottom
-        while out[(top + 1) % m]:
-            top += 1
-        e, c = u[top % m], 1.0
-        for x in range(top, bottom - 1, -1):
-            x %= m
-            s = d[x] + e
-            if not s > 0:
-                raise SingularSystemError(f"hitting system singular for target "
-                                          f"{tuple(np.flatnonzero(~outside).tolist())}")
-            pivot[x], rhs[x] = s, c
-            e, c = u[x - 1] * e / s, 1.0 + u[x - 1] * c / s
-        below = 0.0
-        for x in range(bottom, top + 1):
-            x %= m
-            below = h[x] = (rhs[x] + d[x] * below) / pivot[x]
-    h = np.array(h)
-    return h, float(np.max(np.abs(np.where(outside, 1.0 + rows @ h - h, 0.0))))
-
-
-def _hitting_iteration(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """h and its residual on the n states ``outside`` B by a deflated fixed-point iteration
-    under ``_contract``'s rule (rounding n * eps * max(1, max h)), or None.
-
-    M = I - 1 q^T, q the column means of Q, preconditions (I - Q) h = 1. With c the column
-    sums of P's rows off B and S their sum over B, M^-1 r = r + 1 (c . r) / S for r = 0 on B
-    (Sherman-Morrison), and M^-1 1 = n / S is the start. A step takes one product P h (Q h
-    off B, as h = 0 on B): r = 1 + Q h - h is h's residual, and the next h is
-    max(h + M^-1 r, 1), since an exact h is at least 1 off B. S = 0 returns None."""
-    c = outside @ rows
-    enter, n = c[~outside].sum(), np.count_nonzero(outside)
-    if not enter > 0:
-        return None
-
-    def step(h):
-        r = np.where(outside, 1.0 + rows @ h - h, 0.0)
-        nxt = np.where(outside, np.maximum(h + r + (c @ r) / enter, 1.0), 0.0)
-        return float(np.max(np.abs(r))), nxt
-
-    return _contract(step, np.where(outside, n / enter, 0.0),
-                     lambda h: n * np.finfo(float).eps * max(1.0, h.max()))
+    h, residual = hitting_vector(P.rows, P.structure, ~np.isin(np.arange(P.m), B.members))
+    return HittingTimeTable(target=B, h=h, t_plus_all=float(h.max()), residual=residual)
 
 
 def subset_hitting_times_stack(chains) -> np.ndarray:
@@ -219,90 +127,12 @@ def subset_hitting_times_stack(chains) -> np.ndarray:
     that chain alone."""
     m = chains[0].m
     _check_enumerable(m, "the subset enumeration")
-    return _hitting_times(np.stack([P.rows for P in chains]), _outside(np.arange(1, 1 << m), m))[0]
+    return hitting_times(np.stack([P.rows for P in chains]), _outside(np.arange(1, 1 << m), m))[0]
 
 
 def _outside(masks: np.ndarray, m: int) -> np.ndarray:
     """Row k is True at the states outside target bitmask masks[k]."""
     return ((masks[:, None] >> np.arange(m)) & 1) == 0
-
-
-def _by_size(table: np.ndarray):
-    """The rows of a boolean table grouped by their count n >= 1 of True entries, n
-    ascending: for each n, the rows' indices and a (rows, n) array of each row's True
-    columns, ascending. Rows with no True entry are left out."""
-    sizes = table.sum(axis=1)
-    for n in np.unique(sizes[sizes > 0]).tolist():
-        group = np.flatnonzero(sizes == n)
-        yield group, np.nonzero(table[group])[1].reshape(group.size, n)
-
-
-def _hitting_times(rows: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the first-step system of every target on every chain of a stack by LAPACK;
-    ``rows`` is a (C, m, m) stack of transition rows, and row k of ``outside`` is B_k^c.
-
-    Returns h, a (C, k, m) array that is 0 on each target, and each system's
-    residual max |h - 1 - Q h| on B_k^c, a (C, k) array; Q h is (P h)[B_k^c], as
-    h = 0 on B_k. Targets are grouped by size; each size's systems on all C
-    chains are solved in stacks of at most SOLVE_BATCH, one ``np.linalg.solve``
-    per stack, each system alone, so h does not depend on the stacking. Raises
-    SingularSystemError, naming the target, when a system is singular or its
-    residual exceeds SYSTEM_RESIDUAL_TOL * max(1, max_x h(x)): the rounding of an
-    accurate solve grows with h, which reaches 1e7 on stiff birth-death chains.
-    """
-    chains = rows.shape[0]
-    h = np.zeros((chains, *outside.shape))
-    residual = np.zeros((chains, outside.shape[0]))
-    for group, rest in _by_size(outside):
-        n = rest.shape[1]
-        for start in range(0, chains * group.size, SOLVE_BATCH):
-            # system s is target group[s % size] on chain s // size
-            chain, k = np.divmod(np.arange(start, min(start + SOLVE_BATCH, chains * group.size)),
-                                 group.size)
-            target, r = group[k], rest[k]
-            if k.size == 1:
-                # Q by whole rows of P, then its columns, GATHER_ROWS rows at a time; the
-                # indices are valid, and "clip" writes to out unbuffered
-                A = M = np.empty((1, n, n))
-                for lo in range(0, n, GATHER_ROWS):
-                    np.take(np.take(rows[chain[0]], r[0, lo:lo + GATHER_ROWS], axis=0), r[0],
-                            axis=1, out=M[0, lo:lo + GATHER_ROWS], mode="clip")
-            else:
-                # Q^T in one gather (index arrays swapped), so A is column-major
-                M = rows[chain[:, None, None], r[:, None, :], r[:, :, None]]
-                A = M.transpose(0, 2, 1)
-            # M becomes I - Q (or its transpose) in place; the solver copies A column-major
-            # either way, to the same bits
-            np.subtract(0.0, M, out=M)
-            M.reshape(k.size, -1)[:, ::n + 1] += 1.0
-            try:
-                x = np.linalg.solve(A, np.ones((k.size, n, 1)))
-            except np.linalg.LinAlgError as e:
-                which = (f"target {row_members(~outside[target[:1]])[0]}" if k.size == 1
-                         else f"one of {k.size} targets of {outside.shape[1] - n} states")
-                raise SingularSystemError(f"hitting system singular for {which}") from e
-            h[chain[:, None], target[:, None], r] = x[:, :, 0]
-    for c in range(chains):
-        for lo in range(0, outside.shape[0], SOLVE_BATCH):
-            hs, off = h[c, lo:lo + SOLVE_BATCH], outside[lo:lo + SOLVE_BATCH]
-            gap = np.where(off, np.abs(hs - 1.0 - hs @ rows[c].T), 0.0)
-            residual[c, lo:lo + SOLVE_BATCH] = gap.max(axis=1)
-    return _checked(h, residual, outside)
-
-
-def _checked(h: np.ndarray, residual: np.ndarray, outside: np.ndarray):
-    """h and residual, once every residual is within tolerance (see ``_hitting_times``)."""
-    # a tolerance scaled by the system's largest h is at least SYSTEM_RESIDUAL_TOL, so only
-    # the systems past that one are scaled; NaN fails too
-    chain, k = np.nonzero(~(residual <= SYSTEM_RESIDUAL_TOL))
-    scale = np.maximum(1.0, h[chain, k].max(axis=1))
-    bad = np.flatnonzero(~(residual[chain, k] <= SYSTEM_RESIDUAL_TOL * scale))
-    if bad.size:
-        chain, k = chain[bad[0]], k[bad[0]]
-        raise SingularSystemError(
-            f"hitting system residual {float(residual[chain, k])!r} exceeds tolerance "
-            f"for target {row_members(~outside[[k]])[0]}")
-    return h, residual
 
 
 def expected_hitting_time(table: HittingTimeTable, start: np.ndarray) -> float:
@@ -356,7 +186,7 @@ def member_masses(pis, inside) -> np.ndarray:
     """
     weights = np.stack([pi.pi for pi in pis])
     masses = np.empty((len(pis), inside.shape[0]))
-    for group, members in _by_size(inside):
+    for group, members in by_size(inside):
         masses[:, group] = np.take(weights, members, axis=1).sum(axis=-1)
     return masses
 
@@ -404,7 +234,7 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
 
     T(B) can only fall when B grows, so only the minimal qualifying sets
     count; capped at m = 20. They are solved in decreasing order of their
-    ``_one_step_bounds``, in at most two stacked solves of ``_hitting_times``:
+    ``_one_step_bounds``, in at most two stacked solves of ``hitting_times``:
     the first takes every set with an infinite bound and the SOLVE_BATCH
     largest finite ones, the second every other set whose bound, widened by
     BOUND_SLACK, reaches the largest T(B) of the first. A set left out has
@@ -422,7 +252,7 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
     head = np.count_nonzero(np.isinf(bounds)) + SOLVE_BATCH
 
     def max_times(sets):
-        return _hitting_times(P.rows[None], _outside(sets, P.m))[0][0].max(axis=1)
+        return hitting_times(P.rows[None], _outside(sets, P.m))[0][0].max(axis=1)
 
     values = max_times(masks[:head])
     if head < masks.size:
@@ -452,7 +282,7 @@ def survival_probabilities(P: TransitionMatrix, start, sets, horizons) -> np.nda
     horizons = _check_horizons(horizons)
     start = np.asarray(start, dtype=float)
     out = np.zeros((len(sets), horizons.size))  # B = every state: N_B = 1
-    for group, rest in _by_size(outside):
+    for group, rest in by_size(outside):
         Q = P.rows[rest[:, :, None], rest[:, None, :]]
         v = start[rest][:, None, :]
         t = 1

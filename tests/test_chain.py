@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from mml.chain import (
     CHAIN_FAMILIES,
     FAMILY_BUILDERS,
-    POWER_MIN_STATES,
     ChainSpec,
-    TransitionMatrix,
-    _band_links,
-    _reaches_all,
     chain_from_dict,
     generate,
     is_irreducible,
@@ -31,6 +27,7 @@ from mml.errors import (
     SingularSystemError,
     ValidationError,
 )
+from mml.solve import POWER_MIN_STATES, _band_links, _reaches_all
 
 from oracles import validate_by_passes
 
@@ -166,17 +163,17 @@ class TestBandIrreducibility:
         rows = np.zeros((m, m))
         rows[x, (x + 1) % m], rows[x, x - 1], rows[x, x] = up, down, 1.0 - up - down
         P = validate(rows)
-        assert _band_links(P) is not None
-        assert is_irreducible(P) == (_reaches_all(P.rows) and _reaches_all(P.rows.T))
+        assert P.structure.band is not None
+        assert is_irreducible(P) == (_reaches_all(P.rows, [0]) and _reaches_all(P.rows.T, [0]))
 
     def test_a_dense_chain_is_rejected_after_one_row(self):
         rows = _ReadCounted(generate("random-dense", m=2000, seed=1).matrix.rows)
-        assert _band_links(TransitionMatrix(2000, rows)) is None
+        assert _band_links(rows) is None
         assert 0 < rows.read <= 2000
 
     @pytest.mark.parametrize("m", [2, 3, POWER_MIN_STATES - 1])
     def test_below_the_floor_no_chain_is_a_band_chain(self, m):
-        assert _band_links(generate("lazy-cycle", m=m, hold=0.5).matrix) is None
+        assert generate("lazy-cycle", m=m, hold=0.5).matrix.structure.band is None
 
 
 class _ReadCounted(np.ndarray):

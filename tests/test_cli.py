@@ -295,6 +295,16 @@ class TestHitCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: hitting system residual ") and "np.float64" not in err
 
+    def test_unreachable_target_exits_4(self, tmp_path, capsys):
+        # states 5-11 never step below 5: LAPACK alone returned h near 1e16 and exit 0
+        rows = generate("birth-death", m=12, p=0.3, q=0.3).matrix.rows.copy()
+        rows[5, 5] += rows[5, 4]
+        rows[5, 4] = 0.0
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"m": 12, "P": rows.tolist()}))
+        assert main(["hit", "table", "--chain", str(path), "--B", "0"]) == 4
+        assert capsys.readouterr().err == "error: hitting system singular for target (0,)\n"
+
     def test_tlarge_too_many_states_exits_4(self, capsys):
         rc = main(["hit", "tlarge", "--chain", "lazy-cycle:m=21;hold=0.5", "--eps", "0.5"])
         assert rc == 4

@@ -8,14 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mml import hitting
+from mml import hitting, solve
 from mml.chain import (
-    POWER_MIN_STATES,
-    STATIONARY_RESIDUAL_TOL,
-    TransitionMatrix,
-    _band_links,
-    _power_iteration,
     generate,
+    is_irreducible,
     parse_descriptor,
     point_start,
     stationary,
@@ -24,11 +20,7 @@ from mml.chain import (
 from mml.errors import PreconditionError, SingularSystemError, ValidationError
 from mml.hitting import (
     MASS_FILTER_TOL,
-    SOLVE_BATCH,
     StateSet,
-    _arc_hitting,
-    _hitting_iteration,
-    _hitting_times,
     _lex_smallest,
     _minimal_qualifying_sets,
     _one_step_bounds,
@@ -46,6 +38,15 @@ from mml.hitting import (
     unseen_set_law,
 )
 from mml.report import ReportBlock, render_reports_csv
+from mml.solve import (
+    POWER_MIN_STATES,
+    SOLVE_BATCH,
+    STATIONARY_RESIDUAL_TOL,
+    _arc_hitting,
+    _hitting_iteration,
+    _power_iteration,
+    hitting_times,
+)
 from mml.verify import check_lemma1, check_lemma2, lemma1_stack_reports, lemma2_stack_reports
 
 from oracles import (
@@ -198,7 +199,7 @@ class TestScaledResidual:
     def test_stiff_birth_death_is_accurate(self):
         P = parse_descriptor(STIFF_BIRTH_DEATH)[1].matrix
         table = hitting_table(P, state_set([0]))
-        assert table.t_plus_all > 1e7 and table.residual > hitting.SYSTEM_RESIDUAL_TOL
+        assert table.t_plus_all > 1e7 and table.residual > solve.SYSTEM_RESIDUAL_TOL
         # backward stable: the residual is an ulp of h; I - Q has a condition number near
         # 1e7, so h itself is within about 1e-10 of the exact solution
         assert table.residual < 1e-15 * table.t_plus_all
@@ -264,14 +265,14 @@ class TestSubsetHittingTables:
         with pytest.raises(PreconditionError, match="exceeds the enumeration cap 20"):
             subset_hitting_times_stack([P])
 
-    @pytest.mark.parametrize("batch", [hitting.SOLVE_BATCH, 1, 5])
+    @pytest.mark.parametrize("batch", [SOLVE_BATCH, 1, 5])
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_stack_equals_each_chain_alone(self, monkeypatch, batch, m):
         chains = [random_chain(m, 1000 + 10 * m + k) if m > 1 else validate([[1.0]])
                   for k in range(4)]
         alone = [subset_hitting_times_stack([P])[0] for P in chains]
         # a small batch makes the solver's stacks straddle chains
-        monkeypatch.setattr(hitting, "SOLVE_BATCH", batch)
+        monkeypatch.setattr(solve, "SOLVE_BATCH", batch)
         stack = subset_hitting_times_stack(chains)
         assert stack.shape == (4, (1 << m) - 1, m)
         for h, single in zip(stack, alone):
@@ -343,7 +344,7 @@ def _bits(a) -> list[int]:
 
 
 class TestSolverBuilds:
-    """``stationary``'s direct solve and ``_hitting_times`` build their matrices in place;
+    """``stationary``'s direct solve and ``hitting_times`` build their matrices in place;
     they must solve, bit for bit, the systems of the plain constructions in ``oracles``."""
 
     @settings(deadline=None, max_examples=60)
@@ -426,7 +427,7 @@ class TestPowerPath:
 
     def test_the_floor_is_32_states(self):
         P = random_chain(32, 9)
-        assert _bits(stationary(P).pi) == _bits(_power_iteration(P)[0])
+        assert _bits(stationary(P).pi) == _bits(_power_iteration(P.rows)[0])
 
     @pytest.mark.parametrize("m", [64, 300])
     def test_iid_returns_mu(self, m):
@@ -458,7 +459,7 @@ class TestPowerPath:
     def test_an_attempt_stops_within_60_products(self, descriptor, found):
         P = parse_descriptor(descriptor)[1].matrix
         rows = _CountedRows(P.rows)
-        assert (_power_iteration(TransitionMatrix(P.m, rows)) is not None) == found
+        assert (_power_iteration(rows) is not None) == found
         assert 1 <= rows.products <= 60
 
 
@@ -568,7 +569,7 @@ class TestHittingIteration:
     def test_the_iteration_passes_the_same_residual_check(self, monkeypatch):
         P = random_chain(40, 6)
         found = _hitting_iteration(P.rows, np.arange(40) != 0)
-        monkeypatch.setattr(hitting, "_hitting_iteration", lambda rows, outside: (found[0], 1e-6))
+        monkeypatch.setattr(solve, "_hitting_iteration", lambda rows, outside: (found[0], 1e-6))
         with pytest.raises(SingularSystemError, match=r"^hitting system residual 1e-06 exceeds "
                                                       r"tolerance for target \(0,\)$"):
             hitting_table(P, state_set([0]))
@@ -603,14 +604,14 @@ class TestBandPath:
     @given(case=band_targets())
     def test_reduction_matches_exact_rationals(self, case):
         P, members = case
-        assert _band_links(P) is not None
+        assert P.structure.band is not None
         pi = stationary(P)
         assert pi.residual <= STATIONARY_RESIDUAL_TOL
         assert max_rel_err(pi.pi, gth_stationary_exact(P.rows)) <= 1e-13
         table = hitting_table(P, StateSet(members))
         outside = ~np.isin(np.arange(P.m), members)
-        assert _bits(table.h) == _bits(_arc_hitting(P.rows, *_band_links(P), outside)[0])
-        assert table.residual <= hitting.SYSTEM_RESIDUAL_TOL * max(1.0, table.t_plus_all)
+        assert _bits(table.h) == _bits(_arc_hitting(P.rows, *P.structure.band, outside)[0])
+        assert table.residual <= solve.SYSTEM_RESIDUAL_TOL * max(1.0, table.t_plus_all)
         assert max_rel_err(table.h, gth_hitting_exact(P.rows, members)) <= 1e-13
         every = hitting_table(P, state_set(range(P.m)))
         assert not every.h.any() and every.residual == 0.0
@@ -633,6 +634,76 @@ class TestBandPath:
         with pytest.raises(SingularSystemError,
                            match="^hitting system singular for target " + named + "$"):
             hitting_table(validate(rows), state_set(members))
+
+
+def singular_witness():
+    """birth-death(12, 0.3, 0.3) with P(5, 4) moved onto the diagonal: states 5-11 never
+    step below 5, so they cannot reach state 0."""
+    rows = generate("birth-death", m=12, p=0.3, q=0.3).matrix.rows.copy()
+    rows[5, 5] += rows[5, 4]
+    rows[5, 4] = 0.0
+    return validate(rows)
+
+
+class TestSolverLayer:
+    """``solve`` reads each matrix's structure once, and on a reducible chain names a target
+    that some state cannot reach before any path runs."""
+
+    def test_unreachable_target_below_the_floor_is_singular(self):
+        # this system goes to LAPACK, whose LU meets a pivot of rounding size, not 0: it
+        # returned h up to 9.7e15 with residual 2.0, which the scaled check let through
+        with pytest.raises(SingularSystemError,
+                           match=r"^hitting system singular for target \(0,\)$"):
+            hitting_table(singular_witness(), state_set([0]))
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_unreachable_target_off_the_band_is_singular(self, seed):
+        # states 20-39 never leave 20-39; the iteration does not contract, and LAPACK
+        # returned h near 7.5e17 (seed 0) or failed the residual check (seed 2)
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.ones(40), size=40)
+        rows[20:, :20] = 0.0
+        P = validate(rows / rows.sum(axis=1, keepdims=True))
+        assert P.structure.band is None and not P.structure.irreducible
+        with pytest.raises(SingularSystemError,
+                           match=r"^hitting system singular for target \(0,\)$"):
+            hitting_table(P, state_set([0]))
+
+    @pytest.mark.parametrize("m", [6, 40])
+    def test_reachable_target_on_a_reducible_chain_is_solved(self, m):
+        # state 0 is transient: nothing enters it, and every state reaches {1}
+        rows = random_chain(m, 7).rows.copy()
+        rows[:, 0] = 0.0
+        P = validate(rows / rows.sum(axis=1, keepdims=True))
+        assert not P.structure.irreducible
+        np.testing.assert_allclose(hitting_table(P, state_set([1])).h,
+                                   direct_solve_table(P.rows, [1]), rtol=1e-12, atol=0)
+
+    def test_the_band_is_read_once_per_matrix(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows.shape)
+            return band_links(rows)
+
+        band_links = solve._band_links
+        monkeypatch.setattr(solve, "_band_links", counting)
+        P = parse_descriptor("lazy-cycle:m=1000;hold=0.5")[1].matrix
+        assert is_irreducible(P)
+        stationary(P)
+        for members in ([0], [0, 500], range(100)):
+            hitting_table(P, state_set(members))
+        assert calls == [(1000, 1000)]
+
+    @pytest.mark.parametrize("fn,module", [
+        (stationary, "mml.chain"), (is_irreducible, "mml.chain"),
+        (hitting_table, "mml.hitting"), (t_large, "mml.hitting"),
+        (subset_hitting_times_stack, "mml.hitting"), (survival_probabilities, "mml.hitting")])
+    def test_traced_entry_points_keep_their_modules(self, fn, module):
+        # bench/tracer.py wraps only the public functions defined in one of its LAYERS, and
+        # solve is not one of them: an entry point moved there would silently read 0 in its
+        # per-layer metrics, such as chain.stationary.calls
+        assert fn.__module__ == module
 
 
 class _CountedRows(np.ndarray):
@@ -838,7 +909,7 @@ class TestTLarge:
         pi = stationary(P)
         for eps in (0.3, 0.5, 0.7, 1.0):
             masks = _minimal_qualifying_sets(pi.pi, eps)
-            h = _hitting_times(P.rows[None], _outside(masks, m))[0][0]
+            h = hitting_times(P.rows[None], _outside(masks, m))[0][0]
             # an iid chain's T(B) is its bound, so the two may round apart by an ulp
             assert np.all(h.max(axis=1) <= _one_step_bounds(P.rows, masks) * (1 + 1e-12))
 
@@ -847,9 +918,9 @@ class TestTLarge:
 
         def counting(rows, outside):
             solved.append(outside.shape[0])
-            return _hitting_times(rows, outside)
+            return hitting_times(rows, outside)
 
-        monkeypatch.setattr(hitting, "_hitting_times", counting)
+        monkeypatch.setattr(hitting, "hitting_times", counting)
         P = random_chain(16, 0)
         pi = stationary(P)
         res = t_large(P, pi, 0.5)
