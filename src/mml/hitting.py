@@ -17,13 +17,14 @@ T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
 target can only shorten the walk to it (B subset of B' gives h_B' <= h_B
 pointwise), so the maximum is attained on a minimal qualifying set, one
 that drops below eps when any member is removed. Not all of those need a
-solve: from outside B each step enters B with probability at least
-min_{z not in B} P(z, B), so T(B) is at most one over that. One stacked
-solve takes the sets whose bound is infinite and the SOLVE_BATCH largest
-finite ones; a second takes every other set whose bound, widened by
-BOUND_SLACK, reaches the largest T(B) of the first. On random dense chains
-at m = 16-20 that solves about half of the minimal sets or fewer; where
-most bounds are infinite (cycles, birth-death chains) it solves nearly all.
+solve: with s_t(x) = Pr_x[tau_B > t], h = sum_t s_t; a walk outside B after
+k steps needs at most T(B) more in expectation, so for every k
+
+    L_k = max_x sum_{t<k} s_t(x) <= T(B) <= L_k / (1 - max_x s_k(x)),
+
+the upper side infinite while max_x s_k(x) > 1 - BOUND_SLACK (at k = 1, one
+over min_{z not in B} P(z, B)). One product steps s_(t+1) = 1_(B^c) P s_t for
+a chunk of sets; on lazy-cycle(16) ``t_large`` solves 135 of the 12,870.
 
 The survival law of the walk is exact too. Pr[N_B > t] (no state of B
 among X_1..X_t) is start restricted to B^c times Q^(t-1) times 1, with
@@ -46,14 +47,19 @@ import numpy as np
 
 from .chain import StationaryDistribution, TransitionMatrix
 from .errors import PreconditionError, ValidationError
-from .solve import SOLVE_BATCH, by_size, hitting_times, hitting_vector
+from .solve import by_size, hitting_times, hitting_vector
 
 ENUMERATION_MAX_STATES = 20
 MASS_FILTER_TOL = 1e-12
 MEMBER_CHUNK = 10
-# Relative widening of the one-step bound before it rules a set out of T(eps): far above
-# the rounding of a solve or of the bound's own sum.
+# Relative widening of a k-step bound before it rules a set out of T(eps): far above rounding.
 BOUND_SLACK = 1e-6
+# T(eps) solves BRACKET_HEAD minimal sets before its bracket rules any out, and solves the
+# rest outright once BRACKET_FEW or fewer remain: a step of 128 sets costs about 10 solves.
+BRACKET_HEAD = 16
+BRACKET_FEW = 128
+# Minimal sets stepped together: (20, 16384) doubles, 2.5 MiB, per array at m = 20.
+BRACKET_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -124,9 +130,13 @@ def hitting_table(P: TransitionMatrix, B: StateSet) -> HittingTimeTable:
 def subset_hitting_times_stack(chains) -> np.ndarray:
     """(C, 2^m - 1, m) hitting times of every non-empty target set on each of C chains of
     m states; [c, k - 1] targets bitmask k on chains[c], bit for bit as on a stack of
-    that chain alone."""
+    that chain alone. On a reducible chain some state cannot reach some state y, and the
+    first such y raises ``SingularSystemError`` as its ``hitting_table`` does."""
     m = chains[0].m
     _check_enumerable(m, "the subset enumeration")
+    for P in (P for P in chains if not P.structure.irreducible):
+        for y in range(m):
+            hitting_table(P, StateSet((y,)))
     return hitting_times(np.stack([P.rows for P in chains]), _outside(np.arange(1, 1 << m), m))[0]
 
 
@@ -213,55 +223,60 @@ def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> np.ndarray:
     return np.flatnonzero(minimal)
 
 
-def _one_step_bounds(rows: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Upper bound 1 / min_{z not in B} P(z, B) on T(B) for each target bitmask B: from
-    outside B every step enters B with at least that probability, so the walk needs at
-    most that many steps in expectation. The bound is inf when some state outside B
-    cannot enter B in one step, and 0 for B = every state."""
-    bits = np.arange(rows.shape[0], dtype=np.int32)[:, None]  # int32 holds a mask, m <= 20
-    enter = np.empty(masks.size)
-    for lo in range(0, masks.size, SOLVE_BATCH):
-        inside = (masks[lo:lo + SOLVE_BATCH].astype(np.int32) >> bits) & 1  # [y, k]: y in B_k
-        block = rows @ inside.astype(float)  # block[z, k] = P(z, B_k)
-        np.putmask(block, inside, np.inf)
-        enter[lo:lo + SOLVE_BATCH] = block.min(axis=0)
+def _bracket_step(rows: np.ndarray, outside: np.ndarray, s: np.ndarray, total: np.ndarray):
+    """One step of the module docstring's bracket, column j of each (m, sets) array for set
+    B_j (``outside`` 1 off B_j): adds s_(k-1) to ``total``, sum_(t<k-1) s_t, in place, and
+    returns s_k, L_k and the upper side."""
+    total += s
+    s = rows @ s
+    s *= outside
+    lower, gap = total.max(axis=0), 1.0 - s.max(axis=0)
     with np.errstate(divide="ignore"):
-        return 1.0 / enter
+        return s, lower, np.where(gap >= BOUND_SLACK, lower / gap, np.inf)
 
 
 def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> LargeSetTime:
     """Exact T(eps): max of T(B) over all non-empty B with pi(B) >= eps.
 
-    T(B) can only fall when B grows, so only the minimal qualifying sets
-    count; capped at m = 20. They are solved in decreasing order of their
-    ``_one_step_bounds``, in at most two stacked solves of ``hitting_times``:
-    the first takes every set with an infinite bound and the SOLVE_BATCH
-    largest finite ones, the second every other set whose bound, widened by
-    BOUND_SLACK, reaches the largest T(B) of the first. A set left out has
-    T(B) below that, so the value is that of solving every minimal set, bit
-    for bit. Ties go to the lexicographically smallest member list among
-    the minimal sets.
+    Only the minimal qualifying sets count; capped at m = 20. Past BRACKET_FEW of them they
+    are stepped in chunks of BRACKET_CHUNK: step 2 of the first chunk solves its
+    BRACKET_HEAD sets of largest L_2, each later step drops every set whose upper side,
+    widened by BOUND_SLACK, is below the largest T(B) solved, and a chunk's sets left after
+    2m steps, or at BRACKET_FEW or fewer, are solved. The value is that of solving every
+    minimal set, bit for bit; ties go to the lexicographically smallest member list.
     """
     if not (0 < epsilon <= 1):
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     _check_enumerable(P.m, "T(eps)")
     masks = _minimal_qualifying_sets(pi.pi, epsilon)
-    bounds = _one_step_bounds(P.rows, masks)
-    order = np.argsort(bounds, kind="stable")[::-1]
-    masks, bounds = masks[order], bounds[order]
-    head = np.count_nonzero(np.isinf(bounds)) + SOLVE_BATCH
+    solved, values = [], []
 
-    def max_times(sets):
-        return hitting_times(P.rows[None], _outside(sets, P.m))[0][0].max(axis=1)
+    def solve(sets):
+        solved.append(sets)
+        values.append(hitting_times(P.rows[None], _outside(sets, P.m))[0][0].max(axis=1))
+        return max(v.max(initial=-np.inf) for v in values)
 
-    values = max_times(masks[:head])
-    if head < masks.size:
-        # the bounds decrease, so the sets they do not rule out come next
-        end = head + np.count_nonzero(bounds[head:] * (1.0 + BOUND_SLACK) >= values.max())
-        values = np.concatenate([values, max_times(masks[head:end])])
-    value = values.max()
-    witness = StateSet(_lex_smallest(masks[:values.size][values == value], P.m))
-    return LargeSetTime(epsilon=float(epsilon), value=float(value), argmax_set=witness)
+    best = -np.inf
+    for lo in range(0, masks.size, BRACKET_CHUNK):
+        sets = masks[lo:lo + BRACKET_CHUNK]
+        s = outside = (((sets >> np.arange(P.m)[:, None]) & 1) == 0).astype(float)
+        total = np.zeros_like(s)
+        for k in range(1, 2 * P.m + 1):
+            if sets.size <= BRACKET_FEW:
+                break
+            s, lower, upper = _bracket_step(P.rows, outside, s, total)
+            if k == 2 and lo == 0:
+                head = np.argsort(-lower, kind="stable")[:BRACKET_HEAD]
+                best = solve(sets[head])
+                upper[head] = -np.inf  # solved
+            keep = upper * (1.0 + BOUND_SLACK) >= best
+            if keep.all():
+                continue
+            sets, outside, s, total = sets[keep], outside[:, keep], s[:, keep], total[:, keep]
+        best = solve(sets)
+    values = np.concatenate(values)  # best is their max
+    witness = StateSet(_lex_smallest(np.concatenate(solved)[values == best], P.m))
+    return LargeSetTime(epsilon=float(epsilon), value=float(best), argmax_set=witness)
 
 
 def survival_probabilities(P: TransitionMatrix, start, sets, horizons) -> np.ndarray:

@@ -19,11 +19,14 @@ from mml.chain import (
 )
 from mml.errors import PreconditionError, SingularSystemError, ValidationError
 from mml.hitting import (
+    BRACKET_CHUNK,
+    BRACKET_FEW,
+    BRACKET_HEAD,
     MASS_FILTER_TOL,
     StateSet,
+    _bracket_step,
     _lex_smallest,
     _minimal_qualifying_sets,
-    _one_step_bounds,
     _outside,
     expected_hitting_time,
     hitting_table,
@@ -83,6 +86,23 @@ def family_chain(family, m):
     if family == "birth-death":
         return generate("birth-death", m=m, p=0.35, q=0.25).matrix
     return generate("iid", mu=np.random.default_rng(m).dirichlet(np.ones(m))).matrix
+
+
+def drawn_chain(family, m, seed):
+    """A chain of m states of ``family`` with parameters drawn from ``seed``: random-dense,
+    a lazy cycle or a birth-death chain, or "sparse", about 70% of its entries 0 and the
+    cycle x -> x + 1 keeping it irreducible."""
+    rng = np.random.default_rng(seed)
+    if family == "random-dense":
+        return random_chain(m, seed)
+    if family == "lazy-cycle":
+        return generate("lazy-cycle", m=m, hold=float(rng.uniform(0.1, 0.9))).matrix
+    if family == "birth-death":
+        p, q = rng.uniform(0.2, 0.4, size=2).tolist()
+        return generate("birth-death", m=m, p=p, q=q).matrix
+    rows = rng.dirichlet(np.ones(m), size=m) * (rng.random((m, m)) < 0.3)
+    rows[np.arange(m), (np.arange(m) + 1) % m] += 0.05
+    return validate(rows / rows.sum(axis=1, keepdims=True))
 
 
 @st.composite
@@ -277,6 +297,18 @@ class TestSubsetHittingTables:
         assert stack.shape == (4, (1 << m) - 1, m)
         for h, single in zip(stack, alone):
             assert np.array_equal(h, single)
+
+    def test_reducible_chain_is_singular(self):
+        # the stacked solve has no reachability search of its own: on this chain it
+        # returned h up to 9.7e15 for target (0,), and raised nothing
+        with pytest.raises(SingularSystemError,
+                           match=r"^hitting system singular for target \(0,\)$"):
+            subset_hitting_times_stack([random_chain(12, 0), singular_witness()])
+
+    def test_irreducible_chains_are_not_searched(self, monkeypatch):
+        monkeypatch.setattr(hitting, "hitting_table", None)
+        h = subset_hitting_times_stack([random_chain(6, 1), family_chain("lazy-cycle", 6)])
+        assert h.shape == (2, 63, 6)
 
 
 class TestMemberTable:
@@ -885,33 +917,73 @@ class TestTLarge:
     @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
            eps=st.sampled_from([0.3, 0.5, 0.7]))
     def test_ranked_equals_unpruned_below_one_batch(self, m, seed, eps):
-        # every minimal set fits in the first solve, in the order of their bounds
+        # every minimal set is solved outright or stepped in the first chunk
         P = random_chain(m, seed)
         pi = stationary(P)
-        assert _minimal_qualifying_sets(pi.pi, eps).size <= SOLVE_BATCH
+        assert _minimal_qualifying_sets(pi.pi, eps).size <= BRACKET_CHUNK
         res = t_large(P, pi, eps)
         assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, eps)
 
     @settings(deadline=None, max_examples=12)
     @given(m=st.integers(13, 16), seed=st.integers(0, 2**32 - 1),
+           family=st.sampled_from(["random-dense", "lazy-cycle", "birth-death", "sparse"]),
            eps=st.sampled_from([0.3, 0.5, 0.7]))
-    def test_pruned_equals_unpruned(self, m, seed, eps):
-        # from m = 14 there can be more minimal sets than the first stacked solve takes
-        P = random_chain(m, seed)
+    def test_pruned_equals_unpruned(self, m, seed, family, eps):
+        # the bracket rules out sets on cycles and birth-death chains too, where nearly
+        # every one-step bound is infinite
+        P = drawn_chain(family, m, seed)
         pi = stationary(P)
         res = t_large(P, pi, eps)
         assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, eps)
 
+    @pytest.mark.parametrize("family", ["random-dense", "lazy-cycle", "birth-death", "sparse"])
+    def test_chunks_share_the_largest_solved(self, family, monkeypatch):
+        # 886 to 3,432 minimal sets in chunks of 256: the chunks after the first step
+        # against the largest T(B) the ones before them solved
+        monkeypatch.setattr(hitting, "BRACKET_CHUNK", 256)
+        P = drawn_chain(family, 14, 7)
+        pi = stationary(P)
+        assert _minimal_qualifying_sets(pi.pi, 0.5).size > 3 * 256
+        res = t_large(P, pi, 0.5)
+        assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, 0.5)
+
+    @pytest.mark.parametrize("sixteenths,argmax", [((1, 2, 2, 3, 4, 4), (4,)),
+                                                   ((1, 2, 4, 2, 4, 3), (1, 3))])
+    def test_slack_keeps_sets_that_tie_the_head(self, sixteenths, argmax, monkeypatch):
+        # an iid chain's bracket is tight, T(B) = 1 / mu(B): four minimal sets of mass 1/4
+        # share the largest L_2, the head solves the one of smallest bitmask, and a set
+        # whose solve lands an ulp above it or ties it with a smaller member list survives
+        # the step only by BOUND_SLACK
+        monkeypatch.setattr(hitting, "BRACKET_HEAD", 1)
+        monkeypatch.setattr(hitting, "BRACKET_FEW", 1)
+        P = generate("iid", mu=np.array(sixteenths) / 16).matrix
+        pi = stationary(P)
+        res = t_large(P, pi, 0.25)
+        assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, 0.25)
+        assert res.argmax_set.members == argmax
+
     @pytest.mark.parametrize("family", ["random-dense", "lazy-cycle", "birth-death", "iid"])
     @pytest.mark.parametrize("m", [2, 5, 9, 13])
     def test_one_step_bound_holds(self, family, m):
+        # the k-step bracket L_k <= T(B) <= upper_k, whose upper side at k = 1 is the
+        # one-step bound 1 / min_{z not in B} P(z, B)
         P = family_chain(family, m)
         pi = stationary(P)
         for eps in (0.3, 0.5, 0.7, 1.0):
             masks = _minimal_qualifying_sets(pi.pi, eps)
-            h = hitting_times(P.rows[None], _outside(masks, m))[0][0]
-            # an iid chain's T(B) is its bound, so the two may round apart by an ulp
-            assert np.all(h.max(axis=1) <= _one_step_bounds(P.rows, masks) * (1 + 1e-12))
+            t = hitting_times(P.rows[None], _outside(masks, m))[0][0].max(axis=1)
+            s = outside = _outside(masks, m).T.astype(float)
+            total = np.zeros_like(s)
+            for k in range(1, 6):
+                s, lower, upper = _bracket_step(P.rows, outside, s, total)
+                if k == 1:
+                    enter = np.where(outside > 0, P.rows @ (1.0 - outside), np.inf).min(axis=0)
+                    with np.errstate(divide="ignore"):
+                        np.testing.assert_allclose(upper, 1.0 / enter, rtol=1e-12)
+                if k in (1, 2, 5):
+                    # an iid chain's T(B) is its bound, so the two may round apart by an ulp
+                    assert np.all(lower <= t * (1 + 1e-12))
+                    assert np.all(t <= upper * (1 + 1e-12))
 
     def test_bound_rules_out_most_sets(self, monkeypatch):
         solved = []
@@ -921,23 +993,46 @@ class TestTLarge:
             return hitting_times(rows, outside)
 
         monkeypatch.setattr(hitting, "hitting_times", counting)
-        P = random_chain(16, 0)
+        # 10,656 of lazy-cycle(16)'s 12,870 one-step bounds are infinite
+        for P in (family_chain("lazy-cycle", 16), random_chain(16, 0)):
+            pi = stationary(P)
+            solved.clear()
+            res = t_large(P, pi, 0.5)
+            assert sum(solved) < 0.02 * _minimal_qualifying_sets(pi.pi, 0.5).size
+            assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, 0.5)
+
+    def test_few_sets_are_solved_outright(self, monkeypatch):
+        monkeypatch.setattr(hitting, "_bracket_step", None)
+        for P in (random_chain(9, 3), family_chain("birth-death", 12)):
+            pi = stationary(P)
+            assert BRACKET_HEAD < _minimal_qualifying_sets(pi.pi, 0.5).size <= BRACKET_FEW
+            res = t_large(P, pi, 0.5)
+            assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, 0.5)
+
+    def test_lazy_cycle_of_20_states(self):
+        # the 10-sets are the minimal ones; B^c one arc of 10 states is the slowest, where
+        # a walk from the middle needs floor(11^2 / 4) = 30 moves, at 1 / (1 - hold) = 2
+        # steps a move
+        P = generate("lazy-cycle", m=20, hold=0.5).matrix
         pi = stationary(P)
-        res = t_large(P, pi, 0.5)
-        n_sets = _minimal_qualifying_sets(pi.pi, 0.5).size
-        assert n_sets > SOLVE_BATCH and len(solved) == 2
-        # the sets of largest bound come first, so the first solve finds a T(B) that rules
-        # out most of the rest
-        assert sum(solved) < 0.5 * n_sets
-        assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, 0.5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = t_large(P, pi, 0.5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert res.value == pytest.approx(60.0, rel=1e-12, abs=0)
+        assert peak < 24 * 2**20
 
     @pytest.mark.parametrize("m,eps,size", [(14, 0.5, 7), (16, 0.6, 10)])
     def test_tie_break_across_solves(self, m, eps, size):
-        # every minimal set of the uniform law ties at its bound, and more of them than the
-        # first solve takes; at m = 16 the solved T(B) rounds above the bound
+        # every minimal set of the uniform law ties at its bound, so none is ruled out and
+        # the head's solve is followed by another; at m = 16 the solved T(B) rounds above
+        # the bound
         P = generate("iid", mu=np.full(m, 1 / m)).matrix
         pi = stationary(P)
-        assert _minimal_qualifying_sets(pi.pi, eps).size > SOLVE_BATCH
+        assert _minimal_qualifying_sets(pi.pi, eps).size > BRACKET_FEW
         res = t_large(P, pi, eps)
         assert (res.value, res.argmax_set.members) == unpruned_t_large(P.rows, pi.pi, eps)
         assert res.argmax_set.members == tuple(range(size))
