@@ -12,13 +12,13 @@ one size together. The same subsets' membership rows and stationary masses come
 as arrays too (``subset_members``; ``member_masses``, each set summed by numpy's
 own sum, as in ``StationaryDistribution.mass``); ``row_members`` decodes rows.
 
-The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes
-T(B) over all sets of stationary mass at least eps (m <= 20). Growing the
-target can only shorten the walk to it (B subset of B' gives h_B' <= h_B
-pointwise), so the maximum is attained on a minimal qualifying set, one
-that drops below eps when any member is removed. Not all of those need a
-solve: with s_t(x) = Pr_x[tau_B > t], h = sum_t s_t; a walk outside B after
-k steps needs at most T(B) more in expectation, so for every k
+The worst-case-over-starts value T(B) = max_x h(x), and T(eps) maximizes T(B) over all
+sets of stationary mass at least eps (m <= 20). Growing the target can only shorten the
+walk to it (B subset of B' gives h_B' <= h_B pointwise), so the maximum is attained on a
+minimal qualifying set, one that drops below eps when any member is removed; these are
+found on a bitmap of all 2^m sets, eight to a byte. Not all of them need a solve: with
+s_t(x) = Pr_x[tau_B > t], h = sum_t s_t; a walk outside B after k steps needs at most
+T(B) more in expectation, so for every k
 
     L_k = max_x sum_{t<k} s_t(x) <= T(B) <= L_k / (1 - max_x s_k(x)),
 
@@ -159,9 +159,9 @@ def expected_hitting_time(table: HittingTimeTable, start: np.ndarray) -> float:
 
 def subset_masses(pi_vec: np.ndarray) -> np.ndarray:
     """Mass of every subset of states, indexed by bitmask (bit j = state j)."""
-    masses = np.zeros(1)
-    for p in pi_vec:
-        masses = np.concatenate([masses, masses + p])
+    masses = np.zeros(1 << len(pi_vec))
+    for j, p in enumerate(pi_vec):  # the sets holding j follow, as bit j does
+        np.add(masses[:1 << j], p, out=masses[1 << j:2 << j])
     return masses
 
 
@@ -203,24 +203,38 @@ def member_masses(pis, inside) -> np.ndarray:
 
 def _lex_smallest(masks: np.ndarray, m: int) -> tuple[int, ...]:
     """Member tuple of the lexicographically smallest of the sets with bitmasks ``masks``."""
+    if masks.size == 1:  # one set: its bits, read off directly
+        return tuple(j for j in range(m) if masks[0] >> j & 1)
     return min(row_members(~_outside(masks, m)))
+
+
+def _head(x: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(-x, kind="stable")[:k]``, sorting only the entries at or above the least
+    of k blocks' maxima: k entries reach it, so it is at most the k-th largest."""
+    cut = x[:x.size // k * k].reshape(k, -1).max(axis=1).min() if x.size >= k else -np.inf
+    top = np.flatnonzero(x >= cut)
+    return top[np.argsort(-x[top], kind="stable")[:k]]
 
 
 def _minimal_qualifying_sets(pi_vec: np.ndarray, epsilon: float) -> np.ndarray:
     """Bitmasks of the minimal sets of mass >= eps.
 
-    A non-empty set qualifies when its mass is at least eps - MASS_FILTER_TOL;
-    it is minimal when removing any one member leaves a set that does not.
+    A non-empty set qualifies when its mass is at least eps - MASS_FILTER_TOL; it is minimal
+    when removing any one member leaves a set that does not. Both are bitmaps packed eight
+    sets to a byte, bit S for set S; below 8 sets, the byte's spare bits stay 0.
     """
-    masses = subset_masses(pi_vec)
-    qualifies = masses >= epsilon - MASS_FILTER_TOL
+    qualifies = subset_masses(pi_vec) >= epsilon - MASS_FILTER_TOL
     qualifies[0] = False
+    qualifies = np.packbits(qualifies, bitorder="little")
     minimal = qualifies.copy()
     for j in range(len(pi_vec)):
-        # index = (high bits, bit j, low bits): [:, 1] holds the sets containing
-        # state j, and [:, 0] the same sets without it
-        minimal.reshape(-1, 2, 1 << j)[:, 1] &= ~qualifies.reshape(-1, 2, 1 << j)[:, 0]
-    return np.flatnonzero(minimal)
+        if j < 3:  # in a byte, the bits 0xAA, 0xCC, 0xF0 hold j, 2^j above the sets without
+            minimal &= ~((qualifies << (1 << j)) & (0xAA, 0xCC, 0xF0)[j])
+            continue
+        # byte index = (high bits, bit j, low bits): [:, 1] holds j, [:, 0] the same sets without
+        shape = (-1, 2, 1 << (j - 3))
+        minimal.reshape(shape)[:, 1] &= ~qualifies.reshape(shape)[:, 0]
+    return np.flatnonzero(np.unpackbits(minimal, bitorder="little"))
 
 
 def _bracket_step(rows: np.ndarray, outside: np.ndarray, s: np.ndarray, total: np.ndarray):
@@ -240,10 +254,11 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
 
     Only the minimal qualifying sets count; capped at m = 20. Past BRACKET_FEW of them they
     are stepped in chunks of BRACKET_CHUNK: step 2 of the first chunk solves its
-    BRACKET_HEAD sets of largest L_2, each later step drops every set whose upper side,
-    widened by BOUND_SLACK, is below the largest T(B) solved, and a chunk's sets left after
-    2m steps, or at BRACKET_FEW or fewer, are solved. The value is that of solving every
-    minimal set, bit for bit; ties go to the lexicographically smallest member list.
+    BRACKET_HEAD sets of largest L_2 (picked by partial selection, ties to the first), each
+    later step drops every set whose upper side, widened by BOUND_SLACK, is below the
+    largest T(B) solved, and a chunk's sets left after 2m steps, or at BRACKET_FEW or fewer,
+    are solved. The value is that of solving every minimal set, bit for bit; one maximizing
+    set is decoded from its bitmask, and ties go to the lexicographically smallest member list.
     """
     if not (0 < epsilon <= 1):
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon!r}")
@@ -266,7 +281,7 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
                 break
             s, lower, upper = _bracket_step(P.rows, outside, s, total)
             if k == 2 and lo == 0:
-                head = np.argsort(-lower, kind="stable")[:BRACKET_HEAD]
+                head = _head(lower, BRACKET_HEAD)
                 best = solve(sets[head])
                 upper[head] = -np.inf  # solved
             keep = upper * (1.0 + BOUND_SLACK) >= best

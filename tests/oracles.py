@@ -17,7 +17,8 @@ uniform, the values above it of the exact tail from ``survival_probabilities``.
 The report renderer's reference formats one report at a time, cell by
 cell, and the summary's reference counts one report at a time.
 T(eps)'s reference solves every minimal qualifying set, one plain dense
-solve each, with no bound to rule a set out; chain validation's reference
+solve each, with no bound to rule a set out, and finds those sets on one
+bool per subset, its masses built by concatenation; chain validation's reference
 clamps and searches the whole matrix on every call, one pass per check.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from mml.chain import ENTRY_CLAMP, ROW_SUM_TOL
 from mml.errors import ValidationError
-from mml.hitting import _minimal_qualifying_sets, survival_probabilities
+from mml.hitting import MASS_FILTER_TOL, survival_probabilities
 from mml.simulate import BLOCK_TRIALS, derive_stream
 
 MAX_ORACLE_ITERS = 200_000
@@ -196,11 +197,34 @@ def brute_force_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float,
     return best
 
 
+def subset_masses_by_concatenation(pi_vec: np.ndarray) -> np.ndarray:
+    """Mass of every subset by bitmask, doubling the array once per state: the sets holding
+    state j are the ones before them plus pi_j."""
+    masses = np.zeros(1)
+    for p in pi_vec:
+        masses = np.concatenate([masses, masses + p])
+    return masses
+
+
+def minimal_sets_by_reshape(pi_vec: np.ndarray, epsilon: float) -> np.ndarray:
+    """Bitmasks of the minimal sets of mass >= eps - MASS_FILTER_TOL, one bool per subset:
+    for each state j, a set holding j stays only if the same set without j does not
+    qualify."""
+    qualifies = subset_masses_by_concatenation(pi_vec) >= epsilon - MASS_FILTER_TOL
+    qualifies[0] = False
+    minimal = qualifies.copy()
+    for j in range(len(pi_vec)):
+        # index = (high bits, bit j, low bits): [:, 1] holds the sets containing
+        # state j, and [:, 0] the same sets without it
+        minimal.reshape(-1, 2, 1 << j)[:, 1] &= ~qualifies.reshape(-1, 2, 1 << j)[:, 0]
+    return np.flatnonzero(minimal)
+
+
 def unpruned_t_large(rows: np.ndarray, pi_vec: np.ndarray, epsilon: float):
     """(T(eps), witness) from one ``direct_solve_table`` per minimal qualifying set, every
     one of them solved; the witness is the smallest member tuple among the sets whose
     T(B) equals the maximum, bit for bit."""
-    sets = [mask_members(int(mask)) for mask in _minimal_qualifying_sets(pi_vec, epsilon)]
+    sets = [mask_members(int(mask)) for mask in minimal_sets_by_reshape(pi_vec, epsilon)]
     values = [direct_solve_table(rows, members).max() for members in sets]
     value = max(values)
     return value, min(s for s, v in zip(sets, values) if v == value)

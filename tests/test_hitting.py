@@ -25,6 +25,7 @@ from mml.hitting import (
     MASS_FILTER_TOL,
     StateSet,
     _bracket_step,
+    _head,
     _lex_smallest,
     _minimal_qualifying_sets,
     _outside,
@@ -60,8 +61,10 @@ from oracles import (
     gth_stationary_exact,
     mask_members,
     max_rel_err,
+    minimal_sets_by_reshape,
     survival_sum_expected,
     stationary_by_eye,
+    subset_masses_by_concatenation,
     unpruned_t_large,
     survival_sum_table,
     trajectory_survival,
@@ -893,6 +896,43 @@ class TestTLarge:
                     expected.append(sum(1 << j for j in combo))
         assert sorted(_minimal_qualifying_sets(pi_vec, eps).tolist()) == sorted(expected)
 
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.integers(1, 14), seed=st.integers(0, 2**32 - 1),
+           family=st.sampled_from(["random-dense", "lazy-cycle", "birth-death", "sparse"]),
+           data=st.data())
+    def test_packed_search_equals_the_reshape(self, m, seed, family, data):
+        # eps at one of the chain's own subset masses, or a tolerance either side of it,
+        # where a set sits on the qualifying line and a slip by one bit would show
+        pi_vec = stationary(drawn_chain(family, m, seed)).pi
+        mass = data.draw(st.sampled_from(subset_masses_by_concatenation(pi_vec).tolist()))
+        eps = mass + data.draw(st.sampled_from([-MASS_FILTER_TOL, 0.0, MASS_FILTER_TOL]))
+        got = _minimal_qualifying_sets(pi_vec, eps)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, minimal_sets_by_reshape(pi_vec, eps))
+
+    def test_packed_search_at_20_states(self):
+        pi_vec = stationary(random_chain(20, 5)).pi
+        masses = subset_masses_by_concatenation(pi_vec)
+        for eps in (0.3, 0.5, 0.5 + 1e-13, 0.7, masses[0xABCDE], masses[0xABCDE] + MASS_FILTER_TOL):
+            assert np.array_equal(_minimal_qualifying_sets(pi_vec, eps),
+                                  minimal_sets_by_reshape(pi_vec, eps))
+
+    @settings(deadline=None)
+    @given(weights=st.lists(st.floats(1e-3, 1.0), max_size=14))
+    def test_subset_masses_equal_the_concatenation_build(self, weights):
+        pi_vec = np.array(weights) / max(sum(weights), 1e-3)
+        assert subset_masses(pi_vec).tobytes() == subset_masses_by_concatenation(pi_vec).tobytes()
+
+    @settings(deadline=None)
+    @given(k=st.integers(1, 20), x=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), max_size=48))
+    @example(k=16, x=[1.0] * 15)
+    @example(k=16, x=[1.0] * 16)
+    @example(k=16, x=[0.5, 1.0] * 8 + [1.0])
+    def test_head_equals_the_stable_argsort(self, k, x):
+        # few distinct values, so ties straddle the cut at the k-th largest
+        x = np.array(x)
+        assert np.array_equal(_head(x, k), np.argsort(-x, kind="stable")[:k])
+
     def test_tie_break_uniform_iid(self):
         # all C(12, 6) = 924 minimal sets of the uniform law tie
         P = generate("iid", mu=np.full(12, 1 / 12)).matrix
@@ -912,6 +952,8 @@ class TestTLarge:
         chosen = data.draw(st.lists(st.sampled_from(combos), min_size=1, unique=True))
         masks = np.array([sum(1 << j for j in combo) for combo in chosen])
         assert _lex_smallest(masks, m) == min(chosen)
+        # one set alone is decoded from its own bits
+        assert _lex_smallest(masks[-1:], m) == chosen[-1]
 
     @settings(deadline=None, max_examples=30)
     @given(m=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
