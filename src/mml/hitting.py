@@ -203,9 +203,7 @@ def member_masses(pis, inside) -> np.ndarray:
 
 def _lex_smallest(masks: np.ndarray, m: int) -> tuple[int, ...]:
     """Member tuple of the lexicographically smallest of the sets with bitmasks ``masks``."""
-    if masks.size == 1:  # one set: its bits, read off directly
-        return tuple(j for j in range(m) if masks[0] >> j & 1)
-    return min(row_members(~_outside(masks, m)))
+    return min(tuple(j for j in range(m) if mask >> j & 1) for mask in masks.tolist())
 
 
 def _head(x: np.ndarray, k: int) -> np.ndarray:
@@ -254,11 +252,12 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
 
     Only the minimal qualifying sets count; capped at m = 20. Past BRACKET_FEW of them they
     are stepped in chunks of BRACKET_CHUNK: step 2 of the first chunk solves its
-    BRACKET_HEAD sets of largest L_2 (picked by partial selection, ties to the first), each
-    later step drops every set whose upper side, widened by BOUND_SLACK, is below the
-    largest T(B) solved, and a chunk's sets left after 2m steps, or at BRACKET_FEW or fewer,
-    are solved. The value is that of solving every minimal set, bit for bit; one maximizing
-    set is decoded from its bitmask, and ties go to the lexicographically smallest member list.
+    BRACKET_HEAD sets of largest L_2 (a block-maxima cut, then a stable sort of the entries
+    at or above it; ties to the first), each later step drops every set whose upper side,
+    widened by BOUND_SLACK, is below the largest T(B) solved, and a chunk's sets left after
+    2m steps, or at BRACKET_FEW or fewer, are solved. The value is that of solving every
+    minimal set, bit for bit; the maximizing sets are decoded from their bitmasks, and ties
+    go to the lexicographically smallest member list.
     """
     if not (0 < epsilon <= 1):
         raise ValidationError(f"epsilon must lie in (0, 1], got {epsilon!r}")

@@ -952,7 +952,7 @@ class TestTLarge:
         chosen = data.draw(st.lists(st.sampled_from(combos), min_size=1, unique=True))
         masks = np.array([sum(1 << j for j in combo) for combo in chosen])
         assert _lex_smallest(masks, m) == min(chosen)
-        # one set alone is decoded from its own bits
+        # a set alone is the smallest of its own list
         assert _lex_smallest(masks[-1:], m) == chosen[-1]
 
     @settings(deadline=None, max_examples=30)
