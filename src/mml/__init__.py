@@ -22,6 +22,7 @@ from .chain import (
     ChainSpec,
     StationaryDistribution,
     TransitionMatrix,
+    derive_stream,
     generate,
     is_irreducible,
     load_chain,
@@ -43,7 +44,6 @@ from .report import BoundReport, ReportBlock
 from .simulate import (
     MissingMassSample,
     SimConfig,
-    derive_stream,
     empirical_mgf,
     first_visit_table,
     hitting_time_samples,

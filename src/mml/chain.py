@@ -150,6 +150,12 @@ def stationary(P: TransitionMatrix) -> StationaryDistribution:
     return StationaryDistribution(pi=pi, residual=res)
 
 
+def derive_stream(master_seed: int, index: int) -> np.random.Generator:
+    """Counter-based stream derivation: Philox keyed by (seed, index)."""
+    key = np.array([int(master_seed) % 2**64, int(index) % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def generate(family: str, /, m: int | None = None, **params) -> ChainSpec:
     """Deterministic chain construction for a named family.
 
@@ -223,8 +229,6 @@ def _gen_random_dense(m, params):
         raise ValidationError("random-dense needs m >= 1")
     if not 0 < alpha < math.inf:  # NaN fails too
         raise ValidationError("random-dense needs a finite alpha > 0")
-    from .simulate import derive_stream
-
     rng = derive_stream(seed, 0)
     rows = rng.dirichlet(np.full(m, float(alpha)), size=m)
     # Dirichlet samples are strictly positive a.s.; clamp defensively.

@@ -19,7 +19,6 @@ bodies are deterministic functions of the seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -50,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .hitting import StateSet, hitting_table, survival_probabilities, t_large
-from .report import format_params, render_reports_csv, render_reports_json
+from .report import format_params, render_csv, render_reports_csv, render_reports_json
 from .simulate import (
     _check_at_least_one,
     empirical_mgf,
@@ -105,11 +104,6 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv(meta: dict, header: str, rows) -> str:
-    """``# key=value`` metadata lines, then a CSV header and its rows."""
-    return "\n".join([*(f"# {k}={v}" for k, v in meta.items()), header, *rows]) + "\n"
-
-
 def _report(block, args) -> str:
     """A check's block of reports, in the ``--format`` asked for."""
     render = render_reports_json if args.format == "json" else render_reports_csv
@@ -154,8 +148,7 @@ def cmd_hit_table(args) -> str:
     if args.format == "json":
         return _json({"B": list(table.target.members), "h": list(map(float, table.h)),
                       "t_plus_all": table.t_plus_all})
-    return _csv({"chain": chain_id}, "state,h",
-                [f"{x},{float(h)!r}" for x, h in enumerate(table.h)])
+    return render_csv({"chain": chain_id}, ("state", "h"), enumerate(table.h))
 
 
 def cmd_hit_tlarge(args) -> str:
@@ -194,8 +187,8 @@ def cmd_hit_survival(args) -> str:
     if args.format == "json":
         return _json({"chain": chain_id, "B": list(B.members), "t": horizons,
                       "survival": survival})
-    return _csv({"chain": chain_id, "B": "|".join(map(str, B.members))}, "t,survival",
-                [f"{t},{p!r}" for t, p in zip(horizons, survival)])
+    return render_csv({"chain": chain_id, "B": B.members}, ("t", "survival"),
+                      zip(horizons, survival))
 
 
 # --- simulate ---------------------------------------------------------------
@@ -219,20 +212,20 @@ def _missing_mass(args):
 def cmd_simulate_mm(args) -> str:
     meta, tau, values = _missing_mass(args)
     if args.dump:  # one row per trial: its missing mass and its unseen states
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            fh.write("trial,value,unseen_set\n")
-            for i, (row, value) in enumerate(zip(tau > args.n, values)):
-                fh.write(f"{i},{value!r},{'|'.join(map(str, np.flatnonzero(row).tolist()))}\n")
+        unseen = ("|".join(map(str, np.flatnonzero(row).tolist())) for row in tau > args.n)
+        Path(args.dump).write_text(render_csv({}, ("trial", "value", "unseen_set"),
+                                              zip(range(len(values)), values, unseen)),
+                                   encoding="utf-8")
     mean = math.fsum(values) / len(values)
     se = float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else 0.0
-    return _csv(meta, "trials,n,mean,se,min,max",
-                [f"{args.trials},{args.n},{mean!r},{se!r},{min(values)!r},{max(values)!r}"])
+    return render_csv(meta, ("trials", "n", "mean", "se", "min", "max"),
+                      [(args.trials, args.n, mean, se, min(values), max(values))])
 
 
 def cmd_simulate_mgf(args) -> str:
     meta, _, values = _missing_mass(args)
     mgf = empirical_mgf(values, args.s)
-    return _csv(meta, "s,mgf,trials", [f"{args.s!r},{mgf!r},{args.trials}"])
+    return render_csv(meta, ("s", "mgf", "trials"), [(args.s, mgf, args.trials)])
 
 
 # --- bounds -----------------------------------------------------------------
@@ -381,23 +374,17 @@ def cmd_verify(args) -> int:
         print(f"{name}: checks={summary.checks} passed={summary.passed} "
               f"vacuous={summary.vacuous} violations={len(summary.violations)} {flag} {extras}".rstrip())
 
-    lines = ["suite,checks,passed,vacuous,violations,extras"]
-    for *_, s in results:
-        extras = ";".join(f"{k}={repr(float(v)) if isinstance(v, float) else v}"
-                          for k, v in sorted(s.extras.items()))
-        lines.append(f"{s.suite},{s.checks},{s.passed},{s.vacuous},{len(s.violations)},{extras}")
-    (out_dir / "summary.csv").write_text(
-        f"# tool=mml {__version__}\n# seed={opts.seed}\n" + "\n".join(lines) + "\n",
-        encoding="utf-8")
+    (out_dir / "summary.csv").write_text(render_csv(
+        {"tool": f"mml {__version__}", "seed": opts.seed},
+        ("suite", "checks", "passed", "vacuous", "violations", "extras"),
+        [(s.suite, s.checks, s.passed, s.vacuous, len(s.violations), format_params(s.extras))
+         for *_, s in results]), encoding="utf-8")
 
+    key = ("suite", "seed", "name", "chain_id")
     all_violations = [v for *_, s in results for v in s.violations]
-    with open(out_dir / "violations.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(("suite", "seed", "name", "chain_id", "coordinates"))
-        for v in all_violations:
-            coords = format_params({k: x for k, x in v.items()
-                                    if k not in ("suite", "seed", "name", "chain_id")})
-            writer.writerow((v["suite"], v["seed"], v["name"], v.get("chain_id", ""), coords))
+    (out_dir / "violations.csv").write_text(render_csv({}, (*key, "coordinates"), [
+        (*(v.get(k, "") for k in key), format_params({k: x for k, x in v.items() if k not in key}))
+        for v in all_violations]), encoding="utf-8")
 
     return EXIT_VIOLATIONS if all_violations else 0
 

@@ -213,6 +213,16 @@ def _cells(col, rows: slice) -> list[str]:
     return list(map(texts.__getitem__, codes.reshape(-1).tolist()))
 
 
+def render_csv(meta, header, rows) -> str:
+    """``# key=value`` lines for ``meta``, then ``header`` and ``rows``, each cell by ``_fmt`` and
+    ``_csv_quote``; a row of one empty cell is ``""``, as csv.writer writes it, so it reads back."""
+    lines = [f"# {k}={_fmt(v)}" for k, v in (meta or {}).items()]
+    for row in (header, *rows):
+        cells = [_csv_quote(_fmt(v)) for v in row]
+        lines.append('""' if cells == [""] else ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def render_reports_csv(reports: ReportBlock, header_meta=None) -> str:
     """Render a block of reports as CSV text; ``header_meta`` goes into ``#`` lines.
 
@@ -234,8 +244,7 @@ def render_reports_csv(reports: ReportBlock, header_meta=None) -> str:
             quote = quote or bool(_NEEDS_QUOTES(k))
             params += [f";{k}=", col]
     fixed = (reports.bound, reports.value, reports.ci, reports.holds, reports.vacuous)
-    pieces = [f"# {k}={_fmt(v)}\n" for k, v in (header_meta or {}).items()]
-    pieces.append(",".join(CSV_COLUMNS) + "\n")
+    pieces = [render_csv(header_meta, CSV_COLUMNS, ())]
     for lo in range(0, len(reports), RENDER_CHUNK):
         rows = slice(lo, lo + RENDER_CHUNK)
         names = _cells(name, rows)

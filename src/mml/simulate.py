@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, StationaryDistribution, stationary
+from .chain import ChainSpec, StationaryDistribution, derive_stream, stationary
 from .errors import ValidationError
 from .hitting import StateSet, _check_members
 
@@ -61,14 +61,7 @@ WALK_LANES = 1024  # fixed: paths occupancy_frequencies steps side by side, part
 GUIDE_PER_STATE = 16  # G >= 16 m: fewer than m of a row's cells are open, so P(search) < 1/16
 GUIDE_CELLS = 1 << 18  # cap on (m + 1) x G: 2 MB of guide table at m = 2000
 
-_MASK64 = (1 << 64) - 1
 _SENTINEL_MAX = np.iinfo(np.int64).max - 1  # the largest n or cap whose sentinel + 1 fits a table
-
-
-def derive_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream derivation: Philox keyed by (seed, index)."""
-    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,14 +24,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import bounds as bnd
-from .chain import ChainSpec, StationaryDistribution, TransitionMatrix, parse_descriptor, stationary
+from .chain import (ChainSpec, StationaryDistribution, TransitionMatrix, derive_stream,
+                    parse_descriptor, stationary)
 from .errors import ValidationError
 from .hitting import (ENUMERATION_MAX_STATES, MASS_FILTER_TOL, StateSet, _check_members,
                       expected_hitting_time, hitting_table, member_masses, row_members,
                       subset_hitting_times_stack, subset_masses, subset_members,
                       survival_probabilities, t_large, unseen_set_law)
 from .report import Labels, ReportBlock
-from .simulate import derive_stream, first_visit_table, missing_mass_values, occupancy_frequencies
+from .simulate import first_visit_table, missing_mass_values, occupancy_frequencies
 
 # run lengths n of the iid suite's survival and missing-mass checks
 IID_HORIZONS = (1, 2, 4, 8, 16, 32, 64)
@@ -41,6 +42,9 @@ IID_DELTA = 1e-3
 
 # slack of every check: a row holds when value <= bound + INEQUALITY_TOL (``_check``)
 INEQUALITY_TOL = 1e-9
+
+ERGODIC_STEPS = 1_000_000  # steps of the ergodic suite's occupancy run
+ERGODIC_TV = 0.01  # its TV bound, set for that length
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -82,7 +86,6 @@ class VerifyOptions:
     prop1_chains: int = 20
     c: float = bnd.DEFAULT_C
     c2: float = bnd.DEFAULT_C2
-    ergodic_steps: int = 1_000_000
     # optional overrides, each read by the suites OVERRIDE_READERS names: explicit
     # chains as (chain_id, ChainSpec), with no start law where thm1, cor1 or cor3 run,
     # explicit J-families, and an explicit n-grid (still filtered to n >= T(0.5) per
@@ -555,14 +558,14 @@ def suite_cor3(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
 
 
 def suite_ergodic(opts: VerifyOptions) -> tuple[ReportBlock, VerificationSummary]:
-    """Occupancy frequencies of ergodic_steps steps from pi vs the stationary law (TV <= 0.01)."""
+    """Occupancy frequencies of ERGODIC_STEPS steps from pi vs the stationary law, in TV."""
     seed = derive_seed(opts.seed, 8)
     chain_id, chain = parse_descriptor(_random_dense(5, derive_seed(seed, 0)))
     pi = stationary(chain.matrix)
-    freq = occupancy_frequencies(chain, opts.ergodic_steps, derive_stream(seed, 1), pi)
+    freq = occupancy_frequencies(chain, ERGODIC_STEPS, derive_stream(seed, 1), pi)
     tv = 0.5 * float(np.abs(freq - pi.pi).sum())
-    return _result("ergodic", opts, _check("ergodic-tv", chain_id, [0.01], [tv], False,
-                                           {"steps": opts.ergodic_steps}))
+    return _result("ergodic", opts, _check("ergodic-tv", chain_id, [ERGODIC_TV], [tv], False,
+                                           {"steps": ERGODIC_STEPS}))
 
 
 SUITES = {"lemma1": suite_lemma1, "lemma2": suite_lemma2, "iid": suite_iid, "prop1": suite_prop1,
@@ -594,7 +597,7 @@ OPTION_RULES = {
     "seed": (lambda v: True, "any integer"), "workers": _ONE, "trials": _ONE,
     "lemma1_chains": _ONE, "lemma1_m_max": _M_MAX, "lemma1_max_pairs": _ONE,
     "lemma2_chains": _ONE, "lemma2_m_max": _M_MAX, "prop1_chains": _ONE,
-    "c": _POSITIVE, "c2": _POSITIVE, "ergodic_steps": _ONE,
+    "c": _POSITIVE, "c2": _POSITIVE,
     "chains": (_override(lambda p: isinstance(p, (tuple, list)) and len(p) == 2
                          and isinstance(p[1], ChainSpec)),
                "a non-empty list of (chain_id, ChainSpec) pairs"),

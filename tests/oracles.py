@@ -15,7 +15,8 @@ builds must equal bit for bit. The samplers' reference is the O(m)
 inverse-CDF count on the same streams; for hitting times it counts, per
 uniform, the values above it of the exact tail from ``survival_probabilities``.
 The report renderer's reference formats one report at a time, cell by
-cell, and the summary's reference counts one report at a time.
+cell, and the summary's reference counts one report at a time. The CSV
+writer's reference is ``csv.writer`` with "\\n" line ends.
 T(eps)'s reference solves every minimal qualifying set, one plain dense
 solve each, with no bound to rule a set out, and finds those sets on one
 bool per subset, its masses built by concatenation; chain validation's reference
@@ -24,6 +25,8 @@ clamps and searches the whole matrix on every call, one pass per check.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import re
 from fractions import Fraction
@@ -418,6 +421,14 @@ def report_row(rep) -> str:
              _row_fmt(rep.bound_value), _row_fmt(rep.value), _row_fmt(rep.ci),
              _row_fmt(rep.holds), _row_fmt(rep.vacuous))
     return ",".join(cells) + "\n"
+
+
+def csv_writer_text(rows) -> str:
+    """``rows`` as ``csv.writer(..., lineterminator="\\n")`` writes them. That writer quotes
+    a cell holding a comma, a quote or \\n, but not one holding a lone \\r."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def render_rows_csv(reports, header_meta=None) -> str:

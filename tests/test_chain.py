@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mml
+import mml.simulate
 from mml.chain import (
     CHAIN_FAMILIES,
     FAMILY_BUILDERS,
     ChainSpec,
     chain_from_dict,
+    derive_stream,
     generate,
     is_irreducible,
     load_chain,
@@ -433,3 +436,12 @@ class TestChainFiles:
         path.write_text(json.dumps({"m": 2, "P": [[0.6, 0.5], [0.5, 0.5]]}))
         with pytest.raises(ValidationError, match="row 0"):
             load_chain(path)
+
+
+def test_derive_stream_keys_philox_by_seed_and_index_mod_2_64():
+    # one function, defined beside the generator that reads it, and reached through simulate
+    assert mml.derive_stream is mml.simulate.derive_stream is derive_stream
+    for seed, index in ((3, 1), (-1, 0), (2**64 + 3, -2), (np.int64(-7), np.uint32(9))):
+        key = np.array([int(seed) & (2**64 - 1), int(index) & (2**64 - 1)], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).integers(0, 2**63, 4)
+        assert derive_stream(seed, index).integers(0, 2**63, 4).tolist() == expected.tolist()

@@ -705,7 +705,7 @@ def test_prop1_keeps_the_start_law(tmp_path, capsys, witness):
 
 class TestVerifyCommand:
     SMALL = ["--trials", "1500", "--lemma1-chains", "8", "--lemma2-chains", "8",
-             "--prop1-chains", "8", "--ergodic-steps", "40000"]
+             "--prop1-chains", "8", "--lemma1-max-pairs", "40"]
 
     def test_verify_lemma1_small(self, tmp_path, capsys):
         rc = main(["verify", "lemma1", "--seed", "1", "--lemma1-chains", "10",
@@ -733,6 +733,24 @@ class TestVerifyCommand:
             rows = list(csv.reader(line for line in f if not line.startswith("#")))
         assert all(len(row) == 8 for row in rows)
         assert "lazy-cycle:m=5;hold=0.5" in {row[1] for row in rows}
+
+    def test_violation_rows_keep_a_chain_id_with_commas(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chains": ["iid:mu=0.25,0.75"]}))
+        rc = main(["verify", "thm1", "--c", "100", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 1
+        with open(tmp_path / "violations.csv", newline="") as f:
+            header, *rows = csv.reader(f)
+        assert header == ["suite", "seed", "name", "chain_id", "coordinates"] and rows
+        assert all(len(row) == 5 and row[3] == "iid:mu=0.25,0.75" for row in rows)
+
+    def test_short_run_of_every_suite_exits_0(self, tmp_path, capsys):
+        # the ergodic suite runs its fixed length, so small sizes elsewhere flag nothing
+        rc = main(["verify", "all", "--seed", "3", "--lemma1-chains", "3", "--lemma1-m-max", "5",
+                   "--lemma1-max-pairs", "20", "--lemma2-chains", "3", "--lemma2-m-max", "4",
+                   "--prop1-chains", "12", "--trials", "200", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "ergodic: checks=1 passed=1 vacuous=0 violations=0 ok" in capsys.readouterr().out
 
     def test_verify_all_deterministic(self, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -783,8 +801,8 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("value", ["3", "abc", "0", ""])
     @pytest.mark.parametrize("argv", [
-        ["verify", "ergodic", "--ergodic-steps", "10"],
-        ["verify", "ergodic", "--ergodic-steps", "10", "--workers", "2"],
+        ["verify", "iid", "--trials", "10"],
+        ["verify", "iid", "--trials", "10", "--workers", "2"],
         ["simulate", "mm", "--chain", "iid:mu=0.5,0.5", "--trials", "10"],
         ["simulate", "mm", "--chain", "iid:mu=0.5,0.5", "--trials", "10",
          "--workers", "2"],
@@ -806,8 +824,7 @@ class TestVerifyCommand:
     def test_config_accepts_every_option(self, tmp_path):
         values = {"seed": 5, "workers": 2, "trials": 1000, "lemma1_chains": 4,
                   "lemma1_m_max": 3, "lemma1_max_pairs": 5, "lemma2_chains": 6,
-                  "lemma2_m_max": 4, "prop1_chains": 7, "c": 0.2, "c2": 2.0,
-                  "ergodic_steps": 1000}
+                  "lemma2_m_max": 4, "prop1_chains": 7, "c": 0.2, "c2": 2.0}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**values, "chains": ["lazy-cycle:m=4;hold=0.5"],
                                    "j_sets": [[0, 1]], "n_grid": "4..6"}))
@@ -821,7 +838,9 @@ class TestVerifyCommand:
                                          ({"constants": {"c": 0.2}}, "'constants'"),
                                          ({"constants": {"eps": 0.4}}, "'constants'"),
                                          # T is T(0.5) in every suite: eps is no option
-                                         ({"eps": 0.5}, "'eps'")])
+                                         ({"eps": 0.5}, "'eps'"),
+                                         # the ergodic TV bound was set for its fixed length
+                                         ({"ergodic_steps": 1000}, "'ergodic_steps'")])
     def test_unknown_config_key_exits_3(self, tmp_path, capsys, cfg, key):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -969,7 +988,7 @@ class TestVerifyCommand:
         ([], {"prop1_chains": 0}, "prop1_chains must be >= 1"),
         (["--lemma1-max-pairs", "0"], None, "lemma1_max_pairs must be >= 1"),
         (["--workers", "0"], None, "workers must be >= 1"),
-        (["--ergodic-steps", "0"], None, "ergodic_steps must be >= 1"),
+        (["--lemma2-chains", "0"], None, "lemma2_chains must be >= 1"),
         (["--c", "-0.5"], None, "c must be > 0"),
         ([], {"c2": 0}, "c2 must be > 0"),
         (["--c", "inf"], None, "c must be > 0 and finite, got inf"),
@@ -1024,11 +1043,11 @@ class TestVerifyCommand:
     def test_option_flags_set_their_fields(self):
         args = build_parser().parse_args(
             ["verify", "cor1", "--seed", "4", "--workers", "2", "--trials", "5",
-             "--c", "0.3", "--c2", "2", "--ergodic-steps", "7",
+             "--c", "0.3", "--c2", "2",
              "--lemma1-max-pairs", "8", "--lemma1-chains", "30", "--lemma2-chains", "30",
              "--prop1-chains", "20", "--lemma1-m-max", "8", "--lemma2-m-max", "9"])
         o = _options_from_args(args)
-        assert (o.seed, o.workers, o.trials, o.ergodic_steps) == (4, 2, 5, 7)
+        assert (o.seed, o.workers, o.trials) == (4, 2, 5)
         assert (o.c, o.c2, o.lemma1_max_pairs) == (0.3, 2.0, 8)
         assert (o.lemma1_chains, o.lemma2_chains, o.prop1_chains) == (30, 30, 20)
         assert (o.lemma1_m_max, o.lemma2_m_max) == (8, 9)
@@ -1057,7 +1076,8 @@ class TestVerifyCommand:
         assert (len(o.chains), o.j_sets, o.n_grid) == (1, [(0,)], [1])
 
     @pytest.mark.parametrize("flags", [["--chains", "8"], ["--m-max", "4"],
-                                       ["--max-pairs", "8"], ["--eps", "0.4"]])
+                                       ["--max-pairs", "8"], ["--eps", "0.4"],
+                                       ["--ergodic-steps", "10"]])
     def test_removed_flags_exit_2(self, tmp_path, flags):
         with pytest.raises(SystemExit) as e:
             main(["verify", "lemma1", *flags, "--out", str(tmp_path / "r")])
@@ -1182,7 +1202,7 @@ COMMAND_FLAGS = {
     "bounds pinsker": {"--out", "--format", "--p", "--q"},
     "verify": {"--seed", "--workers", "--trials", "--lemma1-chains", "--lemma1-m-max",
                "--lemma1-max-pairs", "--lemma2-chains", "--lemma2-m-max", "--prop1-chains",
-               "--c", "--c2", "--ergodic-steps", "--out", "--config"},
+               "--c", "--c2", "--out", "--config"},
 }
 
 
@@ -1200,7 +1220,7 @@ def _leaf_flags(parser, path=()):
 def test_each_command_has_exactly_the_flags_it_reads():
     flags = dict(_leaf_flags(build_parser()))
     assert flags == COMMAND_FLAGS
-    assert sum(map(len, flags.values())) == 105
+    assert sum(map(len, flags.values())) == 104
 
 
 CHAIN = ["--chain", "lazy-cycle:m=5;hold=0.5"]
