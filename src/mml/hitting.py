@@ -27,12 +27,11 @@ over min_{z not in B} P(z, B)). One product steps s_(t+1) = 1_(B^c) P s_t for
 a chunk of sets; on lazy-cycle(16) ``t_large`` solves 135 of the 12,870.
 
 The survival law of the walk is exact too. Pr[N_B > t] (no state of B
-among X_1..X_t) is start restricted to B^c times Q^(t-1) times 1, with
-Q = P restricted to B^c. One engine, ``survival_probabilities``, answers a
-stack of sets on a horizon grid: like ``solve.hitting_times`` it groups the
-sets by size, gathers each size's Q's as one (g, k, k) stack and steps
-the g row vectors through the sorted horizons with one batched product a
-step, so a row equals the set's own one-set call bit for bit. The law of
+among X_1..X_t) is v Q^(t-1) 1: ``avoiding_walk`` zeroes B's columns of P (Q)
+and B's entries of the start law (v) for a stack of sets, and both
+``survival_probabilities`` and ``simulate.hitting_time_samples`` step that walk,
+one (1, m) x (m, m) product per set a step, so a stack's row, the set's one-set
+call and the sampler's tail agree bit for bit. The law of
 the visited set V_n = {X_1..X_n} follows from a DP over (visited set,
 current state), m 2^m numbers per step (m <= 20). Both only add
 non-negative terms, so they keep their relative accuracy down to the
@@ -293,33 +292,36 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
     return LargeSetTime(epsilon=float(epsilon), value=float(best), argmax_set=witness)
 
 
-def survival_probabilities(P: TransitionMatrix, start, sets, horizons) -> np.ndarray:
-    """Exact Pr[N_B > t] for each set B of ``sets`` (member tuples) and each horizon
-    t >= 1, with X_1 ~ start: a (len(sets), len(horizons)) array.
-
-    N_B > t means X_1, ..., X_t all lie outside B, so the probability is start
-    restricted to B^c, times Q^(t-1), times 1, where Q is P restricted to B^c.
-    The sets are grouped by size; each group's Q's are gathered as one (g, k, k)
-    stack, and its (g, 1, k) row vectors step through the sorted horizons
-    together. Works for any m.
-    """
+def avoiding_walk(P: TransitionMatrix, start, sets) -> tuple[np.ndarray, np.ndarray]:
+    """The walk that avoids each set B of ``sets`` (member tuples): Q, a (len(sets), m, m)
+    stack of P with B's columns zeroed, and v, the (len(sets), 1, m) start law with its
+    entries on B zeroed. Each step v <- v @ Q keeps v zero on B, so after t - 1 steps
+    v.sum() is Pr[N_B > t], X_1 ~ start."""
     outside = np.ones((len(sets), P.m), dtype=bool)
     for row, members in zip(outside, sets):
         B = StateSet(tuple(members))
         _check_members(B, P.m, "target set")
         row[B.indices()] = False
+    return P.rows * outside[:, None, :], (np.asarray(start, dtype=float) * outside)[:, None, :]
+
+
+def survival_probabilities(P: TransitionMatrix, start, sets, horizons) -> np.ndarray:
+    """Exact Pr[N_B > t] for each set B of ``sets`` (member tuples) and each horizon
+    t >= 1, with X_1 ~ start: a (len(sets), len(horizons)) array.
+
+    The sets' ``avoiding_walk`` rows step through the sorted horizons together, one
+    (1, m) x (m, m) product per set a step (one (sets, m) x (m, m) product would round a
+    row apart from its one-set call), and are summed only at the horizons. Any m.
+    """
+    Q, v = avoiding_walk(P, start, sets)
     horizons = _check_horizons(horizons)
-    start = np.asarray(start, dtype=float)
-    out = np.zeros((len(sets), horizons.size))  # B = every state: N_B = 1
-    for group, rest in by_size(outside):
-        Q = P.rows[rest[:, :, None], rest[:, None, :]]
-        v = start[rest][:, None, :]
-        t = 1
-        for i in np.argsort(horizons, kind="stable"):
-            for _ in range(t, horizons[i]):
-                v = v @ Q
-            t = horizons[i]
-            out[group, i] = v.sum(axis=2)[:, 0]
+    out = np.empty((len(sets), horizons.size))
+    t = 1
+    for i in np.argsort(horizons, kind="stable"):
+        for _ in range(t, horizons[i]):
+            v = v @ Q
+        t = horizons[i]
+        out[:, i] = v.sum(axis=2)[:, 0]
     return out
 
 

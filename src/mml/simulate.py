@@ -30,9 +30,9 @@ Each block keeps a byte map of the states its trials have not seen, one
 byte per table cell: a step reads its trials' bytes, and only a first
 visit clears one and writes its step into the table, once per cell.
 
-``hitting_time_samples`` inverts the exact tail of N_B: one uniform per
-trial, and one vector-matrix product per step of the tail, for all trials
-at once (Devroye, 1986, ch. II).
+``hitting_time_samples`` inverts the exact tail of N_B (Devroye, 1986, ch.
+II), stepping the ``hitting.avoiding_walk`` that ``survival_probabilities``
+steps: one uniform per trial, one vector-matrix product a step for them all.
 
 Both samplers store steps in the narrowest signed integer type that holds
 the sentinel n + 1 (cap + 1 for N_B): int8 up to n = 126, int16 up to
@@ -53,7 +53,7 @@ import numpy as np
 
 from .chain import ChainSpec, StationaryDistribution, derive_stream, stationary
 from .errors import ValidationError
-from .hitting import StateSet, _check_members
+from .hitting import StateSet, _check_members, avoiding_walk
 
 BLOCK_TRIALS = 8192  # fixed: part of the reproducibility contract
 TRAJECTORY_CAP = 10**6
@@ -287,23 +287,20 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
 
     Draw rule: block b draws one uniform u per trial, ``derive_stream(master_seed,
     b).random(size)``, and the trial's N_B is 1 + #{1 <= t <= cap : S(t) > u}, where S
-    is the running minimum of the exact tail Pr[N_B > t] = start|B^c Q^(t-1) 1 (Q is P on
-    B^c, as in ``survival_probabilities``). S is stepped once for all trials, one k x k
-    vector-matrix product per step over the k states outside B, until S(t) <= min u or
-    t = cap. So a cap-c array is the uncapped array clipped at c + 1, and a start in B or
-    a B of every state gives N_B = 1. The cost grows with the tail's length, not the
-    trials: a chain of ~1,000 states whose tail lasts ~10^5 steps is slow. N_B's type is
-    the narrowest that holds cap + 1 (module docstring).
+    is the running minimum of the exact tail Pr[N_B > t], ``survival_probabilities``'s bit
+    for bit: the same ``avoiding_walk`` v Q^(t-1) 1, stepped once for all trials, one m x m
+    vector-matrix product a step, until S(t) <= min u or t = cap. So a cap-c array is the
+    uncapped array clipped at c + 1, and a start in B or a B of every state gives N_B = 1.
+    The cost grows with the tail's length, not the trials: a chain of ~1,000 states whose
+    tail lasts ~10^5 steps is slow. N_B's type is the narrowest that holds cap + 1.
     """
     _check_members(B, chain.matrix.m, "set B")
     _check_at_least_one(trials=trials, workers=workers, cap=cap)
     dtype = _sentinel_dtype("cap", cap)
     u = np.concatenate(_run_blocks(lambda b, size: derive_stream(master_seed, b).random(size),
                                    trials, workers))
-    outside = np.ones(chain.matrix.m, dtype=bool)
-    outside[B.indices()] = False
-    Q = chain.matrix.rows[np.ix_(outside, outside)]
-    v = np.asarray(chain.resolved_start(pi), dtype=float)[outside]
+    Q, v = avoiding_walk(chain.matrix, chain.resolved_start(pi), [B.members])
+    Q, v = Q[0], v[0, 0]  # the one set's walk: the same product per step, without the stack
     tail, lowest = [v.sum()], u.min()
     while tail[-1] > lowest and len(tail) < cap:
         v = v @ Q

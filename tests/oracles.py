@@ -4,7 +4,8 @@ These deliberately avoid the library's solver paths: hitting times come
 from truncated survival sums (iterating the sub-stochastic matrix) or one
 plain dense solve per target, the subset maximizer from brute-force
 enumeration, the lemma1 suite's disjoint set pairs from listing them
-all, survival and visited-set laws from a sum over every trajectory, and
+all, survival and visited-set laws from a sum over every trajectory (and
+survival at long horizons from Q's powers in exact rationals), and
 reference constants and a stiff chain's hitting times from high-precision
 arithmetic, and the stationary law and hitting times of sparse chains from
 GTH state reduction in exact rationals over a dict of each state's links.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import operator
 import re
 from fractions import Fraction
 
@@ -288,6 +290,22 @@ def trajectory_survival(rows: np.ndarray, start, members, n: int) -> float:
     target = set(members)
     return sum(p for visited, p in trajectory_visit_law(rows, start, n).items()
                if not visited & target)
+
+
+def survival_exact(rows: np.ndarray, start, members, n: int) -> Fraction:
+    """Pr[N_B > n] = start|B^c Q^(n-1) 1 in exact rationals, Q = P restricted to B^c, from
+    the binary values of P's and start's entries: no rounding, at any horizon. Every
+    entry is a multiple of 1/D, D the largest of their denominators (powers of two), so
+    the steps run on the integers D Q and D start."""
+    rest = [x for x in range(rows.shape[0]) if x not in members]
+    Q = [[Fraction(rows[x, y]) for y in rest] for x in rest]
+    v = [Fraction(float(start[x])) for x in rest]
+    D = max((q.denominator for q in itertools.chain(v, *Q)), default=1)
+    Q = [[q.numerator * (D // q.denominator) for q in row] for row in Q]
+    v = [q.numerator * (D // q.denominator) for q in v]
+    for _ in range(n - 1):
+        v = [sum(map(operator.mul, v, column)) for column in zip(*Q)]
+    return Fraction(sum(v), D ** n)
 
 
 def kl_highprec(p: float, q: float) -> float:

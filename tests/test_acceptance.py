@@ -183,9 +183,9 @@ def test_criterion_11_falsifiability(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("suite,count,sha256", [
-    ("thm1", 571, "c0700a1d5752119f507843d2147d439a45ac222c70dab3f618fd7b7fafd0580f"),
-    ("cor3", 255, "0f57db10dd162d0e9239d26ea1b6e1b9c281717c9d89feb1a28ee44666af86bf"),
-])
+    ("thm1", 571, "1e32f6489ab702447015a1844d2c5e5214070b34c9a11c242291680fc92e8c30"),
+    ("cor3", 255, "e55fcc651efedac35eb60940451faa18d040c04a4801d659750fdbd58c61c01a"),
+], ids=["thm1", "cor3"])
 def test_violations_keep_their_coordinates(tmp_path, capsys, suite, count, sha256):
     # every violation names its set and horizon as the report rows do: n=4, J=0|1
     assert main(["verify", suite, "--seed", str(ACCEPT_SEED), "--c", "100",

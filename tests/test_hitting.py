@@ -62,6 +62,7 @@ from oracles import (
     mask_members,
     max_rel_err,
     minimal_sets_by_reshape,
+    survival_exact,
     survival_sum_expected,
     stationary_by_eye,
     subset_masses_by_concatenation,
@@ -109,13 +110,14 @@ def drawn_chain(family, m, seed):
 
 
 @st.composite
-def stochastic_rows(draw):
-    """Random transition matrix whose entries are all at least 0.05 / (1.05 m).
+def stochastic_rows(draw, max_states=8):
+    """Random transition matrix of at most ``max_states`` states whose entries are all at
+    least 0.05 / (1.05 m).
 
     The floor keeps hitting times below a few hundred steps, so solver
     rounding stays far below the 1e-9 tolerance of the monotonicity check.
     """
-    m = draw(st.integers(1, 8))
+    m = draw(st.integers(1, max_states))
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m)))
     rows = weights.reshape(m, m) + 0.05
     return rows / rows.sum(axis=1, keepdims=True)
@@ -1144,6 +1146,22 @@ class TestExactSurvival:
             target = sum(1 << j for j in members)
             avoiding = [S for S in range(1 << m) if not S & target]
             np.testing.assert_allclose(row, law[:, avoiding].sum(axis=1), rtol=1e-12, atol=1e-300)
+
+    @settings(deadline=None, max_examples=100)
+    @given(rows=stochastic_rows(max_states=6), data=st.data())
+    def test_long_horizons_keep_relative_accuracy(self, rows, data):
+        # tails as small as ~1e-124 at t = 60, each within 1e-13 of start Q^(t-1) 1 in rationals
+        m = rows.shape[0]
+        P = validate(rows)
+        weights = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=m, max_size=m)))
+        start = weights / weights.sum()
+        sets = [tuple(sorted(S)) for S in data.draw(st.lists(
+            st.sets(st.integers(0, m - 1), min_size=1), min_size=1, max_size=8))]
+        horizons = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=3))
+        surv = survival_probabilities(P, start, sets, horizons)
+        for members, row in zip(sets, surv):
+            exact = [survival_exact(P.rows, start, members, n) for n in horizons]
+            assert max_rel_err(row, exact) <= 1e-13
 
     def test_empty_stack_and_full_set(self):
         P = random_chain(4, 2)

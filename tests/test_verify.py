@@ -254,17 +254,17 @@ def _body_sha256(path) -> str:
 PINNED_BODIES = {
     3: {"lemma1": "f2a4959d24f76af0f91934cd63a7aeff6f97a4d38cb7cf3956f6991765946457",
         "lemma2": "c79fcebe921a2f57de043248b6aa0ddef9f8af5c1d4bac498575742d94cb4549",
-        "prop1": "c2fe64ce6915cf816bccfa00d97c2c68814bc2b7d0bb85d87b2a10f3991feb3a",
-        "thm1": "96ccf7e9e2b7f39f0f03445297970af20a8929c725d05dfa802fe313d2d7492b",
+        "prop1": "3375215b51b4db298166f03a7810ced203b5bece484b06bb6fc619d7682cf1d8",
+        "thm1": "e17d1132cde6416463aade7909826f2084455aa4fdbdecdaf03367f8a2d34229",
         "cor1": "2dba527f59190a81a325c1d0d603733f5731317e68ac5de61cd7a3bf32db35f3",
-        "cor3": "ef4e838cfe535d6c9cf56a17fa793871faa5a5fbba36b4957dba9a73e93a52db",
+        "cor3": "c251a7fef0b9a93a60e5f5caffc813eac147ac826c7e7660291adde6abaa32f1",
         "summary": "26081b4dd8f3c0a9d3eeb6362e8e3f41d93b4e305e544b70def77c9bbf38ba05"},
     42: {"lemma1": "694abef051573302abaae44e67067a42566f4193e58c7fe6e6cab9afd146f60c",
          "lemma2": "40500cfa3224ddaa448118958c3df703c93da53126d8efc5eea1762b9fc419b6",
-         "prop1": "0d8cb01fe1335e70631258741b390803ee98f92df6de786abf99f66d1feb082f",
-         "thm1": "e95c68114583ddd7447e40f7048fefc785d643ee02b0cb1ed0938a339c6195b6",
+         "prop1": "9068260e775531ca86c26b10447a220ebe487339b23081d60aa1cce85a9dc507",
+         "thm1": "a217f4be8cce19e4c5c1b360d740cdb2672b600ff1b065e9090a73f5f4cd28d3",
          "cor1": "3cdc4285eff9c0aed678f51b1748aa39f27814c02be5fafbc80b91f518208582",
-         "cor3": "d43aefdf282828e26a534a493798c2b2ad0e7089983bddd3d4d76ddc7d7423d5",
+         "cor3": "d1e95b7fd5d9c3411de1cdc24dbeee4a0620734c6dc9e96d98f18a0c57c8bf6d",
          "summary": "134d39a8cc2e8846718c0b5e51c02554178d2152eb675518f1bc79d7e2e07d2b"},
 }
 
