@@ -26,12 +26,11 @@ the upper side infinite while max_x s_k(x) > 1 - BOUND_SLACK (at k = 1, one
 over min_{z not in B} P(z, B)). One product steps s_(t+1) = 1_(B^c) P s_t for
 a chunk of sets; on lazy-cycle(16) ``t_large`` solves 135 of the 12,870.
 
-The survival law of the walk is exact too. Pr[N_B > t] (no state of B
-among X_1..X_t) is v Q^(t-1) 1: ``avoiding_walk`` zeroes B's columns of P (Q)
-and B's entries of the start law (v) for a stack of sets, and both
-``survival_probabilities`` and ``simulate.hitting_time_samples`` step that walk,
-one (1, m) x (m, m) product per set a step, so a stack's row, the set's one-set
-call and the sampler's tail agree bit for bit. The law of
+The survival law of the walk is exact too. Pr[N_B > t] (no state of B among X_1..X_t) is
+v Q^(t-1) 1, Q being P with B's columns zeroed. ``survival_probabilities`` and
+``simulate.hitting_time_samples`` step one ``avoiding_walk``: v <- v P, then B's entries
+zeroed, one (1, m) x (m, m) product per set a step, so a stack's row, the set's one-set
+call and the sampler's tail agree bit for bit, and no (sets, m, m) stack is built. The law of
 the visited set V_n = {X_1..X_n} follows from a DP over (visited set,
 current state), m 2^m numbers per step (m <= 20). Both only add
 non-negative terms, so they keep their relative accuracy down to the
@@ -293,33 +292,33 @@ def t_large(P: TransitionMatrix, pi: StationaryDistribution, epsilon: float) -> 
 
 
 def avoiding_walk(P: TransitionMatrix, start, sets) -> tuple[np.ndarray, np.ndarray]:
-    """The walk that avoids each set B of ``sets`` (member tuples): Q, a (len(sets), m, m)
-    stack of P with B's columns zeroed, and v, the (len(sets), 1, m) start law with its
-    entries on B zeroed. Each step v <- v @ Q keeps v zero on B, so after t - 1 steps
-    v.sum() is Pr[N_B > t], X_1 ~ start."""
-    outside = np.ones((len(sets), P.m), dtype=bool)
-    for row, members in zip(outside, sets):
-        B = StateSet(tuple(members))
-        _check_members(B, P.m, "target set")
-        row[B.indices()] = False
-    return P.rows * outside[:, None, :], (np.asarray(start, dtype=float) * outside)[:, None, :]
+    """The walk that avoids each set B of ``sets`` (member tuples): keep, the
+    (len(sets), 1, m) mask, 0 on B and 1 off it, and v, the start law times keep. Each
+    step v <- v @ P, then B's entries zeroed (v *= keep), keeps v zero on B, so after
+    t - 1 steps v.sum() is Pr[N_B > t], X_1 ~ start."""
+    keep = np.ones((len(sets), 1, P.m))
+    for row, members in zip(keep[:, 0], sets):
+        _check_members(B := StateSet(tuple(members)), P.m, "target set")
+        row[B.indices()] = 0.0
+    return keep, np.asarray(start, dtype=float) * keep
 
 
 def survival_probabilities(P: TransitionMatrix, start, sets, horizons) -> np.ndarray:
     """Exact Pr[N_B > t] for each set B of ``sets`` (member tuples) and each horizon
     t >= 1, with X_1 ~ start: a (len(sets), len(horizons)) array.
 
-    The sets' ``avoiding_walk`` rows step through the sorted horizons together, one
-    (1, m) x (m, m) product per set a step (one (sets, m) x (m, m) product would round a
-    row apart from its one-set call), and are summed only at the horizons. Any m.
+    The sets' ``avoiding_walk`` rows step through the sorted horizons together, one (1, m) x
+    (m, m) product per set a step (one (sets, m) x (m, m) product would round a row apart
+    from its one-set call), and are summed only at the horizons. Any m, in O(sets m) memory.
     """
-    Q, v = avoiding_walk(P, start, sets)
+    keep, v = avoiding_walk(P, start, sets)
     horizons = _check_horizons(horizons)
     out = np.empty((len(sets), horizons.size))
     t = 1
     for i in np.argsort(horizons, kind="stable"):
         for _ in range(t, horizons[i]):
-            v = v @ Q
+            v = v @ P.rows
+            v *= keep
         t = horizons[i]
         out[:, i] = v.sum(axis=2)[:, 0]
     return out
@@ -328,10 +327,10 @@ def survival_probabilities(P: TransitionMatrix, start, sets, horizons) -> np.nda
 def unseen_set_law(P: TransitionMatrix, start, horizons) -> np.ndarray:
     """Exact law of the visited set V_n = {X_1, ..., X_n}, X_1 ~ start.
 
-    Row i is indexed by bitmask S (bit j = state j) and holds Pr[V_n = S]
-    for n = horizons[i]; the unseen set is the complement of S, so its mass
-    is ``subset_masses(pi)[::-1][S]``. The DP carries f[x, S] =
-    Pr[V_k = S, X_k = x]: m 2^m doubles twice over (about 340 MB at m = 20).
+    Row i is indexed by bitmask S (bit j = state j) and holds Pr[V_n = S] for n =
+    horizons[i]; the unseen set is the complement of S, so its mass is
+    ``subset_masses(pi)[::-1][S]``. The DP carries f[x, S] = Pr[V_k = S, X_k = x], never
+    written and so 0 for x not in S: m 2^m doubles twice over (about 340 MB at m = 20).
     """
     m = P.m
     _check_enumerable(m, "the visited-set law")
@@ -349,7 +348,6 @@ def unseen_set_law(P: TransitionMatrix, start, horizons) -> np.ndarray:
                 # index = (high bits, bit y, low bits), as in _minimal_qualifying_sets
                 src = step[y].reshape(-1, 2, 1 << y)
                 dst = f[y].reshape(-1, 2, 1 << y)
-                dst[:, 0] = 0.0
                 np.add(src[:, 0], src[:, 1], out=dst[:, 1])
         k = horizons[i]
         out[i] = f.sum(axis=0)

@@ -167,10 +167,12 @@ class ReportBlock:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
+    if isinstance(v, str):  # the commonest cells first: no str or float is a bool
+        return str(v)
     if isinstance(v, float):
         return repr(float(v))  # plain float repr even for numpy scalars
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
     if isinstance(v, (list, tuple)):
         return "|".join(_fmt(x) for x in v)
     return str(v)

@@ -30,9 +30,9 @@ Each block keeps a byte map of the states its trials have not seen, one
 byte per table cell: a step reads its trials' bytes, and only a first
 visit clears one and writes its step into the table, once per cell.
 
-``hitting_time_samples`` inverts the exact tail of N_B (Devroye, 1986, ch.
-II), stepping the ``hitting.avoiding_walk`` that ``survival_probabilities``
-steps: one uniform per trial, one vector-matrix product a step for them all.
+``hitting_time_samples`` inverts the exact tail of N_B (Devroye, 1986, ch. II), stepping
+the ``hitting.avoiding_walk`` that ``survival_probabilities`` steps, P, then B's entries
+zeroed: one uniform per trial, one vector-matrix product a step for them all.
 
 Both samplers store steps in the narrowest signed integer type that holds
 the sentinel n + 1 (cap + 1 for N_B): int8 up to n = 126, int16 up to
@@ -286,24 +286,24 @@ def hitting_time_samples(chain: ChainSpec, B: StateSet, trials: int, master_seed
     """Per-trial N_B, X_1 drawn from the start law; cap + 1 marks a trial with N_B > cap.
 
     Draw rule: block b draws one uniform u per trial, ``derive_stream(master_seed,
-    b).random(size)``, and the trial's N_B is 1 + #{1 <= t <= cap : S(t) > u}, where S
-    is the running minimum of the exact tail Pr[N_B > t], ``survival_probabilities``'s bit
-    for bit: the same ``avoiding_walk`` v Q^(t-1) 1, stepped once for all trials, one m x m
-    vector-matrix product a step, until S(t) <= min u or t = cap. So a cap-c array is the
-    uncapped array clipped at c + 1, and a start in B or a B of every state gives N_B = 1.
-    The cost grows with the tail's length, not the trials: a chain of ~1,000 states whose
-    tail lasts ~10^5 steps is slow. N_B's type is the narrowest that holds cap + 1.
+    b).random(size)``, and the trial's N_B is 1 + #{1 <= t <= cap : S(t) > u}, where S is
+    the running minimum of ``survival_probabilities``'s exact tail Pr[N_B > t], bit for bit:
+    its ``avoiding_walk`` (P, then B's entries zeroed), stepped once for all trials until
+    S(t) <= min u or t = cap. So a cap-c array is the uncapped array clipped at c + 1, and a
+    start in B or a B of every state gives N_B = 1. The cost grows with the tail's length,
+    not the trials: ~1,000 states whose tail lasts ~10^5 steps are slow.
     """
     _check_members(B, chain.matrix.m, "set B")
     _check_at_least_one(trials=trials, workers=workers, cap=cap)
     dtype = _sentinel_dtype("cap", cap)
     u = np.concatenate(_run_blocks(lambda b, size: derive_stream(master_seed, b).random(size),
                                    trials, workers))
-    Q, v = avoiding_walk(chain.matrix, chain.resolved_start(pi), [B.members])
-    Q, v = Q[0], v[0, 0]  # the one set's walk: the same product per step, without the stack
+    walk = avoiding_walk(chain.matrix, chain.resolved_start(pi), [B.members])
+    keep, v = (a[0, 0] for a in walk)  # the one set's walk, unstacked: the same product a step
     tail, lowest = [v.sum()], u.min()
     while tail[-1] > lowest and len(tail) < cap:
-        v = v @ Q
+        v = v @ chain.matrix.rows
+        v *= keep
         tail.append(min(tail[-1], v.sum()))
     # S does not increase, so #{t : S(t) > u} is where -u falls in -S
     return (np.searchsorted(-np.array(tail), -u) + 1).astype(dtype)

@@ -5,7 +5,8 @@ from truncated survival sums (iterating the sub-stochastic matrix) or one
 plain dense solve per target, the subset maximizer from brute-force
 enumeration, the lemma1 suite's disjoint set pairs from listing them
 all, survival and visited-set laws from a sum over every trajectory (and
-survival at long horizons from Q's powers in exact rationals), and
+survival at long horizons from Q's powers in exact rationals, and bit for bit
+from a stack of Qs, P with each set's columns zeroed), and
 reference constants and a stiff chain's hitting times from high-precision
 arithmetic, and the stationary law and hitting times of sparse chains from
 GTH state reduction in exact rationals over a dict of each state's links.
@@ -306,6 +307,26 @@ def survival_exact(rows: np.ndarray, start, members, n: int) -> Fraction:
     for _ in range(n - 1):
         v = [sum(map(operator.mul, v, column)) for column in zip(*Q)]
     return Fraction(sum(v), D ** n)
+
+
+def survival_by_q_stack(rows: np.ndarray, start, sets, horizons) -> np.ndarray:
+    """Pr[N_B > t] for each set of ``sets`` and each horizon, stepped on a (sets, m, m)
+    stack Q of P with each set's B columns zeroed, v <- v @ Q from the start law zeroed on
+    B, one (1, m) x (m, m) product per set a step: the walk that stepping P and then a 0/1
+    mask must equal bit for bit."""
+    outside = np.ones((len(sets), rows.shape[0]), dtype=bool)
+    for row, members in zip(outside, sets):
+        row[list(members)] = False
+    Q = rows * outside[:, None, :]
+    v = (np.asarray(start, dtype=float) * outside)[:, None, :]
+    out = np.empty((len(sets), len(horizons)))
+    t = 1
+    for i in np.argsort(horizons, kind="stable"):
+        for _ in range(t, horizons[i]):
+            v = v @ Q
+        t = horizons[i]
+        out[:, i] = v.sum(axis=2)[:, 0]
+    return out
 
 
 def kl_highprec(p: float, q: float) -> float:

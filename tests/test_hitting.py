@@ -62,6 +62,7 @@ from oracles import (
     mask_members,
     max_rel_err,
     minimal_sets_by_reshape,
+    survival_by_q_stack,
     survival_exact,
     survival_sum_expected,
     stationary_by_eye,
@@ -1146,6 +1147,43 @@ class TestExactSurvival:
             target = sum(1 << j for j in members)
             avoiding = [S for S in range(1 << m) if not S & target]
             np.testing.assert_allclose(row, law[:, avoiding].sum(axis=1), rtol=1e-12, atol=1e-300)
+
+    @settings(deadline=None, max_examples=40)
+    @given(family=st.sampled_from(["random-dense", "lazy-cycle", "birth-death", "sparse"]),
+           m=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @example(family="sparse", m=8, seed=0, data=None)
+    def test_mask_step_equals_the_q_stack(self, family, m, seed, data):
+        # P, then B's entries zeroed, equals v @ Q on a stack of Qs bit for bit: stacks up to
+        # every subset at m <= 8, one set up to 64 states, horizons up to 200
+        P = drawn_chain(family, m, seed)
+        start = np.random.default_rng(seed).dirichlet(np.ones(m))
+        if data is None or (m <= 8 and data.draw(st.booleans())):
+            sets = [mask_members(k) for k in range(1, 1 << m)]
+        else:
+            sets = [tuple(sorted(S)) for S in data.draw(st.lists(st.sets(
+                st.integers(0, m - 1), min_size=1), min_size=1, max_size=8 if m <= 8 else 1))]
+        horizons = [200, 1, 37] if data is None else data.draw(
+            st.lists(st.integers(1, 200), min_size=1, max_size=4))
+        surv = survival_probabilities(P, start, sets, horizons)
+        assert np.array_equal(surv, survival_by_q_stack(P.rows, start, sets, horizons))
+        for members, row in zip(sets, surv):
+            assert np.array_equal(row, survival_probabilities(P, start, [members], horizons)[0])
+
+    def test_every_singleton_of_256_states_builds_no_stack_of_qs(self):
+        # the (256, 256, 256) stack of P with each singleton's column zeroed alone is 128 MiB
+        P = parse_descriptor("lazy-cycle:m=256;hold=0.5")[1].matrix
+        start = np.full(256, 1 / 256)
+        sets = [(x,) for x in range(256)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            surv = survival_probabilities(P, start, sets, [1, 2, 3, 4])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert (surv[:, 0] == 255 / 256).all()
+        np.testing.assert_allclose(surv, np.broadcast_to(surv[0], surv.shape), rtol=1e-14)
 
     @settings(deadline=None, max_examples=100)
     @given(rows=stochastic_rows(max_states=6), data=st.data())
